@@ -9,6 +9,13 @@ Hom-space route through the intertwiner solver; the two must agree exactly.
 
 All matrices carry explicit row/column label lists; raw integer matrices are
 never passed between modules.
+
+The memo (``memo.memoized``) may cache modules, the subspace chains of a
+module, and whole function results such as a finished Cartan matrix.  It
+never caches ``hom_dim`` or ``_hom_constraints``, and each route has its own
+key, so neither route reads counts the other produced: the routes share only
+the modules they measure, their agreement stays an independent check, and the
+order in which they run cannot change a result.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .memo import memoized
 from .presentation import AlgebraData
 from .repmod import (
     Representation,
@@ -163,32 +171,30 @@ class TheoremAHypotheses:
         return None
 
 
+@memoized
 def lambda_poset(alg: AlgebraData) -> LambdaPoset:
-    if "lambda_poset" not in alg._cache:
-        lengths = tuple(loewy_length(projective(alg, i)) for i in range(1, alg.n + 1))
-        labels = tuple(
-            LambdaLabel(i, j)
-            for i in range(1, alg.n + 1)
-            for j in range(1, lengths[i - 1] + 1)
-        )
-        alg._cache["lambda_poset"] = LambdaPoset(labels, lengths)
-    return alg._cache["lambda_poset"]
+    lengths = tuple(loewy_length(projective(alg, i)) for i in range(1, alg.n + 1))
+    labels = tuple(
+        LambdaLabel(i, j)
+        for i in range(1, alg.n + 1)
+        for j in range(1, lengths[i - 1] + 1)
+    )
+    return LambdaPoset(labels, lengths)
 
 
+@memoized
 def theorem_a_hypotheses(alg: AlgebraData) -> TheoremAHypotheses:
-    if "thm_a_hyp" not in alg._cache:
-        ll_p = tuple(loewy_length(projective(alg, i)) for i in range(1, alg.n + 1))
-        ll_q = tuple(loewy_length(injective(alg, i)) for i in range(1, alg.n + 1))
-        rigid_p = tuple(is_rigid(projective(alg, i)) for i in range(1, alg.n + 1))
-        rigid_q = tuple(is_rigid(injective(alg, i)) for i in range(1, alg.n + 1))
-        alg._cache["thm_a_hyp"] = TheoremAHypotheses(
-            loewy_length=max(ll_p),
-            ll_p=ll_p,
-            ll_q=ll_q,
-            rigid_p=rigid_p,
-            rigid_q=rigid_q,
-        )
-    return alg._cache["thm_a_hyp"]
+    ll_p = tuple(loewy_length(projective(alg, i)) for i in range(1, alg.n + 1))
+    ll_q = tuple(loewy_length(injective(alg, i)) for i in range(1, alg.n + 1))
+    rigid_p = tuple(is_rigid(projective(alg, i)) for i in range(1, alg.n + 1))
+    rigid_q = tuple(is_rigid(injective(alg, i)) for i in range(1, alg.n + 1))
+    return TheoremAHypotheses(
+        loewy_length=max(ll_p),
+        ll_p=ll_p,
+        ll_q=ll_q,
+        rigid_p=rigid_p,
+        rigid_q=rigid_q,
+    )
 
 
 def standard_vector(alg: AlgebraData, label: LambdaLabel) -> LambdaCompositionVector:
@@ -203,57 +209,51 @@ def standard_vector(alg: AlgebraData, label: LambdaLabel) -> LambdaCompositionVe
     return LambdaCompositionVector(poset.labels, values)
 
 
+@memoized
 def _truncated_projective(alg: AlgebraData, k: int, l: int) -> Representation:
-    key = ("trunc_proj", k, l)
-    if key not in alg._cache:
-        alg._cache[key] = truncate(projective(alg, k), l)
-    return alg._cache[key]
+    return truncate(projective(alg, k), l)
 
 
+@memoized
 def _injective_socle_sub(alg: AlgebraData, i: int, j: int) -> Representation:
-    key = ("inj_socle_sub", i, j)
-    if key not in alg._cache:
-        alg._cache[key] = socle_sub(injective(alg, i), j)
-    return alg._cache[key]
+    return socle_sub(injective(alg, i), j)
 
 
+@memoized
 def _injective_socle_profile(alg: AlgebraData, k: int):
-    key = ("inj_socle_profile", k)
-    if key not in alg._cache:
-        alg._cache[key] = socle_series(injective(alg, k))
-    return alg._cache[key]
+    return socle_series(injective(alg, k))
 
 
+def _cumulative_layers(alg: AlgebraData, prof) -> list[tuple[int, ...]]:
+    """Running totals of a series: entry y is the composition vector of layers 1..y."""
+    cums = [(0,) * alg.n]
+    for layer in prof.layers:
+        cums.append(tuple(a + b for a, b in zip(cums[-1], layer.mult)))
+    return cums
+
+
+def _first_layers_mult(cums: list[tuple[int, ...]], y: int, x: int) -> int:
+    """[first y layers : L_x], read off running totals; past the top it is the whole series."""
+    return cums[min(y, len(cums) - 1)][x - 1]
+
+
+@memoized
 def cartan_RA_formula(alg: AlgebraData) -> LabeledMatrix:
     """C(R_A) from socle series: entry[(i,j),(k,l)] = [soc_j(P_k/rad^l P_k) : L_i]."""
-    if "cartan_RA_formula" in alg._cache:
-        return alg._cache["cartan_RA_formula"]
     poset = lambda_poset(alg)
-    columns = {}
-    for k, l in poset.labels:
-        prof = socle_series(_truncated_projective(alg, k, l))
-        cums = []
-        acc = [0] * alg.n
-        for layer in prof.layers:
-            acc = [a + b for a, b in zip(acc, layer.mult)]
-            cums.append(tuple(acc))
-        columns[(k, l)] = cums
-    entries = []
-    for i, j in poset.labels:
-        row = []
-        for k, l in poset.labels:
-            cums = columns[(k, l)]
-            row.append(cums[min(j, len(cums)) - 1][i - 1] if cums else 0)
-        entries.append(tuple(row))
-    result = LabeledMatrix(poset.labels, poset.labels, tuple(entries))
-    alg._cache["cartan_RA_formula"] = result
-    return result
+    columns = [
+        _cumulative_layers(alg, socle_series(_truncated_projective(alg, k, l)))
+        for k, l in poset.labels
+    ]
+    entries = tuple(
+        tuple(_first_layers_mult(cums, j, i) for cums in columns) for i, j in poset.labels
+    )
+    return LabeledMatrix(poset.labels, poset.labels, entries)
 
 
+@memoized
 def cartan_RA_hom(alg: AlgebraData) -> LabeledMatrix:
     """C(R_A) by the oracle route: dim Hom_A(P_i/rad^j P_i, P_k/rad^l P_k)."""
-    if "cartan_RA_hom" in alg._cache:
-        return alg._cache["cartan_RA_hom"]
     poset = lambda_poset(alg)
     entries = tuple(
         tuple(
@@ -262,9 +262,7 @@ def cartan_RA_hom(alg: AlgebraData) -> LabeledMatrix:
         )
         for i, j in poset.labels
     )
-    result = LabeledMatrix(poset.labels, poset.labels, entries)
-    alg._cache["cartan_RA_hom"] = result
-    return result
+    return LabeledMatrix(poset.labels, poset.labels, entries)
 
 
 def injective_vector(alg: AlgebraData, label: LambdaLabel) -> LambdaCompositionVector:
@@ -383,6 +381,7 @@ def ringel_dual_cartan_from_hom(alg: AlgebraData) -> LabeledMatrix:
     return LabeledMatrix(poset.labels, poset.labels, entries)
 
 
+@memoized
 def cartan_ringel_dual(alg: AlgebraData) -> LabeledMatrix:
     """C(R(R_A)) from C(R_A) row arithmetic; valid for every ADR algebra.
 
@@ -390,8 +389,6 @@ def cartan_ringel_dual(alg: AlgebraData) -> LabeledMatrix:
                        - [Q_{i,l_i}:L_{k,l-1}] + [Q_{i,j-1}:L_{k,l-1}],
     with Q_{i,0} = 0 and multiplicities at a zero label read as 0.
     """
-    if "cartan_ringel_dual" in alg._cache:
-        return alg._cache["cartan_ringel_dual"]
     poset = lambda_poset(alg)
     cra = cartan_RA_formula(alg)
     col_index = {lbl: c for c, lbl in enumerate(cra.col_labels)}
@@ -422,51 +419,34 @@ def cartan_ringel_dual(alg: AlgebraData) -> LabeledMatrix:
                 )
             row.append(val)
         entries.append(tuple(row))
-    result = LabeledMatrix(poset.labels, poset.labels, tuple(entries))
-    alg._cache["cartan_ringel_dual"] = result
-    return result
+    return LabeledMatrix(poset.labels, poset.labels, tuple(entries))
 
 
+@memoized
 def sa_labels(alg: AlgebraData) -> tuple[LambdaLabel, ...]:
     """Labels [i,j] of S_A, with 1 <= j <= LL(Q_i)."""
-    if "sa_labels" not in alg._cache:
-        alg._cache["sa_labels"] = tuple(
-            LambdaLabel(i, j)
-            for i in range(1, alg.n + 1)
-            for j in range(1, loewy_length(injective(alg, i)) + 1)
-        )
-    return alg._cache["sa_labels"]
+    return tuple(
+        LambdaLabel(i, j)
+        for i in range(1, alg.n + 1)
+        for j in range(1, loewy_length(injective(alg, i)) + 1)
+    )
 
 
+@memoized
 def cartan_SA_formula(alg: AlgebraData) -> LabeledMatrix:
     """C(S_A): entry[[i,j],[k,l]] = [soc_j Q_i / rad^l (soc_j Q_i) : L_k]."""
-    if "cartan_SA_formula" in alg._cache:
-        return alg._cache["cartan_SA_formula"]
     labels = sa_labels(alg)
-    entries = []
-    for i, j in labels:
-        key = ("soc_sub_rad_profile", i, j)
-        if key not in alg._cache:
-            alg._cache[key] = radical_series(_injective_socle_sub(alg, i, j))
-        prof = alg._cache[key]
-        cums = []
-        acc = [0] * alg.n
-        for layer in prof.layers:
-            acc = [a + b for a, b in zip(acc, layer.mult)]
-            cums.append(tuple(acc))
-        row = []
-        for k, l in labels:
-            row.append(cums[min(l, len(cums)) - 1][k - 1] if cums else 0)
-        entries.append(tuple(row))
-    result = LabeledMatrix(labels, labels, tuple(entries))
-    alg._cache["cartan_SA_formula"] = result
-    return result
+    rows = [
+        _cumulative_layers(alg, radical_series(_injective_socle_sub(alg, i, j)))
+        for i, j in labels
+    ]
+    entries = tuple(tuple(_first_layers_mult(cums, l, k) for k, l in labels) for cums in rows)
+    return LabeledMatrix(labels, labels, entries)
 
 
+@memoized
 def cartan_SA_hom(alg: AlgebraData) -> LabeledMatrix:
     """C(S_A) by the oracle route: dim Hom_A(soc_j Q_i, soc_l Q_k)."""
-    if "cartan_SA_hom" in alg._cache:
-        return alg._cache["cartan_SA_hom"]
     labels = sa_labels(alg)
     entries = tuple(
         tuple(
@@ -475,6 +455,4 @@ def cartan_SA_hom(alg: AlgebraData) -> LabeledMatrix:
         )
         for i, j in labels
     )
-    result = LabeledMatrix(labels, labels, entries)
-    alg._cache["cartan_SA_hom"] = result
-    return result
+    return LabeledMatrix(labels, labels, entries)

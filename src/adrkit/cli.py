@@ -70,7 +70,7 @@ def _parse_field(doc, path: str) -> FieldSpec:
         return RATIONAL
     if kind == "prime":
         p = _need(doc, "p", path)
-        if not isinstance(p, int):
+        if not isinstance(p, int) or isinstance(p, bool):
             raise SchemaError(f"{path}.p: expected an integer")
         try:
             return FieldSpec.prime(p)
@@ -79,22 +79,27 @@ def _parse_field(doc, path: str) -> FieldSpec:
     raise SchemaError(f"{path}.kind: expected 'prime' or 'rational', got {kind!r}")
 
 
-def _parse_coeff(raw, path: str) -> int | Fraction:
-    if isinstance(raw, int):
+def _parse_coeff(raw, path: str, field: FieldSpec) -> int | Fraction:
+    if isinstance(raw, int) and not isinstance(raw, bool):
         return raw
     if isinstance(raw, str):
         try:
             frac = Fraction(raw)
         except (ValueError, ZeroDivisionError):
             raise SchemaError(f"{path}: expected an integer or a/b string, got {raw!r}")
+        if field.is_prime_field and frac.denominator % field.p == 0:
+            raise SchemaError(f"{path}: denominator vanishes mod {field.p}")
         return frac.numerator if frac.denominator == 1 else frac
     raise SchemaError(f"{path}: expected an integer or a/b string")
 
 
-def parse_presentation_doc(doc: dict) -> AlgebraPresentation:
+def parse_presentation_doc(doc: dict, field: FieldSpec | None = None) -> AlgebraPresentation:
+    """Validate a presentation document; ``field``, if given, replaces its field."""
     if not isinstance(doc, dict):
         raise SchemaError("$: expected a JSON object")
-    field = _parse_field(_need(doc, "field", "$"), "$.field")
+    doc_field = _parse_field(_need(doc, "field", "$"), "$.field")
+    if field is None:
+        field = doc_field
     vertices = _need(doc, "vertices", "$")
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
         raise SchemaError("$.vertices: expected an array of strings")
@@ -134,7 +139,7 @@ def parse_presentation_doc(doc: dict) -> AlgebraPresentation:
             tpath = f"{rpath}.terms[{tidx}]"
             if not isinstance(t, dict):
                 raise SchemaError(f"{tpath}: expected an object")
-            coeff = _parse_coeff(_need(t, "coeff", tpath), f"{tpath}.coeff")
+            coeff = _parse_coeff(_need(t, "coeff", tpath), f"{tpath}.coeff", field)
             path_doc = _need(t, "path", tpath)
             if not isinstance(path_doc, list) or not all(isinstance(x, str) for x in path_doc):
                 raise SchemaError(f"{tpath}.path: expected an array of arrow names")
@@ -144,7 +149,7 @@ def parse_presentation_doc(doc: dict) -> AlgebraPresentation:
             terms.append((coeff, tuple(path_doc)))
         relations.append(Relation(tuple(terms)))
     cap = _need(doc, "cap", "$")
-    if not isinstance(cap, int) or cap < 1:
+    if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
         raise SchemaError("$.cap: expected a positive integer")
     try:
         quiver = Quiver(tuple(vertices), tuple(arrows))
@@ -313,11 +318,8 @@ def cmd_analyze(args) -> int:
         print(f"error: {args.path} is not valid JSON: {exc}", file=sys.stderr)
         return 2
     try:
-        pres = parse_presentation_doc(doc)
-        if args.field:
-            pres = AlgebraPresentation(
-                _parse_field_flag(args.field), pres.quiver, pres.relations, pres.cap
-            )
+        field = _parse_field_flag(args.field) if args.field else None
+        pres = parse_presentation_doc(doc, field)
         report = analyze_presentation(pres, skip_corroboration=args.skip_fuzz_corroboration)
     except CapTooSmallError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,6 +19,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .exactlin import FieldSpec, Matrix, in_row_space, rref
+from .memo import memoized, remember
 
 
 class PresentationError(ValueError):
@@ -243,13 +244,12 @@ class AlgebraData:
     def basis_indices_with_source(self, i: int) -> list[int]:
         return [k for k, path in enumerate(self.basis) if path.source == i]
 
+    @memoized
     def opposite(self) -> "AlgebraData":
-        """The opposite algebra, built from the reversed presentation (cached)."""
-        if "opposite" not in self._cache:
-            opp = build_algebra(opposite_presentation(self.presentation))
-            opp._cache["opposite"] = self
-            self._cache["opposite"] = opp
-        return self._cache["opposite"]
+        """The opposite algebra, built from the reversed presentation (cached both ways)."""
+        opp = build_algebra(opposite_presentation(self.presentation))
+        remember(AlgebraData.opposite, opp, result=self)
+        return opp
 
 
 def _column_order(paths: list[list[Path]]) -> tuple[list[Path], dict[Path, int]]:
@@ -324,7 +324,7 @@ def build_algebra(p: AlgebraPresentation) -> AlgebraData:
 
     gen_rows = _ideal_rows(relations, graded, col_all, width_all, p.cap, False, fld)
     span = (
-        rref(Matrix.from_rows(fld, gen_rows, cols=width_all))
+        rref(Matrix(fld, np.vstack(gen_rows)))
         if gen_rows
         else rref(Matrix.zeros(fld, 0, width_all))
     )
@@ -349,7 +349,7 @@ def build_algebra(p: AlgebraPresentation) -> AlgebraData:
     width_low = len(low_paths)
     low_rows = _ideal_rows(relations, graded, col_low, width_low, p.cap - 1, True, fld)
     ideal = (
-        rref(Matrix.from_rows(fld, low_rows, cols=width_low))
+        rref(Matrix(fld, np.vstack(low_rows)))
         if low_rows
         else rref(Matrix.zeros(fld, 0, width_low))
     )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +26,7 @@ from .exactlin import (
     reduce_mod_row_space,
     row_space_basis,
 )
+from .memo import memoized
 from .presentation import AlgebraData
 
 
@@ -70,6 +71,7 @@ class Representation:
     algebra: AlgebraData
     dims: tuple[int, ...]
     arrow_maps: dict[str, Matrix]
+    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def field(self) -> FieldSpec:
@@ -110,11 +112,9 @@ def simple(alg: AlgebraData, i: int) -> Representation:
     return Representation(alg, dims, maps)
 
 
+@memoized
 def projective(alg: AlgebraData, i: int) -> Representation:
     """Indecomposable projective P_i: residues of basis paths with source i."""
-    key = ("projective", i)
-    if key in alg._cache:
-        return alg._cache[key]
     if not 1 <= i <= alg.n:
         raise ValueError(f"vertex index {i} out of range 1..{alg.n}")
     idxs = alg.basis_indices_with_source(i)
@@ -136,22 +136,15 @@ def projective(alg: AlgebraData, i: int) -> Representation:
                 _, row = pos[idx]
                 arr[row, col] = coeff
         maps[a.name] = Matrix(alg.field, arr)
-    rep = Representation(alg, dims, maps)
-    alg._cache[key] = rep
-    return rep
+    return Representation(alg, dims, maps)
 
 
+@memoized
 def injective(alg: AlgebraData, i: int) -> Representation:
     """Indecomposable injective Q_i: transpose-dual of the opposite projective."""
-    key = ("injective", i)
-    if key in alg._cache:
-        return alg._cache[key]
-    opp = alg.opposite()
-    p_op = projective(opp, i)
+    p_op = projective(alg.opposite(), i)
     maps = {a.name: p_op.arrow_maps[a.name].transpose() for a in alg.quiver.arrows}
-    rep = Representation(alg, p_op.dims, maps)
-    alg._cache[key] = rep
-    return rep
+    return Representation(alg, p_op.dims, maps)
 
 
 def composition_vector(m: Representation) -> CompositionVector:
@@ -201,15 +194,16 @@ def _radical_step(m: Representation, spaces: Subspaces) -> Subspaces:
     return tuple(out)
 
 
-def radical_chain(m: Representation) -> list[Subspaces]:
-    """[rad^0 M = M, rad M, ..., rad^L M = 0] as echelonized subspaces."""
+@memoized
+def radical_chain(m: Representation) -> tuple[Subspaces, ...]:
+    """(rad^0 M = M, rad M, ..., rad^L M = 0) as echelonized subspaces."""
     chain = [tuple(_full_space(m.field, d) for d in m.dims)]
     while sum(s.rank for s in chain[-1]) > 0:
         nxt = _radical_step(m, chain[-1])
         if sum(s.rank for s in nxt) >= sum(s.rank for s in chain[-1]):
             raise RuntimeError("radical did not shrink; representation is invalid")
         chain.append(nxt)
-    return chain
+    return tuple(chain)
 
 
 def sub_representation(m: Representation, spaces: Subspaces) -> Representation:
@@ -257,8 +251,9 @@ def quotient_representation(m: Representation, spaces: Subspaces) -> Representat
     return Representation(alg, dims, maps)
 
 
-def socle_chain(m: Representation) -> list[Subspaces]:
-    """[0 = soc_0 M, soc_1 M, ..., soc_K M = M] as echelonized subspaces."""
+@memoized
+def socle_chain(m: Representation) -> tuple[Subspaces, ...]:
+    """(0 = soc_0 M, soc_1 M, ..., soc_K M = M) as echelonized subspaces."""
     chain = [tuple(_zero_space(m.field, d) for d in m.dims)]
     total = m.total_dim()
     while sum(s.rank for s in chain[-1]) < total:
@@ -277,33 +272,29 @@ def socle_chain(m: Representation) -> list[Subspaces]:
         if sum(s.rank for s in new_spaces) <= sum(s.rank for s in cur):
             raise RuntimeError("socle did not grow; representation is invalid")
         chain.append(tuple(new_spaces))
-    return chain
+    return tuple(chain)
+
+
+def _quotient_layers(pairs) -> SeriesProfile:
+    """Composition vectors of big/small for each (big, small) pair of nested subspaces."""
+    return SeriesProfile(
+        tuple(
+            CompositionVector(tuple(b.rank - s.rank for b, s in zip(big, small)))
+            for big, small in pairs
+        )
+    )
 
 
 def socle_series(m: Representation) -> SeriesProfile:
     """Socle layers soc_j/soc_{j-1}, bottom-up."""
     chain = socle_chain(m)
-    layers = []
-    for j in range(1, len(chain)):
-        layers.append(
-            CompositionVector(
-                tuple(chain[j][v].rank - chain[j - 1][v].rank for v in range(m.algebra.n))
-            )
-        )
-    return SeriesProfile(tuple(layers))
+    return _quotient_layers(zip(chain[1:], chain))
 
 
 def radical_series(m: Representation) -> SeriesProfile:
     """Radical layers M/rad M, rad M/rad^2 M, ..., top-down."""
     chain = radical_chain(m)
-    layers = []
-    for j in range(len(chain) - 1):
-        layers.append(
-            CompositionVector(
-                tuple(chain[j][v].rank - chain[j + 1][v].rank for v in range(m.algebra.n))
-            )
-        )
-    return SeriesProfile(tuple(layers))
+    return _quotient_layers(zip(chain, chain[1:]))
 
 
 def loewy_length(m: Representation) -> int:
@@ -502,16 +493,16 @@ def _socle_vertex(m: Representation) -> int | None:
     return dims.index(1) + 1
 
 
+@memoized
 def is_nakayama(alg: AlgebraData) -> bool:
     """True iff all indecomposable projectives and injectives are uniserial."""
-    if "nakayama" not in alg._cache:
-        alg._cache["nakayama"] = all(
-            is_uniserial(projective(alg, i)) and is_uniserial(injective(alg, i))
-            for i in range(1, alg.n + 1)
-        )
-    return alg._cache["nakayama"]
+    return all(
+        is_uniserial(projective(alg, i)) and is_uniserial(injective(alg, i))
+        for i in range(1, alg.n + 1)
+    )
 
 
+@memoized
 def selfinjective_matching(alg: AlgebraData) -> dict[int, int] | None:
     """Permutation sigma with P_i isomorphic to Q_sigma(i), or None.
 
@@ -519,28 +510,21 @@ def selfinjective_matching(alg: AlgebraData) -> dict[int, int] | None:
     matched by their top-to-socle composition series (a complete test for
     uniserials); otherwise a vertexwise invertible intertwiner is searched.
     """
-    if "selfinjective_sigma" in alg._cache:
-        return alg._cache["selfinjective_sigma"]
     sigma: dict[int, int] = {}
     for i in range(1, alg.n + 1):
         p = projective(alg, i)
         s = _socle_vertex(p)
         if s is None:
-            sigma = None
-            break
+            return None
         q = injective(alg, s)
         if p.dims != q.dims:
-            sigma = None
-            break
+            return None
         if is_uniserial(p) and is_uniserial(q):
             if _top_to_socle_series(p) != _top_to_socle_series(q):
-                sigma = None
-                break
+                return None
         elif not _find_isomorphism(p, q):
-            sigma = None
-            break
+            return None
         sigma[i] = s
-    alg._cache["selfinjective_sigma"] = sigma
     return sigma
 
 

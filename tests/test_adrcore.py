@@ -295,3 +295,31 @@ def test_monomial_cartans_field_independent():
                 )
             )
         assert mats[0] == mats[1] == mats[2], entry_id
+
+
+def _all_routes(alg, hom_first):
+    """(formula routes, Hom routes) of the three Cartan matrices, in the given order."""
+
+    def formula():
+        return cartan_RA_formula(alg), cartan_ringel_dual(alg), cartan_SA_formula(alg)
+
+    def hom():
+        ringel = (
+            ringel_dual_cartan_from_hom(alg) if theorem_a_hypotheses(alg).all_ok else None
+        )
+        return cartan_RA_hom(alg), ringel, cartan_SA_hom(alg)
+
+    if hom_first:
+        h = hom()
+        return formula(), h
+    f = formula()
+    return f, hom()
+
+
+@pytest.mark.parametrize("entry_id", ["nakayama-2-3", "preproj-a-3", "nonrigid-shortcut-3"])
+def test_route_order_cannot_change_results(entry_id):
+    # metamorphic: the memo is filled in the opposite order on two fresh builds
+    entry = get_entry(entry_id)
+    assert _all_routes(entry.build(), hom_first=True) == _all_routes(
+        entry.build(), hom_first=False
+    )

@@ -267,3 +267,39 @@ def test_analyze_rational_field_flag(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "analyze", path, "--field", "rational")
     assert code == 0
     assert json.loads(out)["algebra"]["field"] == "Q"
+
+
+def test_analyze_denominator_vanishing_mod_p(tmp_path, capsys):
+    doc = x3_doc()
+    doc["relations"][0]["terms"][0]["coeff"] = "1/7"
+    message = "$.relations[0].terms[0].coeff: denominator vanishes mod 7"
+    over_f7 = dict(doc, field={"kind": "prime", "p": 7})
+    code, _, err = run_cli(capsys, "analyze", write_doc(tmp_path, over_f7))
+    assert code == 2
+    assert message in err
+    path = write_doc(tmp_path, doc, "over_q.json")
+    code, _, err = run_cli(capsys, "analyze", path, "--field", "p=7")
+    assert code == 2
+    assert message in err
+    code, _, err = run_cli(capsys, "analyze", path, "--field", "p=5")
+    assert code == 0, err
+
+
+@pytest.mark.parametrize(
+    "where, set_true",
+    [
+        ("$.cap", lambda doc: doc.update(cap=True)),
+        ("$.field.p", lambda doc: doc.update(field={"kind": "prime", "p": True})),
+        (
+            "$.relations[0].terms[0].coeff",
+            lambda doc: doc["relations"][0]["terms"][0].update(coeff=True),
+        ),
+    ],
+)
+def test_analyze_rejects_booleans_as_integers(tmp_path, capsys, where, set_true):
+    doc = x3_doc()
+    set_true(doc)
+    code, out, err = run_cli(capsys, "analyze", write_doc(tmp_path, doc))
+    assert code == 2
+    assert f"{where}: expected" in err
+    assert out == ""

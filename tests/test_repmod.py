@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from adrkit import repmod
 from adrkit.exactlin import RATIONAL, Matrix, in_row_space, row_space_basis
 from adrkit.presentation import (
     AlgebraPresentation,
@@ -24,9 +25,11 @@ from adrkit.repmod import (
     loewy_length,
     projective,
     quotient_representation,
+    radical_chain,
     radical_series,
     selfinjective_matching,
     simple,
+    socle_chain,
     socle_series,
     socle_sub,
     truncate,
@@ -325,3 +328,24 @@ def test_hom_into_injective_counts_multiplicity():
         quo = quotient_representation(cover, _random_submodule(cover, rng))
         for i in range(1, alg.n + 1):
             assert hom_dim(quo, injective(alg, i)) == quo.dims[i - 1]
+
+
+@pytest.mark.parametrize(
+    "chain, step", [(radical_chain, "_radical_step"), (socle_chain, "_socle_subspaces")]
+)
+def test_chain_is_computed_once_per_module(monkeypatch, chain, step):
+    # a fresh algebra, so no earlier test has filled the module's memo
+    m = projective(get_entry("preproj-a-3").build(), 1)
+    real = getattr(repmod, step)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(repmod, step, counted)
+    first = chain(m)
+    second = chain(m)
+    assert second is first
+    assert isinstance(first, tuple)
+    assert len(calls) == loewy_length(m) == len(first) - 1
