@@ -261,13 +261,10 @@ def _rref_array(a: np.ndarray, field: FieldSpec) -> tuple[np.ndarray, list[int]]
     for c in range(cols):
         if r >= rows:
             break
-        pr = -1
-        for rr in range(r, rows):
-            if a[rr, c] != 0:
-                pr = rr
-                break
-        if pr < 0:
+        hits = np.flatnonzero(a[r:, c] != 0)
+        if not hits.size:
             continue
+        pr = r + int(hits[0])
         if pr != r:
             a[[r, pr]] = a[[pr, r]]
         if field.is_prime_field:
@@ -283,8 +280,8 @@ def _rref_array(a: np.ndarray, field: FieldSpec) -> tuple[np.ndarray, list[int]]
             a[r] = a[r] * (Fraction(1) / a[r, c])
             col = a[:, c].copy()
             col[r] = Fraction(0)
-            nz = [i for i in range(rows) if col[i] != 0]
-            if nz:
+            nz = np.flatnonzero(col != 0)
+            if nz.size:
                 a[nz] = a[nz] - col[nz, None] * a[r][None, :]
         pivots.append(c)
         r += 1
@@ -311,20 +308,17 @@ def kernel_basis(m: Matrix) -> Matrix:
     """Rows spanning the right kernel {v : m v^T = 0}."""
     red, rk, pivots = rref(m)
     field = m.field
-    free = [c for c in range(m.cols) if c not in set(pivots)]
+    pivot_set = set(pivots)
+    free = [c for c in range(m.cols) if c not in pivot_set]
     if field.is_prime_field:
         out = np.zeros((len(free), m.cols), dtype=np.int64)
     else:
         out = np.empty((len(free), m.cols), dtype=object)
         out[...] = Fraction(0)
+    pivot_list = list(pivots)
     for k, c in enumerate(free):
         out[k, c] = 1 if field.is_prime_field else Fraction(1)
-        for r, pc in enumerate(pivots):
-            val = red._a[r, c]
-            if field.is_prime_field:
-                out[k, pc] = (-int(val)) % field.p
-            else:
-                out[k, pc] = -val
+        out[k, pivot_list] = -red._a[:rk, c]
     return Matrix(field, out)
 
 

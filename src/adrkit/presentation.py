@@ -131,14 +131,54 @@ class AlgebraPresentation:
             raise PresentationError(f"cap must be >= 1, got {self.cap}")
 
 
+PATH_BUDGET = 200_000
+"""Most paths of length <= cap that :func:`enumerate_paths` will list.
+
+The builder lists every path below the cap, so a larger count (two loops at
+cap 40 have 2^41 - 1 paths) is refused before any is listed, as is a cap above
+this bound (each degree is a layer of its own).  Preprojective A_8, the
+largest input timed so far, has 4466 paths.
+"""
+
+
+def _count_paths(q: Quiver, max_len: int) -> list[int]:
+    """Number of paths of each length 0..max_len, counted without listing them.
+
+    Stops early, with a shorter list, once the running total exceeds
+    :data:`PATH_BUDGET` or no path of the last length can be extended.
+    """
+    ending = {v: 1 for v in range(1, q.n + 1)}  # paths of the current length, by target
+    counts = [q.n]
+    ends = [(q.index(a.source), q.index(a.target)) for a in q.arrows]
+    while len(counts) <= max_len and sum(counts) <= PATH_BUDGET and counts[-1]:
+        longer = dict.fromkeys(ending, 0)
+        for src, tgt in ends:
+            longer[tgt] += ending[src]
+        ending = longer
+        counts.append(sum(ending.values()))
+    return counts
+
+
 def enumerate_paths(q: Quiver, max_len: int) -> list[list[Path]]:
     """All paths of length 0..max_len, graded by length.
 
     Degree 0 holds the trivial paths in vertex order; within every positive
     degree paths come in lexicographic order of their arrow-name sequences.
+    More than :data:`PATH_BUDGET` paths, or a longer ``max_len``, is a
+    :class:`PresentationError`.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
+    if max_len > PATH_BUDGET:
+        raise PresentationError(
+            f"cap={max_len} exceeds the path budget of {PATH_BUDGET}"
+        )
+    counts = _count_paths(q, max_len)
+    if sum(counts) > PATH_BUDGET:
+        raise PresentationError(
+            f"{sum(counts)} paths of length <= {len(counts) - 1} already exceed the "
+            f"path budget of {PATH_BUDGET} at cap={max_len}; lower the cap"
+        )
     by_source: dict[int, list[tuple[str, int]]] = {v: [] for v in range(1, q.n + 1)}
     for a in sorted(q.arrows, key=lambda a: a.name):
         by_source[q.index(a.source)].append((a.name, q.index(a.target)))
@@ -252,61 +292,77 @@ class AlgebraData:
         return opp
 
 
-def _column_order(paths: list[list[Path]]) -> tuple[list[Path], dict[Path, int]]:
-    flat: list[Path] = [p for layer in paths for p in layer]
-    return flat, {p: c for c, p in enumerate(flat)}
+ParallelClass = tuple[int, int]
+
+
+def _parallel_classes(paths: Iterable[Path]) -> tuple[dict[ParallelClass, list[Path]], dict[Path, int]]:
+    """Paths grouped by (source, target), each group in the given order, and
+    every path's column inside its own group."""
+    classes: dict[ParallelClass, list[Path]] = {}
+    local: dict[Path, int] = {}
+    for path in paths:
+        group = classes.setdefault((path.source, path.target), [])
+        local[path] = len(group)
+        group.append(path)
+    return classes, local
 
 
 def _ideal_rows(
     relations: list[list[tuple[int | Fraction, Path]]],
-    paths: list[list[Path]],
-    col: dict[Path, int],
-    width: int,
+    paths: list[Path],
+    classes: dict[ParallelClass, list[Path]],
+    local: dict[Path, int],
     degree_bound: int,
     use_min_length: bool,
     fld: FieldSpec,
-) -> list[np.ndarray]:
+) -> dict[ParallelClass, Matrix]:
     """Spanning vectors u*r*v of the relation ideal, inside paths of length <= degree_bound.
 
+    ``paths`` lists the candidate prefixes u and suffixes v in length order.
     With ``use_min_length`` False a product is kept only when all its terms fit
     under the bound; with True it is kept when its shortest term fits, and the
     overlong terms are truncated away.
+
+    Every term of u*r*v runs from source(u) to target(v), so each product is a
+    vector over the columns of one parallel class ``classes[(source, target)]``
+    (indexed by ``local``).  KQ is the direct sum of its parallel classes, so
+    the ideal is the direct sum of these per-class spans: the result holds one
+    generator matrix per class that has a generator, and no other class
+    meets the ideal.
     """
-    rows: list[np.ndarray] = []
-    flat = [p for layer in paths for p in layer]
+    ending: dict[int, list[Path]] = {}
+    starting: dict[int, list[Path]] = {}
+    for path in paths:
+        ending.setdefault(path.target, []).append(path)
+        starting.setdefault(path.source, []).append(path)
+    rows: dict[ParallelClass, list[dict[int, int | Fraction]]] = {}
+    deciding = min if use_min_length else max
     for terms in relations:
-        deciding = min if use_min_length else max
-        rel_len = deciding(path.length for _, path in terms)
         rel_src = terms[0][1].source
         rel_tgt = terms[0][1].target
-        budget = degree_bound - rel_len
-        if budget < 0:
-            continue
-        prefixes = [p for p in flat if p.target == rel_src and p.length <= budget]
-        for pre in prefixes:
-            for suf in flat:
-                if suf.source != rel_tgt or pre.length + suf.length > budget:
-                    continue
-                if fld.is_prime_field:
-                    vec = np.zeros(width, dtype=np.int64)
-                else:
-                    vec = np.empty(width, dtype=object)
-                    vec[...] = Fraction(0)
-                nonzero = False
+        budget = degree_bound - deciding(path.length for _, path in terms)
+        for pre in ending.get(rel_src, ()):
+            if pre.length > budget:
+                break
+            for suf in starting.get(rel_tgt, ()):
+                if pre.length + suf.length > budget:
+                    break
+                vec: dict[int, int | Fraction] = {}
                 for coeff, path in terms:
-                    total = pre.length + path.length + suf.length
-                    if total > degree_bound:
+                    if pre.length + path.length + suf.length > degree_bound:
                         continue
-                    whole = Path(pre.source, pre.arrows + path.arrows + suf.arrows, suf.target)
-                    c = col[whole]
-                    if fld.is_prime_field:
-                        vec[c] = (vec[c] + coeff) % fld.p
-                    else:
-                        vec[c] = vec[c] + coeff
-                    nonzero = True
-                if nonzero:
-                    rows.append(vec)
-    return rows
+                    c = local[Path(pre.source, pre.arrows + path.arrows + suf.arrows, suf.target)]
+                    vec[c] = vec.get(c, 0) + coeff
+                if vec:
+                    rows.setdefault((pre.source, suf.target), []).append(vec)
+    out: dict[ParallelClass, Matrix] = {}
+    for cls, vecs in rows.items():
+        a = Matrix.zeros(fld, len(vecs), len(classes[cls])).array().copy()
+        for r, vec in enumerate(vecs):
+            for c, coeff in vec.items():
+                a[r, c] = coeff
+        out[cls] = Matrix(fld, a)
+    return out
 
 
 def build_algebra(p: AlgebraPresentation) -> AlgebraData:
@@ -315,28 +371,29 @@ def build_algebra(p: AlgebraPresentation) -> AlgebraData:
     The span I<=cap of all products u*r*v whose terms fit under the cap must
     contain every path of length cap; otherwise the presentation is not
     visibly nilpotent at this cap and :class:`CapTooSmallError` is raised.
+
+    Both spans are row-reduced one parallel class at a time.  Each generator
+    u*r*v lies in a single class, so the ideal matrix over all paths is
+    block-diagonal after grouping the columns by class, and its unique RREF is
+    the union of the per-class RREFs (each class keeps the global column order
+    of its paths).  Pivots, basis and reductions are therefore exactly those
+    of one elimination across the whole width, and a path of a class without
+    generators is never in the ideal.
     """
     fld = p.field
     relations = _canonical_relations(p)
     graded = enumerate_paths(p.quiver, p.cap)
-    all_paths, col_all = _column_order(graded)
-    width_all = len(all_paths)
+    flat = [path for layer in graded for path in layer]
 
-    gen_rows = _ideal_rows(relations, graded, col_all, width_all, p.cap, False, fld)
-    span = (
-        rref(Matrix(fld, np.vstack(gen_rows)))
-        if gen_rows
-        else rref(Matrix.zeros(fld, 0, width_all))
-    )
-    for path in graded[p.cap] if p.cap < len(graded) else []:
-        if fld.is_prime_field:
-            unit = np.zeros(width_all, dtype=np.int64)
-            unit[col_all[path]] = 1
-        else:
-            unit = np.empty(width_all, dtype=object)
-            unit[...] = Fraction(0)
-            unit[col_all[path]] = Fraction(1)
-        if not in_row_space(span, unit):
+    classes, local = _parallel_classes(flat)
+    span = {
+        cls: rref(m)
+        for cls, m in _ideal_rows(relations, flat, classes, local, p.cap, False, fld).items()
+    }
+    for path in graded[p.cap]:
+        cls = (path.source, path.target)
+        unit = Matrix.identity(fld, len(classes[cls])).array()[local[path]]
+        if cls not in span or not in_row_space(span[cls], unit):
             raise CapTooSmallError(
                 f"path {'*'.join(path.arrows)} of length {p.cap} is not in the "
                 f"ideal span at cap={p.cap}; raise the cap or fix the relations"
@@ -344,18 +401,19 @@ def build_algebra(p: AlgebraPresentation) -> AlgebraData:
 
     # Admissibility established: pass to paths of length < cap and take the
     # true ideal there, truncating products whose long terms overflow the cap.
-    graded_low = graded[: p.cap]
-    low_paths, col_low = _column_order(graded_low)
-    width_low = len(low_paths)
-    low_rows = _ideal_rows(relations, graded, col_low, width_low, p.cap - 1, True, fld)
-    ideal = (
-        rref(Matrix(fld, np.vstack(low_rows)))
-        if low_rows
-        else rref(Matrix.zeros(fld, 0, width_low))
-    )
-    pivot_set = set(ideal.pivot_cols)
+    low_paths = [path for path in flat if path.length < p.cap]
+    low_classes, low_local = _parallel_classes(low_paths)
+    ideal = {
+        cls: rref(m)
+        for cls, m in _ideal_rows(
+            relations, flat, low_classes, low_local, p.cap - 1, True, fld
+        ).items()
+    }
+    pivot_paths = {
+        low_classes[cls][pc] for cls, block in ideal.items() for pc in block.pivot_cols
+    }
 
-    basis = tuple(path for c, path in enumerate(low_paths) if c not in pivot_set)
+    basis = tuple(path for path in low_paths if path not in pivot_paths)
     basis_index = {path: k for k, path in enumerate(basis)}
     layers: list[tuple[int, ...]] = []
     for d in range(p.cap):
@@ -365,28 +423,22 @@ def build_algebra(p: AlgebraPresentation) -> AlgebraData:
         layers.pop()
     loewy_length = len(layers)
 
-    # Reduction of a pivot path: minus the rest of its RREF row (supported on
-    # the surviving basis paths of the same parallel class).
-    reduction: dict[int, tuple[tuple[int, int | Fraction], ...]] = {}
-    red = ideal.reduced
-    for r, pc in enumerate(ideal.pivot_cols):
-        combo = []
-        pivot_path = low_paths[pc]
-        for c in range(width_low):
-            if c == pc:
-                continue
-            val = red[r, c]
-            if val != 0:
-                # the ideal splits over parallel classes, so every residue
-                # keeps the source and target of its pivot path
-                if (low_paths[c].source, low_paths[c].target) != (
-                    pivot_path.source,
-                    pivot_path.target,
-                ):
-                    raise RuntimeError("ideal row mixes parallel classes")
-                neg = (-int(val)) % fld.p if fld.is_prime_field else -val
-                combo.append((basis_index[low_paths[c]], neg))
-        reduction[pc] = tuple(combo)
+    # Reduction of a pivot path: minus the rest of its RREF row, which lives on
+    # the surviving basis paths of the pivot's own parallel class.
+    reduction: dict[Path, tuple[tuple[int, int | Fraction], ...]] = {}
+    for cls, block in ideal.items():
+        group = low_classes[cls]
+        red = block.reduced.array()
+        for r, pc in enumerate(block.pivot_cols):
+            row = red[r]
+            reduction[group[pc]] = tuple(
+                (
+                    basis_index[group[c]],
+                    (-int(row[c])) % fld.p if fld.is_prime_field else -row[c],
+                )
+                for c in np.flatnonzero(row != 0)
+                if c != pc
+            )
 
     arrow_targets = {a.name: p.quiver.arrow_endpoints(a.name) for a in p.quiver.arrows}
     act: dict[str, dict[int, tuple[tuple[int, int | Fraction], ...]]] = {
@@ -401,9 +453,8 @@ def build_algebra(p: AlgebraPresentation) -> AlgebraData:
                 act[a.name][k] = ()
                 continue
             longer = Path(path.source, path.arrows + (a.name,), arrow_targets[a.name][1])
-            c = col_low[longer]
-            if c in pivot_set:
-                act[a.name][k] = reduction[c]
+            if longer in reduction:
+                act[a.name][k] = reduction[longer]
             else:
                 one = 1 if fld.is_prime_field else Fraction(1)
                 act[a.name][k] = ((basis_index[longer], one),)

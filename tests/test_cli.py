@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -303,3 +304,23 @@ def test_analyze_rejects_booleans_as_integers(tmp_path, capsys, where, set_true)
     assert code == 2
     assert f"{where}: expected" in err
     assert out == ""
+
+
+def test_analyze_outsized_path_count_exits_2_fast(tmp_path, capsys):
+    # two loops at cap 40 would have 2^41 - 1 paths to list
+    doc = {
+        "field": {"kind": "prime", "p": 7},
+        "vertices": ["1"],
+        "arrows": [
+            {"name": "x", "source": "1", "target": "1"},
+            {"name": "y", "source": "1", "target": "1"},
+        ],
+        "relations": [{"terms": [{"coeff": "1", "path": ["x", "y"]}]}],
+        "cap": 40,
+    }
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, "analyze", write_doc(tmp_path, doc))
+    assert time.monotonic() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "path budget" in err and "cap=40" in err

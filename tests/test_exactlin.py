@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adrkit.exactlin import (
@@ -20,6 +20,7 @@ from adrkit.exactlin import (
 
 F3 = FieldSpec.prime(3)
 F5 = FieldSpec.prime(5)
+F7 = FieldSpec.prime(7)
 
 
 def test_field_spec_validation():
@@ -183,3 +184,80 @@ def test_entries_row_major_and_immutable():
         m.field = RATIONAL
     with pytest.raises(ValueError):
         m.array()[0, 0] = 0
+
+
+def _naive_rref(rows: list[list], cols: int, field: FieldSpec):
+    """Textbook Gauss-Jordan on Python lists: (reduced rows, pivot columns)."""
+    p = field.p if field.is_prime_field else None
+
+    def norm(x):
+        return x % p if p else Fraction(x)
+
+    a = [[norm(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pr = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = pow(a[r][c], p - 2, p) if p else 1 / a[r][c]
+        a[r] = [norm(x * inv) for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [norm(x - f * y) for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+_SPARSE_ENTRY = st.one_of(st.just(0), st.just(0), st.integers(-3, 3))
+_RATIONAL_ENTRY = st.one_of(
+    st.just(0), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+)
+
+
+def _check_against_naive(field: FieldSpec, grid: list[list], cols: int):
+    m = Matrix.from_rows(field, grid, cols=cols)
+    result = rref(m)
+    expected, pivots = _naive_rref(grid, cols, field)
+    assert result.pivot_cols == tuple(pivots)
+    assert result.rank == len(pivots)
+    assert [list(result.reduced.row(r)) for r in range(len(grid))] == expected
+
+
+def _cases(field: FieldSpec, entry):
+    """(field, cols, rows) with 0..6 rows and 0..6 columns."""
+    return st.integers(0, 6).flatmap(
+        lambda cols: st.tuples(
+            st.just(field),
+            st.just(cols),
+            st.lists(st.lists(entry, min_size=cols, max_size=cols), max_size=6),
+        )
+    )
+
+
+@given(case=st.one_of(_cases(F7, _SPARSE_ENTRY), _cases(RATIONAL, _RATIONAL_ENTRY)))
+@example(case=(F7, 4, []))
+@example(case=(RATIONAL, 0, [[], [], []]))
+@settings(max_examples=200, deadline=None)
+def test_rref_matches_naive_reference(case):
+    field, cols, grid = case
+    _check_against_naive(field, grid, cols)
+
+
+@pytest.mark.parametrize("field", [F7, RATIONAL], ids=["F7", "Q"])
+def test_rref_pivot_below_zero_rows_and_zero_columns(field):
+    # column 0 is zero throughout; the pivot of column 1 sits in row 3, below
+    # three rows that are zero there, and that of column 2 ends up in row 4
+    grid = [
+        [0, 0, 0, 0],
+        [0, 0, 0, 0],
+        [0, 0, 0, 2],
+        [0, 3, 1, 0],
+        [0, 6, 5, 0],
+    ]
+    _check_against_naive(field, grid, 4)
+    result = rref(Matrix.from_rows(field, grid, cols=4))
+    assert result.pivot_cols == (1, 2, 3)

@@ -4,6 +4,7 @@ import pytest
 
 from adrkit.exactlin import RATIONAL, FieldSpec, Matrix, rref
 from adrkit.presentation import (
+    PATH_BUDGET,
     AlgebraPresentation,
     Arrow,
     CapTooSmallError,
@@ -14,6 +15,7 @@ from adrkit.presentation import (
     Quiver,
     Relation,
     UnknownArrowError,
+    _count_paths,
     build_algebra,
     connected_components,
     enumerate_paths,
@@ -200,9 +202,15 @@ def test_restrict_presentation():
     assert build_algebra(sub).dim == 2
 
 
-def _brute_force_quotient_dim(pres: AlgebraPresentation) -> int:
-    """Independent count: paths below the cap minus the rank of all truncated
-    u*r*v products, assembled directly from the path enumeration."""
+def _dense_build(pres: AlgebraPresentation):
+    """Whole-width oracle for ``build_algebra``: (basis, layers, act).
+
+    One RREF of all truncated u*r*v products over every path below the cap,
+    assembled directly from the path enumeration, with no split by parallel
+    class.  The basis is the non-pivot paths; an arrow sends a basis path to
+    the longer path, or, when that is a pivot, to minus the rest of its row.
+    """
+    fld = pres.field
     graded = enumerate_paths(pres.quiver, pres.cap)
     low = [p for layer in graded[: pres.cap] for p in layer]
     col = {p: c for c, p in enumerate(low)}
@@ -213,14 +221,14 @@ def _brute_force_quotient_dim(pres: AlgebraPresentation) -> int:
         for coeff, names in rel.terms:
             src = pres.quiver.index(pres.quiver.arrow(names[0]).source)
             tgt = pres.quiver.index(pres.quiver.arrow(names[-1]).target)
-            terms.append((pres.field.coerce(coeff), Path(src, tuple(names), tgt)))
+            terms.append((fld.coerce(coeff), Path(src, tuple(names), tgt)))
         for pre in flat:
             if pre.target != terms[0][1].source:
                 continue
             for suf in flat:
                 if suf.source != terms[0][1].target:
                     continue
-                vec = [pres.field.coerce(0)] * len(low)
+                vec = [fld.coerce(0)] * len(low)
                 hit = False
                 for coeff, path in terms:
                     if pre.length + path.length + suf.length >= pres.cap:
@@ -229,10 +237,33 @@ def _brute_force_quotient_dim(pres: AlgebraPresentation) -> int:
                     vec[col[whole]] += coeff
                     hit = True
                 if hit:
-                    rows.append([pres.field.coerce(v) for v in vec])
-    if not rows:
-        return len(low)
-    return len(low) - rref(Matrix.from_rows(pres.field, rows, cols=len(low))).rank
+                    rows.append([fld.coerce(v) for v in vec])
+    ideal = rref(Matrix.from_rows(fld, rows, cols=len(low)))
+    pivot_row = {pc: r for r, pc in enumerate(ideal.pivot_cols)}
+    basis = tuple(p for c, p in enumerate(low) if c not in pivot_row)
+    index = {p: k for k, p in enumerate(basis)}
+    layers = [tuple(k for k, p in enumerate(basis) if p.length == d) for d in range(pres.cap)]
+    while layers and not layers[-1]:
+        layers.pop()
+    act = {a.name: {} for a in pres.quiver.arrows}
+    for k, path in enumerate(basis):
+        for a in pres.quiver.arrows:
+            src, tgt = pres.quiver.arrow_endpoints(a.name)
+            if path.target != src:
+                continue
+            longer = Path(path.source, path.arrows + (a.name,), tgt)
+            if longer.length >= pres.cap:
+                act[a.name][k] = ()
+            elif col[longer] in pivot_row:
+                row = ideal.reduced.row(pivot_row[col[longer]])
+                act[a.name][k] = tuple(
+                    (index[low[c]], fld.coerce(-v))
+                    for c, v in enumerate(row)
+                    if v != 0 and c != col[longer]
+                )
+            else:
+                act[a.name][k] = ((index[longer], fld.coerce(1)),)
+    return basis, tuple(layers), act
 
 
 @pytest.mark.parametrize("field", [RATIONAL, FieldSpec.prime(3)], ids=["Q", "F3"])
@@ -253,7 +284,7 @@ def test_layer_dims_match_independent_rank_count(field):
     ]
     for pres in cases:
         alg = build_algebra(pres)
-        assert sum(len(layer) for layer in alg.layers) == _brute_force_quotient_dim(pres)
+        assert sum(len(layer) for layer in alg.layers) == len(_dense_build(pres)[0])
 
 
 def test_relation_free_acyclic_loewy_length():
@@ -316,3 +347,90 @@ def test_nonhomogeneous_quotient_stable_under_cap_increase():
     alg5 = build_algebra(AlgebraPresentation(RATIONAL, q, rels, 5))
     assert alg4.dim == alg5.dim == 11
     assert alg4.basis == alg5.basis
+
+
+# 50 plain fuzz seeds and the first ten seeds whose sampler drew a
+# non-homogeneous relation path - longer path (about 1 seed in 270)
+ORACLE_FUZZ_SEEDS = tuple(range(50)) + (400, 941, 1325, 1335, 1568, 2122, 2299, 2347, 2402, 2604)
+
+
+def _oracle_cases():
+    from adrkit.corpus import builtin_entries, preprojective_a
+
+    cases = [pytest.param(e.presentation, id=e.id) for e in builtin_entries()]
+    for n in (3, 4, 5):
+        for fld in (FieldSpec.prime(7), RATIONAL):
+            pres = preprojective_a(n, fld).presentation
+            cases.append(pytest.param(pres, id=f"preproj-a-{n}-{fld.describe()}"))
+    return cases
+
+
+def _assert_matches_dense_oracle(pres: AlgebraPresentation):
+    alg = build_algebra(pres)
+    basis, layers, act = _dense_build(pres)
+    assert alg.basis == basis
+    assert alg.layers == layers
+    assert alg.act == act
+
+
+@pytest.mark.parametrize("pres", _oracle_cases())
+def test_per_class_build_matches_dense_oracle(pres):
+    _assert_matches_dense_oracle(pres)
+
+
+@pytest.mark.parametrize("seed", ORACLE_FUZZ_SEEDS)
+def test_per_class_build_matches_dense_oracle_fuzz(seed):
+    from adrkit.corpus import random_admissible
+
+    _assert_matches_dense_oracle(random_admissible(seed).presentation)
+
+
+def test_oracle_fuzz_seeds_cover_nonhomogeneous_relations():
+    from adrkit.corpus import random_admissible
+
+    mixed = [
+        seed
+        for seed in ORACLE_FUZZ_SEEDS
+        if any(
+            len({len(names) for _, names in rel.terms}) > 1
+            for rel in random_admissible(seed).presentation.relations
+        )
+    ]
+    assert len(mixed) == 10
+
+
+def test_cap_path_in_class_without_relations_is_cap_too_small():
+    # x*x = 0 makes the loop nilpotent, but nothing relates the class 1 -> 2,
+    # so the length-cap path x*a is not in the ideal span
+    q = Quiver(("1", "2"), (Arrow("x", "1", "1"), Arrow("a", "1", "2")))
+    pres = AlgebraPresentation(RATIONAL, q, (Relation.monomial(["x", "x"]),), 2)
+    with pytest.raises(CapTooSmallError, match=r"path x\*a of length 2"):
+        build_algebra(pres)
+
+
+def test_count_paths_matches_enumeration():
+    rng = random.Random(5)
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        q = Quiver(
+            tuple(str(i) for i in range(1, n + 1)),
+            tuple(
+                Arrow(f"a{t}", str(rng.randint(1, n)), str(rng.randint(1, n)))
+                for t in range(rng.randint(0, 3))
+            ),
+        )
+        cap = rng.randint(0, 5)
+        counts = _count_paths(q, cap)
+        layers = [len(layer) for layer in enumerate_paths(q, cap)]
+        # the count stops once no path of the last length extends
+        assert counts == layers[: len(counts)]
+        assert not any(layers[len(counts):])
+
+
+def test_path_budget_refuses_before_listing():
+    two_loops = Quiver(("1",), (Arrow("x", "1", "1"), Arrow("y", "1", "1")))
+    with pytest.raises(PresentationError, match="path budget of 200000 at cap=40"):
+        enumerate_paths(two_loops, 40)
+    assert sum(len(layer) for layer in enumerate_paths(two_loops, 16)) == 2**17 - 1
+    with pytest.raises(PresentationError, match=f"cap={PATH_BUDGET + 1} exceeds"):
+        enumerate_paths(A2, PATH_BUDGET + 1)
