@@ -29,7 +29,6 @@ from .repmod import (
     Representation,
     SeriesProfile,
     composition_vector,
-    hom_basis,
     hom_dim,
     injective,
     is_nakayama,

@@ -6,6 +6,10 @@ Ringel dual comes from row arithmetic on C(R_A), and the Cartan matrix of
 S_A (the endomorphism algebra of the socle filtrations of the injectives)
 from radical series of socle submodules.  Each matrix also has an independent
 Hom-space route through the intertwiner solver; the two must agree exactly.
+The routes do not share their elimination either: the formula route reads
+subspace chains built with ``exactlin.rref``, while the Hom route takes the
+rank of each intertwiner system by the forward elimination of
+``exactlin._rank_array`` and never builds an RREF.
 
 All matrices carry explicit row/column label lists; raw integer matrices are
 never passed between modules.

@@ -288,6 +288,42 @@ def _rref_array(a: np.ndarray, field: FieldSpec) -> tuple[np.ndarray, list[int]]
     return a, pivots
 
 
+def _rank_array(a: np.ndarray, field: FieldSpec) -> int:
+    """Rank of a canonical array by forward elimination only.
+
+    Pivots are found as in :func:`_rref_array`, but only the rows below a
+    pivot that are nonzero in its column are cleared, and only from the pivot
+    column rightwards; the pivot row is never normalised and nothing above it
+    is touched.
+    """
+    a = a.copy()
+    a.setflags(write=True)
+    rows, cols = a.shape
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        hits = a[r:, c].nonzero()[0]
+        if not hits.size:
+            continue
+        if hits[0]:
+            pr = r + int(hits[0])
+            a[[r, pr], c:] = a[[pr, r], c:]
+        # rows r..pr-1 were zero in column c, so after the swap the rows to
+        # clear are exactly the later hits; columns left of c are zero below r
+        below = r + hits[1:]
+        if below.size:
+            if field.is_prime_field:
+                p = field.p
+                factor = a[below, c] * pow(int(a[r, c]), p - 2, p) % p
+                a[below, c:] = (a[below, c:] - factor[:, None] * a[r, c:]) % p
+            else:
+                factor = a[below, c] / a[r, c]
+                a[below, c:] = a[below, c:] - factor[:, None] * a[r, c:]
+        r += 1
+    return r
+
+
 def rref(m: Matrix) -> RrefResult:
     """Unique reduced row echelon form, with rank and pivot columns."""
     a, pivots = _rref_array(m._a, m.field)
@@ -295,7 +331,8 @@ def rref(m: Matrix) -> RrefResult:
 
 
 def rank(m: Matrix) -> int:
-    return rref(m).rank
+    """Rank of ``m``, by forward elimination (no RREF is built)."""
+    return _rank_array(m._a, m.field)
 
 
 def row_space_basis(m: Matrix) -> RrefResult:

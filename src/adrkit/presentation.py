@@ -132,25 +132,32 @@ class AlgebraPresentation:
 
 
 PATH_BUDGET = 200_000
-"""Most paths of length <= cap that :func:`enumerate_paths` will list.
+"""Most letters that :func:`enumerate_paths` will list below the cap.
 
-The builder lists every path below the cap, so a larger count (two loops at
-cap 40 have 2^41 - 1 paths) is refused before any is listed, as is a cap above
-this bound (each degree is a layer of its own).  Preprojective A_8, the
-largest input timed so far, has 4466 paths.
+A path of length k is k + 1 letters (its arrows plus its source), so the
+budget bounds the memory of the listing, not only the number of paths: one
+loop at cap 100 000 has only 100 001 paths but about 5 * 10^9 letters.  An
+input over the budget (two loops at cap 40 have 2^41 - 1 paths) is refused
+before any path is listed, as is a cap above this bound.  Preprojective A_6,
+the largest benchmark input, has 5142 letters.
 """
+
+
+def _letters(counts: list[int]) -> int:
+    """Letters in all paths, given the number of paths of each length."""
+    return sum((k + 1) * c for k, c in enumerate(counts))
 
 
 def _count_paths(q: Quiver, max_len: int) -> list[int]:
     """Number of paths of each length 0..max_len, counted without listing them.
 
-    Stops early, with a shorter list, once the running total exceeds
+    Stops early, with a shorter list, once their letters exceed
     :data:`PATH_BUDGET` or no path of the last length can be extended.
     """
     ending = {v: 1 for v in range(1, q.n + 1)}  # paths of the current length, by target
     counts = [q.n]
     ends = [(q.index(a.source), q.index(a.target)) for a in q.arrows]
-    while len(counts) <= max_len and sum(counts) <= PATH_BUDGET and counts[-1]:
+    while len(counts) <= max_len and _letters(counts) <= PATH_BUDGET and counts[-1]:
         longer = dict.fromkeys(ending, 0)
         for src, tgt in ends:
             longer[tgt] += ending[src]
@@ -164,8 +171,8 @@ def enumerate_paths(q: Quiver, max_len: int) -> list[list[Path]]:
 
     Degree 0 holds the trivial paths in vertex order; within every positive
     degree paths come in lexicographic order of their arrow-name sequences.
-    More than :data:`PATH_BUDGET` paths, or a longer ``max_len``, is a
-    :class:`PresentationError`.
+    Paths holding more than :data:`PATH_BUDGET` letters in all, or a longer
+    ``max_len``, are a :class:`PresentationError`.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
@@ -174,10 +181,12 @@ def enumerate_paths(q: Quiver, max_len: int) -> list[list[Path]]:
             f"cap={max_len} exceeds the path budget of {PATH_BUDGET}"
         )
     counts = _count_paths(q, max_len)
-    if sum(counts) > PATH_BUDGET:
+    letters = _letters(counts)
+    if letters > PATH_BUDGET:
         raise PresentationError(
-            f"{sum(counts)} paths of length <= {len(counts) - 1} already exceed the "
-            f"path budget of {PATH_BUDGET} at cap={max_len}; lower the cap"
+            f"the {sum(counts)} paths of length <= {len(counts) - 1} hold {letters} "
+            f"letters, which already exceed the path budget of {PATH_BUDGET} at "
+            f"cap={max_len}; lower the cap"
         )
     by_source: dict[int, list[tuple[str, int]]] = {v: [] for v in range(1, q.n + 1)}
     for a in sorted(q.arrows, key=lambda a: a.name):

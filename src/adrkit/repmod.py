@@ -8,8 +8,6 @@ repeated runs are bit-identical.
 
 from __future__ import annotations
 
-import itertools
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -19,10 +17,10 @@ from .exactlin import (
     FieldSpec,
     Matrix,
     RrefResult,
+    _rank_array,
     coordinates_in_row_space,
     in_row_space,
     kernel_basis,
-    rank,
     reduce_mod_row_space,
     row_space_basis,
 )
@@ -348,140 +346,51 @@ def socle_sub(m: Representation, j: int) -> Representation:
     return sub_representation(m, sc[min(j, len(sc) - 1)])
 
 
-def _hom_constraints(m: Representation, n: Representation) -> tuple[Matrix, list[tuple[int, int, int]]]:
-    """Constraint matrix of the intertwiner system and per-vertex unknown blocks.
+def _hom_constraints(m: Representation, n: Representation) -> np.ndarray:
+    """Canonical coefficient array of the intertwiner system.
 
     Unknowns are the entries of f_v: M_v -> N_v, row-major, concatenated over
-    vertices; each arrow a: u -> v contributes f_v M_a - N_a f_u = 0.
+    vertices; each arrow a: u -> v contributes the block of equations
+    f_v M_a - N_a f_u = 0, equation (r, c) on row r * dim M_u + c.  The
+    coefficients are copied into place, never multiplied: f_v[r, k] meets
+    M_a[k, c] and f_u[k, c] meets -N_a[r, k] in equation (r, c).  A loop
+    (u = v) adds both parts into the same columns.
     """
-    alg = m.algebra
+    q = m.algebra.quiver
     fld = m.field
-    blocks = []
-    offset = 0
-    for v in range(alg.n):
-        size = n.dims[v] * m.dims[v]
-        blocks.append((offset, n.dims[v], m.dims[v]))
-        offset += size
-    total = offset
-    rows = []
-    for a in alg.quiver.arrows:
-        u, v = alg.quiver.arrow_endpoints(a.name)
-        m_a = m.arrow_maps[a.name].array()
-        n_a = n.arrow_maps[a.name].array()
-        n_rows = n.dims[v - 1] * m.dims[u - 1]
-        if n_rows == 0:
+    offsets = [0]
+    for nd, md in zip(n.dims, m.dims):
+        offsets.append(offsets[-1] + nd * md)
+    arrows = [(a.name, q.index(a.source), q.index(a.target)) for a in q.arrows]
+    heights = [n.dims[v - 1] * m.dims[u - 1] for _, u, v in arrows]
+    out = _zero_arr(fld, (sum(heights), offsets[-1]))
+    row = 0
+    for (name, u, v), height in zip(arrows, heights):
+        if not height:
             continue
-        block = _zero_arr(fld, (n_rows, total))
-        off_v, nv, mv = blocks[v - 1]
-        off_u, nu, mu = blocks[u - 1]
-        if nv * mv:
-            left = np.kron(np.eye(n.dims[v - 1], dtype=np.int64), m_a.T)
-            if fld.is_prime_field:
-                left %= fld.p
-            block[:, off_v : off_v + nv * mv] += left
-        if nu * mu:
-            right = np.kron(n_a, np.eye(m.dims[u - 1], dtype=np.int64))
-            if fld.is_prime_field:
-                right %= fld.p
-            block[:, off_u : off_u + nu * mu] -= right
-        rows.append(block)
-    if rows:
-        arr = np.vstack(rows)
-    else:
-        arr = _zero_arr(fld, (0, total))
-    return Matrix(fld, arr), blocks
+        nv, mv, mu = n.dims[v - 1], m.dims[v - 1], m.dims[u - 1]
+        eqs = out[row : row + height].reshape(nv, mu, offsets[-1])
+        m_a_t = m.arrow_maps[name].array().T
+        for r in range(nv):
+            start = offsets[v - 1] + r * mv
+            eqs[r, :, start : start + mv] = m_a_t
+        n_a = n.arrow_maps[name].array()
+        for c in range(mu):
+            eqs[:, c, offsets[u - 1] + c : offsets[u] : mu] -= n_a
+        row += height
+    if fld.is_prime_field:
+        out %= fld.p
+    return out
 
 
 def hom_dim(m: Representation, n: Representation) -> int:
-    """Dimension of Hom_A(m, n), by solving the intertwiner system."""
+    """Dimension of Hom_A(m, n): unknowns minus the rank of the intertwiner system."""
     if m.algebra is not n.algebra and m.algebra != n.algebra:
         raise AlgebraMismatchError("modules live over different algebras")
-    constraints, _ = _hom_constraints(m, n)
-    if constraints.cols == 0:
+    if not any(a * b for a, b in zip(m.dims, n.dims)):
         return 0
-    return constraints.cols - rank(constraints)
-
-
-def hom_basis(m: Representation, n: Representation) -> list[tuple[Matrix, ...]]:
-    """Basis of Hom_A(m, n): each element is a tuple of per-vertex matrices."""
-    if m.algebra is not n.algebra and m.algebra != n.algebra:
-        raise AlgebraMismatchError("modules live over different algebras")
-    constraints, blocks = _hom_constraints(m, n)
-    if constraints.cols == 0:
-        return []
-    ker = kernel_basis(constraints)
-    out = []
-    for r in range(ker.rows):
-        vec = ker.array()[r]
-        per_vertex = []
-        for off, nv, mv in blocks:
-            per_vertex.append(Matrix(m.field, vec[off : off + nv * mv].reshape(nv, mv)))
-        out.append(tuple(per_vertex))
-    return out
-
-
-def _combine(field: FieldSpec, basis: list[tuple[Matrix, ...]], coeffs) -> list[np.ndarray]:
-    n_vertices = len(basis[0])
-    out = []
-    for v in range(n_vertices):
-        acc = _zero_arr(field, basis[0][v].shape)
-        for c, f in zip(coeffs, basis):
-            if c:
-                acc = acc + c * f[v].array()
-                if field.is_prime_field:
-                    acc %= field.p
-        out.append(acc)
-    return out
-
-
-def _is_invertible_everywhere(field: FieldSpec, mats: list[np.ndarray], dims: tuple[int, ...]) -> bool:
-    for v, arr in enumerate(mats):
-        if dims[v] == 0:
-            continue
-        if rank(Matrix(field, arr)) != dims[v]:
-            return False
-    return True
-
-
-def _find_isomorphism(m: Representation, n: Representation) -> bool:
-    """Search Hom(m, n) for a vertexwise invertible intertwiner.
-
-    Tries basis elements, their sum, 5 seeded random combinations, then an
-    exhaustive sweep over small coefficient tuples.
-    """
-    if m.dims != n.dims:
-        return False
-    basis = hom_basis(m, n)
-    if not basis:
-        return m.is_zero()
-    fld = m.field
-    k = len(basis)
-    candidates = [tuple(1 if t == s else 0 for t in range(k)) for s in range(k)]
-    candidates.append(tuple(1 for _ in range(k)))
-    rng = random.Random(0)
-    hi = fld.p - 1 if fld.is_prime_field else 5
-    for _ in range(5):
-        candidates.append(tuple(rng.randint(0, hi) for _ in range(k)))
-    pool = range(fld.p) if fld.is_prime_field else range(-2, 3)
-    if len(pool) ** k <= 4096:
-        candidates.extend(itertools.product(pool, repeat=k))
-    seen = set()
-    for coeffs in candidates:
-        if coeffs in seen or not any(coeffs):
-            continue
-        seen.add(coeffs)
-        mats = _combine(fld, basis, coeffs)
-        if _is_invertible_everywhere(fld, mats, m.dims):
-            return True
-    return False
-
-
-def _top_to_socle_series(m: Representation) -> list[int]:
-    """Vertex indices of the composition factors of a uniserial module, top first."""
-    out = []
-    for layer in radical_series(m).layers:
-        out.append(layer.mult.index(1) + 1)
-    return out
+    constraints = _hom_constraints(m, n)
+    return constraints.shape[1] - _rank_array(constraints, m.field)
 
 
 def _socle_vertex(m: Representation) -> int | None:
@@ -506,23 +415,17 @@ def is_nakayama(alg: AlgebraData) -> bool:
 def selfinjective_matching(alg: AlgebraData) -> dict[int, int] | None:
     """Permutation sigma with P_i isomorphic to Q_sigma(i), or None.
 
-    sigma(i) is forced to be the socle vertex of P_i.  Uniserial pairs are
-    matched by their top-to-socle composition series (a complete test for
-    uniserials); otherwise a vertexwise invertible intertwiner is searched.
+    sigma(i) is forced to be the socle vertex s of P_i.  A module with simple
+    socle S_s embeds in the injective envelope Q_s of S_s, so P_i is
+    isomorphic to Q_s exactly when their dimension vectors agree
+    (Assem-Simson-Skowronski, Elements of the Representation Theory of
+    Associative Algebras, Vol. 1).
     """
     sigma: dict[int, int] = {}
     for i in range(1, alg.n + 1):
         p = projective(alg, i)
         s = _socle_vertex(p)
-        if s is None:
-            return None
-        q = injective(alg, s)
-        if p.dims != q.dims:
-            return None
-        if is_uniserial(p) and is_uniserial(q):
-            if _top_to_socle_series(p) != _top_to_socle_series(q):
-                return None
-        elif not _find_isomorphism(p, q):
+        if s is None or p.dims != injective(alg, s).dims:
             return None
         sigma[i] = s
     return sigma

@@ -324,3 +324,20 @@ def test_analyze_outsized_path_count_exits_2_fast(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "path budget" in err and "cap=40" in err
+
+
+def test_analyze_long_single_loop_exits_2_fast(tmp_path, capsys):
+    # one loop at cap 100 000 has few paths (100 001) but about 5 * 10^9 letters
+    doc = {
+        "field": {"kind": "prime", "p": 7},
+        "vertices": ["1"],
+        "arrows": [{"name": "x", "source": "1", "target": "1"}],
+        "relations": [],
+        "cap": 100_000,
+    }
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, "analyze", write_doc(tmp_path, doc))
+    assert time.monotonic() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "letters" in err and "path budget" in err and "cap=100000" in err

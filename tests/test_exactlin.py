@@ -223,25 +223,37 @@ def _check_against_naive(field: FieldSpec, grid: list[list], cols: int):
     result = rref(m)
     expected, pivots = _naive_rref(grid, cols, field)
     assert result.pivot_cols == tuple(pivots)
-    assert result.rank == len(pivots)
+    # rank runs its own forward elimination, never rref
+    assert rank(m) == result.rank == len(pivots)
     assert [list(result.reduced.row(r)) for r in range(len(grid))] == expected
 
 
 def _cases(field: FieldSpec, entry):
-    """(field, cols, rows) with 0..6 rows and 0..6 columns."""
-    return st.integers(0, 6).flatmap(
-        lambda cols: st.tuples(
+    """(field, cols, rows): up to 6 x 6, tall up to 12 x 3 or wide up to 3 x 12."""
+    shapes = st.one_of(
+        st.tuples(st.integers(0, 6), st.integers(0, 6)),
+        st.tuples(st.integers(0, 12), st.integers(0, 3)),
+        st.tuples(st.integers(0, 3), st.integers(0, 12)),
+    )
+    return shapes.flatmap(
+        lambda rc: st.tuples(
             st.just(field),
-            st.just(cols),
-            st.lists(st.lists(entry, min_size=cols, max_size=cols), max_size=6),
+            st.just(rc[1]),
+            st.lists(
+                st.lists(entry, min_size=rc[1], max_size=rc[1]), min_size=rc[0], max_size=rc[0]
+            ),
         )
     )
 
 
 @given(case=st.one_of(_cases(F7, _SPARSE_ENTRY), _cases(RATIONAL, _RATIONAL_ENTRY)))
 @example(case=(F7, 4, []))
+@example(case=(RATIONAL, 4, []))
+@example(case=(F7, 0, [[], [], []]))
 @example(case=(RATIONAL, 0, [[], [], []]))
-@settings(max_examples=200, deadline=None)
+@example(case=(F7, 2, [[0, 0]] * 9 + [[3, 1], [6, 2]]))
+@example(case=(RATIONAL, 10, [[0] * 9 + [Fraction(1, 3)], [0] * 10]))
+@settings(max_examples=300, deadline=None)
 def test_rref_matches_naive_reference(case):
     field, cols, grid = case
     _check_against_naive(field, grid, cols)

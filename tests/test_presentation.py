@@ -16,6 +16,7 @@ from adrkit.presentation import (
     Relation,
     UnknownArrowError,
     _count_paths,
+    _letters,
     build_algebra,
     connected_components,
     enumerate_paths,
@@ -431,6 +432,22 @@ def test_path_budget_refuses_before_listing():
     two_loops = Quiver(("1",), (Arrow("x", "1", "1"), Arrow("y", "1", "1")))
     with pytest.raises(PresentationError, match="path budget of 200000 at cap=40"):
         enumerate_paths(two_loops, 40)
-    assert sum(len(layer) for layer in enumerate_paths(two_loops, 16)) == 2**17 - 1
+    # the budget counts letters: at cap 12 the 2^13 - 1 paths hold 12 * 2^13 + 1
+    # = 98 305 letters, at cap 13 they hold 212 993
+    assert sum(len(layer) for layer in enumerate_paths(two_loops, 12)) == 2**13 - 1
+    with pytest.raises(PresentationError, match="hold 212993 letters"):
+        enumerate_paths(two_loops, 13)
     with pytest.raises(PresentationError, match=f"cap={PATH_BUDGET + 1} exceeds"):
         enumerate_paths(A2, PATH_BUDGET + 1)
+
+
+def test_path_budget_counts_letters_not_paths():
+    # one loop at cap 100 000 has only 100 001 paths, but they would hold about
+    # 5 * 10^9 letters; counting stops as soon as the letters pass the budget
+    counts = _count_paths(LOOP, 100_000)
+    assert _letters(counts) > PATH_BUDGET >= _letters(counts[:-1])
+    assert len(counts) < 1000
+    with pytest.raises(PresentationError, match="letters, which already exceed the path budget"):
+        enumerate_paths(LOOP, 100_000)
+    # (k + 1) letters per path of length k: 3 paths of lengths 0, 1, 2 hold 6
+    assert _letters(_count_paths(LOOP, 2)) == 6

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from adrkit import repmod
-from adrkit.exactlin import RATIONAL, Matrix, in_row_space, row_space_basis
+from adrkit.exactlin import RATIONAL, FieldSpec, Matrix, in_row_space, row_space_basis
 from adrkit.presentation import (
     AlgebraPresentation,
     Arrow,
@@ -35,7 +36,9 @@ from adrkit.repmod import (
     truncate,
     validate_representation,
 )
-from adrkit.corpus import builtin_entries, get_entry, random_admissible
+from adrkit.corpus import builtin_entries, get_entry, preprojective_a, random_admissible
+
+F7 = FieldSpec.prime(7)
 
 
 @pytest.fixture(scope="module")
@@ -236,6 +239,18 @@ def test_selfinjective_non_nakayama_preprojective():
     assert is_selfinjective(alg)  # preprojective algebras of Dynkin type are
 
 
+@pytest.mark.parametrize("field", [RATIONAL, F7], ids=["Q", "F7"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_preprojective_a_is_selfinjective_not_uniserial(n, field):
+    # the selfinjectivity test is exact (P_i ~ Q_s iff their dimension vectors
+    # agree, s the socle vertex of P_i); these P_i are not uniserial, and the
+    # Nakayama permutation of preprojective A_n is i -> n + 1 - i
+    alg = preprojective_a(n, field).build()
+    assert not all(is_uniserial(projective(alg, i)) for i in range(1, n + 1))
+    assert selfinjective_matching(alg) == {i: n + 1 - i for i in range(1, n + 1)}
+    assert is_selfinjective(alg)
+
+
 def test_duality_socle_profile_equals_opposite_radical_profile():
     for entry in builtin_entries():
         alg = entry.build()
@@ -349,3 +364,137 @@ def test_chain_is_computed_once_per_module(monkeypatch, chain, step):
     assert second is first
     assert isinstance(first, tuple)
     assert len(calls) == loewy_length(m) == len(first) - 1
+
+
+def _kron_constraints(m: Representation, n: Representation) -> np.ndarray:
+    """The intertwiner system assembled with Kronecker products: the oracle.
+
+    Same unknowns and rows as ``repmod._hom_constraints``: f_v M_a - N_a f_u
+    for each arrow a: u -> v, with f_v M_a = (I (x) M_a^T) vec(f_v) and
+    N_a f_u = (N_a (x) I) vec(f_u) for row-major vec.
+    """
+    alg = m.algebra
+    fld = m.field
+    offsets = np.cumsum([0] + [n.dims[v] * m.dims[v] for v in range(alg.n)])
+    total = int(offsets[-1])
+    rows = []
+    for a in alg.quiver.arrows:
+        u, v = alg.quiver.arrow_endpoints(a.name)
+        height = n.dims[v - 1] * m.dims[u - 1]
+        if not height:
+            continue
+        block = repmod._zero_arr(fld, (height, total))
+        if n.dims[v - 1] * m.dims[v - 1]:
+            left = np.kron(np.eye(n.dims[v - 1], dtype=np.int64), m.arrow_maps[a.name].array().T)
+            block[:, offsets[v - 1] : offsets[v]] += left
+        if n.dims[u - 1] * m.dims[u - 1]:
+            right = np.kron(n.arrow_maps[a.name].array(), np.eye(m.dims[u - 1], dtype=np.int64))
+            block[:, offsets[u - 1] : offsets[u]] -= right
+        rows.append(block)
+    arr = np.vstack(rows) if rows else repmod._zero_arr(fld, (0, total))
+    return Matrix(fld, arr).array()
+
+
+def _zero_module(alg) -> Representation:
+    maps = {a.name: Matrix.zeros(alg.field, 0, 0) for a in alg.quiver.arrows}
+    return Representation(alg, (0,) * alg.n, maps)
+
+
+def _change_basis(m: Representation) -> Representation:
+    """An isomorphic copy of m: each M_v in the basis g_v = upper unitriangular all-ones.
+
+    In the bases that projectives come in, a loop acts strictly lower
+    triangularly; here the loop maps get nonzero diagonal entries, so the
+    overlapping f_v M_a and N_a f_v parts of a loop block both carry weight.
+    """
+    fld = m.field
+
+    def g(d, inverse=False):
+        if inverse:  # (all-ones upper unitriangular)^-1 = I - superdiagonal
+            return Matrix(fld, np.eye(d, dtype=np.int64) - np.eye(d, k=1, dtype=np.int64))
+        return Matrix(fld, np.triu(np.ones((d, d), dtype=np.int64)))
+
+    maps = {}
+    for a in m.algebra.quiver.arrows:
+        u, v = m.algebra.quiver.arrow_endpoints(a.name)
+        maps[a.name] = g(m.dims[v - 1]).matmul(m.arrow_maps[a.name]).matmul(g(m.dims[u - 1], inverse=True))
+    return Representation(m.algebra, m.dims, maps)
+
+
+def test_change_basis_is_an_isomorphic_module():
+    alg = get_entry("trunc-twoloop-2").build()
+    p = projective(alg, 1)
+    moved = _change_basis(p)
+    validate_representation(moved)
+    assert any(moved.arrow_maps[a].array().diagonal().any() for a in ("x", "y"))
+    assert hom_dim(p, moved) == hom_dim(moved, p) == hom_dim(p, p)
+
+
+def _hom_test_algebras():
+    """Builtins over Q and over F_7, then fuzz seeds 0-19 over their own fields."""
+    for entry in builtin_entries():
+        yield entry.id, entry.build()
+        yield f"{entry.id}/F7", build_algebra(dataclasses.replace(entry.presentation, field=F7))
+    for seed in range(20):
+        yield f"random-{seed}", random_admissible(seed).build()
+
+
+def test_hom_constraints_match_kronecker_oracle():
+    seen = {"loop_diagonal": False, "zero_in_m": False, "zero_in_n": False}
+    fields = set()
+    for name, alg in _hom_test_algebras():
+        modules = [_zero_module(alg)]
+        for i in range(1, alg.n + 1):
+            modules += [projective(alg, i), injective(alg, i), simple(alg, i)]
+            modules.append(_change_basis(projective(alg, i)))
+        loops = [a.name for a in alg.quiver.arrows if a.source == a.target]
+        for m in modules:
+            for n in modules:
+                got = repmod._hom_constraints(m, n)
+                want = _kron_constraints(m, n)
+                assert got.dtype == want.dtype, name
+                assert got.shape == want.shape, name
+                assert np.array_equal(got, want), (name, m.dims, n.dims)
+                seen["loop_diagonal"] |= any(
+                    m.arrow_maps[a].array().diagonal().any() for a in loops
+                ) and got.size > 0
+                seen["zero_in_m"] |= any(a == 0 < b for a, b in zip(m.dims, n.dims))
+                seen["zero_in_n"] |= any(b == 0 < a for a, b in zip(m.dims, n.dims))
+        fields.add(alg.field)
+    assert all(seen.values()), seen
+    assert {F7, RATIONAL} <= fields
+
+
+def test_hom_yoneda_on_truncated_projectives_and_socle_submodules():
+    # Hom(P_i, M) = e_i M and Hom(M, Q_i) = D(M e_i): both have dimension
+    # dim M_i, whatever M is; no formula route is consulted
+    for name, alg in _hom_test_algebras():
+        modules = []
+        for k in range(1, alg.n + 1):
+            p, q = projective(alg, k), injective(alg, k)
+            modules += [truncate(p, j) for j in range(1, loewy_length(p) + 1)]
+            modules += [socle_sub(q, j) for j in range(1, loewy_length(q) + 1)]
+        for m in modules:
+            for i in range(1, alg.n + 1):
+                assert hom_dim(projective(alg, i), m) == m.dims[i - 1], (name, i, m.dims)
+                assert hom_dim(m, injective(alg, i)) == m.dims[i - 1], (name, i, m.dims)
+
+
+def test_hom_route_never_reaches_rref(monkeypatch, kx3):
+    # the Hom route must not share its elimination with the formula route
+    from adrkit import exactlin
+
+    p, q = projective(kx3, 1), injective(kx3, 1)
+
+    def forbidden(*args):
+        raise AssertionError("the Hom route reached the RREF code")
+
+    for owner, name in (
+        (exactlin, "rref"),
+        (exactlin, "_rref_array"),
+        (exactlin, "row_space_basis"),
+        (repmod, "row_space_basis"),
+    ):
+        monkeypatch.setattr(owner, name, forbidden)
+    assert hom_dim(p, q) == 3
+    assert exactlin.rank(Matrix.identity(RATIONAL, 2)) == 2
