@@ -7,9 +7,11 @@ S_A (the endomorphism algebra of the socle filtrations of the injectives)
 from radical series of socle submodules.  Each matrix also has an independent
 Hom-space route through the intertwiner solver; the two must agree exactly.
 The routes do not share their elimination either: the formula route reads
-subspace chains built with ``exactlin.rref``, while the Hom route takes the
-rank of each intertwiner system by the forward elimination of
-``exactlin._rank_array`` and never builds an RREF.
+subspace chains built with ``exactlin.rref``, while the Hom route builds each
+intertwiner system as sparse rows and takes its rank by the sparse
+elimination of ``exactlin._sparse_rank``, which finishes with the dense
+forward elimination of ``exactlin._rank_array`` once the rows fill in; it
+never builds an RREF.
 
 All matrices carry explicit row/column label lists; raw integer matrices are
 never passed between modules.

@@ -1,17 +1,20 @@
-"""Exact dense linear algebra over a prime field F_p or the rationals.
+"""Exact linear algebra over a prime field F_p or the rationals.
 
 Every rank / kernel / reduction computation in the package goes through this
 module.  Prime-field matrices are stored as int64 numpy arrays with entries in
 [0, p); rational matrices are object arrays of ``fractions.Fraction`` (which
-normalise themselves to lowest terms with positive denominator).  No floating
-point anywhere.
+normalise themselves to lowest terms with positive denominator).  Ranks are
+taken by :func:`_sparse_rank` on rows given as ``{column: coefficient}``
+dicts, with Python ints mod p or Fractions, falling back to dense forward
+elimination once the rows fill in.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -261,7 +264,7 @@ def _rref_array(a: np.ndarray, field: FieldSpec) -> tuple[np.ndarray, list[int]]
     for c in range(cols):
         if r >= rows:
             break
-        hits = np.flatnonzero(a[r:, c] != 0)
+        hits = a[r:, c].nonzero()[0]
         if not hits.size:
             continue
         pr = r + int(hits[0])
@@ -280,7 +283,7 @@ def _rref_array(a: np.ndarray, field: FieldSpec) -> tuple[np.ndarray, list[int]]
             a[r] = a[r] * (Fraction(1) / a[r, c])
             col = a[:, c].copy()
             col[r] = Fraction(0)
-            nz = np.flatnonzero(col != 0)
+            nz = col.nonzero()[0]
             if nz.size:
                 a[nz] = a[nz] - col[nz, None] * a[r][None, :]
         pivots.append(c)
@@ -330,9 +333,94 @@ def rref(m: Matrix) -> RrefResult:
     return RrefResult(Matrix(m.field, a), len(pivots), tuple(pivots))
 
 
+def _sparse_rank(rows: Iterable[Mapping[int, int | Fraction]], cols: int, field: FieldSpec) -> int:
+    """Rank of rows given as ``{column: coefficient}`` dicts over ``cols`` columns.
+
+    Each row is reduced against the pivot rows in the order they were made; a
+    heap of creation indices picks up the pivot columns that a subtraction
+    brings in.  Pivot row k was itself reduced against pivot rows 0..k-1, so
+    it holds no lead column of an earlier one: indices leave the heap in
+    increasing order and each pivot row is subtracted at most once.  A row
+    that stays nonzero becomes a pivot row, normalised at its least column.
+    Coefficients need not be canonical, and zero coefficients are allowed.
+
+    Once the mean pivot-row length exceeds max(16, cols / 16) the rows are
+    no longer sparse, and the rank is finished by :func:`_rank_array` on the
+    pivot rows plus the rows not yet read; the pivot rows span every row read
+    so far, so that rank is the rank of all rows.
+    """
+    p = field.p if field.is_prime_field else None
+    lead_of: dict[int, int] = {}
+    leads: list[int] = []
+    pivot_rows: list[dict] = []
+    stored = 0
+    limit = max(16, cols / 16)
+    remaining = iter(rows)
+    for row in remaining:
+        if p:
+            r = {c: x % p for c, x in row.items() if x % p}
+        else:
+            r = {c: x for c, x in row.items() if x}
+        heap = [lead_of[c] for c in r if c in lead_of]
+        heapq.heapify(heap)
+        while heap:
+            k = heapq.heappop(heap)
+            x = r.pop(leads[k], None)
+            if x is None:
+                continue
+            for c, y in pivot_rows[k].items():
+                v = r.get(c)
+                if v is None:
+                    if c in lead_of:
+                        heapq.heappush(heap, lead_of[c])
+                    r[c] = (-x * y) % p if p else -x * y
+                    continue
+                v = (v - x * y) % p if p else v - x * y
+                if v:
+                    r[c] = v
+                else:
+                    del r[c]
+        if not r:
+            continue
+        lead = min(r)
+        inv = pow(r.pop(lead), p - 2, p) if p else Fraction(1) / r.pop(lead)
+        # a pivot row omits its lead entry, which is 1: reducing a row pops
+        # the row's own entry at the lead instead of subtracting it
+        pivot = {c: v * inv % p for c, v in r.items()} if p else {c: v * inv for c, v in r.items()}
+        lead_of[lead] = len(leads)
+        leads.append(lead)
+        pivot_rows.append(pivot)
+        stored += len(pivot) + 1
+        if stored > limit * len(leads):
+            return _dense_rank_tail(leads, pivot_rows, remaining, cols, field)
+    return len(leads)
+
+
+def _dense_rank_tail(leads, pivot_rows, remaining, cols: int, field: FieldSpec) -> int:
+    """Rank of the pivot rows plus the unread rows, by :func:`_rank_array`."""
+    rows = [{lead: 1, **pivot} for lead, pivot in zip(leads, pivot_rows)]
+    rows += remaining
+    at_row, at_col, values = [], [], []
+    for i, row in enumerate(rows):
+        at_row += [i] * len(row)
+        at_col += row
+        values += row.values()
+    a = Matrix.zeros(field, len(rows), cols).array().copy()
+    if field.is_prime_field:
+        a[at_row, at_col] = [v % field.p for v in values]
+    else:
+        a[at_row, at_col] = [Fraction(v) for v in values]
+    return _rank_array(a, field)
+
+
+def _sparse_rows(a: np.ndarray) -> list[dict]:
+    """The nonzero entries of each row of a canonical array, as ``{column: entry}``."""
+    return [{c: x for c, x in enumerate(row) if x} for row in a.tolist()]
+
+
 def rank(m: Matrix) -> int:
-    """Rank of ``m``, by forward elimination (no RREF is built)."""
-    return _rank_array(m._a, m.field)
+    """Rank of ``m``, by :func:`_sparse_rank` on its nonzero entries (no RREF is built)."""
+    return _sparse_rank(_sparse_rows(m._a), m.cols, m.field)
 
 
 def row_space_basis(m: Matrix) -> RrefResult:

@@ -59,6 +59,9 @@ class Quiver:
 
     vertices: tuple[str, ...]
     arrows: tuple[Arrow, ...]
+    _by_name: dict[str, tuple[Arrow, int, int]] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self) -> None:
         if len(self.vertices) == 0:
@@ -72,6 +75,7 @@ class Quiver:
         for a in self.arrows:
             if a.source not in vset or a.target not in vset:
                 raise PresentationError(f"arrow {a.name!r} references unknown vertex")
+            self._by_name[a.name] = (a, self.index(a.source), self.index(a.target))
 
     @property
     def n(self) -> int:
@@ -81,15 +85,19 @@ class Quiver:
         """1-based index of a vertex id."""
         return self.vertices.index(vertex) + 1
 
+    def _lookup(self, name: str) -> tuple[Arrow, int, int]:
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise UnknownArrowError(f"unknown arrow {name!r}") from None
+
     def arrow(self, name: str) -> Arrow:
-        for a in self.arrows:
-            if a.name == name:
-                return a
-        raise UnknownArrowError(f"unknown arrow {name!r}")
+        return self._lookup(name)[0]
 
     def arrow_endpoints(self, name: str) -> tuple[int, int]:
-        a = self.arrow(name)
-        return self.index(a.source), self.index(a.target)
+        """1-based (source, target) indices of an arrow."""
+        _, source, target = self._lookup(name)
+        return source, target
 
 
 class Path(NamedTuple):

@@ -17,7 +17,8 @@ from .exactlin import (
     FieldSpec,
     Matrix,
     RrefResult,
-    _rank_array,
+    _sparse_rank,
+    _sparse_rows,
     coordinates_in_row_space,
     in_row_space,
     kernel_basis,
@@ -346,41 +347,44 @@ def socle_sub(m: Representation, j: int) -> Representation:
     return sub_representation(m, sc[min(j, len(sc) - 1)])
 
 
-def _hom_constraints(m: Representation, n: Representation) -> np.ndarray:
-    """Canonical coefficient array of the intertwiner system.
+def _hom_constraints(m: Representation, n: Representation) -> tuple[list[dict], int]:
+    """Sparse rows of the intertwiner system, and the number of unknowns.
 
     Unknowns are the entries of f_v: M_v -> N_v, row-major, concatenated over
     vertices; each arrow a: u -> v contributes the block of equations
-    f_v M_a - N_a f_u = 0, equation (r, c) on row r * dim M_u + c.  The
-    coefficients are copied into place, never multiplied: f_v[r, k] meets
-    M_a[k, c] and f_u[k, c] meets -N_a[r, k] in equation (r, c).  A loop
-    (u = v) adds both parts into the same columns.
+    f_v M_a - N_a f_u = 0, equation (r, c) on row r * dim M_u + c.  Each
+    equation is a ``{unknown: coefficient}`` dict of canonical coefficients,
+    read off the nonzero entries alone: f_v[r, k] meets M_a[k, c] for the
+    nonzeros of column c of M_a, and f_u[k, c] meets -N_a[r, k] for the
+    nonzeros of row r of N_a.  A loop (u = v) adds both parts into the same
+    key, which may leave an explicit zero.
     """
     q = m.algebra.quiver
-    fld = m.field
+    p = m.field.p if m.field.is_prime_field else None
     offsets = [0]
     for nd, md in zip(n.dims, m.dims):
         offsets.append(offsets[-1] + nd * md)
-    arrows = [(a.name, q.index(a.source), q.index(a.target)) for a in q.arrows]
-    heights = [n.dims[v - 1] * m.dims[u - 1] for _, u, v in arrows]
-    out = _zero_arr(fld, (sum(heights), offsets[-1]))
-    row = 0
-    for (name, u, v), height in zip(arrows, heights):
-        if not height:
-            continue
+    rows: list[dict] = []
+    for a in q.arrows:
+        u, v = q.arrow_endpoints(a.name)
         nv, mv, mu = n.dims[v - 1], m.dims[v - 1], m.dims[u - 1]
-        eqs = out[row : row + height].reshape(nv, mu, offsets[-1])
-        m_a_t = m.arrow_maps[name].array().T
+        if not nv * mu:
+            continue
+        m_cols = _sparse_rows(m.arrow_maps[a.name].array().T)
+        n_rows = _sparse_rows(n.arrow_maps[a.name].array())
         for r in range(nv):
-            start = offsets[v - 1] + r * mv
-            eqs[r, :, start : start + mv] = m_a_t
-        n_a = n.arrow_maps[name].array()
-        for c in range(mu):
-            eqs[:, c, offsets[u - 1] + c : offsets[u] : mu] -= n_a
-        row += height
-    if fld.is_prime_field:
-        out %= fld.p
-    return out
+            left = offsets[v - 1] + r * mv
+            right = [(offsets[u - 1] + k * mu, (-x) % p if p else -x) for k, x in n_rows[r].items()]
+            for c in range(mu):
+                eq = {left + k: x for k, x in m_cols[c].items()}
+                for start, x in right:
+                    key = start + c
+                    if key in eq:  # only on a loop
+                        eq[key] = (eq[key] + x) % p if p else eq[key] + x
+                    else:
+                        eq[key] = x
+                rows.append(eq)
+    return rows, offsets[-1]
 
 
 def hom_dim(m: Representation, n: Representation) -> int:
@@ -389,8 +393,8 @@ def hom_dim(m: Representation, n: Representation) -> int:
         raise AlgebraMismatchError("modules live over different algebras")
     if not any(a * b for a, b in zip(m.dims, n.dims)):
         return 0
-    constraints = _hom_constraints(m, n)
-    return constraints.shape[1] - _rank_array(constraints, m.field)
+    rows, unknowns = _hom_constraints(m, n)
+    return unknowns - _sparse_rank(rows, unknowns, m.field)
 
 
 def _socle_vertex(m: Representation) -> int | None:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from adrkit import exactlin
 from adrkit.exactlin import (
     RATIONAL,
     DimensionMismatchError,
@@ -273,3 +274,110 @@ def test_rref_pivot_below_zero_rows_and_zero_columns(field):
     _check_against_naive(field, grid, 4)
     result = rref(Matrix.from_rows(field, grid, cols=4))
     assert result.pivot_cols == (1, 2, 3)
+
+
+F2 = FieldSpec.prime(2)
+F_MERSENNE = FieldSpec.prime(2**31 - 1)
+
+
+def _sparse_case(field: FieldSpec, rows: int, cols: int, density: float, seed: int):
+    """(grid, sparse rows): the same matrix as lists and as shuffled ``{column: coefficient}`` dicts.
+
+    The dicts list their keys in random order, carry non-canonical
+    coefficients (ints outside [0, p), ints over Q) and some explicit zeros,
+    and the rows themselves come in random order.
+    """
+    rng = random.Random(seed)
+
+    def entry():
+        if rng.random() >= density:
+            return 0
+        if field.is_prime_field:
+            return rng.randrange(-field.p, 2 * field.p)
+        if rng.random() < 0.5:
+            return rng.randint(-3, 3)
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+
+    grid = [[entry() for _ in range(cols)] for _ in range(rows)]
+    sparse = []
+    for row in grid:
+        items = [(c, x) for c, x in enumerate(row) if x or rng.random() < 0.2]
+        rng.shuffle(items)
+        sparse.append(dict(items))
+    rng.shuffle(sparse)
+    return grid, sparse
+
+
+@given(
+    field=st.sampled_from([F2, F7, F_MERSENNE, RATIONAL]),
+    shape=st.one_of(
+        st.tuples(st.integers(0, 8), st.integers(0, 8)),
+        st.tuples(st.integers(0, 24), st.integers(17, 24)),
+    ),
+    density=st.sampled_from([0.1, 0.3, 1.0]),
+    seed=st.integers(0, 10**6),
+)
+@example(field=F7, shape=(0, 5), density=1.0, seed=0)
+@example(field=RATIONAL, shape=(4, 0), density=1.0, seed=0)
+@settings(max_examples=300, deadline=None)
+def test_sparse_rank_matches_naive_reference(field, shape, density, seed):
+    rows, cols = shape
+    grid, sparse = _sparse_case(field, rows, cols, density, seed)
+    _, pivots = _naive_rref(grid, cols, field)
+    assert exactlin._sparse_rank(sparse, cols, field) == len(pivots)
+    assert rank(Matrix.from_rows(field, grid, cols=cols)) == len(pivots)
+
+
+@pytest.mark.parametrize("field", [F7, RATIONAL], ids=["F7", "Q"])
+def test_sparse_rank_follows_pivot_columns_a_subtraction_brings_in(field):
+    # pivot row 0 (lead 0) holds column 2, which row 1 later makes a pivot
+    # column, and pivot row 1 holds column 4, the lead of pivot row 2.
+    # Reducing the last row by pivot row 0 alone leaves {2: -1, 5: 1}: only
+    # by following column 2 (to {4: 1, 5: 1}) and then 4 does it reach zero
+    rows = [{0: 1, 2: 1}, {2: 1, 4: 1}, {4: 1, 5: 1}, {5: 1, 0: 1}]
+    assert exactlin._sparse_rank(rows[:3], 6, field) == 3
+    # row 0 - row 1 + row 2 = {0: 1, 5: 1}
+    assert exactlin._sparse_rank(rows, 6, field) == 3
+    assert exactlin._sparse_rank(rows[:3] + [{0: 1, 5: 2}], 6, field) == 4
+
+
+def _spy_on_rank_array(monkeypatch) -> list[tuple[int, int]]:
+    shapes: list[tuple[int, int]] = []
+    real = exactlin._rank_array
+
+    def spy(a, field):
+        shapes.append(a.shape)
+        return real(a, field)
+
+    monkeypatch.setattr(exactlin, "_rank_array", spy)
+    return shapes
+
+
+@pytest.mark.parametrize("field", [F7, RATIONAL], ids=["F7", "Q"])
+def test_sparse_rank_hands_dense_rows_to_the_dense_tail(monkeypatch, field):
+    # 30 unknowns: the tail starts once the mean pivot row holds more than 16
+    # entries.  Two rows of 2 entries, then dense rows that keep about 28, 27,
+    # 26, ... entries after reduction: the mean passes 16 at the third or
+    # fourth dense pivot, after the dependent fifth row has been read
+    shapes = _spy_on_rank_array(monkeypatch)
+    rng = random.Random(3)
+    grid = [[1 if c in (r, r + 1) else 0 for c in range(30)] for r in range(2)]
+    dense = [[rng.randint(1, 6) for _ in range(30)] for _ in range(27)]
+    grid += dense[:2] + [[x + y for x, y in zip(dense[0], dense[1])]] + dense[2:]
+    sparse = [{c: x for c, x in enumerate(row) if x} for row in grid]
+    _, pivots = _naive_rref(grid, 30, field)
+    assert len(pivots) == 29
+    assert exactlin._sparse_rank(sparse, 30, field) == 29
+    # the pivot rows plus the rows not read: every row but the dependent one
+    assert shapes == [(len(grid) - 1, 30)]
+
+
+@pytest.mark.parametrize("field", [F7, RATIONAL], ids=["F7", "Q"])
+def test_sparse_rank_keeps_sparse_rows_sparse(monkeypatch, field):
+    # x_i - x_{i+1} around a 200-cycle, plus the path's chords x_i - x_{i+7}:
+    # rank 199, and no pivot row ever grows past a handful of entries
+    shapes = _spy_on_rank_array(monkeypatch)
+    rows = [{i: 1, (i + 1) % 200: -1} for i in range(200)]
+    rows += [{i: 1, (i + 7) % 200: -1} for i in range(0, 200, 3)]
+    assert exactlin._sparse_rank(rows, 200, field) == 199
+    assert shapes == []

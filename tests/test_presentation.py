@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -103,6 +104,22 @@ def test_nonhomogeneous_admissible_quotient():
     assert ("x", "x") not in grade2  # xx reduces to the degree-3 path yyy
     total = sum(len(layer) for layer in alg.layers)
     assert total == alg.dim
+
+
+def test_arrow_lookup_by_name():
+    q = Quiver(("u", "v", "w"), (Arrow("a", "v", "w"), Arrow("b", "w", "u"), Arrow("c", "v", "v")))
+    assert q.arrow("b") == Arrow("b", "w", "u")
+    assert [q.arrow_endpoints(n) for n in "abc"] == [(2, 3), (3, 1), (2, 2)]
+    for bad in ("d", "A", ""):
+        with pytest.raises(UnknownArrowError, match=repr(bad)):
+            q.arrow(bad)
+        with pytest.raises(UnknownArrowError):
+            q.arrow_endpoints(bad)
+    # the lookup table is derived data: equality, hashing and replace ignore it
+    same = Quiver(q.vertices, q.arrows)
+    assert same == q and hash(same) == hash(q)
+    moved = dataclasses.replace(q, vertices=("w", "v", "u"))
+    assert moved.arrow_endpoints("a") == (2, 1)
 
 
 def test_relation_validation_errors():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from adrkit import repmod
-from adrkit.exactlin import RATIONAL, FieldSpec, Matrix, in_row_space, row_space_basis
+from adrkit.exactlin import RATIONAL, FieldSpec, Matrix, in_row_space, row_space_basis, rref
 from adrkit.presentation import (
     AlgebraPresentation,
     Arrow,
@@ -439,6 +439,20 @@ def _hom_test_algebras():
         yield f"random-{seed}", random_admissible(seed).build()
 
 
+def _densify(rows: list[dict], unknowns: int, fld) -> np.ndarray:
+    """The sparse rows as a dense array, checking every coefficient is canonical."""
+    out = repmod._zero_arr(fld, (len(rows), unknowns))
+    for i, row in enumerate(rows):
+        for c, x in row.items():
+            assert 0 <= c < unknowns
+            if fld.is_prime_field:
+                assert type(x) is int and 0 <= x < fld.p, x
+            else:
+                assert type(x) is Fraction, x
+            out[i, c] = x
+    return out
+
+
 def test_hom_constraints_match_kronecker_oracle():
     seen = {"loop_diagonal": False, "zero_in_m": False, "zero_in_n": False}
     fields = set()
@@ -450,9 +464,9 @@ def test_hom_constraints_match_kronecker_oracle():
         loops = [a.name for a in alg.quiver.arrows if a.source == a.target]
         for m in modules:
             for n in modules:
-                got = repmod._hom_constraints(m, n)
+                rows, unknowns = repmod._hom_constraints(m, n)
+                got = _densify(rows, unknowns, alg.field)
                 want = _kron_constraints(m, n)
-                assert got.dtype == want.dtype, name
                 assert got.shape == want.shape, name
                 assert np.array_equal(got, want), (name, m.dims, n.dims)
                 seen["loop_diagonal"] |= any(
@@ -463,6 +477,57 @@ def test_hom_constraints_match_kronecker_oracle():
         fields.add(alg.field)
     assert all(seen.values()), seen
     assert {F7, RATIONAL} <= fields
+
+
+def _random_invertible(fld, d: int, rng: random.Random) -> tuple[Matrix, Matrix]:
+    """A random dense invertible d x d matrix g and its inverse, over fld."""
+    while True:
+        lo, hi = (0, fld.p - 1) if fld.is_prime_field else (-3, 3)
+        rows = [[rng.randint(lo, hi) for _ in range(d)] for _ in range(d)]
+        g = Matrix.from_rows(fld, rows, cols=d)
+        # row-reduce [g | I]: g is invertible iff the left block reduces to I
+        both = Matrix(fld, np.hstack([g.array(), Matrix.identity(fld, d).array()]))
+        red = rref(both)
+        if red.pivot_cols[:d] == tuple(range(d)):
+            return g, Matrix(fld, red.reduced.array()[:, d:])
+
+
+def _conjugate(m: Representation, rng: random.Random) -> Representation:
+    """g M g^-1: M with each M_v re-based by a random dense invertible g_v."""
+    fld = m.field
+    pairs = [_random_invertible(fld, d, rng) for d in m.dims]
+    maps = {}
+    for a in m.algebra.quiver.arrows:
+        u, v = m.algebra.quiver.arrow_endpoints(a.name)
+        maps[a.name] = pairs[v - 1][0].matmul(m.arrow_maps[a.name]).matmul(pairs[u - 1][1])
+    return Representation(m.algebra, m.dims, maps)
+
+
+def test_hom_dim_is_invariant_under_dense_change_of_basis(monkeypatch):
+    # Hom(gMg^-1, hNh^-1) is isomorphic to Hom(M, N); in dense bases the
+    # intertwiner rows fill in, so the dense tail of the rank runs too
+    from adrkit import exactlin
+
+    tails = []
+    real = exactlin._rank_array
+    monkeypatch.setattr(exactlin, "_rank_array", lambda a, f: tails.append(a.shape) or real(a, f))
+    rng = random.Random(2024)
+    algebras = [(e.id, e.build()) for e in builtin_entries()]
+    algebras += [
+        (f"{e.id}/F7", build_algebra(dataclasses.replace(e.presentation, field=F7)))
+        for e in builtin_entries()
+    ]
+    algebras += [(f"random-{seed}", random_admissible(seed).build()) for seed in range(10)]
+    fields = set()
+    for name, alg in algebras:
+        modules = [f(alg, i) for i in range(1, alg.n + 1) for f in (projective, injective)]
+        moved = [_conjugate(m, rng) for m in modules]
+        for m, m2 in zip(modules, moved):
+            for n, n2 in zip(modules, moved):
+                assert hom_dim(m2, n2) == hom_dim(m, n), (name, m.dims, n.dims)
+        fields.add(alg.field)
+    assert {F7, RATIONAL} <= fields
+    assert tails, "no Hom system reached the dense tail"
 
 
 def test_hom_yoneda_on_truncated_projectives_and_socle_submodules():
