@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -79,15 +80,21 @@ def _parse_field(doc, path: str) -> FieldSpec:
     raise SchemaError(f"{path}.kind: expected 'prime' or 'rational', got {kind!r}")
 
 
+# an integer or a/b, at most 4300 digits per part (the default int/str limit)
+_COEFF = re.compile(r"([+-]?\d{1,4300})(?:/(\d{1,4300}))?", re.ASCII)
+
+
 def _parse_coeff(raw, path: str, field: FieldSpec) -> int | Fraction:
     if isinstance(raw, int) and not isinstance(raw, bool):
         return raw
     if isinstance(raw, str):
-        try:
-            frac = Fraction(raw)
-        except (ValueError, ZeroDivisionError):
+        match = _COEFF.fullmatch(raw)
+        if match is None or int(match[2] or 1) == 0:
             raise SchemaError(f"{path}: expected an integer or a/b string, got {raw!r}")
-        if field.is_prime_field and frac.denominator % field.p == 0:
+        frac = Fraction(int(match[1]), int(match[2] or 1))
+        try:
+            field.coerce(frac)
+        except ZeroDivisionError:
             raise SchemaError(f"{path}: denominator vanishes mod {field.p}")
         return frac.numerator if frac.denominator == 1 else frac
     raise SchemaError(f"{path}: expected an integer or a/b string")
@@ -159,11 +166,9 @@ def parse_presentation_doc(doc: dict, field: FieldSpec | None = None) -> Algebra
 
 
 def presentation_to_doc(p: AlgebraPresentation) -> dict:
-    field_doc = (
-        {"kind": "prime", "p": p.field.p}
-        if p.field.is_prime_field
-        else {"kind": "rational"}
-    )
+    field_doc = {"kind": p.field.kind}
+    if p.field.p:
+        field_doc["p"] = p.field.p
     return {
         "field": field_doc,
         "vertices": list(p.quiver.vertices),
@@ -309,12 +314,13 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_analyze(args) -> int:
     try:
-        with open(args.path) as fh:
+        with open(args.path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         print(f"error: cannot read {args.path}: {exc}", file=sys.stderr)
         return 2
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, UnicodeDecodeError, an over-long integer literal, deep nesting
         print(f"error: {args.path} is not valid JSON: {exc}", file=sys.stderr)
         return 2
     try:

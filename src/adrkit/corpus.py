@@ -289,7 +289,7 @@ def random_admissible(seed: int, limits: RandomLimits | None = None) -> CorpusEn
             alg = build_algebra(pres)
         except PresentationError:
             continue
-        rational = not pres.field.is_prime_field
+        rational = pres.field == RATIONAL
         if alg.dim > (12 if rational else 24):
             continue
         labels = sum(loewy_length(projective(alg, i)) for i in range(1, alg.n + 1))

@@ -7,6 +7,13 @@ normalise themselves to lowest terms with positive denominator).  Ranks are
 taken by :func:`_sparse_rank` on rows given as ``{column: coefficient}``
 dicts, with Python ints mod p or Fractions, falling back to dense forward
 elimination once the rows fill in.  No floating point anywhere.
+
+:class:`FieldSpec` is the only place that knows how the two kinds of field
+differ.  Array code asks it for ``dtype``, ``one``, ``zeros(shape)`` (a
+writable array of canonical zeros) and ``canonical(a)`` (reduce mod p, or
+turn a non-object array into Fractions), and for ``coerce`` and ``inv`` on
+scalars; it never branches on the field kind itself.  The hot scalar loops
+of :func:`_sparse_rank` read ``field.p``, which is None over Q.
 """
 
 from __future__ import annotations
@@ -34,6 +41,9 @@ def _is_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+_to_fraction = np.frompyfunc(Fraction, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -66,6 +76,36 @@ class FieldSpec:
     @property
     def is_prime_field(self) -> bool:
         return self.kind == "prime"
+
+    @property
+    def dtype(self) -> np.dtype:
+        """Storage dtype of arrays over this field: int64 over F_p, object over Q."""
+        return np.dtype(np.int64 if self.kind == "prime" else object)
+
+    @property
+    def one(self) -> int | Fraction:
+        return 1 if self.kind == "prime" else Fraction(1)
+
+    def zeros(self, shape) -> np.ndarray:
+        """A writable array of canonical zeros."""
+        if self.kind == "prime":
+            return np.zeros(shape, dtype=np.int64)
+        a = np.empty(shape, dtype=object)
+        a[...] = Fraction(0)
+        return a
+
+    def canonical(self, a) -> np.ndarray:
+        """``a`` with canonical entries: reduced into [0, p) over F_p.
+
+        Over Q a non-object array becomes an array of Fractions; an object
+        array is returned unchanged, since exact arithmetic keeps it exact.
+        """
+        if self.kind == "prime":
+            return np.asarray(a, dtype=np.int64) % self.p
+        a = np.asarray(a)
+        if a.dtype == object:
+            return a
+        return _to_fraction(a.astype(object))
 
     def coerce(self, x) -> int | Fraction:
         """Canonical representative of ``x`` in this field.
@@ -112,15 +152,7 @@ class Matrix:
         a = np.asarray(data)
         if a.ndim != 2:
             raise ValueError(f"matrix data must be 2-dimensional, got shape {a.shape}")
-        if field.is_prime_field:
-            a = np.asarray(a, dtype=np.int64) % field.p
-        else:
-            if a.dtype != object:
-                b = np.empty(a.shape, dtype=object)
-                for r in range(a.shape[0]):
-                    for c in range(a.shape[1]):
-                        b[r, c] = Fraction(a[r, c])
-                a = b
+        a = field.canonical(a)
         a.setflags(write=False)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "_a", a)
@@ -138,31 +170,17 @@ class Matrix:
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise ValueError("ragged rows")
-        if field.is_prime_field:
-            a = np.array([[field.coerce(x) for x in r] for r in rows], dtype=np.int64)
-        else:
-            a = np.empty((len(rows), width), dtype=object)
-            for i, r in enumerate(rows):
-                for j, x in enumerate(r):
-                    a[i, j] = field.coerce(x)
+        a = np.array([[field.coerce(x) for x in r] for r in rows], dtype=field.dtype)
         return cls(field, a)
 
     @classmethod
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "Matrix":
-        if field.is_prime_field:
-            return cls(field, np.zeros((rows, cols), dtype=np.int64))
-        a = np.empty((rows, cols), dtype=object)
-        a[...] = Fraction(0)
-        return cls(field, a)
+        return cls(field, field.zeros((rows, cols)))
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
-        m = cls.zeros(field, n, n)
-        a = m._a.copy()
-        a.setflags(write=True)
-        one = 1 if field.is_prime_field else Fraction(1)
-        for i in range(n):
-            a[i, i] = one
+        a = field.zeros((n, n))
+        np.fill_diagonal(a, field.one)
         return cls(field, a)
 
     @property
@@ -209,9 +227,7 @@ class Matrix:
         return f"Matrix({self.field.describe()}, {self._a.tolist()!r})"
 
     def is_zero(self) -> bool:
-        if self.field.is_prime_field:
-            return not self._a.any()
-        return all(x == 0 for x in self._a.reshape(-1))
+        return not self._a.any()
 
     def transpose(self) -> "Matrix":
         return Matrix(self.field, self._a.T.copy())
@@ -233,20 +249,18 @@ class Matrix:
             raise DimensionMismatchError(
                 f"inner dimensions differ: {self.cols} vs {other.rows}"
             )
-        if not self.field.is_prime_field:
-            return Matrix(self.field, self._a @ other._a)
-        p = self.field.p
-        k = self.cols
+        field, p, k = self.field, self.field.p, self.cols
         if k == 0:
-            return Matrix.zeros(self.field, self.rows, other.cols)
-        # int64 products are < 2^62; chunk the accumulation so sums never overflow
-        chunk = max(1, (2**62) // ((p - 1) ** 2 or 1))
+            return Matrix.zeros(field, self.rows, other.cols)
+        # over F_p int64 products are < 2^62; chunk the accumulation so sums never overflow
+        chunk = max(1, 2**62 // (p - 1) ** 2) if p else k
         if k <= chunk:
-            return Matrix(self.field, (self._a @ other._a) % p)
-        acc = np.zeros((self.rows, other.cols), dtype=np.int64)
+            return Matrix(field, self._a @ other._a)
+        acc = field.zeros((self.rows, other.cols))
         for start in range(0, k, chunk):
-            acc = (acc + self._a[:, start : start + chunk] @ other._a[start : start + chunk, :]) % p
-        return Matrix(self.field, acc)
+            part = self._a[:, start : start + chunk] @ other._a[start : start + chunk, :]
+            acc = field.canonical(acc + part)
+        return Matrix(field, acc)
 
 
 class RrefResult(NamedTuple):
@@ -270,22 +284,12 @@ def _rref_array(a: np.ndarray, field: FieldSpec) -> tuple[np.ndarray, list[int]]
         pr = r + int(hits[0])
         if pr != r:
             a[[r, pr]] = a[[pr, r]]
-        if field.is_prime_field:
-            p = field.p
-            inv = pow(int(a[r, c]), p - 2, p)
-            a[r] = (a[r] * inv) % p
-            col = a[:, c].copy()
-            col[r] = 0
-            nz = np.nonzero(col)[0]
-            if nz.size:
-                a[nz] = (a[nz] - col[nz, None] * a[r][None, :]) % p
-        else:
-            a[r] = a[r] * (Fraction(1) / a[r, c])
-            col = a[:, c].copy()
-            col[r] = Fraction(0)
-            nz = col.nonzero()[0]
-            if nz.size:
-                a[nz] = a[nz] - col[nz, None] * a[r][None, :]
+        a[r] = field.canonical(a[r] * field.inv(a[r, c]))
+        col = a[:, c].copy()
+        col[r] = 0
+        nz = col.nonzero()[0]
+        if nz.size:
+            a[nz] = field.canonical(a[nz] - col[nz, None] * a[r][None, :])
         pivots.append(c)
         r += 1
     return a, pivots
@@ -316,13 +320,8 @@ def _rank_array(a: np.ndarray, field: FieldSpec) -> int:
         # clear are exactly the later hits; columns left of c are zero below r
         below = r + hits[1:]
         if below.size:
-            if field.is_prime_field:
-                p = field.p
-                factor = a[below, c] * pow(int(a[r, c]), p - 2, p) % p
-                a[below, c:] = (a[below, c:] - factor[:, None] * a[r, c:]) % p
-            else:
-                factor = a[below, c] / a[r, c]
-                a[below, c:] = a[below, c:] - factor[:, None] * a[r, c:]
+            factor = field.canonical(a[below, c] * field.inv(a[r, c]))
+            a[below, c:] = field.canonical(a[below, c:] - factor[:, None] * a[r, c:])
         r += 1
     return r
 
@@ -349,7 +348,7 @@ def _sparse_rank(rows: Iterable[Mapping[int, int | Fraction]], cols: int, field:
     pivot rows plus the rows not yet read; the pivot rows span every row read
     so far, so that rank is the rank of all rows.
     """
-    p = field.p if field.is_prime_field else None
+    p = field.p
     lead_of: dict[int, int] = {}
     leads: list[int] = []
     pivot_rows: list[dict] = []
@@ -383,7 +382,7 @@ def _sparse_rank(rows: Iterable[Mapping[int, int | Fraction]], cols: int, field:
         if not r:
             continue
         lead = min(r)
-        inv = pow(r.pop(lead), p - 2, p) if p else Fraction(1) / r.pop(lead)
+        inv = field.inv(r.pop(lead))
         # a pivot row omits its lead entry, which is 1: reducing a row pops
         # the row's own entry at the lead instead of subtracting it
         pivot = {c: v * inv % p for c, v in r.items()} if p else {c: v * inv for c, v in r.items()}
@@ -405,11 +404,8 @@ def _dense_rank_tail(leads, pivot_rows, remaining, cols: int, field: FieldSpec) 
         at_row += [i] * len(row)
         at_col += row
         values += row.values()
-    a = Matrix.zeros(field, len(rows), cols).array().copy()
-    if field.is_prime_field:
-        a[at_row, at_col] = [v % field.p for v in values]
-    else:
-        a[at_row, at_col] = [Fraction(v) for v in values]
+    a = field.zeros((len(rows), cols))
+    a[at_row, at_col] = [field.coerce(v) for v in values]
     return _rank_array(a, field)
 
 
@@ -435,14 +431,10 @@ def kernel_basis(m: Matrix) -> Matrix:
     field = m.field
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
-    if field.is_prime_field:
-        out = np.zeros((len(free), m.cols), dtype=np.int64)
-    else:
-        out = np.empty((len(free), m.cols), dtype=object)
-        out[...] = Fraction(0)
+    out = field.zeros((len(free), m.cols))
     pivot_list = list(pivots)
     for k, c in enumerate(free):
-        out[k, c] = 1 if field.is_prime_field else Fraction(1)
+        out[k, c] = field.one
         out[k, pivot_list] = -red._a[:rk, c]
     return Matrix(field, out)
 
@@ -456,18 +448,12 @@ def reduce_mod_row_space(basis: RrefResult, v: np.ndarray) -> np.ndarray:
     for r, pc in enumerate(basis.pivot_cols):
         coeff = v[pc]
         if coeff != 0:
-            if field.is_prime_field:
-                v = (v - coeff * a[r]) % field.p
-            else:
-                v = v - coeff * a[r]
+            v = field.canonical(v - coeff * a[r])
     return v
 
 
 def in_row_space(basis: RrefResult, v: np.ndarray) -> bool:
-    res = reduce_mod_row_space(basis, v)
-    if basis.reduced.field.is_prime_field:
-        return not res.any()
-    return all(x == 0 for x in res)
+    return not reduce_mod_row_space(basis, v).any()
 
 
 def coordinates_in_row_space(basis: RrefResult, v: np.ndarray) -> np.ndarray:
@@ -477,15 +463,3 @@ def coordinates_in_row_space(basis: RrefResult, v: np.ndarray) -> np.ndarray:
     membership is the caller's responsibility (assert with in_row_space).
     """
     return v[list(basis.pivot_cols)]
-
-
-def intersect_and_quotient_dims(u: Matrix, v: Matrix) -> tuple[int, int]:
-    """(dim U∩V, dim U+V) for the row spaces of ``u`` and ``v``."""
-    if u.cols != v.cols:
-        raise DimensionMismatchError(
-            f"ambient widths differ: {u.cols} vs {v.cols}"
-        )
-    ru = rank(u)
-    rv = rank(v)
-    rsum = rank(u.stack(v))
-    return ru + rv - rsum, rsum

@@ -374,7 +374,7 @@ def _ideal_rows(
                     rows.setdefault((pre.source, suf.target), []).append(vec)
     out: dict[ParallelClass, Matrix] = {}
     for cls, vecs in rows.items():
-        a = Matrix.zeros(fld, len(vecs), len(classes[cls])).array().copy()
+        a = fld.zeros((len(vecs), len(classes[cls])))
         for r, vec in enumerate(vecs):
             for c, coeff in vec.items():
                 a[r, c] = coeff
@@ -449,10 +449,7 @@ def build_algebra(p: AlgebraPresentation) -> AlgebraData:
         for r, pc in enumerate(block.pivot_cols):
             row = red[r]
             reduction[group[pc]] = tuple(
-                (
-                    basis_index[group[c]],
-                    (-int(row[c])) % fld.p if fld.is_prime_field else -row[c],
-                )
+                (basis_index[group[c]], fld.coerce(-row[c]))
                 for c in np.flatnonzero(row != 0)
                 if c != pc
             )
@@ -473,8 +470,7 @@ def build_algebra(p: AlgebraPresentation) -> AlgebraData:
             if longer in reduction:
                 act[a.name][k] = reduction[longer]
             else:
-                one = 1 if fld.is_prime_field else Fraction(1)
-                act[a.name][k] = ((basis_index[longer], one),)
+                act[a.name][k] = ((basis_index[longer], fld.one),)
 
     return AlgebraData(
         presentation=p,

@@ -9,7 +9,6 @@ repeated runs are bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -83,14 +82,6 @@ class Representation:
         return self.total_dim() == 0
 
 
-def _zero_arr(field: FieldSpec, shape: tuple[int, int]) -> np.ndarray:
-    if field.is_prime_field:
-        return np.zeros(shape, dtype=np.int64)
-    a = np.empty(shape, dtype=object)
-    a[...] = Fraction(0)
-    return a
-
-
 def _full_space(field: FieldSpec, dim: int) -> RrefResult:
     return RrefResult(Matrix.identity(field, dim), dim, tuple(range(dim)))
 
@@ -129,7 +120,7 @@ def projective(alg: AlgebraData, i: int) -> Representation:
     maps = {}
     for a in alg.quiver.arrows:
         u, v = alg.quiver.arrow_endpoints(a.name)
-        arr = _zero_arr(alg.field, (dims[v - 1], dims[u - 1]))
+        arr = alg.field.zeros((dims[v - 1], dims[u - 1]))
         for col, k in enumerate(by_vertex[u - 1]):
             for idx, coeff in alg.act[a.name].get(k, ()):
                 _, row = pos[idx]
@@ -213,7 +204,7 @@ def sub_representation(m: Representation, spaces: Subspaces) -> Representation:
     for a in alg.quiver.arrows:
         u, v = alg.quiver.arrow_endpoints(a.name)
         src, tgt = spaces[u - 1], spaces[v - 1]
-        arr = _zero_arr(m.field, (dims[v - 1], dims[u - 1]))
+        arr = m.field.zeros((dims[v - 1], dims[u - 1]))
         if src.rank and m.dims[v - 1]:
             image = src.reduced.matmul(m.arrow_maps[a.name].transpose())
             for r in range(src.rank):
@@ -238,7 +229,7 @@ def quotient_representation(m: Representation, spaces: Subspaces) -> Representat
     maps = {}
     for a in alg.quiver.arrows:
         u, v = alg.quiver.arrow_endpoints(a.name)
-        arr = _zero_arr(m.field, (dims[v - 1], dims[u - 1]))
+        arr = m.field.zeros((dims[v - 1], dims[u - 1]))
         m_a = m.arrow_maps[a.name].array()
         for s, c in enumerate(npcols[u - 1]):
             if m.dims[v - 1] == 0:
@@ -262,7 +253,7 @@ def socle_chain(m: Representation) -> tuple[Subspaces, ...]:
         soc_q = _socle_subspaces(q)
         new_spaces = []
         for v in range(m.algebra.n):
-            lifted = _zero_arr(m.field, (soc_q[v].rank, m.dims[v]))
+            lifted = m.field.zeros((soc_q[v].rank, m.dims[v]))
             for r in range(soc_q[v].rank):
                 for t, c in enumerate(npcols[v]):
                     lifted[r, c] = soc_q[v].reduced[r, t]
@@ -360,7 +351,7 @@ def _hom_constraints(m: Representation, n: Representation) -> tuple[list[dict], 
     key, which may leave an explicit zero.
     """
     q = m.algebra.quiver
-    p = m.field.p if m.field.is_prime_field else None
+    p = m.field.p
     offsets = [0]
     for nd, md in zip(n.dims, m.dims):
         offsets.append(offsets[-1] + nd * md)
@@ -458,11 +449,9 @@ def validate_representation(m: Representation) -> None:
     for terms in _canonical_relations(alg.presentation):
         src = terms[0][1].source
         tgt = terms[0][1].target
-        acc = _zero_arr(fld, (m.dims[tgt - 1], m.dims[src - 1]))
+        acc = fld.zeros((m.dims[tgt - 1], m.dims[src - 1]))
         for coeff, path in terms:
             acc = acc + coeff * path_matrix(path.arrows, src).array()
-        if fld.is_prime_field:
-            acc %= fld.p
         if not Matrix(fld, acc).is_zero():
             raise AssertionError(f"relation {terms} does not annihilate the module")
     if loewy_length(m) > alg.presentation.cap:

@@ -106,10 +106,18 @@ def test_analyze_missing_file(capsys):
 
 
 def test_analyze_bad_json(tmp_path, capsys):
-    path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    code, _, err = run_cli(capsys, "analyze", str(path))
-    assert code == 2
+    contents = {
+        "syntax": b"{not json",
+        "not-utf8": b"\xff\xfe{\x00}\x00",
+        "long-integer": b"1" + b"0" * 5000,  # over the 4300-digit int/str limit
+        "deep-nesting": b"[" * 200_000 + b"]" * 200_000,
+    }
+    for name, content in contents.items():
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(content)
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert code == 2, name
+        assert out == "" and err.startswith("error: "), name
 
 
 def test_analyze_schema_violation_names_field(tmp_path, capsys):
@@ -341,3 +349,16 @@ def test_analyze_long_single_loop_exits_2_fast(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "letters" in err and "path budget" in err and "cap=100000" in err
+
+
+@pytest.mark.parametrize("coeff", ["1e1000000", "1e30000000"])
+def test_analyze_exponent_coefficient_exits_2_fast(tmp_path, capsys, coeff):
+    # exponent notation would expand to millions of digits; the schema allows only integers and a/b
+    doc = x3_doc()
+    doc["relations"][0]["terms"][0]["coeff"] = coeff
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, "analyze", write_doc(tmp_path, doc))
+    assert time.monotonic() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "$.relations[0].terms[0].coeff" in err

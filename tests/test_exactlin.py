@@ -9,19 +9,19 @@ from hypothesis import strategies as st
 from adrkit import exactlin
 from adrkit.exactlin import (
     RATIONAL,
-    DimensionMismatchError,
     FieldSpec,
     Matrix,
     in_row_space,
-    intersect_and_quotient_dims,
     kernel_basis,
     rank,
     rref,
 )
 
+F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
 F5 = FieldSpec.prime(5)
 F7 = FieldSpec.prime(7)
+F_MERSENNE = FieldSpec.prime(2**31 - 1)
 
 
 def test_field_spec_validation():
@@ -37,6 +37,34 @@ def test_field_spec_validation():
         FieldSpec("prime")
     with pytest.raises(ValueError):
         FieldSpec("rational", p=3)
+
+
+@pytest.mark.parametrize("field", [F2, F7, F_MERSENNE, RATIONAL], ids=lambda f: f.describe())
+def test_field_interface(field):
+    zero_type = type(field.coerce(0))
+    z = field.zeros((2, 3))
+    assert z.shape == (2, 3) and z.dtype == field.dtype
+    assert [type(x) for x in z.ravel().tolist()] == [zero_type] * 6
+    assert not z.any()
+    z[1, 2] = field.one  # writable
+    assert type(field.one) is zero_type and field.one == field.coerce(1)
+
+    ints = np.array([[-1, 0, 5], [2**40, -(2**40) - 3, 7]], dtype=np.int64)
+    got = field.canonical(ints)
+    assert got.shape == ints.shape and got.dtype == field.dtype
+    assert got.tolist() == [[field.coerce(x) for x in row] for row in ints.tolist()]
+    assert [type(x) for x in got.ravel().tolist()] == [zero_type] * 6
+    if field.p:
+        assert all(0 <= x < field.p for x in got.ravel().tolist())
+    else:
+        assert got[1, 0] == Fraction(2**40) and field.canonical(z) is z
+
+    for x in (1, -1, 3, 2**40 + 1, Fraction(-3, 5)):
+        y = field.coerce(x)
+        product = field.coerce(y * field.inv(y))
+        assert product == field.one and type(product) is zero_type
+    with pytest.raises(ZeroDivisionError):
+        field.inv(0)
 
 
 def test_coerce_canonical():
@@ -88,22 +116,6 @@ def test_kernel_by_membership_not_literal():
     assert not m.matmul(k.transpose()).array().any()
     expected = rref(Matrix.from_rows(F5, [[1, 4]]))
     assert in_row_space(expected, np.array(k.row(0), dtype=np.int64))
-
-
-def test_intersect_and_quotient_dims():
-    e1 = Matrix.from_rows(RATIONAL, [[1, 0]])
-    e2 = Matrix.from_rows(RATIONAL, [[0, 1]])
-    assert intersect_and_quotient_dims(e1, e1) == (1, 1)
-    assert intersect_and_quotient_dims(e1, e2) == (0, 2)
-    diag = Matrix.from_rows(F3, [[1, 1]])
-    assert intersect_and_quotient_dims(diag, Matrix.from_rows(F3, [[1, 0]])) == (0, 2)
-
-
-def test_intersect_width_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        intersect_and_quotient_dims(
-            Matrix.from_rows(RATIONAL, [[1, 0]]), Matrix.from_rows(RATIONAL, [[1, 0, 0]])
-        )
 
 
 def _random_matrix(rng: random.Random, field: FieldSpec) -> Matrix:
@@ -274,10 +286,6 @@ def test_rref_pivot_below_zero_rows_and_zero_columns(field):
     _check_against_naive(field, grid, 4)
     result = rref(Matrix.from_rows(field, grid, cols=4))
     assert result.pivot_cols == (1, 2, 3)
-
-
-F2 = FieldSpec.prime(2)
-F_MERSENNE = FieldSpec.prime(2**31 - 1)
 
 
 def _sparse_case(field: FieldSpec, rows: int, cols: int, density: float, seed: int):

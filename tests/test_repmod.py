@@ -383,7 +383,7 @@ def _kron_constraints(m: Representation, n: Representation) -> np.ndarray:
         height = n.dims[v - 1] * m.dims[u - 1]
         if not height:
             continue
-        block = repmod._zero_arr(fld, (height, total))
+        block = fld.zeros((height, total))
         if n.dims[v - 1] * m.dims[v - 1]:
             left = np.kron(np.eye(n.dims[v - 1], dtype=np.int64), m.arrow_maps[a.name].array().T)
             block[:, offsets[v - 1] : offsets[v]] += left
@@ -391,7 +391,7 @@ def _kron_constraints(m: Representation, n: Representation) -> np.ndarray:
             right = np.kron(n.arrow_maps[a.name].array(), np.eye(m.dims[u - 1], dtype=np.int64))
             block[:, offsets[u - 1] : offsets[u]] -= right
         rows.append(block)
-    arr = np.vstack(rows) if rows else repmod._zero_arr(fld, (0, total))
+    arr = np.vstack(rows) if rows else fld.zeros((0, total))
     return Matrix(fld, arr).array()
 
 
@@ -441,7 +441,7 @@ def _hom_test_algebras():
 
 def _densify(rows: list[dict], unknowns: int, fld) -> np.ndarray:
     """The sparse rows as a dense array, checking every coefficient is canonical."""
-    out = repmod._zero_arr(fld, (len(rows), unknowns))
+    out = fld.zeros((len(rows), unknowns))
     for i, row in enumerate(rows):
         for c, x in row.items():
             assert 0 <= c < unknowns
