@@ -27,6 +27,7 @@ order in which they run cannot change a result.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from .memo import memoized
@@ -42,6 +43,7 @@ from .repmod import (
     socle_series,
     socle_sub,
     truncate,
+    truncation_socle_series,
 )
 
 
@@ -83,8 +85,12 @@ class LambdaCompositionVector:
         if len(self.labels) != len(self.values):
             raise ValueError("labels and values misaligned")
 
+    @cached_property
+    def _index(self) -> dict[LambdaLabel, int]:
+        return {lbl: t for t, lbl in enumerate(self.labels)}
+
     def value(self, label: LambdaLabel) -> int:
-        return self.values[self.labels.index(label)]
+        return self.values[self._index[label]]
 
     def total(self) -> int:
         return sum(self.values)
@@ -107,16 +113,22 @@ class LabeledMatrix:
             if any(x < 0 for x in row):
                 raise NegativeMultiplicityError(f"negative entry in {row}")
 
+    @cached_property
+    def row_index(self) -> dict[LambdaLabel, int]:
+        return {lbl: r for r, lbl in enumerate(self.row_labels)}
+
+    @cached_property
+    def col_index(self) -> dict[LambdaLabel, int]:
+        return {lbl: c for c, lbl in enumerate(self.col_labels)}
+
     def entry(self, row: LambdaLabel, col: LambdaLabel) -> int:
-        return self.entries[self.row_labels.index(row)][self.col_labels.index(col)]
+        return self.entries[self.row_index[row]][self.col_index[col]]
 
     def row_vector(self, row: LambdaLabel) -> LambdaCompositionVector:
-        return LambdaCompositionVector(
-            self.col_labels, self.entries[self.row_labels.index(row)]
-        )
+        return LambdaCompositionVector(self.col_labels, self.entries[self.row_index[row]])
 
     def column_vector(self, col: LambdaLabel) -> LambdaCompositionVector:
-        c = self.col_labels.index(col)
+        c = self.col_index[col]
         return LambdaCompositionVector(
             self.row_labels, tuple(row[c] for row in self.entries)
         )
@@ -150,11 +162,11 @@ class TheoremAHypotheses:
     rigid_p: tuple[bool, ...]
     rigid_q: tuple[bool, ...]
 
-    @property
+    @cached_property
     def projective_side_ok(self) -> bool:
         return all(x == self.loewy_length for x in self.ll_p) and all(self.rigid_p)
 
-    @property
+    @cached_property
     def all_ok(self) -> bool:
         return (
             self.projective_side_ok
@@ -247,10 +259,8 @@ def _first_layers_mult(cums: list[tuple[int, ...]], y: int, x: int) -> int:
 def cartan_RA_formula(alg: AlgebraData) -> LabeledMatrix:
     """C(R_A) from socle series: entry[(i,j),(k,l)] = [soc_j(P_k/rad^l P_k) : L_i]."""
     poset = lambda_poset(alg)
-    columns = [
-        _cumulative_layers(alg, socle_series(_truncated_projective(alg, k, l)))
-        for k, l in poset.labels
-    ]
+    profiles = [truncation_socle_series(projective(alg, k)) for k in range(1, alg.n + 1)]
+    columns = [_cumulative_layers(alg, profiles[k - 1][l - 1]) for k, l in poset.labels]
     entries = tuple(
         tuple(_first_layers_mult(cums, j, i) for cums in columns) for i, j in poset.labels
     )
@@ -280,7 +290,7 @@ def _row_or_zero(alg: AlgebraData, i: int, j: int) -> tuple[int, ...]:
     c = cartan_RA_formula(alg)
     if j == 0:
         return tuple(0 for _ in c.col_labels)
-    return c.entries[c.row_labels.index(LambdaLabel(i, j))]
+    return c.entries[c.row_index[LambdaLabel(i, j)]]
 
 
 def costandard_vector(alg: AlgebraData, label: LambdaLabel) -> LambdaCompositionVector:
@@ -397,15 +407,12 @@ def cartan_ringel_dual(alg: AlgebraData) -> LabeledMatrix:
     """
     poset = lambda_poset(alg)
     cra = cartan_RA_formula(alg)
-    col_index = {lbl: c for c, lbl in enumerate(cra.col_labels)}
 
     def q_mult(a: int, b: int, c: int, d: int) -> int:
         # [Q_{a,b} : L_{c,d}] = [P_{c,d} : L_{a,b}], zero when b == 0 or d == 0
         if b == 0 or d == 0:
             return 0
-        return cra.entries[cra.row_labels.index(LambdaLabel(a, b))][
-            col_index[LambdaLabel(c, d)]
-        ]
+        return cra.entry(LambdaLabel(a, b), LambdaLabel(c, d))
 
     entries = []
     for i, j in poset.labels:

@@ -348,14 +348,6 @@ def tagged_invariant_failures(alg: AlgebraData) -> list[tuple[str, str]]:
                 radical_series(q_i).total() == composition_vector(q_i),
                 f"radical layers of Q_{i} do not sum to its composition vector",
             )
-            # duality sends radical layer j of the opposite P_i to socle layer j of Q_i
-            opp_rad = radical_series(projective(alg.opposite(), i))
-            check(
-                "structural",
-                tuple(layer.mult for layer in socle_series(q_i).layers)
-                == tuple(layer.mult for layer in opp_rad.layers),
-                f"socle profile of Q_{i} does not match the opposite radical profile",
-            )
             for j in range(1, alg.n + 1):
                 check(
                     "structural",

@@ -249,18 +249,22 @@ class Matrix:
             raise DimensionMismatchError(
                 f"inner dimensions differ: {self.cols} vs {other.rows}"
             )
-        field, p, k = self.field, self.field.p, self.cols
-        if k == 0:
-            return Matrix.zeros(field, self.rows, other.cols)
-        # over F_p int64 products are < 2^62; chunk the accumulation so sums never overflow
-        chunk = max(1, 2**62 // (p - 1) ** 2) if p else k
-        if k <= chunk:
-            return Matrix(field, self._a @ other._a)
-        acc = field.zeros((self.rows, other.cols))
-        for start in range(0, k, chunk):
-            part = self._a[:, start : start + chunk] @ other._a[start : start + chunk, :]
-            acc = field.canonical(acc + part)
-        return Matrix(field, acc)
+        return Matrix(self.field, _matmul_array(self._a, other._a, self.field))
+
+
+def _matmul_array(a: np.ndarray, b: np.ndarray, field: FieldSpec) -> np.ndarray:
+    """Canonical product of two canonical arrays of matching inner dimension."""
+    p, k = field.p, a.shape[1]
+    if k == 0:
+        return field.zeros((a.shape[0], b.shape[1]))
+    # over F_p int64 products are < 2^62; chunk the accumulation so sums never overflow
+    chunk = max(1, 2**62 // (p - 1) ** 2) if p else k
+    if k <= chunk:
+        return field.canonical(a @ b)
+    acc = field.zeros((a.shape[0], b.shape[1]))
+    for start in range(0, k, chunk):
+        acc = field.canonical(acc + a[:, start : start + chunk] @ b[start : start + chunk, :])
+    return acc
 
 
 class RrefResult(NamedTuple):

@@ -4,11 +4,26 @@ A representation assigns a vector space to each vertex and a matrix to each
 arrow (shape dims[target] x dims[source], acting on column vectors).  All
 submodule / quotient constructions pick echelonized coordinate bases, so
 repeated runs are bit-identical.
+
+The projectives and injectives come with a grading of their coordinates by
+the path basis, and their radical and socle filtrations are read off it.  A
+reduction in the relation ideal only ever lands on basis paths of equal or
+higher degree, and an arrow raises the degree, so rad^l P_i is spanned by the
+coordinates of P_i of degree >= l.  Q_i is the transpose of the opposite
+P_i, so soc_j Q_i is spanned by its coordinates whose opposite degree is < j.
+The truncations P_i/rad^l P_i and the socle submodules soc_j Q_i are then the
+leading coordinates of each vertex, and keep the grading.  The socle series
+of P_i and of its truncations come from one functional pass per truncation
+over the arrays of P_i (:func:`_socle_functionals`), with no quotient module.
+Every other filtration, the radical series of Q_i and of soc_j Q_i included,
+and every ungraded module go through the general chain code.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -16,6 +31,8 @@ from .exactlin import (
     FieldSpec,
     Matrix,
     RrefResult,
+    _matmul_array,
+    _rref_array,
     _sparse_rank,
     _sparse_rows,
     coordinates_in_row_space,
@@ -64,11 +81,24 @@ class SeriesProfile:
         return len(self.layers)
 
 
+Grading = tuple[tuple[int, ...], ...]
+
+
 @dataclass(frozen=True)
 class Representation:
+    """A module, with an optional grading of its coordinates.
+
+    A grading gives the degree of every coordinate, per vertex, in
+    nondecreasing order.  With ``radical_degrees`` rad^l M is spanned by the
+    coordinates of degree >= l; with ``socle_degrees`` soc_j M is spanned by
+    those of degree < j.  At most one of the two is set.
+    """
+
     algebra: AlgebraData
     dims: tuple[int, ...]
     arrow_maps: dict[str, Matrix]
+    radical_degrees: Grading | None = field(default=None, repr=False, compare=False)
+    socle_degrees: Grading | None = field(default=None, repr=False, compare=False)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -82,10 +112,12 @@ class Representation:
         return self.total_dim() == 0
 
 
+@lru_cache(maxsize=256)
 def _full_space(field: FieldSpec, dim: int) -> RrefResult:
     return RrefResult(Matrix.identity(field, dim), dim, tuple(range(dim)))
 
 
+@lru_cache(maxsize=256)
 def _zero_space(field: FieldSpec, dim: int) -> RrefResult:
     return RrefResult(Matrix.zeros(field, 0, dim), 0, ())
 
@@ -104,7 +136,7 @@ def simple(alg: AlgebraData, i: int) -> Representation:
 
 @memoized
 def projective(alg: AlgebraData, i: int) -> Representation:
-    """Indecomposable projective P_i: residues of basis paths with source i."""
+    """Indecomposable projective P_i: residues of basis paths with source i, graded by length."""
     if not 1 <= i <= alg.n:
         raise ValueError(f"vertex index {i} out of range 1..{alg.n}")
     idxs = alg.basis_indices_with_source(i)
@@ -126,15 +158,65 @@ def projective(alg: AlgebraData, i: int) -> Representation:
                 _, row = pos[idx]
                 arr[row, col] = coeff
         maps[a.name] = Matrix(alg.field, arr)
-    return Representation(alg, dims, maps)
+    degrees = tuple(tuple(alg.basis[k].length for k in ks) for ks in by_vertex)
+    return Representation(alg, dims, maps, radical_degrees=degrees)
 
 
 @memoized
 def injective(alg: AlgebraData, i: int) -> Representation:
-    """Indecomposable injective Q_i: transpose-dual of the opposite projective."""
+    """Indecomposable injective Q_i: transpose-dual of the opposite projective, whose grading gives its socle series."""
     p_op = projective(alg.opposite(), i)
     maps = {a.name: p_op.arrow_maps[a.name].transpose() for a in alg.quiver.arrows}
-    return Representation(alg, p_op.dims, maps)
+    return Representation(alg, p_op.dims, maps, socle_degrees=p_op.radical_degrees)
+
+
+def _below(degrees: Grading, l: int) -> tuple[int, ...]:
+    """Number of coordinates of degree < l at each vertex."""
+    return tuple(bisect_left(d, l) for d in degrees)
+
+
+def _grading_length(degrees: Grading) -> int:
+    """Number of degrees in use: the Loewy length of a graded module."""
+    return max((d[-1] + 1 for d in degrees if d), default=0)
+
+
+def _leading_block(m: Representation, l: int) -> Representation:
+    """The coordinates of degree < l: m/rad^l m under a radical grading, soc_l m under a socle one.
+
+    The dropped coordinates must span a submodule (radical grading), or the
+    kept ones must (socle grading); the block of each arrow map that would
+    break this is checked to be zero.
+    """
+    radical = m.radical_degrees is not None
+    degrees = m.radical_degrees if radical else m.socle_degrees
+    keep = _below(degrees, l)
+    maps = {}
+    for a in m.algebra.quiver.arrows:
+        u, v = m.algebra.quiver.arrow_endpoints(a.name)
+        arr = m.arrow_maps[a.name].array()
+        cu, cv = keep[u - 1], keep[v - 1]
+        if (arr[:cv, cu:] if radical else arr[cv:, :cu]).any():
+            raise ValueError("subspaces are not arrow-invariant")
+        maps[a.name] = Matrix(m.field, arr[:cv, :cu])
+    kept = tuple(d[:c] for d, c in zip(degrees, keep))
+    if radical:
+        return Representation(m.algebra, keep, maps, radical_degrees=kept)
+    return Representation(m.algebra, keep, maps, socle_degrees=kept)
+
+
+def _coordinate_chain(m: Representation, radical: bool) -> tuple[Subspaces, ...]:
+    """The chain of a grading: per level l, the coordinates of degree >= l (radical) or < l (socle)."""
+    degrees = m.radical_degrees if radical else m.socle_degrees
+    eyes = [_full_space(m.field, d).reduced.array() for d in m.dims]
+    chain = []
+    for l in range(_grading_length(degrees) + 1):
+        spaces = []
+        for eye, d, c in zip(eyes, m.dims, _below(degrees, l)):
+            cols = tuple(range(c, d) if radical else range(c))
+            rows = eye[c:] if radical else eye[:c]
+            spaces.append(RrefResult(Matrix(m.field, rows), len(cols), cols))
+        chain.append(tuple(spaces))
+    return tuple(chain)
 
 
 def composition_vector(m: Representation) -> CompositionVector:
@@ -187,6 +269,8 @@ def _radical_step(m: Representation, spaces: Subspaces) -> Subspaces:
 @memoized
 def radical_chain(m: Representation) -> tuple[Subspaces, ...]:
     """(rad^0 M = M, rad M, ..., rad^L M = 0) as echelonized subspaces."""
+    if m.radical_degrees is not None:
+        return _coordinate_chain(m, radical=True)
     chain = [tuple(_full_space(m.field, d) for d in m.dims)]
     while sum(s.rank for s in chain[-1]) > 0:
         nxt = _radical_step(m, chain[-1])
@@ -244,6 +328,8 @@ def quotient_representation(m: Representation, spaces: Subspaces) -> Representat
 @memoized
 def socle_chain(m: Representation) -> tuple[Subspaces, ...]:
     """(0 = soc_0 M, soc_1 M, ..., soc_K M = M) as echelonized subspaces."""
+    if m.socle_degrees is not None:
+        return _coordinate_chain(m, radical=False)
     chain = [tuple(_zero_space(m.field, d) for d in m.dims)]
     total = m.total_dim()
     while sum(s.rank for s in chain[-1]) < total:
@@ -266,28 +352,103 @@ def socle_chain(m: Representation) -> tuple[Subspaces, ...]:
 
 
 def _quotient_layers(pairs) -> SeriesProfile:
-    """Composition vectors of big/small for each (big, small) pair of nested subspaces."""
+    """Composition vectors big - small for each (big, small) pair of per-vertex dimensions."""
     return SeriesProfile(
         tuple(
-            CompositionVector(tuple(b.rank - s.rank for b, s in zip(big, small)))
+            CompositionVector(tuple(b - s for b, s in zip(big, small)))
             for big, small in pairs
         )
     )
 
 
+def _chain_dims(chain) -> list[tuple[int, ...]]:
+    return [tuple(s.rank for s in spaces) for spaces in chain]
+
+
+def _degree_profile(degrees: Grading) -> SeriesProfile:
+    """Layer l holds the coordinates of degree l."""
+    dims = [_below(degrees, l) for l in range(_grading_length(degrees) + 1)]
+    return _quotient_layers(zip(dims[1:], dims))
+
+
+@memoized
+def _socle_functionals(m: Representation, l: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """F_0, F_1, ..., F_J for m/rad^l m, under a radical grading of m.
+
+    m/rad^l m lives on the c_v coordinates of degree < l of each M_v.
+    F_0(v) holds every functional on them, and F_j(v) is an echelon basis of
+    the row space of F_{j-1}(t) M_a, stacked over the arrows a: v -> t, with
+    M_a cut down to the kept coordinates.  So F_j(v) spans the functionals
+    phi(p x) for the paths p of length j out of v, whose common kernel is
+    soc_j(m/rad^l m)_v, of dimension c_v - rank F_j(v).  F_J is the first
+    that vanishes everywhere; J <= l.
+    """
+    fld = m.field
+    keep = _below(m.radical_degrees, l)
+    outgoing: list[list[tuple[int, np.ndarray]]] = [[] for _ in keep]
+    for a in m.algebra.quiver.arrows:
+        u, t = m.algebra.quiver.arrow_endpoints(a.name)
+        outgoing[u - 1].append((t - 1, m.arrow_maps[a.name].array()))
+    funcs = tuple(_full_space(fld, c).reduced.array() for c in keep)
+    chain = [funcs]
+    while any(len(f) for f in funcs):
+        if len(chain) > l:
+            raise RuntimeError("socle did not grow; representation is invalid")
+        nxt = []
+        for v, c in enumerate(keep):
+            blocks = [
+                _matmul_array(funcs[t], arr[: keep[t], :c], fld)
+                for t, arr in outgoing[v]
+                if len(funcs[t]) and c
+            ]
+            if blocks:
+                red, pivots = _rref_array(np.vstack(blocks), fld)
+                nxt.append(red[: len(pivots)])
+            else:
+                nxt.append(fld.zeros((0, c)))
+        funcs = tuple(nxt)
+        chain.append(funcs)
+    return tuple(chain)
+
+
+def _functional_profile(chain) -> SeriesProfile:
+    """Socle series from F_0..F_J: soc_j has dimension c_v - rank F_j(v) at v."""
+    keep = [len(f) for f in chain[0]]
+    socs = [tuple(c - len(f) for c, f in zip(keep, funcs)) for funcs in chain]
+    return _quotient_layers(zip(socs[1:], socs))
+
+
 def socle_series(m: Representation) -> SeriesProfile:
     """Socle layers soc_j/soc_{j-1}, bottom-up."""
-    chain = socle_chain(m)
-    return _quotient_layers(zip(chain[1:], chain))
+    if m.socle_degrees is not None:
+        return _degree_profile(m.socle_degrees)
+    if m.radical_degrees is not None:
+        return _functional_profile(_socle_functionals(m, loewy_length(m)))
+    dims = _chain_dims(socle_chain(m))
+    return _quotient_layers(zip(dims[1:], dims))
+
+
+def truncation_socle_series(m: Representation) -> tuple[SeriesProfile, ...]:
+    """socle_series(m/rad^l m) for l = 1..LL(m); one functional pass per l under a radical grading."""
+    levels = range(1, loewy_length(m) + 1)
+    if m.radical_degrees is None:
+        return tuple(socle_series(truncate(m, l)) for l in levels)
+    return tuple(_functional_profile(_socle_functionals(m, l)) for l in levels)
 
 
 def radical_series(m: Representation) -> SeriesProfile:
     """Radical layers M/rad M, rad M/rad^2 M, ..., top-down."""
-    chain = radical_chain(m)
-    return _quotient_layers(zip(chain, chain[1:]))
+    if m.radical_degrees is not None:
+        return _degree_profile(m.radical_degrees)
+    dims = _chain_dims(radical_chain(m))
+    return _quotient_layers(zip(dims, dims[1:]))
 
 
 def loewy_length(m: Representation) -> int:
+    """Length of the radical (equally, the socle) series."""
+    for degrees in (m.radical_degrees, m.socle_degrees):
+        if degrees is not None:
+            return _grading_length(degrees)
     return len(radical_chain(m)) - 1
 
 
@@ -301,8 +462,11 @@ def is_rigid(m: Representation) -> bool:
 
     Tested as per-vertex dimension equality plus the containment
     rad^j M <= soc_{L-j} M (which must hold regardless; its failure would be
-    a bug, not non-rigidity).
+    a bug, not non-rigidity).  A grading makes one side a coordinate
+    subspace, see :func:`_is_rigid_graded`.
     """
+    if m.radical_degrees is not None or m.socle_degrees is not None:
+        return _is_rigid_graded(m)
     rc = radical_chain(m)
     sc = socle_chain(m)
     ll = len(rc) - 1
@@ -322,10 +486,56 @@ def is_rigid(m: Representation) -> bool:
     return True
 
 
+def _is_rigid_graded(m: Representation) -> bool:
+    """:func:`is_rigid` with one side of each comparison a coordinate subspace.
+
+    Under a radical grading rad^j M is the coordinates from c_v(j) on (c_v(j)
+    of degree < j), and soc_{L-j} M is the common kernel of F_{L-j}
+    (:func:`_socle_functionals`): the dimensions agree when
+    rank F_{L-j}(v) = c_v(j), and the containment says F_{L-j}(v) vanishes on
+    those coordinates.  Under a socle grading soc_{L-j} M is the first
+    c_v(L-j) coordinates, and the containment says the echelon basis of
+    rad^j M vanishes beyond them.
+    """
+    ll = loewy_length(m)
+    if m.radical_degrees is not None:
+        chain = _socle_functionals(m, ll)
+        if len(chain) - 1 != ll:
+            return False
+        # per j and v: (dim rad^j, dim soc_{L-j}, the rows that must vanish)
+        levels = [
+            [
+                (d - c, d - len(f), f[:, c:])
+                for d, c, f in zip(m.dims, _below(m.radical_degrees, j), chain[ll - j])
+            ]
+            for j in range(len(chain))
+        ]
+    else:
+        rc = radical_chain(m)
+        if len(rc) - 1 != ll:
+            return False
+        levels = [
+            [
+                (r.rank, c, r.reduced.array()[:, c:])
+                for r, c in zip(rc[j], _below(m.socle_degrees, ll - j))
+            ]
+            for j in range(len(rc))
+        ]
+    for j, level in enumerate(levels):
+        for v, (rad_dim, soc_dim, outside) in enumerate(level):
+            if rad_dim != soc_dim:
+                return False
+            if outside.any():
+                raise RuntimeError(f"rad^{j} not contained in soc_{ll - j} at vertex {v + 1}")
+    return True
+
+
 def truncate(m: Representation, j: int) -> Representation:
     """M / rad^j M."""
     if j < 1:
         raise ValueError("truncation index must be >= 1")
+    if m.radical_degrees is not None:
+        return _leading_block(m, j)
     rc = radical_chain(m)
     return quotient_representation(m, rc[min(j, len(rc) - 1)])
 
@@ -334,6 +544,8 @@ def socle_sub(m: Representation, j: int) -> Representation:
     """soc_j M as a representation."""
     if j < 1:
         raise ValueError("socle index must be >= 1")
+    if m.socle_degrees is not None:
+        return _leading_block(m, j)
     sc = socle_chain(m)
     return sub_representation(m, sc[min(j, len(sc) - 1)])
 
@@ -390,11 +602,10 @@ def hom_dim(m: Representation, n: Representation) -> int:
 
 def _socle_vertex(m: Representation) -> int | None:
     """Vertex of the socle if it is simple, else None."""
-    soc = _socle_subspaces(m)
-    dims = [s.rank for s in soc]
-    if sum(dims) != 1:
+    layers = socle_series(m).layers
+    if not layers or layers[0].total() != 1:
         return None
-    return dims.index(1) + 1
+    return layers[0].mult.index(1) + 1
 
 
 @memoized

@@ -349,8 +349,12 @@ def test_hom_into_injective_counts_multiplicity():
     "chain, step", [(radical_chain, "_radical_step"), (socle_chain, "_socle_subspaces")]
 )
 def test_chain_is_computed_once_per_module(monkeypatch, chain, step):
-    # a fresh algebra, so no earlier test has filled the module's memo
-    m = projective(get_entry("preproj-a-3").build(), 1)
+    # a fresh algebra, so no earlier test has filled the module's memo; the
+    # chains of P_1 are read off its grading, so take the ungraded quotient
+    # P_1/rad^2 P_1, whose chains are computed
+    p = projective(get_entry("preproj-a-3").build(), 1)
+    m = quotient_representation(p, radical_chain(p)[2])
+    assert m.radical_degrees is None and m.socle_degrees is None
     real = getattr(repmod, step)
     calls = []
 
