@@ -6,22 +6,30 @@ Ringel dual comes from row arithmetic on C(R_A), and the Cartan matrix of
 S_A (the endomorphism algebra of the socle filtrations of the injectives)
 from radical series of socle submodules.  Each matrix also has an independent
 Hom-space route through the intertwiner solver; the two must agree exactly.
-The routes do not share their elimination either: the formula route reads
-subspace chains built with ``exactlin.rref``, while the Hom route builds each
-intertwiner system as sparse rows and takes its rank by the sparse
-elimination of ``exactlin._sparse_rank``, which finishes with the dense
-forward elimination of ``exactlin._rank_array`` once the rows fill in; it
-never builds an RREF.
+The routes do not share their elimination either.  The formula route takes
+the socle profiles of the truncations P_k/rad^l P_k from the functional pass
+over P_k (``repmod.truncation_socle_series``, one ``exactlin._rref_array``
+per truncation, step and vertex), the Loewy lengths of P_i and Q_i and the
+socle profiles of Q_i from the grading of the path basis, and the radical
+profiles of soc_j Q_i from the general chain code (``repmod.radical_chain``,
+built with ``exactlin.rref``).  The Hom route uses none of these: it
+builds each intertwiner system as sparse rows and takes its rank by the
+sparse elimination of ``exactlin._sparse_rank``, which finishes with the
+dense forward elimination of ``exactlin._rank_array`` once the rows fill
+in; it never builds an RREF.  The radical profiles of soc_j Q_i are never
+taken from the functional pass over the opposite projectives, so the
+duality C(R_A)[(i,j),(k,l)] = C(S_{A^op})[[k,l],[i,j]] still sets the two
+chain codes against each other.
 
 All matrices carry explicit row/column label lists; raw integer matrices are
 never passed between modules.
 
-The memo (``memo.memoized``) may cache modules, the subspace chains of a
-module, and whole function results such as a finished Cartan matrix.  It
-never caches ``hom_dim`` or ``_hom_constraints``, and each route has its own
-key, so neither route reads counts the other produced: the routes share only
-the modules they measure, their agreement stays an independent check, and the
-order in which they run cannot change a result.
+The memo (``memo.memoized``) may cache modules, the subspace chains and the
+functional passes of a module, and whole function results such as a finished
+Cartan matrix.  It never caches ``hom_dim`` or ``_hom_constraints``, and each
+route has its own key, so neither route reads counts the other produced: the
+routes share only the modules they measure, their agreement stays an
+independent check, and the order in which they run cannot change a result.
 """
 
 from __future__ import annotations
@@ -114,21 +122,21 @@ class LabeledMatrix:
                 raise NegativeMultiplicityError(f"negative entry in {row}")
 
     @cached_property
-    def row_index(self) -> dict[LambdaLabel, int]:
+    def _row_index(self) -> dict[LambdaLabel, int]:
         return {lbl: r for r, lbl in enumerate(self.row_labels)}
 
     @cached_property
-    def col_index(self) -> dict[LambdaLabel, int]:
+    def _col_index(self) -> dict[LambdaLabel, int]:
         return {lbl: c for c, lbl in enumerate(self.col_labels)}
 
     def entry(self, row: LambdaLabel, col: LambdaLabel) -> int:
-        return self.entries[self.row_index[row]][self.col_index[col]]
+        return self.entries[self._row_index[row]][self._col_index[col]]
 
     def row_vector(self, row: LambdaLabel) -> LambdaCompositionVector:
-        return LambdaCompositionVector(self.col_labels, self.entries[self.row_index[row]])
+        return LambdaCompositionVector(self.col_labels, self.entries[self._row_index[row]])
 
     def column_vector(self, col: LambdaLabel) -> LambdaCompositionVector:
-        c = self.col_index[col]
+        c = self._col_index[col]
         return LambdaCompositionVector(
             self.row_labels, tuple(row[c] for row in self.entries)
         )
@@ -290,7 +298,7 @@ def _row_or_zero(alg: AlgebraData, i: int, j: int) -> tuple[int, ...]:
     c = cartan_RA_formula(alg)
     if j == 0:
         return tuple(0 for _ in c.col_labels)
-    return c.entries[c.row_index[LambdaLabel(i, j)]]
+    return c.entries[c._row_index[LambdaLabel(i, j)]]
 
 
 def costandard_vector(alg: AlgebraData, label: LambdaLabel) -> LambdaCompositionVector:

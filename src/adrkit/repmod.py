@@ -101,6 +101,10 @@ class Representation:
     socle_degrees: Grading | None = field(default=None, repr=False, compare=False)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
+    def __post_init__(self) -> None:
+        if self.radical_degrees is not None and self.socle_degrees is not None:
+            raise ValueError("a module takes a radical or a socle grading, not both")
+
     @property
     def field(self) -> FieldSpec:
         return self.algebra.field

@@ -255,6 +255,21 @@ def test_labeled_matrix_rejects_negative():
         )
 
 
+def test_labeled_lookups_match_label_positions():
+    # entry, row_vector and column_vector look labels up in per-matrix dicts;
+    # the answer is the one at the label's position in the header
+    for seed in range(10):
+        alg = random_admissible(seed).build()
+        for mat in (cartan_RA_formula(alg), cartan_SA_formula(alg), cartan_ringel_dual(alg)):
+            for r, row in enumerate(mat.row_labels):
+                assert mat.row_vector(row).values == mat.entries[r]
+                for c, col in enumerate(mat.col_labels):
+                    assert mat.entry(row, col) == mat.entries[r][c]
+                    assert mat.column_vector(col).value(row) == mat.entries[r][c]
+    with pytest.raises(KeyError):
+        mat.entry(LambdaLabel(alg.n + 1, 1), mat.col_labels[0])
+
+
 def test_oracle_equality_on_random_sample():
     for seed in range(25):
         alg = random_admissible(500 + seed).build()

@@ -119,6 +119,8 @@ def test_leading_block_checks_invariance():
     with pytest.raises(ValueError, match="arrow-invariant"):
         socle_sub(bad_q, 1)
     assert socle_sub(Representation(alg, p.dims, p.arrow_maps, socle_degrees=((1,), (0,))), 1).dims == (0, 1)
+    with pytest.raises(ValueError, match="not both"):
+        Representation(alg, p.dims, p.arrow_maps, radical_degrees=((0,), (1,)), socle_degrees=((1,), (0,)))
 
 
 def test_functional_pass_refuses_a_grading_that_is_not_nilpotent():
