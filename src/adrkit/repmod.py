@@ -168,7 +168,7 @@ def projective(alg: AlgebraData, i: int) -> Representation:
 
 @memoized
 def injective(alg: AlgebraData, i: int) -> Representation:
-    """Indecomposable injective Q_i: transpose-dual of the opposite projective, whose grading gives its socle series."""
+    """Indecomposable injective Q_i: transpose-dual of the opposite projective, socle-graded by it."""
     p_op = projective(alg.opposite(), i)
     maps = {a.name: p_op.arrow_maps[a.name].transpose() for a in alg.quiver.arrows}
     return Representation(alg, p_op.dims, maps, socle_degrees=p_op.radical_degrees)
