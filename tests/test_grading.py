@@ -47,7 +47,8 @@ def _oracle_cases():
     cases = [pytest.param(e.presentation, id=e.id) for e in builtin_entries()]
     for n in (3, 4, 5):
         for fld in (FieldSpec.prime(7), RATIONAL):
-            cases.append(pytest.param(preprojective_a(n, fld).presentation, id=f"preproj-a-{n}-{fld.describe()}"))
+            pres = preprojective_a(n, fld).presentation
+            cases.append(pytest.param(pres, id=f"preproj-a-{n}-{fld.describe()}"))
     for seed in tuple(range(100)) + MIXED_LENGTH_SEEDS:
         cases.append(pytest.param(random_admissible(seed).presentation, id=f"random-{seed}"))
     return cases
@@ -148,7 +149,11 @@ def test_cartan_matrices_are_dual_to_the_opposite_ones():
     # radical chains), on a different algebra
     for name, alg in _duality_algebras():
         op = alg.opposite()
-        for mat, dual in ((cartan_RA_formula(alg), cartan_SA_formula(op)), (cartan_SA_formula(alg), cartan_RA_formula(op))):
+        pairs = (
+            (cartan_RA_formula(alg), cartan_SA_formula(op)),
+            (cartan_SA_formula(alg), cartan_RA_formula(op)),
+        )
+        for mat, dual in pairs:
             assert mat.row_labels == mat.col_labels == dual.row_labels == dual.col_labels, name
             for r, row in enumerate(mat.entries):
                 for c, x in enumerate(row):
