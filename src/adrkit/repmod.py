@@ -433,10 +433,10 @@ def socle_series(m: Representation) -> SeriesProfile:
 
 
 def truncation_socle_series(m: Representation) -> tuple[SeriesProfile, ...]:
-    """socle_series(m/rad^l m) for l = 1..LL(m); one functional pass per l under a radical grading."""
-    levels = range(1, loewy_length(m) + 1)
+    """socle_series(m/rad^l m) for l = 1..LL(m), one functional pass per l; m must be radical-graded."""
     if m.radical_degrees is None:
-        return tuple(socle_series(truncate(m, l)) for l in levels)
+        raise ValueError("truncation_socle_series needs a radically graded module")
+    levels = range(1, loewy_length(m) + 1)
     return tuple(_functional_profile(_socle_functionals(m, l)) for l in levels)
 
 
@@ -466,10 +466,10 @@ def is_rigid(m: Representation) -> bool:
 
     Tested as per-vertex dimension equality plus the containment
     rad^j M <= soc_{L-j} M (which must hold regardless; its failure would be
-    a bug, not non-rigidity).  A grading makes one side a coordinate
-    subspace, see :func:`_is_rigid_graded`.
+    a bug, not non-rigidity).  Under a radical grading the socle side comes
+    from the functional pass, see :func:`_is_rigid_graded`.
     """
-    if m.radical_degrees is not None or m.socle_degrees is not None:
+    if m.radical_degrees is not None:
         return _is_rigid_graded(m)
     rc = radical_chain(m)
     sc = socle_chain(m)
@@ -491,45 +491,22 @@ def is_rigid(m: Representation) -> bool:
 
 
 def _is_rigid_graded(m: Representation) -> bool:
-    """:func:`is_rigid` with one side of each comparison a coordinate subspace.
+    """:func:`is_rigid` under a radical grading, with no socle chain.
 
-    Under a radical grading rad^j M is the coordinates from c_v(j) on (c_v(j)
-    of degree < j), and soc_{L-j} M is the common kernel of F_{L-j}
-    (:func:`_socle_functionals`): the dimensions agree when
-    rank F_{L-j}(v) = c_v(j), and the containment says F_{L-j}(v) vanishes on
-    those coordinates.  Under a socle grading soc_{L-j} M is the first
-    c_v(L-j) coordinates, and the containment says the echelon basis of
-    rad^j M vanishes beyond them.
+    rad^j M is the coordinates from c_v(j) on (c_v(j) of degree < j), and
+    soc_{L-j} M is the common kernel of F_{L-j} (:func:`_socle_functionals`):
+    the dimensions agree when rank F_{L-j}(v) = c_v(j), and the containment
+    says F_{L-j}(v) vanishes on those coordinates.
     """
     ll = loewy_length(m)
-    if m.radical_degrees is not None:
-        chain = _socle_functionals(m, ll)
-        if len(chain) - 1 != ll:
-            return False
-        # per j and v: (dim rad^j, dim soc_{L-j}, the rows that must vanish)
-        levels = [
-            [
-                (d - c, d - len(f), f[:, c:])
-                for d, c, f in zip(m.dims, _below(m.radical_degrees, j), chain[ll - j])
-            ]
-            for j in range(len(chain))
-        ]
-    else:
-        rc = radical_chain(m)
-        if len(rc) - 1 != ll:
-            return False
-        levels = [
-            [
-                (r.rank, c, r.reduced.array()[:, c:])
-                for r, c in zip(rc[j], _below(m.socle_degrees, ll - j))
-            ]
-            for j in range(len(rc))
-        ]
-    for j, level in enumerate(levels):
-        for v, (rad_dim, soc_dim, outside) in enumerate(level):
-            if rad_dim != soc_dim:
+    chain = _socle_functionals(m, ll)
+    if len(chain) - 1 != ll:
+        return False
+    for j in range(ll + 1):
+        for v, (c, f) in enumerate(zip(_below(m.radical_degrees, j), chain[ll - j])):
+            if len(f) != c:
                 return False
-            if outside.any():
+            if f[:, c:].any():
                 raise RuntimeError(f"rad^{j} not contained in soc_{ll - j} at vertex {v + 1}")
     return True
 

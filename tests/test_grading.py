@@ -78,7 +78,6 @@ def test_read_offs_match_general_chain_code(pres):
         assert _socle_vertex(p) == _socle_vertex(p0)
 
         profiles = truncation_socle_series(p)
-        assert profiles == truncation_socle_series(p0)
         assert len(profiles) == loewy_length(p) and profiles[-1] == socle_series(p)
         for l in range(1, loewy_length(p) + 2):
             t, t0 = truncate(p, l), truncate(p0, l)
@@ -96,14 +95,14 @@ def test_read_offs_match_general_chain_code(pres):
             assert is_rigid(s) == is_rigid(s0)
 
 
-def test_socle_profile_of_injective_is_opposite_radical_profile():
+@pytest.mark.parametrize("pres", _oracle_cases())
+def test_socle_profile_of_injective_is_opposite_radical_profile(pres):
     # D sends P_i^op/rad^j to soc_j Q_i; both sides on the general chain code
-    for entry in builtin_entries():
-        alg = entry.build()
-        for i in range(1, alg.n + 1):
-            socle_q = socle_series(_ungraded(injective(alg, i)))
-            radical_p_op = radical_series(_ungraded(projective(alg.opposite(), i)))
-            assert socle_q == radical_p_op
+    alg = build_algebra(pres)
+    for i in range(1, alg.n + 1):
+        socle_q = socle_series(_ungraded(injective(alg, i)))
+        radical_p_op = radical_series(_ungraded(projective(alg.opposite(), i)))
+        assert socle_q == radical_p_op
 
 
 def test_leading_block_checks_invariance():
@@ -120,6 +119,8 @@ def test_leading_block_checks_invariance():
     with pytest.raises(ValueError, match="arrow-invariant"):
         socle_sub(bad_q, 1)
     assert socle_sub(Representation(alg, p.dims, p.arrow_maps, socle_degrees=((1,), (0,))), 1).dims == (0, 1)
+    with pytest.raises(ValueError, match="radically graded"):
+        truncation_socle_series(Representation(alg, p.dims, p.arrow_maps))
     with pytest.raises(ValueError, match="not both"):
         Representation(alg, p.dims, p.arrow_maps, radical_degrees=((0,), (1,)), socle_degrees=((1,), (0,)))
 
