@@ -477,16 +477,12 @@ def is_rigid(m: Representation) -> bool:
     if len(sc) - 1 != ll:
         return False
     for j in range(ll + 1):
-        rad_j = rc[j]
-        soc_lj = sc[ll - j]
-        for v in range(m.algebra.n):
-            if rad_j[v].rank != soc_lj[v].rank:
+        for v, (rad, soc) in enumerate(zip(rc[j], sc[ll - j])):
+            if rad.rank != soc.rank:
                 return False
-            for r in range(rad_j[v].rank):
-                if not in_row_space(soc_lj[v], rad_j[v].reduced.array()[r].copy()):
-                    raise RuntimeError(
-                        f"rad^{j} not contained in soc_{ll - j} at vertex {v + 1}"
-                    )
+            # equal dimensions: containment is equality, and RREFs are unique
+            if rad != soc:
+                raise RuntimeError(f"rad^{j} not contained in soc_{ll - j} at vertex {v + 1}")
     return True
 
 
