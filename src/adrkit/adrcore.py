@@ -325,6 +325,16 @@ def tilting_vector(alg: AlgebraData, label: LambdaLabel) -> LambdaCompositionVec
     return LambdaCompositionVector(poset.labels, values)
 
 
+def _delta_class(alg: AlgebraData, filtration: DeltaFiltration) -> tuple[int, ...]:
+    """Class of a Delta-filtered module: the sum of [Delta(x, y)] over its layers."""
+    acc = [0] * len(lambda_poset(alg).labels)
+    for layer in filtration.layers:
+        for lbl in layer:
+            for t, v in enumerate(standard_vector(alg, lbl).values):
+                acc[t] += v
+    return tuple(acc)
+
+
 def delta_layers(alg: AlgebraData, m: Representation) -> DeltaFiltration:
     """Delta-semisimple filtration of Hom(G, m), read off the socle series of m.
 

@@ -208,21 +208,6 @@ def _leading_block(m: Representation, l: int) -> Representation:
     return Representation(m.algebra, keep, maps, socle_degrees=kept)
 
 
-def _coordinate_chain(m: Representation, radical: bool) -> tuple[Subspaces, ...]:
-    """The chain of a grading: per level l, the coordinates of degree >= l (radical) or < l (socle)."""
-    degrees = m.radical_degrees if radical else m.socle_degrees
-    eyes = [_full_space(m.field, d).reduced.array() for d in m.dims]
-    chain = []
-    for l in range(_grading_length(degrees) + 1):
-        spaces = []
-        for eye, d, c in zip(eyes, m.dims, _below(degrees, l)):
-            cols = tuple(range(c, d) if radical else range(c))
-            rows = eye[c:] if radical else eye[:c]
-            spaces.append(RrefResult(Matrix(m.field, rows), len(cols), cols))
-        chain.append(tuple(spaces))
-    return tuple(chain)
-
-
 def composition_vector(m: Representation) -> CompositionVector:
     """Class of m in the Grothendieck group; simples are one-dimensional."""
     return CompositionVector(m.dims)
@@ -273,8 +258,6 @@ def _radical_step(m: Representation, spaces: Subspaces) -> Subspaces:
 @memoized
 def radical_chain(m: Representation) -> tuple[Subspaces, ...]:
     """(rad^0 M = M, rad M, ..., rad^L M = 0) as echelonized subspaces."""
-    if m.radical_degrees is not None:
-        return _coordinate_chain(m, radical=True)
     chain = [tuple(_full_space(m.field, d) for d in m.dims)]
     while sum(s.rank for s in chain[-1]) > 0:
         nxt = _radical_step(m, chain[-1])
@@ -332,8 +315,6 @@ def quotient_representation(m: Representation, spaces: Subspaces) -> Representat
 @memoized
 def socle_chain(m: Representation) -> tuple[Subspaces, ...]:
     """(0 = soc_0 M, soc_1 M, ..., soc_K M = M) as echelonized subspaces."""
-    if m.socle_degrees is not None:
-        return _coordinate_chain(m, radical=False)
     chain = [tuple(_zero_space(m.field, d) for d in m.dims)]
     total = m.total_dim()
     while sum(s.rank for s in chain[-1]) < total:
@@ -467,13 +448,26 @@ def is_rigid(m: Representation) -> bool:
     Tested as per-vertex dimension equality plus the containment
     rad^j M <= soc_{L-j} M (which must hold regardless; its failure would be
     a bug, not non-rigidity).  Under a radical grading the socle side comes
-    from the functional pass, see :func:`_is_rigid_graded`.
+    from the functional pass, see :func:`_is_rigid_graded`.  Under a socle
+    grading soc_{L-j} M is the c_v coordinates of degree < L-j of each M_v,
+    so rad^j M, in reduced echelon form, must have rank c_v and no nonzero
+    entry from column c_v on.
     """
     if m.radical_degrees is not None:
         return _is_rigid_graded(m)
     rc = radical_chain(m)
-    sc = socle_chain(m)
     ll = len(rc) - 1
+    if m.socle_degrees is not None:
+        if _grading_length(m.socle_degrees) != ll:
+            return False
+        for j in range(ll + 1):
+            for v, (rad, c) in enumerate(zip(rc[j], _below(m.socle_degrees, ll - j))):
+                if rad.rank != c:
+                    return False
+                if rad.reduced.array()[:, c:].any():
+                    raise RuntimeError(f"rad^{j} not contained in soc_{ll - j} at vertex {v + 1}")
+        return True
+    sc = socle_chain(m)
     if len(sc) - 1 != ll:
         return False
     for j in range(ll + 1):

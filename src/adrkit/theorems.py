@@ -13,15 +13,16 @@ from dataclasses import dataclass, field
 
 from .adrcore import (
     LambdaLabel,
+    _delta_class,
     cartan_ringel_dual,
     cartan_SA_formula,
     lambda_poset,
     ringel_dual_cartan_from_hom,
-    standard_vector,
     theorem_a_hypotheses,
     tilting_delta_filtration,
     tilting_vector,
 )
+from .memo import memoized
 from .presentation import (
     AlgebraData,
     build_algebra,
@@ -94,13 +95,39 @@ class FlipMap:
 
 
 def _delta_route_values(alg: AlgebraData, label: LambdaLabel) -> tuple[int, ...]:
+    return _delta_class(alg, tilting_delta_filtration(alg, label))
+
+
+@memoized
+def _flip_mismatch(alg: AlgebraData) -> str | None:
+    """First label pair where C(R(R_A)) and C(S_A) disagree under (i,j) -> [i, l_i-j+1].
+
+    Returns None when every entry matches, else the witness
+    ``"at (i, j),(k, l): x != y"``.  Needs LL(P_i) = LL(Q_i) for all i, so
+    that every flipped label is a label of S_A.
+    """
     poset = lambda_poset(alg)
-    acc = [0] * len(poset.labels)
-    for layer in tilting_delta_filtration(alg, label).layers:
-        for lbl in layer:
-            for pos, v in enumerate(standard_vector(alg, lbl).values):
-                acc[pos] += v
-    return tuple(acc)
+    crd = cartan_ringel_dual(alg)
+    csa = cartan_SA_formula(alg)
+    flipped = {lbl: LambdaLabel(lbl.i, poset.l(lbl.i) - lbl.j + 1) for lbl in poset.labels}
+    for row in poset.labels:
+        for col in poset.labels:
+            lhs = crd.entry(row, col)
+            rhs = csa.entry(flipped[row], flipped[col])
+            if lhs != rhs:
+                return f"at {tuple(row)},{tuple(col)}: {lhs} != {rhs}"
+    return None
+
+
+@memoized
+def _components(alg: AlgebraData) -> tuple[AlgebraData, ...]:
+    """The connected components of A as algebras, each built once; (A,) when A is connected."""
+    if alg.connected:
+        return (alg,)
+    return tuple(
+        build_algebra(restrict_presentation(alg.presentation, comp))
+        for comp in connected_components(alg.quiver)
+    )
 
 
 def check_theorem_a(alg: AlgebraData) -> Verdict:
@@ -147,16 +174,9 @@ def check_theorem_a(alg: AlgebraData) -> Verdict:
     if not flip.validate(poset.labels):
         raise InternalInconsistencyError("flip map failed its order/involution check")
 
-    crd = cartan_ringel_dual(alg)
-    csa = cartan_SA_formula(alg)
-    for row in poset.labels:
-        for col in poset.labels:
-            lhs = crd.entry(row, col)
-            rhs = csa.entry(flip.apply(row), flip.apply(col))
-            if lhs != rhs:
-                raise InternalInconsistencyError(
-                    f"flip equality fails at {tuple(row)},{tuple(col)}: {lhs} != {rhs}"
-                )
+    witness = _flip_mismatch(alg)
+    if witness is not None:
+        raise InternalInconsistencyError(f"flip equality fails {witness}")
     flip_check = Check(
         "C(R(R_A))[(i,j),(k,l)] = C(S_A)[(i,L-j+1),(k,L-l+1)] for all labels", True
     )
@@ -168,7 +188,7 @@ def check_theorem_a(alg: AlgebraData) -> Verdict:
             )
     route_check = Check("tilting Delta-route equals nabla-route for all labels", True)
 
-    if ringel_dual_cartan_from_hom(alg) != crd:
+    if ringel_dual_cartan_from_hom(alg) != cartan_ringel_dual(alg):
         raise InternalInconsistencyError(
             "closed-form Hom route to C(R(R_A)) differs from the row-arithmetic route"
         )
@@ -201,26 +221,11 @@ def _b1_b2(alg: AlgebraData) -> tuple[bool, tuple[Check, Check]]:
             "not evaluated: B1 fails",
         )
         return False, (b1, b2)
-    poset = lambda_poset(alg)
-    crd = cartan_ringel_dual(alg)
-    csa = cartan_SA_formula(alg)
-    counterexample = None
-    for row in poset.labels:
-        for col in poset.labels:
-            flipped_row = LambdaLabel(row.i, poset.l(row.i) - row.j + 1)
-            flipped_col = LambdaLabel(col.i, poset.l(col.i) - col.j + 1)
-            if crd.entry(row, col) != csa.entry(flipped_row, flipped_col):
-                counterexample = (
-                    f"at {tuple(row)},{tuple(col)}: {crd.entry(row, col)} != "
-                    f"{csa.entry(flipped_row, flipped_col)}"
-                )
-                break
-        if counterexample:
-            break
+    witness = _flip_mismatch(alg)
     b2 = Check(
         "B2: C(R(R_A)) matches C(S_A) under (i,j) -> [i, l_i-j+1]",
-        counterexample is None,
-        counterexample,
+        witness is None,
+        witness,
     )
     return b1.passed and b2.passed, (b1, b2)
 
@@ -233,17 +238,13 @@ def check_theorem_b(alg: AlgebraData) -> Verdict:
     input gets a not-applicable global verdict plus per-component results.
     """
     if not alg.connected:
-        comps = connected_components(alg.quiver)
-        sub = [
-            check_theorem_b(build_algebra(restrict_presentation(alg.presentation, comp)))
-            for comp in comps
-        ]
+        sub = [check_theorem_b(comp) for comp in _components(alg)]
         return Verdict(
             name="theorem_b",
             holds=False,
             applicable=False,
             hypotheses=(
-                Check("algebra is connected", False, f"{len(comps)} components"),
+                Check("algebra is connected", False, f"{len(sub)} components"),
             ),
             evidence=(),
             details={"components": [v.to_dict() for v in sub]},
@@ -304,18 +305,11 @@ def ringel_selfdual_verdict(alg: AlgebraData) -> Verdict:
         evidence.append(
             Check("P_i isomorphic to Q_sigma(i)", True, str(sorted(sigma.items())))
         )
-        comps = connected_components(alg.quiver)
-        for comp in comps:
-            sub = (
-                alg
-                if len(comps) == 1
-                else build_algebra(restrict_presentation(alg.presentation, comp))
-            )
-            verdict_a = check_theorem_a(sub)
-            if not verdict_a.holds:
+        for sub in _components(alg):
+            if not check_theorem_a(sub).holds:
                 raise InternalInconsistencyError(
                     "selfinjective Nakayama algebra fails the Ringel-dual "
-                    f"identification hypotheses on component {comp}"
+                    f"identification hypotheses on component {list(sub.quiver.vertices)}"
                 )
         evidence.append(
             Check("flip-equality corroboration on every connected component", True)

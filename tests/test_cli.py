@@ -267,6 +267,9 @@ def test_analyze_nonrigid_entry(tmp_path, capsys):
     report = json.loads(out)
     assert report["verdicts"]["theorem_a"]["holds"] is False
     assert report["algebra"]["projective_rigid"] == [False, True, True]
+    assert report["algebra"]["injective_rigid"] == [True, True, False]
+    assert report["algebra"]["projective_loewy_lengths"] == [3, 2, 1]
+    assert report["algebra"]["injective_loewy_lengths"] == [1, 2, 3]
 
 
 def test_analyze_rational_field_flag(tmp_path, capsys):

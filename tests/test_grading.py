@@ -1,14 +1,16 @@
 """Filtrations read off the graded path basis, against the general chain code.
 
 ``projective`` and ``injective`` grade their coordinates by path length, and
-the radical chain of P_i, the socle chain of Q_i, the truncations
+the radical series of P_i, the socle series of Q_i, the truncations
 P_i/rad^l P_i, the socle submodules soc_j Q_i, the socle series of every
 truncation (by the functional pass over P_i) and the rigidity of both are
 read off that grading.  The oracle is the same module with its grading
-dropped, which sends every one of them through the general chain code.
+dropped, which sends every one of them through the general chain code; its
+radical or socle chain must be the coordinate spans of the grading.
 """
 
 import random
+from bisect import bisect_left
 
 import pytest
 
@@ -59,6 +61,19 @@ def _ungraded(m: Representation) -> Representation:
     return Representation(m.algebra, m.dims, m.arrow_maps)
 
 
+def _assert_coordinate_chain(chain, degrees, radical: bool) -> None:
+    """Level l of ``chain`` is spanned, at each vertex, by the coordinates of degree >= l
+    (radical) or < l (socle), in reduced echelon form: unit rows at those columns."""
+    assert len(chain) == max((d[-1] + 1 for d in degrees if d), default=0) + 1
+    for l, spaces in enumerate(chain):
+        for v, (space, d) in enumerate(zip(spaces, degrees)):
+            c = bisect_left(d, l)
+            cols = tuple(range(c, len(d)) if radical else range(c))
+            assert space.pivot_cols == cols, (l, v + 1)
+            unit_rows = [[int(x == y) for x in range(len(d))] for y in cols]
+            assert space.reduced.array().tolist() == unit_rows, (l, v + 1)
+
+
 @pytest.mark.parametrize("pres", _oracle_cases())
 def test_read_offs_match_general_chain_code(pres):
     alg = build_algebra(pres)
@@ -66,8 +81,8 @@ def test_read_offs_match_general_chain_code(pres):
         p, q = projective(alg, i), injective(alg, i)
         p0, q0 = _ungraded(p), _ungraded(q)
         assert p.radical_degrees is not None and q.socle_degrees is not None
-        assert radical_chain(p) == radical_chain(p0)
-        assert socle_chain(q) == socle_chain(q0)
+        _assert_coordinate_chain(radical_chain(p0), p.radical_degrees, radical=True)
+        _assert_coordinate_chain(socle_chain(q0), q.socle_degrees, radical=False)
         assert loewy_length(p) == loewy_length(p0)
         assert loewy_length(q) == loewy_length(q0)
         assert radical_series(p) == radical_series(p0)
@@ -84,13 +99,13 @@ def test_read_offs_match_general_chain_code(pres):
             assert t == t0
             assert t.radical_degrees is not None and t0.radical_degrees is None
             assert socle_series(t) == socle_series(t0) == profiles[min(l, len(profiles)) - 1]
-            assert radical_chain(t) == radical_chain(t0)
+            _assert_coordinate_chain(radical_chain(t0), t.radical_degrees, radical=True)
             assert is_rigid(t) == is_rigid(t0)
         for j in range(1, loewy_length(q) + 2):
             s, s0 = socle_sub(q, j), socle_sub(q0, j)
             assert s == s0
             assert s.socle_degrees is not None and s0.socle_degrees is None
-            assert socle_chain(s) == socle_chain(s0)
+            _assert_coordinate_chain(socle_chain(s0), s.socle_degrees, radical=False)
             assert radical_series(s) == radical_series(s0)
             assert is_rigid(s) == is_rigid(s0)
 

@@ -1,6 +1,8 @@
 import pytest
 
-from adrkit.adrcore import lambda_poset, theorem_a_hypotheses
+from adrkit import theorems
+from adrkit.adrcore import LabeledMatrix, lambda_poset, theorem_a_hypotheses
+from adrkit.cli import analyze_presentation
 from adrkit.corpus import get_entry, nakayama_selfinjective, random_admissible
 from adrkit.exactlin import RATIONAL
 from adrkit.presentation import (
@@ -203,3 +205,41 @@ def test_theorem_a_preprojective_a4():
     assert alg.dim == 20
     assert check_theorem_a(alg).holds
     assert not ringel_selfdual_verdict(alg).holds  # not Nakayama for n >= 3
+
+
+def test_analyze_builds_each_component_once(monkeypatch):
+    # theorems B and C read one list of components; A itself is built by the
+    # cli, not by theorems
+    calls = []
+
+    def counting_build(pres):
+        calls.append(pres.quiver.vertices)
+        return build_algebra(pres)
+
+    monkeypatch.setattr(theorems, "build_algebra", counting_build)
+    report = analyze_presentation(disconnected_x2_y3().presentation)
+    assert report["verdicts"]["theorem_c"]["holds"]
+    assert len(report["verdicts"]["theorem_b"]["details"]["components"]) == 2
+    assert calls == [("1",), ("2",)]
+
+
+def test_theorem_a_and_b2_share_the_flip_witness(monkeypatch):
+    # bump one entry of C(S_A) on an algebra that passes theorem A: the
+    # verdict must raise with the very witness that B2 reports
+    real = theorems.cartan_SA_formula
+
+    def bumped(alg):
+        m = real(alg)
+        entries = [list(row) for row in m.entries]
+        entries[0][-1] += 1
+        return LabeledMatrix(m.row_labels, m.col_labels, tuple(map(tuple, entries)))
+
+    monkeypatch.setattr(theorems, "cartan_SA_formula", bumped)
+    alg = get_entry("nakayama-2-3").build()
+    assert theorem_a_hypotheses(alg).all_ok
+    ok, (b1, b2) = _b1_b2(alg)
+    assert b1.passed and not ok and not b2.passed
+    assert b2.witness.startswith("at ")
+    with pytest.raises(InternalInconsistencyError) as exc:
+        check_theorem_a(get_entry("nakayama-2-3").build())
+    assert str(exc.value) == "flip equality fails " + b2.witness
