@@ -302,10 +302,11 @@ def random_admissible(seed: int, limits: RandomLimits | None = None) -> CorpusEn
 def tagged_invariant_failures(alg: AlgebraData) -> list[tuple[str, str]]:
     """Every cross-route identity on one algebra, as (category, message) pairs.
 
-    Categories: "oracle" (formula vs Hom route), "structural" (column
-    decomposition, telescoping, tilting layer data, Grothendieck bookkeeping),
-    "triple" (the three Ringel-dual Cartan routes under the identification
-    hypotheses), "theorem_b" (B1/B2 consistency and opposite symmetry).
+    Categories: "oracle" (formula vs Hom route, Cartan duality of A and A^op),
+    "structural" (column decomposition, telescoping, tilting layer data,
+    Grothendieck bookkeeping), "triple" (the three Ringel-dual Cartan routes
+    under the identification hypotheses), "theorem_b" (B1/B2 consistency and
+    opposite symmetry).
     """
     failures: list[tuple[str, str]] = []
 
@@ -333,6 +334,21 @@ def tagged_invariant_failures(alg: AlgebraData) -> list[tuple[str, str]]:
             "C(S_A): formula and Hom routes disagree",
         )
         cartan_ringel_dual(alg)  # non-negativity asserted inside
+
+    def duality_section() -> None:
+        # D(P_k/rad^l P_k) = soc_l Q^op_k and D(soc_j Q_i) = P^op_i/rad^j P^op_i; the two
+        # sides are read by different chain code (functional pass, general radical chains)
+        op = alg.opposite()
+        for name, mat, dual in (
+            ("C(R_A) vs C(S_{A^op})", cartan_RA_formula(alg), cartan_SA_formula(op)),
+            ("C(S_A) vs C(R_{A^op})", cartan_SA_formula(alg), cartan_RA_formula(op)),
+        ):
+            labels = mat.row_labels
+            same = {labels, mat.col_labels, dual.row_labels, dual.col_labels} == {labels}
+            check("oracle", same, f"{name}: the label sets differ")
+            pairs = [(r, c) for r in labels for c in labels] if same else []
+            bad = [f"{tuple(r)},{tuple(c)}" for r, c in pairs if mat.entry(r, c) != dual.entry(c, r)]
+            check("oracle", not bad, f"{name}: not transposed at {', '.join(bad[:1])}")
 
     def bookkeeping_section() -> None:
         for i in range(1, alg.n + 1):
@@ -446,6 +462,7 @@ def tagged_invariant_failures(alg: AlgebraData) -> list[tuple[str, str]]:
         )
 
     guarded("oracle", oracle_section)
+    guarded("oracle", duality_section)
     guarded("structural", bookkeeping_section)
     guarded("structural", column_decomposition_section)
     guarded("structural", tilting_section)

@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .exactlin import FieldSpec, Matrix, in_row_space, rref
+from .exactlin import FieldSpec, Matrix, rref
 from .memo import memoized, remember
 
 
@@ -271,7 +271,10 @@ class AlgebraData:
     ``basis`` lists the residue paths, ordered by radical degree then
     lexicographically; ``layers[d]`` gives the basis indices of degree d, a
     basis of rad^d(A)/rad^{d+1}(A).  ``act[arrow][idx]`` expands arrow * basis
-    path idx over the basis (indices of strictly higher degree).
+    path idx over the basis (indices of strictly higher degree).  ``normal``
+    maps every other path of length < cap to its residue ``((basis path,
+    coeff), ...)``, over parallel basis paths of equal or higher degree; longer
+    paths are zero.  A^op and the components are read off ``basis`` and ``normal``.
     """
 
     presentation: AlgebraPresentation
@@ -280,6 +283,7 @@ class AlgebraData:
     loewy_length: int
     act: dict[str, dict[int, tuple[tuple[int, int | Fraction], ...]]]
     connected: bool
+    normal: dict[Path, NormalForm] = field(repr=False, compare=False)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -301,15 +305,39 @@ class AlgebraData:
     def basis_indices_with_source(self, i: int) -> list[int]:
         return [k for k, path in enumerate(self.basis) if path.source == i]
 
+    def _relabelled(self, p: AlgebraPresentation, move, keep=lambda path: True) -> "AlgebraData":
+        """The algebra of ``p`` with basis and normal forms ``move`` of the kept ones of A."""
+        normal = {
+            move(w): tuple((move(b), c) for b, c in nf) for w, nf in self.normal.items() if keep(w)
+        }
+        return _assemble(p, [move(b) for b in self.basis if keep(b)], normal)
+
     @memoized
     def opposite(self) -> "AlgebraData":
-        """The opposite algebra, built from the reversed presentation (cached both ways)."""
-        opp = build_algebra(opposite_presentation(self.presentation))
+        """The opposite algebra, from the reversed basis and normal forms (cached both ways)."""
+        reverse = opposite_presentation(self.presentation)
+        opp = self._relabelled(reverse, lambda w: Path(w.target, w.arrows[::-1], w.source))
         remember(AlgebraData.opposite, opp, result=self)
         return opp
 
+    @memoized
+    def components(self) -> tuple["AlgebraData", ...]:
+        """The connected components as algebras, sliced from A by source; (A,) if connected."""
+        if self.connected:
+            return (self,)
+        out = []
+        for comp in connected_components(self.quiver):
+            new = {self.quiver.index(v): k for k, v in enumerate(comp, start=1)}
+            out.append(self._relabelled(
+                restrict_presentation(self.presentation, comp),
+                lambda w: Path(new[w.source], w.arrows, new[w.target]),
+                lambda w: w.source in new,
+            ))
+        return tuple(out)
+
 
 ParallelClass = tuple[int, int]
+NormalForm = tuple[tuple[Path, int | Fraction], ...]
 
 
 def _parallel_classes(paths: Iterable[Path]) -> tuple[dict[ParallelClass, list[Path]], dict[Path, int]]:
@@ -393,7 +421,7 @@ def build_algebra(p: AlgebraPresentation) -> AlgebraData:
     u*r*v lies in a single class, so the ideal matrix over all paths is
     block-diagonal after grouping the columns by class, and its unique RREF is
     the union of the per-class RREFs (each class keeps the global column order
-    of its paths).  Pivots, basis and reductions are therefore exactly those
+    of its paths).  Pivots, basis and normal forms are therefore exactly those
     of one elimination across the whole width, and a path of a class without
     generators is never in the ideal.
     """
@@ -403,14 +431,14 @@ def build_algebra(p: AlgebraPresentation) -> AlgebraData:
     flat = [path for layer in graded for path in layer]
 
     classes, local = _parallel_classes(flat)
-    span = {
-        cls: rref(m)
-        for cls, m in _ideal_rows(relations, flat, classes, local, p.cap, False, fld).items()
-    }
+    # a path is in the span iff its column is a pivot whose RREF row is a unit vector
+    rows = {}
+    for cls, m in _ideal_rows(relations, flat, classes, local, p.cap, False, fld).items():
+        block = rref(m)
+        rows.update(((cls, c), row) for c, row in zip(block.pivot_cols, block.reduced.array()))
     for path in graded[p.cap]:
-        cls = (path.source, path.target)
-        unit = Matrix.identity(fld, len(classes[cls])).array()[local[path]]
-        if cls not in span or not in_row_space(span[cls], unit):
+        row = rows.get(((path.source, path.target), local[path]))
+        if row is None or np.count_nonzero(row != 0) != 1:
             raise CapTooSmallError(
                 f"path {'*'.join(path.arrows)} of length {p.cap} is not in the "
                 f"ideal span at cap={p.cap}; raise the cap or fix the relations"
@@ -418,68 +446,39 @@ def build_algebra(p: AlgebraPresentation) -> AlgebraData:
 
     # Admissibility established: pass to paths of length < cap and take the
     # true ideal there, truncating products whose long terms overflow the cap.
+    # The normal form of a pivot path is minus the rest of its RREF row, which
+    # lives on the surviving basis paths of the pivot's own parallel class.
     low_paths = [path for path in flat if path.length < p.cap]
-    low_classes, low_local = _parallel_classes(low_paths)
-    ideal = {
-        cls: rref(m)
-        for cls, m in _ideal_rows(
-            relations, flat, low_classes, low_local, p.cap - 1, True, fld
-        ).items()
-    }
-    pivot_paths = {
-        low_classes[cls][pc] for cls, block in ideal.items() for pc in block.pivot_cols
-    }
-
-    basis = tuple(path for path in low_paths if path not in pivot_paths)
-    basis_index = {path: k for k, path in enumerate(basis)}
-    layers: list[tuple[int, ...]] = []
-    for d in range(p.cap):
-        layer = tuple(k for k, path in enumerate(basis) if path.length == d)
-        layers.append(layer)
-    while layers and not layers[-1]:
-        layers.pop()
-    loewy_length = len(layers)
-
-    # Reduction of a pivot path: minus the rest of its RREF row, which lives on
-    # the surviving basis paths of the pivot's own parallel class.
-    reduction: dict[Path, tuple[tuple[int, int | Fraction], ...]] = {}
-    for cls, block in ideal.items():
+    low_classes, low_cols = _parallel_classes(low_paths)
+    normal: dict[Path, NormalForm] = {}
+    for cls, m in _ideal_rows(relations, flat, low_classes, low_cols, p.cap - 1, True, fld).items():
+        block = rref(m)
         group = low_classes[cls]
-        red = block.reduced.array()
-        for r, pc in enumerate(block.pivot_cols):
-            row = red[r]
-            reduction[group[pc]] = tuple(
-                (basis_index[group[c]], fld.coerce(-row[c]))
-                for c in np.flatnonzero(row != 0)
-                if c != pc
+        for pc, row in zip(block.pivot_cols, block.reduced.array()):
+            normal[group[pc]] = tuple(
+                (group[c], fld.coerce(-row[c])) for c in np.flatnonzero(row != 0) if c != pc
             )
+    return _assemble(p, [path for path in low_paths if path not in normal], normal)
 
-    arrow_targets = {a.name: p.quiver.arrow_endpoints(a.name) for a in p.quiver.arrows}
-    act: dict[str, dict[int, tuple[tuple[int, int | Fraction], ...]]] = {
-        a.name: {} for a in p.quiver.arrows
-    }
-    for k, path in enumerate(basis):
-        for a in p.quiver.arrows:
-            asrc, _ = arrow_targets[a.name]
-            if path.target != asrc:
-                continue
-            if path.length + 1 >= p.cap:
-                act[a.name][k] = ()
-                continue
-            longer = Path(path.source, path.arrows + (a.name,), arrow_targets[a.name][1])
-            if longer in reduction:
-                act[a.name][k] = reduction[longer]
-            else:
-                act[a.name][k] = ((basis_index[longer], fld.one),)
 
-    return AlgebraData(
-        presentation=p,
-        basis=basis,
-        layers=tuple(layers),
-        loewy_length=loewy_length,
-        act=act,
-        connected=is_connected(p.quiver),
-    )
+def _assemble(
+    p: AlgebraPresentation, basis: Iterable[Path], normal: dict[Path, NormalForm]
+) -> AlgebraData:
+    """The algebra of ``p`` with these basis paths (sorted here by degree) and normal forms."""
+    basis = tuple(sorted(basis, key=lambda path: (path.length, path.arrows)))
+    basis_index = {path: k for k, path in enumerate(basis)}
+    degrees = range(basis[-1].length + 1)
+    layers = tuple(tuple(k for k, path in enumerate(basis) if path.length == d) for d in degrees)
+    act: dict[str, dict[int, tuple[tuple[int, int | Fraction], ...]]] = {}
+    for a in p.quiver.arrows:
+        asrc, atgt = p.quiver.arrow_endpoints(a.name)
+        act[a.name] = acts = {}
+        for k, path in enumerate(basis):
+            if path.target == asrc:
+                longer = Path(path.source, path.arrows + (a.name,), atgt)
+                nf = () if longer.length >= p.cap else normal.get(longer, ((longer, p.field.one),))
+                acts[k] = tuple((basis_index[b], c) for b, c in nf)
+    return AlgebraData(p, basis, layers, len(layers), act, is_connected(p.quiver), normal)
 
 
 def opposite_presentation(p: AlgebraPresentation) -> AlgebraPresentation:

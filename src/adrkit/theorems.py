@@ -23,12 +23,7 @@ from .adrcore import (
     tilting_vector,
 )
 from .memo import memoized
-from .presentation import (
-    AlgebraData,
-    build_algebra,
-    connected_components,
-    restrict_presentation,
-)
+from .presentation import AlgebraData
 from .repmod import is_nakayama, selfinjective_matching
 
 
@@ -117,17 +112,6 @@ def _flip_mismatch(alg: AlgebraData) -> str | None:
             if lhs != rhs:
                 return f"at {tuple(row)},{tuple(col)}: {lhs} != {rhs}"
     return None
-
-
-@memoized
-def _components(alg: AlgebraData) -> tuple[AlgebraData, ...]:
-    """The connected components of A as algebras, each built once; (A,) when A is connected."""
-    if alg.connected:
-        return (alg,)
-    return tuple(
-        build_algebra(restrict_presentation(alg.presentation, comp))
-        for comp in connected_components(alg.quiver)
-    )
 
 
 def check_theorem_a(alg: AlgebraData) -> Verdict:
@@ -238,7 +222,7 @@ def check_theorem_b(alg: AlgebraData) -> Verdict:
     input gets a not-applicable global verdict plus per-component results.
     """
     if not alg.connected:
-        sub = [check_theorem_b(comp) for comp in _components(alg)]
+        sub = [check_theorem_b(comp) for comp in alg.components()]
         return Verdict(
             name="theorem_b",
             holds=False,
@@ -305,7 +289,7 @@ def ringel_selfdual_verdict(alg: AlgebraData) -> Verdict:
         evidence.append(
             Check("P_i isomorphic to Q_sigma(i)", True, str(sorted(sigma.items())))
         )
-        for sub in _components(alg):
+        for sub in alg.components():
             if not check_theorem_a(sub).holds:
                 raise InternalInconsistencyError(
                     "selfinjective Nakayama algebra fails the Ringel-dual "

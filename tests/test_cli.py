@@ -1,7 +1,10 @@
+import dataclasses
 import json
 import time
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from adrkit import cli
 from adrkit.cli import (
@@ -10,7 +13,8 @@ from adrkit.cli import (
     parse_presentation_doc,
     presentation_to_doc,
 )
-from adrkit.corpus import builtin_entries, get_entry
+from adrkit.corpus import builtin_entries, get_entry, random_admissible
+from adrkit.presentation import Relation
 
 
 def run_cli(capsys, *argv):
@@ -34,6 +38,27 @@ def test_roundtrip_parse_to_doc():
         doc = presentation_to_doc(entry.presentation)
         assert parse_presentation_doc(doc) == entry.presentation
         assert presentation_to_doc(parse_presentation_doc(doc)) == doc
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    scale=st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool),
+)
+def test_roundtrip_random_presentations(seed, scale):
+    # every relation scaled by a drawn nonzero fraction, so "a/b" coefficients
+    # and negative ones go through the document too
+    pres = random_admissible(seed).presentation
+    assume(pres.field.p is None or scale.denominator % pres.field.p)
+    pres = dataclasses.replace(
+        pres,
+        relations=tuple(
+            Relation(tuple((scale * c, names) for c, names in rel.terms)) for rel in pres.relations
+        ),
+    )
+    doc = json.loads(json.dumps(presentation_to_doc(pres)))
+    assert parse_presentation_doc(doc) == pres
+    assert presentation_to_doc(parse_presentation_doc(doc)) == doc
 
 
 def test_analyze_x3_report_values(tmp_path, capsys):

@@ -1,9 +1,24 @@
+import sys
+
 import pytest
 
 from adrkit import theorems
-from adrkit.adrcore import LabeledMatrix, lambda_poset, theorem_a_hypotheses
+from adrkit.adrcore import (
+    LabeledMatrix,
+    cartan_RA_formula,
+    cartan_ringel_dual,
+    cartan_SA_formula,
+    lambda_poset,
+    theorem_a_hypotheses,
+)
 from adrkit.cli import analyze_presentation
-from adrkit.corpus import get_entry, nakayama_selfinjective, random_admissible
+from adrkit.corpus import (
+    builtin_entries,
+    get_entry,
+    nakayama_selfinjective,
+    random_admissible,
+    tagged_invariant_failures,
+)
 from adrkit.exactlin import RATIONAL
 from adrkit.presentation import (
     AlgebraPresentation,
@@ -11,6 +26,9 @@ from adrkit.presentation import (
     Quiver,
     Relation,
     build_algebra,
+    connected_components,
+    opposite_presentation,
+    restrict_presentation,
 )
 from adrkit.theorems import (
     FlipMap,
@@ -23,6 +41,7 @@ from adrkit.theorems import (
     ringel_selfdual_verdict,
     _b1_b2,
 )
+from adrkit.repmod import injective, projective
 
 
 @pytest.fixture(scope="module")
@@ -207,20 +226,99 @@ def test_theorem_a_preprojective_a4():
     assert not ringel_selfdual_verdict(alg).holds  # not Nakayama for n >= 3
 
 
-def test_analyze_builds_each_component_once(monkeypatch):
-    # theorems B and C read one list of components; A itself is built by the
-    # cli, not by theorems
+def _count_builds(monkeypatch) -> list:
+    """Record the vertices of every ``build_algebra`` call, from any adrkit module."""
     calls = []
+    real = build_algebra
 
     def counting_build(pres):
         calls.append(pres.quiver.vertices)
-        return build_algebra(pres)
+        return real(pres)
 
-    monkeypatch.setattr(theorems, "build_algebra", counting_build)
-    report = analyze_presentation(disconnected_x2_y3().presentation)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("adrkit") and getattr(module, "build_algebra", None) is real:
+            monkeypatch.setattr(module, "build_algebra", counting_build)
+    return calls
+
+
+def test_each_input_is_built_once(monkeypatch):
+    # A^op and the components are read off A's normal forms: analyze builds A
+    # alone, and the battery builds nothing
+    pres = disconnected_x2_y3().presentation
+    calls = _count_builds(monkeypatch)
+    report = analyze_presentation(pres)
     assert report["verdicts"]["theorem_c"]["holds"]
     assert len(report["verdicts"]["theorem_b"]["details"]["components"]) == 2
-    assert calls == [("1",), ("2",)]
+    assert calls == [("1", "2")]
+    for alg in (disconnected_x2_y3(), get_entry("preproj-a-3").build()):
+        calls.clear()
+        assert tagged_invariant_failures(alg) == []
+        assert calls == []
+
+
+def _disjoint_union(*presentations: AlgebraPresentation) -> AlgebraPresentation:
+    """One presentation of the product algebra; names get the prefix ``<position>.``."""
+    vertices, arrows, relations = [], [], []
+    for k, p in enumerate(presentations):
+        vertices += [f"{k}.{v}" for v in p.quiver.vertices]
+        arrows += [
+            Arrow(f"{k}.{a.name}", f"{k}.{a.source}", f"{k}.{a.target}") for a in p.quiver.arrows
+        ]
+        relations += [
+            Relation(tuple((c, tuple(f"{k}.{x}" for x in names)) for c, names in rel.terms))
+            for rel in p.relations
+        ]
+    return AlgebraPresentation(
+        presentations[0].field,
+        Quiver(tuple(vertices), tuple(arrows)),
+        tuple(relations),
+        max(p.cap for p in presentations),
+    )
+
+
+def _basis_free(alg) -> tuple:
+    """Everything the reports read off an algebra that does not depend on its basis."""
+    n = alg.n
+    verdicts = (check_theorem_a, check_theorem_b, ringel_selfdual_verdict, check_opposite_symmetry)
+    return (
+        [projective(alg, i).dims for i in range(1, n + 1)],
+        [injective(alg, i).dims for i in range(1, n + 1)],
+        [m(alg) for m in (cartan_RA_formula, cartan_ringel_dual, cartan_SA_formula)],
+        [v(alg).to_dict() for v in verdicts],
+    )
+
+
+def _pin_cases():
+    for entry in builtin_entries():
+        yield entry.id, entry.presentation
+    for seed in range(910000, 910150):
+        yield f"random-{seed}", random_admissible(seed).presentation
+    yield "three components", _disjoint_union(
+        get_entry("preproj-a-3").presentation,
+        get_entry("nakayama-2-3").presentation,
+        random_admissible(910028).presentation,
+    )
+
+
+def test_derived_opposite_and_components_match_rebuilt_ones():
+    # a derived A^op may have another basis than a rebuilt one, so only
+    # basis-free data is compared; a component slice keeps the column order of
+    # each parallel class, so it equals the rebuilt component outright
+    other_basis = several = 0
+    for name, pres in _pin_cases():
+        alg = build_algebra(pres)
+        op = build_algebra(opposite_presentation(pres))
+        assert _basis_free(alg.opposite()) == _basis_free(op), name
+        other_basis += alg.opposite().basis != op.basis
+        comps = alg.components()
+        rebuilt = [
+            build_algebra(restrict_presentation(pres, c)) for c in connected_components(pres.quiver)
+        ]
+        for comp, built in zip(comps, rebuilt, strict=True):
+            assert (comp.basis, comp.act, comp.normal) == (built.basis, built.act, built.normal), name
+        assert [_basis_free(c) for c in comps] == [_basis_free(c) for c in rebuilt], name
+        several += len(comps) >= 3
+    assert other_basis >= 4 and several >= 1
 
 
 def test_theorem_a_and_b2_share_the_flip_witness(monkeypatch):
