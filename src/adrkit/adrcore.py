@@ -24,12 +24,15 @@ chain codes against each other.
 All matrices carry explicit row/column label lists; raw integer matrices are
 never passed between modules.
 
-The memo (``memo.memoized``) may cache modules, the subspace chains and the
-functional passes of a module, and whole function results such as a finished
-Cartan matrix.  It never caches ``hom_dim`` or ``_hom_constraints``, and each
-route has its own key, so neither route reads counts the other produced: the
-routes share only the modules they measure, their agreement stays an
-independent check, and the order in which they run cannot change a result.
+The memo here (``memo.memoized``) holds only algebra-level results: the
+Lambda poset, the theorem A hypotheses, the labels of S_A and the finished
+Cartan matrices.  Modules are ``repmod``'s: it decides that P_k/rad^{l_k} P_k
+is P_k and soc_{LL} Q_i is Q_i, and memoizes every truncation, socle
+submodule, chain and functional pass on the module it comes from.  Nothing
+caches ``hom_dim`` or ``_hom_constraints``, and each route has its own key,
+so neither route reads counts the other produced: the routes share only the
+modules they measure, their agreement stays an independent check, and the
+order in which they run cannot change a result.
 """
 
 from __future__ import annotations
@@ -235,21 +238,6 @@ def standard_vector(alg: AlgebraData, label: LambdaLabel) -> LambdaCompositionVe
     return LambdaCompositionVector(poset.labels, values)
 
 
-@memoized
-def _truncated_projective(alg: AlgebraData, k: int, l: int) -> Representation:
-    return truncate(projective(alg, k), l)
-
-
-@memoized
-def _injective_socle_sub(alg: AlgebraData, i: int, j: int) -> Representation:
-    return socle_sub(injective(alg, i), j)
-
-
-@memoized
-def _injective_socle_profile(alg: AlgebraData, k: int):
-    return socle_series(injective(alg, k))
-
-
 def _cumulative_layers(alg: AlgebraData, prof) -> list[tuple[int, ...]]:
     """Running totals of a series: entry y is the composition vector of layers 1..y."""
     cums = [(0,) * alg.n]
@@ -279,13 +267,8 @@ def cartan_RA_formula(alg: AlgebraData) -> LabeledMatrix:
 def cartan_RA_hom(alg: AlgebraData) -> LabeledMatrix:
     """C(R_A) by the oracle route: dim Hom_A(P_i/rad^j P_i, P_k/rad^l P_k)."""
     poset = lambda_poset(alg)
-    entries = tuple(
-        tuple(
-            hom_dim(_truncated_projective(alg, i, j), _truncated_projective(alg, k, l))
-            for k, l in poset.labels
-        )
-        for i, j in poset.labels
-    )
+    mods = [truncate(projective(alg, i), j) for i, j in poset.labels]
+    entries = tuple(tuple(hom_dim(a, b) for b in mods) for a in mods)
     return LabeledMatrix(poset.labels, poset.labels, entries)
 
 
@@ -370,7 +353,7 @@ def tilting_delta_filtration(alg: AlgebraData, label: LambdaLabel) -> DeltaFiltr
     if not (1 <= k <= alg.n and 1 <= l <= poset.l(k)):
         raise ValueError(f"label {label} outside the Lambda poset")
     big_l = hyp.loewy_length
-    prof = _injective_socle_profile(alg, k)
+    prof = socle_series(injective(alg, k))
     count = min(big_l - l + 1, len(prof.layers))
     layers = []
     for y in range(1, count + 1):
@@ -399,7 +382,7 @@ def tilting_hom_dim(alg: AlgebraData, source: LambdaLabel, target: LambdaLabel) 
     i, j = source
     k, l = target
     big_l = hyp.loewy_length
-    prof = _injective_socle_profile(alg, i)
+    prof = socle_series(injective(alg, i))
     lo = max(l - j, 0) + 1
     hi = min(big_l - j + 1, len(prof.layers))
     return sum(prof.layers[y - 1].mult[k - 1] for y in range(lo, hi + 1))
@@ -468,7 +451,7 @@ def cartan_SA_formula(alg: AlgebraData) -> LabeledMatrix:
     """C(S_A): entry[[i,j],[k,l]] = [soc_j Q_i / rad^l (soc_j Q_i) : L_k]."""
     labels = sa_labels(alg)
     rows = [
-        _cumulative_layers(alg, radical_series(_injective_socle_sub(alg, i, j)))
+        _cumulative_layers(alg, radical_series(socle_sub(injective(alg, i), j)))
         for i, j in labels
     ]
     entries = tuple(tuple(_first_layers_mult(cums, l, k) for k, l in labels) for cums in rows)
@@ -479,11 +462,6 @@ def cartan_SA_formula(alg: AlgebraData) -> LabeledMatrix:
 def cartan_SA_hom(alg: AlgebraData) -> LabeledMatrix:
     """C(S_A) by the oracle route: dim Hom_A(soc_j Q_i, soc_l Q_k)."""
     labels = sa_labels(alg)
-    entries = tuple(
-        tuple(
-            hom_dim(_injective_socle_sub(alg, i, j), _injective_socle_sub(alg, k, l))
-            for k, l in labels
-        )
-        for i, j in labels
-    )
+    mods = [socle_sub(injective(alg, i), j) for i, j in labels]
+    entries = tuple(tuple(hom_dim(a, b) for b in mods) for a in mods)
     return LabeledMatrix(labels, labels, entries)

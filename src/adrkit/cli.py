@@ -7,8 +7,9 @@ Input schema (JSON object):
   relations  array of {"terms": [{"coeff": "<integer or a/b>", "path": [...]}]}
   cap        integer nilpotency bound
 
-Exit codes: 0 success, 2 input error, 3 internal inconsistency (an identity
-backed by a theorem failed, which should never happen).
+Exit codes: 0 success, 2 input error (also a negative ``--samples`` or an
+unwritable ``--out``), 3 internal inconsistency (an identity backed by a
+theorem failed, which should never happen).
 """
 
 from __future__ import annotations
@@ -298,12 +299,18 @@ def render_table(report: dict) -> str:
     return "\n".join(lines)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
+def _emit(text: str, out: str | None) -> int:
+    """Write to ``out`` or stdout; the exit code, 2 if ``out`` cannot be written."""
+    if not out:
+        sys.stdout.write(text)
+        return 0
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def cmd_analyze(args) -> int:
@@ -331,10 +338,8 @@ def cmd_analyze(args) -> int:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3
     if args.format == "json":
-        _emit(json.dumps(report, indent=2) + "\n", args.out)
-    else:
-        _emit(render_table(report) + "\n", args.out)
-    return 0
+        return _emit(json.dumps(report, indent=2) + "\n", args.out)
+    return _emit(render_table(report) + "\n", args.out)
 
 
 def cmd_corpus(args) -> int:
@@ -348,8 +353,8 @@ def cmd_corpus(args) -> int:
         except KeyError as exc:
             print(f"error: {exc.args[0]}", file=sys.stderr)
             return 2
-        _emit(json.dumps(presentation_to_doc(entry.presentation), indent=2) + "\n", args.out)
-        return 0
+        doc = presentation_to_doc(entry.presentation)
+        return _emit(json.dumps(doc, indent=2) + "\n", args.out)
     if args.corpus_command == "fuzz":
         try:
             summary = run_fuzz(args.samples, args.seed)
@@ -364,6 +369,13 @@ def cmd_corpus(args) -> int:
             print(f"  seed {item['seed']}: {'; '.join(item['failures'])}")
         return 0 if summary["failed"] == 0 else 3
     raise AssertionError("unreachable")
+
+
+def _count(text: str) -> int:
+    """argparse type of ``--samples``: a non-negative decimal integer."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def main(argv=None) -> int:
@@ -396,7 +408,7 @@ def main(argv=None) -> int:
     ce.add_argument("--out")
     ce.set_defaults(func=cmd_corpus)
     cf = csub.add_parser("fuzz", help="run the invariant suite on random algebras")
-    cf.add_argument("--samples", type=int, default=100)
+    cf.add_argument("--samples", type=_count, default=100)
     cf.add_argument("--seed", type=int, default=0)
     cf.set_defaults(func=cmd_corpus)
 

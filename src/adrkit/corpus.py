@@ -15,7 +15,6 @@ from .adrcore import (
     LambdaLabel,
     NegativeMultiplicityError,
     _delta_class,
-    _truncated_projective,
     cartan_RA_formula,
     cartan_RA_hom,
     cartan_ringel_dual,
@@ -39,6 +38,7 @@ from .presentation import (
     Relation,
     build_algebra,
     enumerate_paths,
+    unsatisfied_relation,
 )
 from .repmod import (
     composition_vector,
@@ -48,6 +48,7 @@ from .repmod import (
     radical_series,
     socle_series,
     socle_sub,
+    truncate,
 )
 from .theorems import (
     InternalInconsistencyError,
@@ -303,10 +304,10 @@ def tagged_invariant_failures(alg: AlgebraData) -> list[tuple[str, str]]:
     """Every cross-route identity on one algebra, as (category, message) pairs.
 
     Categories: "oracle" (formula vs Hom route, Cartan duality of A and A^op),
-    "structural" (column decomposition, telescoping, tilting layer data,
-    Grothendieck bookkeeping), "triple" (the three Ringel-dual Cartan routes
-    under the identification hypotheses), "theorem_b" (B1/B2 consistency and
-    opposite symmetry).
+    "structural" (A and A^op satisfy their relations, column decomposition,
+    telescoping, tilting layer data, Grothendieck bookkeeping), "triple" (the
+    three Ringel-dual Cartan routes under the identification hypotheses),
+    "theorem_b" (B1/B2 consistency and opposite symmetry).
     """
     failures: list[tuple[str, str]] = []
 
@@ -351,6 +352,11 @@ def tagged_invariant_failures(alg: AlgebraData) -> list[tuple[str, str]]:
             check("oracle", not bad, f"{name}: not transposed at {', '.join(bad[:1])}")
 
     def bookkeeping_section() -> None:
+        for side, side_alg in (("A", alg), ("A^op", alg.opposite())):
+            bad = unsatisfied_relation(side_alg)
+            if bad is not None:
+                terms = " + ".join(f"{c}*{'*'.join(path.arrows)}" for c, path in bad)
+                failures.append(("structural", f"{side} does not satisfy its relation {terms}"))
         for i in range(1, alg.n + 1):
             p_i = projective(alg, i)
             q_i = injective(alg, i)
@@ -376,7 +382,7 @@ def tagged_invariant_failures(alg: AlgebraData) -> list[tuple[str, str]]:
         cra = cartan_RA_formula(alg)
         for k, l in poset.labels:
             col = cra.column_vector(LambdaLabel(k, l))
-            filt = delta_layers(alg, _truncated_projective(alg, k, l))
+            filt = delta_layers(alg, truncate(projective(alg, k), l))
             check(
                 "structural",
                 _delta_class(alg, filt) == col.values,

@@ -481,6 +481,36 @@ def _assemble(
     return AlgebraData(p, basis, layers, len(layers), act, is_connected(p.quiver), normal)
 
 
+def unsatisfied_relation(alg: AlgebraData) -> list[tuple[int | Fraction, Path]] | None:
+    """The first relation of ``alg.presentation`` that ``alg.act`` does not satisfy, else None.
+
+    Each relation sum c * w is applied through ``act`` to every basis path b
+    ending at its source; sum c * (b followed by w) must vanish.  This reads
+    only the basis and ``act``, so it tests a derived algebra (A^op) against
+    its own presentation.
+    """
+    fld = alg.field
+    for terms in _canonical_relations(alg.presentation):
+        src = terms[0][1].source
+        for k, b in enumerate(alg.basis):
+            if b.target != src:
+                continue
+            total: dict[int, int | Fraction] = {}
+            for coeff, path in terms:
+                vec = {k: coeff}
+                for name in path.arrows:
+                    nxt: dict[int, int | Fraction] = {}
+                    for idx, c in vec.items():
+                        for j, x in alg.act[name].get(idx, ()):
+                            nxt[j] = fld.coerce(nxt.get(j, 0) + c * x)
+                    vec = nxt
+                for j, c in vec.items():
+                    total[j] = fld.coerce(total.get(j, 0) + c)
+            if any(total.values()):
+                return terms
+    return None
+
+
 def opposite_presentation(p: AlgebraPresentation) -> AlgebraPresentation:
     """Reverse all arrows and all relation paths; field and cap unchanged."""
     q = p.quiver

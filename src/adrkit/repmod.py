@@ -17,6 +17,11 @@ of P_i and of its truncations come from one functional pass per truncation
 over the arrays of P_i (:func:`_socle_functionals`), with no quotient module.
 Every other filtration, the radical series of Q_i and of soc_j Q_i included,
 and every ungraded module go through the general chain code.
+
+For j >= LL(M), M/rad^j M = M and soc_j M = M, so truncating at or beyond the
+Loewy length, or taking the socle submodule there, returns the module itself.
+``truncate``, ``socle_sub`` and ``socle_series`` are memoized on their module,
+so every derived module is built once and its chains are computed once.
 """
 
 from __future__ import annotations
@@ -403,6 +408,7 @@ def _functional_profile(chain) -> SeriesProfile:
     return _quotient_layers(zip(socs[1:], socs))
 
 
+@memoized
 def socle_series(m: Representation) -> SeriesProfile:
     """Socle layers soc_j/soc_{j-1}, bottom-up."""
     if m.socle_degrees is not None:
@@ -501,24 +507,27 @@ def _is_rigid_graded(m: Representation) -> bool:
     return True
 
 
+@memoized
 def truncate(m: Representation, j: int) -> Representation:
-    """M / rad^j M."""
+    """M / rad^j M; M itself when j >= LL(M)."""
     if j < 1:
         raise ValueError("truncation index must be >= 1")
+    if j >= loewy_length(m):
+        return m
     if m.radical_degrees is not None:
         return _leading_block(m, j)
-    rc = radical_chain(m)
-    return quotient_representation(m, rc[min(j, len(rc) - 1)])
+    return quotient_representation(m, radical_chain(m)[j])
 
 
+@memoized
 def socle_sub(m: Representation, j: int) -> Representation:
-    """soc_j M as a representation."""
+    """soc_j M as a representation; M itself when j >= LL(M)."""
     if j < 1:
         raise ValueError("socle index must be >= 1")
     if m.socle_degrees is not None:
-        return _leading_block(m, j)
-    sc = socle_chain(m)
-    return sub_representation(m, sc[min(j, len(sc) - 1)])
+        return _leading_block(m, j) if j < loewy_length(m) else m
+    sc = socle_chain(m)  # its length is LL(m), with no radical chain needed
+    return sub_representation(m, sc[j]) if j < len(sc) - 1 else m
 
 
 def _hom_constraints(m: Representation, n: Representation) -> tuple[list[dict], int]:

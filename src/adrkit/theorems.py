@@ -89,10 +89,6 @@ class FlipMap:
         return True
 
 
-def _delta_route_values(alg: AlgebraData, label: LambdaLabel) -> tuple[int, ...]:
-    return _delta_class(alg, tilting_delta_filtration(alg, label))
-
-
 @memoized
 def _flip_mismatch(alg: AlgebraData) -> str | None:
     """First label pair where C(R(R_A)) and C(S_A) disagree under (i,j) -> [i, l_i-j+1].
@@ -166,7 +162,8 @@ def check_theorem_a(alg: AlgebraData) -> Verdict:
     )
 
     for label in poset.labels:
-        if _delta_route_values(alg, label) != tilting_vector(alg, label).values:
+        delta_route = _delta_class(alg, tilting_delta_filtration(alg, label))
+        if delta_route != tilting_vector(alg, label).values:
             raise InternalInconsistencyError(
                 f"tilting Delta-route vector differs from nabla-route at {tuple(label)}"
             )

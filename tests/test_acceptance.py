@@ -11,10 +11,12 @@ import pytest
 
 from adrkit.adrcore import (
     LambdaLabel,
+    _delta_class,
     cartan_ringel_dual,
     cartan_RA_formula,
     cartan_SA_formula,
     lambda_poset,
+    tilting_delta_filtration,
     tilting_vector,
 )
 from adrkit.corpus import (
@@ -24,7 +26,6 @@ from adrkit.corpus import (
     tagged_invariant_failures,
 )
 from adrkit.theorems import FlipMap, check_theorem_a, ringel_selfdual_verdict
-from adrkit.theorems import _delta_route_values
 
 FUZZ_SEED = 910_000
 FUZZ_SAMPLES = 1000
@@ -86,7 +87,7 @@ def test_criterion_2_kx3_end_to_end(announce):
     )
     ok = ok and _flip_equality_exact(alg)
     label = LambdaLabel(1, 2)
-    ok = ok and _delta_route_values(alg, label) == (0, 1, 2)
+    ok = ok and _delta_class(alg, tilting_delta_filtration(alg, label)) == (0, 1, 2)
     ok = ok and tilting_vector(alg, label).values == (0, 1, 2)
     elapsed = time.monotonic() - start
     announce(

@@ -22,7 +22,8 @@ from adrkit.adrcore import (
     tilting_hom_dim,
     tilting_vector,
 )
-from adrkit.corpus import get_entry, random_admissible
+from adrkit import repmod
+from adrkit.corpus import builtin_entries, get_entry, random_admissible
 from adrkit.exactlin import RATIONAL
 from adrkit.presentation import AlgebraPresentation, Arrow, Quiver, build_algebra
 from adrkit.repmod import injective, projective, simple, socle_sub, truncate
@@ -338,3 +339,23 @@ def test_route_order_cannot_change_results(entry_id):
     assert _all_routes(entry.build(), hom_first=True) == _all_routes(
         entry.build(), hom_first=False
     )
+
+
+def test_sa_formula_and_hypotheses_chain_one_module_per_sa_label(monkeypatch):
+    # soc_j Q_i for j = LL(Q_i) is Q_i itself, so the radical chains of
+    # C(S_A) and of the rigidity test of Q_i run on sum_i LL(Q_i) modules
+    real = repmod._radical_step
+    seen = {}
+
+    def counting(m, spaces):
+        seen[id(m)] = m
+        return real(m, spaces)
+
+    monkeypatch.setattr(repmod, "_radical_step", counting)
+    entries = builtin_entries() + [random_admissible(s) for s in range(910000, 910030)]
+    for entry in entries:
+        alg = entry.build()
+        seen.clear()
+        cartan_SA_formula(alg)
+        theorem_a_hypotheses(alg)
+        assert len(seen) == len(sa_labels(alg)), entry.id

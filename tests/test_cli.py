@@ -242,6 +242,30 @@ def test_corpus_fuzz_deterministic(capsys):
     assert "passed=5" in out1
 
 
+@pytest.mark.parametrize("samples", ["-2", "x"])
+def test_corpus_fuzz_rejects_a_bad_sample_count(capsys, samples):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["corpus", "fuzz", "--samples", samples])
+    assert exc.value.code == 2
+    assert "--samples" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, "corpus", "fuzz", "--samples", "0")
+    assert code == 0 and "samples=0 passed=0 failed=0" in out
+
+
+def test_analyze_unwritable_out_exits_2(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, "analyze", write_doc(tmp_path, x3_doc()), "--out", str(out_path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {out_path}: ")
+
+
+def test_corpus_emit_unwritable_out_exits_2(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "n.json"
+    code, out, err = run_cli(capsys, "corpus", "emit", "nakayama-2-2", "--out", str(out_path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {out_path}: ")
+
+
 def test_parse_field_flag_errors():
     with pytest.raises(SchemaError):
         cli._parse_field_flag("banana")

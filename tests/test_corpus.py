@@ -10,10 +10,20 @@ from adrkit.corpus import (
     preprojective_a,
     random_admissible,
     run_invariant_suite,
+    tagged_invariant_failures,
     truncated_path_algebra,
     linear_quiver,
 )
-from adrkit.presentation import Arrow, Quiver
+from adrkit.memo import remember
+from adrkit.presentation import (
+    AlgebraData,
+    Arrow,
+    Path,
+    Quiver,
+    _assemble,
+    opposite_presentation,
+    unsatisfied_relation,
+)
 from adrkit.repmod import (
     injective,
     is_rigid,
@@ -175,3 +185,21 @@ def test_invariant_suite_clean_on_builtins():
     for entry in builtin_entries():
         fails = run_invariant_suite(entry.build())
         assert fails == [], f"{entry.id}: {fails}"
+
+
+def test_battery_flags_an_opposite_that_breaks_its_relations():
+    # A^op derived with every non-basis path set to zero keeps a degree-sorted
+    # basis and passes every other identity; only its relations expose it
+    alg = random_admissible(910038).build()
+    rev = lambda w: Path(w.target, w.arrows[::-1], w.source)
+    zeroed = _assemble(
+        opposite_presentation(alg.presentation),
+        [rev(b) for b in alg.basis],
+        {rev(w): () for w in alg.normal},
+    )
+    remember(AlgebraData.opposite, alg, result=zeroed)
+    remember(AlgebraData.opposite, zeroed, result=alg)
+    assert unsatisfied_relation(alg) is None
+    assert tagged_invariant_failures(alg) == [
+        ("structural", "A^op does not satisfy its relation 1*a2*a2 + 1*a1*a2")
+    ]

@@ -219,6 +219,21 @@ def test_truncate_socle_sub_examples(kx3, a2):
     assert truncate(reg, 99).dims == reg.dims  # rad^j = 0 beyond the Loewy length
 
 
+def test_truncate_and_socle_sub_at_the_loewy_length_return_the_module(kx3, cyc2):
+    # M/rad^j M = M and soc_j M = M once j >= LL(M), for graded P_i, Q_i and
+    # ungraded copies of them; below LL each call returns one memoized module
+    for alg in (kx3, cyc2, preprojective_a(3).build()):
+        for i in range(1, alg.n + 1):
+            for graded in (projective(alg, i), injective(alg, i)):
+                for m in (graded, Representation(alg, graded.dims, graded.arrow_maps)):
+                    ll = loewy_length(m)
+                    for j in range(ll, ll + 3):
+                        assert truncate(m, j) is m and socle_sub(m, j) is m
+                    for j in range(1, ll):
+                        assert truncate(m, j) is truncate(m, j) is not m
+                        assert socle_sub(m, j) is socle_sub(m, j) is not m
+
+
 def test_truncate_loewy_length(kx3):
     reg = projective(kx3, 1)
     for j in (1, 2, 3):
