@@ -8,12 +8,19 @@ taken by :func:`_sparse_rank` on rows given as ``{column: coefficient}``
 dicts, with Python ints mod p or Fractions, falling back to dense forward
 elimination once the rows fill in.  No floating point anywhere.
 
+Over Q the three eliminations (:func:`_rref_array`, :func:`_sparse_rank` and
+its dense tail :func:`_rank_array`) run on Python-int rows: each row is
+scaled by the lcm of its denominators on entry, eliminated fraction-free and
+divided by the gcd of its entries after every update, as in Bareiss (1968).
+Results stay Fractions: an RREF is divided by its pivots before it leaves.
+
 :class:`FieldSpec` is the only place that knows how the two kinds of field
 differ.  Array code asks it for ``dtype``, ``one``, ``zeros(shape)`` (a
 writable array of canonical zeros) and ``canonical(a)`` (reduce mod p, or
 turn a non-object array into Fractions), and for ``coerce`` and ``inv`` on
-scalars; it never branches on the field kind itself.  The hot scalar loops
-of :func:`_sparse_rank` read ``field.p``, which is None over Q.
+scalars; it never branches on the field kind itself.  The eliminations and
+the hot scalar loops of :func:`_sparse_rank` read ``field.p``, which is None
+over Q.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -273,8 +281,44 @@ class RrefResult(NamedTuple):
     pivot_cols: tuple[int, ...]
 
 
+def _cleared(values: Iterable) -> list[int]:
+    """Fractions or ints times the lcm of their denominators: an integer multiple of the same row."""
+    ratios = [x.as_integer_ratio() for x in values]
+    den = lcm(*[d for _, d in ratios])
+    if den == 1:
+        return [n for n, _ in ratios]
+    return [n * (den // d) for n, d in ratios]
+
+
+def _primitive_rows(a: np.ndarray) -> np.ndarray:
+    """Divide each row of an integer object array by the gcd of its entries, in place."""
+    for i, row in enumerate(a.tolist()):
+        g = gcd(*row)
+        if g > 1:
+            a[i] //= g
+    return a
+
+
+def _integer_rows(a: np.ndarray) -> np.ndarray:
+    """A writable object array of primitive integer rows, each a multiple of the row of ``a``."""
+    out = np.empty(a.shape, dtype=object)
+    for i, row in enumerate(a.tolist()):
+        out[i] = _cleared(row)
+    return _primitive_rows(out)
+
+
 def _rref_array(a: np.ndarray, field: FieldSpec) -> tuple[np.ndarray, list[int]]:
-    a = a.copy()
+    """Gauss-Jordan elimination: (unique RREF of ``a``, pivot columns).
+
+    Over Q the rows are kept as primitive integer rows.  A row with entry x
+    in the pivot column of a pivot row with pivot d becomes
+    (d/g) * row - (x/g) * pivot_row, for g = gcd(d, x), and is then divided
+    by the gcd of its entries.  Each pivot row is divided by its pivot only
+    at the end; the RREF is unique, so this is the RREF that Fraction
+    arithmetic gives, returned as an array of Fractions.
+    """
+    p = field.p
+    a = a.copy() if p else _integer_rows(a)
     a.setflags(write=True)
     rows, cols = a.shape
     pivots: list[int] = []
@@ -288,15 +332,28 @@ def _rref_array(a: np.ndarray, field: FieldSpec) -> tuple[np.ndarray, list[int]]
         pr = r + int(hits[0])
         if pr != r:
             a[[r, pr]] = a[[pr, r]]
-        a[r] = field.canonical(a[r] * field.inv(a[r, c]))
+        if p:
+            a[r] = field.canonical(a[r] * field.inv(a[r, c]))
         col = a[:, c].copy()
         col[r] = 0
         nz = col.nonzero()[0]
         if nz.size:
-            a[nz] = field.canonical(a[nz] - col[nz, None] * a[r][None, :])
+            if p:
+                a[nz] = field.canonical(a[nz] - col[nz, None] * a[r][None, :])
+            else:
+                d, x = a[r, c], col[nz]
+                g = np.gcd(x, d)
+                a[nz] = _primitive_rows((d // g)[:, None] * a[nz] - (x // g)[:, None] * a[r][None, :])
         pivots.append(c)
         r += 1
-    return a, pivots
+    if p:
+        return a, pivots
+    out = field.zeros(a.shape)
+    for k, c in enumerate(pivots):
+        row, d = a[k].tolist(), a[k, c]
+        quotient = {v: Fraction(v, d) for v in set(row)}  # one Fraction per distinct entry
+        out[k] = [quotient[v] for v in row]
+    return out, pivots
 
 
 def _rank_array(a: np.ndarray, field: FieldSpec) -> int:
@@ -305,9 +362,11 @@ def _rank_array(a: np.ndarray, field: FieldSpec) -> int:
     Pivots are found as in :func:`_rref_array`, but only the rows below a
     pivot that are nonzero in its column are cleared, and only from the pivot
     column rightwards; the pivot row is never normalised and nothing above it
-    is touched.
+    is touched.  Over Q the rows are primitive integer rows, cleared
+    fraction-free as in :func:`_rref_array`.
     """
-    a = a.copy()
+    p = field.p
+    a = a.copy() if p else _integer_rows(a)
     a.setflags(write=True)
     rows, cols = a.shape
     r = 0
@@ -324,8 +383,15 @@ def _rank_array(a: np.ndarray, field: FieldSpec) -> int:
         # clear are exactly the later hits; columns left of c are zero below r
         below = r + hits[1:]
         if below.size:
-            factor = field.canonical(a[below, c] * field.inv(a[r, c]))
-            a[below, c:] = field.canonical(a[below, c:] - factor[:, None] * a[r, c:])
+            if p:
+                factor = field.canonical(a[below, c] * field.inv(a[r, c]))
+                a[below, c:] = field.canonical(a[below, c:] - factor[:, None] * a[r, c:])
+            else:
+                d, x = a[r, c], a[below, c]
+                g = np.gcd(x, d)
+                a[below, c:] = _primitive_rows(
+                    (d // g)[:, None] * a[below, c:] - (x // g)[:, None] * a[r, c:]
+                )
         r += 1
     return r
 
@@ -344,7 +410,10 @@ def _sparse_rank(rows: Iterable[Mapping[int, int | Fraction]], cols: int, field:
     brings in.  Pivot row k was itself reduced against pivot rows 0..k-1, so
     it holds no lead column of an earlier one: indices leave the heap in
     increasing order and each pivot row is subtracted at most once.  A row
-    that stays nonzero becomes a pivot row, normalised at its least column.
+    that stays nonzero becomes a pivot row at its least column: over F_p it
+    is normalised there to 1, over Q the row is an integer row (its
+    denominators cleared on reading) and is made primitive with a positive
+    lead value d; reducing by it scales the row by d / gcd(d, x) first.
     Coefficients need not be canonical, and zero coefficients are allowed.
 
     Once the mean pivot-row length exceeds max(16, cols / 16) the rows are
@@ -355,6 +424,7 @@ def _sparse_rank(rows: Iterable[Mapping[int, int | Fraction]], cols: int, field:
     p = field.p
     lead_of: dict[int, int] = {}
     leads: list[int] = []
+    lead_values: list[int] = []
     pivot_rows: list[dict] = []
     stored = 0
     limit = max(16, cols / 16)
@@ -363,7 +433,7 @@ def _sparse_rank(rows: Iterable[Mapping[int, int | Fraction]], cols: int, field:
         if p:
             r = {c: x % p for c, x in row.items() if x % p}
         else:
-            r = {c: x for c, x in row.items() if x}
+            r = {c: x for c, x in zip(row, _cleared(row.values())) if x}
         heap = [lead_of[c] for c in r if c in lead_of]
         heapq.heapify(heap)
         while heap:
@@ -371,6 +441,12 @@ def _sparse_rank(rows: Iterable[Mapping[int, int | Fraction]], cols: int, field:
             x = r.pop(leads[k], None)
             if x is None:
                 continue
+            if not p:
+                d = lead_values[k]
+                g = gcd(x, d)
+                if g != d:
+                    r = {c: v * (d // g) for c, v in r.items()}
+                x //= g
             for c, y in pivot_rows[k].items():
                 v = r.get(c)
                 if v is None:
@@ -386,22 +462,29 @@ def _sparse_rank(rows: Iterable[Mapping[int, int | Fraction]], cols: int, field:
         if not r:
             continue
         lead = min(r)
-        inv = field.inv(r.pop(lead))
-        # a pivot row omits its lead entry, which is 1: reducing a row pops
-        # the row's own entry at the lead instead of subtracting it
-        pivot = {c: v * inv % p for c, v in r.items()} if p else {c: v * inv for c, v in r.items()}
+        # a pivot row omits its lead entry: reducing a row pops the row's own
+        # entry at the lead instead of subtracting it
+        if p:
+            inv = field.inv(r.pop(lead))
+            pivot = {c: v * inv % p for c, v in r.items()}
+            d = 1
+        else:
+            g = gcd(*r.values()) if r[lead] > 0 else -gcd(*r.values())
+            d = r.pop(lead) // g
+            pivot = {c: v // g for c, v in r.items()}
         lead_of[lead] = len(leads)
         leads.append(lead)
+        lead_values.append(d)
         pivot_rows.append(pivot)
         stored += len(pivot) + 1
         if stored > limit * len(leads):
-            return _dense_rank_tail(leads, pivot_rows, remaining, cols, field)
+            return _dense_rank_tail(leads, lead_values, pivot_rows, remaining, cols, field)
     return len(leads)
 
 
-def _dense_rank_tail(leads, pivot_rows, remaining, cols: int, field: FieldSpec) -> int:
+def _dense_rank_tail(leads, lead_values, pivot_rows, remaining, cols: int, field: FieldSpec) -> int:
     """Rank of the pivot rows plus the unread rows, by :func:`_rank_array`."""
-    rows = [{lead: 1, **pivot} for lead, pivot in zip(leads, pivot_rows)]
+    rows = [{lead: d, **pivot} for lead, d, pivot in zip(leads, lead_values, pivot_rows)]
     rows += remaining
     at_row, at_col, values = [], [], []
     for i, row in enumerate(rows):

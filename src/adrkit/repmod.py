@@ -21,7 +21,10 @@ and every ungraded module go through the general chain code.
 For j >= LL(M), M/rad^j M = M and soc_j M = M, so truncating at or beyond the
 Loewy length, or taking the socle submodule there, returns the module itself.
 ``truncate``, ``socle_sub`` and ``socle_series`` are memoized on their module,
-so every derived module is built once and its chains are computed once.
+so every derived module is built once and its chains are computed once.  The
+Hom route memoizes on each module its support and the sparse columns and
+negated sparse rows of its arrow maps, so a module's arrow data is read once
+however many Hom systems it enters; ``hom_dim`` itself is not memoized.
 """
 
 from __future__ import annotations
@@ -530,6 +533,24 @@ def socle_sub(m: Representation, j: int) -> Representation:
     return sub_representation(m, sc[j]) if j < len(sc) - 1 else m
 
 
+@memoized
+def _support(m: Representation) -> frozenset[int]:
+    """The vertices where m is nonzero."""
+    return frozenset(v for v, d in enumerate(m.dims) if d)
+
+
+@memoized
+def _sparse_columns(m: Representation, arrow: str) -> list[dict]:
+    """The nonzero entries of each column of M_a, as ``{row: entry}``."""
+    return _sparse_rows(m.arrow_maps[arrow].array().T)
+
+
+@memoized
+def _negated_sparse_rows(m: Representation, arrow: str) -> list[dict]:
+    """The nonzero entries of each row of -M_a, canonical, as ``{column: entry}``."""
+    return _sparse_rows(m.field.canonical(-m.arrow_maps[arrow].array()))
+
+
 def _hom_constraints(m: Representation, n: Representation) -> tuple[list[dict], int]:
     """Sparse rows of the intertwiner system, and the number of unknowns.
 
@@ -553,11 +574,11 @@ def _hom_constraints(m: Representation, n: Representation) -> tuple[list[dict], 
         nv, mv, mu = n.dims[v - 1], m.dims[v - 1], m.dims[u - 1]
         if not nv * mu:
             continue
-        m_cols = _sparse_rows(m.arrow_maps[a.name].array().T)
-        n_rows = _sparse_rows(n.arrow_maps[a.name].array())
+        m_cols = _sparse_columns(m, a.name)
+        n_rows = _negated_sparse_rows(n, a.name)
         for r in range(nv):
             left = offsets[v - 1] + r * mv
-            right = [(offsets[u - 1] + k * mu, (-x) % p if p else -x) for k, x in n_rows[r].items()]
+            right = [(offsets[u - 1] + k * mu, x) for k, x in n_rows[r].items()]
             for c in range(mu):
                 eq = {left + k: x for k, x in m_cols[c].items()}
                 for start, x in right:
@@ -574,7 +595,7 @@ def hom_dim(m: Representation, n: Representation) -> int:
     """Dimension of Hom_A(m, n): unknowns minus the rank of the intertwiner system."""
     if m.algebra is not n.algebra and m.algebra != n.algebra:
         raise AlgebraMismatchError("modules live over different algebras")
-    if not any(a * b for a, b in zip(m.dims, n.dims)):
+    if _support(m).isdisjoint(_support(n)):
         return 0
     rows, unknowns = _hom_constraints(m, n)
     return unknowns - _sparse_rank(rows, unknowns, m.field)

@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,7 +15,8 @@ from adrkit.cli import (
     parse_presentation_doc,
     presentation_to_doc,
 )
-from adrkit.corpus import builtin_entries, get_entry, random_admissible
+from adrkit.corpus import builtin_entries, get_entry, preprojective_a, random_admissible
+from adrkit.exactlin import FieldSpec
 from adrkit.presentation import Relation
 
 
@@ -95,6 +98,55 @@ def test_analyze_field_override_matches(tmp_path, capsys):
     m7 = json.loads(out7)["matrices"]
     assert m2 == m7
     assert json.loads(out2)["algebra"]["field"] == "F_2"
+
+
+_RATIONAL_INPUTS = [e.presentation for e in builtin_entries()]
+_RATIONAL_IDS = [e.id for e in builtin_entries()]
+
+
+@pytest.mark.parametrize(
+    "pres",
+    _RATIONAL_INPUTS + [preprojective_a(n).presentation for n in (4, 5, 6)],
+    ids=_RATIONAL_IDS + [f"preproj-a-{n}" for n in (4, 5, 6)],
+)
+def test_analyze_over_q_and_f7_agree(pres):
+    # Q runs the integer eliminations, F_7 the int64 ones, on the same
+    # presentation: every matrix, verdict and algebra field but one agrees
+    assert pres.field.p is None
+    over_q = analyze_presentation(pres)
+    over_f7 = analyze_presentation(parse_presentation_doc(presentation_to_doc(pres), FieldSpec.prime(7)))
+    assert over_q["matrices"] == over_f7["matrices"]
+    assert over_q["verdicts"] == over_f7["verdicts"]
+    assert (over_q["algebra"].pop("field"), over_f7["algebra"].pop("field")) == ("Q", "F_7")
+    assert over_q["algebra"] == over_f7["algebra"]
+
+
+@pytest.mark.parametrize(
+    "index, pres",
+    list(enumerate(_RATIONAL_INPUTS + [preprojective_a(4).presentation])),
+    ids=_RATIONAL_IDS + ["preproj-a-4"],
+)
+def test_analyze_is_invariant_under_rescaled_relations(index, pres):
+    # a relation and any nonzero multiple of it span the same ideal, so
+    # scaling each relation by its own drawn fraction changes only the input;
+    # the scaled coefficients give the ideal spans non-integral entries
+    rng = random.Random(index)
+    scales = [
+        Fraction(rng.choice((-1, 1)) * rng.randint(1, 12), rng.randint(2, 12))
+        for _ in pres.relations
+    ]
+    scaled = dataclasses.replace(
+        pres,
+        relations=tuple(
+            Relation(tuple((scale * c, names) for c, names in rel.terms))
+            for scale, rel in zip(scales, pres.relations)
+        ),
+    )
+    before, after = analyze_presentation(pres), analyze_presentation(scaled)
+    assert after["input"] != before["input"] or not pres.relations
+    for report in (before, after):
+        del report["input"], report["volatile"]
+    assert json.dumps(after, sort_keys=True) == json.dumps(before, sort_keys=True)
 
 
 def test_analyze_deterministic_modulo_volatile(tmp_path, capsys):

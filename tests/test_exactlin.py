@@ -229,16 +229,24 @@ _SPARSE_ENTRY = st.one_of(st.just(0), st.just(0), st.integers(-3, 3))
 _RATIONAL_ENTRY = st.one_of(
     st.just(0), st.fractions(min_value=-3, max_value=3, max_denominator=4)
 )
+# numerators up to 2**70 and denominators up to 10**6: far past int64
+_BIG_RATIONAL_ENTRY = st.one_of(
+    st.just(0), st.fractions(min_value=-(2**70), max_value=2**70, max_denominator=10**6)
+)
 
 
-def _check_against_naive(field: FieldSpec, grid: list[list], cols: int):
-    m = Matrix.from_rows(field, grid, cols=cols)
+def _check_against_naive(field: FieldSpec, grid: list[list], cols: int, m: Matrix | None = None):
+    if m is None:
+        m = Matrix.from_rows(field, grid, cols=cols)
     result = rref(m)
     expected, pivots = _naive_rref(grid, cols, field)
     assert result.pivot_cols == tuple(pivots)
     # rank runs its own forward elimination, never rref
     assert rank(m) == result.rank == len(pivots)
     assert [list(result.reduced.row(r)) for r in range(len(grid))] == expected
+    if not field.p:
+        # over Q the eliminations run on integers, but the RREF leaves as Fractions
+        assert all(type(x) is Fraction for x in result.reduced.entries)
 
 
 def _cases(field: FieldSpec, entry):
@@ -259,17 +267,42 @@ def _cases(field: FieldSpec, entry):
     )
 
 
-@given(case=st.one_of(_cases(F7, _SPARSE_ENTRY), _cases(RATIONAL, _RATIONAL_ENTRY)))
+@given(
+    case=st.one_of(
+        _cases(F7, _SPARSE_ENTRY),
+        _cases(RATIONAL, _RATIONAL_ENTRY),
+        _cases(RATIONAL, _BIG_RATIONAL_ENTRY),
+    )
+)
 @example(case=(F7, 4, []))
 @example(case=(RATIONAL, 4, []))
 @example(case=(F7, 0, [[], [], []]))
 @example(case=(RATIONAL, 0, [[], [], []]))
 @example(case=(F7, 2, [[0, 0]] * 9 + [[3, 1], [6, 2]]))
 @example(case=(RATIONAL, 10, [[0] * 9 + [Fraction(1, 3)], [0] * 10]))
-@settings(max_examples=300, deadline=None)
+@example(case=(RATIONAL, 3, [[-3, 1, 2], [2, -5, 0], [-1, -1, -1]]))
+@example(case=(RATIONAL, 2, [[Fraction(2**70 + 1, 999_983), -(2**70)], [Fraction(-1, 10**6), 3]]))
+@settings(max_examples=400, deadline=None)
 def test_rref_matches_naive_reference(case):
     field, cols, grid = case
     _check_against_naive(field, grid, cols)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        [[-3, 1, 2], [2, -5, 0], [-1, -1, -1]],
+        [[0, -2, 4, 6], [-4, 0, 2, 0], [2, -2, 3, 6]],
+        [[-(2**70), 2**69 + 1], [3, -(2**65)], [2**70, -(2**69) - 1]],
+        [[0, 0], [0, -7]],
+    ],
+)
+def test_rref_of_plain_int_object_arrays(grid):
+    # a rational Matrix may hold Python ints in its object array: rref and
+    # rank read them as the same rationals, with negative pivots too
+    a = np.array(grid, dtype=object)
+    assert all(type(x) is int for x in a.ravel().tolist())
+    _check_against_naive(RATIONAL, grid, len(grid[0]), m=Matrix(RATIONAL, a))
 
 
 @pytest.mark.parametrize("field", [F7, RATIONAL], ids=["F7", "Q"])
@@ -288,18 +321,22 @@ def test_rref_pivot_below_zero_rows_and_zero_columns(field):
     assert result.pivot_cols == (1, 2, 3)
 
 
-def _sparse_case(field: FieldSpec, rows: int, cols: int, density: float, seed: int):
+def _sparse_case(field: FieldSpec, rows: int, cols: int, density: float, seed: int, big: bool = False):
     """(grid, sparse rows): the same matrix as lists and as shuffled ``{column: coefficient}`` dicts.
 
     The dicts list their keys in random order, carry non-canonical
     coefficients (ints outside [0, p), ints over Q) and some explicit zeros,
-    and the rows themselves come in random order.
+    and the rows themselves come in random order.  With ``big`` the nonzero
+    entries have numerators up to 2**70 and, over Q, denominators up to 10**6.
     """
     rng = random.Random(seed)
 
     def entry():
         if rng.random() >= density:
             return 0
+        if big:
+            num = rng.randint(-(2**70), 2**70)
+            return num if field.is_prime_field else Fraction(num, rng.randint(1, 10**6))
         if field.is_prime_field:
             return rng.randrange(-field.p, 2 * field.p)
         if rng.random() < 0.5:
@@ -324,13 +361,15 @@ def _sparse_case(field: FieldSpec, rows: int, cols: int, density: float, seed: i
     ),
     density=st.sampled_from([0.1, 0.3, 1.0]),
     seed=st.integers(0, 10**6),
+    big=st.booleans(),
 )
-@example(field=F7, shape=(0, 5), density=1.0, seed=0)
-@example(field=RATIONAL, shape=(4, 0), density=1.0, seed=0)
-@settings(max_examples=300, deadline=None)
-def test_sparse_rank_matches_naive_reference(field, shape, density, seed):
+@example(field=F7, shape=(0, 5), density=1.0, seed=0, big=False)
+@example(field=RATIONAL, shape=(4, 0), density=1.0, seed=0, big=False)
+@example(field=RATIONAL, shape=(24, 20), density=1.0, seed=1, big=True)
+@settings(max_examples=400, deadline=None)
+def test_sparse_rank_matches_naive_reference(field, shape, density, seed, big):
     rows, cols = shape
-    grid, sparse = _sparse_case(field, rows, cols, density, seed)
+    grid, sparse = _sparse_case(field, rows, cols, density, seed, big)
     _, pivots = _naive_rref(grid, cols, field)
     assert exactlin._sparse_rank(sparse, cols, field) == len(pivots)
     assert rank(Matrix.from_rows(field, grid, cols=cols)) == len(pivots)
@@ -347,6 +386,24 @@ def test_sparse_rank_follows_pivot_columns_a_subtraction_brings_in(field):
     # row 0 - row 1 + row 2 = {0: 1, 5: 1}
     assert exactlin._sparse_rank(rows, 6, field) == 3
     assert exactlin._sparse_rank(rows[:3] + [{0: 1, 5: 2}], 6, field) == 4
+
+
+@pytest.mark.parametrize("field", [F7, RATIONAL], ids=["F7", "Q"])
+def test_sparse_rank_with_negative_and_fractional_leads(field):
+    # lead values -2, -3/2 and 4: over Q a pivot row keeps an integer lead,
+    # made positive, and a reduced row is scaled by it before subtracting
+    raw = [{0: -2, 1: 1}, {1: Fraction(-3, 2), 2: 5}, {0: 4, 2: -1}]
+    # -2 * row 0 + (2/3) * row 1 is dependent on them
+    raw.append({0: 4, 1: -3, 2: Fraction(10, 3)})
+    rows = [{c: field.coerce(x) for c, x in row.items()} for row in raw]
+    grid = [[row.get(c, 0) for c in range(3)] for row in rows]
+    _, pivots = _naive_rref(grid[:3], 3, field)
+    assert exactlin._sparse_rank(rows[:3], 3, field) == len(pivots) == 3
+    assert exactlin._sparse_rank(rows[:2] + rows[3:], 3, field) == 2
+    # (p + q) / 2 for p = {0: 2, 1: 1} (lead 2) and q = {1: 1, 2: 2}: its lead
+    # 1 is no multiple of 2, so over Q it is doubled before p is subtracted
+    p, q = {0: 2, 1: 1}, {1: 1, 2: 2}
+    assert exactlin._sparse_rank([p, q, {0: 1, 1: 1, 2: 1}], 3, field) == 2
 
 
 def _spy_on_rank_array(monkeypatch) -> list[tuple[int, int]]:

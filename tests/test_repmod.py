@@ -582,3 +582,33 @@ def test_hom_route_never_reaches_rref(monkeypatch, kx3):
         monkeypatch.setattr(owner, name, forbidden)
     assert hom_dim(p, q) == 3
     assert exactlin.rank(Matrix.identity(RATIONAL, 2)) == 2
+
+
+def test_hom_reads_each_modules_arrow_data_once(monkeypatch):
+    # all Hom systems between the projectives and injectives of a fresh
+    # algebra: the sparse columns of M_a and the negated rows of N_a are read
+    # once per module and arrow, not once per pair of modules
+    alg = get_entry("preproj-a-3").build()
+    modules = [f(alg, i) for i in range(1, alg.n + 1) for f in (projective, injective)]
+    calls = []
+    real = repmod._sparse_rows
+    monkeypatch.setattr(repmod, "_sparse_rows", lambda a: calls.append(a.shape) or real(a))
+    dims = [[hom_dim(m, n) for n in modules] for m in modules]
+    # read once per pair, the 36 pairs would read up to 2 * 36 * 4 arrays
+    assert len(calls) <= 2 * len(modules) * len(alg.quiver.arrows)
+    # the memo changes no answer: Hom(P_i, M) = M_i and Hom(M, Q_i) = M_i
+    for k, m in enumerate(modules):
+        for i in range(alg.n):
+            assert dims[2 * i][k] == dims[k][2 * i + 1] == m.dims[i]
+
+
+def test_hom_between_disjoint_supports_builds_no_system(monkeypatch, a2):
+    def forbidden(*args):
+        raise AssertionError("a Hom system was built for modules with disjoint supports")
+
+    s1, s2 = simple(a2, 1), simple(a2, 2)
+    # P_2 and P_1 meet only at vertex 2, where Hom(P_2, P_1) = (P_1)_2 lives
+    assert hom_dim(projective(a2, 2), projective(a2, 1)) == 1
+    monkeypatch.setattr(repmod, "_hom_constraints", forbidden)
+    assert hom_dim(s1, s2) == hom_dim(s2, s1) == 0
+    assert hom_dim(s1, _zero_module(a2)) == hom_dim(_zero_module(a2), s1) == 0
