@@ -538,15 +538,3 @@ def reduce_mod_row_space(basis: RrefResult, v: np.ndarray) -> np.ndarray:
             v = field.canonical(v - coeff * a[r])
     return v
 
-
-def in_row_space(basis: RrefResult, v: np.ndarray) -> bool:
-    return not reduce_mod_row_space(basis, v).any()
-
-
-def coordinates_in_row_space(basis: RrefResult, v: np.ndarray) -> np.ndarray:
-    """Coordinates of a member vector w.r.t. the RREF basis rows.
-
-    For an RREF basis the coordinate of row r is just v[pivot_cols[r]];
-    membership is the caller's responsibility (assert with in_row_space).
-    """
-    return v[list(basis.pivot_cols)]

@@ -15,8 +15,16 @@ The truncations P_i/rad^l P_i and the socle submodules soc_j Q_i are then the
 leading coordinates of each vertex, and keep the grading.  The socle series
 of P_i and of its truncations come from one functional pass per truncation
 over the arrays of P_i (:func:`_socle_functionals`), with no quotient module.
-Every other filtration, the radical series of Q_i and of soc_j Q_i included,
-and every ungraded module go through the general chain code.
+
+The library functions read the grading they need and raise ``ValueError``
+without it: ``truncate`` needs a radical grading, ``socle_sub`` a socle
+grading, and ``socle_series`` and ``is_rigid`` a grading of either kind.
+``simple`` is radically graded, with degree 0 at its vertex.
+``radical_chain``, ``radical_series``, ``loewy_length`` and ``hom_dim`` take
+any module: the radical series of Q_i and of soc_j Q_i go through the
+general radical chain.  The general socle chain (``socle_chain``, with
+``quotient_representation``) serves as the reference the tests compare the
+read-offs against; no report calls it.
 
 For j >= LL(M), M/rad^j M = M and soc_j M = M, so truncating at or beyond the
 Loewy length, or taking the socle submodule there, returns the module itself.
@@ -43,8 +51,6 @@ from .exactlin import (
     _rref_array,
     _sparse_rank,
     _sparse_rows,
-    coordinates_in_row_space,
-    in_row_space,
     kernel_basis,
     reduce_mod_row_space,
     row_space_basis,
@@ -99,7 +105,10 @@ class Representation:
     A grading gives the degree of every coordinate, per vertex, in
     nondecreasing order.  With ``radical_degrees`` rad^l M is spanned by the
     coordinates of degree >= l; with ``socle_degrees`` soc_j M is spanned by
-    those of degree < j.  At most one of the two is set.
+    those of degree < j.  At most one of the two is set.  ``truncate`` needs
+    the first, ``socle_sub`` the second, ``socle_series`` and ``is_rigid``
+    either; a module with neither supports only the radical chain, Loewy
+    length and Hom.
     """
 
     algebra: AlgebraData
@@ -138,12 +147,13 @@ Subspaces = tuple[RrefResult, ...]
 
 
 def simple(alg: AlgebraData, i: int) -> Representation:
+    """The simple L_i, radically graded with degree 0 at vertex i."""
     dims = tuple(1 if v == i else 0 for v in range(1, alg.n + 1))
     maps = {}
     for a in alg.quiver.arrows:
         u, v = alg.quiver.arrow_endpoints(a.name)
         maps[a.name] = Matrix.zeros(alg.field, dims[v - 1], dims[u - 1])
-    return Representation(alg, dims, maps)
+    return Representation(alg, dims, maps, radical_degrees=tuple((0,) * d for d in dims))
 
 
 @memoized
@@ -275,26 +285,6 @@ def radical_chain(m: Representation) -> tuple[Subspaces, ...]:
     return tuple(chain)
 
 
-def sub_representation(m: Representation, spaces: Subspaces) -> Representation:
-    """Submodule on the given invariant subspaces, in their echelon bases."""
-    alg = m.algebra
-    dims = tuple(s.rank for s in spaces)
-    maps = {}
-    for a in alg.quiver.arrows:
-        u, v = alg.quiver.arrow_endpoints(a.name)
-        src, tgt = spaces[u - 1], spaces[v - 1]
-        arr = m.field.zeros((dims[v - 1], dims[u - 1]))
-        if src.rank and m.dims[v - 1]:
-            image = src.reduced.matmul(m.arrow_maps[a.name].transpose())
-            for r in range(src.rank):
-                vec = image.array()[r]
-                if not in_row_space(tgt, vec):
-                    raise ValueError("subspaces are not arrow-invariant")
-                arr[:, r] = coordinates_in_row_space(tgt, vec)
-        maps[a.name] = Matrix(m.field, arr)
-    return Representation(alg, dims, maps)
-
-
 def _nonpivot_cols(space: RrefResult, dim: int) -> list[int]:
     piv = set(space.pivot_cols)
     return [c for c in range(dim) if c not in piv]
@@ -413,13 +403,12 @@ def _functional_profile(chain) -> SeriesProfile:
 
 @memoized
 def socle_series(m: Representation) -> SeriesProfile:
-    """Socle layers soc_j/soc_{j-1}, bottom-up."""
+    """Socle layers soc_j/soc_{j-1}, bottom-up; m must be graded."""
     if m.socle_degrees is not None:
         return _degree_profile(m.socle_degrees)
     if m.radical_degrees is not None:
         return _functional_profile(_socle_functionals(m, loewy_length(m)))
-    dims = _chain_dims(socle_chain(m))
-    return _quotient_layers(zip(dims[1:], dims))
+    raise ValueError("socle_series needs a graded module")
 
 
 def truncation_socle_series(m: Representation) -> tuple[SeriesProfile, ...]:
@@ -452,39 +441,29 @@ def is_uniserial(m: Representation) -> bool:
 
 
 def is_rigid(m: Representation) -> bool:
-    """True iff rad^j M = soc_{L-j} M for every j.
+    """True iff rad^j M = soc_{L-j} M for every j; m must be graded.
 
     Tested as per-vertex dimension equality plus the containment
     rad^j M <= soc_{L-j} M (which must hold regardless; its failure would be
     a bug, not non-rigidity).  Under a radical grading the socle side comes
     from the functional pass, see :func:`_is_rigid_graded`.  Under a socle
     grading soc_{L-j} M is the c_v coordinates of degree < L-j of each M_v,
-    so rad^j M, in reduced echelon form, must have rank c_v and no nonzero
-    entry from column c_v on.
+    so rad^j M, from the general radical chain in reduced echelon form, must
+    have rank c_v and no nonzero entry from column c_v on.
     """
     if m.radical_degrees is not None:
         return _is_rigid_graded(m)
+    if m.socle_degrees is None:
+        raise ValueError("is_rigid needs a graded module")
     rc = radical_chain(m)
     ll = len(rc) - 1
-    if m.socle_degrees is not None:
-        if _grading_length(m.socle_degrees) != ll:
-            return False
-        for j in range(ll + 1):
-            for v, (rad, c) in enumerate(zip(rc[j], _below(m.socle_degrees, ll - j))):
-                if rad.rank != c:
-                    return False
-                if rad.reduced.array()[:, c:].any():
-                    raise RuntimeError(f"rad^{j} not contained in soc_{ll - j} at vertex {v + 1}")
-        return True
-    sc = socle_chain(m)
-    if len(sc) - 1 != ll:
+    if _grading_length(m.socle_degrees) != ll:
         return False
     for j in range(ll + 1):
-        for v, (rad, soc) in enumerate(zip(rc[j], sc[ll - j])):
-            if rad.rank != soc.rank:
+        for v, (rad, c) in enumerate(zip(rc[j], _below(m.socle_degrees, ll - j))):
+            if rad.rank != c:
                 return False
-            # equal dimensions: containment is equality, and RREFs are unique
-            if rad != soc:
+            if rad.reduced.array()[:, c:].any():
                 raise RuntimeError(f"rad^{j} not contained in soc_{ll - j} at vertex {v + 1}")
     return True
 
@@ -512,25 +491,22 @@ def _is_rigid_graded(m: Representation) -> bool:
 
 @memoized
 def truncate(m: Representation, j: int) -> Representation:
-    """M / rad^j M; M itself when j >= LL(M)."""
+    """M / rad^j M, its leading coordinates; M itself when j >= LL(M).  m must be radically graded."""
     if j < 1:
         raise ValueError("truncation index must be >= 1")
-    if j >= loewy_length(m):
-        return m
-    if m.radical_degrees is not None:
-        return _leading_block(m, j)
-    return quotient_representation(m, radical_chain(m)[j])
+    if m.radical_degrees is None:
+        raise ValueError("truncate needs a radically graded module")
+    return _leading_block(m, j) if j < loewy_length(m) else m
 
 
 @memoized
 def socle_sub(m: Representation, j: int) -> Representation:
-    """soc_j M as a representation; M itself when j >= LL(M)."""
+    """soc_j M, its leading coordinates; M itself when j >= LL(M).  m must be socle-graded."""
     if j < 1:
         raise ValueError("socle index must be >= 1")
-    if m.socle_degrees is not None:
-        return _leading_block(m, j) if j < loewy_length(m) else m
-    sc = socle_chain(m)  # its length is LL(m), with no radical chain needed
-    return sub_representation(m, sc[j]) if j < len(sc) - 1 else m
+    if m.socle_degrees is None:
+        raise ValueError("socle_sub needs a socle-graded module")
+    return _leading_block(m, j) if j < loewy_length(m) else m
 
 
 @memoized
@@ -641,30 +617,3 @@ def selfinjective_matching(alg: AlgebraData) -> dict[int, int] | None:
 def is_selfinjective(alg: AlgebraData) -> bool:
     return selfinjective_matching(alg) is not None
 
-
-def validate_representation(m: Representation) -> None:
-    """Assert the relation and nilpotency invariants; test helper."""
-    alg = m.algebra
-    fld = m.field
-
-    def path_matrix(names: tuple[str, ...], src: int) -> Matrix:
-        u = src
-        acc = Matrix.identity(fld, m.dims[u - 1])
-        for name in names:
-            a, b = alg.quiver.arrow_endpoints(name)
-            acc = m.arrow_maps[name].matmul(acc)
-            u = b
-        return acc
-
-    from .presentation import _canonical_relations
-
-    for terms in _canonical_relations(alg.presentation):
-        src = terms[0][1].source
-        tgt = terms[0][1].target
-        acc = fld.zeros((m.dims[tgt - 1], m.dims[src - 1]))
-        for coeff, path in terms:
-            acc = acc + coeff * path_matrix(path.arrows, src).array()
-        if not Matrix(fld, acc).is_zero():
-            raise AssertionError(f"relation {terms} does not annihilate the module")
-    if loewy_length(m) > alg.presentation.cap:
-        raise AssertionError("module is not annihilated by paths of length cap")

@@ -110,15 +110,18 @@ _RATIONAL_IDS = [e.id for e in builtin_entries()]
     ids=_RATIONAL_IDS + [f"preproj-a-{n}" for n in (4, 5, 6)],
 )
 def test_analyze_over_q_and_f7_agree(pres):
-    # Q runs the integer eliminations, F_7 the int64 ones, on the same
-    # presentation: every matrix, verdict and algebra field but one agrees
+    # Q runs the integer eliminations, F_7 and F_{2^31-1} the int64 ones, the
+    # latter at the top of their range, on the same presentation: every
+    # matrix, verdict and algebra field but one agrees
     assert pres.field.p is None
     over_q = analyze_presentation(pres)
-    over_f7 = analyze_presentation(parse_presentation_doc(presentation_to_doc(pres), FieldSpec.prime(7)))
-    assert over_q["matrices"] == over_f7["matrices"]
-    assert over_q["verdicts"] == over_f7["verdicts"]
-    assert (over_q["algebra"].pop("field"), over_f7["algebra"].pop("field")) == ("Q", "F_7")
-    assert over_q["algebra"] == over_f7["algebra"]
+    assert over_q["algebra"].pop("field") == "Q"
+    for p in (7, 2**31 - 1):
+        over_p = analyze_presentation(parse_presentation_doc(presentation_to_doc(pres), FieldSpec.prime(p)))
+        assert over_q["matrices"] == over_p["matrices"], p
+        assert over_q["verdicts"] == over_p["verdicts"], p
+        assert over_p["algebra"].pop("field") == f"F_{p}"
+        assert over_q["algebra"] == over_p["algebra"], p
 
 
 @pytest.mark.parametrize(

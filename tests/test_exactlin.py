@@ -11,11 +11,11 @@ from adrkit.exactlin import (
     RATIONAL,
     FieldSpec,
     Matrix,
-    in_row_space,
     kernel_basis,
     rank,
     rref,
 )
+from chain_oracle import in_row_space
 
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)

