@@ -68,7 +68,6 @@ from .adrcore import (
 )
 from .theorems import (
     Check,
-    FlipMap,
     InternalInconsistencyError,
     Verdict,
     check_opposite_symmetry,

@@ -2,24 +2,25 @@
 
 R_A is never materialised: its Cartan matrix is read off the socle series of
 the radical quotients of the projective A-modules, the Cartan matrix of the
-Ringel dual comes from row arithmetic on C(R_A), and the Cartan matrix of
-S_A (the endomorphism algebra of the socle filtrations of the injectives)
-from radical series of socle submodules.  Each matrix also has an independent
-Hom-space route through the intertwiner solver; the two must agree exactly.
-The routes do not share their elimination either.  The formula route takes
-the socle profiles of the truncations P_k/rad^l P_k from the functional pass
-over P_k (``repmod.truncation_socle_series``, one ``exactlin._rref_array``
-per truncation, step and vertex), the Loewy lengths of P_i and Q_i and the
-socle profiles of Q_i from the grading of the path basis, and the radical
-profiles of soc_j Q_i from the general chain code (``repmod.radical_chain``,
-built with ``exactlin.rref``).  The Hom route uses none of these: it
-builds each intertwiner system as sparse rows and takes its rank by the
-sparse elimination of ``exactlin._sparse_rank``, which finishes with the
-dense forward elimination of ``exactlin._rank_array`` once the rows fill
-in; it never builds an RREF.  The radical profiles of soc_j Q_i are never
-taken from the functional pass over the opposite projectives, so the
-duality C(R_A)[(i,j),(k,l)] = C(S_{A^op})[[k,l],[i,j]] still sets the two
-chain codes against each other.
+Ringel dual End(T)^op off the tilting classes [T(i,j)] (row differences of
+C(R_A)), and the Cartan matrix of S_A (the endomorphism algebra of the socle
+filtrations of the injectives) off radical series of socle submodules.  Each
+matrix also has an independent Hom-space route (the intertwiner solver, and
+for C(R(R_A)) the closed form over the socle layers of Q_i); the two must
+agree exactly.  They share the modules they measure, never their
+elimination.  The formula route takes the socle profile of each truncation
+P_k/rad^l P_k from the functional pass over that module
+(``repmod.socle_series``, one ``exactlin._rref_array`` per step and
+vertex), the Loewy lengths of P_i and Q_i and the socle profiles of Q_i from
+the grading of the path basis, and the radical profiles of soc_j Q_i from
+the general chain code (``repmod.radical_chain``, built with
+``exactlin.rref``).  The intertwiner solver uses none of these: it builds
+each system as sparse rows and takes its rank by ``exactlin._sparse_rank``,
+which finishes with the dense forward elimination of
+``exactlin._rank_array``; it never builds an RREF.  The radical profiles of
+soc_j Q_i are never taken from the functional pass over the opposite
+projectives, so the duality C(R_A)[(i,j),(k,l)] = C(S_{A^op})[[k,l],[i,j]]
+still sets the two chain codes against each other.
 
 All matrices carry explicit row/column label lists; raw integer matrices are
 never passed between modules.
@@ -54,7 +55,6 @@ from .repmod import (
     socle_series,
     socle_sub,
     truncate,
-    truncation_socle_series,
 )
 
 
@@ -255,8 +255,10 @@ def _first_layers_mult(cums: list[tuple[int, ...]], y: int, x: int) -> int:
 def cartan_RA_formula(alg: AlgebraData) -> LabeledMatrix:
     """C(R_A) from socle series: entry[(i,j),(k,l)] = [soc_j(P_k/rad^l P_k) : L_i]."""
     poset = lambda_poset(alg)
-    profiles = [truncation_socle_series(projective(alg, k)) for k in range(1, alg.n + 1)]
-    columns = [_cumulative_layers(alg, profiles[k - 1][l - 1]) for k, l in poset.labels]
+    columns = [
+        _cumulative_layers(alg, socle_series(truncate(projective(alg, k), l)))
+        for k, l in poset.labels
+    ]
     entries = tuple(
         tuple(_first_layers_mult(cums, j, i) for cums in columns) for i, j in poset.labels
     )
@@ -400,33 +402,22 @@ def ringel_dual_cartan_from_hom(alg: AlgebraData) -> LabeledMatrix:
 
 @memoized
 def cartan_ringel_dual(alg: AlgebraData) -> LabeledMatrix:
-    """C(R(R_A)) from C(R_A) row arithmetic; valid for every ADR algebra.
+    """C(R(R_A)) from the tilting classes; valid for every ADR algebra.
 
-    entry[(i,j),(k,l)] = [Q_{i,l_i}:L_{k,l_k}] - [Q_{i,j-1}:L_{k,l_k}]
-                       - [Q_{i,l_i}:L_{k,l-1}] + [Q_{i,j-1}:L_{k,l-1}],
-    with Q_{i,0} = 0 and multiplicities at a zero label read as 0.
+    R(R_A) = End(T)^op for T the sum of the T(i,j), so row (i,j) is read off
+    [T(i,j)] (:func:`tilting_vector`):
+    entry[(i,j),(k,l)] = [T(i,j):L_{k,l_k}] - [T(i,j):L_{k,l-1}],
+    the second term 0 when l = 1.
     """
     poset = lambda_poset(alg)
-    cra = cartan_RA_formula(alg)
-
-    def q_mult(a: int, b: int, c: int, d: int) -> int:
-        # [Q_{a,b} : L_{c,d}] = [P_{c,d} : L_{a,b}], zero when b == 0 or d == 0
-        if b == 0 or d == 0:
-            return 0
-        return cra.entry(LambdaLabel(a, b), LambdaLabel(c, d))
-
     entries = []
     for i, j in poset.labels:
-        li = poset.l(i)
+        t = tilting_vector(alg, LambdaLabel(i, j))
         row = []
         for k, l in poset.labels:
-            lk = poset.l(k)
-            val = (
-                q_mult(i, li, k, lk)
-                - q_mult(i, j - 1, k, lk)
-                - q_mult(i, li, k, l - 1)
-                + q_mult(i, j - 1, k, l - 1)
-            )
+            val = t.value(LambdaLabel(k, poset.l(k)))
+            if l > 1:
+                val -= t.value(LambdaLabel(k, l - 1))
             if val < 0:
                 raise NegativeMultiplicityError(
                     f"Ringel-dual Cartan entry at ({(i, j)},{(k, l)}) = {val}"

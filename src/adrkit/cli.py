@@ -37,7 +37,6 @@ from .presentation import (
     AlgebraData,
     AlgebraPresentation,
     Arrow,
-    CapTooSmallError,
     PresentationError,
     Quiver,
     Relation,
@@ -328,9 +327,6 @@ def cmd_analyze(args) -> int:
         field = _parse_field_flag(args.field) if args.field else None
         pres = parse_presentation_doc(doc, field)
         report = analyze_presentation(pres, skip_corroboration=args.skip_fuzz_corroboration)
-    except CapTooSmallError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (SchemaError, PresentationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

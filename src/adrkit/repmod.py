@@ -13,8 +13,10 @@ coordinates of P_i of degree >= l.  Q_i is the transpose of the opposite
 P_i, so soc_j Q_i is spanned by its coordinates whose opposite degree is < j.
 The truncations P_i/rad^l P_i and the socle submodules soc_j Q_i are then the
 leading coordinates of each vertex, and keep the grading.  The socle series
-of P_i and of its truncations come from one functional pass per truncation
-over the arrays of P_i (:func:`_socle_functionals`), with no quotient module.
+of a radically graded module, P_i or a truncation, comes from one functional
+pass over its own arrow maps (:func:`_socle_functionals`), with no quotient
+module.  The same pass, or the general radical chain under a socle grading,
+is the elimination chain that ``is_rigid`` checks against the grading.
 
 The library functions read the grading they need and raise ``ValueError``
 without it: ``truncate`` needs a radical grading, ``socle_sub`` a socle
@@ -109,6 +111,11 @@ class Representation:
     the first, ``socle_sub`` the second, ``socle_series`` and ``is_rigid``
     either; a module with neither supports only the radical chain, Loewy
     length and Hom.
+
+    The arrow maps must be keyed by exactly the quiver's arrows, each over
+    the algebra's field and of shape dims[target] x dims[source], and a
+    grading must give every vertex one nondecreasing tuple of non-negative
+    degrees, one per coordinate; anything else raises ``ValueError``.
     """
 
     algebra: AlgebraData
@@ -121,6 +128,22 @@ class Representation:
     def __post_init__(self) -> None:
         if self.radical_degrees is not None and self.socle_degrees is not None:
             raise ValueError("a module takes a radical or a socle grading, not both")
+        q, fld = self.algebra.quiver, self.algebra.field
+        if len(self.dims) != q.n or len(self.arrow_maps) != len(q.arrows):
+            names = [a.name for a in q.arrows]
+            raise ValueError(f"a module needs {q.n} dimensions and a map per arrow of {names}")
+        for a in q.arrows:
+            u, v = q.arrow_endpoints(a.name)
+            mat = self.arrow_maps.get(a.name)
+            shape = (self.dims[v - 1], self.dims[u - 1])
+            if mat is None or (mat.field is not fld and mat.field != fld) or mat.shape != shape:
+                raise ValueError(f"arrow {a.name!r} needs a {shape} map over {fld.describe()}")
+        for degrees in (self.radical_degrees, self.socle_degrees):
+            if degrees is not None and (
+                list(map(len, degrees)) != list(self.dims)
+                or any(d and (d[0] < 0 or list(d) != sorted(d)) for d in degrees)
+            ):
+                raise ValueError(f"a grading needs sorted degrees >= 0 per coordinate: {degrees}")
 
     @property
     def field(self) -> FieldSpec:
@@ -355,32 +378,30 @@ def _degree_profile(degrees: Grading) -> SeriesProfile:
 
 
 @memoized
-def _socle_functionals(m: Representation, l: int) -> tuple[tuple[np.ndarray, ...], ...]:
-    """F_0, F_1, ..., F_J for m/rad^l m, under a radical grading of m.
+def _socle_functionals(m: Representation) -> tuple[tuple[np.ndarray, ...], ...]:
+    """F_0, F_1, ..., F_J for a radically graded m.
 
-    m/rad^l m lives on the c_v coordinates of degree < l of each M_v.
-    F_0(v) holds every functional on them, and F_j(v) is an echelon basis of
-    the row space of F_{j-1}(t) M_a, stacked over the arrows a: v -> t, with
-    M_a cut down to the kept coordinates.  So F_j(v) spans the functionals
-    phi(p x) for the paths p of length j out of v, whose common kernel is
-    soc_j(m/rad^l m)_v, of dimension c_v - rank F_j(v).  F_J is the first
-    that vanishes everywhere; J <= l.
+    F_0(v) holds every functional on M_v, and F_j(v) is an echelon basis of
+    the row space of F_{j-1}(t) M_a, stacked over the arrows a: v -> t.  So
+    F_j(v) spans the functionals phi(p x) for the paths p of length j out of
+    v, whose common kernel is (soc_j m)_v, of dimension dim M_v - rank F_j(v).
+    F_J is the first that vanishes everywhere; J <= LL(m).
     """
     fld = m.field
-    keep = _below(m.radical_degrees, l)
-    outgoing: list[list[tuple[int, np.ndarray]]] = [[] for _ in keep]
+    ll = loewy_length(m)
+    outgoing: list[list[tuple[int, np.ndarray]]] = [[] for _ in m.dims]
     for a in m.algebra.quiver.arrows:
         u, t = m.algebra.quiver.arrow_endpoints(a.name)
         outgoing[u - 1].append((t - 1, m.arrow_maps[a.name].array()))
-    funcs = tuple(_full_space(fld, c).reduced.array() for c in keep)
+    funcs = tuple(_full_space(fld, d).reduced.array() for d in m.dims)
     chain = [funcs]
     while any(len(f) for f in funcs):
-        if len(chain) > l:
+        if len(chain) > ll:
             raise RuntimeError("socle did not grow; representation is invalid")
         nxt = []
-        for v, c in enumerate(keep):
+        for v, c in enumerate(m.dims):
             blocks = [
-                _matmul_array(funcs[t], arr[: keep[t], :c], fld)
+                _matmul_array(funcs[t], arr, fld)
                 for t, arr in outgoing[v]
                 if len(funcs[t]) and c
             ]
@@ -407,16 +428,8 @@ def socle_series(m: Representation) -> SeriesProfile:
     if m.socle_degrees is not None:
         return _degree_profile(m.socle_degrees)
     if m.radical_degrees is not None:
-        return _functional_profile(_socle_functionals(m, loewy_length(m)))
+        return _functional_profile(_socle_functionals(m))
     raise ValueError("socle_series needs a graded module")
-
-
-def truncation_socle_series(m: Representation) -> tuple[SeriesProfile, ...]:
-    """socle_series(m/rad^l m) for l = 1..LL(m), one functional pass per l; m must be radical-graded."""
-    if m.radical_degrees is None:
-        raise ValueError("truncation_socle_series needs a radically graded module")
-    levels = range(1, loewy_length(m) + 1)
-    return tuple(_functional_profile(_socle_functionals(m, l)) for l in levels)
 
 
 def radical_series(m: Representation) -> SeriesProfile:
@@ -443,49 +456,31 @@ def is_uniserial(m: Representation) -> bool:
 def is_rigid(m: Representation) -> bool:
     """True iff rad^j M = soc_{L-j} M for every j; m must be graded.
 
-    Tested as per-vertex dimension equality plus the containment
-    rad^j M <= soc_{L-j} M (which must hold regardless; its failure would be
-    a bug, not non-rigidity).  Under a radical grading the socle side comes
-    from the functional pass, see :func:`_is_rigid_graded`.  Under a socle
-    grading soc_{L-j} M is the c_v coordinates of degree < L-j of each M_v,
-    so rad^j M, from the general radical chain in reduced echelon form, must
-    have rank c_v and no nonzero entry from column c_v on.
+    One elimination chain is checked against the grading: under a radical
+    grading the functionals F_j (:func:`_socle_functionals`), with common
+    kernel soc_j M, under a socle grading the radical chain rad^j M.  The
+    c_v coordinates of degree < L-j span the other side at vertex v, so step
+    j must have c_v rows (equal dimensions) and no entry from column c_v on
+    (containment, which holds in every module: its failure is a bug).
     """
-    if m.radical_degrees is not None:
-        return _is_rigid_graded(m)
-    if m.socle_degrees is None:
+    radical = m.radical_degrees is not None
+    if radical:
+        degrees, chain = m.radical_degrees, _socle_functionals(m)
+    elif m.socle_degrees is not None:
+        degrees = m.socle_degrees
+        chain = [tuple(s.reduced.array() for s in spaces) for spaces in radical_chain(m)]
+    else:
         raise ValueError("is_rigid needs a graded module")
-    rc = radical_chain(m)
-    ll = len(rc) - 1
-    if _grading_length(m.socle_degrees) != ll:
-        return False
-    for j in range(ll + 1):
-        for v, (rad, c) in enumerate(zip(rc[j], _below(m.socle_degrees, ll - j))):
-            if rad.rank != c:
-                return False
-            if rad.reduced.array()[:, c:].any():
-                raise RuntimeError(f"rad^{j} not contained in soc_{ll - j} at vertex {v + 1}")
-    return True
-
-
-def _is_rigid_graded(m: Representation) -> bool:
-    """:func:`is_rigid` under a radical grading, with no socle chain.
-
-    rad^j M is the coordinates from c_v(j) on (c_v(j) of degree < j), and
-    soc_{L-j} M is the common kernel of F_{L-j} (:func:`_socle_functionals`):
-    the dimensions agree when rank F_{L-j}(v) = c_v(j), and the containment
-    says F_{L-j}(v) vanishes on those coordinates.
-    """
-    ll = loewy_length(m)
-    chain = _socle_functionals(m, ll)
+    ll = _grading_length(degrees)
     if len(chain) - 1 != ll:
         return False
-    for j in range(ll + 1):
-        for v, (c, f) in enumerate(zip(_below(m.radical_degrees, j), chain[ll - j])):
-            if len(f) != c:
+    for j, step in enumerate(chain):
+        for v, (rows, c) in enumerate(zip(step, _below(degrees, ll - j))):
+            if len(rows) != c:
                 return False
-            if f[:, c:].any():
-                raise RuntimeError(f"rad^{j} not contained in soc_{ll - j} at vertex {v + 1}")
+            if rows[:, c:].any():
+                rad, soc = (ll - j, j) if radical else (j, ll - j)
+                raise RuntimeError(f"rad^{rad} not contained in soc_{soc} at vertex {v + 1}")
     return True
 
 

@@ -67,16 +67,6 @@ class Verdict:
         }
 
 
-@dataclass(frozen=True)
-class FlipMap:
-    """The relabelling (i, j) -> [i, L-j+1] between the two weight posets."""
-
-    loewy_length: int
-
-    def apply(self, label: LambdaLabel) -> LambdaLabel:
-        return LambdaLabel(label.i, self.loewy_length - label.j + 1)
-
-
 @memoized
 def _flip_mismatch(alg: AlgebraData) -> str | None:
     """First label pair where C(R(R_A)) and C(S_A) disagree under (i,j) -> [i, l_i-j+1].

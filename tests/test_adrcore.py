@@ -22,8 +22,9 @@ from adrkit.adrcore import (
     tilting_hom_dim,
     tilting_vector,
 )
-from adrkit import repmod
-from adrkit.corpus import builtin_entries, get_entry, random_admissible
+from adrkit import adrcore, repmod
+from adrkit.cli import analyze_presentation
+from adrkit.corpus import builtin_entries, get_entry, random_admissible, tagged_invariant_failures
 from adrkit.exactlin import RATIONAL
 from adrkit.presentation import AlgebraPresentation, Arrow, Quiver, build_algebra
 from adrkit.repmod import injective, projective, simple, socle_sub, truncate
@@ -359,3 +360,42 @@ def test_sa_formula_and_hypotheses_chain_one_module_per_sa_label(monkeypatch):
         cartan_SA_formula(alg)
         theorem_a_hypotheses(alg)
         assert len(seen) == len(sa_labels(alg)), entry.id
+
+
+def test_each_module_gets_one_functional_pass(monkeypatch):
+    # the functional pass reads a module's own arrow maps, so the formula
+    # route of C(R_A) runs it on the truncate(...) objects the Hom route
+    # measures, and no module is passed twice: equal representations over
+    # one algebra are one module, whoever built them
+    real = repmod._socle_functionals
+    passes = []
+
+    def spy(m):
+        if (real.__qualname__,) not in m._cache:
+            passes.append(m)
+        return real(m)
+
+    def module_key(m):
+        maps = tuple(tuple(map(tuple, m.arrow_maps[a.name].array().tolist()))
+                     for a in m.algebra.quiver.arrows)
+        return id(m.algebra), m.dims, maps
+
+    monkeypatch.setattr(repmod, "_socle_functionals", spy)
+    for entry in builtin_entries():
+        analyze_presentation(entry.presentation)
+    for seed in range(910000, 910030):
+        tagged_invariant_failures(random_admissible(seed).build())
+    assert passes and len({module_key(m) for m in passes}) == len(passes)
+
+    real_hom = adrcore.hom_dim
+    measured = []
+    monkeypatch.setattr(adrcore, "hom_dim", lambda m, n: measured.append(m) or real_hom(m, n))
+    for entry in builtin_entries():
+        alg = entry.build()
+        passes.clear()
+        measured.clear()
+        cartan_RA_formula(alg)
+        cartan_RA_hom(alg)
+        truncations = [truncate(projective(alg, k), l) for k, l in lambda_poset(alg).labels]
+        assert [id(m) for m in passes] == [id(m) for m in truncations], entry.id
+        assert {id(m) for m in measured} == {id(m) for m in truncations}, entry.id

@@ -13,12 +13,14 @@ functions themselves refuse a module without the grading they read.
 import random
 from bisect import bisect_left
 
+import numpy as np
 import pytest
 
 import chain_oracle as oracle
+from adrkit import repmod
 from adrkit.adrcore import LambdaLabel, cartan_RA_formula, cartan_ringel_dual, cartan_SA_formula
-from adrkit.corpus import builtin_entries, preprojective_a, random_admissible
-from adrkit.exactlin import RATIONAL, FieldSpec, Matrix
+from adrkit.corpus import builtin_entries, get_entry, preprojective_a, random_admissible
+from adrkit.exactlin import RATIONAL, FieldSpec, Matrix, RrefResult
 from adrkit.presentation import (
     AlgebraPresentation,
     Arrow,
@@ -40,7 +42,6 @@ from adrkit.repmod import (
     socle_series,
     socle_sub,
     truncate,
-    truncation_socle_series,
 )
 
 # the seeds whose sampler drew a relation path - longer path, as pinned in
@@ -91,13 +92,11 @@ def test_read_offs_match_general_chain_code(pres):
         bottom = oracle.socle_series(p0).layers[0]
         assert _socle_vertex(p) == (bottom.mult.index(1) + 1 if bottom.total() == 1 else None)
 
-        profiles = truncation_socle_series(p)
-        assert len(profiles) == loewy_length(p) and profiles[-1] == socle_series(p)
         for l in range(1, loewy_length(p) + 2):
             t, t0 = truncate(p, l), oracle.truncate(p0, l)
             assert t == t0
             assert t.radical_degrees is not None and t0.radical_degrees is None
-            assert socle_series(t) == oracle.socle_series(t0) == profiles[min(l, len(profiles)) - 1]
+            assert socle_series(t) == oracle.socle_series(t0)
             _assert_coordinate_chain(radical_chain(t0), t.radical_degrees, radical=True)
             assert is_rigid(t) == oracle.is_rigid(t0)
         for j in range(1, loewy_length(q) + 2):
@@ -133,8 +132,6 @@ def test_leading_block_checks_invariance():
     with pytest.raises(ValueError, match="arrow-invariant"):
         socle_sub(bad_q, 1)
     assert socle_sub(Representation(alg, p.dims, p.arrow_maps, socle_degrees=((1,), (0,))), 1).dims == (0, 1)
-    with pytest.raises(ValueError, match="radically graded"):
-        truncation_socle_series(Representation(alg, p.dims, p.arrow_maps))
     with pytest.raises(ValueError, match="not both"):
         Representation(alg, p.dims, p.arrow_maps, radical_degrees=((0,), (1,)), socle_degrees=((1,), (0,)))
 
@@ -176,6 +173,31 @@ def test_functional_pass_refuses_a_grading_that_is_not_nilpotent():
     bad = Representation(alg, (1,), {"x": Matrix.identity(RATIONAL, 1)}, radical_degrees=((0,),))
     with pytest.raises(RuntimeError, match="socle did not grow"):
         socle_series(bad)
+
+
+def test_rigidity_containment_failure_is_an_error_under_each_grading(monkeypatch):
+    # is_rigid checks one elimination chain against the grading: the
+    # functionals F_j under a radical grading, the radical chain under a socle
+    # one.  A step with the right number of rows but an entry outside the
+    # degree < L-j block breaks rad <= soc, which holds in every module: that
+    # is a bug, raised, not a verdict of non-rigidity
+    alg = get_entry("nakayama-1-3").build()
+    stray = np.array([[1, 0, 0], [0, 0, 1]], dtype=object)
+    p = projective(alg, 1)
+    functionals = list(repmod._socle_functionals(p))
+    assert [len(f[0]) for f in functionals] == [3, 2, 1, 0] and is_rigid(p)
+    functionals[1] = (stray,)
+    monkeypatch.setattr(repmod, "_socle_functionals", lambda m: tuple(functionals))
+    with pytest.raises(RuntimeError, match=r"rad\^2 not contained in soc_1 at vertex 1"):
+        is_rigid(p)
+
+    q = injective(alg, 1)
+    chain = list(radical_chain(q))
+    assert [s[0].rank for s in chain] == [3, 2, 1, 0] and is_rigid(q)
+    chain[1] = (RrefResult(Matrix(alg.field, stray), 2, (0, 2)),)
+    monkeypatch.setattr(repmod, "radical_chain", lambda m: tuple(chain))
+    with pytest.raises(RuntimeError, match=r"rad\^1 not contained in soc_2 at vertex 1"):
+        is_rigid(q)
 
 
 def _duality_algebras():

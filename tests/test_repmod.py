@@ -125,6 +125,32 @@ def test_loewy_rigid_uniserial(kx3):
     assert not is_uniserial(two)
 
 
+def test_representation_rejects_malformed_input(kx3, a2):
+    # each case used to be accepted and answered wrongly later: a short
+    # grading of P_1 over k[x]/x^3 gave Loewy length 2 and a rigid verdict,
+    # an empty one an IndexError, a 2 x 1 map on dims (1, 1) a wrong Hom
+    # dimension and a semisimple radical series, a missing arrow a KeyError,
+    # maps over another field a Hom dimension of that field
+    p = projective(kx3, 1)
+    for degrees in (((0, 1),), (), ((0, 2, 1),), ((-1, 0, 1),), ((0, 1, 2), ())):
+        for kind in ("radical_degrees", "socle_degrees"):
+            with pytest.raises(ValueError, match="grading"):
+                Representation(kx3, p.dims, p.arrow_maps, **{kind: degrees})
+    one = Matrix.zeros(RATIONAL, 1, 1)
+    for dims, maps in (
+        ((1, 1), {"a": Matrix.zeros(RATIONAL, 2, 1)}),
+        ((1, 1), {"a": Matrix.zeros(F7, 1, 1)}),  # F_7 maps over Q: 7 would read as 0
+        ((1, 1), {}),
+        ((1, 1), {"b": one}),
+        ((1, 1), {"a": one, "b": one}),
+        ((1,), {"a": one}),
+    ):
+        with pytest.raises(ValueError, match="map"):
+            Representation(a2, dims, maps)
+    # the well-formed module is still accepted, graded either way
+    Representation(kx3, p.dims, p.arrow_maps, socle_degrees=p.radical_degrees)
+
+
 def test_nonrigid_projective_fixture():
     alg = get_entry("nonrigid-shortcut-3").build()
     assert not is_rigid(projective(alg, 1))

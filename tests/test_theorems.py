@@ -9,7 +9,6 @@ from adrkit.adrcore import (
     cartan_RA_formula,
     cartan_ringel_dual,
     cartan_SA_formula,
-    lambda_poset,
     theorem_a_hypotheses,
 )
 from adrkit.cli import analyze_presentation
@@ -32,7 +31,6 @@ from adrkit.presentation import (
     restrict_presentation,
 )
 from adrkit.theorems import (
-    FlipMap,
     InternalInconsistencyError,
     Verdict,
     Check,
@@ -176,14 +174,6 @@ def test_opposite_symmetry_examples(kx3, a2, cyc2):
     assert check_opposite_symmetry(kx3).details["b1_b2"] is True
     assert check_opposite_symmetry(a2).details["b1_b2"] is False
     assert check_opposite_symmetry(cyc2).details["b1_b2"] is True
-
-
-def test_flip_map_validation(kx3, cyc2):
-    for alg in (kx3, cyc2):
-        poset = lambda_poset(alg)
-        flip = FlipMap(max(poset.lengths))
-        for lbl in poset.labels:
-            assert flip.apply(flip.apply(lbl)) == lbl
 
 
 def test_verdict_refuses_inconsistent_holds():
