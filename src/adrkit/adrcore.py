@@ -14,13 +14,19 @@ P_k/rad^l P_k from the functional pass over that module
 vertex), the Loewy lengths of P_i and Q_i and the socle profiles of Q_i from
 the grading of the path basis, and the radical profiles of soc_j Q_i from
 the general chain code (``repmod.radical_chain``, built with
-``exactlin.rref``).  The intertwiner solver uses none of these: it builds
-each system as sparse rows and takes its rank by ``exactlin._sparse_rank``,
-which finishes with the dense forward elimination of
-``exactlin._rank_array``; it never builds an RREF.  The radical profiles of
-soc_j Q_i are never taken from the functional pass over the opposite
-projectives, so the duality C(R_A)[(i,j),(k,l)] = C(S_{A^op})[[k,l],[i,j]]
-still sets the two chain codes against each other.
+``exactlin.rref``).  The intertwiner solver uses none of these: it reads
+only pivot columns of intertwiner systems.  It solves one system per
+(P_i, P_k/rad^l P_k) for C(R_A) and one per (soc_j Q_i, Q_k) for C(S_A),
+and reads every j, or every l, off the column prefixes of that one
+elimination (``repmod.hom_dims_from_tops``, ``repmod.hom_dims_into_socles``):
+n * n_Lambda systems instead of n_Lambda^2, and n * n_S instead of n_S^2.
+Each system is built as sparse rows and its pivot columns are found by
+``exactlin._sparse_rank``, which may finish with the dense forward
+elimination of ``exactlin._rank_array``; it never builds an RREF.  The
+radical profiles of soc_j Q_i are never taken from the functional pass over
+the opposite projectives, so the duality
+C(R_A)[(i,j),(k,l)] = C(S_{A^op})[[k,l],[i,j]] still sets the two chain
+codes against each other.
 
 All matrices carry explicit row/column label lists; raw integer matrices are
 never passed between modules.
@@ -30,7 +36,7 @@ Lambda poset, the theorem A hypotheses, the labels of S_A and the finished
 Cartan matrices.  Modules are ``repmod``'s: it decides that P_k/rad^{l_k} P_k
 is P_k and soc_{LL} Q_i is Q_i, and memoizes every truncation, socle
 submodule, chain and functional pass on the module it comes from.  Nothing
-caches ``hom_dim`` or ``_hom_constraints``, and each route has its own key,
+caches a Hom system or its pivots, and each route has its own key,
 so neither route reads counts the other produced: the routes share only the
 modules they measure, their agreement stays an independent check, and the
 order in which they run cannot change a result.
@@ -46,7 +52,8 @@ from .memo import memoized
 from .presentation import AlgebraData
 from .repmod import (
     Representation,
-    hom_dim,
+    hom_dims_from_tops,
+    hom_dims_into_socles,
     injective,
     is_rigid,
     loewy_length,
@@ -267,10 +274,18 @@ def cartan_RA_formula(alg: AlgebraData) -> LabeledMatrix:
 
 @memoized
 def cartan_RA_hom(alg: AlgebraData) -> LabeledMatrix:
-    """C(R_A) by the oracle route: dim Hom_A(P_i/rad^j P_i, P_k/rad^l P_k)."""
+    """C(R_A) by the oracle route: dim Hom_A(P_i/rad^j P_i, P_k/rad^l P_k).
+
+    One intertwiner system per (P_i, P_k/rad^l P_k) gives column (k, l) on
+    rows (i, 1..l_i), one j per prefix of P_i's unknowns.
+    """
     poset = lambda_poset(alg)
-    mods = [truncate(projective(alg, i), j) for i, j in poset.labels]
-    entries = tuple(tuple(hom_dim(a, b) for b in mods) for a in mods)
+    targets = [truncate(projective(alg, k), l) for k, l in poset.labels]
+    blocks = [
+        zip(*(hom_dims_from_tops(projective(alg, i), t) for t in targets))
+        for i in range(1, alg.n + 1)
+    ]
+    entries = tuple(row for block in blocks for row in block)
     return LabeledMatrix(poset.labels, poset.labels, entries)
 
 
@@ -451,8 +466,15 @@ def cartan_SA_formula(alg: AlgebraData) -> LabeledMatrix:
 
 @memoized
 def cartan_SA_hom(alg: AlgebraData) -> LabeledMatrix:
-    """C(S_A) by the oracle route: dim Hom_A(soc_j Q_i, soc_l Q_k)."""
+    """C(S_A) by the oracle route: dim Hom_A(soc_j Q_i, soc_l Q_k).
+
+    One intertwiner system per (soc_j Q_i, Q_k) gives row [i, j] on columns
+    [k, 1..LL(Q_k)], one l per prefix of Q_k's unknowns.
+    """
     labels = sa_labels(alg)
-    mods = [socle_sub(injective(alg, i), j) for i, j in labels]
-    entries = tuple(tuple(hom_dim(a, b) for b in mods) for a in mods)
+    targets = [injective(alg, k) for k in range(1, alg.n + 1)]
+    entries = tuple(
+        sum((hom_dims_into_socles(socle_sub(injective(alg, i), j), t) for t in targets), ())
+        for i, j in labels
+    )
     return LabeledMatrix(labels, labels, entries)

@@ -6,7 +6,9 @@ module.  Prime-field matrices are stored as int64 numpy arrays with entries in
 normalise themselves to lowest terms with positive denominator).  Ranks are
 taken by :func:`_sparse_rank` on rows given as ``{column: coefficient}``
 dicts, with Python ints mod p or Fractions, falling back to dense forward
-elimination once the rows fill in.  No floating point anywhere.
+elimination once the rows fill in; it returns the pivot columns, so one
+elimination also gives the rank of every column prefix.  No floating point
+anywhere.
 
 Over Q the three eliminations (:func:`_rref_array`, :func:`_sparse_rank` and
 its dense tail :func:`_rank_array`) run on Python-int rows: each row is
@@ -300,10 +302,15 @@ def _primitive_rows(a: np.ndarray) -> np.ndarray:
 
 
 def _integer_rows(a: np.ndarray) -> np.ndarray:
-    """A writable object array of primitive integer rows, each a multiple of the row of ``a``."""
-    out = np.empty(a.shape, dtype=object)
+    """A writable object array of primitive integer rows, each a multiple of the row of ``a``.
+
+    Only the nonzero entries are cleared of denominators; the rest stay int 0.
+    """
+    out = np.zeros(a.shape, dtype=object)
     for i, row in enumerate(a.tolist()):
-        out[i] = _cleared(row)
+        cols = [c for c, x in enumerate(row) if x]
+        if cols:
+            out[i, cols] = _cleared([row[c] for c in cols])
     return _primitive_rows(out)
 
 
@@ -356,19 +363,21 @@ def _rref_array(a: np.ndarray, field: FieldSpec) -> tuple[np.ndarray, list[int]]
     return out, pivots
 
 
-def _rank_array(a: np.ndarray, field: FieldSpec) -> int:
-    """Rank of a canonical array by forward elimination only.
+def _rank_array(a: np.ndarray, field: FieldSpec) -> list[int]:
+    """Pivot columns of a canonical array, by forward elimination only; the rank is their number.
 
     Pivots are found as in :func:`_rref_array`, but only the rows below a
     pivot that are nonzero in its column are cleared, and only from the pivot
     column rightwards; the pivot row is never normalised and nothing above it
-    is touched.  Over Q the rows are primitive integer rows, cleared
-    fraction-free as in :func:`_rref_array`.
+    is touched.  The leftmost pivot is taken in each column, so the pivot
+    columns are those of the RREF.  Over Q the rows are primitive integer
+    rows, cleared fraction-free as in :func:`_rref_array`.
     """
     p = field.p
     a = a.copy() if p else _integer_rows(a)
     a.setflags(write=True)
     rows, cols = a.shape
+    pivots: list[int] = []
     r = 0
     for c in range(cols):
         if r >= rows:
@@ -392,8 +401,9 @@ def _rank_array(a: np.ndarray, field: FieldSpec) -> int:
                 a[below, c:] = _primitive_rows(
                     (d // g)[:, None] * a[below, c:] - (x // g)[:, None] * a[r, c:]
                 )
+        pivots.append(c)
         r += 1
-    return r
+    return pivots
 
 
 def rref(m: Matrix) -> RrefResult:
@@ -402,8 +412,12 @@ def rref(m: Matrix) -> RrefResult:
     return RrefResult(Matrix(m.field, a), len(pivots), tuple(pivots))
 
 
-def _sparse_rank(rows: Iterable[Mapping[int, int | Fraction]], cols: int, field: FieldSpec) -> int:
-    """Rank of rows given as ``{column: coefficient}`` dicts over ``cols`` columns.
+def _sparse_rank(rows: Iterable[Mapping[int, int | Fraction]], cols: int, field: FieldSpec) -> list[int]:
+    """Pivot columns, ascending, of rows given as ``{column: coefficient}`` dicts over ``cols`` columns.
+
+    The rank is their number.  The rank of the first c columns alone is the
+    number of pivot columns below c, so one elimination answers every
+    column prefix.
 
     Each row is reduced against the pivot rows in the order they were made; a
     heap of creation indices picks up the pivot columns that a subtraction
@@ -415,11 +429,15 @@ def _sparse_rank(rows: Iterable[Mapping[int, int | Fraction]], cols: int, field:
     denominators cleared on reading) and is made primitive with a positive
     lead value d; reducing by it scales the row by d / gcd(d, x) first.
     Coefficients need not be canonical, and zero coefficients are allowed.
+    The leads are distinct and each is its row's least column, so the pivot
+    rows sorted by lead are an echelon basis of the rows read, and the leads
+    are the pivot columns of their RREF.
 
     Once the mean pivot-row length exceeds max(16, cols / 16) the rows are
-    no longer sparse, and the rank is finished by :func:`_rank_array` on the
-    pivot rows plus the rows not yet read; the pivot rows span every row read
-    so far, so that rank is the rank of all rows.
+    no longer sparse, and the pivot columns are finished by
+    :func:`_rank_array` on the pivot rows plus the rows not yet read; the
+    pivot rows span every row read so far, so these are the pivot columns
+    of all rows.
     """
     p = field.p
     lead_of: dict[int, int] = {}
@@ -479,11 +497,11 @@ def _sparse_rank(rows: Iterable[Mapping[int, int | Fraction]], cols: int, field:
         stored += len(pivot) + 1
         if stored > limit * len(leads):
             return _dense_rank_tail(leads, lead_values, pivot_rows, remaining, cols, field)
-    return len(leads)
+    return sorted(leads)
 
 
-def _dense_rank_tail(leads, lead_values, pivot_rows, remaining, cols: int, field: FieldSpec) -> int:
-    """Rank of the pivot rows plus the unread rows, by :func:`_rank_array`."""
+def _dense_rank_tail(leads, lead_values, pivot_rows, remaining, cols: int, field: FieldSpec) -> list[int]:
+    """Pivot columns of the pivot rows plus the unread rows, by :func:`_rank_array`."""
     rows = [{lead: d, **pivot} for lead, d, pivot in zip(leads, lead_values, pivot_rows)]
     rows += remaining
     at_row, at_col, values = [], [], []
@@ -503,7 +521,7 @@ def _sparse_rows(a: np.ndarray) -> list[dict]:
 
 def rank(m: Matrix) -> int:
     """Rank of ``m``, by :func:`_sparse_rank` on its nonzero entries (no RREF is built)."""
-    return _sparse_rank(_sparse_rows(m._a), m.cols, m.field)
+    return len(_sparse_rank(_sparse_rows(m._a), m.cols, m.field))
 
 
 def row_space_basis(m: Matrix) -> RrefResult:

@@ -21,7 +21,9 @@ is the elimination chain that ``is_rigid`` checks against the grading.
 The library functions read the grading they need and raise ``ValueError``
 without it: ``truncate`` needs a radical grading, ``socle_sub`` a socle
 grading, and ``socle_series`` and ``is_rigid`` a grading of either kind.
-``simple`` is radically graded, with degree 0 at its vertex.
+``simple`` is radically graded, with degree 0 at its vertex.  The prefix
+readers of the Hom route need a grading too: ``hom_dims_from_tops`` a
+radically graded source, ``hom_dims_into_socles`` a socle-graded target.
 ``radical_chain``, ``radical_series``, ``loewy_length`` and ``hom_dim`` take
 any module: the radical series of Q_i and of soc_j Q_i go through the
 general radical chain.  The general socle chain (``socle_chain``, with
@@ -34,7 +36,18 @@ Loewy length, or taking the socle submodule there, returns the module itself.
 so every derived module is built once and its chains are computed once.  The
 Hom route memoizes on each module its support and the sparse columns and
 negated sparse rows of its arrow maps, so a module's arrow data is read once
-however many Hom systems it enters; ``hom_dim`` itself is not memoized.
+however many Hom systems it enters; no Hom system or its pivots is memoized.
+
+The Hom route reads a nested family off one intertwiner system.  Since
+m/rad^j m is the leading block of a radically graded m, the system of
+Hom(m/rad^j m, n) is the system of Hom(m, n) with the unknowns of source
+degree >= j deleted.  With the unknowns numbered by source degree, it is
+the first c_j columns, c_j the number of unknowns of degree < j, and
+dim Hom(m/rad^j m, n) = c_j - (pivot columns below c_j): one elimination
+gives every j (``hom_dims_from_tops``).  Under a socle grading of n,
+soc_l n is the leading block and the same holds on the target side
+(``hom_dims_into_socles``).  ``hom_dim``, one system per pair, is the
+oracle they are tested against.
 """
 
 from __future__ import annotations
@@ -42,6 +55,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -522,54 +536,123 @@ def _negated_sparse_rows(m: Representation, arrow: str) -> list[dict]:
     return _sparse_rows(m.field.canonical(-m.arrow_maps[arrow].array()))
 
 
-def _hom_constraints(m: Representation, n: Representation) -> tuple[list[dict], int]:
+def _slots(degrees: Grading, widths) -> list[list[int]]:
+    """First unknown of each coordinate's slot, coordinates taken by (degree, vertex, index).
+
+    Coordinate g at vertex v owns ``widths[v]`` consecutive unknowns, so the
+    unknowns of coordinates of degree < j come first, for every j at once.
+    """
+    order = sorted((d, v, g) for v, ds in enumerate(degrees) for g, d in enumerate(ds))
+    starts = [[0] * len(ds) for ds in degrees]
+    pos = 0
+    for _, v, g in order:
+        starts[v][g] = pos
+        pos += widths[v]
+    return starts
+
+
+def _numbering(m: Representation, n: Representation, by: str | None):
+    """(row_at, col_at): unknown f_v[r, k] is numbered row_at[v][r] + col_at[v][k].
+
+    With ``by`` None the unknowns run row-major, vertex by vertex; with
+    "source" they are sorted by the radical degree of coordinate k of m,
+    with "target" by the socle degree of coordinate r of n.
+    """
+    if by == "source":
+        return [list(range(d)) for d in n.dims], _slots(m.radical_degrees, n.dims)
+    row_degrees = n.socle_degrees if by == "target" else tuple((0,) * d for d in n.dims)
+    return _slots(row_degrees, m.dims), [list(range(d)) for d in m.dims]
+
+
+def _hom_constraints(m: Representation, n: Representation, by: str | None = None) -> tuple[list[dict], int]:
     """Sparse rows of the intertwiner system, and the number of unknowns.
 
-    Unknowns are the entries of f_v: M_v -> N_v, row-major, concatenated over
-    vertices; each arrow a: u -> v contributes the block of equations
-    f_v M_a - N_a f_u = 0, equation (r, c) on row r * dim M_u + c.  Each
-    equation is a ``{unknown: coefficient}`` dict of canonical coefficients,
-    read off the nonzero entries alone: f_v[r, k] meets M_a[k, c] for the
-    nonzeros of column c of M_a, and f_u[k, c] meets -N_a[r, k] for the
-    nonzeros of row r of N_a.  A loop (u = v) adds both parts into the same
-    key, which may leave an explicit zero.
+    Unknowns are the entries of f_v: M_v -> N_v, numbered by
+    :func:`_numbering` (row-major and concatenated over vertices unless
+    ``by`` sorts them by degree); each arrow a: u -> v contributes the block
+    of equations f_v M_a - N_a f_u = 0, equation (r, c) on row
+    r * dim M_u + c.  Each equation is a ``{unknown: coefficient}`` dict of
+    canonical coefficients, read off the nonzero entries alone: f_v[r, k]
+    meets M_a[k, c] for the nonzeros of column c of M_a, and f_u[k, c] meets
+    -N_a[r, k] for the nonzeros of row r of N_a.  A loop (u = v) adds both
+    parts into the same key, which may leave an explicit zero.
     """
     q = m.algebra.quiver
     p = m.field.p
-    offsets = [0]
-    for nd, md in zip(n.dims, m.dims):
-        offsets.append(offsets[-1] + nd * md)
+    row_at, col_at = _numbering(m, n, by)
     rows: list[dict] = []
     for a in q.arrows:
         u, v = q.arrow_endpoints(a.name)
-        nv, mv, mu = n.dims[v - 1], m.dims[v - 1], m.dims[u - 1]
+        nv, mu = n.dims[v - 1], m.dims[u - 1]
         if not nv * mu:
             continue
-        m_cols = _sparse_columns(m, a.name)
+        col_v, row_u, col_u = col_at[v - 1], row_at[u - 1], col_at[u - 1]
+        m_cols = [[(col_v[k], x) for k, x in col.items()] for col in _sparse_columns(m, a.name)]
         n_rows = _negated_sparse_rows(n, a.name)
-        for r in range(nv):
-            left = offsets[v - 1] + r * mv
-            right = [(offsets[u - 1] + k * mu, x) for k, x in n_rows[r].items()]
-            for c in range(mu):
-                eq = {left + k: x for k, x in m_cols[c].items()}
+        for r, left in enumerate(row_at[v - 1]):
+            right = [(row_u[k], x) for k, x in n_rows[r].items()]
+            for shift, col in zip(col_u, m_cols):
+                eq = {left + k: x for k, x in col}
                 for start, x in right:
-                    key = start + c
+                    key = start + shift
                     if key in eq:  # only on a loop
                         eq[key] = (eq[key] + x) % p if p else eq[key] + x
                     else:
                         eq[key] = x
                 rows.append(eq)
-    return rows, offsets[-1]
+    return rows, sum(nd * md for nd, md in zip(n.dims, m.dims))
+
+
+def _same_algebra(m: Representation, n: Representation) -> None:
+    if m.algebra is not n.algebra and m.algebra != n.algebra:
+        raise AlgebraMismatchError("modules live over different algebras")
 
 
 def hom_dim(m: Representation, n: Representation) -> int:
     """Dimension of Hom_A(m, n): unknowns minus the rank of the intertwiner system."""
-    if m.algebra is not n.algebra and m.algebra != n.algebra:
-        raise AlgebraMismatchError("modules live over different algebras")
+    _same_algebra(m, n)
     if _support(m).isdisjoint(_support(n)):
         return 0
     rows, unknowns = _hom_constraints(m, n)
-    return unknowns - _sparse_rank(rows, unknowns, m.field)
+    return unknowns - len(_sparse_rank(rows, unknowns, m.field))
+
+
+def _prefix_hom_dims(m: Representation, n: Representation, by: str) -> tuple[int, ...]:
+    """dim Hom over each leading block of the graded side, from one system.
+
+    The unknowns are sorted by degree (:func:`_numbering`), so the first c_j
+    columns hold the c_j unknowns of degree < j.  Restricted to them, each
+    equation either is an equation of the leading block of degree < j or
+    meets no kept unknown, since the arrow maps vanish on the block that
+    :func:`_leading_block` checks.  So the block's Hom has dimension c_j
+    minus the number of pivot columns below c_j.
+    """
+    _same_algebra(m, n)
+    degrees, widths = (m.radical_degrees, n.dims) if by == "source" else (n.socle_degrees, m.dims)
+    per_degree = [0] * _grading_length(degrees)
+    for ds, w in zip(degrees, widths):
+        for d in ds:
+            per_degree[d] += w
+    counts = list(accumulate(per_degree))  # c_j, the unknowns of degree < j
+    if _support(m).isdisjoint(_support(n)):
+        return (0,) * len(counts)
+    rows, unknowns = _hom_constraints(m, n, by)
+    pivots = _sparse_rank(rows, unknowns, m.field)
+    return tuple(c - bisect_left(pivots, c) for c in counts)
+
+
+def hom_dims_from_tops(m: Representation, n: Representation) -> tuple[int, ...]:
+    """dim Hom_A(m/rad^j m, n) for j = 1..LL(m), by one elimination; m must be radically graded."""
+    if m.radical_degrees is None:
+        raise ValueError("hom_dims_from_tops needs a radically graded source")
+    return _prefix_hom_dims(m, n, "source")
+
+
+def hom_dims_into_socles(m: Representation, n: Representation) -> tuple[int, ...]:
+    """dim Hom_A(m, soc_l n) for l = 1..LL(n), by one elimination; n must be socle-graded."""
+    if n.socle_degrees is None:
+        raise ValueError("hom_dims_into_socles needs a socle-graded target")
+    return _prefix_hom_dims(m, n, "target")
 
 
 def _socle_vertex(m: Representation) -> int | None:

@@ -365,7 +365,7 @@ def test_sa_formula_and_hypotheses_chain_one_module_per_sa_label(monkeypatch):
 def test_each_module_gets_one_functional_pass(monkeypatch):
     # the functional pass reads a module's own arrow maps, so the formula
     # route of C(R_A) runs it on the truncate(...) objects the Hom route
-    # measures, and no module is passed twice: equal representations over
+    # measures as targets, and no module is passed twice: equal representations over
     # one algebra are one module, whoever built them
     real = repmod._socle_functionals
     passes = []
@@ -387,15 +387,28 @@ def test_each_module_gets_one_functional_pass(monkeypatch):
         tagged_invariant_failures(random_admissible(seed).build())
     assert passes and len({module_key(m) for m in passes}) == len(passes)
 
-    real_hom = adrcore.hom_dim
+    # the Hom routes solve one system per (source, target) pair and read a
+    # whole family off its column prefixes: C(R_A) from (P_i, P_k/rad^l P_k),
+    # every j at once, and C(S_A) from (soc_j Q_i, Q_k), every l at once
     measured = []
-    monkeypatch.setattr(adrcore, "hom_dim", lambda m, n: measured.append(m) or real_hom(m, n))
+    for reader in ("hom_dims_from_tops", "hom_dims_into_socles"):
+        real_reader = getattr(adrcore, reader)
+        monkeypatch.setattr(
+            adrcore, reader,
+            lambda m, n, real_reader=real_reader: measured.append((id(m), id(n))) or real_reader(m, n),
+        )
     for entry in builtin_entries():
         alg = entry.build()
         passes.clear()
         measured.clear()
         cartan_RA_formula(alg)
         cartan_RA_hom(alg)
+        projectives = [projective(alg, i) for i in range(1, alg.n + 1)]
         truncations = [truncate(projective(alg, k), l) for k, l in lambda_poset(alg).labels]
         assert [id(m) for m in passes] == [id(m) for m in truncations], entry.id
-        assert {id(m) for m in measured} == {id(m) for m in truncations}, entry.id
+        assert measured == [(id(p), id(t)) for p in projectives for t in truncations], entry.id
+        measured.clear()
+        cartan_SA_hom(alg)
+        subs = [socle_sub(injective(alg, i), j) for i, j in sa_labels(alg)]
+        injectives = [injective(alg, k) for k in range(1, alg.n + 1)]
+        assert measured == [(id(s), id(q)) for s in subs for q in injectives], entry.id

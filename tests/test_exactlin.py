@@ -365,14 +365,36 @@ def _sparse_case(field: FieldSpec, rows: int, cols: int, density: float, seed: i
 )
 @example(field=F7, shape=(0, 5), density=1.0, seed=0, big=False)
 @example(field=RATIONAL, shape=(4, 0), density=1.0, seed=0, big=False)
+@example(field=F7, shape=(24, 20), density=1.0, seed=1, big=False)
+@example(field=F_MERSENNE, shape=(24, 20), density=1.0, seed=1, big=True)
 @example(field=RATIONAL, shape=(24, 20), density=1.0, seed=1, big=True)
+@example(field=F7, shape=(24, 20), density=0.1, seed=1, big=False)
+@example(field=F_MERSENNE, shape=(24, 20), density=0.1, seed=1, big=True)
+@example(field=RATIONAL, shape=(24, 20), density=0.1, seed=1, big=True)
 @settings(max_examples=400, deadline=None)
 def test_sparse_rank_matches_naive_reference(field, shape, density, seed, big):
+    # the pivot columns, not just their number: density 1.0 on 24 x 20 hands
+    # over to the dense tail, density 0.1 finishes sparse (checked below)
     rows, cols = shape
     grid, sparse = _sparse_case(field, rows, cols, density, seed, big)
     _, pivots = _naive_rref(grid, cols, field)
-    assert exactlin._sparse_rank(sparse, cols, field) == len(pivots)
+    assert exactlin._sparse_rank(sparse, cols, field) == pivots
     assert rank(Matrix.from_rows(field, grid, cols=cols)) == len(pivots)
+
+
+@pytest.mark.parametrize("field", [F7, F_MERSENNE, RATIONAL], ids=["F7", "F_2^31-1", "Q"])
+@pytest.mark.parametrize("density, tail", [(1.0, True), (0.1, False)], ids=["dense", "sparse"])
+def test_sparse_rank_examples_reach_each_finish(monkeypatch, field, density, tail):
+    # the 24 x 20 examples above: the dense ones end in _rank_array, whose
+    # pivots must then be the RREF's too; the sparse ones never reach it.
+    # Column 0 is cleared, so no pivot list counts rows instead of columns
+    shapes = _spy_on_rank_array(monkeypatch)
+    grid, sparse = _sparse_case(field, 24, 20, density, 1, field is not F7)
+    grid = [[0] + row[1:] for row in grid]
+    sparse = [{c: x for c, x in row.items() if c} for row in sparse]
+    _, pivots = _naive_rref(grid, 20, field)
+    assert exactlin._sparse_rank(sparse, 20, field) == pivots
+    assert pivots[0] > 0 and bool(shapes) == tail
 
 
 @pytest.mark.parametrize("field", [F7, RATIONAL], ids=["F7", "Q"])
@@ -382,10 +404,10 @@ def test_sparse_rank_follows_pivot_columns_a_subtraction_brings_in(field):
     # Reducing the last row by pivot row 0 alone leaves {2: -1, 5: 1}: only
     # by following column 2 (to {4: 1, 5: 1}) and then 4 does it reach zero
     rows = [{0: 1, 2: 1}, {2: 1, 4: 1}, {4: 1, 5: 1}, {5: 1, 0: 1}]
-    assert exactlin._sparse_rank(rows[:3], 6, field) == 3
+    assert exactlin._sparse_rank(rows[:3], 6, field) == [0, 2, 4]
     # row 0 - row 1 + row 2 = {0: 1, 5: 1}
-    assert exactlin._sparse_rank(rows, 6, field) == 3
-    assert exactlin._sparse_rank(rows[:3] + [{0: 1, 5: 2}], 6, field) == 4
+    assert exactlin._sparse_rank(rows, 6, field) == [0, 2, 4]
+    assert exactlin._sparse_rank(rows[:3] + [{0: 1, 5: 2}], 6, field) == [0, 2, 4, 5]
 
 
 @pytest.mark.parametrize("field", [F7, RATIONAL], ids=["F7", "Q"])
@@ -398,12 +420,12 @@ def test_sparse_rank_with_negative_and_fractional_leads(field):
     rows = [{c: field.coerce(x) for c, x in row.items()} for row in raw]
     grid = [[row.get(c, 0) for c in range(3)] for row in rows]
     _, pivots = _naive_rref(grid[:3], 3, field)
-    assert exactlin._sparse_rank(rows[:3], 3, field) == len(pivots) == 3
-    assert exactlin._sparse_rank(rows[:2] + rows[3:], 3, field) == 2
+    assert exactlin._sparse_rank(rows[:3], 3, field) == pivots == [0, 1, 2]
+    assert exactlin._sparse_rank(rows[:2] + rows[3:], 3, field) == [0, 1]
     # (p + q) / 2 for p = {0: 2, 1: 1} (lead 2) and q = {1: 1, 2: 2}: its lead
     # 1 is no multiple of 2, so over Q it is doubled before p is subtracted
     p, q = {0: 2, 1: 1}, {1: 1, 2: 2}
-    assert exactlin._sparse_rank([p, q, {0: 1, 1: 1, 2: 1}], 3, field) == 2
+    assert exactlin._sparse_rank([p, q, {0: 1, 1: 1, 2: 1}], 3, field) == [0, 1]
 
 
 def _spy_on_rank_array(monkeypatch) -> list[tuple[int, int]]:
@@ -432,7 +454,7 @@ def test_sparse_rank_hands_dense_rows_to_the_dense_tail(monkeypatch, field):
     sparse = [{c: x for c, x in enumerate(row) if x} for row in grid]
     _, pivots = _naive_rref(grid, 30, field)
     assert len(pivots) == 29
-    assert exactlin._sparse_rank(sparse, 30, field) == 29
+    assert exactlin._sparse_rank(sparse, 30, field) == pivots
     # the pivot rows plus the rows not read: every row but the dependent one
     assert shapes == [(len(grid) - 1, 30)]
 
@@ -444,5 +466,5 @@ def test_sparse_rank_keeps_sparse_rows_sparse(monkeypatch, field):
     shapes = _spy_on_rank_array(monkeypatch)
     rows = [{i: 1, (i + 1) % 200: -1} for i in range(200)]
     rows += [{i: 1, (i + 7) % 200: -1} for i in range(0, 200, 3)]
-    assert exactlin._sparse_rank(rows, 200, field) == 199
+    assert len(exactlin._sparse_rank(rows, 200, field)) == 199
     assert shapes == []

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import chain_oracle as oracle
-from adrkit import repmod
+from adrkit import exactlin, repmod
 from adrkit.exactlin import RATIONAL, FieldSpec, Matrix, row_space_basis, rref
 from adrkit.presentation import (
     AlgebraPresentation,
@@ -515,7 +515,29 @@ def _densify(rows: list[dict], unknowns: int, fld) -> np.ndarray:
     return out
 
 
+def _degree_order(m: Representation, n: Representation, by: str) -> list[int]:
+    """The row-major unknown numbers of the Kronecker oracle, sorted as ``by`` numbers them.
+
+    f_v[r, k] is sorted by (radical degree of coordinate k of m, v, k, r) for
+    "source", and by (socle degree of coordinate r of n, v, r, k) for "target".
+    """
+    offsets = np.cumsum([0] + [nd * md for nd, md in zip(n.dims, m.dims)])
+    unknowns = [
+        (v, r, k) for v in range(len(m.dims)) for r in range(n.dims[v]) for k in range(m.dims[v])
+    ]
+
+    def key(vrk):
+        v, r, k = vrk
+        if by == "source":
+            return m.radical_degrees[v][k], v, k, r
+        return n.socle_degrees[v][r], v, r, k
+
+    return [int(offsets[v]) + r * m.dims[v] + k for v, r, k in sorted(unknowns, key=key)]
+
+
 def test_hom_constraints_match_kronecker_oracle():
+    # hom_dim's numbering is the oracle's row-major one; the prefix readers'
+    # numberings are the oracle's columns in degree order, rows unchanged
     seen = {"loop_diagonal": False, "zero_in_m": False, "zero_in_n": False}
     fields = set()
     for name, alg in _hom_test_algebras():
@@ -531,6 +553,13 @@ def test_hom_constraints_match_kronecker_oracle():
                 want = _kron_constraints(m, n)
                 assert got.shape == want.shape, name
                 assert np.array_equal(got, want), (name, m.dims, n.dims)
+                for by, graded in (("source", m.radical_degrees), ("target", n.socle_degrees)):
+                    if graded is not None:
+                        rows, unknowns = repmod._hom_constraints(m, n, by)
+                        sorted_want = want[:, _degree_order(m, n, by)]
+                        assert np.array_equal(_densify(rows, unknowns, alg.field), sorted_want), (
+                            name, by, m.dims, n.dims
+                        )
                 seen["loop_diagonal"] |= any(
                     m.arrow_maps[a].array().diagonal().any() for a in loops
                 ) and got.size > 0
@@ -590,6 +619,97 @@ def test_hom_dim_is_invariant_under_dense_change_of_basis(monkeypatch):
         fields.add(alg.field)
     assert {F7, RATIONAL} <= fields
     assert tails, "no Hom system reached the dense tail"
+
+
+def _rebase_graded(m: Representation, rng: random.Random) -> Representation:
+    """g M g^-1 for dense random unitriangular g_v that keep m's grading valid.
+
+    Coordinates are sorted by degree, so lower triangular g_v keep the span
+    of the trailing coordinates (rad^l m under a radical grading) and upper
+    triangular ones the span of the leading ones (soc_l m under a socle one).
+    """
+    fld = m.field
+    lower = m.radical_degrees is not None
+    lo, hi = (0, fld.p - 1) if fld.is_prime_field else (-3, 3)
+    pairs = []
+    for d in m.dims:
+        noise = np.array([rng.randint(lo, hi) for _ in range(d * d)], dtype=np.int64).reshape(d, d)
+        strict = np.tril(noise, -1) if lower else np.triu(noise, 1)
+        g = Matrix(fld, strict + np.eye(d, dtype=np.int64))
+        both = Matrix(fld, np.hstack([g.array(), Matrix.identity(fld, d).array()]))
+        pairs.append((g, Matrix(fld, rref(both).reduced.array()[:, d:])))
+    maps = {}
+    for a in m.algebra.quiver.arrows:
+        u, v = m.algebra.quiver.arrow_endpoints(a.name)
+        maps[a.name] = pairs[v - 1][0].matmul(m.arrow_maps[a.name]).matmul(pairs[u - 1][1])
+    return Representation(
+        m.algebra, m.dims, maps, radical_degrees=m.radical_degrees, socle_degrees=m.socle_degrees
+    )
+
+
+def _check_prefix_reads(projectives, injectives):
+    """Both Cartan families: each prefix read against hom_dim on the derived modules."""
+    truncations = [truncate(p, l) for p in projectives for l in range(1, loewy_length(p) + 1)]
+    subs = [socle_sub(q, j) for q in injectives for j in range(1, loewy_length(q) + 1)]
+    for p in projectives:
+        tops = [truncate(p, j) for j in range(1, loewy_length(p) + 1)]
+        for t in truncations:
+            assert repmod.hom_dims_from_tops(p, t) == tuple(hom_dim(top, t) for top in tops)
+    for q in injectives:
+        socles = [socle_sub(q, l) for l in range(1, loewy_length(q) + 1)]
+        for s in subs:
+            assert repmod.hom_dims_into_socles(s, q) == tuple(hom_dim(s, soc) for soc in socles)
+
+
+def test_prefix_reads_match_hom_dim_on_the_derived_modules(monkeypatch):
+    # one system per pair answers a whole family of Cartan entries; the
+    # oracle is one hom_dim per truncate(...) or socle_sub(...) object.  In
+    # the dense graded bases of _rebase_graded the rows fill in, so prefix
+    # systems reach the dense tail and their pivots come from _rank_array
+    # (seeds 910001, 910004 and 910025 do)
+    tails = []
+    real = exactlin._dense_rank_tail
+    reading = []
+
+    def spy(*args):
+        tails.append(bool(reading))
+        return real(*args)
+
+    monkeypatch.setattr(exactlin, "_dense_rank_tail", spy)
+    for reader in ("hom_dims_from_tops", "hom_dims_into_socles"):
+        real_reader = getattr(repmod, reader)
+
+        def marked(m, n, real_reader=real_reader):
+            reading.append(True)
+            try:
+                return real_reader(m, n)
+            finally:
+                reading.pop()
+
+        monkeypatch.setattr(repmod, reader, marked)
+    rng = random.Random(17)
+    entries = builtin_entries() + [random_admissible(s) for s in range(910000, 910030)]
+    for entry in entries:
+        alg = entry.build()
+        projectives = [projective(alg, i) for i in range(1, alg.n + 1)]
+        injectives = [injective(alg, i) for i in range(1, alg.n + 1)]
+        _check_prefix_reads(projectives, injectives)
+        moved_p = [_rebase_graded(p, rng) for p in projectives]
+        moved_q = [_rebase_graded(q, rng) for q in injectives]
+        _check_prefix_reads(moved_p, moved_q)
+    assert any(tails), "no prefix system reached the dense tail"
+
+
+def test_prefix_readers_need_the_grading_they_read(kx3):
+    p, q = projective(kx3, 1), injective(kx3, 1)
+    for source in (q, _change_basis(p)):
+        with pytest.raises(ValueError, match="radically graded"):
+            repmod.hom_dims_from_tops(source, p)
+    for target in (p, _change_basis(p)):
+        with pytest.raises(ValueError, match="socle-graded"):
+            repmod.hom_dims_into_socles(q, target)
+    assert repmod.hom_dims_from_tops(p, q) == (1, 2, 3)
+    assert repmod.hom_dims_into_socles(p, q) == (1, 2, 3)
 
 
 def test_hom_yoneda_on_truncated_projectives_and_socle_submodules():
