@@ -9,24 +9,27 @@ matrix also has an independent Hom-space route (the intertwiner solver, and
 for C(R(R_A)) the closed form over the socle layers of Q_i); the two must
 agree exactly.  They share the modules they measure, never their
 elimination.  The formula route takes the socle profile of each truncation
-P_k/rad^l P_k from the functional pass over that module
-(``repmod.socle_series``, one ``exactlin._rref_array`` per step and
-vertex), the Loewy lengths of P_i and Q_i and the socle profiles of Q_i from
-the grading of the path basis, and the radical profiles of soc_j Q_i from
-the general chain code (``repmod.radical_chain``, built with
-``exactlin.rref``).  The intertwiner solver uses none of these: it reads
-only pivot columns of intertwiner systems.  It solves one system per
-(P_i, P_k/rad^l P_k) for C(R_A) and one per (soc_j Q_i, Q_k) for C(S_A),
-and reads every j, or every l, off the column prefixes of that one
+P_k/rad^l P_k (``repmod.socle_series``) off one functional pass over P_k,
+and the radical profile of each soc_j Q_i (``repmod.radical_series``) off
+one radical pass over Q_i: ``repmod`` tags each starting row with the least
+level that holds it, and one tagged pass per P_k or Q_i gives every level
+(``exactlin._tag_order_basis``, i.e. ``exactlin._rank_array`` on a
+transposed stack, per step and vertex).  It still reads the very
+``truncate(...)`` and ``socle_sub(...)`` objects that the Hom route
+measures.  The Loewy lengths of P_i and Q_i and the socle profiles of Q_i
+come from the grading of the path basis.  The intertwiner solver uses none
+of these: it reads only pivot columns of intertwiner systems.  It solves one
+system per (P_i, P_k/rad^l P_k) for C(R_A) and one per (soc_j Q_i, Q_k) for
+C(S_A), and reads every j, or every l, off the column prefixes of that one
 elimination (``repmod.hom_dims_from_tops``, ``repmod.hom_dims_into_socles``):
 n * n_Lambda systems instead of n_Lambda^2, and n * n_S instead of n_S^2.
 Each system is built as sparse rows and its pivot columns are found by
 ``exactlin._sparse_rank``, which may finish with the dense forward
 elimination of ``exactlin._rank_array``; it never builds an RREF.  The
 radical profiles of soc_j Q_i are never taken from the functional pass over
-the opposite projectives, so the duality
-C(R_A)[(i,j),(k,l)] = C(S_{A^op})[[k,l],[i,j]] still sets the two chain
-codes against each other.
+the opposite projectives, and the two passes share only ``exactlin``, so
+the duality C(R_A)[(i,j),(k,l)] = C(S_{A^op})[[k,l],[i,j]] still sets the
+two chain codes against each other.
 
 All matrices carry explicit row/column label lists; raw integer matrices are
 never passed between modules.
@@ -34,9 +37,9 @@ never passed between modules.
 The memo here (``memo.memoized``) holds only algebra-level results: the
 Lambda poset, the theorem A hypotheses, the labels of S_A and the finished
 Cartan matrices.  Modules are ``repmod``'s: it decides that P_k/rad^{l_k} P_k
-is P_k and soc_{LL} Q_i is Q_i, and memoizes every truncation, socle
-submodule, chain and functional pass on the module it comes from.  Nothing
-caches a Hom system or its pivots, and each route has its own key,
+is P_k and soc_{LL} Q_i is Q_i, and memoizes every truncation and socle
+submodule on the module it comes from, and each tagged pass on its root.
+Nothing caches a Hom system or its pivots, and each route has its own key,
 so neither route reads counts the other produced: the routes share only the
 modules they measure, their agreement stays an independent check, and the
 order in which they run cannot change a result.

@@ -41,6 +41,7 @@ from .presentation import (
     Quiver,
     Relation,
     build_algebra,
+    check_label_budget,
 )
 from .repmod import is_nakayama, is_selfinjective
 from .theorems import (
@@ -200,9 +201,10 @@ def _parse_field_flag(text: str) -> FieldSpec:
 
 
 def analyze_presentation(pres: AlgebraPresentation, skip_corroboration: bool = False) -> dict:
-    """Full pipeline: build, matrices with oracle re-verification, verdicts."""
+    """Full pipeline: build, label budget, matrices with oracle re-verification, verdicts."""
     start = time.monotonic()
     alg = build_algebra(pres)
+    check_label_budget(alg)
     cra = cartan_RA_formula(alg)
     csa = cartan_SA_formula(alg)
     if not skip_corroboration:

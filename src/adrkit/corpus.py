@@ -338,7 +338,8 @@ def tagged_invariant_failures(alg: AlgebraData) -> list[tuple[str, str]]:
 
     def duality_section() -> None:
         # D(P_k/rad^l P_k) = soc_l Q^op_k and D(soc_j Q_i) = P^op_i/rad^j P^op_i; the two
-        # sides are read by different chain code (functional pass, general radical chains)
+        # sides are read by different chain code (the functional pass over P_k, the
+        # radical pass over Q^op_k), which shares only exactlin
         op = alg.opposite()
         for name, mat, dual in (
             ("C(R_A) vs C(S_{A^op})", cartan_RA_formula(alg), cartan_SA_formula(op)),

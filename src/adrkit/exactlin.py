@@ -15,6 +15,8 @@ its dense tail :func:`_rank_array`) run on Python-int rows: each row is
 scaled by the lcm of its denominators on entry, eliminated fraction-free and
 divided by the gcd of its entries after every update, as in Bareiss (1968).
 Results stay Fractions: an RREF is divided by its pivots before it leaves.
+:func:`_tag_order_basis`, the tagged reduction behind the filtrations of
+``repmod``, is :func:`_rank_array` on a transposed stack of rows.
 
 :class:`FieldSpec` is the only place that knows how the two kinds of field
 differ.  Array code asks it for ``dtype``, ``one``, ``zeros(shape)`` (a
@@ -404,6 +406,22 @@ def _rank_array(a: np.ndarray, field: FieldSpec) -> list[int]:
         pivots.append(c)
         r += 1
     return pivots
+
+
+def _tag_order_basis(rows: np.ndarray, tags: Sequence[int], field: FieldSpec) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The rows, taken in stable tag order, that are independent of the rows before them, with their tags.
+
+    The kept rows come in tag order, and for every l those of tag <= l are
+    a basis of the span of the input rows of tag <= l, since those rows come
+    first: the tagged reduction of persistent homology (Zomorodian and
+    Carlsson, "Computing persistent homology", 2005).  A row is kept where
+    its transpose is a pivot column, as :func:`_rank_array` takes the
+    leftmost pivot in each column.
+    """
+    order = sorted(range(len(tags)), key=tags.__getitem__)
+    ordered = rows[order]
+    kept = _rank_array(ordered.T, field)
+    return ordered[kept], tuple(tags[order[k]] for k in kept)
 
 
 def rref(m: Matrix) -> RrefResult:

@@ -511,6 +511,43 @@ def unsatisfied_relation(alg: AlgebraData) -> list[tuple[int | Fraction, Path]] 
     return None
 
 
+LABEL_BUDGET = 20_000
+"""Most label work, n * (sum LL(P_i) + sum LL(Q_i)), that ``check_label_budget`` admits.
+
+The labels are those of the Lambda poset and of S_A, and each Hom route
+solves n systems per label of its matrix, so the label work counts the Hom
+systems of one ``adrkit analyze``; the formula matrices have a cell per pair
+of labels.  Preprojective A_9, the largest algebra measured, has 162 labels
+and label work 1458, and preprojective A_10 has 200 and 2000.  The arrowless
+quiver on 100 vertices, at 20 000, takes about a second; the one on 400
+vertices, at 320 000, is refused at once.
+"""
+
+
+def label_count(alg: AlgebraData) -> int:
+    """sum LL(P_i) + sum LL(Q_i), read off the basis.
+
+    P_i is spanned by the basis paths out of i, graded by length, so LL(P_i)
+    is one more than the longest of them; Q_i is dual to the opposite P_i,
+    spanned by the reversed paths into i.
+    """
+    out, into = [0] * alg.n, [0] * alg.n
+    for path in alg.basis:
+        out[path.source - 1] = max(out[path.source - 1], path.length + 1)
+        into[path.target - 1] = max(into[path.target - 1], path.length + 1)
+    return sum(out) + sum(into)
+
+
+def check_label_budget(alg: AlgebraData) -> None:
+    """Raise :class:`PresentationError` if the label work of ``alg`` exceeds :data:`LABEL_BUDGET`."""
+    labels = label_count(alg)
+    if alg.n * labels > LABEL_BUDGET:
+        raise PresentationError(
+            f"{alg.n} vertices times {labels} labels (sum of LL(P_i) and LL(Q_i)) is "
+            f"{alg.n * labels}, over the label budget of {LABEL_BUDGET}"
+        )
+
+
 def opposite_presentation(p: AlgebraPresentation) -> AlgebraPresentation:
     """Reverse all arrows and all relation paths; field and cap unchanged."""
     q = p.quiver

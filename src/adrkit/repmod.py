@@ -12,11 +12,26 @@ higher degree, and an arrow raises the degree, so rad^l P_i is spanned by the
 coordinates of P_i of degree >= l.  Q_i is the transpose of the opposite
 P_i, so soc_j Q_i is spanned by its coordinates whose opposite degree is < j.
 The truncations P_i/rad^l P_i and the socle submodules soc_j Q_i are then the
-leading coordinates of each vertex, and keep the grading.  The socle series
-of a radically graded module, P_i or a truncation, comes from one functional
-pass over its own arrow maps (:func:`_socle_functionals`), with no quotient
-module.  The same pass, or the general radical chain under a socle grading,
-is the elimination chain that ``is_rigid`` checks against the grading.
+leading coordinates of each vertex, and keep the grading.
+
+Every chain a report needs comes from one tagged pass per root, a graded
+module that is no leading block (P_k, Q_i, or any graded module built
+directly).  Each starting row carries a tag, the least level whose leading
+block holds it, and each step keeps, in tag order, the rows independent of
+the rows before them (``exactlin._tag_order_basis``, the tagged reduction
+of persistent homology: Zomorodian and Carlsson, "Computing persistent
+homology", 2005).  The rows of tag <= l at a step then span that step for
+the leading block of level l, so one pass serves every level.  Under a
+radical grading the pass is the functional pass (:func:`_functional_pass`:
+F_j spans the functionals phi(p x), p of length j, with common kernel
+soc_j), which gives the socle series of P_k and of every P_k/rad^l P_k.
+Under a socle grading it is the radical chain (:func:`_radical_pass`), which
+gives the radical series of Q_i and of every soc_j Q_i.  The two passes
+share only ``exactlin``: the first multiplies functionals on the right by
+the maps of outgoing arrows, the second maps vectors along incoming arrows.
+``is_rigid`` checks a module's chain, read off its root's pass, against its
+grading.  A leading block records its root and level (``_root``), and each
+pass is memoized on its root, so P_k and Q_i are each passed once.
 
 The library functions read the grading they need and raise ``ValueError``
 without it: ``truncate`` needs a radical grading, ``socle_sub`` a socle
@@ -24,16 +39,16 @@ grading, and ``socle_series`` and ``is_rigid`` a grading of either kind.
 ``simple`` is radically graded, with degree 0 at its vertex.  The prefix
 readers of the Hom route need a grading too: ``hom_dims_from_tops`` a
 radically graded source, ``hom_dims_into_socles`` a socle-graded target.
-``radical_chain``, ``radical_series``, ``loewy_length`` and ``hom_dim`` take
-any module: the radical series of Q_i and of soc_j Q_i go through the
-general radical chain.  The general socle chain (``socle_chain``, with
+``radical_series``, ``loewy_length`` and ``hom_dim`` take any module; on a
+module with no grading the first two go through the general radical chain
+(``radical_chain``).  The general socle chain (``socle_chain``, with
 ``quotient_representation``) serves as the reference the tests compare the
 read-offs against; no report calls it.
 
 For j >= LL(M), M/rad^j M = M and soc_j M = M, so truncating at or beyond the
 Loewy length, or taking the socle submodule there, returns the module itself.
 ``truncate``, ``socle_sub`` and ``socle_series`` are memoized on their module,
-so every derived module is built once and its chains are computed once.  The
+so every derived module is built once and its chains are read once.  The
 Hom route memoizes on each module its support and the sparse columns and
 negated sparse rows of its arrow maps, so a module's arrow data is read once
 however many Hom systems it enters; no Hom system or its pivots is memoized.
@@ -52,7 +67,7 @@ oracle they are tested against.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
@@ -64,9 +79,9 @@ from .exactlin import (
     Matrix,
     RrefResult,
     _matmul_array,
-    _rref_array,
     _sparse_rank,
     _sparse_rows,
+    _tag_order_basis,
     kernel_basis,
     reduce_mod_row_space,
     row_space_basis,
@@ -130,6 +145,10 @@ class Representation:
     the algebra's field and of shape dims[target] x dims[source], and a
     grading must give every vertex one nondecreasing tuple of non-negative
     degrees, one per coordinate; anything else raises ``ValueError``.
+
+    ``_root`` is set on a leading block (:func:`_leading_block`) only: the
+    graded module it is the leading block of, and its level there.  Its
+    filtrations are read off the tagged pass of that root.
     """
 
     algebra: AlgebraData
@@ -138,6 +157,7 @@ class Representation:
     radical_degrees: Grading | None = field(default=None, repr=False, compare=False)
     socle_degrees: Grading | None = field(default=None, repr=False, compare=False)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _root: tuple[Representation, int] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.radical_degrees is not None and self.socle_degrees is not None:
@@ -244,7 +264,8 @@ def _leading_block(m: Representation, l: int) -> Representation:
 
     The dropped coordinates must span a submodule (radical grading), or the
     kept ones must (socle grading); the block of each arrow map that would
-    break this is checked to be zero.
+    break this is checked to be zero.  The block records m's root and the
+    level l: the leading block of level l of a leading block is the root's.
     """
     radical = m.radical_degrees is not None
     degrees = m.radical_degrees if radical else m.socle_degrees
@@ -258,9 +279,10 @@ def _leading_block(m: Representation, l: int) -> Representation:
             raise ValueError("subspaces are not arrow-invariant")
         maps[a.name] = Matrix(m.field, arr[:cv, :cu])
     kept = tuple(d[:c] for d, c in zip(degrees, keep))
+    root = (m._root[0] if m._root else m, l)
     if radical:
-        return Representation(m.algebra, keep, maps, radical_degrees=kept)
-    return Representation(m.algebra, keep, maps, socle_degrees=kept)
+        return Representation(m.algebra, keep, maps, radical_degrees=kept, _root=root)
+    return Representation(m.algebra, keep, maps, socle_degrees=kept, _root=root)
 
 
 def composition_vector(m: Representation) -> CompositionVector:
@@ -391,15 +413,22 @@ def _degree_profile(degrees: Grading) -> SeriesProfile:
     return _quotient_layers(zip(dims[1:], dims))
 
 
-@memoized
-def _socle_functionals(m: Representation) -> tuple[tuple[np.ndarray, ...], ...]:
-    """F_0, F_1, ..., F_J for a radically graded m.
+TaggedStep = tuple[tuple[np.ndarray, tuple[int, ...]], ...]
 
-    F_0(v) holds every functional on M_v, and F_j(v) is an echelon basis of
-    the row space of F_{j-1}(t) M_a, stacked over the arrows a: v -> t.  So
-    F_j(v) spans the functionals phi(p x) for the paths p of length j out of
-    v, whose common kernel is (soc_j m)_v, of dimension dim M_v - rank F_j(v).
-    F_J is the first that vanishes everywhere; J <= LL(m).
+
+@memoized
+def _functional_pass(m: Representation) -> tuple[TaggedStep, ...]:
+    """F_0, F_1, ..., F_J for a radically graded root m, each row tagged.
+
+    F_0(v) holds the coordinate functionals e_r^* on M_v, e_r^* tagged
+    deg(r) + 1.  F_j(v) is the tag-order basis
+    (:func:`exactlin._tag_order_basis`) of the functionals phi M_a, for phi
+    in F_{j-1}(t) over the arrows a: v -> t, each tagged as its phi.  So the
+    rows of F_j(v) of tag <= l span the functionals phi(p x) for the paths p
+    of length j out of v and the phi that vanish in degree >= l.  These
+    vanish off m/rad^l m, and their common kernel there is
+    (soc_j(m/rad^l m))_v.  F_J is the first that vanishes everywhere;
+    J <= LL(m).
     """
     fld = m.field
     ll = loewy_length(m)
@@ -407,33 +436,92 @@ def _socle_functionals(m: Representation) -> tuple[tuple[np.ndarray, ...], ...]:
     for a in m.algebra.quiver.arrows:
         u, t = m.algebra.quiver.arrow_endpoints(a.name)
         outgoing[u - 1].append((t - 1, m.arrow_maps[a.name].array()))
-    funcs = tuple(_full_space(fld, d).reduced.array() for d in m.dims)
+    funcs = tuple(
+        (_full_space(fld, c).reduced.array(), tuple(d + 1 for d in ds))
+        for c, ds in zip(m.dims, m.radical_degrees)
+    )
     chain = [funcs]
-    while any(len(f) for f in funcs):
+    while any(tags for _, tags in funcs):
         if len(chain) > ll:
             raise RuntimeError("socle did not grow; representation is invalid")
         nxt = []
         for v, c in enumerate(m.dims):
-            blocks = [
-                _matmul_array(funcs[t], arr, fld)
-                for t, arr in outgoing[v]
-                if len(funcs[t]) and c
-            ]
-            if blocks:
-                red, pivots = _rref_array(np.vstack(blocks), fld)
-                nxt.append(red[: len(pivots)])
+            blocks = [(funcs[t], arr) for t, arr in outgoing[v] if funcs[t][1]]
+            if c and blocks:
+                rows = np.vstack([_matmul_array(f, arr, fld) for (f, _), arr in blocks])
+                tags = [tag for (_, f_tags), _ in blocks for tag in f_tags]
+                nxt.append(_tag_order_basis(rows, tags, fld))
             else:
-                nxt.append(fld.zeros((0, c)))
+                nxt.append((fld.zeros((0, c)), ()))
         funcs = tuple(nxt)
         chain.append(funcs)
     return tuple(chain)
 
 
-def _functional_profile(chain) -> SeriesProfile:
-    """Socle series from F_0..F_J: soc_j has dimension c_v - rank F_j(v) at v."""
-    keep = [len(f) for f in chain[0]]
-    socs = [tuple(c - len(f) for c, f in zip(keep, funcs)) for funcs in chain]
-    return _quotient_layers(zip(socs[1:], socs))
+@memoized
+def _radical_pass(m: Representation) -> tuple[TaggedStep, ...]:
+    """rad^0 m, rad m, ..., rad^L m = 0 for a socle-graded root m, each basis row tagged.
+
+    rad^0 m at v holds the coordinate vectors e_r of M_v, e_r tagged by its
+    socle degree + 1.  rad^t m at v is the tag-order basis
+    (:func:`exactlin._tag_order_basis`) of the images M_a x, for x in
+    rad^{t-1} m at u over the arrows a: u -> v, each tagged as its x.  So
+    the rows of tag <= j span rad^t(soc_j m) at v.
+    """
+    fld = m.field
+    incoming: list[list[tuple[int, np.ndarray]]] = [[] for _ in m.dims]
+    for a in m.algebra.quiver.arrows:
+        u, v = m.algebra.quiver.arrow_endpoints(a.name)
+        incoming[v - 1].append((u - 1, m.arrow_maps[a.name].array().T))
+    spaces = tuple(
+        (_full_space(fld, d).reduced.array(), tuple(x + 1 for x in xs))
+        for d, xs in zip(m.dims, m.socle_degrees)
+    )
+    chain = [spaces]
+    while any(tags for _, tags in spaces):
+        nxt = []
+        for v, d in enumerate(m.dims):
+            sources = [(spaces[u], arr) for u, arr in incoming[v] if spaces[u][1]]
+            if d and sources:
+                images = np.vstack([_matmul_array(x, arr, fld) for (x, _), arr in sources])
+                tags = [tag for (_, x_tags), _ in sources for tag in x_tags]
+                nxt.append(_tag_order_basis(images, tags, fld))
+            else:
+                nxt.append((fld.zeros((0, d)), ()))
+        if sum(len(tags) for _, tags in nxt) >= sum(len(tags) for _, tags in spaces):
+            raise RuntimeError("radical did not shrink; representation is invalid")
+        spaces = tuple(nxt)
+        chain.append(spaces)
+    return tuple(chain)
+
+
+def _pass_rows(m: Representation) -> list[tuple[np.ndarray, ...]]:
+    """m's elimination chain, read off its root's tagged pass: per step, the rows at each vertex.
+
+    A graded module that is no leading block is a root, with its own pass:
+    the functionals F_j under a radical grading, the radical chain under a
+    socle grading.  The leading block of level l takes, at each step, the
+    rows of tag <= l, restricted to its coordinates (the others are zero
+    there, as :func:`_leading_block` checks), up to the first step that
+    vanishes everywhere.
+    """
+    radical = m.radical_degrees is not None
+    root, level = m._root or (m, None)
+    run = _functional_pass(root) if radical else _radical_pass(root)
+    if level is None:
+        return [tuple(rows for rows, _ in step) for step in run]
+    chain = []
+    for step in run:
+        chain.append(tuple(
+            rows[: bisect_right(tags, level), :c] for (rows, tags), c in zip(step, m.dims)
+        ))
+        if not any(map(len, chain[-1])):
+            break
+    # a root's pass ends within the root's Loewy length, a block's functionals
+    # need not end within the block's: its grading can misread it
+    if radical and len(chain) > loewy_length(m) + 1:
+        raise RuntimeError("socle did not grow; representation is invalid")
+    return chain
 
 
 @memoized
@@ -441,16 +529,21 @@ def socle_series(m: Representation) -> SeriesProfile:
     """Socle layers soc_j/soc_{j-1}, bottom-up; m must be graded."""
     if m.socle_degrees is not None:
         return _degree_profile(m.socle_degrees)
-    if m.radical_degrees is not None:
-        return _functional_profile(_socle_functionals(m))
-    raise ValueError("socle_series needs a graded module")
+    if m.radical_degrees is None:
+        raise ValueError("socle_series needs a graded module")
+    # soc_j m has dimension c_v - rank F_j(v) at v
+    socs = [tuple(c - len(rows) for c, rows in zip(m.dims, step)) for step in _pass_rows(m)]
+    return _quotient_layers(zip(socs[1:], socs))
 
 
 def radical_series(m: Representation) -> SeriesProfile:
     """Radical layers M/rad M, rad M/rad^2 M, ..., top-down."""
     if m.radical_degrees is not None:
         return _degree_profile(m.radical_degrees)
-    dims = _chain_dims(radical_chain(m))
+    if m.socle_degrees is not None:
+        dims = [tuple(map(len, step)) for step in _pass_rows(m)]
+    else:
+        dims = _chain_dims(radical_chain(m))
     return _quotient_layers(zip(dims, dims[1:]))
 
 
@@ -470,21 +563,18 @@ def is_uniserial(m: Representation) -> bool:
 def is_rigid(m: Representation) -> bool:
     """True iff rad^j M = soc_{L-j} M for every j; m must be graded.
 
-    One elimination chain is checked against the grading: under a radical
-    grading the functionals F_j (:func:`_socle_functionals`), with common
+    The elimination chain of :func:`_pass_rows` is checked against the
+    grading: under a radical grading the functionals F_j, with common
     kernel soc_j M, under a socle grading the radical chain rad^j M.  The
     c_v coordinates of degree < L-j span the other side at vertex v, so step
     j must have c_v rows (equal dimensions) and no entry from column c_v on
     (containment, which holds in every module: its failure is a bug).
     """
     radical = m.radical_degrees is not None
-    if radical:
-        degrees, chain = m.radical_degrees, _socle_functionals(m)
-    elif m.socle_degrees is not None:
-        degrees = m.socle_degrees
-        chain = [tuple(s.reduced.array() for s in spaces) for spaces in radical_chain(m)]
-    else:
+    degrees = m.radical_degrees if radical else m.socle_degrees
+    if degrees is None:
         raise ValueError("is_rigid needs a graded module")
+    chain = _pass_rows(m)
     ll = _grading_length(degrees)
     if len(chain) - 1 != ll:
         return False

@@ -342,51 +342,68 @@ def test_route_order_cannot_change_results(entry_id):
     )
 
 
-def test_sa_formula_and_hypotheses_chain_one_module_per_sa_label(monkeypatch):
-    # soc_j Q_i for j = LL(Q_i) is Q_i itself, so the radical chains of
-    # C(S_A) and of the rigidity test of Q_i run on sum_i LL(Q_i) modules
-    real = repmod._radical_step
-    seen = {}
+def _spy_on_tagged_passes(monkeypatch) -> list:
+    """(pass name, root) for every tagged pass computed, not read from the memo."""
+    passes = []
+    for name in ("_functional_pass", "_radical_pass"):
+        real = getattr(repmod, name)
 
-    def counting(m, spaces):
-        seen[id(m)] = m
-        return real(m, spaces)
+        def spy(m, real=real, name=name):
+            if (real.__qualname__,) not in m._cache:
+                passes.append((name, m))
+            return real(m)
 
-    monkeypatch.setattr(repmod, "_radical_step", counting)
+        monkeypatch.setattr(repmod, name, spy)
+    return passes
+
+
+def test_formula_routes_and_hypotheses_run_one_tagged_pass_per_root(monkeypatch):
+    # P_k/rad^l P_k is a leading block of P_k and soc_j Q_i one of Q_i, so
+    # both formula routes and the rigidity tests of theorem A run one tagged
+    # pass per P_k and one per Q_i, and the general radical chain never runs
+    passes = _spy_on_tagged_passes(monkeypatch)
+
+    def forbidden(m):
+        raise AssertionError("the general radical chain ran on a graded module")
+
+    monkeypatch.setattr(repmod, "radical_chain", forbidden)
     entries = builtin_entries() + [random_admissible(s) for s in range(910000, 910030)]
     for entry in entries:
         alg = entry.build()
-        seen.clear()
+        passes.clear()
+        cartan_RA_formula(alg)
         cartan_SA_formula(alg)
         theorem_a_hypotheses(alg)
-        assert len(seen) == len(sa_labels(alg)), entry.id
+        vertices = range(1, alg.n + 1)
+        expected = [("_functional_pass", id(projective(alg, k))) for k in vertices]
+        expected += [("_radical_pass", id(injective(alg, i))) for i in vertices]
+        assert [(name, id(m)) for name, m in passes] == expected, entry.id
 
 
 def test_each_module_gets_one_functional_pass(monkeypatch):
-    # the functional pass reads a module's own arrow maps, so the formula
-    # route of C(R_A) runs it on the truncate(...) objects the Hom route
-    # measures as targets, and no module is passed twice: equal representations over
+    # the tagged pass of a root reads the root's own arrow maps, and every
+    # truncation P_k/rad^l P_k or socle submodule soc_j Q_i is read off the
+    # pass of its root; no root is passed twice: equal representations over
     # one algebra are one module, whoever built them
-    real = repmod._socle_functionals
-    passes = []
+    passes = _spy_on_tagged_passes(monkeypatch)
 
-    def spy(m):
-        if (real.__qualname__,) not in m._cache:
-            passes.append(m)
-        return real(m)
-
-    def module_key(m):
+    def module_key(name, m):
         maps = tuple(tuple(map(tuple, m.arrow_maps[a.name].array().tolist()))
                      for a in m.algebra.quiver.arrows)
-        return id(m.algebra), m.dims, maps
+        return name, id(m.algebra), m.dims, maps
 
-    monkeypatch.setattr(repmod, "_socle_functionals", spy)
     for entry in builtin_entries():
         analyze_presentation(entry.presentation)
     for seed in range(910000, 910030):
         tagged_invariant_failures(random_admissible(seed).build())
-    assert passes and len({module_key(m) for m in passes}) == len(passes)
+    assert passes and len({module_key(*x) for x in passes}) == len(passes)
 
+    # the formula route of C(R_A) reads the socle series of the truncate(...)
+    # objects that the Hom route measures as targets, through one functional
+    # pass per P_k
+    read = []
+    real_series = adrcore.socle_series
+    monkeypatch.setattr(adrcore, "socle_series", lambda m: read.append(id(m)) or real_series(m))
     # the Hom routes solve one system per (source, target) pair and read a
     # whole family off its column prefixes: C(R_A) from (P_i, P_k/rad^l P_k),
     # every j at once, and C(S_A) from (soc_j Q_i, Q_k), every l at once
@@ -401,14 +418,19 @@ def test_each_module_gets_one_functional_pass(monkeypatch):
         alg = entry.build()
         passes.clear()
         measured.clear()
+        read.clear()
         cartan_RA_formula(alg)
         cartan_RA_hom(alg)
         projectives = [projective(alg, i) for i in range(1, alg.n + 1)]
         truncations = [truncate(projective(alg, k), l) for k, l in lambda_poset(alg).labels]
-        assert [id(m) for m in passes] == [id(m) for m in truncations], entry.id
+        assert [(name, id(m)) for name, m in passes] == [("_functional_pass", id(p)) for p in projectives]
+        assert read == [id(t) for t in truncations], entry.id
         assert measured == [(id(p), id(t)) for p in projectives for t in truncations], entry.id
+        passes.clear()
         measured.clear()
+        cartan_SA_formula(alg)
         cartan_SA_hom(alg)
         subs = [socle_sub(injective(alg, i), j) for i, j in sa_labels(alg)]
         injectives = [injective(alg, k) for k in range(1, alg.n + 1)]
+        assert [(name, id(m)) for name, m in passes] == [("_radical_pass", id(q)) for q in injectives]
         assert measured == [(id(s), id(q)) for s in subs for q in injectives], entry.id

@@ -17,7 +17,7 @@ from adrkit.cli import (
 )
 from adrkit.corpus import builtin_entries, get_entry, preprojective_a, random_admissible
 from adrkit.exactlin import FieldSpec
-from adrkit.presentation import Relation
+from adrkit.presentation import LABEL_BUDGET, Relation
 
 
 def run_cli(capsys, *argv):
@@ -481,3 +481,29 @@ def test_analyze_exponent_coefficient_exits_2_fast(tmp_path, capsys, coeff):
     assert code == 2
     assert out == ""
     assert "$.relations[0].terms[0].coeff" in err
+
+
+def _arrowless_doc(n: int) -> dict:
+    vertices = [str(v) for v in range(1, n + 1)]
+    return {"field": {"kind": "prime", "p": 7}, "vertices": vertices, "arrows": [], "relations": [], "cap": 1}
+
+
+def test_analyze_wide_quiver_exits_2_fast(tmp_path, capsys):
+    # 400 vertices hold only 400 letters, but n * (sum LL(P_i) + sum LL(Q_i))
+    # is 400 * 800; the label budget refuses it before any module is built
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, "analyze", write_doc(tmp_path, _arrowless_doc(400)))
+    assert time.monotonic() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "400 vertices times 800 labels" in err and "is 320000" in err
+    assert f"label budget of {LABEL_BUDGET}" in err
+
+
+def test_label_budget_admits_its_largest_arrowless_quiver(tmp_path, capsys):
+    # 100 vertices and 200 labels are exactly the budget; one vertex more is over it
+    assert 100 * 200 == LABEL_BUDGET
+    code, _, _ = run_cli(capsys, "analyze", write_doc(tmp_path, _arrowless_doc(100)))
+    assert code == 0
+    code, _, err = run_cli(capsys, "analyze", write_doc(tmp_path, _arrowless_doc(101)))
+    assert code == 2 and "is 20402" in err

@@ -468,3 +468,41 @@ def test_sparse_rank_keeps_sparse_rows_sparse(monkeypatch, field):
     rows += [{i: 1, (i + 7) % 200: -1} for i in range(0, 200, 3)]
     assert len(exactlin._sparse_rank(rows, 200, field)) == 199
     assert shapes == []
+
+
+def _tagged_case(field: FieldSpec, rng: random.Random):
+    """(grid, cols, tags): rows drawn from a low-rank span, some zero, tags with repeats."""
+    rows, cols = rng.randint(0, 12), rng.randint(0, 8)
+    hi = field.p - 1 if field.p else 3
+    base = [[rng.randint(-hi, hi) for _ in range(cols)] for _ in range(rng.randint(1, 4))]
+    grid = []
+    for _ in range(rows):
+        weights = [0] * len(base) if rng.random() < 0.2 else [rng.randint(-2, 2) for _ in base]
+        row = [sum(w * b[c] for w, b in zip(weights, base)) for c in range(cols)]
+        grid.append([Fraction(x, rng.randint(1, 3)) for x in row] if not field.p else row)
+    return grid, cols, [rng.randint(1, 4) for _ in range(rows)]
+
+
+@pytest.mark.parametrize("field", [F7, F_MERSENNE, RATIONAL], ids=["F7", "F_2^31-1", "Q"])
+def test_tag_order_basis_keeps_a_basis_of_every_tag_prefix(field):
+    # for every l the kept rows of tag <= l must number the rank of the input
+    # rows of tag <= l, and be input rows of their tag: a basis of that span
+    rng = random.Random(29)
+    cases = [_tagged_case(field, rng) for _ in range(150)]
+    cases += [
+        ([], 3, []),
+        ([[0, 0, 0]] * 3, 3, [2, 1, 2]),
+        ([[1, 2, 0], [2, 4, 0], [0, 0, 1], [1, 2, 1]], 3, [3, 3, 3, 3]),
+        ([[1, 2, 0], [0, 0, 0], [2, 4, 0], [1, 0, 0]], 3, [4, 3, 2, 1]),
+    ]
+    for grid, cols, tags in cases:
+        rows = Matrix.from_rows(field, grid, cols=cols).array()
+        kept, kept_tags = exactlin._tag_order_basis(rows, tags, field)
+        assert list(kept_tags) == sorted(kept_tags) and len(kept) == len(kept_tags)
+        members = {(tuple(row), t) for row, t in zip(rows.tolist(), tags)}
+        assert all((tuple(row), t) in members for row, t in zip(kept.tolist(), kept_tags))
+        for l in range(6):
+            below = sum(t <= l for t in kept_tags)
+            prefix = [row for row, t in zip(grid, tags) if t <= l]
+            assert below == len(_naive_rref(prefix, cols, field)[1]), (grid, tags, l)
+            assert below == len(_naive_rref(kept[:below].tolist(), cols, field)[1])

@@ -3,10 +3,11 @@
 ``projective`` and ``injective`` grade their coordinates by path length, and
 the radical series of P_i, the socle series of Q_i, the truncations
 P_i/rad^l P_i, the socle submodules soc_j Q_i, the socle series of every
-truncation (by the functional pass over P_i) and the rigidity of both are
-read off that grading.  The oracle is the same module with its grading
-dropped, measured by the general chain code of ``chain_oracle``; its radical
-or socle chain must be the coordinate spans of the grading.  The library
+truncation (by the tagged functional pass over P_i), the radical series of
+every soc_j Q_i (by the tagged radical pass over Q_i) and the rigidity of
+all of them are read off that grading.  The oracle is the same module with
+its grading dropped, measured by the general chain code of ``chain_oracle``;
+its radical or socle chain must be the coordinate spans of the grading.  The library
 functions themselves refuse a module without the grading they read.
 """
 
@@ -175,27 +176,52 @@ def test_functional_pass_refuses_a_grading_that_is_not_nilpotent():
         socle_series(bad)
 
 
+def test_functional_pass_refuses_a_leading_block_its_grading_misreads():
+    # e1, e2 of degree 0 and e3 of degree 1 under a loop with x e1 = e2: the
+    # root's pass ends within its Loewy length 2, but the block of degree 0
+    # is no semisimple module, so reading its socle series must fail as a
+    # pass over the block itself does
+    q = Quiver(("1",), (Arrow("x", "1", "1"),))
+    alg = build_algebra(AlgebraPresentation(RATIONAL, q, (Relation.monomial(["x", "x"]),), 2))
+    x = Matrix.from_rows(RATIONAL, [[0, 0, 0], [1, 0, 0], [0, 0, 0]])
+    bad = Representation(alg, (3,), {"x": x}, radical_degrees=((0, 0, 1),))
+    socle_series(bad)
+    with pytest.raises(RuntimeError, match="socle did not grow"):
+        socle_series(truncate(bad, 1))
+
+
+def test_radical_pass_refuses_a_grading_that_is_not_nilpotent():
+    # the socle-graded twin: the same loop under a socle grading, which the
+    # radical pass must notice, not loop on
+    q = Quiver(("1",), (Arrow("x", "1", "1"),))
+    alg = build_algebra(AlgebraPresentation(RATIONAL, q, (Relation.monomial(["x", "x"]),), 2))
+    bad = Representation(alg, (1,), {"x": Matrix.identity(RATIONAL, 1)}, socle_degrees=((0,),))
+    with pytest.raises(RuntimeError, match="radical did not shrink"):
+        radical_series(bad)
+
+
 def test_rigidity_containment_failure_is_an_error_under_each_grading(monkeypatch):
-    # is_rigid checks one elimination chain against the grading: the
-    # functionals F_j under a radical grading, the radical chain under a socle
-    # one.  A step with the right number of rows but an entry outside the
-    # degree < L-j block breaks rad <= soc, which holds in every module: that
-    # is a bug, raised, not a verdict of non-rigidity
+    # is_rigid checks one elimination chain against the grading, read off
+    # the module's tagged pass: the functionals F_j under a radical grading,
+    # the radical chain under a socle one.  A step with the right number of
+    # rows but an entry outside the degree < L-j block breaks rad <= soc,
+    # which holds in every module: that is a bug, raised, not a verdict of
+    # non-rigidity
     alg = get_entry("nakayama-1-3").build()
     stray = np.array([[1, 0, 0], [0, 0, 1]], dtype=object)
     p = projective(alg, 1)
-    functionals = list(repmod._socle_functionals(p))
-    assert [len(f[0]) for f in functionals] == [3, 2, 1, 0] and is_rigid(p)
-    functionals[1] = (stray,)
-    monkeypatch.setattr(repmod, "_socle_functionals", lambda m: tuple(functionals))
+    functionals = list(repmod._functional_pass(p))
+    assert [len(f[0][0]) for f in functionals] == [3, 2, 1, 0] and is_rigid(p)
+    functionals[1] = ((stray, functionals[1][0][1]),)
+    monkeypatch.setattr(repmod, "_functional_pass", lambda m: tuple(functionals))
     with pytest.raises(RuntimeError, match=r"rad\^2 not contained in soc_1 at vertex 1"):
         is_rigid(p)
 
     q = injective(alg, 1)
-    chain = list(radical_chain(q))
-    assert [s[0].rank for s in chain] == [3, 2, 1, 0] and is_rigid(q)
-    chain[1] = (RrefResult(Matrix(alg.field, stray), 2, (0, 2)),)
-    monkeypatch.setattr(repmod, "radical_chain", lambda m: tuple(chain))
+    chain = list(repmod._radical_pass(q))
+    assert [len(s[0][0]) for s in chain] == [3, 2, 1, 0] and is_rigid(q)
+    chain[1] = ((stray, chain[1][0][1]),)
+    monkeypatch.setattr(repmod, "_radical_pass", lambda m: tuple(chain))
     with pytest.raises(RuntimeError, match=r"rad\^1 not contained in soc_2 at vertex 1"):
         is_rigid(q)
 
@@ -211,8 +237,9 @@ def test_cartan_matrices_are_dual_to_the_opposite_ones():
     # D(P_k/rad^l P_k) = soc_l Q^op_k and D(soc_j Q_i) = P^op_i/rad^j P^op_i, so
     # C(R_A)[(i,j),(k,l)] = C(S_{A^op})[[k,l],[i,j]] and
     # C(S_A)[[i,j],[k,l]] = C(R_{A^op})[(k,l),(i,j)]; each side of each identity
-    # comes from a different chain code (functional pass against general
-    # radical chains), on a different algebra
+    # comes from a different chain code (the tagged functional pass over the
+    # projectives against the tagged radical pass over the injectives, which
+    # share only exactlin), on a different algebra
     for name, alg in _duality_algebras():
         op = alg.opposite()
         pairs = (

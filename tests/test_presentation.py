@@ -5,6 +5,7 @@ import pytest
 
 from adrkit.exactlin import RATIONAL, FieldSpec, Matrix, rref
 from adrkit.presentation import (
+    LABEL_BUDGET,
     PATH_BUDGET,
     AlgebraPresentation,
     Arrow,
@@ -19,9 +20,11 @@ from adrkit.presentation import (
     _count_paths,
     _letters,
     build_algebra,
+    check_label_budget,
     connected_components,
     enumerate_paths,
     is_connected,
+    label_count,
     opposite_presentation,
     restrict_presentation,
 )
@@ -468,3 +471,30 @@ def test_path_budget_counts_letters_not_paths():
         enumerate_paths(LOOP, 100_000)
     # (k + 1) letters per path of length k: 3 paths of lengths 0, 1, 2 hold 6
     assert _letters(_count_paths(LOOP, 2)) == 6
+
+
+def test_label_count_is_the_sum_of_the_loewy_lengths():
+    # read off the basis alone, it must equal sum LL(P_i) + sum LL(Q_i) as the
+    # modules measure it
+    from adrkit.corpus import builtin_entries, random_admissible
+    from adrkit.repmod import injective, loewy_length, projective
+
+    entries = builtin_entries() + [random_admissible(s) for s in range(910000, 910030)]
+    for entry in entries:
+        alg = entry.build()
+        vertices = range(1, alg.n + 1)
+        lengths = [loewy_length(projective(alg, i)) + loewy_length(injective(alg, i)) for i in vertices]
+        assert label_count(alg) == sum(lengths), entry.id
+        check_label_budget(alg)
+
+
+def test_label_budget_admits_preprojective_a10():
+    # every P_i and Q_i of preprojective A_n has Loewy length n, so its label
+    # work is n * 2n^2; A_10, at 2000, must fit (its build is still over the
+    # path budget)
+    from adrkit.corpus import preprojective_a
+
+    for n in (2, 3, 4, 5):
+        alg = preprojective_a(n, FieldSpec.prime(7)).build()
+        assert alg.n * label_count(alg) == 2 * n**3
+    assert 2 * 10**3 <= LABEL_BUDGET

@@ -700,6 +700,44 @@ def test_prefix_reads_match_hom_dim_on_the_derived_modules(monkeypatch):
     assert any(tails), "no prefix system reached the dense tail"
 
 
+def _check_tagged_reads(projectives, injectives):
+    """Every family read off a root's tagged pass, against the general chain code.
+
+    The oracle measures the same module with its grading dropped.
+    """
+    for p in projectives:
+        assert is_rigid(p) == oracle.is_rigid(oracle.ungraded(p))
+        for l in range(1, loewy_length(p) + 1):
+            t = truncate(p, l)
+            assert t._root == ((p, l) if l < loewy_length(p) else None)
+            assert socle_series(t) == oracle.socle_series(oracle.ungraded(t))
+            assert is_rigid(t) == oracle.is_rigid(oracle.ungraded(t))
+    for q in injectives:
+        assert is_rigid(q) == oracle.is_rigid(oracle.ungraded(q))
+        for j in range(1, loewy_length(q) + 1):
+            s = socle_sub(q, j)
+            assert s._root == ((q, j) if j < loewy_length(q) else None)
+            assert radical_series(s) == radical_series(oracle.ungraded(s))
+            assert is_rigid(s) == oracle.is_rigid(oracle.ungraded(s))
+
+
+def test_tagged_pass_reads_match_the_general_chains():
+    # one tagged pass per P_k gives the socle series and rigidity of every
+    # truncation P_k/rad^l P_k, one per Q_i the radical series and rigidity
+    # of every soc_j Q_i; in the dense graded bases of _rebase_graded the
+    # rows of each step fill in and are no longer coordinate rows
+    rng = random.Random(23)
+    entries = builtin_entries() + [random_admissible(s) for s in range(910000, 910030)]
+    for entry in entries:
+        alg = entry.build()
+        projectives = [projective(alg, i) for i in range(1, alg.n + 1)]
+        injectives = [injective(alg, i) for i in range(1, alg.n + 1)]
+        _check_tagged_reads(projectives, injectives)
+        _check_tagged_reads(
+            [_rebase_graded(p, rng) for p in projectives], [_rebase_graded(q, rng) for q in injectives]
+        )
+
+
 def test_prefix_readers_need_the_grading_they_read(kx3):
     p, q = projective(kx3, 1), injective(kx3, 1)
     for source in (q, _change_basis(p)):
