@@ -68,6 +68,8 @@ def _parse_field(doc, path: str) -> FieldSpec:
         raise SchemaError(f"{path}: expected an object")
     kind = _need(doc, "kind", path)
     if kind == "rational":
+        if "p" in doc:
+            raise SchemaError(f"{path}.p: rational field takes no p")
         return RATIONAL
     if kind == "prime":
         p = _need(doc, "p", path)

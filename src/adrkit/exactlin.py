@@ -10,21 +10,25 @@ elimination once the rows fill in; it returns the pivot columns, so one
 elimination also gives the rank of every column prefix.  No floating point
 anywhere.
 
-Over Q the three eliminations (:func:`_rref_array`, :func:`_sparse_rank` and
-its dense tail :func:`_rank_array`) run on Python-int rows: each row is
-scaled by the lcm of its denominators on entry, eliminated fraction-free and
-divided by the gcd of its entries after every update, as in Bareiss (1968).
-Results stay Fractions: an RREF is divided by its pivots before it leaves.
-:func:`_tag_order_basis`, the tagged reduction behind the filtrations of
-``repmod``, is :func:`_rank_array` on a transposed stack of rows.
+There are two eliminations.  :func:`_echelon` is the one dense pivot loop:
+:func:`rref` runs it with the rows above each pivot cleared too, and
+:func:`_rank_array` (the dense tail of :func:`_sparse_rank`) without.  Every
+update is fraction-free, (d/g) * row - (x/g) * pivot_row as in Bareiss
+(1968); over Q the rows are Python-int rows, scaled by the lcm of their
+denominators on entry and divided by the gcd of their entries after every
+update.  Results stay Fractions: an RREF is divided by its pivots before it
+leaves.  :func:`_tag_order_basis`, the tagged reduction behind the
+filtrations of ``repmod``, is :func:`_rank_array` on a transposed stack of
+rows.
 
 :class:`FieldSpec` is the only place that knows how the two kinds of field
 differ.  Array code asks it for ``dtype``, ``one``, ``zeros(shape)`` (a
 writable array of canonical zeros) and ``canonical(a)`` (reduce mod p, or
 turn a non-object array into Fractions), and for ``coerce`` and ``inv`` on
-scalars; it never branches on the field kind itself.  The eliminations and
-the hot scalar loops of :func:`_sparse_rank` read ``field.p``, which is None
-over Q.
+scalars; :func:`_echelon` asks it for ``elimination_copy``, ``row_update``
+and ``divide_pivot_rows``.  Code outside it never branches on the field
+kind, except the hot scalar loop of :func:`_sparse_rank` and the overflow
+chunking of :func:`_matmul_array`, which read ``field.p`` (None over Q).
 """
 
 from __future__ import annotations
@@ -86,10 +90,6 @@ class FieldSpec:
         return cls("rational")
 
     @property
-    def is_prime_field(self) -> bool:
-        return self.kind == "prime"
-
-    @property
     def dtype(self) -> np.dtype:
         """Storage dtype of arrays over this field: int64 over F_p, object over Q."""
         return np.dtype(np.int64 if self.kind == "prime" else object)
@@ -111,10 +111,13 @@ class FieldSpec:
 
         Over Q a non-object array becomes an array of Fractions; an object
         array is returned unchanged, since exact arithmetic keeps it exact.
+        A float or complex array is refused: its entries are not exact.
         """
+        a = np.asarray(a)
+        if a.dtype.kind in "fc":
+            raise TypeError(f"exact entries needed, got a {a.dtype} array")
         if self.kind == "prime":
             return np.asarray(a, dtype=np.int64) % self.p
-        a = np.asarray(a)
         if a.dtype == object:
             return a
         return _to_fraction(a.astype(object))
@@ -122,9 +125,11 @@ class FieldSpec:
     def coerce(self, x) -> int | Fraction:
         """Canonical representative of ``x`` in this field.
 
-        Accepts ints and Fractions.  Over F_p a fraction a/b becomes
-        a * b^{-1} mod p; a non-invertible denominator is an error.
+        Accepts ints and Fractions, not floats.  Over F_p a fraction a/b
+        becomes a * b^{-1} mod p; a non-invertible denominator is an error.
         """
+        if isinstance(x, (float, np.floating)):
+            raise TypeError(f"exact scalar needed, got float {x!r}")
         if self.kind == "prime":
             p = self.p
             if isinstance(x, Fraction):
@@ -144,6 +149,39 @@ class FieldSpec:
                 raise ZeroDivisionError("inverse of 0")
             return pow(a, self.p - 2, self.p)
         return Fraction(1) / Fraction(x)
+
+    def elimination_copy(self, a: np.ndarray) -> np.ndarray:
+        """A writable copy of canonical ``a`` to eliminate on: int64, or primitive integer rows over Q."""
+        if self.kind == "prime":
+            return np.array(a, dtype=np.int64, order="C")
+        return _integer_rows(a)
+
+    def row_update(self, rows: np.ndarray, pivot_row: np.ndarray, x: np.ndarray, d) -> np.ndarray:
+        """(d/g) * rows - (x/g) * pivot_row, for g = gcd(d, x), on elimination rows.
+
+        ``x`` holds the entries of ``rows`` in the column where ``pivot_row``
+        has ``d``, so the result is zero there.  Over F_p every product is
+        below (p-1)^2 < 2^62 and the result is reduced mod p; over Q each
+        result row is divided by the gcd of its entries.
+        """
+        g = np.gcd(x, d)
+        out = (d // g)[:, None] * rows - (x // g)[:, None] * pivot_row
+        if self.kind == "prime":
+            return out % self.p
+        return _primitive_rows(out)
+
+    def divide_pivot_rows(self, a: np.ndarray, pivots: Sequence[int]) -> np.ndarray:
+        """The RREF of a reduced :func:`_echelon` result: row k divided by its entry in column ``pivots[k]``."""
+        if self.kind == "prime":
+            for k, c in enumerate(pivots):
+                a[k] = a[k] * self.inv(a[k, c]) % self.p
+            return a
+        out = self.zeros(a.shape)
+        for k, c in enumerate(pivots):
+            row, d = a[k].tolist(), a[k, c]
+            quotient = {v: Fraction(v, d) for v in set(row)}  # one Fraction per distinct entry
+            out[k] = [quotient[v] for v in row]
+        return out
 
     def describe(self) -> str:
         return f"F_{self.p}" if self.kind == "prime" else "Q"
@@ -316,68 +354,22 @@ def _integer_rows(a: np.ndarray) -> np.ndarray:
     return _primitive_rows(out)
 
 
-def _rref_array(a: np.ndarray, field: FieldSpec) -> tuple[np.ndarray, list[int]]:
-    """Gauss-Jordan elimination: (unique RREF of ``a``, pivot columns).
+def _echelon(a: np.ndarray, field: FieldSpec, reduced: bool) -> tuple[np.ndarray, list[int]]:
+    """Echelon form of a canonical array, as ``field.elimination_copy`` rows, with its pivot columns.
 
-    Over Q the rows are kept as primitive integer rows.  A row with entry x
-    in the pivot column of a pivot row with pivot d becomes
-    (d/g) * row - (x/g) * pivot_row, for g = gcd(d, x), and is then divided
-    by the gcd of its entries.  Each pivot row is divided by its pivot only
-    at the end; the RREF is unique, so this is the RREF that Fraction
-    arithmetic gives, returned as an array of Fractions.
+    The leftmost pivot is taken in each column, so the pivot columns are
+    those of the RREF.  A row with entry x in the pivot column of a pivot row
+    with pivot d becomes ``field.row_update``, (d/g) * row - (x/g) * pivot_row
+    for g = gcd(d, x).  Only the later rows nonzero in the pivot column are
+    cleared, from the pivot column rightwards: the rows between were zero
+    there, and every row at or below the pivot is zero left of it.  With
+    ``reduced`` the nonzero rows above the pivot are cleared too, across the
+    full width, since the rescaling touches their left part; each pivot row
+    then differs from its RREF row by the factor that
+    ``field.divide_pivot_rows`` divides out.  Pivot rows are never normalised
+    here.
     """
-    p = field.p
-    a = a.copy() if p else _integer_rows(a)
-    a.setflags(write=True)
-    rows, cols = a.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        hits = a[r:, c].nonzero()[0]
-        if not hits.size:
-            continue
-        pr = r + int(hits[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        if p:
-            a[r] = field.canonical(a[r] * field.inv(a[r, c]))
-        col = a[:, c].copy()
-        col[r] = 0
-        nz = col.nonzero()[0]
-        if nz.size:
-            if p:
-                a[nz] = field.canonical(a[nz] - col[nz, None] * a[r][None, :])
-            else:
-                d, x = a[r, c], col[nz]
-                g = np.gcd(x, d)
-                a[nz] = _primitive_rows((d // g)[:, None] * a[nz] - (x // g)[:, None] * a[r][None, :])
-        pivots.append(c)
-        r += 1
-    if p:
-        return a, pivots
-    out = field.zeros(a.shape)
-    for k, c in enumerate(pivots):
-        row, d = a[k].tolist(), a[k, c]
-        quotient = {v: Fraction(v, d) for v in set(row)}  # one Fraction per distinct entry
-        out[k] = [quotient[v] for v in row]
-    return out, pivots
-
-
-def _rank_array(a: np.ndarray, field: FieldSpec) -> list[int]:
-    """Pivot columns of a canonical array, by forward elimination only; the rank is their number.
-
-    Pivots are found as in :func:`_rref_array`, but only the rows below a
-    pivot that are nonzero in its column are cleared, and only from the pivot
-    column rightwards; the pivot row is never normalised and nothing above it
-    is touched.  The leftmost pivot is taken in each column, so the pivot
-    columns are those of the RREF.  Over Q the rows are primitive integer
-    rows, cleared fraction-free as in :func:`_rref_array`.
-    """
-    p = field.p
-    a = a.copy() if p else _integer_rows(a)
-    a.setflags(write=True)
+    a = field.elimination_copy(a)
     rows, cols = a.shape
     pivots: list[int] = []
     r = 0
@@ -390,22 +382,19 @@ def _rank_array(a: np.ndarray, field: FieldSpec) -> list[int]:
         if hits[0]:
             pr = r + int(hits[0])
             a[[r, pr], c:] = a[[pr, r], c:]
-        # rows r..pr-1 were zero in column c, so after the swap the rows to
-        # clear are exactly the later hits; columns left of c are zero below r
-        below = r + hits[1:]
-        if below.size:
-            if p:
-                factor = field.canonical(a[below, c] * field.inv(a[r, c]))
-                a[below, c:] = field.canonical(a[below, c:] - factor[:, None] * a[r, c:])
-            else:
-                d, x = a[r, c], a[below, c]
-                g = np.gcd(x, d)
-                a[below, c:] = _primitive_rows(
-                    (d // g)[:, None] * a[below, c:] - (x // g)[:, None] * a[r, c:]
-                )
+        clear, start = r + hits[1:], c
+        if reduced:
+            clear, start = np.concatenate([a[:r, c].nonzero()[0], clear]), 0
+        if clear.size:
+            a[clear, start:] = field.row_update(a[clear, start:], a[r, start:], a[clear, c], a[r, c])
         pivots.append(c)
         r += 1
-    return pivots
+    return a, pivots
+
+
+def _rank_array(a: np.ndarray, field: FieldSpec) -> list[int]:
+    """Pivot columns of a canonical array, by forward elimination only; the rank is their number."""
+    return _echelon(a, field, False)[1]
 
 
 def _tag_order_basis(rows: np.ndarray, tags: Sequence[int], field: FieldSpec) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -426,8 +415,8 @@ def _tag_order_basis(rows: np.ndarray, tags: Sequence[int], field: FieldSpec) ->
 
 def rref(m: Matrix) -> RrefResult:
     """Unique reduced row echelon form, with rank and pivot columns."""
-    a, pivots = _rref_array(m._a, m.field)
-    return RrefResult(Matrix(m.field, a), len(pivots), tuple(pivots))
+    a, pivots = _echelon(m._a, m.field, True)
+    return RrefResult(Matrix(m.field, m.field.divide_pivot_rows(a, pivots)), len(pivots), tuple(pivots))
 
 
 def _sparse_rank(rows: Iterable[Mapping[int, int | Fraction]], cols: int, field: FieldSpec) -> list[int]:

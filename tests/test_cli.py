@@ -397,6 +397,15 @@ def test_analyze_rational_field_flag(tmp_path, capsys):
     assert json.loads(out)["algebra"]["field"] == "Q"
 
 
+def test_analyze_rational_field_with_p_exits_2(tmp_path, capsys):
+    # FieldSpec("rational", 5) raises; the document must not silently drop p
+    doc = x3_doc()
+    doc["field"] = {"kind": "rational", "p": 5}
+    code, out, err = run_cli(capsys, "analyze", write_doc(tmp_path, doc))
+    assert code == 2 and out == ""
+    assert "$.field.p: rational field takes no p" in err
+
+
 def test_analyze_denominator_vanishing_mod_p(tmp_path, capsys):
     doc = x3_doc()
     doc["relations"][0]["terms"][0]["coeff"] = "1/7"

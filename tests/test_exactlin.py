@@ -121,7 +121,7 @@ def test_kernel_by_membership_not_literal():
 def _random_matrix(rng: random.Random, field: FieldSpec) -> Matrix:
     rows = rng.randint(0, 6)
     cols = rng.randint(1, 6)
-    if field.is_prime_field:
+    if field.p:
         data = [[rng.randrange(field.p) for _ in range(cols)] for _ in range(rows)]
     else:
         data = [
@@ -190,6 +190,24 @@ def test_matmul_large_prime_no_overflow():
     assert row.matmul(col).entries == (64,)  # 64 * (p-1)^2 = 64 mod p
 
 
+@pytest.mark.parametrize("field", [F7, RATIONAL], ids=["F7", "Q"])
+def test_floats_are_refused_not_truncated(field):
+    # over F_7, 2.5 would become 2 and 2.7 would be stored as 2; over Q a
+    # float would become its binary fraction
+    for x in (2.5, np.float64(2.5), 3.0):
+        with pytest.raises(TypeError):
+            field.coerce(x)
+    for a in (np.array([[2.7]]), np.array([[1.0, 2.0]], dtype=np.float32), np.array([[1 + 0j]])):
+        with pytest.raises(TypeError):
+            field.canonical(a)
+        with pytest.raises(TypeError):
+            Matrix(field, a)
+    with pytest.raises(TypeError):
+        Matrix.from_rows(field, [[1, 2.5]])
+    assert field.coerce(np.int64(9)) == field.coerce(9)
+    assert Matrix(field, np.array([[9]])) == Matrix.from_rows(field, [[9]])
+
+
 def test_entries_row_major_and_immutable():
     m = Matrix.from_rows(F5, [[1, 2], [3, 4]])
     assert m.entries == (1, 2, 3, 4)
@@ -201,7 +219,7 @@ def test_entries_row_major_and_immutable():
 
 def _naive_rref(rows: list[list], cols: int, field: FieldSpec):
     """Textbook Gauss-Jordan on Python lists: (reduced rows, pivot columns)."""
-    p = field.p if field.is_prime_field else None
+    p = field.p
 
     def norm(x):
         return x % p if p else Fraction(x)
@@ -241,6 +259,8 @@ def _check_against_naive(field: FieldSpec, grid: list[list], cols: int, m: Matri
     result = rref(m)
     expected, pivots = _naive_rref(grid, cols, field)
     assert result.pivot_cols == tuple(pivots)
+    # the forward-only mode of the same elimination finds the same pivots
+    assert exactlin._rank_array(m.array(), field) == pivots
     # rank runs its own forward elimination, never rref
     assert rank(m) == result.rank == len(pivots)
     assert [list(result.reduced.row(r)) for r in range(len(grid))] == expected
@@ -267,9 +287,16 @@ def _cases(field: FieldSpec, entry):
     )
 
 
+def _prime_entry(p: int):
+    """Entries drawn from [0, p), often near p - 1, where the int64 products are largest."""
+    return st.one_of(st.just(0), st.integers(max(0, p - 3), p - 1), st.integers(0, p - 1))
+
+
 @given(
     case=st.one_of(
         _cases(F7, _SPARSE_ENTRY),
+        _cases(F2, _prime_entry(2)),
+        _cases(F_MERSENNE, _prime_entry(2**31 - 1)),
         _cases(RATIONAL, _RATIONAL_ENTRY),
         _cases(RATIONAL, _BIG_RATIONAL_ENTRY),
     )
@@ -282,7 +309,9 @@ def _cases(field: FieldSpec, entry):
 @example(case=(RATIONAL, 10, [[0] * 9 + [Fraction(1, 3)], [0] * 10]))
 @example(case=(RATIONAL, 3, [[-3, 1, 2], [2, -5, 0], [-1, -1, -1]]))
 @example(case=(RATIONAL, 2, [[Fraction(2**70 + 1, 999_983), -(2**70)], [Fraction(-1, 10**6), 3]]))
-@settings(max_examples=400, deadline=None)
+@example(case=(F2, 3, [[1, 1, 0], [1, 0, 1], [0, 1, 1], [1, 1, 1]]))
+@example(case=(F_MERSENNE, 3, [[2**31 - 2] * 3, [2**31 - 3, 2**31 - 2, 1], [1, 2**31 - 2, 2**31 - 2]]))
+@settings(max_examples=600, deadline=None)
 def test_rref_matches_naive_reference(case):
     field, cols, grid = case
     _check_against_naive(field, grid, cols)
@@ -336,8 +365,8 @@ def _sparse_case(field: FieldSpec, rows: int, cols: int, density: float, seed: i
             return 0
         if big:
             num = rng.randint(-(2**70), 2**70)
-            return num if field.is_prime_field else Fraction(num, rng.randint(1, 10**6))
-        if field.is_prime_field:
+            return num if field.p else Fraction(num, rng.randint(1, 10**6))
+        if field.p:
             return rng.randrange(-field.p, 2 * field.p)
         if rng.random() < 0.5:
             return rng.randint(-3, 3)

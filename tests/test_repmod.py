@@ -204,7 +204,7 @@ def _random_submodule(m: Representation, rng: random.Random):
         v = rng.randrange(alg.n)
         if m.dims[v] == 0:
             continue
-        if fld.is_prime_field:
+        if fld.p:
             vec = np.array([rng.randrange(fld.p) for _ in range(m.dims[v])], dtype=np.int64)
         else:
             vec = np.empty(m.dims[v], dtype=object)
@@ -507,7 +507,7 @@ def _densify(rows: list[dict], unknowns: int, fld) -> np.ndarray:
     for i, row in enumerate(rows):
         for c, x in row.items():
             assert 0 <= c < unknowns
-            if fld.is_prime_field:
+            if fld.p:
                 assert type(x) is int and 0 <= x < fld.p, x
             else:
                 assert type(x) is Fraction, x
@@ -573,7 +573,7 @@ def test_hom_constraints_match_kronecker_oracle():
 def _random_invertible(fld, d: int, rng: random.Random) -> tuple[Matrix, Matrix]:
     """A random dense invertible d x d matrix g and its inverse, over fld."""
     while True:
-        lo, hi = (0, fld.p - 1) if fld.is_prime_field else (-3, 3)
+        lo, hi = (0, fld.p - 1) if fld.p else (-3, 3)
         rows = [[rng.randint(lo, hi) for _ in range(d)] for _ in range(d)]
         g = Matrix.from_rows(fld, rows, cols=d)
         # row-reduce [g | I]: g is invertible iff the left block reduces to I
@@ -630,7 +630,7 @@ def _rebase_graded(m: Representation, rng: random.Random) -> Representation:
     """
     fld = m.field
     lower = m.radical_degrees is not None
-    lo, hi = (0, fld.p - 1) if fld.is_prime_field else (-3, 3)
+    lo, hi = (0, fld.p - 1) if fld.p else (-3, 3)
     pairs = []
     for d in m.dims:
         noise = np.array([rng.randint(lo, hi) for _ in range(d * d)], dtype=np.int64).reshape(d, d)
@@ -766,22 +766,39 @@ def test_hom_yoneda_on_truncated_projectives_and_socle_submodules():
 
 
 def test_hom_route_never_reaches_rref(monkeypatch, kx3):
-    # the Hom route must not share its elimination with the formula route
+    # the Hom route reads ranks and pivot columns only: it never builds an
+    # RREF, neither through rref or row_space_basis nor through the reduced
+    # mode of the dense elimination.  In dense bases of P_1 and Q_1 over
+    # k[x]/x^5 its system reaches the dense tail, in forward mode
     from adrkit import exactlin
 
     p, q = projective(kx3, 1), injective(kx3, 1)
+    kx5 = get_entry("nakayama-1-5").build()
+    rng = random.Random(1)
+    dense_p, dense_q = _conjugate(projective(kx5, 1), rng), _conjugate(injective(kx5, 1), rng)
 
     def forbidden(*args):
         raise AssertionError("the Hom route reached the RREF code")
 
     for owner, name in (
         (exactlin, "rref"),
-        (exactlin, "_rref_array"),
         (exactlin, "row_space_basis"),
         (repmod, "row_space_basis"),
     ):
         monkeypatch.setattr(owner, name, forbidden)
+    real = exactlin._echelon
+    forward = []
+
+    def forward_only(a, field, reduced):
+        if reduced:
+            forbidden()
+        forward.append(a.shape)
+        return real(a, field, reduced)
+
+    monkeypatch.setattr(exactlin, "_echelon", forward_only)
     assert hom_dim(p, q) == 3
+    assert hom_dim(dense_p, dense_q) == 5
+    assert forward, "no Hom system reached the dense elimination"
     assert exactlin.rank(Matrix.identity(RATIONAL, 2)) == 2
 
 
