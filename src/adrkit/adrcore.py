@@ -7,42 +7,40 @@ C(R_A)), and the Cartan matrix of S_A (the endomorphism algebra of the socle
 filtrations of the injectives) off radical series of socle submodules.  Each
 matrix also has an independent Hom-space route (the intertwiner solver, and
 for C(R(R_A)) the closed form over the socle layers of Q_i); the two must
-agree exactly.  They share the modules they measure, never their
-elimination.  The formula route takes the socle profile of each truncation
-P_k/rad^l P_k (``repmod.socle_series``) off one functional pass over P_k,
-and the radical profile of each soc_j Q_i (``repmod.radical_series``) off
-one radical pass over Q_i: ``repmod`` tags each starting row with the least
-level that holds it, and one tagged pass per P_k or Q_i gives every level
-(``exactlin._tag_order_basis``, i.e. ``exactlin._rank_array`` on a
-transposed stack, per step and vertex).  It still reads the very
-``truncate(...)`` and ``socle_sub(...)`` objects that the Hom route
-measures.  The Loewy lengths of P_i and Q_i and the socle profiles of Q_i
-come from the grading of the path basis.  The intertwiner solver uses none
-of these: it reads only pivot columns of intertwiner systems.  It solves one
-system per (P_i, P_k/rad^l P_k) for C(R_A) and one per (soc_j Q_i, Q_k) for
-C(S_A), and reads every j, or every l, off the column prefixes of that one
-elimination (``repmod.hom_dims_from_tops``, ``repmod.hom_dims_into_socles``):
-n * n_Lambda systems instead of n_Lambda^2, and n * n_S instead of n_S^2.
-Each system is built as sparse rows and its pivot columns are found by
-``exactlin._sparse_rank``, which may finish with the dense forward
-elimination of ``exactlin._rank_array``; it never builds an RREF.  The
-radical profiles of soc_j Q_i are never taken from the functional pass over
-the opposite projectives, and the two passes share only ``exactlin``, so
-the duality C(R_A)[(i,j),(k,l)] = C(S_{A^op})[[k,l],[i,j]] still sets the
-two chain codes against each other.
+agree exactly.  They share the root modules P_k and Q_i they measure,
+never their elimination.  The formula route takes the socle profile of each
+truncation P_k/rad^l P_k off one functional pass over P_k, and the radical
+profile of each soc_j Q_i off one radical pass over Q_i
+(``repmod.series_by_level``): ``repmod`` tags each starting row with the
+least level that holds it, and one tagged pass per P_k or Q_i gives every
+level (``exactlin._tag_order_basis``, i.e. ``exactlin._rank_array`` on a
+transposed stack, per step and vertex).  The Loewy lengths of P_i and Q_i
+and the socle profiles of Q_i come from the grading of the path basis.
+The intertwiner solver uses none of these: it reads only pivot columns of
+intertwiner systems.  It solves one system per (P_i, P_k) for C(R_A) and
+one per (Q_i, Q_k) for C(S_A), and reads every (j, l) entry of that block
+off one row prefix and one column prefix of its single elimination
+(``repmod.hom_dims_between_levels``): n^2 systems instead of n_Lambda^2 or
+n_S^2.  Each system is built as sparse rows and its pivot columns are found
+by ``exactlin._sparse_rank``, which may finish with a dense forward
+elimination; it never builds an RREF.  Neither route builds a truncation or
+a socle submodule.  The radical profiles of soc_j Q_i are never taken from
+the functional pass over the opposite projectives, and the two passes
+share only ``exactlin``, so the duality
+C(R_A)[(i,j),(k,l)] = C(S_{A^op})[[k,l],[i,j]] still sets the two chain
+codes against each other.
 
 All matrices carry explicit row/column label lists; raw integer matrices are
 never passed between modules.
 
 The memo here (``memo.memoized``) holds only algebra-level results: the
 Lambda poset, the theorem A hypotheses, the labels of S_A and the finished
-Cartan matrices.  Modules are ``repmod``'s: it decides that P_k/rad^{l_k} P_k
-is P_k and soc_{LL} Q_i is Q_i, and memoizes every truncation and socle
-submodule on the module it comes from, and each tagged pass on its root.
-Nothing caches a Hom system or its pivots, and each route has its own key,
-so neither route reads counts the other produced: the routes share only the
-modules they measure, their agreement stays an independent check, and the
-order in which they run cannot change a result.
+Cartan matrices.  Modules are ``repmod``'s: it memoizes each tagged pass and
+its series by level on the root.  Nothing caches a Hom system or its
+pivots, and each route has its own key, so neither route reads counts the
+other produced: the routes share only the modules they measure, their
+agreement stays an independent check, and the order in which they run
+cannot change a result.
 """
 
 from __future__ import annotations
@@ -55,16 +53,13 @@ from .memo import memoized
 from .presentation import AlgebraData
 from .repmod import (
     Representation,
-    hom_dims_from_tops,
-    hom_dims_into_socles,
+    hom_dims_between_levels,
     injective,
     is_rigid,
     loewy_length,
     projective,
-    radical_series,
+    series_by_level,
     socle_series,
-    socle_sub,
-    truncate,
 )
 
 
@@ -263,11 +258,16 @@ def _first_layers_mult(cums: list[tuple[int, ...]], y: int, x: int) -> int:
 
 @memoized
 def cartan_RA_formula(alg: AlgebraData) -> LabeledMatrix:
-    """C(R_A) from socle series: entry[(i,j),(k,l)] = [soc_j(P_k/rad^l P_k) : L_i]."""
+    """C(R_A) from socle series: entry[(i,j),(k,l)] = [soc_j(P_k/rad^l P_k) : L_i].
+
+    Column (k, l) reads the socle series of P_k/rad^l P_k off the tagged
+    pass of P_k (``repmod.series_by_level``); no truncation is built.
+    """
     poset = lambda_poset(alg)
     columns = [
-        _cumulative_layers(alg, socle_series(truncate(projective(alg, k), l)))
-        for k, l in poset.labels
+        _cumulative_layers(alg, series)
+        for k in range(1, alg.n + 1)
+        for series in series_by_level(projective(alg, k))[1:]
     ]
     entries = tuple(
         tuple(_first_layers_mult(cums, j, i) for cums in columns) for i, j in poset.labels
@@ -275,20 +275,22 @@ def cartan_RA_formula(alg: AlgebraData) -> LabeledMatrix:
     return LabeledMatrix(poset.labels, poset.labels, entries)
 
 
+def _hom_blocks(roots: list[Representation]) -> tuple[tuple[int, ...], ...]:
+    """Row (i, j), column (k, l): entry [j - 1][l - 1] of the level table of (roots[i - 1], roots[k - 1])."""
+    tables = [[hom_dims_between_levels(m, n) for n in roots] for m in roots]
+    return tuple(sum(rows, ()) for row in tables for rows in zip(*row))
+
+
 @memoized
 def cartan_RA_hom(alg: AlgebraData) -> LabeledMatrix:
     """C(R_A) by the oracle route: dim Hom_A(P_i/rad^j P_i, P_k/rad^l P_k).
 
-    One intertwiner system per (P_i, P_k/rad^l P_k) gives column (k, l) on
-    rows (i, 1..l_i), one j per prefix of P_i's unknowns.
+    One intertwiner system per (P_i, P_k) gives the block of rows (i, 1..l_i)
+    and columns (k, 1..l_k): j is read off a column prefix and l off a row
+    prefix of that one elimination (``repmod.hom_dims_between_levels``).
     """
     poset = lambda_poset(alg)
-    targets = [truncate(projective(alg, k), l) for k, l in poset.labels]
-    blocks = [
-        zip(*(hom_dims_from_tops(projective(alg, i), t) for t in targets))
-        for i in range(1, alg.n + 1)
-    ]
-    entries = tuple(row for block in blocks for row in block)
+    entries = _hom_blocks([projective(alg, i) for i in range(1, alg.n + 1)])
     return LabeledMatrix(poset.labels, poset.labels, entries)
 
 
@@ -409,13 +411,27 @@ def tilting_hom_dim(alg: AlgebraData, source: LambdaLabel, target: LambdaLabel) 
 
 
 def ringel_dual_cartan_from_hom(alg: AlgebraData) -> LabeledMatrix:
-    """C(R(R_A)) with entry[(i,j),(k,l)] = dim Hom(T(i,j), T(k,l)) (closed form)."""
+    """C(R(R_A)) with entry[(i,j),(k,l)] = dim Hom(T(i,j), T(k,l)) (closed form).
+
+    The closed form of :func:`tilting_hom_dim`, read row by row off running
+    totals of the socle series of Q_i: socle layers max(l-j,0)+1 ..
+    min(L-j+1, LL(Q_i)) hold cums[hi] - cums[lo] copies of L_k, and none when
+    the range is empty.
+    """
+    hyp = theorem_a_hypotheses(alg)
+    if not hyp.all_ok:
+        raise HypothesesNotSatisfiedError(hyp.first_failure())
     poset = lambda_poset(alg)
-    entries = tuple(
-        tuple(tilting_hom_dim(alg, src, tgt) for tgt in poset.labels)
-        for src in poset.labels
-    )
-    return LabeledMatrix(poset.labels, poset.labels, entries)
+    cums = [_cumulative_layers(alg, socle_series(injective(alg, i))) for i in range(1, alg.n + 1)]
+    entries = []
+    for i, j in poset.labels:
+        acc = cums[i - 1]
+        hi = min(hyp.loewy_length - j + 1, len(acc) - 1)
+        entries.append(tuple(
+            acc[hi][k - 1] - acc[lo][k - 1] if (lo := max(l - j, 0)) < hi else 0
+            for k, l in poset.labels
+        ))
+    return LabeledMatrix(poset.labels, poset.labels, tuple(entries))
 
 
 @memoized
@@ -457,11 +473,16 @@ def sa_labels(alg: AlgebraData) -> tuple[LambdaLabel, ...]:
 
 @memoized
 def cartan_SA_formula(alg: AlgebraData) -> LabeledMatrix:
-    """C(S_A): entry[[i,j],[k,l]] = [soc_j Q_i / rad^l (soc_j Q_i) : L_k]."""
+    """C(S_A): entry[[i,j],[k,l]] = [soc_j Q_i / rad^l (soc_j Q_i) : L_k].
+
+    Row [i, j] reads the radical series of soc_j Q_i off the tagged pass of
+    Q_i (``repmod.series_by_level``); no socle submodule is built.
+    """
     labels = sa_labels(alg)
     rows = [
-        _cumulative_layers(alg, radical_series(socle_sub(injective(alg, i), j)))
-        for i, j in labels
+        _cumulative_layers(alg, series)
+        for i in range(1, alg.n + 1)
+        for series in series_by_level(injective(alg, i))[1:]
     ]
     entries = tuple(tuple(_first_layers_mult(cums, l, k) for k, l in labels) for cums in rows)
     return LabeledMatrix(labels, labels, entries)
@@ -471,13 +492,11 @@ def cartan_SA_formula(alg: AlgebraData) -> LabeledMatrix:
 def cartan_SA_hom(alg: AlgebraData) -> LabeledMatrix:
     """C(S_A) by the oracle route: dim Hom_A(soc_j Q_i, soc_l Q_k).
 
-    One intertwiner system per (soc_j Q_i, Q_k) gives row [i, j] on columns
-    [k, 1..LL(Q_k)], one l per prefix of Q_k's unknowns.
+    One intertwiner system per (Q_i, Q_k) gives the block of rows
+    [i, 1..LL(Q_i)] and columns [k, 1..LL(Q_k)]: j is read off a row prefix
+    and l off a column prefix of that one elimination
+    (``repmod.hom_dims_between_levels``).
     """
     labels = sa_labels(alg)
-    targets = [injective(alg, k) for k in range(1, alg.n + 1)]
-    entries = tuple(
-        sum((hom_dims_into_socles(socle_sub(injective(alg, i), j), t) for t in targets), ())
-        for i, j in labels
-    )
+    entries = _hom_blocks([injective(alg, i) for i in range(1, alg.n + 1)])
     return LabeledMatrix(labels, labels, entries)

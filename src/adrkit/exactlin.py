@@ -6,13 +6,13 @@ module.  Prime-field matrices are stored as int64 numpy arrays with entries in
 normalise themselves to lowest terms with positive denominator).  Ranks are
 taken by :func:`_sparse_rank` on rows given as ``{column: coefficient}``
 dicts, with Python ints mod p or Fractions, falling back to dense forward
-elimination once the rows fill in; it returns the pivot columns, so one
-elimination also gives the rank of every column prefix.  No floating point
-anywhere.
+elimination once the rows fill in.  It returns the pivot columns of each
+requested row prefix, so one elimination gives the rank of every row prefix
+on every column prefix.  No floating point anywhere.
 
 There are two eliminations.  :func:`_echelon` is the one dense pivot loop:
 :func:`rref` runs it with the rows above each pivot cleared too, and
-:func:`_rank_array` (the dense tail of :func:`_sparse_rank`) without.  Every
+:func:`_rank_array` and the dense tail of :func:`_sparse_rank` without.  Every
 update is fraction-free, (d/g) * row - (x/g) * pivot_row as in Bareiss
 (1968); over Q the rows are Python-int rows, scaled by the lcm of their
 denominators on entry and divided by the gcd of their entries after every
@@ -419,12 +419,23 @@ def rref(m: Matrix) -> RrefResult:
     return RrefResult(Matrix(m.field, m.field.divide_pivot_rows(a, pivots)), len(pivots), tuple(pivots))
 
 
-def _sparse_rank(rows: Iterable[Mapping[int, int | Fraction]], cols: int, field: FieldSpec) -> list[int]:
-    """Pivot columns, ascending, of rows given as ``{column: coefficient}`` dicts over ``cols`` columns.
+def _dense_limit(cols: int) -> float:
+    """The mean pivot-row length past which :func:`_sparse_rank` counts its rows as dense."""
+    return max(16, cols / 16)
 
-    The rank is their number.  The rank of the first c columns alone is the
-    number of pivot columns below c, so one elimination answers every
-    column prefix.
+
+def _sparse_rank(
+    rows: Sequence[Mapping[int, int | Fraction]], cols: int, field: FieldSpec, marks: Sequence[int]
+) -> list[list[int]]:
+    """For each R in ``marks`` (ascending), the pivot columns, ascending, of ``rows[:R]``.
+
+    The rows are ``{column: coefficient}`` dicts over ``cols`` columns.  The
+    rank of rows[:R] is the number of its pivot columns, and the rank of
+    rows[:R] on the first c columns alone is the number of them below c: the
+    rank profile of the matrix (Dumas, Pernet and Sultan, "Fast computation of
+    the rank profile matrix and the generalized Bruhat decomposition", 2017).
+    So one elimination answers every row prefix in ``marks`` and every column
+    prefix.
 
     Each row is reduced against the pivot rows in the order they were made; a
     heap of creation indices picks up the pivot columns that a subtraction
@@ -440,11 +451,10 @@ def _sparse_rank(rows: Iterable[Mapping[int, int | Fraction]], cols: int, field:
     rows sorted by lead are an echelon basis of the rows read, and the leads
     are the pivot columns of their RREF.
 
-    Once the mean pivot-row length exceeds max(16, cols / 16) the rows are
-    no longer sparse, and the pivot columns are finished by
-    :func:`_rank_array` on the pivot rows plus the rows not yet read; the
-    pivot rows span every row read so far, so these are the pivot columns
-    of all rows.
+    Once the mean pivot-row length exceeds :func:`_dense_limit` the rows are
+    no longer sparse.  The marks read so far keep their sparse pivots, and
+    the later ones are finished by :func:`_dense_rank_tail` from the pivot
+    rows, which span every row read.
     """
     p = field.p
     lead_of: dict[int, int] = {}
@@ -452,65 +462,71 @@ def _sparse_rank(rows: Iterable[Mapping[int, int | Fraction]], cols: int, field:
     lead_values: list[int] = []
     pivot_rows: list[dict] = []
     stored = 0
-    limit = max(16, cols / 16)
-    remaining = iter(rows)
-    for row in remaining:
-        if p:
-            r = {c: x % p for c, x in row.items() if x % p}
-        else:
-            r = {c: x for c, x in zip(row, _cleared(row.values())) if x}
-        heap = [lead_of[c] for c in r if c in lead_of]
-        heapq.heapify(heap)
-        while heap:
-            k = heapq.heappop(heap)
-            x = r.pop(leads[k], None)
-            if x is None:
-                continue
-            if not p:
-                d = lead_values[k]
-                g = gcd(x, d)
-                if g != d:
-                    r = {c: v * (d // g) for c, v in r.items()}
-                x //= g
-            for c, y in pivot_rows[k].items():
-                v = r.get(c)
-                if v is None:
-                    if c in lead_of:
-                        heapq.heappush(heap, lead_of[c])
-                    r[c] = (-x * y) % p if p else -x * y
+    limit = _dense_limit(cols)
+    profile: list[list[int]] = []
+    t = 0
+    for m, mark in enumerate(marks):
+        while t < mark:
+            row = rows[t]
+            t += 1
+            if p:
+                r = {c: x % p for c, x in row.items() if x % p}
+            else:
+                r = {c: x for c, x in zip(row, _cleared(row.values())) if x}
+            heap = [lead_of[c] for c in r if c in lead_of]
+            heapq.heapify(heap)
+            while heap:
+                k = heapq.heappop(heap)
+                x = r.pop(leads[k], None)
+                if x is None:
                     continue
-                v = (v - x * y) % p if p else v - x * y
-                if v:
-                    r[c] = v
-                else:
-                    del r[c]
-        if not r:
-            continue
-        lead = min(r)
-        # a pivot row omits its lead entry: reducing a row pops the row's own
-        # entry at the lead instead of subtracting it
-        if p:
-            inv = field.inv(r.pop(lead))
-            pivot = {c: v * inv % p for c, v in r.items()}
-            d = 1
-        else:
-            g = gcd(*r.values()) if r[lead] > 0 else -gcd(*r.values())
-            d = r.pop(lead) // g
-            pivot = {c: v // g for c, v in r.items()}
-        lead_of[lead] = len(leads)
-        leads.append(lead)
-        lead_values.append(d)
-        pivot_rows.append(pivot)
-        stored += len(pivot) + 1
-        if stored > limit * len(leads):
-            return _dense_rank_tail(leads, lead_values, pivot_rows, remaining, cols, field)
-    return sorted(leads)
+                if not p:
+                    d = lead_values[k]
+                    g = gcd(x, d)
+                    if g != d:
+                        r = {c: v * (d // g) for c, v in r.items()}
+                    x //= g
+                for c, y in pivot_rows[k].items():
+                    v = r.get(c)
+                    if v is None:
+                        if c in lead_of:
+                            heapq.heappush(heap, lead_of[c])
+                        r[c] = (-x * y) % p if p else -x * y
+                        continue
+                    v = (v - x * y) % p if p else v - x * y
+                    if v:
+                        r[c] = v
+                    else:
+                        del r[c]
+            if not r:
+                continue
+            lead = min(r)
+            # a pivot row omits its lead entry: reducing a row pops the row's own
+            # entry at the lead instead of subtracting it
+            if p:
+                inv = field.inv(r.pop(lead))
+                pivot = {c: v * inv % p for c, v in r.items()}
+                d = 1
+            else:
+                g = gcd(*r.values()) if r[lead] > 0 else -gcd(*r.values())
+                d = r.pop(lead) // g
+                pivot = {c: v // g for c, v in r.items()}
+            lead_of[lead] = len(leads)
+            leads.append(lead)
+            lead_values.append(d)
+            pivot_rows.append(pivot)
+            stored += len(pivot) + 1
+            if stored > limit * len(leads):
+                read = [R for R in marks[m:] if R <= t]
+                profile += [sorted(leads)] * len(read)
+                carried = [{lead: d, **pivot} for lead, d, pivot in zip(leads, lead_values, pivot_rows)]
+                return profile + _dense_rank_tail(carried, rows, t, marks[m + len(read):], cols, field)
+        profile.append(sorted(leads))
+    return profile
 
 
-def _dense_rank_tail(leads, lead_values, pivot_rows, remaining, cols: int, field: FieldSpec) -> list[int]:
-    """Pivot columns of the pivot rows plus the unread rows, by :func:`_rank_array`."""
-    rows = [{lead: d, **pivot} for lead, d, pivot in zip(leads, lead_values, pivot_rows)]
-    rows += remaining
+def _dense_rows(rows: Sequence[Mapping], cols: int, field: FieldSpec) -> np.ndarray:
+    """``{column: coefficient}`` rows as a canonical dense array."""
     at_row, at_col, values = [], [], []
     for i, row in enumerate(rows):
         at_row += [i] * len(row)
@@ -518,7 +534,27 @@ def _dense_rank_tail(leads, lead_values, pivot_rows, remaining, cols: int, field
         values += row.values()
     a = field.zeros((len(rows), cols))
     a[at_row, at_col] = [field.coerce(v) for v in values]
-    return _rank_array(a, field)
+    return a
+
+
+def _dense_rank_tail(
+    carried: list[dict], rows: Sequence[Mapping], start: int, marks: Sequence[int], cols: int, field: FieldSpec
+) -> list[list[int]]:
+    """For each R in ``marks``, the pivot columns of rows[:R], given ``carried`` rows spanning rows[:start].
+
+    At each mark the echelon rows kept from the previous one (at first the
+    carried rows) are stacked on the rows read since and reduced forward by
+    :func:`_echelon`; its nonzero rows span every row read so far and are
+    carried on, so no elimination starts over from the first row.
+    """
+    echelon = _dense_rows(carried, cols, field)
+    profile = []
+    for mark in marks:
+        stacked = np.vstack([echelon, _dense_rows(rows[start:mark], cols, field)])
+        reduced, pivots = _echelon(stacked, field, False)
+        echelon, start = reduced[: len(pivots)], mark
+        profile.append(pivots)
+    return profile
 
 
 def _sparse_rows(a: np.ndarray) -> list[dict]:
@@ -528,7 +564,7 @@ def _sparse_rows(a: np.ndarray) -> list[dict]:
 
 def rank(m: Matrix) -> int:
     """Rank of ``m``, by :func:`_sparse_rank` on its nonzero entries (no RREF is built)."""
-    return len(_sparse_rank(_sparse_rows(m._a), m.cols, m.field))
+    return len(_sparse_rank(_sparse_rows(m._a), m.cols, m.field, [m.rows])[0])
 
 
 def row_space_basis(m: Matrix) -> RrefResult:

@@ -29,16 +29,22 @@ Under a socle grading it is the radical chain (:func:`_radical_pass`), which
 gives the radical series of Q_i and of every soc_j Q_i.  The two passes
 share only ``exactlin``: the first multiplies functionals on the right by
 the maps of outgoing arrows, the second maps vectors along incoming arrows.
-``is_rigid`` checks a module's chain, read off its root's pass, against its
-grading.  A leading block records its root and level (``_root``), and each
-pass is memoized on its root, so P_k and Q_i are each passed once.
+``series_by_level`` reads the series of every level off a root's pass by
+counting the rows of tag <= l at each step, and builds no leading block; the
+``socle_series`` or ``radical_series`` of a leading block reads the same
+tuple.  ``is_rigid`` checks a module's chain, read off its root's pass,
+against its grading.  A leading block records its root and level
+(``_root``), and each pass is memoized on its root, so P_k and Q_i are each
+passed once.
 
 The library functions read the grading they need and raise ``ValueError``
 without it: ``truncate`` needs a radical grading, ``socle_sub`` a socle
 grading, and ``socle_series`` and ``is_rigid`` a grading of either kind.
-``simple`` is radically graded, with degree 0 at its vertex.  The prefix
-readers of the Hom route need a grading too: ``hom_dims_from_tops`` a
-radically graded source, ``hom_dims_into_socles`` a socle-graded target.
+``simple`` is radically graded, with degree 0 at its vertex.
+``series_by_level`` takes a graded root, and the level reader of the Hom
+route, ``hom_dims_between_levels``, two radically graded or two
+socle-graded modules.  Both also refuse a grading whose leading blocks are
+not arrow-invariant (:func:`_check_invariant`, memoized per module).
 ``radical_series``, ``loewy_length`` and ``hom_dim`` take any module; on a
 module with no grading the first two go through the general radical chain
 (``radical_chain``).  The general socle chain (``socle_chain``, with
@@ -53,16 +59,20 @@ Hom route memoizes on each module its support and the sparse columns and
 negated sparse rows of its arrow maps, so a module's arrow data is read once
 however many Hom systems it enters; no Hom system or its pivots is memoized.
 
-The Hom route reads a nested family off one intertwiner system.  Since
-m/rad^j m is the leading block of a radically graded m, the system of
-Hom(m/rad^j m, n) is the system of Hom(m, n) with the unknowns of source
-degree >= j deleted.  With the unknowns numbered by source degree, it is
-the first c_j columns, c_j the number of unknowns of degree < j, and
-dim Hom(m/rad^j m, n) = c_j - (pivot columns below c_j): one elimination
-gives every j (``hom_dims_from_tops``).  Under a socle grading of n,
-soc_l n is the leading block and the same holds on the target side
-(``hom_dims_into_socles``).  ``hom_dim``, one system per pair, is the
-oracle they are tested against.
+The Hom route reads a whole block of levels off one intertwiner system per
+pair of roots (``hom_dims_between_levels``).  For radically graded m and n,
+number the unknowns f_v[r, k] by the degree of k in m and sort the
+equations (r, c) by the degree of r in n.  Deleting the unknowns of source
+degree >= j gives m/rad^j m; and since rad^l n is a submodule, the
+equations with deg r < l meet only unknowns with deg r < l and form the
+system of Hom(-, n/rad^l n).  So dim Hom(m/rad^j m, n/rad^l n) is c_{j,l},
+the unknowns of both degrees below j and l, minus the rank of the first
+R_l equations on the first c_j unknowns: the pivots below c_j of that row
+prefix, all read off one ``exactlin._sparse_rank``.  Under socle gradings
+the equations sort by the degree of c in m (the row prefix is soc_j m) and
+the unknowns by the degree of r in n (the column prefix is soc_l n).
+``hom_dim`` on the ``truncate`` and ``socle_sub`` modules, one system per
+pair, is the oracle it is tested against.
 """
 
 from __future__ import annotations
@@ -71,6 +81,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
+from operator import mul, sub
 
 import numpy as np
 
@@ -259,25 +270,40 @@ def _grading_length(degrees: Grading) -> int:
     return max((d[-1] + 1 for d in degrees if d), default=0)
 
 
+@memoized
+def _check_invariant(m: Representation) -> None:
+    """Raise ``ValueError`` unless every leading block of m's grading is arrow-invariant.
+
+    Under a radical grading the coordinates of degree >= l must span a
+    submodule for every l, so an arrow map entry M_a[r, k] may be nonzero
+    only where deg r >= deg k; under a socle grading those of degree < l
+    must, so only where deg r <= deg k.
+    """
+    radical = m.radical_degrees is not None
+    degrees = m.radical_degrees if radical else m.socle_degrees
+    for a in m.algebra.quiver.arrows:
+        u, v = m.algebra.quiver.arrow_endpoints(a.name)
+        r, k = m.arrow_maps[a.name].array().nonzero()
+        rise = np.asarray(degrees[v - 1], dtype=np.int64)[r] - np.asarray(degrees[u - 1], dtype=np.int64)[k]
+        if (rise < 0 if radical else rise > 0).any():
+            raise ValueError("subspaces are not arrow-invariant")
+
+
 def _leading_block(m: Representation, l: int) -> Representation:
     """The coordinates of degree < l: m/rad^l m under a radical grading, soc_l m under a socle one.
 
-    The dropped coordinates must span a submodule (radical grading), or the
-    kept ones must (socle grading); the block of each arrow map that would
-    break this is checked to be zero.  The block records m's root and the
-    level l: the leading block of level l of a leading block is the root's.
+    The grading is checked by :func:`_check_invariant`.  The block records
+    m's root and the level l: the leading block of level l of a leading
+    block is the root's.
     """
+    _check_invariant(m)
     radical = m.radical_degrees is not None
     degrees = m.radical_degrees if radical else m.socle_degrees
     keep = _below(degrees, l)
     maps = {}
     for a in m.algebra.quiver.arrows:
         u, v = m.algebra.quiver.arrow_endpoints(a.name)
-        arr = m.arrow_maps[a.name].array()
-        cu, cv = keep[u - 1], keep[v - 1]
-        if (arr[:cv, cu:] if radical else arr[cv:, :cu]).any():
-            raise ValueError("subspaces are not arrow-invariant")
-        maps[a.name] = Matrix(m.field, arr[:cv, :cu])
+        maps[a.name] = Matrix(m.field, m.arrow_maps[a.name].array()[: keep[v - 1], : keep[u - 1]])
     kept = tuple(d[:c] for d, c in zip(degrees, keep))
     root = (m._root[0] if m._root else m, l)
     if radical:
@@ -525,15 +551,75 @@ def _pass_rows(m: Representation) -> list[tuple[np.ndarray, ...]]:
 
 
 @memoized
+def _level_series(root: Representation) -> tuple[SeriesProfile | None, ...]:
+    """Entry l: the socle series of root/rad^l root, or the radical series of soc_l root, l = 0..LL.
+
+    Read off the root's tagged pass: under a radical grading the functionals
+    F_j, of which those of tag <= l have common kernel soc_j(root/rad^l
+    root), so that socle has dimension c_v minus their number at vertex v
+    for c_v the coordinates of degree < l; under a socle grading the radical
+    chain, whose rows of tag <= l span rad^t(soc_l root).  Each count is a
+    ``bisect_right`` on a step's sorted tags, and a level's chain ends at the
+    first step that has none.  The leading block of level l is a module only
+    if the grading is arrow-invariant (:func:`_check_invariant`).  A block's
+    functionals must vanish within the block's Loewy length, as the root's
+    must within its own; where they do not, the grading misreads the block
+    and its entry is None.
+    """
+    _check_invariant(root)
+    radical = root.radical_degrees is not None
+    degrees = root.radical_degrees if radical else root.socle_degrees
+    run = _functional_pass(root) if radical else _radical_pass(root)
+    out = []
+    for l in range(_grading_length(degrees) + 1):
+        dims = []
+        for step in run:
+            dims.append(tuple(bisect_right(tags, l) for _, tags in step))
+            if not any(dims[-1]):
+                break
+        if not radical:
+            out.append(_quotient_layers(zip(dims, dims[1:])))
+            continue
+        block = _below(degrees, l)
+        if len(dims) > _grading_length(tuple(d[:c] for d, c in zip(degrees, block))) + 1:
+            out.append(None)
+            continue
+        socs = [tuple(c - k for c, k in zip(block, step)) for step in dims]
+        out.append(_quotient_layers(zip(socs[1:], socs)))
+    return tuple(out)
+
+
+def _read_level(series: SeriesProfile | None) -> SeriesProfile:
+    """A level's series; None marks a level whose block the grading misreads."""
+    if series is None:
+        raise RuntimeError("socle did not grow; representation is invalid")
+    return series
+
+
+def series_by_level(root: Representation) -> tuple[SeriesProfile, ...]:
+    """Entry l: the socle series of root/rad^l root under a radical grading, or the radical series of soc_l root under a socle one.
+
+    l runs over 0..LL(root), so entry LL(root) is the root's own series.
+    One tagged pass of the root gives every level (:func:`_level_series`);
+    no leading block is built.
+    """
+    return tuple(map(_read_level, _level_series(root)))
+
+
+def _level(m: Representation) -> tuple[Representation, int]:
+    """m's root and m's level there: a leading block's, or m itself at its Loewy length."""
+    return m._root or (m, loewy_length(m))
+
+
+@memoized
 def socle_series(m: Representation) -> SeriesProfile:
     """Socle layers soc_j/soc_{j-1}, bottom-up; m must be graded."""
     if m.socle_degrees is not None:
         return _degree_profile(m.socle_degrees)
     if m.radical_degrees is None:
         raise ValueError("socle_series needs a graded module")
-    # soc_j m has dimension c_v - rank F_j(v) at v
-    socs = [tuple(c - len(rows) for c, rows in zip(m.dims, step)) for step in _pass_rows(m)]
-    return _quotient_layers(zip(socs[1:], socs))
+    root, level = _level(m)
+    return _read_level(_level_series(root)[level])
 
 
 def radical_series(m: Representation) -> SeriesProfile:
@@ -541,9 +627,9 @@ def radical_series(m: Representation) -> SeriesProfile:
     if m.radical_degrees is not None:
         return _degree_profile(m.radical_degrees)
     if m.socle_degrees is not None:
-        dims = [tuple(map(len, step)) for step in _pass_rows(m)]
-    else:
-        dims = _chain_dims(radical_chain(m))
+        root, level = _level(m)
+        return _read_level(_level_series(root)[level])
+    dims = _chain_dims(radical_chain(m))
     return _quotient_layers(zip(dims, dims[1:]))
 
 
@@ -645,17 +731,17 @@ def _numbering(m: Representation, n: Representation, by: str | None):
     """(row_at, col_at): unknown f_v[r, k] is numbered row_at[v][r] + col_at[v][k].
 
     With ``by`` None the unknowns run row-major, vertex by vertex; with
-    "source" they are sorted by the radical degree of coordinate k of m,
-    with "target" by the socle degree of coordinate r of n.
+    "radical" they are sorted by the radical degree of coordinate k of m,
+    with "socle" by the socle degree of coordinate r of n.
     """
-    if by == "source":
+    if by == "radical":
         return [list(range(d)) for d in n.dims], _slots(m.radical_degrees, n.dims)
-    row_degrees = n.socle_degrees if by == "target" else tuple((0,) * d for d in n.dims)
+    row_degrees = n.socle_degrees if by == "socle" else tuple((0,) * d for d in n.dims)
     return _slots(row_degrees, m.dims), [list(range(d)) for d in m.dims]
 
 
-def _hom_constraints(m: Representation, n: Representation, by: str | None = None) -> tuple[list[dict], int]:
-    """Sparse rows of the intertwiner system, and the number of unknowns.
+def _hom_constraints(m: Representation, n: Representation, by: str | None = None) -> tuple[list[dict], int, list[int]]:
+    """Sparse rows of the intertwiner system, the number of unknowns, and the level marks.
 
     Unknowns are the entries of f_v: M_v -> N_v, numbered by
     :func:`_numbering` (row-major and concatenated over vertices unless
@@ -666,11 +752,18 @@ def _hom_constraints(m: Representation, n: Representation, by: str | None = None
     meets M_a[k, c] for the nonzeros of column c of M_a, and f_u[k, c] meets
     -N_a[r, k] for the nonzeros of row r of N_a.  A loop (u = v) adds both
     parts into the same key, which may leave an explicit zero.
+
+    The equations come in arrow order, and, stably, by level: with ``by``
+    "radical" the radical degree of coordinate r of n, with "socle" the
+    socle degree of coordinate c of m, and with None all are of level 0.
+    ``marks[l - 1]`` counts the equations of level < l.
     """
     q = m.algebra.quiver
     p = m.field.p
     row_at, col_at = _numbering(m, n, by)
-    rows: list[dict] = []
+    row_level = n.radical_degrees if by == "radical" else tuple((0,) * d for d in n.dims)
+    col_level = m.socle_degrees if by == "socle" else tuple((0,) * d for d in m.dims)
+    levels: list[list[dict]] = [[] for _ in range(max(_grading_length(row_level), _grading_length(col_level), 1))]
     for a in q.arrows:
         u, v = q.arrow_endpoints(a.name)
         nv, mu = n.dims[v - 1], m.dims[u - 1]
@@ -679,9 +772,9 @@ def _hom_constraints(m: Representation, n: Representation, by: str | None = None
         col_v, row_u, col_u = col_at[v - 1], row_at[u - 1], col_at[u - 1]
         m_cols = [[(col_v[k], x) for k, x in col.items()] for col in _sparse_columns(m, a.name)]
         n_rows = _negated_sparse_rows(n, a.name)
-        for r, left in enumerate(row_at[v - 1]):
+        for r, (left, r_level) in enumerate(zip(row_at[v - 1], row_level[v - 1])):
             right = [(row_u[k], x) for k, x in n_rows[r].items()]
-            for shift, col in zip(col_u, m_cols):
+            for shift, col, c_level in zip(col_u, m_cols, col_level[u - 1]):
                 eq = {left + k: x for k, x in col}
                 for start, x in right:
                     key = start + shift
@@ -689,8 +782,9 @@ def _hom_constraints(m: Representation, n: Representation, by: str | None = None
                         eq[key] = (eq[key] + x) % p if p else eq[key] + x
                     else:
                         eq[key] = x
-                rows.append(eq)
-    return rows, sum(nd * md for nd, md in zip(n.dims, m.dims))
+                levels[r_level + c_level].append(eq)
+    rows = [eq for level in levels for eq in level]
+    return rows, sum(nd * md for nd, md in zip(n.dims, m.dims)), list(accumulate(map(len, levels)))
 
 
 def _same_algebra(m: Representation, n: Representation) -> None:
@@ -703,46 +797,54 @@ def hom_dim(m: Representation, n: Representation) -> int:
     _same_algebra(m, n)
     if _support(m).isdisjoint(_support(n)):
         return 0
-    rows, unknowns = _hom_constraints(m, n)
-    return unknowns - len(_sparse_rank(rows, unknowns, m.field))
+    rows, unknowns, marks = _hom_constraints(m, n)
+    return unknowns - len(_sparse_rank(rows, unknowns, m.field, marks)[-1])
 
 
-def _prefix_hom_dims(m: Representation, n: Representation, by: str) -> tuple[int, ...]:
-    """dim Hom over each leading block of the graded side, from one system.
+def hom_dims_between_levels(m: Representation, n: Representation) -> tuple[tuple[int, ...], ...]:
+    """Entry [j - 1][l - 1]: dim Hom(m/rad^j m, n/rad^l n), or dim Hom(soc_j m, soc_l n), by one elimination.
 
-    The unknowns are sorted by degree (:func:`_numbering`), so the first c_j
-    columns hold the c_j unknowns of degree < j.  Restricted to them, each
-    equation either is an equation of the leading block of degree < j or
-    meets no kept unknown, since the arrow maps vanish on the block that
-    :func:`_leading_block` checks.  So the block's Hom has dimension c_j
-    minus the number of pivot columns below c_j.
+    j runs over 1..LL(m) and l over 1..LL(n).  Both modules must be
+    radically graded (the first family) or both socle-graded (the second),
+    with arrow-invariant gradings (:func:`_check_invariant`).
+
+    Under radical gradings the unknowns f_v[r, k] are numbered by the degree
+    of k in m and the equations (r, c) come sorted by the degree of r in n
+    (:func:`_hom_constraints`).  Since rad^l n is a submodule, an equation
+    with deg r < l meets only unknowns with deg r < l; those equations,
+    restricted to the unknowns with deg k < j, are the system of
+    Hom(m/rad^j m, n/rad^l n).  So its dimension is c_{j,l}, the unknowns
+    with deg k < j and deg r < l, minus the pivot columns below c_j of the
+    equations of level < l, c_j the unknowns with deg k < j.  Under socle
+    gradings the roles swap: the equations sorted by the degree of c in m
+    give soc_j m, and the unknowns numbered by the degree of r in n give
+    soc_l n.
     """
     _same_algebra(m, n)
-    degrees, widths = (m.radical_degrees, n.dims) if by == "source" else (n.socle_degrees, m.dims)
-    per_degree = [0] * _grading_length(degrees)
-    for ds, w in zip(degrees, widths):
-        for d in ds:
-            per_degree[d] += w
-    counts = list(accumulate(per_degree))  # c_j, the unknowns of degree < j
+    if m.radical_degrees is not None and n.radical_degrees is not None:
+        by, src, tgt = "radical", m.radical_degrees, n.radical_degrees
+    elif m.socle_degrees is not None and n.socle_degrees is not None:
+        by, src, tgt = "socle", m.socle_degrees, n.socle_degrees
+    else:
+        raise ValueError("hom_dims_between_levels needs two radically graded or two socle-graded modules")
+    _check_invariant(m)
+    _check_invariant(n)
+    below_m = [_below(src, j) for j in range(1, _grading_length(src) + 1)]
+    below_n = [_below(tgt, l) for l in range(1, _grading_length(tgt) + 1)]
+    both = [[sum(map(mul, bm, bn)) for bn in below_n] for bm in below_m]
     if _support(m).isdisjoint(_support(n)):
-        return (0,) * len(counts)
-    rows, unknowns = _hom_constraints(m, n, by)
-    pivots = _sparse_rank(rows, unknowns, m.field)
-    return tuple(c - bisect_left(pivots, c) for c in counts)
-
-
-def hom_dims_from_tops(m: Representation, n: Representation) -> tuple[int, ...]:
-    """dim Hom_A(m/rad^j m, n) for j = 1..LL(m), by one elimination; m must be radically graded."""
-    if m.radical_degrees is None:
-        raise ValueError("hom_dims_from_tops needs a radically graded source")
-    return _prefix_hom_dims(m, n, "source")
-
-
-def hom_dims_into_socles(m: Representation, n: Representation) -> tuple[int, ...]:
-    """dim Hom_A(m, soc_l n) for l = 1..LL(n), by one elimination; n must be socle-graded."""
-    if n.socle_degrees is None:
-        raise ValueError("hom_dims_into_socles needs a socle-graded target")
-    return _prefix_hom_dims(m, n, "target")
+        return tuple((0,) * len(below_n) for _ in below_m)
+    rows, unknowns, marks = _hom_constraints(m, n, by)
+    profile = _sparse_rank(rows, unknowns, m.field, marks)
+    # one mark per level of the side that sorts the equations; the other
+    # side's level j (or l) is the column prefix c_j (or c_l)
+    if by == "radical":
+        prefixes = [sum(map(mul, bm, n.dims)) for bm in below_m]
+        ranks = zip(*([bisect_left(pivots, c) for c in prefixes] for pivots in profile))
+    else:
+        prefixes = [sum(map(mul, m.dims, bn)) for bn in below_n]
+        ranks = ([bisect_left(pivots, c) for c in prefixes] for pivots in profile)
+    return tuple(tuple(map(sub, row, rank)) for row, rank in zip(both, ranks))
 
 
 def _socle_vertex(m: Representation) -> int | None:

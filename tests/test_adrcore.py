@@ -381,10 +381,10 @@ def test_formula_routes_and_hypotheses_run_one_tagged_pass_per_root(monkeypatch)
 
 
 def test_each_module_gets_one_functional_pass(monkeypatch):
-    # the tagged pass of a root reads the root's own arrow maps, and every
-    # truncation P_k/rad^l P_k or socle submodule soc_j Q_i is read off the
-    # pass of its root; no root is passed twice: equal representations over
-    # one algebra are one module, whoever built them
+    # the tagged pass of a root reads the root's own arrow maps, and the
+    # series of every truncation P_k/rad^l P_k or socle submodule soc_j Q_i
+    # is read off the pass of its root; no root is passed twice: equal
+    # representations over one algebra are one module, whoever built them
     passes = _spy_on_tagged_passes(monkeypatch)
 
     def module_key(name, m):
@@ -392,45 +392,58 @@ def test_each_module_gets_one_functional_pass(monkeypatch):
                      for a in m.algebra.quiver.arrows)
         return name, id(m.algebra), m.dims, maps
 
-    for entry in builtin_entries():
-        analyze_presentation(entry.presentation)
+    # a report builds no leading block: both routes read the roots alone
+    def forbidden(m, l):
+        raise AssertionError("a report built a leading block")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(repmod, "_leading_block", forbidden)
+        for entry in builtin_entries():
+            analyze_presentation(entry.presentation)
     for seed in range(910000, 910030):
         tagged_invariant_failures(random_admissible(seed).build())
     assert passes and len({module_key(*x) for x in passes}) == len(passes)
 
-    # the formula route of C(R_A) reads the socle series of the truncate(...)
-    # objects that the Hom route measures as targets, through one functional
-    # pass per P_k
+    # the formula routes read every level's series off one series_by_level
+    # read per root: C(R_A) per P_k, C(S_A) per Q_i
     read = []
-    real_series = adrcore.socle_series
-    monkeypatch.setattr(adrcore, "socle_series", lambda m: read.append(id(m)) or real_series(m))
-    # the Hom routes solve one system per (source, target) pair and read a
-    # whole family off its column prefixes: C(R_A) from (P_i, P_k/rad^l P_k),
-    # every j at once, and C(S_A) from (soc_j Q_i, Q_k), every l at once
+    real_series = adrcore.series_by_level
+    monkeypatch.setattr(adrcore, "series_by_level", lambda m: read.append(id(m)) or real_series(m))
+    # the Hom routes solve one system per pair of roots and read a block of
+    # entries off its row and column prefixes: C(R_A) from (P_i, P_k), every
+    # (j, l) at once, and C(S_A) from (Q_i, Q_k)
     measured = []
-    for reader in ("hom_dims_from_tops", "hom_dims_into_socles"):
-        real_reader = getattr(adrcore, reader)
-        monkeypatch.setattr(
-            adrcore, reader,
-            lambda m, n, real_reader=real_reader: measured.append((id(m), id(n))) or real_reader(m, n),
-        )
+    real_reader = adrcore.hom_dims_between_levels
+    monkeypatch.setattr(
+        adrcore, "hom_dims_between_levels",
+        lambda m, n: measured.append((id(m), id(n))) or real_reader(m, n),
+    )
     for entry in builtin_entries():
         alg = entry.build()
-        passes.clear()
-        measured.clear()
-        read.clear()
-        cartan_RA_formula(alg)
-        cartan_RA_hom(alg)
         projectives = [projective(alg, i) for i in range(1, alg.n + 1)]
-        truncations = [truncate(projective(alg, k), l) for k, l in lambda_poset(alg).labels]
-        assert [(name, id(m)) for name, m in passes] == [("_functional_pass", id(p)) for p in projectives]
-        assert read == [id(t) for t in truncations], entry.id
-        assert measured == [(id(p), id(t)) for p in projectives for t in truncations], entry.id
-        passes.clear()
-        measured.clear()
-        cartan_SA_formula(alg)
-        cartan_SA_hom(alg)
-        subs = [socle_sub(injective(alg, i), j) for i, j in sa_labels(alg)]
-        injectives = [injective(alg, k) for k in range(1, alg.n + 1)]
-        assert [(name, id(m)) for name, m in passes] == [("_radical_pass", id(q)) for q in injectives]
-        assert measured == [(id(s), id(q)) for s in subs for q in injectives], entry.id
+        injectives = [injective(alg, i) for i in range(1, alg.n + 1)]
+        for formula, hom, roots, name in (
+            (cartan_RA_formula, cartan_RA_hom, projectives, "_functional_pass"),
+            (cartan_SA_formula, cartan_SA_hom, injectives, "_radical_pass"),
+        ):
+            passes.clear()
+            measured.clear()
+            read.clear()
+            formula(alg)
+            hom(alg)
+            assert [(kind, id(m)) for kind, m in passes] == [(name, id(r)) for r in roots], entry.id
+            assert read == [id(r) for r in roots], entry.id
+            assert measured == [(id(m), id(n)) for m in roots for n in roots], entry.id
+
+
+@pytest.mark.parametrize("entry_id", ["nakayama-1-3", "nakayama-2-3", "nakayama-3-4", "trunc-twoloop-2", "preproj-a-3"])
+def test_ringel_dual_from_hom_equals_tilting_hom_dim_entrywise(entry_id):
+    # the matrix is read row by row off running totals of the socle series
+    # of Q_i; tilting_hom_dim sums the layers of each entry one by one
+    alg = get_entry(entry_id).build()
+    assert theorem_a_hypotheses(alg).all_ok
+    labels = lambda_poset(alg).labels
+    want = tuple(tuple(tilting_hom_dim(alg, src, tgt) for tgt in labels) for src in labels)
+    assert ringel_dual_cartan_from_hom(alg).entries == want
+    with pytest.raises(HypothesesNotSatisfiedError):
+        ringel_dual_cartan_from_hom(get_entry("trunc-a2-2").build())

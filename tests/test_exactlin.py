@@ -1,5 +1,7 @@
 import random
+from bisect import bisect_left
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -350,6 +352,11 @@ def test_rref_pivot_below_zero_rows_and_zero_columns(field):
     assert result.pivot_cols == (1, 2, 3)
 
 
+def _pivots(rows: list[dict], cols: int, field: FieldSpec) -> list[int]:
+    """The pivot columns of all the rows: :func:`exactlin._sparse_rank` with the one mark len(rows)."""
+    return exactlin._sparse_rank(rows, cols, field, [len(rows)])[0]
+
+
 def _sparse_case(field: FieldSpec, rows: int, cols: int, density: float, seed: int, big: bool = False):
     """(grid, sparse rows): the same matrix as lists and as shuffled ``{column: coefficient}`` dicts.
 
@@ -407,23 +414,92 @@ def test_sparse_rank_matches_naive_reference(field, shape, density, seed, big):
     rows, cols = shape
     grid, sparse = _sparse_case(field, rows, cols, density, seed, big)
     _, pivots = _naive_rref(grid, cols, field)
-    assert exactlin._sparse_rank(sparse, cols, field) == pivots
+    assert _pivots(sparse, cols, field) == pivots
     assert rank(Matrix.from_rows(field, grid, cols=cols)) == len(pivots)
 
 
-@pytest.mark.parametrize("field", [F7, F_MERSENNE, RATIONAL], ids=["F7", "F_2^31-1", "Q"])
+def _check_rank_profile(field: FieldSpec, sparse: list[dict], cols: int, marks: list[int]) -> list[list[int]]:
+    """Each mark's pivots, against the naive rank of rows[:R] on every column prefix."""
+    grid = [[row.get(c, 0) for c in range(cols)] for row in sparse]
+    profile = exactlin._sparse_rank(sparse, cols, field, marks)
+    assert len(profile) == len(marks)
+    for mark, pivots in zip(marks, profile):
+        assert pivots == sorted(set(pivots))
+        for c in range(cols + 1):
+            want = len(_naive_rref([row[:c] for row in grid[:mark]], c, field)[1])
+            assert bisect_left(pivots, c) == want, (mark, c)
+    return profile
+
+
+@pytest.mark.parametrize("field", [F2, F7, F_MERSENNE, RATIONAL], ids=["F2", "F7", "F_2^31-1", "Q"])
 @pytest.mark.parametrize("density, tail", [(1.0, True), (0.1, False)], ids=["dense", "sparse"])
 def test_sparse_rank_examples_reach_each_finish(monkeypatch, field, density, tail):
-    # the 24 x 20 examples above: the dense ones end in _rank_array, whose
-    # pivots must then be the RREF's too; the sparse ones never reach it.
+    # the 24 x 20 examples of the naive-reference tests: the dense ones end in
+    # the dense tail, whose pivots must then be the RREF's too, with marks
+    # read on both sides of the hand-over and each later mark carrying the
+    # echelon rows of the one before; the sparse ones never reach it.
     # Column 0 is cleared, so no pivot list counts rows instead of columns
-    shapes = _spy_on_rank_array(monkeypatch)
-    grid, sparse = _sparse_case(field, 24, 20, density, 1, field is not F7)
-    grid = [[0] + row[1:] for row in grid]
+    handovers = []
+    real = exactlin._dense_rank_tail
+
+    def spy(carried, rows, start, marks, cols, field):
+        handovers.append((start, list(marks)))
+        return real(carried, rows, start, marks, cols, field)
+
+    monkeypatch.setattr(exactlin, "_dense_rank_tail", spy)
+    shapes = _spy_on_dense_tail(monkeypatch)
+    _, sparse = _sparse_case(field, 24, 20, density, 1, field not in (F2, F7))
+    if field is F2 and tail:
+        # half the entries of a dense case vanish mod 2, and sums of dense
+        # rows stay short: a full first row hands over at once
+        rng = random.Random(2)
+        sparse = [dict.fromkeys(range(20), 1)]
+        sparse += [{c: 1 for c in range(20) if rng.random() < 0.9} for _ in range(23)]
     sparse = [{c: x for c, x in row.items() if c} for row in sparse]
-    _, pivots = _naive_rref(grid, 20, field)
-    assert exactlin._sparse_rank(sparse, 20, field) == pivots
-    assert pivots[0] > 0 and bool(shapes) == tail
+    marks = [0, 1, 2, 3, 9, 17, 24] if tail else [0, 5, 11, 18, 24]
+    profile = _check_rank_profile(field, sparse, 20, marks)
+    assert profile[-1][0] > 0
+    if not tail:
+        assert handovers == [] and shapes == []
+        return
+    [(start, later)] = handovers
+    assert marks[0] <= start < later[0] and later == [m for m in marks if m > start]
+    # one forward elimination per later mark, each on the rows carried from
+    # the mark before (at most 20) plus the rows read since
+    news = [b - a for a, b in zip([start] + later, later)]
+    assert len(shapes) == len(later) and all(rows - new <= 20 for (rows, _), new in zip(shapes, news))
+
+
+@given(
+    field=st.sampled_from([F2, F7, F_MERSENNE, RATIONAL]),
+    shape=st.tuples(st.integers(0, 8), st.integers(0, 8)),
+    density=st.sampled_from([0.1, 0.3, 1.0]),
+    seed=st.integers(0, 10**6),
+    marks=st.lists(st.integers(0, 24), max_size=5),
+    limit=st.sampled_from([None, 0, 1, 2]),
+)
+@example(field=F7, shape=(24, 20), density=1.0, seed=1, marks=[0, 1, 2, 3, 9, 17], limit=None)
+@example(field=F_MERSENNE, shape=(24, 20), density=1.0, seed=1, marks=[0, 1, 2, 3, 9], limit=None)
+@example(field=RATIONAL, shape=(24, 20), density=1.0, seed=1, marks=[0, 1, 2, 3, 9], limit=None)
+@example(field=F7, shape=(24, 20), density=0.1, seed=1, marks=[0, 5, 11, 18], limit=None)
+@example(field=F2, shape=(24, 20), density=0.1, seed=2, marks=[0, 5, 11, 18], limit=None)
+@example(field=F_MERSENNE, shape=(24, 20), density=0.1, seed=1, marks=[0, 5, 11, 18], limit=None)
+@example(field=RATIONAL, shape=(24, 20), density=0.1, seed=1, marks=[0, 5, 11, 18], limit=None)
+@settings(max_examples=150, deadline=None)
+def test_sparse_rank_reads_the_rank_of_every_row_and_column_prefix(field, shape, density, seed, marks, limit):
+    # rank(rows[:R] on columns[:c]) is the number of pivots below c of mark
+    # R.  The dense 24 x 20 examples hand over to the dense tail after a row
+    # or two, so their marks fall on both sides of the hand-over; the sparse
+    # ones finish sparse.  A small dense limit sends the drawn cases to the
+    # tail after 0, 1 or 2 entries per pivot row, at every possible row
+    rows, cols = shape
+    _, sparse = _sparse_case(field, rows, cols, density, seed)
+    marks = sorted(min(mark, rows) for mark in marks) + [rows]
+    if limit is None:
+        _check_rank_profile(field, sparse, cols, marks)
+        return
+    with mock.patch.object(exactlin, "_dense_limit", lambda cols: limit):
+        _check_rank_profile(field, sparse, cols, marks)
 
 
 @pytest.mark.parametrize("field", [F7, RATIONAL], ids=["F7", "Q"])
@@ -433,10 +509,10 @@ def test_sparse_rank_follows_pivot_columns_a_subtraction_brings_in(field):
     # Reducing the last row by pivot row 0 alone leaves {2: -1, 5: 1}: only
     # by following column 2 (to {4: 1, 5: 1}) and then 4 does it reach zero
     rows = [{0: 1, 2: 1}, {2: 1, 4: 1}, {4: 1, 5: 1}, {5: 1, 0: 1}]
-    assert exactlin._sparse_rank(rows[:3], 6, field) == [0, 2, 4]
+    assert _pivots(rows[:3], 6, field) == [0, 2, 4]
     # row 0 - row 1 + row 2 = {0: 1, 5: 1}
-    assert exactlin._sparse_rank(rows, 6, field) == [0, 2, 4]
-    assert exactlin._sparse_rank(rows[:3] + [{0: 1, 5: 2}], 6, field) == [0, 2, 4, 5]
+    assert _pivots(rows, 6, field) == [0, 2, 4]
+    assert _pivots(rows[:3] + [{0: 1, 5: 2}], 6, field) == [0, 2, 4, 5]
 
 
 @pytest.mark.parametrize("field", [F7, RATIONAL], ids=["F7", "Q"])
@@ -449,23 +525,25 @@ def test_sparse_rank_with_negative_and_fractional_leads(field):
     rows = [{c: field.coerce(x) for c, x in row.items()} for row in raw]
     grid = [[row.get(c, 0) for c in range(3)] for row in rows]
     _, pivots = _naive_rref(grid[:3], 3, field)
-    assert exactlin._sparse_rank(rows[:3], 3, field) == pivots == [0, 1, 2]
-    assert exactlin._sparse_rank(rows[:2] + rows[3:], 3, field) == [0, 1]
+    assert _pivots(rows[:3], 3, field) == pivots == [0, 1, 2]
+    assert _pivots(rows[:2] + rows[3:], 3, field) == [0, 1]
     # (p + q) / 2 for p = {0: 2, 1: 1} (lead 2) and q = {1: 1, 2: 2}: its lead
     # 1 is no multiple of 2, so over Q it is doubled before p is subtracted
     p, q = {0: 2, 1: 1}, {1: 1, 2: 2}
-    assert exactlin._sparse_rank([p, q, {0: 1, 1: 1, 2: 1}], 3, field) == [0, 1]
+    assert _pivots([p, q, {0: 1, 1: 1, 2: 1}], 3, field) == [0, 1]
 
 
-def _spy_on_rank_array(monkeypatch) -> list[tuple[int, int]]:
+def _spy_on_dense_tail(monkeypatch) -> list[tuple[int, int]]:
+    """The shapes of the forward dense eliminations: the dense tail's, in a bare rank."""
     shapes: list[tuple[int, int]] = []
-    real = exactlin._rank_array
+    real = exactlin._echelon
 
-    def spy(a, field):
-        shapes.append(a.shape)
-        return real(a, field)
+    def spy(a, field, reduced):
+        if not reduced:
+            shapes.append(a.shape)
+        return real(a, field, reduced)
 
-    monkeypatch.setattr(exactlin, "_rank_array", spy)
+    monkeypatch.setattr(exactlin, "_echelon", spy)
     return shapes
 
 
@@ -475,7 +553,7 @@ def test_sparse_rank_hands_dense_rows_to_the_dense_tail(monkeypatch, field):
     # entries.  Two rows of 2 entries, then dense rows that keep about 28, 27,
     # 26, ... entries after reduction: the mean passes 16 at the third or
     # fourth dense pivot, after the dependent fifth row has been read
-    shapes = _spy_on_rank_array(monkeypatch)
+    shapes = _spy_on_dense_tail(monkeypatch)
     rng = random.Random(3)
     grid = [[1 if c in (r, r + 1) else 0 for c in range(30)] for r in range(2)]
     dense = [[rng.randint(1, 6) for _ in range(30)] for _ in range(27)]
@@ -483,7 +561,7 @@ def test_sparse_rank_hands_dense_rows_to_the_dense_tail(monkeypatch, field):
     sparse = [{c: x for c, x in enumerate(row) if x} for row in grid]
     _, pivots = _naive_rref(grid, 30, field)
     assert len(pivots) == 29
-    assert exactlin._sparse_rank(sparse, 30, field) == pivots
+    assert _pivots(sparse, 30, field) == pivots
     # the pivot rows plus the rows not read: every row but the dependent one
     assert shapes == [(len(grid) - 1, 30)]
 
@@ -492,10 +570,10 @@ def test_sparse_rank_hands_dense_rows_to_the_dense_tail(monkeypatch, field):
 def test_sparse_rank_keeps_sparse_rows_sparse(monkeypatch, field):
     # x_i - x_{i+1} around a 200-cycle, plus the path's chords x_i - x_{i+7}:
     # rank 199, and no pivot row ever grows past a handful of entries
-    shapes = _spy_on_rank_array(monkeypatch)
+    shapes = _spy_on_dense_tail(monkeypatch)
     rows = [{i: 1, (i + 1) % 200: -1} for i in range(200)]
     rows += [{i: 1, (i + 7) % 200: -1} for i in range(0, 200, 3)]
-    assert len(exactlin._sparse_rank(rows, 200, field)) == 199
+    assert len(_pivots(rows, 200, field)) == 199
     assert shapes == []
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import random
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -519,7 +520,7 @@ def _degree_order(m: Representation, n: Representation, by: str) -> list[int]:
     """The row-major unknown numbers of the Kronecker oracle, sorted as ``by`` numbers them.
 
     f_v[r, k] is sorted by (radical degree of coordinate k of m, v, k, r) for
-    "source", and by (socle degree of coordinate r of n, v, r, k) for "target".
+    "radical", and by (socle degree of coordinate r of n, v, r, k) for "socle".
     """
     offsets = np.cumsum([0] + [nd * md for nd, md in zip(n.dims, m.dims)])
     unknowns = [
@@ -528,16 +529,33 @@ def _degree_order(m: Representation, n: Representation, by: str) -> list[int]:
 
     def key(vrk):
         v, r, k = vrk
-        if by == "source":
+        if by == "radical":
             return m.radical_degrees[v][k], v, k, r
         return n.socle_degrees[v][r], v, r, k
 
     return [int(offsets[v]) + r * m.dims[v] + k for v, r, k in sorted(unknowns, key=key)]
 
 
+def _level_order(m: Representation, n: Representation, by: str) -> tuple[list[int], list[int]]:
+    """The Kronecker oracle's rows, stably sorted by level as ``by`` emits them, and the level marks.
+
+    Equation (r, c) of an arrow u -> v has level deg r in n for "radical"
+    and deg c in m for "socle"; mark l counts the equations of level < l.
+    """
+    levels = []
+    for a in m.algebra.quiver.arrows:
+        u, v = m.algebra.quiver.arrow_endpoints(a.name)
+        for r, c in product(range(n.dims[v - 1]), range(m.dims[u - 1])):
+            levels.append(n.radical_degrees[v - 1][r] if by == "radical" else m.socle_degrees[u - 1][c])
+    graded = n if by == "radical" else m
+    marks = [sum(x < l for x in levels) for l in range(1, loewy_length(graded) + 1)]
+    return sorted(range(len(levels)), key=levels.__getitem__), marks
+
+
 def test_hom_constraints_match_kronecker_oracle():
-    # hom_dim's numbering is the oracle's row-major one; the prefix readers'
-    # numberings are the oracle's columns in degree order, rows unchanged
+    # hom_dim's numbering is the oracle's row-major one; the level reader's
+    # numberings are the oracle's columns in degree order, and its rows are
+    # the oracle's sorted stably by level
     seen = {"loop_diagonal": False, "zero_in_m": False, "zero_in_n": False}
     fields = set()
     for name, alg in _hom_test_algebras():
@@ -548,18 +566,23 @@ def test_hom_constraints_match_kronecker_oracle():
         loops = [a.name for a in alg.quiver.arrows if a.source == a.target]
         for m in modules:
             for n in modules:
-                rows, unknowns = repmod._hom_constraints(m, n)
+                rows, unknowns, marks = repmod._hom_constraints(m, n)
                 got = _densify(rows, unknowns, alg.field)
                 want = _kron_constraints(m, n)
                 assert got.shape == want.shape, name
                 assert np.array_equal(got, want), (name, m.dims, n.dims)
-                for by, graded in (("source", m.radical_degrees), ("target", n.socle_degrees)):
-                    if graded is not None:
-                        rows, unknowns = repmod._hom_constraints(m, n, by)
-                        sorted_want = want[:, _degree_order(m, n, by)]
-                        assert np.array_equal(_densify(rows, unknowns, alg.field), sorted_want), (
-                            name, by, m.dims, n.dims
-                        )
+                assert marks == [len(rows)]
+                for by in ("radical", "socle"):
+                    grading = f"{by}_degrees"
+                    if getattr(m, grading) is None or getattr(n, grading) is None:
+                        continue
+                    rows, unknowns, marks = repmod._hom_constraints(m, n, by)
+                    order, want_marks = _level_order(m, n, by)
+                    sorted_want = want[order][:, _degree_order(m, n, by)]
+                    assert np.array_equal(_densify(rows, unknowns, alg.field), sorted_want), (
+                        name, by, m.dims, n.dims
+                    )
+                    assert marks == want_marks, (name, by, m.dims, n.dims)
                 seen["loop_diagonal"] |= any(
                     m.arrow_maps[a].array().diagonal().any() for a in loops
                 ) and got.size > 0
@@ -600,8 +623,8 @@ def test_hom_dim_is_invariant_under_dense_change_of_basis(monkeypatch):
     from adrkit import exactlin
 
     tails = []
-    real = exactlin._rank_array
-    monkeypatch.setattr(exactlin, "_rank_array", lambda a, f: tails.append(a.shape) or real(a, f))
+    real = exactlin._dense_rank_tail
+    monkeypatch.setattr(exactlin, "_dense_rank_tail", lambda *args: tails.append(args[2]) or real(*args))
     rng = random.Random(2024)
     algebras = [(e.id, e.build()) for e in builtin_entries()]
     algebras += [
@@ -647,57 +670,83 @@ def _rebase_graded(m: Representation, rng: random.Random) -> Representation:
     )
 
 
-def _check_prefix_reads(projectives, injectives):
-    """Both Cartan families: each prefix read against hom_dim on the derived modules."""
-    truncations = [truncate(p, l) for p in projectives for l in range(1, loewy_length(p) + 1)]
-    subs = [socle_sub(q, j) for q in injectives for j in range(1, loewy_length(q) + 1)]
-    for p in projectives:
-        tops = [truncate(p, j) for j in range(1, loewy_length(p) + 1)]
-        for t in truncations:
-            assert repmod.hom_dims_from_tops(p, t) == tuple(hom_dim(top, t) for top in tops)
-    for q in injectives:
-        socles = [socle_sub(q, l) for l in range(1, loewy_length(q) + 1)]
-        for s in subs:
-            assert repmod.hom_dims_into_socles(s, q) == tuple(hom_dim(s, soc) for soc in socles)
+def _check_level_tables(projectives, injectives, limits=(None,)):
+    """Both Cartan families: every level table against hom_dim on the derived modules.
+
+    Each table is read once per dense limit in ``limits`` (None: the real
+    one); a small limit sends the systems to the dense tail.
+    """
+    for roots, sub in ((projectives, truncate), (injectives, socle_sub)):
+        for m, n in product(roots, roots):
+            want = tuple(
+                tuple(hom_dim(sub(m, j), sub(n, l)) for l in range(1, loewy_length(n) + 1))
+                for j in range(1, loewy_length(m) + 1)
+            )
+            for limit in limits:
+                if limit is None:
+                    assert repmod.hom_dims_between_levels(m, n) == want, (m.dims, n.dims)
+                    continue
+                with mock.patch.object(exactlin, "_dense_limit", lambda cols: limit):
+                    assert repmod.hom_dims_between_levels(m, n) == want, (m.dims, n.dims, limit)
 
 
-def test_prefix_reads_match_hom_dim_on_the_derived_modules(monkeypatch):
-    # one system per pair answers a whole family of Cartan entries; the
-    # oracle is one hom_dim per truncate(...) or socle_sub(...) object.  In
-    # the dense graded bases of _rebase_graded the rows fill in, so prefix
-    # systems reach the dense tail and their pivots come from _rank_array
-    # (seeds 910001, 910004 and 910025 do)
-    tails = []
-    real = exactlin._dense_rank_tail
-    reading = []
+def test_level_tables_match_hom_dim_on_the_derived_modules(monkeypatch):
+    # one system per pair of roots, (P_i, P_k) or (Q_i, Q_k), answers a whole
+    # block of Cartan entries: j and l are a column and a row prefix of one
+    # elimination.  The oracle is one hom_dim per pair of truncate(...) or
+    # socle_sub(...) objects, in the path basis and in the dense graded
+    # bases of _rebase_graded.  No such system fills in enough to reach the
+    # dense tail, so a small dense limit sends them there too, handing over
+    # between the marks of the levels
+    systems, handovers = [], []
+    real_rank, real_tail = repmod._sparse_rank, exactlin._dense_rank_tail
 
-    def spy(*args):
-        tails.append(bool(reading))
-        return real(*args)
+    def rank_spy(rows, cols, field, marks):
+        systems.append(marks)
+        return real_rank(rows, cols, field, marks)
 
-    monkeypatch.setattr(exactlin, "_dense_rank_tail", spy)
-    for reader in ("hom_dims_from_tops", "hom_dims_into_socles"):
-        real_reader = getattr(repmod, reader)
+    def tail_spy(carried, rows, start, marks, cols, field):
+        handovers.append((systems[-1], start, marks))
+        return real_tail(carried, rows, start, marks, cols, field)
 
-        def marked(m, n, real_reader=real_reader):
-            reading.append(True)
-            try:
-                return real_reader(m, n)
-            finally:
-                reading.pop()
-
-        monkeypatch.setattr(repmod, reader, marked)
+    monkeypatch.setattr(repmod, "_sparse_rank", rank_spy)
+    monkeypatch.setattr(exactlin, "_dense_rank_tail", tail_spy)
     rng = random.Random(17)
     entries = builtin_entries() + [random_admissible(s) for s in range(910000, 910030)]
     for entry in entries:
         alg = entry.build()
         projectives = [projective(alg, i) for i in range(1, alg.n + 1)]
         injectives = [injective(alg, i) for i in range(1, alg.n + 1)]
-        _check_prefix_reads(projectives, injectives)
+        _check_level_tables(projectives, injectives, limits=(None, 1, 3))
         moved_p = [_rebase_graded(p, rng) for p in projectives]
         moved_q = [_rebase_graded(q, rng) for q in injectives]
-        _check_prefix_reads(moved_p, moved_q)
-    assert any(tails), "no prefix system reached the dense tail"
+        _check_level_tables(moved_p, moved_q)
+    # some hand-overs leave marks on both sides, and more than one to carry
+    # the echelon rows through
+    assert any(marks[0] <= start and len(later) > 1 for marks, start, later in handovers)
+
+
+def test_level_reader_needs_two_invariant_gradings_of_one_kind(kx3):
+    # over k[x]/x^3, Hom(P/rad^j P, P/rad^l P) and Hom(soc_j Q, soc_l Q) have
+    # dimension min(j, l)
+    p, q = projective(kx3, 1), injective(kx3, 1)
+    mins = tuple(tuple(min(j, l) for l in range(1, 4)) for j in range(1, 4))
+    assert repmod.hom_dims_between_levels(p, p) == repmod.hom_dims_between_levels(q, q) == mins
+    bare = _change_basis(p)
+    for m, n in ((p, q), (q, p), (p, bare), (bare, p), (q, bare), (bare, bare)):
+        with pytest.raises(ValueError, match="two radically graded or two socle-graded"):
+            repmod.hom_dims_between_levels(m, n)
+    # 1 -> 2 with the degrees of P_1 swapped, under either grading: the arrow
+    # maps a coordinate outside a leading block into it
+    a2 = build_algebra(AlgebraPresentation(RATIONAL, Quiver(("1", "2"), (Arrow("a", "1", "2"),)), (), 2))
+    p1, q2 = projective(a2, 1), injective(a2, 2)
+    bad_p = Representation(a2, p1.dims, p1.arrow_maps, radical_degrees=((1,), (0,)))
+    bad_q = Representation(a2, p1.dims, p1.arrow_maps, socle_degrees=((0,), (1,)))
+    for m, n in ((bad_p, p1), (p1, bad_p), (bad_q, q2), (q2, bad_q)):
+        with pytest.raises(ValueError, match="arrow-invariant"):
+            repmod.hom_dims_between_levels(m, n)
+    # the check is memoized on each module
+    assert ("_check_invariant",) in p._cache and ("_check_invariant",) in q._cache
 
 
 def _check_tagged_reads(projectives, injectives):
@@ -736,18 +785,6 @@ def test_tagged_pass_reads_match_the_general_chains():
         _check_tagged_reads(
             [_rebase_graded(p, rng) for p in projectives], [_rebase_graded(q, rng) for q in injectives]
         )
-
-
-def test_prefix_readers_need_the_grading_they_read(kx3):
-    p, q = projective(kx3, 1), injective(kx3, 1)
-    for source in (q, _change_basis(p)):
-        with pytest.raises(ValueError, match="radically graded"):
-            repmod.hom_dims_from_tops(source, p)
-    for target in (p, _change_basis(p)):
-        with pytest.raises(ValueError, match="socle-graded"):
-            repmod.hom_dims_into_socles(q, target)
-    assert repmod.hom_dims_from_tops(p, q) == (1, 2, 3)
-    assert repmod.hom_dims_into_socles(p, q) == (1, 2, 3)
 
 
 def test_hom_yoneda_on_truncated_projectives_and_socle_submodules():
