@@ -1,46 +1,41 @@
 """Numerology of the ADR algebra R_A, computed through A-level linear algebra.
 
-R_A is never materialised: its Cartan matrix is read off the socle series of
-the radical quotients of the projective A-modules, the Cartan matrix of the
-Ringel dual End(T)^op off the tilting classes [T(i,j)] (row differences of
-C(R_A)), and the Cartan matrix of S_A (the endomorphism algebra of the socle
-filtrations of the injectives) off radical series of socle submodules.  Each
-matrix also has an independent Hom-space route (the intertwiner solver, and
-for C(R(R_A)) the closed form over the socle layers of Q_i); the two must
-agree exactly.  They share the root modules P_k and Q_i they measure,
-never their elimination.  The formula route takes the socle profile of each
-truncation P_k/rad^l P_k off one functional pass over P_k, and the radical
-profile of each soc_j Q_i off one radical pass over Q_i
-(``repmod.series_by_level``): ``repmod`` tags each starting row with the
-least level that holds it, and one tagged pass per P_k or Q_i gives every
-level (``exactlin._tag_order_basis``, i.e. ``exactlin._rank_array`` on a
-transposed stack, per step and vertex).  The Loewy lengths of P_i and Q_i
-and the socle profiles of Q_i come from the grading of the path basis.
-The intertwiner solver uses none of these: it reads only pivot columns of
-intertwiner systems.  It solves one system per (P_i, P_k) for C(R_A) and
-one per (Q_i, Q_k) for C(S_A), and reads every (j, l) entry of that block
-off one row prefix and one column prefix of its single elimination
-(``repmod.hom_dims_between_levels``): n^2 systems instead of n_Lambda^2 or
-n_S^2.  Each system is built as sparse rows and its pivot columns are found
-by ``exactlin._sparse_rank``, which may finish with a dense forward
-elimination; it never builds an RREF.  Neither route builds a truncation or
-a socle submodule.  The radical profiles of soc_j Q_i are never taken from
-the functional pass over the opposite projectives, and the two passes
-share only ``exactlin``, so the duality
-C(R_A)[(i,j),(k,l)] = C(S_{A^op})[[k,l],[i,j]] still sets the two chain
-codes against each other.
+R_A is never materialised.  Each of its three Cartan matrices has two
+routes, which must agree exactly:
+
+- C(R_A), entry [soc_j(P_k/rad^l P_k) : L_i].  The formula route reads the
+  socle series of every P_k/rad^l P_k off the tagged pass of P_k
+  (``repmod.series_by_level``).  The Hom route reads dim Hom(P_i/rad^j P_i,
+  P_k/rad^l P_k).
+- C(S_A), for S_A the endomorphism algebra of the socle filtrations of the
+  injectives.  The formula route reads the radical series of every
+  soc_j Q_i off the tagged pass of Q_i.  The Hom route reads
+  dim Hom(soc_j Q_i, soc_l Q_k).
+- C(R(R_A)), for the Ringel dual End(T)^op.  The formula route takes row
+  differences of the tilting classes [T(i,j)], read off C(R_A).  The Hom
+  route is a closed form over the socle layers of Q_i.
+
+The Hom routes solve one intertwiner system per (P_i, P_k) or (Q_i, Q_k),
+and read every (j, l) entry of that block off a row prefix and a column
+prefix of its one elimination (``repmod.hom_dims_between_levels``).  They
+read only pivot columns found by ``exactlin._sparse_rank``, never a chain
+or a series, so the two routes share the modules P_k and Q_i they measure
+but never their elimination.  The radical series of soc_j Q_i are not taken
+from the functional pass over the opposite projectives, and the two tagged
+passes share only ``exactlin``, so the duality
+C(R_A)[(i,j),(k,l)] = C(S_{A^op})[[k,l],[i,j]] sets the two chain codes
+against each other.  The Loewy lengths of P_i and Q_i and the socle series
+of Q_i come from the grading of the path basis.
 
 All matrices carry explicit row/column label lists; raw integer matrices are
 never passed between modules.
 
 The memo here (``memo.memoized``) holds only algebra-level results: the
 Lambda poset, the theorem A hypotheses, the labels of S_A and the finished
-Cartan matrices.  Modules are ``repmod``'s: it memoizes each tagged pass and
-its series by level on the root.  Nothing caches a Hom system or its
-pivots, and each route has its own key, so neither route reads counts the
-other produced: the routes share only the modules they measure, their
-agreement stays an independent check, and the order in which they run
-cannot change a result.
+Cartan matrices.  Modules and their tagged passes are memoized by
+``repmod``.  Nothing caches a Hom system or its pivots, and each route has
+its own key, so neither route reads counts the other produced, and the
+order in which they run cannot change a result.
 """
 
 from __future__ import annotations
@@ -260,8 +255,8 @@ def _first_layers_mult(cums: list[tuple[int, ...]], y: int, x: int) -> int:
 def cartan_RA_formula(alg: AlgebraData) -> LabeledMatrix:
     """C(R_A) from socle series: entry[(i,j),(k,l)] = [soc_j(P_k/rad^l P_k) : L_i].
 
-    Column (k, l) reads the socle series of P_k/rad^l P_k off the tagged
-    pass of P_k (``repmod.series_by_level``); no truncation is built.
+    Column (k, l) is read off running totals of the socle series of
+    P_k/rad^l P_k, level l of ``repmod.series_by_level(P_k)``.
     """
     poset = lambda_poset(alg)
     columns = [
@@ -340,24 +335,23 @@ def _delta_class(alg: AlgebraData, filtration: DeltaFiltration) -> tuple[int, ..
     return tuple(acc)
 
 
-def delta_layers(alg: AlgebraData, m: Representation) -> DeltaFiltration:
-    """Delta-semisimple filtration of Hom(G, m), read off the socle series of m.
-
-    Socle layer y of m contributes one Delta(x, y) per copy of L_x in it.
-    """
+def _delta_filtration(alg: AlgebraData, layers, first: int) -> DeltaFiltration:
+    """One Delta(x, y) per copy of L_x in each socle layer, y counting up from ``first``."""
     poset = lambda_poset(alg)
-    layers = []
-    for y, layer in enumerate(socle_series(m).layers, start=1):
+    out = []
+    for y, layer in enumerate(layers, start=first):
         labels = []
-        for x in range(1, alg.n + 1):
-            count = layer.mult[x - 1]
+        for x, count in enumerate(layer.mult, start=1):
             if count and y > poset.l(x):
-                raise RuntimeError(
-                    f"socle layer {y} of a module contains L_{x} with y > l_{x}"
-                )
+                raise RuntimeError(f"a Delta filtration would need Delta({x},{y}) beyond l_{x}")
             labels.extend([LambdaLabel(x, y)] * count)
-        layers.append(tuple(sorted(labels)))
-    return DeltaFiltration(tuple(layers))
+        out.append(tuple(labels))
+    return DeltaFiltration(tuple(out))
+
+
+def delta_layers(alg: AlgebraData, m: Representation) -> DeltaFiltration:
+    """Delta-semisimple filtration of Hom(G, m): Delta(x, y) per copy of L_x in socle layer y of m."""
+    return _delta_filtration(alg, socle_series(m).layers, 1)
 
 
 def tilting_delta_filtration(alg: AlgebraData, label: LambdaLabel) -> DeltaFiltration:
@@ -371,25 +365,10 @@ def tilting_delta_filtration(alg: AlgebraData, label: LambdaLabel) -> DeltaFiltr
     if not hyp.projective_side_ok:
         raise HypothesesNotSatisfiedError(hyp.first_failure(projective_side_only=True))
     k, l = label
-    poset = lambda_poset(alg)
-    if not (1 <= k <= alg.n and 1 <= l <= poset.l(k)):
+    if not (1 <= k <= alg.n and 1 <= l <= lambda_poset(alg).l(k)):
         raise ValueError(f"label {label} outside the Lambda poset")
-    big_l = hyp.loewy_length
-    prof = socle_series(injective(alg, k))
-    count = min(big_l - l + 1, len(prof.layers))
-    layers = []
-    for y in range(1, count + 1):
-        shifted = l + y - 1
-        labels = []
-        for x in range(1, alg.n + 1):
-            cnt = prof.layers[y - 1].mult[x - 1]
-            if cnt and shifted > poset.l(x):
-                raise RuntimeError(
-                    f"tilting layer would need Delta({x},{shifted}) beyond l_{x}"
-                )
-            labels.extend([LambdaLabel(x, shifted)] * cnt)
-        layers.append(tuple(sorted(labels)))
-    return DeltaFiltration(tuple(layers))
+    layers = socle_series(injective(alg, k)).layers
+    return _delta_filtration(alg, layers[: hyp.loewy_length - l + 1], l)
 
 
 def tilting_hom_dim(alg: AlgebraData, source: LambdaLabel, target: LambdaLabel) -> int:
@@ -475,8 +454,8 @@ def sa_labels(alg: AlgebraData) -> tuple[LambdaLabel, ...]:
 def cartan_SA_formula(alg: AlgebraData) -> LabeledMatrix:
     """C(S_A): entry[[i,j],[k,l]] = [soc_j Q_i / rad^l (soc_j Q_i) : L_k].
 
-    Row [i, j] reads the radical series of soc_j Q_i off the tagged pass of
-    Q_i (``repmod.series_by_level``); no socle submodule is built.
+    Row [i, j] is read off running totals of the radical series of
+    soc_j Q_i, level j of ``repmod.series_by_level(Q_i)``.
     """
     labels = sa_labels(alg)
     rows = [

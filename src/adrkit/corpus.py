@@ -15,13 +15,13 @@ from .adrcore import (
     LambdaLabel,
     NegativeMultiplicityError,
     _delta_class,
+    _delta_filtration,
     cartan_RA_formula,
     cartan_RA_hom,
     cartan_ringel_dual,
     cartan_SA_formula,
     cartan_SA_hom,
     costandard_vector,
-    delta_layers,
     injective_vector,
     lambda_poset,
     theorem_a_hypotheses,
@@ -46,9 +46,8 @@ from .repmod import (
     loewy_length,
     projective,
     radical_series,
+    series_by_level,
     socle_series,
-    socle_sub,
-    truncate,
 )
 from .theorems import (
     InternalInconsistencyError,
@@ -383,7 +382,7 @@ def tagged_invariant_failures(alg: AlgebraData) -> list[tuple[str, str]]:
         cra = cartan_RA_formula(alg)
         for k, l in poset.labels:
             col = cra.column_vector(LambdaLabel(k, l))
-            filt = delta_layers(alg, truncate(projective(alg, k), l))
+            filt = _delta_filtration(alg, series_by_level(projective(alg, k))[l].layers, 1)
             check(
                 "structural",
                 _delta_class(alg, filt) == col.values,
@@ -407,6 +406,7 @@ def tagged_invariant_failures(alg: AlgebraData) -> list[tuple[str, str]]:
         big_l = hyp.loewy_length
         for k in range(1, alg.n + 1):
             ll_qk = len(radical_series(injective(alg, k)))
+            socle_layers_qk = socle_series(injective(alg, k)).layers
             prev_layers = None
             for l in range(1, poset.l(k) + 1):
                 label = LambdaLabel(k, l)
@@ -437,9 +437,7 @@ def tagged_invariant_failures(alg: AlgebraData) -> list[tuple[str, str]]:
                     filt.rank() == rank_from_vector,
                     f"rank of T{(k, l)} differs from its L_(i,l_i) count",
                 )
-                socle_part = delta_layers(
-                    alg, socle_sub(injective(alg, k), big_l - l + 1)
-                )
+                socle_part = _delta_filtration(alg, socle_layers_qk[: big_l - l + 1], 1)
                 check(
                     "structural",
                     rank_from_vector == socle_part.rank(),

@@ -2,77 +2,67 @@
 
 A representation assigns a vector space to each vertex and a matrix to each
 arrow (shape dims[target] x dims[source], acting on column vectors).  All
-submodule / quotient constructions pick echelonized coordinate bases, so
+submodule and quotient constructions pick echelonized coordinate bases, so
 repeated runs are bit-identical.
 
-The projectives and injectives come with a grading of their coordinates by
-the path basis, and their radical and socle filtrations are read off it.  A
-reduction in the relation ideal only ever lands on basis paths of equal or
-higher degree, and an arrow raises the degree, so rad^l P_i is spanned by the
-coordinates of P_i of degree >= l.  Q_i is the transpose of the opposite
-P_i, so soc_j Q_i is spanned by its coordinates whose opposite degree is < j.
-The truncations P_i/rad^l P_i and the socle submodules soc_j Q_i are then the
-leading coordinates of each vertex, and keep the grading.
+Gradings.  ``projective`` grades P_i by the length of its basis paths.  A
+reduction in the relation ideal only lands on basis paths of equal or higher
+degree, and an arrow raises the degree, so rad^l P_i is spanned by the
+coordinates of degree >= l.  ``injective`` builds Q_i as the transpose of the
+opposite P_i, socle-graded by it, so soc_j Q_i is spanned by the coordinates
+of degree < j.  The coordinates of degree < l at each vertex form the leading
+block of level l: P_i/rad^l P_i or soc_l Q_i.  ``truncate`` and
+``socle_sub`` build it as a module that keeps the grading.
 
-Every chain a report needs comes from one tagged pass per root, a graded
-module that is no leading block (P_k, Q_i, or any graded module built
-directly).  Each starting row carries a tag, the least level whose leading
-block holds it, and each step keeps, in tag order, the rows independent of
-the rows before them (``exactlin._tag_order_basis``, the tagged reduction
-of persistent homology: Zomorodian and Carlsson, "Computing persistent
-homology", 2005).  The rows of tag <= l at a step then span that step for
-the leading block of level l, so one pass serves every level.  Under a
-radical grading the pass is the functional pass (:func:`_functional_pass`:
-F_j spans the functionals phi(p x), p of length j, with common kernel
-soc_j), which gives the socle series of P_k and of every P_k/rad^l P_k.
-Under a socle grading it is the radical chain (:func:`_radical_pass`), which
-gives the radical series of Q_i and of every soc_j Q_i.  The two passes
-share only ``exactlin``: the first multiplies functionals on the right by
-the maps of outgoing arrows, the second maps vectors along incoming arrows.
-``series_by_level`` reads the series of every level off a root's pass by
-counting the rows of tag <= l at each step, and builds no leading block; the
-``socle_series`` or ``radical_series`` of a leading block reads the same
-tuple.  ``is_rigid`` checks a module's chain, read off its root's pass,
-against its grading.  A leading block records its root and level
-(``_root``), and each pass is memoized on its root, so P_k and Q_i are each
-passed once.
+Tagged passes.  A graded module has one tagged pass, memoized on it.  Each
+starting row carries a tag, the least level whose leading block holds it,
+and each step keeps, in tag order, the rows independent of the rows before
+them (``exactlin._tag_order_basis``, the tagged reduction of persistent
+homology: Zomorodian and Carlsson, "Computing persistent homology", 2005).
+The rows of tag <= l at a step span that step for the leading block of
+level l, so one pass serves every level.
 
-The library functions read the grading they need and raise ``ValueError``
-without it: ``truncate`` needs a radical grading, ``socle_sub`` a socle
-grading, and ``socle_series`` and ``is_rigid`` a grading of either kind.
-``simple`` is radically graded, with degree 0 at its vertex.
-``series_by_level`` takes a graded root, and the level reader of the Hom
-route, ``hom_dims_between_levels``, two radically graded or two
-socle-graded modules.  Both also refuse a grading whose leading blocks are
-not arrow-invariant (:func:`_check_invariant`, memoized per module).
-``radical_series``, ``loewy_length`` and ``hom_dim`` take any module; on a
-module with no grading the first two go through the general radical chain
-(``radical_chain``).  The general socle chain (``socle_chain``, with
-``quotient_representation``) serves as the reference the tests compare the
-read-offs against; no report calls it.
+- Under a radical grading the pass is the functional pass
+  (:func:`_functional_pass`).  F_j spans the functionals phi(p x), p of
+  length j, whose common kernel is soc_j.
+- Under a socle grading it is the radical chain (:func:`_radical_pass`).
+- The first multiplies functionals by the maps of outgoing arrows, the
+  second maps vectors along incoming arrows.  They share only ``exactlin``.
 
-For j >= LL(M), M/rad^j M = M and soc_j M = M, so truncating at or beyond the
-Loewy length, or taking the socle submodule there, returns the module itself.
-``truncate``, ``socle_sub`` and ``socle_series`` are memoized on their module,
-so every derived module is built once and its chains are read once.  The
-Hom route memoizes on each module its support and the sparse columns and
-negated sparse rows of its arrow maps, so a module's arrow data is read once
-however many Hom systems it enters; no Hom system or its pivots is memoized.
+``series_by_level`` counts the rows of tag <= l at each step: the socle
+series of every P_k/rad^l P_k, or the radical series of every soc_j Q_i.
+``socle_series`` and ``radical_series`` of a graded module read its top
+level, and ``is_rigid`` checks its pass against its grading.
 
-The Hom route reads a whole block of levels off one intertwiner system per
-pair of roots (``hom_dims_between_levels``).  For radically graded m and n,
-number the unknowns f_v[r, k] by the degree of k in m and sort the
+What each function takes.  ``truncate`` needs a radical grading,
+``socle_sub`` a socle grading, and ``socle_series`` and ``is_rigid`` either;
+each raises ``ValueError`` without it.  ``simple`` is radically graded, with
+degree 0 at its vertex.  ``series_by_level`` and ``hom_dims_between_levels``
+also refuse a grading whose leading blocks are not arrow-invariant
+(:func:`_check_invariant`, memoized per module).  ``radical_series``,
+``loewy_length`` and ``hom_dim`` take any module; without a grading the
+first two use the general radical chain (``radical_chain``).  The general
+socle chain (``socle_chain``, with ``quotient_representation``) is the
+reference the tests compare the read-offs against.
+
+Memos.  For j >= LL(M), M/rad^j M = M and soc_j M = M, so ``truncate`` and
+``socle_sub`` return the module itself there.  They and ``socle_series``
+are memoized on their module.  The Hom route memoizes on each module its
+support and the sparse columns and negated sparse rows of its arrow maps.
+No Hom system or its pivots is memoized.
+
+Hom tables.  ``hom_dims_between_levels`` reads a whole block of levels off
+one intertwiner system per pair of graded modules.  For radically graded m
+and n, number the unknowns f_v[r, k] by the degree of k in m and sort the
 equations (r, c) by the degree of r in n.  Deleting the unknowns of source
-degree >= j gives m/rad^j m; and since rad^l n is a submodule, the
-equations with deg r < l meet only unknowns with deg r < l and form the
-system of Hom(-, n/rad^l n).  So dim Hom(m/rad^j m, n/rad^l n) is c_{j,l},
-the unknowns of both degrees below j and l, minus the rank of the first
-R_l equations on the first c_j unknowns: the pivots below c_j of that row
+degree >= j gives m/rad^j m.  Since rad^l n is a submodule, the equations
+with deg r < l meet only unknowns with deg r < l and form the system of
+Hom(-, n/rad^l n).  So dim Hom(m/rad^j m, n/rad^l n) is c_{j,l}, the
+unknowns of both degrees below j and l, minus the rank of the first R_l
+equations on the first c_j unknowns: the pivots below c_j of that row
 prefix, all read off one ``exactlin._sparse_rank``.  Under socle gradings
 the equations sort by the degree of c in m (the row prefix is soc_j m) and
 the unknowns by the degree of r in n (the column prefix is soc_l n).
-``hom_dim`` on the ``truncate`` and ``socle_sub`` modules, one system per
-pair, is the oracle it is tested against.
 """
 
 from __future__ import annotations
@@ -156,10 +146,6 @@ class Representation:
     the algebra's field and of shape dims[target] x dims[source], and a
     grading must give every vertex one nondecreasing tuple of non-negative
     degrees, one per coordinate; anything else raises ``ValueError``.
-
-    ``_root`` is set on a leading block (:func:`_leading_block`) only: the
-    graded module it is the leading block of, and its level there.  Its
-    filtrations are read off the tagged pass of that root.
     """
 
     algebra: AlgebraData
@@ -168,7 +154,6 @@ class Representation:
     radical_degrees: Grading | None = field(default=None, repr=False, compare=False)
     socle_degrees: Grading | None = field(default=None, repr=False, compare=False)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _root: tuple[Representation, int] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.radical_degrees is not None and self.socle_degrees is not None:
@@ -292,9 +277,7 @@ def _check_invariant(m: Representation) -> None:
 def _leading_block(m: Representation, l: int) -> Representation:
     """The coordinates of degree < l: m/rad^l m under a radical grading, soc_l m under a socle one.
 
-    The grading is checked by :func:`_check_invariant`.  The block records
-    m's root and the level l: the leading block of level l of a leading
-    block is the root's.
+    The grading is checked by :func:`_check_invariant`, and the block keeps it.
     """
     _check_invariant(m)
     radical = m.radical_degrees is not None
@@ -305,10 +288,9 @@ def _leading_block(m: Representation, l: int) -> Representation:
         u, v = m.algebra.quiver.arrow_endpoints(a.name)
         maps[a.name] = Matrix(m.field, m.arrow_maps[a.name].array()[: keep[v - 1], : keep[u - 1]])
     kept = tuple(d[:c] for d, c in zip(degrees, keep))
-    root = (m._root[0] if m._root else m, l)
     if radical:
-        return Representation(m.algebra, keep, maps, radical_degrees=kept, _root=root)
-    return Representation(m.algebra, keep, maps, socle_degrees=kept, _root=root)
+        return Representation(m.algebra, keep, maps, radical_degrees=kept)
+    return Representation(m.algebra, keep, maps, socle_degrees=kept)
 
 
 def composition_vector(m: Representation) -> CompositionVector:
@@ -521,50 +503,20 @@ def _radical_pass(m: Representation) -> tuple[TaggedStep, ...]:
     return tuple(chain)
 
 
-def _pass_rows(m: Representation) -> list[tuple[np.ndarray, ...]]:
-    """m's elimination chain, read off its root's tagged pass: per step, the rows at each vertex.
-
-    A graded module that is no leading block is a root, with its own pass:
-    the functionals F_j under a radical grading, the radical chain under a
-    socle grading.  The leading block of level l takes, at each step, the
-    rows of tag <= l, restricted to its coordinates (the others are zero
-    there, as :func:`_leading_block` checks), up to the first step that
-    vanishes everywhere.
-    """
-    radical = m.radical_degrees is not None
-    root, level = m._root or (m, None)
-    run = _functional_pass(root) if radical else _radical_pass(root)
-    if level is None:
-        return [tuple(rows for rows, _ in step) for step in run]
-    chain = []
-    for step in run:
-        chain.append(tuple(
-            rows[: bisect_right(tags, level), :c] for (rows, tags), c in zip(step, m.dims)
-        ))
-        if not any(map(len, chain[-1])):
-            break
-    # a root's pass ends within the root's Loewy length, a block's functionals
-    # need not end within the block's: its grading can misread it
-    if radical and len(chain) > loewy_length(m) + 1:
-        raise RuntimeError("socle did not grow; representation is invalid")
-    return chain
-
-
 @memoized
 def _level_series(root: Representation) -> tuple[SeriesProfile | None, ...]:
     """Entry l: the socle series of root/rad^l root, or the radical series of soc_l root, l = 0..LL.
 
-    Read off the root's tagged pass: under a radical grading the functionals
-    F_j, of which those of tag <= l have common kernel soc_j(root/rad^l
-    root), so that socle has dimension c_v minus their number at vertex v
-    for c_v the coordinates of degree < l; under a socle grading the radical
-    chain, whose rows of tag <= l span rad^t(soc_l root).  Each count is a
+    Read off the root's tagged pass.  Under a radical grading, the
+    functionals F_j of tag <= l have common kernel soc_j(root/rad^l root), so
+    that socle has dimension c_v minus their number at vertex v, for c_v the
+    coordinates of degree < l.  Under a socle grading, the rows of tag <= l
+    of the radical chain span rad^t(soc_l root).  Each count is a
     ``bisect_right`` on a step's sorted tags, and a level's chain ends at the
     first step that has none.  The leading block of level l is a module only
-    if the grading is arrow-invariant (:func:`_check_invariant`).  A block's
-    functionals must vanish within the block's Loewy length, as the root's
-    must within its own; where they do not, the grading misreads the block
-    and its entry is None.
+    if the grading is arrow-invariant (:func:`_check_invariant`).  Its
+    functionals must vanish within its own Loewy length; where they do not,
+    the grading misreads the block and its entry is None.
     """
     _check_invariant(root)
     radical = root.radical_degrees is not None
@@ -589,26 +541,16 @@ def _level_series(root: Representation) -> tuple[SeriesProfile | None, ...]:
     return tuple(out)
 
 
-def _read_level(series: SeriesProfile | None) -> SeriesProfile:
-    """A level's series; None marks a level whose block the grading misreads."""
-    if series is None:
-        raise RuntimeError("socle did not grow; representation is invalid")
-    return series
-
-
 def series_by_level(root: Representation) -> tuple[SeriesProfile, ...]:
     """Entry l: the socle series of root/rad^l root under a radical grading, or the radical series of soc_l root under a socle one.
 
     l runs over 0..LL(root), so entry LL(root) is the root's own series.
-    One tagged pass of the root gives every level (:func:`_level_series`);
-    no leading block is built.
+    One tagged pass of the root gives every level (:func:`_level_series`).
     """
-    return tuple(map(_read_level, _level_series(root)))
-
-
-def _level(m: Representation) -> tuple[Representation, int]:
-    """m's root and m's level there: a leading block's, or m itself at its Loewy length."""
-    return m._root or (m, loewy_length(m))
+    levels = _level_series(root)
+    if any(series is None for series in levels):
+        raise RuntimeError("socle did not grow; representation is invalid")
+    return levels
 
 
 @memoized
@@ -618,8 +560,7 @@ def socle_series(m: Representation) -> SeriesProfile:
         return _degree_profile(m.socle_degrees)
     if m.radical_degrees is None:
         raise ValueError("socle_series needs a graded module")
-    root, level = _level(m)
-    return _read_level(_level_series(root)[level])
+    return _level_series(m)[-1]
 
 
 def radical_series(m: Representation) -> SeriesProfile:
@@ -627,8 +568,7 @@ def radical_series(m: Representation) -> SeriesProfile:
     if m.radical_degrees is not None:
         return _degree_profile(m.radical_degrees)
     if m.socle_degrees is not None:
-        root, level = _level(m)
-        return _read_level(_level_series(root)[level])
+        return _level_series(m)[-1]
     dims = _chain_dims(radical_chain(m))
     return _quotient_layers(zip(dims, dims[1:]))
 
@@ -649,23 +589,23 @@ def is_uniserial(m: Representation) -> bool:
 def is_rigid(m: Representation) -> bool:
     """True iff rad^j M = soc_{L-j} M for every j; m must be graded.
 
-    The elimination chain of :func:`_pass_rows` is checked against the
-    grading: under a radical grading the functionals F_j, with common
-    kernel soc_j M, under a socle grading the radical chain rad^j M.  The
-    c_v coordinates of degree < L-j span the other side at vertex v, so step
-    j must have c_v rows (equal dimensions) and no entry from column c_v on
-    (containment, which holds in every module: its failure is a bug).
+    m's memoized tagged pass is checked against the grading: under a radical
+    grading the functionals F_j, with common kernel soc_j M, under a socle
+    grading the radical chain rad^j M.  The c_v coordinates of degree < L-j
+    span the other side at vertex v, so step j must have c_v rows (equal
+    dimensions) and no entry from column c_v on (containment, which holds in
+    every module: its failure is a bug).
     """
     radical = m.radical_degrees is not None
     degrees = m.radical_degrees if radical else m.socle_degrees
     if degrees is None:
         raise ValueError("is_rigid needs a graded module")
-    chain = _pass_rows(m)
+    chain = _functional_pass(m) if radical else _radical_pass(m)
     ll = _grading_length(degrees)
     if len(chain) - 1 != ll:
         return False
     for j, step in enumerate(chain):
-        for v, (rows, c) in enumerate(zip(step, _below(degrees, ll - j))):
+        for v, ((rows, _), c) in enumerate(zip(step, _below(degrees, ll - j))):
             if len(rows) != c:
                 return False
             if rows[:, c:].any():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from adrkit.adrcore import (
@@ -27,7 +29,7 @@ from adrkit.cli import analyze_presentation
 from adrkit.corpus import builtin_entries, get_entry, random_admissible, tagged_invariant_failures
 from adrkit.exactlin import RATIONAL
 from adrkit.presentation import AlgebraPresentation, Arrow, Quiver, build_algebra
-from adrkit.repmod import injective, projective, simple, socle_sub, truncate
+from adrkit.repmod import CompositionVector, SeriesProfile, injective, projective, simple, socle_sub, truncate
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +173,30 @@ def test_tilting_delta_filtration_examples(kx3):
     assert tilting_delta_filtration(kx3, LambdaLabel(1, 3)).layers == (
         (LambdaLabel(1, 3),),
     )
+
+
+def _layers(*mults):
+    return SeriesProfile(tuple(CompositionVector(m) for m in mults))
+
+
+def test_delta_layers_refuse_a_socle_layer_beyond_the_poset(monkeypatch, kx3):
+    # l_1 = 3 over k[x]/x^3, so L_1 in socle layer 4 would need Delta(1, 4)
+    monkeypatch.setattr(adrcore, "socle_series", lambda m: _layers((1,), (0,), (0,), (1,)))
+    with pytest.raises(RuntimeError, match=r"Delta\(1,4\) beyond l_1"):
+        delta_layers(kx3, injective(kx3, 1))
+
+
+def test_tilting_delta_filtration_refuses_a_layer_beyond_the_poset(monkeypatch, kx3):
+    # under the hypotheses every l_x is L, and layer y of T(k, l) is
+    # Delta(x, l + y - 1) with y <= L - l + 1, so only hypotheses that report
+    # an L above l_1 = 3 can reach Delta(1, 4)
+    hyp = theorem_a_hypotheses(kx3)
+    monkeypatch.setattr(
+        adrcore, "theorem_a_hypotheses", lambda alg: dataclasses.replace(hyp, loewy_length=4, ll_p=(4,))
+    )
+    monkeypatch.setattr(adrcore, "socle_series", lambda m: _layers((0,), (0,), (1,)))
+    with pytest.raises(RuntimeError, match=r"Delta\(1,4\) beyond l_1"):
+        tilting_delta_filtration(kx3, LambdaLabel(1, 2))
 
 
 def test_tilting_filtration_requires_hypotheses(a2):
@@ -382,8 +408,8 @@ def test_formula_routes_and_hypotheses_run_one_tagged_pass_per_root(monkeypatch)
 
 def test_each_module_gets_one_functional_pass(monkeypatch):
     # the tagged pass of a root reads the root's own arrow maps, and the
-    # series of every truncation P_k/rad^l P_k or socle submodule soc_j Q_i
-    # is read off the pass of its root; no root is passed twice: equal
+    # series of every level P_k/rad^l P_k or soc_j Q_i is read off the pass
+    # of its root; no root is passed twice: equal
     # representations over one algebra are one module, whoever built them
     passes = _spy_on_tagged_passes(monkeypatch)
 
@@ -392,16 +418,17 @@ def test_each_module_gets_one_functional_pass(monkeypatch):
                      for a in m.algebra.quiver.arrows)
         return name, id(m.algebra), m.dims, maps
 
-    # a report builds no leading block: both routes read the roots alone
+    # neither a report nor the battery builds a leading block: both read
+    # every level off the roots
     def forbidden(m, l):
-        raise AssertionError("a report built a leading block")
+        raise AssertionError("a report or the battery built a leading block")
 
     with monkeypatch.context() as patch:
         patch.setattr(repmod, "_leading_block", forbidden)
         for entry in builtin_entries():
             analyze_presentation(entry.presentation)
-    for seed in range(910000, 910030):
-        tagged_invariant_failures(random_admissible(seed).build())
+        for seed in range(910000, 910030):
+            tagged_invariant_failures(random_admissible(seed).build())
     assert passes and len({module_key(*x) for x in passes}) == len(passes)
 
     # the formula routes read every level's series off one series_by_level

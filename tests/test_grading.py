@@ -93,19 +93,27 @@ def test_read_offs_match_general_chain_code(pres):
         bottom = oracle.socle_series(p0).layers[0]
         assert _socle_vertex(p) == (bottom.mult.index(1) + 1 if bottom.total() == 1 else None)
 
+        levels = repmod.series_by_level(p)
+        assert len(levels) == loewy_length(p) + 1
+        assert levels[0] == oracle.socle_series(oracle.truncate(p0, 0))
         for l in range(1, loewy_length(p) + 2):
             t, t0 = truncate(p, l), oracle.truncate(p0, l)
             assert t == t0
             assert t.radical_degrees is not None and t0.radical_degrees is None
             assert socle_series(t) == oracle.socle_series(t0)
+            assert levels[min(l, loewy_length(p))] == oracle.socle_series(t0)
             _assert_coordinate_chain(radical_chain(t0), t.radical_degrees, radical=True)
             assert is_rigid(t) == oracle.is_rigid(t0)
+        levels = repmod.series_by_level(q)
+        assert len(levels) == loewy_length(q) + 1
+        assert levels[0] == radical_series(oracle.socle_sub(q0, 0))
         for j in range(1, loewy_length(q) + 2):
             s, s0 = socle_sub(q, j), oracle.socle_sub(q0, j)
             assert s == s0
             assert s.socle_degrees is not None and s0.socle_degrees is None
             _assert_coordinate_chain(socle_chain(s0), s.socle_degrees, radical=False)
             assert radical_series(s) == radical_series(s0)
+            assert levels[min(j, loewy_length(q))] == radical_series(s0)
             assert is_rigid(s) == oracle.is_rigid(s0)
 
 
@@ -179,12 +187,15 @@ def test_functional_pass_refuses_a_grading_that_is_not_nilpotent():
 def test_functional_pass_refuses_a_leading_block_its_grading_misreads():
     # e1, e2 of degree 0 and e3 of degree 1 under a loop with x e1 = e2: the
     # root's pass ends within its Loewy length 2, but the block of degree 0
-    # is no semisimple module, so reading its socle series must fail as a
-    # pass over the block itself does
+    # is no semisimple module, so reading its level off the root's pass must
+    # fail as the pass over the block itself does; the root's own series
+    # stays readable
     q = Quiver(("1",), (Arrow("x", "1", "1"),))
     alg = build_algebra(AlgebraPresentation(RATIONAL, q, (Relation.monomial(["x", "x"]),), 2))
     x = Matrix.from_rows(RATIONAL, [[0, 0, 0], [1, 0, 0], [0, 0, 0]])
     bad = Representation(alg, (3,), {"x": x}, radical_degrees=((0, 0, 1),))
+    with pytest.raises(RuntimeError, match="socle did not grow"):
+        repmod.series_by_level(bad)
     socle_series(bad)
     with pytest.raises(RuntimeError, match="socle did not grow"):
         socle_series(truncate(bad, 1))

@@ -750,22 +750,30 @@ def test_level_reader_needs_two_invariant_gradings_of_one_kind(kx3):
 
 
 def _check_tagged_reads(projectives, injectives):
-    """Every family read off a root's tagged pass, against the general chain code.
+    """Every level read off a root's tagged pass, against the general chain code.
 
-    The oracle measures the same module with its grading dropped.
+    The oracle measures the same module with its grading dropped: level l of
+    ``series_by_level(p)`` against the socle series of its truncation at l,
+    level j of ``series_by_level(q)`` against the radical series of its socle
+    submodule soc_j.  The ``truncate`` and ``socle_sub`` modules, graded
+    modules with passes of their own, are checked the same way.
     """
     for p in projectives:
-        assert is_rigid(p) == oracle.is_rigid(oracle.ungraded(p))
+        p0 = oracle.ungraded(p)
+        assert is_rigid(p) == oracle.is_rigid(p0)
+        levels = repmod.series_by_level(p)
+        assert [oracle.socle_series(oracle.truncate(p0, l)) for l in range(len(levels))] == list(levels)
         for l in range(1, loewy_length(p) + 1):
             t = truncate(p, l)
-            assert t._root == ((p, l) if l < loewy_length(p) else None)
             assert socle_series(t) == oracle.socle_series(oracle.ungraded(t))
             assert is_rigid(t) == oracle.is_rigid(oracle.ungraded(t))
     for q in injectives:
-        assert is_rigid(q) == oracle.is_rigid(oracle.ungraded(q))
+        q0 = oracle.ungraded(q)
+        assert is_rigid(q) == oracle.is_rigid(q0)
+        levels = repmod.series_by_level(q)
+        assert [radical_series(oracle.socle_sub(q0, j)) for j in range(len(levels))] == list(levels)
         for j in range(1, loewy_length(q) + 1):
             s = socle_sub(q, j)
-            assert s._root == ((q, j) if j < loewy_length(q) else None)
             assert radical_series(s) == radical_series(oracle.ungraded(s))
             assert is_rigid(s) == oracle.is_rigid(oracle.ungraded(s))
 
