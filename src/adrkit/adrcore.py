@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple
 
 from .memo import memoized
@@ -83,6 +84,14 @@ class LambdaPoset:
 
     def l(self, i: int) -> int:
         return self.lengths[i - 1]
+
+    @cached_property
+    def offsets(self) -> tuple[int, ...]:
+        """Entry i - 1 is the index of (i, 1) in ``labels``; the last entry is their number.
+
+        Label (i, j) sits at offsets[i - 1] + j - 1.
+        """
+        return tuple(accumulate(self.lengths, initial=0))
 
 
 @dataclass(frozen=True)
@@ -326,13 +335,22 @@ def tilting_vector(alg: AlgebraData, label: LambdaLabel) -> LambdaCompositionVec
 
 
 def _delta_class(alg: AlgebraData, filtration: DeltaFiltration) -> tuple[int, ...]:
-    """Class of a Delta-filtered module: the sum of [Delta(x, y)] over its layers."""
-    acc = [0] * len(lambda_poset(alg).labels)
+    """Class of a Delta-filtered module: the sum of [Delta(x, y)] over its layers.
+
+    [Delta(x, y)] is 1 on the labels (x, y)..(x, l_x), a run of indices in
+    the label order, so the sum is the running total of a difference array.
+    """
+    poset = lambda_poset(alg)
+    offsets = poset.offsets
+    diff = [0] * (len(poset.labels) + 1)
     for layer in filtration.layers:
-        for lbl in layer:
-            for t, v in enumerate(standard_vector(alg, lbl).values):
-                acc[t] += v
-    return tuple(acc)
+        for label in layer:
+            x, y = label
+            if not (1 <= x <= alg.n and 1 <= y <= poset.l(x)):
+                raise ValueError(f"label {label} outside the Lambda poset")
+            diff[offsets[x - 1] + y - 1] += 1
+            diff[offsets[x]] -= 1
+    return tuple(accumulate(diff[:-1]))
 
 
 def _delta_filtration(alg: AlgebraData, layers, first: int) -> DeltaFiltration:
@@ -420,22 +438,25 @@ def cartan_ringel_dual(alg: AlgebraData) -> LabeledMatrix:
     R(R_A) = End(T)^op for T the sum of the T(i,j), so row (i,j) is read off
     [T(i,j)] (:func:`tilting_vector`):
     entry[(i,j),(k,l)] = [T(i,j):L_{k,l_k}] - [T(i,j):L_{k,l-1}],
-    the second term 0 when l = 1.
+    the second term 0 when l = 1.  On the values of [T(i,j)], whose labels
+    (k, 1)..(k, l_k) are the run t[offsets[k-1]:offsets[k]], block k of the
+    row is t[offsets[k]-1] minus (0, t[offsets[k-1]], ..., t[offsets[k]-2]).
     """
     poset = lambda_poset(alg)
+    offsets = poset.offsets
     entries = []
-    for i, j in poset.labels:
-        t = tilting_vector(alg, LambdaLabel(i, j))
-        row = []
-        for k, l in poset.labels:
-            val = t.value(LambdaLabel(k, poset.l(k)))
-            if l > 1:
-                val -= t.value(LambdaLabel(k, l - 1))
-            if val < 0:
-                raise NegativeMultiplicityError(
-                    f"Ringel-dual Cartan entry at ({(i, j)},{(k, l)}) = {val}"
-                )
-            row.append(val)
+    for label in poset.labels:
+        t = tilting_vector(alg, label).values
+        row: list[int] = []
+        for start, stop in zip(offsets, offsets[1:]):
+            top = t[stop - 1]
+            row.append(top)
+            row += [top - below for below in t[start : stop - 1]]
+        if min(row) < 0:
+            c = next(c for c, val in enumerate(row) if val < 0)
+            raise NegativeMultiplicityError(
+                f"Ringel-dual Cartan entry at ({tuple(label)},{tuple(poset.labels[c])}) = {row[c]}"
+            )
         entries.append(tuple(row))
     return LabeledMatrix(poset.labels, poset.labels, tuple(entries))
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .adrcore import (
     LambdaLabel,
     NegativeMultiplicityError,
@@ -347,9 +349,10 @@ def tagged_invariant_failures(alg: AlgebraData) -> list[tuple[str, str]]:
             labels = mat.row_labels
             same = {labels, mat.col_labels, dual.row_labels, dual.col_labels} == {labels}
             check("oracle", same, f"{name}: the label sets differ")
-            pairs = [(r, c) for r in labels for c in labels] if same else []
-            bad = [f"{tuple(r)},{tuple(c)}" for r, c in pairs if mat.entry(r, c) != dual.entry(c, r)]
-            check("oracle", not bad, f"{name}: not transposed at {', '.join(bad[:1])}")
+            bad = np.argwhere(np.array(mat.entries) != np.array(dual.entries).T) if same else ()
+            if len(bad):
+                r, c = bad[0]
+                failures.append(("oracle", f"{name}: not transposed at {tuple(labels[r])},{tuple(labels[c])}"))
 
     def bookkeeping_section() -> None:
         for side, side_alg in (("A", alg), ("A^op", alg.opposite())):

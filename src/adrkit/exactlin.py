@@ -10,16 +10,19 @@ elimination once the rows fill in.  It returns the pivot columns of each
 requested row prefix, so one elimination gives the rank of every row prefix
 on every column prefix.  No floating point anywhere.
 
-There are two eliminations.  :func:`_echelon` is the one dense pivot loop:
-:func:`rref` runs it with the rows above each pivot cleared too, and
-:func:`_rank_array` and the dense tail of :func:`_sparse_rank` without.  Every
-update is fraction-free, (d/g) * row - (x/g) * pivot_row as in Bareiss
-(1968); over Q the rows are Python-int rows, scaled by the lcm of their
-denominators on entry and divided by the gcd of their entries after every
-update.  Results stay Fractions: an RREF is divided by its pivots before it
-leaves.  :func:`_tag_order_basis`, the tagged reduction behind the
-filtrations of ``repmod``, is :func:`_rank_array` on a transposed stack of
-rows.
+There are two eliminations.  :class:`_SparseEchelon` is the sparse forward
+loop on ``{column: coefficient}`` rows: :func:`_sparse_rank` reads its pivot
+columns, and the path-basis builder of ``presentation`` back-substitutes its
+pivot rows into an RREF (``rref_rows``) and asks ``add`` whether a unit row
+lies in their span.  :func:`_echelon` is the one dense pivot loop: :func:`rref`
+runs it with the rows above each pivot cleared too, and :func:`_rank_array`
+and the dense tail of :func:`_sparse_rank` without.  Every dense update is
+fraction-free, (d/g) * row - (x/g) * pivot_row as in Bareiss (1968); over Q
+the rows are Python-int rows, scaled by the lcm of their denominators on
+entry and divided by the gcd of their entries after every update.  Results
+stay Fractions: an RREF is divided by its pivots before it leaves.
+:func:`_tag_order_basis`, the tagged reduction behind the filtrations of
+``repmod``, is :func:`_rank_array` on a transposed stack of rows.
 
 :class:`FieldSpec` is the only place that knows how the two kinds of field
 differ.  Array code asks it for ``dtype``, ``one``, ``zeros(shape)`` (a
@@ -27,13 +30,14 @@ writable array of canonical zeros) and ``canonical(a)`` (reduce mod p, or
 turn a non-object array into Fractions), and for ``coerce`` and ``inv`` on
 scalars; :func:`_echelon` asks it for ``elimination_copy``, ``row_update``
 and ``divide_pivot_rows``.  Code outside it never branches on the field
-kind, except the hot scalar loop of :func:`_sparse_rank` and the overflow
+kind, except the hot scalar loops of :class:`_SparseEchelon` and the overflow
 chunking of :func:`_matmul_array`, which read ``field.p`` (None over Q).
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -424,18 +428,8 @@ def _dense_limit(cols: int) -> float:
     return max(16, cols / 16)
 
 
-def _sparse_rank(
-    rows: Sequence[Mapping[int, int | Fraction]], cols: int, field: FieldSpec, marks: Sequence[int]
-) -> list[list[int]]:
-    """For each R in ``marks`` (ascending), the pivot columns, ascending, of ``rows[:R]``.
-
-    The rows are ``{column: coefficient}`` dicts over ``cols`` columns.  The
-    rank of rows[:R] is the number of its pivot columns, and the rank of
-    rows[:R] on the first c columns alone is the number of them below c: the
-    rank profile of the matrix (Dumas, Pernet and Sultan, "Fast computation of
-    the rank profile matrix and the generalized Bruhat decomposition", 2017).
-    So one elimination answers every row prefix in ``marks`` and every column
-    prefix.
+class _SparseEchelon:
+    """Pivot rows of a sparse forward elimination, grown one ``{column: coefficient}`` row at a time.
 
     Each row is reduced against the pivot rows in the order they were made; a
     heap of creation indices picks up the pivot columns that a subtraction
@@ -450,33 +444,39 @@ def _sparse_rank(
     The leads are distinct and each is its row's least column, so the pivot
     rows sorted by lead are an echelon basis of the rows read, and the leads
     are the pivot columns of their RREF.
-
-    Once the mean pivot-row length exceeds :func:`_dense_limit` the rows are
-    no longer sparse.  The marks read so far keep their sparse pivots, and
-    the later ones are finished by :func:`_dense_rank_tail` from the pivot
-    rows, which span every row read.
     """
-    p = field.p
-    lead_of: dict[int, int] = {}
-    leads: list[int] = []
-    lead_values: list[int] = []
-    pivot_rows: list[dict] = []
-    stored = 0
-    limit = _dense_limit(cols)
-    profile: list[list[int]] = []
-    t = 0
-    for m, mark in enumerate(marks):
-        while t < mark:
-            row = rows[t]
-            t += 1
+
+    def __init__(self, field: FieldSpec):
+        self.field = field
+        self.lead_of: dict[int, int] = {}
+        self.leads: list[int] = []
+        self.lead_values: list[int] = []
+        # a pivot row omits its lead entry: reducing a row pops the row's own
+        # entry at the lead instead of subtracting it
+        self.pivot_rows: list[dict] = []
+        self.stored = 0  # entries of the pivot rows, leads included
+
+    def extend(self, rows: Iterable[Mapping[int, int | Fraction]], limit: float = math.inf) -> int:
+        """Reduce ``rows`` in order, each nonzero remainder becoming a pivot row; the number of rows read.
+
+        Reading stops early, right after a new pivot row, once the mean
+        pivot-row length exceeds ``limit``.
+        """
+        p, lead_of, leads, lead_values, pivot_rows = (
+            self.field.p, self.lead_of, self.leads, self.lead_values, self.pivot_rows
+        )
+        heappop, heappush = heapq.heappop, heapq.heappush
+        read = 0
+        for row in rows:
+            read += 1
             if p:
-                r = {c: x % p for c, x in row.items() if x % p}
+                r = {c: v for c, x in row.items() if (v := x % p)}
             else:
                 r = {c: x for c, x in zip(row, _cleared(row.values())) if x}
             heap = [lead_of[c] for c in r if c in lead_of]
             heapq.heapify(heap)
             while heap:
-                k = heapq.heappop(heap)
+                k = heappop(heap)
                 x = r.pop(leads[k], None)
                 if x is None:
                     continue
@@ -490,7 +490,7 @@ def _sparse_rank(
                     v = r.get(c)
                     if v is None:
                         if c in lead_of:
-                            heapq.heappush(heap, lead_of[c])
+                            heappush(heap, lead_of[c])
                         r[c] = (-x * y) % p if p else -x * y
                         continue
                     v = (v - x * y) % p if p else v - x * y
@@ -501,10 +501,8 @@ def _sparse_rank(
             if not r:
                 continue
             lead = min(r)
-            # a pivot row omits its lead entry: reducing a row pops the row's own
-            # entry at the lead instead of subtracting it
             if p:
-                inv = field.inv(r.pop(lead))
+                inv = self.field.inv(r.pop(lead))
                 pivot = {c: v * inv % p for c, v in r.items()}
                 d = 1
             else:
@@ -515,13 +513,80 @@ def _sparse_rank(
             leads.append(lead)
             lead_values.append(d)
             pivot_rows.append(pivot)
-            stored += len(pivot) + 1
-            if stored > limit * len(leads):
+            self.stored += len(pivot) + 1
+            if self.stored > limit * len(leads):
+                break
+        return read
+
+    def add(self, row: Mapping[int, int | Fraction]) -> bool:
+        """Read one row; True iff it is outside the span of the rows read before, and so became a pivot row."""
+        rank = len(self.leads)
+        self.extend((row,))
+        return len(self.leads) > rank
+
+    def rref_rows(self) -> dict[int, dict]:
+        """The RREF of the rows read, as ``{lead: {column: entry}}`` with each row's lead entry 1 omitted.
+
+        Back-substitution in decreasing lead order: the rows of the later
+        leads are already cleared of every lead, so clearing the leads a row
+        holds brings in no new one.  Entries are canonical field elements.
+        """
+        p = self.field.p
+        out: dict[int, dict] = {}
+        for k in sorted(range(len(self.leads)), key=self.leads.__getitem__, reverse=True):
+            if p:
+                row = dict(self.pivot_rows[k])
+            else:
+                d = self.lead_values[k]
+                row = {c: Fraction(v, d) for c, v in self.pivot_rows[k].items()}
+            for lead in [c for c in row if c in out]:
+                x = row.pop(lead)
+                for c, y in out[lead].items():
+                    v = row.get(c, 0) - x * y
+                    v = v % p if p else v
+                    if v:
+                        row[c] = v
+                    else:
+                        del row[c]
+            out[self.leads[k]] = row
+        return out
+
+
+def _sparse_rank(
+    rows: Sequence[Mapping[int, int | Fraction]], cols: int, field: FieldSpec, marks: Sequence[int]
+) -> list[list[int]]:
+    """For each R in ``marks`` (ascending), the pivot columns, ascending, of ``rows[:R]``.
+
+    The rows are ``{column: coefficient}`` dicts over ``cols`` columns, read
+    in order into one :class:`_SparseEchelon`.  The rank of rows[:R] is the
+    number of its pivot columns, and the rank of rows[:R] on the first c
+    columns alone is the number of them below c: the rank profile of the
+    matrix (Dumas, Pernet and Sultan, "Fast computation of the rank profile
+    matrix and the generalized Bruhat decomposition", 2017).  So one
+    elimination answers every row prefix in ``marks`` and every column
+    prefix.
+
+    Once the mean pivot-row length exceeds :func:`_dense_limit` the rows are
+    no longer sparse.  The marks read so far keep their sparse pivots, and
+    the later ones are finished by :func:`_dense_rank_tail` from the pivot
+    rows, which span every row read.
+    """
+    echelon = _SparseEchelon(field)
+    limit = _dense_limit(cols)
+    profile: list[list[int]] = []
+    t = 0
+    for m, mark in enumerate(marks):
+        if t < mark:
+            t += echelon.extend(rows[t:mark], limit)
+            if echelon.stored > limit * len(echelon.leads):
                 read = [R for R in marks[m:] if R <= t]
-                profile += [sorted(leads)] * len(read)
-                carried = [{lead: d, **pivot} for lead, d, pivot in zip(leads, lead_values, pivot_rows)]
+                profile += [sorted(echelon.leads)] * len(read)
+                carried = [
+                    {lead: d, **pivot}
+                    for lead, d, pivot in zip(echelon.leads, echelon.lead_values, echelon.pivot_rows)
+                ]
                 return profile + _dense_rank_tail(carried, rows, t, marks[m + len(read):], cols, field)
-        profile.append(sorted(leads))
+        profile.append(sorted(echelon.leads))
     return profile
 
 

@@ -12,13 +12,12 @@ projective at vertex i then has basis the residues of paths with source i.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-import numpy as np
-
-from .exactlin import FieldSpec, Matrix, rref
+from .exactlin import FieldSpec, _SparseEchelon, _sparse_rank
 from .memo import memoized, remember
 
 
@@ -338,29 +337,32 @@ class AlgebraData:
 
 ParallelClass = tuple[int, int]
 NormalForm = tuple[tuple[Path, int | Fraction], ...]
+SparseRow = dict[int, int | Fraction]
 
 
-def _parallel_classes(paths: Iterable[Path]) -> tuple[dict[ParallelClass, list[Path]], dict[Path, int]]:
+def _parallel_classes(paths: Iterable[Path]) -> tuple[dict[ParallelClass, list[Path]], dict[tuple[str, ...], int]]:
     """Paths grouped by (source, target), each group in the given order, and
-    every path's column inside its own group."""
+    every path's column inside its own group, keyed by its arrows.
+
+    A path of length >= 1 is fixed by its arrows.  The key () stands for
+    every trivial path, each of which is column 0 of its own class.
+    """
     classes: dict[ParallelClass, list[Path]] = {}
-    local: dict[Path, int] = {}
+    column: dict[tuple[str, ...], int] = {}
     for path in paths:
         group = classes.setdefault((path.source, path.target), [])
-        local[path] = len(group)
+        column[path.arrows] = len(group)
         group.append(path)
-    return classes, local
+    return classes, column
 
 
 def _ideal_rows(
     relations: list[list[tuple[int | Fraction, Path]]],
     paths: list[Path],
-    classes: dict[ParallelClass, list[Path]],
-    local: dict[Path, int],
+    column: dict[tuple[str, ...], int],
     degree_bound: int,
     use_min_length: bool,
-    fld: FieldSpec,
-) -> dict[ParallelClass, Matrix]:
+) -> dict[ParallelClass, list[SparseRow]]:
     """Spanning vectors u*r*v of the relation ideal, inside paths of length <= degree_bound.
 
     ``paths`` lists the candidate prefixes u and suffixes v in length order.
@@ -369,45 +371,51 @@ def _ideal_rows(
     overlong terms are truncated away.
 
     Every term of u*r*v runs from source(u) to target(v), so each product is a
-    vector over the columns of one parallel class ``classes[(source, target)]``
-    (indexed by ``local``).  KQ is the direct sum of its parallel classes, so
-    the ideal is the direct sum of these per-class spans: the result holds one
-    generator matrix per class that has a generator, and no other class
-    meets the ideal.
+    ``{column: coefficient}`` row over one parallel class, its columns read
+    off ``column`` by the arrows of each term (every relation term has
+    length >= 2, so no term is a trivial path).  KQ is the direct sum of its
+    parallel classes, so the ideal is the direct sum of these per-class
+    spans: the result holds the rows of every class that has a generator,
+    and no other class meets the ideal.
     """
-    ending: dict[int, list[Path]] = {}
-    starting: dict[int, list[Path]] = {}
+    ending: dict[int, list[tuple[int, tuple[str, ...], int]]] = {}
+    starting: dict[int, list[tuple[int, tuple[str, ...], int]]] = {}
     for path in paths:
-        ending.setdefault(path.target, []).append(path)
-        starting.setdefault(path.source, []).append(path)
-    rows: dict[ParallelClass, list[dict[int, int | Fraction]]] = {}
+        ending.setdefault(path.target, []).append((len(path.arrows), path.arrows, path.source))
+        starting.setdefault(path.source, []).append((len(path.arrows), path.arrows, path.target))
+    rows: dict[ParallelClass, list[SparseRow]] = {}
     deciding = min if use_min_length else max
     for terms in relations:
-        rel_src = terms[0][1].source
-        rel_tgt = terms[0][1].target
-        budget = degree_bound - deciding(path.length for _, path in terms)
-        for pre in ending.get(rel_src, ()):
-            if pre.length > budget:
+        words = [(len(path.arrows), path.arrows, coeff) for coeff, path in terms]
+        budget = degree_bound - deciding(length for length, _, _ in words)
+        for pre_len, pre, source in ending.get(terms[0][1].source, ()):
+            if pre_len > budget:
                 break
-            for suf in starting.get(rel_tgt, ()):
-                if pre.length + suf.length > budget:
+            for suf_len, suf, target in starting.get(terms[0][1].target, ()):
+                if pre_len + suf_len > budget:
                     break
-                vec: dict[int, int | Fraction] = {}
-                for coeff, path in terms:
-                    if pre.length + path.length + suf.length > degree_bound:
-                        continue
-                    c = local[Path(pre.source, pre.arrows + path.arrows + suf.arrows, suf.target)]
-                    vec[c] = vec.get(c, 0) + coeff
-                if vec:
-                    rows.setdefault((pre.source, suf.target), []).append(vec)
-    out: dict[ParallelClass, Matrix] = {}
-    for cls, vecs in rows.items():
-        a = fld.zeros((len(vecs), len(classes[cls])))
-        for r, vec in enumerate(vecs):
-            for c, coeff in vec.items():
-                a[r, c] = coeff
-        out[cls] = Matrix(fld, a)
-    return out
+                room = degree_bound - pre_len - suf_len
+                vec: SparseRow = {}
+                for length, word, coeff in words:
+                    if length <= room:
+                        c = column[pre + word + suf]
+                        vec[c] = vec[c] + coeff if c in vec else coeff
+                rows.setdefault((source, target), []).append(vec)
+    return rows
+
+
+def _holds_top_columns(rows: list[SparseRow], cols: int, low: int, fld: FieldSpec) -> bool:
+    """Whether the span of ``rows`` holds every unit vector e_c with low <= c < cols.
+
+    Let E be the span of those unit vectors.  If the row span V holds E, it
+    is E plus its projection to the first ``low`` columns, so rank V minus
+    the rank of V on the first ``low`` columns is cols - low.  Conversely
+    that count makes the kernel of the projection, a subspace of E, all of
+    E.  The count is the number of pivots at or after ``low`` in the rank
+    profile of the rows (``exactlin._sparse_rank``).
+    """
+    pivots = _sparse_rank(rows, cols, fld, [len(rows)])[0]
+    return sum(c >= low for c in pivots) == cols - low
 
 
 def build_algebra(p: AlgebraPresentation) -> AlgebraData:
@@ -417,47 +425,58 @@ def build_algebra(p: AlgebraPresentation) -> AlgebraData:
     contain every path of length cap; otherwise the presentation is not
     visibly nilpotent at this cap and :class:`CapTooSmallError` is raised.
 
-    Both spans are row-reduced one parallel class at a time.  Each generator
-    u*r*v lies in a single class, so the ideal matrix over all paths is
-    block-diagonal after grouping the columns by class, and its unique RREF is
-    the union of the per-class RREFs (each class keeps the global column order
-    of its paths).  Pivots, basis and normal forms are therefore exactly those
-    of one elimination across the whole width, and a path of a class without
-    generators is never in the ideal.
+    Each generator u*r*v lies in a single parallel class, so the ideal is the
+    direct sum of its per-class spans.  Every class is eliminated on its own,
+    as sparse ``{column: coefficient}`` rows over its paths in the order of
+    :func:`enumerate_paths`, length first.  A class passes the cap test when
+    the pivots of its rank profile on or after its first length-cap column
+    number its length-cap paths (:func:`_holds_top_columns`).  Only when a
+    class fails are its length-cap paths reduced, in the order of
+    :func:`enumerate_paths`, against its pivot rows, to name the first one
+    left outside the span; a class without generators fails at once.
+
+    Below the cap the pivot rows of each class (``exactlin._SparseEchelon``)
+    are back-substituted into the RREF of its span.  The pivots are the
+    leftmost ones, as in one elimination across the whole width, so a path
+    is a basis path iff its column is no pivot, and the normal form of a
+    pivot path is minus the rest of its RREF row, which lives on the basis
+    paths of the pivot's own class.
     """
     fld = p.field
     relations = _canonical_relations(p)
     graded = enumerate_paths(p.quiver, p.cap)
     flat = [path for layer in graded for path in layer]
 
-    classes, local = _parallel_classes(flat)
-    # a path is in the span iff its column is a pivot whose RREF row is a unit vector
-    rows = {}
-    for cls, m in _ideal_rows(relations, flat, classes, local, p.cap, False, fld).items():
-        block = rref(m)
-        rows.update(((cls, c), row) for c, row in zip(block.pivot_cols, block.reduced.array()))
-    for path in graded[p.cap]:
-        row = rows.get(((path.source, path.target), local[path]))
-        if row is None or np.count_nonzero(row != 0) != 1:
-            raise CapTooSmallError(
-                f"path {'*'.join(path.arrows)} of length {p.cap} is not in the "
-                f"ideal span at cap={p.cap}; raise the cap or fix the relations"
-            )
+    classes, column = _parallel_classes(flat)
+    rows = _ideal_rows(relations, flat, column, p.cap, False)
+    at_cap = Counter((path.source, path.target) for path in graded[p.cap])
+    failing: dict[ParallelClass, _SparseEchelon] = {}
+    for cls, top in at_cap.items():
+        cols = len(classes[cls])
+        if not _holds_top_columns(rows.get(cls, []), cols, cols - top, fld):
+            failing[cls] = echelon = _SparseEchelon(fld)
+            echelon.extend(rows.get(cls, ()))
+    if failing:
+        for path in graded[p.cap]:
+            echelon = failing.get((path.source, path.target))
+            # a path outside the span becomes a pivot row; the first one ends the build
+            if echelon is not None and echelon.add({column[path.arrows]: 1}):
+                raise CapTooSmallError(
+                    f"path {'*'.join(path.arrows)} of length {p.cap} is not in the "
+                    f"ideal span at cap={p.cap}; raise the cap or fix the relations"
+                )
 
     # Admissibility established: pass to paths of length < cap and take the
     # true ideal there, truncating products whose long terms overflow the cap.
-    # The normal form of a pivot path is minus the rest of its RREF row, which
-    # lives on the surviving basis paths of the pivot's own parallel class.
-    low_paths = [path for path in flat if path.length < p.cap]
-    low_classes, low_cols = _parallel_classes(low_paths)
+    low_paths = flat[: len(flat) - len(graded[p.cap])]
+    low_classes, low_column = _parallel_classes(low_paths)
     normal: dict[Path, NormalForm] = {}
-    for cls, m in _ideal_rows(relations, flat, low_classes, low_cols, p.cap - 1, True, fld).items():
-        block = rref(m)
+    for cls, class_rows in _ideal_rows(relations, flat, low_column, p.cap - 1, True).items():
+        echelon = _SparseEchelon(fld)
+        echelon.extend(class_rows)
         group = low_classes[cls]
-        for pc, row in zip(block.pivot_cols, block.reduced.array()):
-            normal[group[pc]] = tuple(
-                (group[c], fld.coerce(-row[c])) for c in np.flatnonzero(row != 0) if c != pc
-            )
+        for lead, row in sorted(echelon.rref_rows().items()):
+            normal[group[lead]] = tuple((group[c], fld.coerce(-v)) for c, v in sorted(row.items()))
     return _assemble(p, [path for path in low_paths if path not in normal], normal)
 
 

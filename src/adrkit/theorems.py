@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .adrcore import (
     LambdaLabel,
     _delta_class,
@@ -73,19 +75,21 @@ def _flip_mismatch(alg: AlgebraData) -> str | None:
 
     Returns None when every entry matches, else the witness
     ``"at (i, j),(k, l): x != y"``.  Needs LL(P_i) = LL(Q_i) for all i, so
-    that every flipped label is a label of S_A.
+    that every flipped label is a label of S_A.  The flip is one permutation
+    of label indices, applied to the rows and the columns of C(S_A) at once;
+    the first mismatch is the first in row-major order.
     """
     poset = lambda_poset(alg)
     crd = cartan_ringel_dual(alg)
     csa = cartan_SA_formula(alg)
-    flipped = {lbl: LambdaLabel(lbl.i, poset.l(lbl.i) - lbl.j + 1) for lbl in poset.labels}
-    for row in poset.labels:
-        for col in poset.labels:
-            lhs = crd.entry(row, col)
-            rhs = csa.entry(flipped[row], flipped[col])
-            if lhs != rhs:
-                return f"at {tuple(row)},{tuple(col)}: {lhs} != {rhs}"
-    return None
+    flip = [csa._row_index[LambdaLabel(i, poset.l(i) - j + 1)] for i, j in poset.labels]
+    lhs = np.array(crd.entries)
+    rhs = np.array(csa.entries)[np.ix_(flip, flip)]
+    mismatch = np.argwhere(lhs != rhs)
+    if not mismatch.size:
+        return None
+    r, c = mismatch[0]
+    return f"at {tuple(poset.labels[r])},{tuple(poset.labels[c])}: {lhs[r, c]} != {rhs[r, c]}"
 
 
 def check_theorem_a(alg: AlgebraData) -> Verdict:

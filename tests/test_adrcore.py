@@ -474,3 +474,73 @@ def test_ringel_dual_from_hom_equals_tilting_hom_dim_entrywise(entry_id):
     assert ringel_dual_cartan_from_hom(alg).entries == want
     with pytest.raises(HypothesesNotSatisfiedError):
         ringel_dual_cartan_from_hom(get_entry("trunc-a2-2").build())
+
+
+def _entrywise_ringel_dual(alg) -> tuple[tuple[int, ...], ...]:
+    """C(R(R_A)) by one label lookup per entry: the reference for the row differences."""
+    poset = lambda_poset(alg)
+    rows = []
+    for i, j in poset.labels:
+        t = adrcore.tilting_vector(alg, LambdaLabel(i, j))
+        rows.append(tuple(
+            t.value(LambdaLabel(k, poset.l(k))) - (t.value(LambdaLabel(k, l - 1)) if l > 1 else 0)
+            for k, l in poset.labels
+        ))
+    return tuple(rows)
+
+
+def _entrywise_delta_class(alg, filtration) -> tuple[int, ...]:
+    """The sum of the standard vectors of a filtration: the reference for the difference array."""
+    acc = [0] * len(lambda_poset(alg).labels)
+    for layer in filtration.layers:
+        for label in layer:
+            for t, v in enumerate(standard_vector(alg, label).values):
+                acc[t] += v
+    return tuple(acc)
+
+
+def test_index_arithmetic_matches_the_entrywise_reference():
+    entries = builtin_entries() + [random_admissible(s) for s in range(910000, 910030)]
+    for entry in entries:
+        alg = entry.build()
+        poset = lambda_poset(alg)
+        assert poset.offsets == tuple(poset.labels.index(LambdaLabel(i, 1)) for i in range(1, alg.n + 1)) + (
+            len(poset.labels),
+        )
+        assert cartan_ringel_dual(alg).entries == _entrywise_ringel_dual(alg), entry.id
+        filtrations = [delta_layers(alg, projective(alg, k)) for k in range(1, alg.n + 1)]
+        if theorem_a_hypotheses(alg).projective_side_ok:
+            filtrations += [tilting_delta_filtration(alg, label) for label in poset.labels]
+        for filt in filtrations:
+            assert adrcore._delta_class(alg, filt) == _entrywise_delta_class(alg, filt), entry.id
+
+
+def test_ringel_dual_names_its_first_negative_entry(monkeypatch):
+    # raise [T(1,j) : L_(1,1)] above [T(1,j) : L_(1,3)] for j = 2, 3: the
+    # first negative entry in row-major order is named, as the entrywise
+    # reference finds it
+    real = adrcore.tilting_vector
+
+    def raised(alg, label):
+        t = real(alg, label)
+        values = list(t.values)
+        if label.j >= 2:
+            values[0] += 5
+        return dataclasses.replace(t, values=tuple(values))
+
+    monkeypatch.setattr(adrcore, "tilting_vector", raised)
+    alg = get_entry("nakayama-1-3").build()
+    reference = _entrywise_ringel_dual(alg)
+    r, c = next((r, c) for r, row in enumerate(reference) for c, x in enumerate(row) if x < 0)
+    labels = lambda_poset(alg).labels
+    expected = f"Ringel-dual Cartan entry at ({tuple(labels[r])},{tuple(labels[c])}) = {reference[r][c]}"
+    assert expected == "Ringel-dual Cartan entry at ((1, 2),(1, 2)) = -3"
+    with pytest.raises(NegativeMultiplicityError) as exc:
+        cartan_ringel_dual(alg)
+    assert str(exc.value) == expected
+
+
+def test_delta_class_refuses_a_label_outside_the_poset(kx3):
+    for label in (LambdaLabel(1, 4), LambdaLabel(1, 0), LambdaLabel(2, 1)):
+        with pytest.raises(ValueError, match="outside the Lambda poset"):
+            adrcore._delta_class(kx3, adrcore.DeltaFiltration(((label,),)))

@@ -203,3 +203,24 @@ def test_battery_flags_an_opposite_that_breaks_its_relations():
     assert tagged_invariant_failures(alg) == [
         ("structural", "A^op does not satisfy its relation 1*a2*a2 + 1*a1*a2")
     ]
+
+
+@pytest.mark.parametrize("bumps", [((0, 0),), ((1, 0), (0, 1)), ((-1, 2), (3, -1))])
+def test_duality_check_names_the_first_entry_off_the_transpose(bumps):
+    # bump entries of the memoized C(S_{A^op}): the battery names the first
+    # entry of C(R_A), in row-major order, that differs from its transpose,
+    # as the entrywise comparison finds it
+    from adrkit.adrcore import LabeledMatrix, cartan_RA_formula, cartan_SA_formula
+
+    for entry in (get_entry("nakayama-2-3"), random_admissible(910003), random_admissible(910017)):
+        alg = entry.build()
+        op = alg.opposite()
+        real = cartan_SA_formula(op)
+        entries = [list(row) for row in real.entries]
+        for r, c in bumps:
+            entries[r % len(entries)][c % len(entries)] += 1
+        remember(cartan_SA_formula, op, result=LabeledMatrix(real.row_labels, real.col_labels, tuple(map(tuple, entries))))
+        mat, dual = cartan_RA_formula(alg), cartan_SA_formula(op)
+        labels = mat.row_labels
+        first = next(f"{tuple(r)},{tuple(c)}" for r in labels for c in labels if mat.entry(r, c) != dual.entry(c, r))
+        assert ("oracle", f"C(R_A) vs C(S_{{A^op}}): not transposed at {first}") in tagged_invariant_failures(alg)

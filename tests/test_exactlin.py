@@ -418,6 +418,36 @@ def test_sparse_rank_matches_naive_reference(field, shape, density, seed, big):
     assert rank(Matrix.from_rows(field, grid, cols=cols)) == len(pivots)
 
 
+@given(
+    field=st.sampled_from([F2, F7, F_MERSENNE, RATIONAL]),
+    shape=st.tuples(st.integers(0, 10), st.integers(0, 10)),
+    density=st.sampled_from([0.1, 0.3, 1.0]),
+    seed=st.integers(0, 10**6),
+    big=st.booleans(),
+)
+@example(field=F7, shape=(0, 5), density=1.0, seed=0, big=False)
+@example(field=RATIONAL, shape=(6, 6), density=1.0, seed=3, big=True)
+@settings(max_examples=300, deadline=None)
+def test_sparse_echelon_back_substitutes_into_the_rref(field, shape, density, seed, big):
+    # the pivot rows of the forward loop, back-substituted, are the RREF rows
+    # without their lead 1; a unit row becomes a pivot row iff it is outside the span
+    rows, cols = shape
+    grid, sparse = _sparse_case(field, rows, cols, density, seed, big)
+    expected, pivots = _naive_rref(grid, cols, field)
+    echelon = exactlin._SparseEchelon(field)
+    assert echelon.extend(sparse) == rows
+    rref_rows = echelon.rref_rows()
+    assert sorted(rref_rows) == pivots
+    for lead, row in zip(pivots, expected):
+        assert rref_rows[lead] == {c: x for c, x in enumerate(row) if x and c != lead}
+        assert all(type(x) is (int if field.p else Fraction) for x in rref_rows[lead].values())
+    for c in range(cols):
+        in_span = _naive_rref(grid + [[int(c == k) for k in range(cols)]], cols, field)[1] == pivots
+        echelon = exactlin._SparseEchelon(field)
+        echelon.extend(sparse)
+        assert echelon.add({c: 1}) != in_span
+
+
 def _check_rank_profile(field: FieldSpec, sparse: list[dict], cols: int, marks: list[int]) -> list[list[int]]:
     """Each mark's pivots, against the naive rank of rows[:R] on every column prefix."""
     grid = [[row.get(c, 0) for c in range(cols)] for row in sparse]

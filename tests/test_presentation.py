@@ -1,8 +1,13 @@
 import dataclasses
 import random
+from fractions import Fraction
 
 import pytest
+from builder_oracle import dense_build_algebra
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from adrkit import exactlin
 from adrkit.exactlin import RATIONAL, FieldSpec, Matrix, rref
 from adrkit.presentation import (
     LABEL_BUDGET,
@@ -18,6 +23,7 @@ from adrkit.presentation import (
     Relation,
     UnknownArrowError,
     _count_paths,
+    _holds_top_columns,
     _letters,
     build_algebra,
     check_label_budget,
@@ -427,6 +433,145 @@ def test_cap_path_in_class_without_relations_is_cap_too_small():
     pres = AlgebraPresentation(RATIONAL, q, (Relation.monomial(["x", "x"]),), 2)
     with pytest.raises(CapTooSmallError, match=r"path x\*a of length 2"):
         build_algebra(pres)
+
+
+def _builder_oracle_cases():
+    from adrkit.corpus import builtin_entries, preprojective_a
+
+    cases = [pytest.param(e.presentation, id=e.id) for e in builtin_entries()]
+    for n in range(2, 9):
+        for fld in (FieldSpec.prime(7), RATIONAL):
+            pres = preprojective_a(n, fld).presentation
+            cases.append(pytest.param(pres, id=f"preproj-a-{n}-{fld.describe()}"))
+    return cases
+
+
+def _assert_matches_builder_oracle(pres: AlgebraPresentation):
+    """The sparse builder and the dense per-class one: equal algebras, or the same refusal."""
+    try:
+        expected = dense_build_algebra(pres)
+    except CapTooSmallError as exc:
+        with pytest.raises(CapTooSmallError) as info:
+            build_algebra(pres)
+        assert str(info.value) == str(exc)
+        return
+    alg = build_algebra(pres)
+    assert alg.basis == expected.basis
+    assert alg.layers == expected.layers
+    assert alg.normal == expected.normal
+    assert alg.act == expected.act
+
+
+@pytest.mark.parametrize("pres", _builder_oracle_cases())
+def test_sparse_builder_matches_dense_builder_oracle(pres):
+    _assert_matches_builder_oracle(pres)
+
+
+def test_sparse_builder_matches_dense_builder_oracle_on_fuzz_seeds():
+    from adrkit.corpus import random_admissible
+
+    for seed in range(910000, 910150):
+        _assert_matches_builder_oracle(random_admissible(seed).presentation)
+
+
+TWO_LOOPS = Quiver(("1",), (Arrow("x", "1", "1"), Arrow("y", "1", "1")))
+# loops x, y at 1 and an arrow a: 1 -> 2; the classes (1, 1) and (1, 2) each
+# hold length-2 paths
+LOOPS_AND_ARROW = Quiver(("1", "2"), (Arrow("x", "1", "1"), Arrow("y", "1", "1"), Arrow("a", "1", "2")))
+
+
+@pytest.mark.parametrize(
+    "pres, named",
+    [
+        # nothing relates the class 1 -> 2
+        (AlgebraPresentation(RATIONAL, Quiver(("1", "2"), (Arrow("x", "1", "1"), Arrow("a", "1", "2"))),
+                             (Relation.monomial(["x", "x"]),), 2), "x*a"),
+        # x^2 = x^3 is never nilpotent: x^5 is outside the span at cap 5
+        (AlgebraPresentation(RATIONAL, LOOP, (Relation.difference(["x", "x"], ["x", "x", "x"]),), 5), "x*x*x*x*x"),
+        # x*x is in the span, x*y is not: the first path of the class passes
+        (AlgebraPresentation(FieldSpec.prime(7), TWO_LOOPS,
+                             (Relation.monomial(["x", "x"]), Relation.difference(["x", "y"], ["y", "x"])), 2), "x*y"),
+        # class (1, 1) passes, and in class (1, 2) x*a is in the span but y*a is not
+        (AlgebraPresentation(FieldSpec.prime(2), LOOPS_AND_ARROW,
+                             tuple(Relation.monomial(w) for w in (["x", "x"], ["x", "y"], ["y", "x"], ["y", "y"], ["x", "a"])),
+                             2), "y*a"),
+        # the same over Q, with a two-term relation: x*a + y*a is in the span, neither path is
+        (AlgebraPresentation(RATIONAL, LOOPS_AND_ARROW,
+                             tuple(Relation.monomial(w) for w in (["x", "x"], ["x", "y"], ["y", "x"], ["y", "y"]))
+                             + (Relation(((Fraction(1, 2), ("x", "a")), (Fraction(1, 2), ("y", "a")))),),
+                             2), "x*a"),
+    ],
+    ids=["class-without-relations", "cap-too-small", "second-path-of-class", "second-class", "two-term-over-Q"],
+)
+def test_sparse_builder_names_the_oracles_first_failing_path(pres, named):
+    with pytest.raises(CapTooSmallError, match=f"path {named.replace('*', '[*]')} of length {pres.cap} "):
+        build_algebra(pres)
+    _assert_matches_builder_oracle(pres)
+
+
+def test_sparse_builder_runs_no_dense_elimination(monkeypatch):
+    # the builder reads sparse rows only: no rref, no dense elimination and
+    # no dense array, on every input of the oracle comparison
+    from adrkit.corpus import random_admissible
+
+    cases = [param.values[0] for param in _builder_oracle_cases()]
+    cases += [random_admissible(seed).presentation for seed in range(910000, 910150)]
+    calls = []
+    for owner, name in (
+        (exactlin, "rref"),
+        (exactlin, "_echelon"),
+        (exactlin, "_dense_rows"),
+        (FieldSpec, "zeros"),
+        (FieldSpec, "elimination_copy"),
+        (Matrix, "__init__"),
+    ):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args))
+    for pres in cases:
+        build_algebra(pres)
+    assert calls == []
+    # live-spy control: the dense builder trips the spies
+    dense_build_algebra(kxn(3))
+    assert {"zeros", "_echelon", "__init__"} <= set(calls)
+
+
+def _sparse_class(field: FieldSpec):
+    """(rows, cols, low): up to 6 sparse rows over up to 6 columns, zero and non-canonical coefficients included."""
+    coeff = st.integers(-8, 8) if field.p else st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    return st.integers(1, 6).flatmap(
+        lambda cols: st.tuples(
+            st.lists(st.dictionaries(st.integers(0, cols - 1), coeff, max_size=cols), max_size=6),
+            st.just(cols),
+            st.integers(0, cols),
+        )
+    )
+
+
+@given(
+    case=st.one_of(
+        st.tuples(st.just(FieldSpec.prime(2)), _sparse_class(FieldSpec.prime(2))),
+        st.tuples(st.just(FieldSpec.prime(7)), _sparse_class(FieldSpec.prime(7))),
+        st.tuples(st.just(RATIONAL), _sparse_class(RATIONAL)),
+    )
+)
+@example(case=(FieldSpec.prime(7), ([], 3, 1)))
+@example(case=(FieldSpec.prime(7), ([], 3, 3)))
+@example(case=(FieldSpec.prime(2), ([{0: 2, 1: 0}, {1: 1, 2: 3}], 3, 1)))
+@example(case=(RATIONAL, ([{0: Fraction(0)}, {1: Fraction(1, 2), 2: Fraction(1, 3)}], 3, 1)))
+@example(case=(FieldSpec.prime(7), ([{0: 1, 2: 1}, {1: 1}, {2: 1}], 3, 1)))
+@settings(max_examples=400, deadline=None)
+def test_rank_count_matches_per_path_membership(case):
+    # the cap test counts pivots at or after the low columns; it must agree
+    # with testing every top unit vector on its own, by dense rank
+    field, (rows, cols, low) = case
+    grid = [[row.get(c, 0) for c in range(cols)] for row in rows]
+
+    def dense_rank(grid):
+        return rref(Matrix.from_rows(field, grid, cols=cols)).rank
+
+    base = dense_rank(grid)
+    members = [dense_rank(grid + [[int(k == c) for k in range(cols)]]) == base for c in range(low, cols)]
+    assert _holds_top_columns(rows, cols, low, field) == all(members)
 
 
 def test_count_paths_matches_enumeration():

@@ -354,3 +354,44 @@ def test_theorem_a_and_b2_share_the_flip_witness(monkeypatch):
     with pytest.raises(InternalInconsistencyError) as exc:
         check_theorem_a(get_entry("nakayama-2-3").build())
     assert str(exc.value) == "flip equality fails " + b2.witness
+
+
+def _entrywise_flip_mismatch(alg, crd, csa) -> str | None:
+    """The flip comparison by one label lookup per entry: the reference for the index permutation."""
+    poset = theorems.lambda_poset(alg)
+
+    def flip(label):
+        return type(label)(label.i, poset.l(label.i) - label.j + 1)
+
+    for row in poset.labels:
+        for col in poset.labels:
+            lhs, rhs = crd.entry(row, col), csa.entry(flip(row), flip(col))
+            if lhs != rhs:
+                return f"at {tuple(row)},{tuple(col)}: {lhs} != {rhs}"
+    return None
+
+
+@pytest.mark.parametrize("bumps", [(), ((0, -1),), ((-1, 0),), ((2, 1), (1, 3)), ((1, 3), (1, 0), (3, 3))])
+def test_flip_permutation_matches_the_entrywise_reference(monkeypatch, bumps):
+    # bump entries of C(S_A): the first mismatch in row-major order, and its
+    # witness, are those of the entrywise comparison
+    real = theorems.cartan_SA_formula
+
+    def bumped(alg):
+        m = real(alg)
+        entries = [list(row) for row in m.entries]
+        for r, c in bumps:
+            entries[r % len(entries)][c % len(entries)] += 1
+        return LabeledMatrix(m.row_labels, m.col_labels, tuple(map(tuple, entries)))
+
+    monkeypatch.setattr(theorems, "cartan_SA_formula", bumped)
+    seen = 0
+    for entry in builtin_entries() + [random_admissible(s) for s in range(910000, 910030)]:
+        alg = entry.build()
+        hyp = theorem_a_hypotheses(alg)
+        if hyp.ll_p != hyp.ll_q:
+            continue
+        expected = _entrywise_flip_mismatch(alg, cartan_ringel_dual(alg), bumped(alg))
+        assert theorems._flip_mismatch(alg) == expected, entry.id
+        seen += expected is not None
+    assert seen > 10 if bumps else seen > 0

@@ -46,3 +46,8 @@ def test_one_traced_pass_reports_every_declared_per_layer_metric():
     grouped = {name for names in tracer_mod.GROUPS.values() for name in names}
     assert grouped <= spans, sorted(grouped - spans)
     assert metrics["trace.spans"][0] > 1 and metrics["presentation.paths_enumerated"][0] > 0
+    # the tilting and formula-route metrics time these names, so the reports
+    # must still go through them, not only define them
+    called = {tracer._names[nid] for nid in tracer._span_name}
+    timed = {"adrcore.cartan_ringel_dual", "adrcore.tilting_vector", "adrcore.tilting_delta_filtration"}
+    assert timed <= called, sorted(timed - called)
