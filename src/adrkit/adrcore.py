@@ -19,12 +19,14 @@ The Hom routes solve one intertwiner system per (P_i, P_k) or (Q_i, Q_k),
 and read every (j, l) entry of that block off a row prefix and a column
 prefix of its one elimination (``repmod.hom_dims_between_levels``).  They
 read only pivot columns found by ``exactlin._sparse_rank``, never a chain
-or a series, so the two routes share the modules P_k and Q_i they measure
-but never their elimination.  The radical series of soc_j Q_i are not taken
-from the functional pass over the opposite projectives, and the two tagged
-passes share only ``exactlin``, so the duality
-C(R_A)[(i,j),(k,l)] = C(S_{A^op})[[k,l],[i,j]] sets the two chain codes
-against each other.  The Loewy lengths of P_i and Q_i and the socle series
+or a series.  So the two routes share the modules P_k and Q_i they measure
+and the code of ``exactlin``'s sparse elimination, but never an elimination
+or the sparse arrow maps it reads: each route memoizes its own.  The radical
+series of soc_j Q_i are not taken from the functional pass over the
+opposite projectives, and the two tagged passes share only ``exactlin``, so
+the duality C(R_A)[(i,j),(k,l)] = C(S_{A^op})[[k,l],[i,j]], which
+``analyze`` rechecks (``theorems.duality_failures``), sets the two chain
+codes against each other.  The Loewy lengths of P_i and Q_i and the socle series
 of Q_i come from the grading of the path basis.
 
 All matrices carry explicit row/column label lists; raw integer matrices are

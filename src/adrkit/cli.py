@@ -49,6 +49,7 @@ from .theorems import (
     check_opposite_symmetry,
     check_theorem_a,
     check_theorem_b,
+    duality_failures,
     ringel_selfdual_verdict,
 )
 
@@ -203,7 +204,13 @@ def _parse_field_flag(text: str) -> FieldSpec:
 
 
 def analyze_presentation(pres: AlgebraPresentation, skip_corroboration: bool = False) -> dict:
-    """Full pipeline: build, label budget, matrices with oracle re-verification, verdicts."""
+    """Full pipeline: build, label budget, matrices with oracle re-verification, verdicts.
+
+    Unless ``skip_corroboration``, C(R_A) and C(S_A) are rechecked against
+    their Hom routes and against the transposed formula matrices of A^op
+    (``theorems.duality_failures``); a failed recheck raises
+    ``InternalInconsistencyError``.
+    """
     start = time.monotonic()
     alg = build_algebra(pres)
     check_label_budget(alg)
@@ -214,6 +221,9 @@ def analyze_presentation(pres: AlgebraPresentation, skip_corroboration: bool = F
             raise InternalInconsistencyError("C(R_A) failed its Hom-route recheck")
         if csa != cartan_SA_hom(alg):
             raise InternalInconsistencyError("C(S_A) failed its Hom-route recheck")
+        witnesses = duality_failures(alg)
+        if witnesses:
+            raise InternalInconsistencyError(f"duality recheck against A^op fails: {witnesses[0]}")
     crd = cartan_ringel_dual(alg)
     verdicts = {
         "theorem_a": check_theorem_a(alg).to_dict(),
@@ -394,8 +404,9 @@ def main(argv=None) -> int:
     pa.add_argument(
         "--skip-fuzz-corroboration",
         action="store_true",
-        help="skip the Hom-route rechecks of C(R_A) and C(S_A) (faster); the "
-        "tilting-Hom route to C(R(R_A)) runs inside theorem A's verdict either way",
+        help="skip the Hom-route rechecks of C(R_A) and C(S_A) and their duality "
+        "recheck against A^op (faster); the tilting-Hom route to C(R(R_A)) runs "
+        "inside theorem A's verdict either way",
     )
     pa.set_defaults(func=cmd_analyze)
 

@@ -12,17 +12,17 @@ on every column prefix.  No floating point anywhere.
 
 There are two eliminations.  :class:`_SparseEchelon` is the sparse forward
 loop on ``{column: coefficient}`` rows: :func:`_sparse_rank` reads its pivot
-columns, and the path-basis builder of ``presentation`` back-substitutes its
-pivot rows into an RREF (``rref_rows``) and asks ``add`` whether a unit row
-lies in their span.  :func:`_echelon` is the one dense pivot loop: :func:`rref`
-runs it with the rows above each pivot cleared too, and :func:`_rank_array`
-and the dense tail of :func:`_sparse_rank` without.  Every dense update is
-fraction-free, (d/g) * row - (x/g) * pivot_row as in Bareiss (1968); over Q
-the rows are Python-int rows, scaled by the lcm of their denominators on
-entry and divided by the gcd of their entries after every update.  Results
-stay Fractions: an RREF is divided by its pivots before it leaves.
-:func:`_tag_order_basis`, the tagged reduction behind the filtrations of
-``repmod``, is :func:`_rank_array` on a transposed stack of rows.
+columns, :func:`_tag_order_basis` (the tagged reduction behind the
+filtrations of ``repmod``) its pivot rows and the rows that made them, and
+the path-basis builder of ``presentation`` back-substitutes its pivot rows
+into an RREF (``rref_rows``) and asks ``add`` whether a unit row lies in
+their span.  :func:`_echelon` is the one dense pivot loop: :func:`rref` runs
+it with the rows above each pivot cleared too, and the dense tail of
+:func:`_sparse_rank` without.  Every dense update is fraction-free,
+(d/g) * row - (x/g) * pivot_row as in Bareiss (1968); over Q the rows are
+Python-int rows, scaled by the lcm of their denominators on entry and
+divided by the gcd of their entries after every update.  Results stay
+Fractions: an RREF is divided by its pivots before it leaves.
 
 :class:`FieldSpec` is the only place that knows how the two kinds of field
 differ.  Array code asks it for ``dtype``, ``one``, ``zeros(shape)`` (a
@@ -30,8 +30,10 @@ writable array of canonical zeros) and ``canonical(a)`` (reduce mod p, or
 turn a non-object array into Fractions), and for ``coerce`` and ``inv`` on
 scalars; :func:`_echelon` asks it for ``elimination_copy``, ``row_update``
 and ``divide_pivot_rows``.  Code outside it never branches on the field
-kind, except the hot scalar loops of :class:`_SparseEchelon` and the overflow
-chunking of :func:`_matmul_array`, which read ``field.p`` (None over Q).
+kind, except the hot scalar loops of :class:`_SparseEchelon` (the one-entry
+shortcut of ``extend``; reading, reducing and normalising a row in
+``_reduced``; back-substitution in ``rref_rows``) and the overflow chunking
+of :func:`_matmul_array`, which read ``field.p`` (None over Q).
 """
 
 from __future__ import annotations
@@ -396,27 +398,6 @@ def _echelon(a: np.ndarray, field: FieldSpec, reduced: bool) -> tuple[np.ndarray
     return a, pivots
 
 
-def _rank_array(a: np.ndarray, field: FieldSpec) -> list[int]:
-    """Pivot columns of a canonical array, by forward elimination only; the rank is their number."""
-    return _echelon(a, field, False)[1]
-
-
-def _tag_order_basis(rows: np.ndarray, tags: Sequence[int], field: FieldSpec) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The rows, taken in stable tag order, that are independent of the rows before them, with their tags.
-
-    The kept rows come in tag order, and for every l those of tag <= l are
-    a basis of the span of the input rows of tag <= l, since those rows come
-    first: the tagged reduction of persistent homology (Zomorodian and
-    Carlsson, "Computing persistent homology", 2005).  A row is kept where
-    its transpose is a pivot column, as :func:`_rank_array` takes the
-    leftmost pivot in each column.
-    """
-    order = sorted(range(len(tags)), key=tags.__getitem__)
-    ordered = rows[order]
-    kept = _rank_array(ordered.T, field)
-    return ordered[kept], tuple(tags[order[k]] for k in kept)
-
-
 def rref(m: Matrix) -> RrefResult:
     """Unique reduced row echelon form, with rank and pivot columns."""
     a, pivots = _echelon(m._a, m.field, True)
@@ -443,7 +424,13 @@ class _SparseEchelon:
     Coefficients need not be canonical, and zero coefficients are allowed.
     The leads are distinct and each is its row's least column, so the pivot
     rows sorted by lead are an echelon basis of the rows read, and the leads
-    are the pivot columns of their RREF.
+    are the pivot columns of their RREF.  ``made_by[k]`` is the number of
+    rows read before the one that made pivot row k.
+
+    A row with one entry x at column c is settled without a copy or a heap:
+    with no pivot row at c it becomes the pivot row {c: 1} (if x is nonzero),
+    and it lies in the span when the pivot row at c has no other entry.
+    Only a pivot row at c with more entries sends it through the reduction.
     """
 
     def __init__(self, field: FieldSpec):
@@ -454,6 +441,8 @@ class _SparseEchelon:
         # a pivot row omits its lead entry: reducing a row pops the row's own
         # entry at the lead instead of subtracting it
         self.pivot_rows: list[dict] = []
+        self.made_by: list[int] = []
+        self.read = 0
         self.stored = 0  # entries of the pivot rows, leads included
 
     def extend(self, rows: Iterable[Mapping[int, int | Fraction]], limit: float = math.inf) -> int:
@@ -462,67 +451,88 @@ class _SparseEchelon:
         Reading stops early, right after a new pivot row, once the mean
         pivot-row length exceeds ``limit``.
         """
-        p, lead_of, leads, lead_values, pivot_rows = (
-            self.field.p, self.lead_of, self.leads, self.lead_values, self.pivot_rows
-        )
-        heappop, heappush = heapq.heappop, heapq.heappush
-        read = 0
+        p, lead_of, leads, pivot_rows = self.field.p, self.lead_of, self.leads, self.pivot_rows
+        start = read = self.read
         for row in rows:
             read += 1
-            if p:
-                r = {c: v for c, x in row.items() if (v := x % p)}
+            if len(row) != 1:
+                made = self._reduced(row)
             else:
-                r = {c: x for c, x in zip(row, _cleared(row.values())) if x}
-            heap = [lead_of[c] for c in r if c in lead_of]
-            heapq.heapify(heap)
-            while heap:
-                k = heappop(heap)
-                x = r.pop(leads[k], None)
-                if x is None:
-                    continue
-                if not p:
-                    d = lead_values[k]
-                    g = gcd(x, d)
-                    if g != d:
-                        r = {c: v * (d // g) for c, v in r.items()}
-                    x //= g
-                for c, y in pivot_rows[k].items():
-                    v = r.get(c)
-                    if v is None:
-                        if c in lead_of:
-                            heappush(heap, lead_of[c])
-                        r[c] = (-x * y) % p if p else -x * y
-                        continue
-                    v = (v - x * y) % p if p else v - x * y
-                    if v:
-                        r[c] = v
-                    else:
-                        del r[c]
-            if not r:
+                ((lead, x),) = row.items()
+                k = lead_of.get(lead)
+                if k is None:
+                    made = (lead, 1, {}) if (x % p if p else x) else None
+                else:
+                    made = self._reduced(row) if pivot_rows[k] else None
+            if made is None:
                 continue
-            lead = min(r)
-            if p:
-                inv = self.field.inv(r.pop(lead))
-                pivot = {c: v * inv % p for c, v in r.items()}
-                d = 1
-            else:
-                g = gcd(*r.values()) if r[lead] > 0 else -gcd(*r.values())
-                d = r.pop(lead) // g
-                pivot = {c: v // g for c, v in r.items()}
+            lead, d, pivot = made
             lead_of[lead] = len(leads)
             leads.append(lead)
-            lead_values.append(d)
+            self.lead_values.append(d)
             pivot_rows.append(pivot)
+            self.made_by.append(read - 1)
             self.stored += len(pivot) + 1
             if self.stored > limit * len(leads):
                 break
-        return read
+        self.read = read
+        return read - start
+
+    def _reduced(self, row: Mapping[int, int | Fraction]) -> tuple[int, int, dict] | None:
+        """(lead, d, pivot) for the pivot row {lead: d, **pivot} that ``row`` makes, or None if it lies in the span."""
+        p, lead_of, leads, lead_values, pivot_rows = (
+            self.field.p, self.lead_of, self.leads, self.lead_values, self.pivot_rows
+        )
+        if p:
+            r = {c: v for c, x in row.items() if (v := x % p)}
+        else:
+            r = {c: x for c, x in zip(row, _cleared(row.values())) if x}
+        heap = [lead_of[c] for c in r if c in lead_of]
+        heapq.heapify(heap)
+        while heap:
+            k = heapq.heappop(heap)
+            x = r.pop(leads[k], None)
+            if x is None:
+                continue
+            if not p:
+                d = lead_values[k]
+                g = gcd(x, d)
+                if g != d:
+                    r = {c: v * (d // g) for c, v in r.items()}
+                x //= g
+            for c, y in pivot_rows[k].items():
+                v = r.get(c)
+                if v is None:
+                    if c in lead_of:
+                        heapq.heappush(heap, lead_of[c])
+                    r[c] = (-x * y) % p if p else -x * y
+                    continue
+                v = (v - x * y) % p if p else v - x * y
+                if v:
+                    r[c] = v
+                else:
+                    del r[c]
+        if not r:
+            return None
+        lead = min(r)
+        if p:
+            inv = self.field.inv(r.pop(lead))
+            return lead, 1, {c: v * inv % p for c, v in r.items()}
+        g = gcd(*r.values()) if r[lead] > 0 else -gcd(*r.values())
+        d = r.pop(lead) // g
+        return lead, d, {c: v // g for c, v in r.items()}
 
     def add(self, row: Mapping[int, int | Fraction]) -> bool:
         """Read one row; True iff it is outside the span of the rows read before, and so became a pivot row."""
         rank = len(self.leads)
         self.extend((row,))
         return len(self.leads) > rank
+
+    def rows(self) -> list[dict]:
+        """The pivot rows with their lead entries, in the order they were made."""
+        return [
+            {lead: d, **pivot} for lead, d, pivot in zip(self.leads, self.lead_values, self.pivot_rows)
+        ]
 
     def rref_rows(self) -> dict[int, dict]:
         """The RREF of the rows read, as ``{lead: {column: entry}}`` with each row's lead entry 1 omitted.
@@ -581,13 +591,27 @@ def _sparse_rank(
             if echelon.stored > limit * len(echelon.leads):
                 read = [R for R in marks[m:] if R <= t]
                 profile += [sorted(echelon.leads)] * len(read)
-                carried = [
-                    {lead: d, **pivot}
-                    for lead, d, pivot in zip(echelon.leads, echelon.lead_values, echelon.pivot_rows)
-                ]
-                return profile + _dense_rank_tail(carried, rows, t, marks[m + len(read):], cols, field)
+                return profile + _dense_rank_tail(echelon.rows(), rows, t, marks[m + len(read):], cols, field)
         profile.append(sorted(echelon.leads))
     return profile
+
+
+def _tag_order_basis(
+    rows: Sequence[Mapping[int, int | Fraction]], tags: Sequence[int], field: FieldSpec
+) -> tuple[list[dict], tuple[int, ...]]:
+    """A basis of the ``{column: coefficient}`` rows, taken in stable tag order, with the tag of each basis row.
+
+    The rows are read in tag order into one :class:`_SparseEchelon`; a row
+    outside the span of the rows before it makes a pivot row, which keeps
+    its tag.  So for every l the pivot rows of tag <= l are a basis of the
+    span of the input rows of tag <= l: the tagged reduction of persistent
+    homology (Zomorodian and Carlsson, "Computing persistent homology",
+    2005).  The pivot rows come with their lead entries, in tag order.
+    """
+    order = sorted(range(len(tags)), key=tags.__getitem__)
+    echelon = _SparseEchelon(field)
+    echelon.extend(rows[k] for k in order)
+    return echelon.rows(), tuple(tags[order[k]] for k in echelon.made_by)
 
 
 def _dense_rows(rows: Sequence[Mapping], cols: int, field: FieldSpec) -> np.ndarray:

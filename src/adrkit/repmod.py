@@ -14,20 +14,25 @@ of degree < j.  The coordinates of degree < l at each vertex form the leading
 block of level l: P_i/rad^l P_i or soc_l Q_i.  ``truncate`` and
 ``socle_sub`` build it as a module that keeps the grading.
 
-Tagged passes.  A graded module has one tagged pass, memoized on it.  Each
-starting row carries a tag, the least level whose leading block holds it,
-and each step keeps, in tag order, the rows independent of the rows before
-them (``exactlin._tag_order_basis``, the tagged reduction of persistent
-homology: Zomorodian and Carlsson, "Computing persistent homology", 2005).
-The rows of tag <= l at a step span that step for the leading block of
-level l, so one pass serves every level.
+Tagged passes.  A graded module has one tagged pass, memoized on it, on
+``{coordinate: coefficient}`` rows.  Step 0 is the unit rows, each tagged
+with the least level whose leading block holds it.  Step j is the products
+of step j-1's rows with sparse arrow maps, each tagged as the row it came
+from, reduced in tag order to the pivot rows of the rows independent of the
+rows before them (``exactlin._tag_order_basis``, the tagged reduction of
+persistent homology: Zomorodian and Carlsson, "Computing persistent
+homology", 2005).  The rows of tag <= l at a step span that step for the
+leading block of level l, so one pass serves every level.
 
 - Under a radical grading the pass is the functional pass
   (:func:`_functional_pass`).  F_j spans the functionals phi(p x), p of
   length j, whose common kernel is soc_j.
 - Under a socle grading it is the radical chain (:func:`_radical_pass`).
-- The first multiplies functionals by the maps of outgoing arrows, the
-  second maps vectors along incoming arrows.  They share only ``exactlin``.
+- The first multiplies functionals by the rows of the maps of outgoing
+  arrows, the second vectors by the rows of the transposed maps of incoming
+  arrows.  Both read these sparse maps from a memo of their own
+  (:func:`_pass_arrows`), not from the Hom route's, and share only
+  ``exactlin``.
 
 ``series_by_level`` counts the rows of tag <= l at each step: the socle
 series of every P_k/rad^l P_k, or the radical series of every soc_j Q_i.
@@ -48,8 +53,9 @@ reference the tests compare the read-offs against.
 Memos.  For j >= LL(M), M/rad^j M = M and soc_j M = M, so ``truncate`` and
 ``socle_sub`` return the module itself there.  They and ``socle_series``
 are memoized on their module.  The Hom route memoizes on each module its
-support and the sparse columns and negated sparse rows of its arrow maps.
-No Hom system or its pivots is memoized.
+support, its coordinates in degree order, the widths of its levels and the
+sparse columns and negated sparse rows of its arrow maps.  No Hom system or
+its pivots is memoized.
 
 Hom tables.  ``hom_dims_between_levels`` reads a whole block of levels off
 one intertwiner system per pair of graded modules.  For radically graded m
@@ -79,7 +85,6 @@ from .exactlin import (
     FieldSpec,
     Matrix,
     RrefResult,
-    _matmul_array,
     _sparse_rank,
     _sparse_rows,
     _tag_order_basis,
@@ -421,7 +426,59 @@ def _degree_profile(degrees: Grading) -> SeriesProfile:
     return _quotient_layers(zip(dims[1:], dims))
 
 
-TaggedStep = tuple[tuple[np.ndarray, tuple[int, ...]], ...]
+TaggedStep = tuple[tuple[list[dict], tuple[int, ...]], ...]
+
+
+@memoized
+def _pass_arrows(m: Representation) -> list[list[tuple[int, list[dict]]]]:
+    """Per vertex v, the pairs (t, maps) that a step of m's tagged pass multiplies by; t is 0-based.
+
+    Under a radical grading these are the arrows a: v -> t, with the sparse
+    rows of M_a, so a functional phi on M_t gives phi M_a.  Under a socle
+    grading they are the arrows a: t -> v, with the sparse rows of M_a^T, so
+    a vector x of M_t gives M_a x.  A vertex with no coordinates gets none.
+    """
+    radical = m.radical_degrees is not None
+    out: list[list[tuple[int, list[dict]]]] = [[] for _ in m.dims]
+    for a in m.algebra.quiver.arrows:
+        u, v = m.algebra.quiver.arrow_endpoints(a.name)
+        arr = m.arrow_maps[a.name].array()
+        t, v, arr = (v, u, arr) if radical else (u, v, arr.T)
+        if m.dims[v - 1]:
+            out[v - 1].append((t - 1, _sparse_rows(arr)))
+    return out
+
+
+def _unit_step(degrees: Grading) -> TaggedStep:
+    """Step 0 of a tagged pass: the unit rows {r: 1} at each vertex, row r tagged by the degree of r plus one."""
+    return tuple(([{r: 1} for r in range(len(ds))], tuple(d + 1 for d in ds)) for ds in degrees)
+
+
+def _next_step(m: Representation, step: TaggedStep) -> TaggedStep:
+    """The step after ``step`` in m's tagged pass, by the products of its rows with :func:`_pass_arrows`.
+
+    At each vertex v, the tag-order basis of the products of the rows of
+    ``step`` at t with the maps of each (t, maps) in ``_pass_arrows(m)[v]``;
+    each product row keeps the tag of the row it came from.  A product of a
+    row phi with sparse rows M is sum_k phi[k] M[k], left unreduced:
+    ``exactlin._tag_order_basis`` reads non-canonical coefficients.  An
+    empty product is no basis row, so it is left out.
+    """
+    out = []
+    for arrows in _pass_arrows(m):
+        rows: list[dict] = []
+        tags: list[int] = []
+        for t, maps in arrows:
+            for row, tag in zip(*step[t]):
+                acc: dict = {}
+                for k, x in row.items():
+                    for c, y in maps[k].items():
+                        acc[c] = acc.get(c, 0) + x * y
+                if acc:
+                    rows.append(acc)
+                    tags.append(tag)
+        out.append(_tag_order_basis(rows, tags, m.field) if rows else ([], ()))
+    return tuple(out)
 
 
 @memoized
@@ -436,32 +493,15 @@ def _functional_pass(m: Representation) -> tuple[TaggedStep, ...]:
     of length j out of v and the phi that vanish in degree >= l.  These
     vanish off m/rad^l m, and their common kernel there is
     (soc_j(m/rad^l m))_v.  F_J is the first that vanishes everywhere;
-    J <= LL(m).
+    J <= LL(m).  Rows are ``{coordinate: coefficient}`` dicts.
     """
-    fld = m.field
     ll = loewy_length(m)
-    outgoing: list[list[tuple[int, np.ndarray]]] = [[] for _ in m.dims]
-    for a in m.algebra.quiver.arrows:
-        u, t = m.algebra.quiver.arrow_endpoints(a.name)
-        outgoing[u - 1].append((t - 1, m.arrow_maps[a.name].array()))
-    funcs = tuple(
-        (_full_space(fld, c).reduced.array(), tuple(d + 1 for d in ds))
-        for c, ds in zip(m.dims, m.radical_degrees)
-    )
+    funcs = _unit_step(m.radical_degrees)
     chain = [funcs]
     while any(tags for _, tags in funcs):
         if len(chain) > ll:
             raise RuntimeError("socle did not grow; representation is invalid")
-        nxt = []
-        for v, c in enumerate(m.dims):
-            blocks = [(funcs[t], arr) for t, arr in outgoing[v] if funcs[t][1]]
-            if c and blocks:
-                rows = np.vstack([_matmul_array(f, arr, fld) for (f, _), arr in blocks])
-                tags = [tag for (_, f_tags), _ in blocks for tag in f_tags]
-                nxt.append(_tag_order_basis(rows, tags, fld))
-            else:
-                nxt.append((fld.zeros((0, c)), ()))
-        funcs = tuple(nxt)
+        funcs = _next_step(m, funcs)
         chain.append(funcs)
     return tuple(chain)
 
@@ -474,31 +514,16 @@ def _radical_pass(m: Representation) -> tuple[TaggedStep, ...]:
     socle degree + 1.  rad^t m at v is the tag-order basis
     (:func:`exactlin._tag_order_basis`) of the images M_a x, for x in
     rad^{t-1} m at u over the arrows a: u -> v, each tagged as its x.  So
-    the rows of tag <= j span rad^t(soc_j m) at v.
+    the rows of tag <= j span rad^t(soc_j m) at v.  Rows are
+    ``{coordinate: coefficient}`` dicts.
     """
-    fld = m.field
-    incoming: list[list[tuple[int, np.ndarray]]] = [[] for _ in m.dims]
-    for a in m.algebra.quiver.arrows:
-        u, v = m.algebra.quiver.arrow_endpoints(a.name)
-        incoming[v - 1].append((u - 1, m.arrow_maps[a.name].array().T))
-    spaces = tuple(
-        (_full_space(fld, d).reduced.array(), tuple(x + 1 for x in xs))
-        for d, xs in zip(m.dims, m.socle_degrees)
-    )
+    spaces = _unit_step(m.socle_degrees)
     chain = [spaces]
     while any(tags for _, tags in spaces):
-        nxt = []
-        for v, d in enumerate(m.dims):
-            sources = [(spaces[u], arr) for u, arr in incoming[v] if spaces[u][1]]
-            if d and sources:
-                images = np.vstack([_matmul_array(x, arr, fld) for (x, _), arr in sources])
-                tags = [tag for (_, x_tags), _ in sources for tag in x_tags]
-                nxt.append(_tag_order_basis(images, tags, fld))
-            else:
-                nxt.append((fld.zeros((0, d)), ()))
+        nxt = _next_step(m, spaces)
         if sum(len(tags) for _, tags in nxt) >= sum(len(tags) for _, tags in spaces):
             raise RuntimeError("radical did not shrink; representation is invalid")
-        spaces = tuple(nxt)
+        spaces = nxt
         chain.append(spaces)
     return tuple(chain)
 
@@ -608,7 +633,7 @@ def is_rigid(m: Representation) -> bool:
         for v, ((rows, _), c) in enumerate(zip(step, _below(degrees, ll - j))):
             if len(rows) != c:
                 return False
-            if rows[:, c:].any():
+            if any(max(row) >= c for row in rows):
                 rad, soc = (ll - j, j) if radical else (j, ll - j)
                 raise RuntimeError(f"rad^{rad} not contained in soc_{soc} at vertex {v + 1}")
     return True
@@ -652,16 +677,23 @@ def _negated_sparse_rows(m: Representation, arrow: str) -> list[dict]:
     return _sparse_rows(m.field.canonical(-m.arrow_maps[arrow].array()))
 
 
-def _slots(degrees: Grading, widths) -> list[list[int]]:
-    """First unknown of each coordinate's slot, coordinates taken by (degree, vertex, index).
+@memoized
+def _degree_order(m: Representation) -> list[tuple[int, int]]:
+    """The coordinates (v, g) of a graded module, sorted by (degree, vertex, index)."""
+    degrees = m.radical_degrees if m.radical_degrees is not None else m.socle_degrees
+    return [(v, g) for _, v, g in sorted((d, v, g) for v, ds in enumerate(degrees) for g, d in enumerate(ds))]
 
-    Coordinate g at vertex v owns ``widths[v]`` consecutive unknowns, so the
-    unknowns of coordinates of degree < j come first, for every j at once.
+
+def _slots(order: list[tuple[int, int]], dims, widths) -> list[list[int]]:
+    """First unknown of each coordinate's slot, the coordinates (v, g) taken in ``order``.
+
+    Coordinate g at vertex v owns ``widths[v]`` consecutive unknowns, so in
+    :func:`_degree_order` the unknowns of coordinates of degree < j come
+    first, for every j at once.
     """
-    order = sorted((d, v, g) for v, ds in enumerate(degrees) for g, d in enumerate(ds))
-    starts = [[0] * len(ds) for ds in degrees]
+    starts = [[0] * d for d in dims]
     pos = 0
-    for _, v, g in order:
+    for v, g in order:
         starts[v][g] = pos
         pos += widths[v]
     return starts
@@ -675,9 +707,9 @@ def _numbering(m: Representation, n: Representation, by: str | None):
     with "socle" by the socle degree of coordinate r of n.
     """
     if by == "radical":
-        return [list(range(d)) for d in n.dims], _slots(m.radical_degrees, n.dims)
-    row_degrees = n.socle_degrees if by == "socle" else tuple((0,) * d for d in n.dims)
-    return _slots(row_degrees, m.dims), [list(range(d)) for d in m.dims]
+        return [list(range(d)) for d in n.dims], _slots(_degree_order(m), m.dims, n.dims)
+    order = _degree_order(n) if by == "socle" else [(v, r) for v, d in enumerate(n.dims) for r in range(d)]
+    return _slots(order, n.dims, m.dims), [list(range(d)) for d in m.dims]
 
 
 def _hom_constraints(m: Representation, n: Representation, by: str | None = None) -> tuple[list[dict], int, list[int]]:
@@ -688,15 +720,16 @@ def _hom_constraints(m: Representation, n: Representation, by: str | None = None
     ``by`` sorts them by degree); each arrow a: u -> v contributes the block
     of equations f_v M_a - N_a f_u = 0, equation (r, c) on row
     r * dim M_u + c.  Each equation is a ``{unknown: coefficient}`` dict of
-    canonical coefficients, read off the nonzero entries alone: f_v[r, k]
-    meets M_a[k, c] for the nonzeros of column c of M_a, and f_u[k, c] meets
-    -N_a[r, k] for the nonzeros of row r of N_a.  A loop (u = v) adds both
-    parts into the same key, which may leave an explicit zero.
+    nonzero canonical coefficients, read off the nonzero entries alone:
+    f_v[r, k] meets M_a[k, c] for the nonzeros of column c of M_a, and
+    f_u[k, c] meets -N_a[r, k] for the nonzeros of row r of N_a.  A loop
+    (u = v) adds both parts into the same key, and a key whose sum is zero
+    is dropped.  An equation with no entry left is not emitted.
 
     The equations come in arrow order, and, stably, by level: with ``by``
     "radical" the radical degree of coordinate r of n, with "socle" the
     socle degree of coordinate c of m, and with None all are of level 0.
-    ``marks[l - 1]`` counts the equations of level < l.
+    ``marks[l - 1]`` counts the emitted equations of level < l.
     """
     q = m.algebra.quiver
     p = m.field.p
@@ -706,23 +739,33 @@ def _hom_constraints(m: Representation, n: Representation, by: str | None = None
     levels: list[list[dict]] = [[] for _ in range(max(_grading_length(row_level), _grading_length(col_level), 1))]
     for a in q.arrows:
         u, v = q.arrow_endpoints(a.name)
-        nv, mu = n.dims[v - 1], m.dims[u - 1]
-        if not nv * mu:
+        if not n.dims[v - 1] * m.dims[u - 1]:
             continue
-        col_v, row_u, col_u = col_at[v - 1], row_at[u - 1], col_at[u - 1]
-        m_cols = [[(col_v[k], x) for k, x in col.items()] for col in _sparse_columns(m, a.name)]
-        n_rows = _negated_sparse_rows(n, a.name)
-        for r, (left, r_level) in enumerate(zip(row_at[v - 1], row_level[v - 1])):
-            right = [(row_u[k], x) for k, x in n_rows[r].items()]
-            for shift, col, c_level in zip(col_u, m_cols, col_level[u - 1]):
+        col_v, row_u = col_at[v - 1], row_at[u - 1]
+        columns = [
+            (shift, [(col_v[k], x) for k, x in col.items()], c_level)
+            for shift, col, c_level in zip(col_at[u - 1], _sparse_columns(m, a.name), col_level[u - 1])
+        ]
+        nonzero_columns = [column for column in columns if column[1]]
+        loop = u == v
+        for left, r_level, n_row in zip(row_at[v - 1], row_level[v - 1], _negated_sparse_rows(n, a.name)):
+            if not n_row:  # row r of N_a is zero: equation (r, c) is f_v M_a's part alone
+                for _, col, c_level in nonzero_columns:
+                    levels[r_level + c_level].append({left + k: x for k, x in col})
+                continue
+            right = [(row_u[k], x) for k, x in n_row.items()]
+            for shift, col, c_level in columns:
                 eq = {left + k: x for k, x in col}
                 for start, x in right:
                     key = start + shift
-                    if key in eq:  # only on a loop
-                        eq[key] = (eq[key] + x) % p if p else eq[key] + x
-                    else:
-                        eq[key] = x
-                levels[r_level + c_level].append(eq)
+                    if loop and key in eq:
+                        x = (eq[key] + x) % p if p else eq[key] + x
+                        if not x:
+                            del eq[key]
+                            continue
+                    eq[key] = x
+                if eq:
+                    levels[r_level + c_level].append(eq)
     rows = [eq for level in levels for eq in level]
     return rows, sum(nd * md for nd, md in zip(n.dims, m.dims)), list(accumulate(map(len, levels)))
 
@@ -739,6 +782,13 @@ def hom_dim(m: Representation, n: Representation) -> int:
         return 0
     rows, unknowns, marks = _hom_constraints(m, n)
     return unknowns - len(_sparse_rank(rows, unknowns, m.field, marks)[-1])
+
+
+@memoized
+def _level_widths(m: Representation) -> tuple[tuple[int, ...], ...]:
+    """Entry j - 1: the number of coordinates of degree < j at each vertex, j = 1..LL(m), for m's grading."""
+    degrees = m.radical_degrees if m.radical_degrees is not None else m.socle_degrees
+    return tuple(_below(degrees, j) for j in range(1, _grading_length(degrees) + 1))
 
 
 def hom_dims_between_levels(m: Representation, n: Representation) -> tuple[tuple[int, ...], ...]:
@@ -762,15 +812,14 @@ def hom_dims_between_levels(m: Representation, n: Representation) -> tuple[tuple
     """
     _same_algebra(m, n)
     if m.radical_degrees is not None and n.radical_degrees is not None:
-        by, src, tgt = "radical", m.radical_degrees, n.radical_degrees
+        by = "radical"
     elif m.socle_degrees is not None and n.socle_degrees is not None:
-        by, src, tgt = "socle", m.socle_degrees, n.socle_degrees
+        by = "socle"
     else:
         raise ValueError("hom_dims_between_levels needs two radically graded or two socle-graded modules")
     _check_invariant(m)
     _check_invariant(n)
-    below_m = [_below(src, j) for j in range(1, _grading_length(src) + 1)]
-    below_n = [_below(tgt, l) for l in range(1, _grading_length(tgt) + 1)]
+    below_m, below_n = _level_widths(m), _level_widths(n)
     both = [[sum(map(mul, bm, bn)) for bn in below_n] for bm in below_m]
     if _support(m).isdisjoint(_support(n)):
         return tuple((0,) * len(below_n) for _ in below_m)

@@ -16,6 +16,7 @@ import numpy as np
 from .adrcore import (
     LambdaLabel,
     _delta_class,
+    cartan_RA_formula,
     cartan_ringel_dual,
     cartan_SA_formula,
     lambda_poset,
@@ -90,6 +91,34 @@ def _flip_mismatch(alg: AlgebraData) -> str | None:
         return None
     r, c = mismatch[0]
     return f"at {tuple(poset.labels[r])},{tuple(poset.labels[c])}: {lhs[r, c]} != {rhs[r, c]}"
+
+
+def duality_failures(alg: AlgebraData) -> list[str]:
+    """Witnesses against C(R_A) = C(S_{A^op})^T and C(S_A) = C(R_{A^op})^T, labels included.
+
+    D(P_k/rad^l P_k) = soc_l Q^op_k and D(soc_j Q_i) = P^op_i/rad^j P^op_i.
+    The two sides of each identity come from different chain code on
+    different algebras (the functional pass over P_k against the radical
+    pass over Q^op_k, which share only ``exactlin``), and neither is computed
+    from the other.  Each witness names the first label pair, in row-major
+    order, where a matrix is off the transpose of its dual; the list is
+    empty when both identities hold.
+    """
+    op = alg.opposite()
+    out = []
+    for name, mat, dual in (
+        ("C(R_A) vs C(S_{A^op})", cartan_RA_formula(alg), cartan_SA_formula(op)),
+        ("C(S_A) vs C(R_{A^op})", cartan_SA_formula(alg), cartan_RA_formula(op)),
+    ):
+        labels = mat.row_labels
+        if {labels, mat.col_labels, dual.row_labels, dual.col_labels} != {labels}:
+            out.append(f"{name}: the label sets differ")
+            continue
+        bad = np.argwhere(np.array(mat.entries) != np.array(dual.entries).T)
+        if len(bad):
+            r, c = bad[0]
+            out.append(f"{name}: not transposed at {tuple(labels[r])},{tuple(labels[c])}")
+    return out
 
 
 def check_theorem_a(alg: AlgebraData) -> Verdict:

@@ -10,12 +10,15 @@ the same module with its grading dropped (:func:`ungraded`).
 
 ``validate_representation`` checks that a module satisfies the relations of
 its algebra; ``in_row_space`` and ``coordinates_in_row_space`` read a vector
-against an RREF basis.
+against an RREF basis.  ``dense_tag_order_basis`` is the tagged reduction on
+a dense array, by the dense forward elimination.
 """
+
+from typing import Sequence
 
 import numpy as np
 
-from adrkit.exactlin import Matrix, RrefResult, reduce_mod_row_space
+from adrkit.exactlin import FieldSpec, Matrix, RrefResult, _echelon, reduce_mod_row_space
 from adrkit.presentation import _canonical_relations
 from adrkit.repmod import (
     Representation,
@@ -41,6 +44,18 @@ def coordinates_in_row_space(basis: RrefResult, v: np.ndarray) -> np.ndarray:
     membership is the caller's responsibility (assert with in_row_space).
     """
     return v[list(basis.pivot_cols)]
+
+
+def dense_tag_order_basis(rows: np.ndarray, tags: Sequence[int], field: FieldSpec) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The rows of a canonical array, taken in stable tag order, that are independent of the rows before them, with their tags.
+
+    A row is kept where its transpose is a pivot column of the forward
+    elimination, which takes the leftmost pivot in each column.
+    """
+    order = sorted(range(len(tags)), key=tags.__getitem__)
+    ordered = rows[order]
+    kept = _echelon(ordered.T, field, False)[1]
+    return ordered[kept], tuple(tags[order[k]] for k in kept)
 
 
 def ungraded(m: Representation) -> Representation:

@@ -406,6 +406,34 @@ def test_formula_routes_and_hypotheses_run_one_tagged_pass_per_root(monkeypatch)
         assert [(name, id(m)) for name, m in passes] == expected, entry.id
 
 
+def _forbid(patch, names: tuple[str, ...]) -> None:
+    for name in names:
+        def forbidden(*args, name=name):
+            raise AssertionError(f"{name} ran")
+
+        patch.setattr(repmod, name, forbidden)
+
+
+def test_tagged_passes_and_hom_systems_share_only_the_modules(monkeypatch):
+    # the formula routes' passes multiply by sparse views of their own, and
+    # the Hom routes' systems never read a pass: the two routes meet only in
+    # the modules they measure and in exactlin's elimination
+    entries = builtin_entries() + [random_admissible(s) for s in range(910000, 910010)]
+    with monkeypatch.context() as patch:
+        _forbid(patch, ("_sparse_columns", "_negated_sparse_rows", "_hom_constraints", "_sparse_rank"))
+        for entry in entries:
+            alg = entry.build()
+            cartan_RA_formula(alg)
+            cartan_SA_formula(alg)
+            theorem_a_hypotheses(alg)
+    with monkeypatch.context() as patch:
+        _forbid(patch, ("_functional_pass", "_radical_pass", "_pass_arrows", "_tag_order_basis"))
+        for entry in entries:
+            alg = entry.build()
+            cartan_RA_hom(alg)
+            cartan_SA_hom(alg)
+
+
 def test_each_module_gets_one_functional_pass(monkeypatch):
     # the tagged pass of a root reads the root's own arrow maps, and the
     # series of every level P_k/rad^l P_k or soc_j Q_i is read off the pass

@@ -249,6 +249,28 @@ def test_internal_inconsistency_exit_code(tmp_path, capsys, monkeypatch):
     assert "inconsistency" in err
 
 
+def test_duality_recheck_failure_exits_3_naming_the_entry(tmp_path, capsys, monkeypatch):
+    # C(R_A) must be the transpose of C(S_{A^op}); one entry of the second,
+    # bumped, is named by its label pair before any verdict runs
+    from adrkit import adrcore, theorems
+
+    def bumped(alg):
+        mat = adrcore.cartan_SA_formula(alg)
+        entries = [list(row) for row in mat.entries]
+        entries[0][1] += 1
+        return adrcore.LabeledMatrix(mat.row_labels, mat.col_labels, tuple(map(tuple, entries)))
+
+    path = write_doc(tmp_path, presentation_to_doc(get_entry("preproj-a-3").presentation))
+    assert run_cli(capsys, "analyze", path)[0] == 0
+    monkeypatch.setattr(theorems, "cartan_SA_formula", bumped)
+    code, out, err = run_cli(capsys, "analyze", path)
+    assert code == 3 and out == ""
+    assert err == (
+        "internal inconsistency: duality recheck against A^op fails: "
+        "C(R_A) vs C(S_{A^op}): not transposed at (1, 2),(1, 1)\n"
+    )
+
+
 def _analyze_without_volatile(capsys, path, *flags) -> dict:
     code, out, _ = run_cli(capsys, "analyze", path, *flags)
     assert code == 0
@@ -258,8 +280,8 @@ def _analyze_without_volatile(capsys, path, *flags) -> dict:
 
 
 def test_skip_corroboration_flag(tmp_path, capsys, monkeypatch):
-    # without the Hom routes the formula route builds the truncation modules
-    # itself; the report must not change
+    # without the Hom routes and the duality recheck the formula route builds
+    # the truncation modules itself; the report must not change
     paths = {
         e.id: write_doc(tmp_path, presentation_to_doc(e.presentation), f"{e.id}.json")
         for e in builtin_entries()
@@ -271,6 +293,7 @@ def test_skip_corroboration_flag(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "cartan_RA_hom", boom)
     monkeypatch.setattr(cli, "cartan_SA_hom", boom)
+    monkeypatch.setattr(cli, "duality_failures", boom)
     for key, path in paths.items():
         skipped = _analyze_without_volatile(capsys, path, "--skip-fuzz-corroboration")
         assert skipped == full[key], key

@@ -1,11 +1,15 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from adrkit.adrcore import cartan_RA_formula, cartan_SA_formula
 from adrkit.corpus import (
     GenerationExhaustedError,
     RandomLimits,
     builtin_entries,
     entry_ids,
     get_entry,
+    nakayama_kupisch,
     nakayama_selfinjective,
     preprojective_a,
     random_admissible,
@@ -14,6 +18,7 @@ from adrkit.corpus import (
     truncated_path_algebra,
     linear_quiver,
 )
+from adrkit.exactlin import RATIONAL, FieldSpec
 from adrkit.memo import remember
 from adrkit.presentation import (
     AlgebraData,
@@ -224,3 +229,69 @@ def test_duality_check_names_the_first_entry_off_the_transpose(bumps):
         labels = mat.row_labels
         first = next(f"{tuple(r)},{tuple(c)}" for r in labels for c in labels if mat.entry(r, c) != dual.entry(c, r))
         assert ("oracle", f"C(R_A) vs C(S_{{A^op}}): not transposed at {first}") in tagged_invariant_failures(alg)
+
+
+@st.composite
+def _kupisch_series(draw) -> tuple[tuple[int, ...], bool]:
+    """A Kupisch series with n <= 6 and c_k <= 6, on a cyclic quiver or a linear one with n >= 2."""
+    cyclic = draw(st.booleans())
+    n = draw(st.integers(1 if cyclic else 2, 6))
+    raw = draw(st.lists(st.integers(2, 6), min_size=n, max_size=n))
+    if not cyclic:
+        # c_n = 1, then c_k in [2, min(c_{k+1} + 1, n - k + 1)] going back
+        c = [1]
+        for k in range(n - 2, -1, -1):
+            c.insert(0, max(2, min(raw[k], c[0] + 1, n - k)))
+        return tuple(c), False
+    c = list(raw)
+    while any(c[k] > c[(k + 1) % n] + 1 for k in range(n)):  # lower c_k to c_{k+1} + 1
+        k = next(k for k in range(n) if c[k] > c[(k + 1) % n] + 1)
+        c[k] = c[(k + 1) % n] + 1
+    return tuple(c), True
+
+
+@given(
+    series=_kupisch_series(),
+    field=st.sampled_from([FieldSpec.prime(2), FieldSpec.prime(3), FieldSpec.prime(7), RATIONAL]),
+)
+@example(series=((3, 3, 3), True), field=FieldSpec.prime(7))
+@example(series=((2,), True), field=RATIONAL)
+@example(series=((4, 3, 3), True), field=FieldSpec.prime(2))
+@example(series=((3, 2, 1), False), field=RATIONAL)
+@settings(max_examples=150, deadline=None)
+def test_nakayama_formula_matrices_match_the_kupisch_closed_forms(series, field):
+    # P_k is uniserial with factors k, k+1, ..., k+c_k-1, so soc_j(P_k/rad^l P_k)
+    # holds the factors k+t, t in [max(l-j, 0), l-1]; Q_i is uniserial with
+    # factors i, i-1, ..., i-d_i+1 from its socle up, for d_i = LL(Q_i), so
+    # the radical series of soc_j Q_i and C(S_A) follow dually.  Theorem C:
+    # R_A is Ringel selfdual exactly when the quiver is cyclic and c constant
+    c, cyclic = series
+    n = len(c)
+    alg = nakayama_kupisch(c, cyclic, field).build()
+
+    def same(x: int, y: int) -> bool:
+        return (x - y) % n == 0
+
+    # d_i = LL(Q_i): [Q_i : L_{i-t}] = [P_{i-t} : L_i] is 1 exactly for t < d_i
+    d = [max(t + 1 for t in range(max(c)) if (cyclic or t < i) and c[(i - t - 1) % n] > t) for i in range(1, n + 1)]
+    ra_labels = [(k, l) for k in range(1, n + 1) for l in range(1, c[k - 1] + 1)]
+    sa_labels = [(i, j) for i in range(1, n + 1) for j in range(1, d[i - 1] + 1)]
+    cra, csa = cartan_RA_formula(alg), cartan_SA_formula(alg)
+    assert [tuple(x) for x in cra.row_labels] == [tuple(x) for x in cra.col_labels] == ra_labels
+    assert [tuple(x) for x in csa.row_labels] == [tuple(x) for x in csa.col_labels] == sa_labels
+    assert cra.entries == tuple(
+        tuple(sum(same(k + t, i) for t in range(max(l - j, 0), l)) for k, l in ra_labels) for i, j in ra_labels
+    )
+    assert csa.entries == tuple(
+        tuple(sum(same(i - t, k) for t in range(max(j - l, 0), j)) for k, l in sa_labels) for i, j in sa_labels
+    )
+    assert ringel_selfdual_verdict(alg).holds == (cyclic and len(set(c)) == 1)
+
+
+@pytest.mark.parametrize(
+    "c, cyclic",
+    [((), True), ((1, 2), True), ((4, 2), True), ((2, 2), False), ((3, 1), False), ((2, 3, 1), False), ((4, 2, 2, 1), False)],
+)
+def test_nakayama_kupisch_refuses_a_series_that_is_not_kupisch(c, cyclic):
+    with pytest.raises(ValueError, match="is not a Kupisch series"):
+        nakayama_kupisch(c, cyclic)

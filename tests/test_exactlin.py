@@ -17,7 +17,7 @@ from adrkit.exactlin import (
     rank,
     rref,
 )
-from chain_oracle import in_row_space
+from chain_oracle import dense_tag_order_basis, in_row_space
 
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
@@ -262,7 +262,7 @@ def _check_against_naive(field: FieldSpec, grid: list[list], cols: int, m: Matri
     expected, pivots = _naive_rref(grid, cols, field)
     assert result.pivot_cols == tuple(pivots)
     # the forward-only mode of the same elimination finds the same pivots
-    assert exactlin._rank_array(m.array(), field) == pivots
+    assert exactlin._echelon(m.array(), field, False)[1] == pivots
     # rank runs its own forward elimination, never rref
     assert rank(m) == result.rank == len(pivots)
     assert [list(result.reduced.row(r)) for r in range(len(grid))] == expected
@@ -620,10 +620,34 @@ def _tagged_case(field: FieldSpec, rng: random.Random):
     return grid, cols, [rng.randint(1, 4) for _ in range(rows)]
 
 
+def _check_tag_order_basis(field: FieldSpec, grid: list[list], cols: int, tags: list[int], rng: random.Random):
+    """The sparse tagged reduction of ``grid``, given as shuffled non-canonical ``{column: coefficient}`` rows.
+
+    It keeps the tags the dense oracle keeps, and for every l its rows of
+    tag <= l are a basis of the span of the input rows of tag <= l.
+    """
+    sparse = []
+    for row in grid:
+        items = [(c, x + field.p * rng.randint(-2, 2) if field.p else x) for c, x in enumerate(row) if x or rng.random() < 0.2]
+        rng.shuffle(items)
+        sparse.append(dict(items))
+    kept, kept_tags = exactlin._tag_order_basis(sparse, tags, field)
+    dense = Matrix.from_rows(field, grid, cols=cols).array()
+    assert kept_tags == dense_tag_order_basis(dense, tags, field)[1], (grid, tags)
+    assert list(kept_tags) == sorted(kept_tags) and len(kept) == len(kept_tags)
+    kept_grid = [[row.get(c, 0) for c in range(cols)] for row in kept]
+    for l in range(6):
+        below = sum(t <= l for t in kept_tags)
+        prefix = [row for row, t in zip(grid, tags) if t <= l]
+        assert below == len(_naive_rref(prefix, cols, field)[1]), (grid, tags, l)
+        assert below == len(_naive_rref(kept_grid[:below], cols, field)[1])
+        assert below == len(_naive_rref(prefix + kept_grid[:below], cols, field)[1])
+
+
 @pytest.mark.parametrize("field", [F7, F_MERSENNE, RATIONAL], ids=["F7", "F_2^31-1", "Q"])
 def test_tag_order_basis_keeps_a_basis_of_every_tag_prefix(field):
     # for every l the kept rows of tag <= l must number the rank of the input
-    # rows of tag <= l, and be input rows of their tag: a basis of that span
+    # rows of tag <= l, lie in their span and be independent: a basis of it
     rng = random.Random(29)
     cases = [_tagged_case(field, rng) for _ in range(150)]
     cases += [
@@ -633,13 +657,25 @@ def test_tag_order_basis_keeps_a_basis_of_every_tag_prefix(field):
         ([[1, 2, 0], [0, 0, 0], [2, 4, 0], [1, 0, 0]], 3, [4, 3, 2, 1]),
     ]
     for grid, cols, tags in cases:
-        rows = Matrix.from_rows(field, grid, cols=cols).array()
-        kept, kept_tags = exactlin._tag_order_basis(rows, tags, field)
-        assert list(kept_tags) == sorted(kept_tags) and len(kept) == len(kept_tags)
-        members = {(tuple(row), t) for row, t in zip(rows.tolist(), tags)}
-        assert all((tuple(row), t) in members for row, t in zip(kept.tolist(), kept_tags))
-        for l in range(6):
-            below = sum(t <= l for t in kept_tags)
-            prefix = [row for row, t in zip(grid, tags) if t <= l]
-            assert below == len(_naive_rref(prefix, cols, field)[1]), (grid, tags, l)
-            assert below == len(_naive_rref(kept[:below].tolist(), cols, field)[1])
+        _check_tag_order_basis(field, grid, cols, tags, rng)
+
+
+@given(field=st.sampled_from([F2, F7, F_MERSENNE, RATIONAL]), seed=st.integers(0, 10**6))
+@settings(max_examples=300, deadline=None)
+def test_sparse_tag_order_basis_keeps_the_dense_oracles_tags(field, seed):
+    rng = random.Random(seed)
+    grid, cols, tags = _tagged_case(field, rng)
+    _check_tag_order_basis(field, grid, cols, tags, rng)
+
+
+@pytest.mark.parametrize("field", [F2, F7, RATIONAL], ids=["F2", "F7", "Q"])
+def test_one_entry_rows_are_settled_by_the_pivot_row_at_their_column(field):
+    # a one-entry row at a column with no pivot row is a new pivot row, unless
+    # it is zero; at a column whose pivot row has no other entry it lies in
+    # the span; at a column whose pivot row has more entries it is reduced
+    zero = field.p or Fraction(0)  # p is zero in F_p
+    echelon = exactlin._SparseEchelon(field)
+    assert echelon.extend([{0: zero}, {0: 1, 1: 1}, {0: 3}, {2: 1}, {2: 2}, {3: zero}]) == 6
+    assert echelon.leads == [0, 1, 2] and echelon.made_by == [1, 2, 3]
+    # {0: 3} minus 3 (e_0 + e_1) leaves -3 e_1, normalised to the pivot row e_1
+    assert echelon.rows() == [{0: 1, 1: 1}, {1: 1}, {2: 1}]

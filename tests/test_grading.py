@@ -14,7 +14,6 @@ functions themselves refuse a module without the grading they read.
 import random
 from bisect import bisect_left
 
-import numpy as np
 import pytest
 
 import chain_oracle as oracle
@@ -219,7 +218,7 @@ def test_rigidity_containment_failure_is_an_error_under_each_grading(monkeypatch
     # which holds in every module: that is a bug, raised, not a verdict of
     # non-rigidity
     alg = get_entry("nakayama-1-3").build()
-    stray = np.array([[1, 0, 0], [0, 0, 1]], dtype=object)
+    stray = [{0: 1}, {2: 1}]
     p = projective(alg, 1)
     functionals = list(repmod._functional_pass(p))
     assert [len(f[0][0]) for f in functionals] == [3, 2, 1, 0] and is_rigid(p)
