@@ -3,47 +3,39 @@
 Every rank / kernel / reduction computation in the package goes through this
 module.  Prime-field matrices are stored as int64 numpy arrays with entries in
 [0, p); rational matrices are object arrays of ``fractions.Fraction`` (which
-normalise themselves to lowest terms with positive denominator).  Ranks are
-taken by :func:`_sparse_rank` on rows given as ``{column: coefficient}``
-dicts, with Python ints mod p or Fractions, falling back to dense forward
-elimination once the rows fill in.  It returns the pivot columns of each
-requested row prefix, so one elimination gives the rank of every row prefix
-on every column prefix.  No floating point anywhere.
+normalise themselves to lowest terms with positive denominator).  No floating
+point anywhere.
 
-There are two eliminations.  :class:`_SparseEchelon` is the sparse forward
-loop on ``{column: coefficient}`` rows: :func:`_sparse_rank` reads its pivot
-columns, :func:`_tag_order_basis` (the tagged reduction behind the
-filtrations of ``repmod``) its pivot rows and the rows that made them, and
-the path-basis builder of ``presentation`` back-substitutes its pivot rows
-into an RREF (``rref_rows``) and asks ``add`` whether a unit row lies in
-their span.  :func:`_echelon` is the one dense pivot loop: :func:`rref` runs
-it with the rows above each pivot cleared too, and the dense tail of
-:func:`_sparse_rank` without.  Every dense update is fraction-free,
-(d/g) * row - (x/g) * pivot_row as in Bareiss (1968); over Q the rows are
-Python-int rows, scaled by the lcm of their denominators on entry and
-divided by the gcd of their entries after every update.  Results stay
-Fractions: an RREF is divided by its pivots before it leaves.
+There is one elimination, :class:`_SparseEchelon`: a forward loop on rows
+given as ``{column: coefficient}`` dicts, with Python ints mod p or, over Q,
+integer rows cleared of their denominators on reading (:func:`_cleared`).
+:func:`_sparse_rank` reads its pivot columns at each requested row prefix,
+so one elimination gives the rank of every row prefix on every column
+prefix; :func:`_tag_order_basis` (the tagged reduction behind the
+filtrations of ``repmod``) reads its pivot rows and the rows that made
+them; :func:`rref` and the path-basis builder of ``presentation``
+back-substitute its pivot rows into an RREF (``rref_rows``), and the builder
+asks ``add`` whether a unit row lies in their span.  Over Q an RREF row is
+divided by its lead before it leaves, so results stay Fractions.
 
 :class:`FieldSpec` is the only place that knows how the two kinds of field
 differ.  Array code asks it for ``dtype``, ``one``, ``zeros(shape)`` (a
 writable array of canonical zeros) and ``canonical(a)`` (reduce mod p, or
 turn a non-object array into Fractions), and for ``coerce`` and ``inv`` on
-scalars; :func:`_echelon` asks it for ``elimination_copy``, ``row_update``
-and ``divide_pivot_rows``.  Code outside it never branches on the field
-kind, except the hot scalar loops of :class:`_SparseEchelon` (the one-entry
-shortcut of ``extend``; reading, reducing and normalising a row in
-``_reduced``; back-substitution in ``rref_rows``) and the overflow chunking
-of :func:`_matmul_array`, which read ``field.p`` (None over Q).
+scalars.  Code outside it never branches on the field kind, except the hot
+scalar loops of :class:`_SparseEchelon` (the one-entry shortcut of
+``extend``; reading, reducing and normalising a row in ``_reduced``;
+back-substitution in ``rref_rows``) and the overflow chunking of
+:func:`_matmul_array`, which read ``field.p`` (None over Q).
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -155,39 +147,6 @@ class FieldSpec:
                 raise ZeroDivisionError("inverse of 0")
             return pow(a, self.p - 2, self.p)
         return Fraction(1) / Fraction(x)
-
-    def elimination_copy(self, a: np.ndarray) -> np.ndarray:
-        """A writable copy of canonical ``a`` to eliminate on: int64, or primitive integer rows over Q."""
-        if self.kind == "prime":
-            return np.array(a, dtype=np.int64, order="C")
-        return _integer_rows(a)
-
-    def row_update(self, rows: np.ndarray, pivot_row: np.ndarray, x: np.ndarray, d) -> np.ndarray:
-        """(d/g) * rows - (x/g) * pivot_row, for g = gcd(d, x), on elimination rows.
-
-        ``x`` holds the entries of ``rows`` in the column where ``pivot_row``
-        has ``d``, so the result is zero there.  Over F_p every product is
-        below (p-1)^2 < 2^62 and the result is reduced mod p; over Q each
-        result row is divided by the gcd of its entries.
-        """
-        g = np.gcd(x, d)
-        out = (d // g)[:, None] * rows - (x // g)[:, None] * pivot_row
-        if self.kind == "prime":
-            return out % self.p
-        return _primitive_rows(out)
-
-    def divide_pivot_rows(self, a: np.ndarray, pivots: Sequence[int]) -> np.ndarray:
-        """The RREF of a reduced :func:`_echelon` result: row k divided by its entry in column ``pivots[k]``."""
-        if self.kind == "prime":
-            for k, c in enumerate(pivots):
-                a[k] = a[k] * self.inv(a[k, c]) % self.p
-            return a
-        out = self.zeros(a.shape)
-        for k, c in enumerate(pivots):
-            row, d = a[k].tolist(), a[k, c]
-            quotient = {v: Fraction(v, d) for v in set(row)}  # one Fraction per distinct entry
-            out[k] = [quotient[v] for v in row]
-        return out
 
     def describe(self) -> str:
         return f"F_{self.p}" if self.kind == "prime" else "Q"
@@ -329,84 +288,21 @@ class RrefResult(NamedTuple):
     pivot_cols: tuple[int, ...]
 
 
-def _cleared(values: Iterable) -> list[int]:
-    """Fractions or ints times the lcm of their denominators: an integer multiple of the same row."""
-    ratios = [x.as_integer_ratio() for x in values]
-    den = lcm(*[d for _, d in ratios])
-    if den == 1:
-        return [n for n, _ in ratios]
-    return [n * (den // d) for n, d in ratios]
+def _cleared(values: Collection) -> list[int]:
+    """Rationals times the lcm of their denominators, as Python ints: an integer multiple of the same row.
 
-
-def _primitive_rows(a: np.ndarray) -> np.ndarray:
-    """Divide each row of an integer object array by the gcd of its entries, in place."""
-    for i, row in enumerate(a.tolist()):
-        g = gcd(*row)
-        if g > 1:
-            a[i] //= g
-    return a
-
-
-def _integer_rows(a: np.ndarray) -> np.ndarray:
-    """A writable object array of primitive integer rows, each a multiple of the row of ``a``.
-
-    Only the nonzero entries are cleared of denominators; the rest stay int 0.
+    An entry is read by its ``numerator`` and ``denominator``, which
+    Fractions, ints and numpy integers have; any other entry, a float
+    included, is a TypeError that names it.
     """
-    out = np.zeros(a.shape, dtype=object)
-    for i, row in enumerate(a.tolist()):
-        cols = [c for c, x in enumerate(row) if x]
-        if cols:
-            out[i, cols] = _cleared([row[c] for c in cols])
-    return _primitive_rows(out)
-
-
-def _echelon(a: np.ndarray, field: FieldSpec, reduced: bool) -> tuple[np.ndarray, list[int]]:
-    """Echelon form of a canonical array, as ``field.elimination_copy`` rows, with its pivot columns.
-
-    The leftmost pivot is taken in each column, so the pivot columns are
-    those of the RREF.  A row with entry x in the pivot column of a pivot row
-    with pivot d becomes ``field.row_update``, (d/g) * row - (x/g) * pivot_row
-    for g = gcd(d, x).  Only the later rows nonzero in the pivot column are
-    cleared, from the pivot column rightwards: the rows between were zero
-    there, and every row at or below the pivot is zero left of it.  With
-    ``reduced`` the nonzero rows above the pivot are cleared too, across the
-    full width, since the rescaling touches their left part; each pivot row
-    then differs from its RREF row by the factor that
-    ``field.divide_pivot_rows`` divides out.  Pivot rows are never normalised
-    here.
-    """
-    a = field.elimination_copy(a)
-    rows, cols = a.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        hits = a[r:, c].nonzero()[0]
-        if not hits.size:
-            continue
-        if hits[0]:
-            pr = r + int(hits[0])
-            a[[r, pr], c:] = a[[pr, r], c:]
-        clear, start = r + hits[1:], c
-        if reduced:
-            clear, start = np.concatenate([a[:r, c].nonzero()[0], clear]), 0
-        if clear.size:
-            a[clear, start:] = field.row_update(a[clear, start:], a[r, start:], a[clear, c], a[r, c])
-        pivots.append(c)
-        r += 1
-    return a, pivots
-
-
-def rref(m: Matrix) -> RrefResult:
-    """Unique reduced row echelon form, with rank and pivot columns."""
-    a, pivots = _echelon(m._a, m.field, True)
-    return RrefResult(Matrix(m.field, m.field.divide_pivot_rows(a, pivots)), len(pivots), tuple(pivots))
-
-
-def _dense_limit(cols: int) -> float:
-    """The mean pivot-row length past which :func:`_sparse_rank` counts its rows as dense."""
-    return max(16, cols / 16)
+    try:
+        den = lcm(*[x.denominator for x in values])
+        if den == 1:
+            return [int(x.numerator) for x in values]
+        return [int(x.numerator) * (den // int(x.denominator)) for x in values]
+    except AttributeError:
+        bad = next(x for x in values if not (hasattr(x, "numerator") and hasattr(x, "denominator")))
+        raise TypeError(f"exact rational entry needed, got {bad!r} of type {type(bad).__name__}") from None
 
 
 class _SparseEchelon:
@@ -443,16 +339,11 @@ class _SparseEchelon:
         self.pivot_rows: list[dict] = []
         self.made_by: list[int] = []
         self.read = 0
-        self.stored = 0  # entries of the pivot rows, leads included
 
-    def extend(self, rows: Iterable[Mapping[int, int | Fraction]], limit: float = math.inf) -> int:
-        """Reduce ``rows`` in order, each nonzero remainder becoming a pivot row; the number of rows read.
-
-        Reading stops early, right after a new pivot row, once the mean
-        pivot-row length exceeds ``limit``.
-        """
+    def extend(self, rows: Iterable[Mapping[int, int | Fraction]]) -> None:
+        """Reduce ``rows`` in order, each nonzero remainder becoming a pivot row; ``read`` counts them all."""
         p, lead_of, leads, pivot_rows = self.field.p, self.lead_of, self.leads, self.pivot_rows
-        start = read = self.read
+        read = self.read
         for row in rows:
             read += 1
             if len(row) != 1:
@@ -472,11 +363,7 @@ class _SparseEchelon:
             self.lead_values.append(d)
             pivot_rows.append(pivot)
             self.made_by.append(read - 1)
-            self.stored += len(pivot) + 1
-            if self.stored > limit * len(leads):
-                break
         self.read = read
-        return read - start
 
     def _reduced(self, row: Mapping[int, int | Fraction]) -> tuple[int, int, dict] | None:
         """(lead, d, pivot) for the pivot row {lead: d, **pivot} that ``row`` makes, or None if it lies in the span."""
@@ -563,35 +450,22 @@ class _SparseEchelon:
 
 
 def _sparse_rank(
-    rows: Sequence[Mapping[int, int | Fraction]], cols: int, field: FieldSpec, marks: Sequence[int]
+    rows: Sequence[Mapping[int, int | Fraction]], field: FieldSpec, marks: Sequence[int]
 ) -> list[list[int]]:
     """For each R in ``marks`` (ascending), the pivot columns, ascending, of ``rows[:R]``.
 
-    The rows are ``{column: coefficient}`` dicts over ``cols`` columns, read
-    in order into one :class:`_SparseEchelon`.  The rank of rows[:R] is the
-    number of its pivot columns, and the rank of rows[:R] on the first c
-    columns alone is the number of them below c: the rank profile of the
-    matrix (Dumas, Pernet and Sultan, "Fast computation of the rank profile
-    matrix and the generalized Bruhat decomposition", 2017).  So one
-    elimination answers every row prefix in ``marks`` and every column
-    prefix.
-
-    Once the mean pivot-row length exceeds :func:`_dense_limit` the rows are
-    no longer sparse.  The marks read so far keep their sparse pivots, and
-    the later ones are finished by :func:`_dense_rank_tail` from the pivot
-    rows, which span every row read.
+    The ``{column: coefficient}`` rows are read in order into one
+    :class:`_SparseEchelon`.  The rank of rows[:R] is the number of its
+    pivot columns, and the rank of rows[:R] on the first c columns alone is
+    the number of them below c: the rank profile of the matrix (Dumas,
+    Pernet and Sultan, "Fast computation of the rank profile matrix and the
+    generalized Bruhat decomposition", 2017).  So one elimination answers
+    every row prefix in ``marks`` and every column prefix.
     """
     echelon = _SparseEchelon(field)
-    limit = _dense_limit(cols)
     profile: list[list[int]] = []
-    t = 0
-    for m, mark in enumerate(marks):
-        if t < mark:
-            t += echelon.extend(rows[t:mark], limit)
-            if echelon.stored > limit * len(echelon.leads):
-                read = [R for R in marks[m:] if R <= t]
-                profile += [sorted(echelon.leads)] * len(read)
-                return profile + _dense_rank_tail(echelon.rows(), rows, t, marks[m + len(read):], cols, field)
+    for mark in marks:
+        echelon.extend(rows[echelon.read : mark])
         profile.append(sorted(echelon.leads))
     return profile
 
@@ -614,46 +488,28 @@ def _tag_order_basis(
     return echelon.rows(), tuple(tags[order[k]] for k in echelon.made_by)
 
 
-def _dense_rows(rows: Sequence[Mapping], cols: int, field: FieldSpec) -> np.ndarray:
-    """``{column: coefficient}`` rows as a canonical dense array."""
-    at_row, at_col, values = [], [], []
-    for i, row in enumerate(rows):
-        at_row += [i] * len(row)
-        at_col += row
-        values += row.values()
-    a = field.zeros((len(rows), cols))
-    a[at_row, at_col] = [field.coerce(v) for v in values]
-    return a
-
-
-def _dense_rank_tail(
-    carried: list[dict], rows: Sequence[Mapping], start: int, marks: Sequence[int], cols: int, field: FieldSpec
-) -> list[list[int]]:
-    """For each R in ``marks``, the pivot columns of rows[:R], given ``carried`` rows spanning rows[:start].
-
-    At each mark the echelon rows kept from the previous one (at first the
-    carried rows) are stacked on the rows read since and reduced forward by
-    :func:`_echelon`; its nonzero rows span every row read so far and are
-    carried on, so no elimination starts over from the first row.
-    """
-    echelon = _dense_rows(carried, cols, field)
-    profile = []
-    for mark in marks:
-        stacked = np.vstack([echelon, _dense_rows(rows[start:mark], cols, field)])
-        reduced, pivots = _echelon(stacked, field, False)
-        echelon, start = reduced[: len(pivots)], mark
-        profile.append(pivots)
-    return profile
-
-
 def _sparse_rows(a: np.ndarray) -> list[dict]:
     """The nonzero entries of each row of a canonical array, as ``{column: entry}``."""
     return [{c: x for c, x in enumerate(row) if x} for row in a.tolist()]
 
 
+def rref(m: Matrix) -> RrefResult:
+    """Unique reduced row echelon form, with rank and pivot columns, by back-substitution in :class:`_SparseEchelon`."""
+    field = m.field
+    echelon = _SparseEchelon(field)
+    echelon.extend(_sparse_rows(m._a))
+    reduced = echelon.rref_rows()
+    pivots = sorted(reduced)
+    a = field.zeros(m.shape)
+    for r, lead in enumerate(pivots):
+        a[r, lead] = field.one
+        a[r, list(reduced[lead])] = list(reduced[lead].values())
+    return RrefResult(Matrix(field, a), len(pivots), tuple(pivots))
+
+
 def rank(m: Matrix) -> int:
     """Rank of ``m``, by :func:`_sparse_rank` on its nonzero entries (no RREF is built)."""
-    return len(_sparse_rank(_sparse_rows(m._a), m.cols, m.field, [m.rows])[0])
+    return len(_sparse_rank(_sparse_rows(m._a), m.field, [m.rows])[0])
 
 
 def row_space_basis(m: Matrix) -> RrefResult:

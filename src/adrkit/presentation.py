@@ -414,7 +414,7 @@ def _holds_top_columns(rows: list[SparseRow], cols: int, low: int, fld: FieldSpe
     E.  The count is the number of pivots at or after ``low`` in the rank
     profile of the rows (``exactlin._sparse_rank``).
     """
-    pivots = _sparse_rank(rows, cols, fld, [len(rows)])[0]
+    pivots = _sparse_rank(rows, fld, [len(rows)])[0]
     return sum(c >= low for c in pivots) == cols - low
 
 

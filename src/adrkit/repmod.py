@@ -781,7 +781,7 @@ def hom_dim(m: Representation, n: Representation) -> int:
     if _support(m).isdisjoint(_support(n)):
         return 0
     rows, unknowns, marks = _hom_constraints(m, n)
-    return unknowns - len(_sparse_rank(rows, unknowns, m.field, marks)[-1])
+    return unknowns - len(_sparse_rank(rows, m.field, marks)[-1])
 
 
 @memoized
@@ -824,7 +824,7 @@ def hom_dims_between_levels(m: Representation, n: Representation) -> tuple[tuple
     if _support(m).isdisjoint(_support(n)):
         return tuple((0,) * len(below_n) for _ in below_m)
     rows, unknowns, marks = _hom_constraints(m, n, by)
-    profile = _sparse_rank(rows, unknowns, m.field, marks)
+    profile = _sparse_rank(rows, m.field, marks)
     # one mark per level of the side that sorts the equations; the other
     # side's level j (or l) is the column prefix c_j (or c_l)
     if by == "radical":

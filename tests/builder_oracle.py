@@ -4,8 +4,9 @@
 decides the cap test by counting rank-profile pivots and back-substitutes
 its pivot rows into normal forms.  :func:`dense_build_algebra` does the same
 job the plain way: it writes every product u*r*v into a dense array per
-class, row-reduces each array with ``exactlin.rref`` and reads membership
-of every length-cap path off the RREF, one unit row per path.  Both return
+class, row-reduces each array with ``chain_oracle.dense_rref`` (a dense
+pivot loop that shares no elimination with the builder) and reads
+membership of every length-cap path off the RREF, one unit row per path.  Both return
 an ``AlgebraData`` through ``presentation._assemble``, so their ``basis``,
 ``layers``, ``normal`` and ``act`` can be compared, and both raise
 ``CapTooSmallError`` with the same message.
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from adrkit.exactlin import FieldSpec, Matrix, rref
+from adrkit.exactlin import FieldSpec, Matrix
 from adrkit.presentation import (
     AlgebraData,
     AlgebraPresentation,
@@ -27,6 +28,7 @@ from adrkit.presentation import (
     _canonical_relations,
     enumerate_paths,
 )
+from chain_oracle import dense_rref
 
 
 def _parallel_classes(paths: list[Path]) -> tuple[dict[ParallelClass, list[Path]], dict[Path, int]]:
@@ -107,7 +109,7 @@ def dense_build_algebra(p: AlgebraPresentation) -> AlgebraData:
     classes, local = _parallel_classes(flat)
     rows = {}
     for cls, m in _ideal_arrays(relations, flat, classes, local, p.cap, False, fld).items():
-        block = rref(m)
+        block = dense_rref(m)
         rows.update(((cls, c), row) for c, row in zip(block.pivot_cols, block.reduced.array()))
     for path in graded[p.cap]:
         row = rows.get(((path.source, path.target), local[path]))
@@ -121,7 +123,7 @@ def dense_build_algebra(p: AlgebraPresentation) -> AlgebraData:
     low_classes, low_cols = _parallel_classes(low_paths)
     normal: dict[Path, NormalForm] = {}
     for cls, m in _ideal_arrays(relations, flat, low_classes, low_cols, p.cap - 1, True, fld).items():
-        block = rref(m)
+        block = dense_rref(m)
         group = low_classes[cls]
         for pc, row in zip(block.pivot_cols, block.reduced.array()):
             normal[group[pc]] = tuple(

@@ -10,15 +10,22 @@ the same module with its grading dropped (:func:`ungraded`).
 
 ``validate_representation`` checks that a module satisfies the relations of
 its algebra; ``in_row_space`` and ``coordinates_in_row_space`` read a vector
-against an RREF basis.  ``dense_tag_order_basis`` is the tagged reduction on
-a dense array, by the dense forward elimination.
+against an RREF basis.
+
+``dense_echelon`` is a dense pivot loop on numpy arrays, independent of the
+sparse elimination ``exactlin._SparseEchelon`` that every computation of the
+package runs on.  ``dense_rref`` is its reduced mode, the RREF of the dense
+builder oracle (``builder_oracle``); ``dense_tag_order_basis`` is the tagged
+reduction on a dense array, by its forward mode.
 """
 
-from typing import Sequence
+from fractions import Fraction
+from math import gcd, lcm
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from adrkit.exactlin import FieldSpec, Matrix, RrefResult, _echelon, reduce_mod_row_space
+from adrkit.exactlin import FieldSpec, Matrix, RrefResult, reduce_mod_row_space
 from adrkit.presentation import _canonical_relations
 from adrkit.repmod import (
     Representation,
@@ -46,6 +53,119 @@ def coordinates_in_row_space(basis: RrefResult, v: np.ndarray) -> np.ndarray:
     return v[list(basis.pivot_cols)]
 
 
+def _cleared(values: Iterable) -> list[int]:
+    """Fractions or ints times the lcm of their denominators: an integer multiple of the same row."""
+    ratios = [x.as_integer_ratio() for x in values]
+    den = lcm(*[d for _, d in ratios])
+    if den == 1:
+        return [n for n, _ in ratios]
+    return [n * (den // d) for n, d in ratios]
+
+
+def _primitive_rows(a: np.ndarray) -> np.ndarray:
+    """Divide each row of an integer object array by the gcd of its entries, in place."""
+    for i, row in enumerate(a.tolist()):
+        g = gcd(*row)
+        if g > 1:
+            a[i] //= g
+    return a
+
+
+def _integer_rows(a: np.ndarray) -> np.ndarray:
+    """A writable object array of primitive integer rows, each a multiple of the row of ``a``.
+
+    Only the nonzero entries are cleared of denominators; the rest stay int 0.
+    """
+    out = np.zeros(a.shape, dtype=object)
+    for i, row in enumerate(a.tolist()):
+        cols = [c for c, x in enumerate(row) if x]
+        if cols:
+            out[i, cols] = _cleared([row[c] for c in cols])
+    return _primitive_rows(out)
+
+
+def _elimination_copy(field: FieldSpec, a: np.ndarray) -> np.ndarray:
+    """A writable copy of canonical ``a`` to eliminate on: int64, or primitive integer rows over Q."""
+    if field.p:
+        return np.array(a, dtype=np.int64, order="C")
+    return _integer_rows(a)
+
+
+def _row_update(field: FieldSpec, rows: np.ndarray, pivot_row: np.ndarray, x: np.ndarray, d) -> np.ndarray:
+    """(d/g) * rows - (x/g) * pivot_row, for g = gcd(d, x), on elimination rows.
+
+    ``x`` holds the entries of ``rows`` in the column where ``pivot_row``
+    has ``d``, so the result is zero there.  Over F_p every product is
+    below (p-1)^2 < 2^62 and the result is reduced mod p; over Q each
+    result row is divided by the gcd of its entries.
+    """
+    g = np.gcd(x, d)
+    out = (d // g)[:, None] * rows - (x // g)[:, None] * pivot_row
+    if field.p:
+        return out % field.p
+    return _primitive_rows(out)
+
+
+def _divide_pivot_rows(field: FieldSpec, a: np.ndarray, pivots: Sequence[int]) -> np.ndarray:
+    """The RREF of a reduced :func:`dense_echelon` result: row k divided by its entry in column ``pivots[k]``."""
+    if field.p:
+        for k, c in enumerate(pivots):
+            a[k] = a[k] * field.inv(a[k, c]) % field.p
+        return a
+    out = field.zeros(a.shape)
+    for k, c in enumerate(pivots):
+        row, d = a[k].tolist(), a[k, c]
+        quotient = {v: Fraction(v, d) for v in set(row)}  # one Fraction per distinct entry
+        out[k] = [quotient[v] for v in row]
+    return out
+
+
+def dense_echelon(a: np.ndarray, field: FieldSpec, reduced: bool) -> tuple[np.ndarray, list[int]]:
+    """Echelon form of a canonical array, as elimination rows, with its pivot columns.
+
+    The leftmost pivot is taken in each column, so the pivot columns are
+    those of the RREF.  A row with entry x in the pivot column of a pivot row
+    with pivot d becomes (d/g) * row - (x/g) * pivot_row for g = gcd(d, x),
+    fraction-free as in Bareiss (1968); over Q the rows are Python-int rows,
+    scaled by the lcm of their denominators on entry and divided by the gcd
+    of their entries after every update.  Only the later rows nonzero in the
+    pivot column are cleared, from the pivot column rightwards: the rows
+    between were zero there, and every row at or below the pivot is zero
+    left of it.  With ``reduced`` the nonzero rows above the pivot are
+    cleared too, across the full width, since the rescaling touches their
+    left part; each pivot row then differs from its RREF row by the factor
+    that :func:`dense_rref` divides out.  Pivot rows are never normalised
+    here.
+    """
+    a = _elimination_copy(field, a)
+    rows, cols = a.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        hits = a[r:, c].nonzero()[0]
+        if not hits.size:
+            continue
+        if hits[0]:
+            pr = r + int(hits[0])
+            a[[r, pr], c:] = a[[pr, r], c:]
+        clear, start = r + hits[1:], c
+        if reduced:
+            clear, start = np.concatenate([a[:r, c].nonzero()[0], clear]), 0
+        if clear.size:
+            a[clear, start:] = _row_update(field, a[clear, start:], a[r, start:], a[clear, c], a[r, c])
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def dense_rref(m: Matrix) -> RrefResult:
+    """Unique reduced row echelon form, with rank and pivot columns, by the dense pivot loop."""
+    a, pivots = dense_echelon(m.array(), m.field, True)
+    return RrefResult(Matrix(m.field, _divide_pivot_rows(m.field, a, pivots)), len(pivots), tuple(pivots))
+
+
 def dense_tag_order_basis(rows: np.ndarray, tags: Sequence[int], field: FieldSpec) -> tuple[np.ndarray, tuple[int, ...]]:
     """The rows of a canonical array, taken in stable tag order, that are independent of the rows before them, with their tags.
 
@@ -54,7 +174,7 @@ def dense_tag_order_basis(rows: np.ndarray, tags: Sequence[int], field: FieldSpe
     """
     order = sorted(range(len(tags)), key=tags.__getitem__)
     ordered = rows[order]
-    kept = _echelon(ordered.T, field, False)[1]
+    kept = dense_echelon(ordered.T, field, False)[1]
     return ordered[kept], tuple(tags[order[k]] for k in kept)
 
 

@@ -1,7 +1,7 @@
 import random
+import re
 from bisect import bisect_left
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +17,7 @@ from adrkit.exactlin import (
     rank,
     rref,
 )
-from chain_oracle import dense_tag_order_basis, in_row_space
+from chain_oracle import dense_echelon, dense_rref, dense_tag_order_basis, in_row_space
 
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
@@ -261,8 +261,10 @@ def _check_against_naive(field: FieldSpec, grid: list[list], cols: int, m: Matri
     result = rref(m)
     expected, pivots = _naive_rref(grid, cols, field)
     assert result.pivot_cols == tuple(pivots)
-    # the forward-only mode of the same elimination finds the same pivots
-    assert exactlin._echelon(m.array(), field, False)[1] == pivots
+    # the oracle's dense pivot loop finds the same pivots in forward mode and
+    # the same RREF in reduced mode
+    assert dense_echelon(m.array(), field, False)[1] == pivots
+    assert dense_rref(m) == result
     # rank runs its own forward elimination, never rref
     assert rank(m) == result.rank == len(pivots)
     assert [list(result.reduced.row(r)) for r in range(len(grid))] == expected
@@ -336,6 +338,25 @@ def test_rref_of_plain_int_object_arrays(grid):
     _check_against_naive(RATIONAL, grid, len(grid[0]), m=Matrix(RATIONAL, a))
 
 
+def test_rational_object_arrays_read_numpy_integers_and_refuse_floats():
+    # numpy integers in a rational object array are the rationals they name,
+    # read as Python ints, so products past 2^63 stay exact; a float is not
+    # read as its binary fraction but refused, naming the entry
+    grid = [[2**62, 3, 0], [3, 2**62, -1], [2**62 + 3, 2**62 + 3, -1]]
+    m = Matrix(RATIONAL, np.array([[np.int64(x) for x in row] for row in grid], dtype=object))
+    plain = Matrix.from_rows(RATIONAL, grid)
+    assert m == plain
+    assert rank(m) == rank(plain) == 2
+    assert rref(m) == rref(plain)
+    assert all(type(x) is Fraction for x in rref(m).reduced.entries)
+    assert kernel_basis(m) == kernel_basis(plain)
+    for bad in (0.1, np.float64(0.5)):
+        m = Matrix(RATIONAL, np.array([[bad, 1], [1, 1]], dtype=object))
+        for f in (rank, rref, kernel_basis):
+            with pytest.raises(TypeError, match=re.escape(f"got {bad!r} of type")):
+                f(m)
+
+
 @pytest.mark.parametrize("field", [F7, RATIONAL], ids=["F7", "Q"])
 def test_rref_pivot_below_zero_rows_and_zero_columns(field):
     # column 0 is zero throughout; the pivot of column 1 sits in row 3, below
@@ -352,9 +373,9 @@ def test_rref_pivot_below_zero_rows_and_zero_columns(field):
     assert result.pivot_cols == (1, 2, 3)
 
 
-def _pivots(rows: list[dict], cols: int, field: FieldSpec) -> list[int]:
+def _pivots(rows: list[dict], field: FieldSpec) -> list[int]:
     """The pivot columns of all the rows: :func:`exactlin._sparse_rank` with the one mark len(rows)."""
-    return exactlin._sparse_rank(rows, cols, field, [len(rows)])[0]
+    return exactlin._sparse_rank(rows, field, [len(rows)])[0]
 
 
 def _sparse_case(field: FieldSpec, rows: int, cols: int, density: float, seed: int, big: bool = False):
@@ -409,12 +430,11 @@ def _sparse_case(field: FieldSpec, rows: int, cols: int, density: float, seed: i
 @example(field=RATIONAL, shape=(24, 20), density=0.1, seed=1, big=True)
 @settings(max_examples=400, deadline=None)
 def test_sparse_rank_matches_naive_reference(field, shape, density, seed, big):
-    # the pivot columns, not just their number: density 1.0 on 24 x 20 hands
-    # over to the dense tail, density 0.1 finishes sparse (checked below)
+    # the pivot columns, not just their number, of dense and sparse rows
     rows, cols = shape
     grid, sparse = _sparse_case(field, rows, cols, density, seed, big)
     _, pivots = _naive_rref(grid, cols, field)
-    assert _pivots(sparse, cols, field) == pivots
+    assert _pivots(sparse, field) == pivots
     assert rank(Matrix.from_rows(field, grid, cols=cols)) == len(pivots)
 
 
@@ -435,7 +455,8 @@ def test_sparse_echelon_back_substitutes_into_the_rref(field, shape, density, se
     grid, sparse = _sparse_case(field, rows, cols, density, seed, big)
     expected, pivots = _naive_rref(grid, cols, field)
     echelon = exactlin._SparseEchelon(field)
-    assert echelon.extend(sparse) == rows
+    echelon.extend(sparse)
+    assert echelon.read == rows
     rref_rows = echelon.rref_rows()
     assert sorted(rref_rows) == pivots
     for lead, row in zip(pivots, expected):
@@ -451,7 +472,7 @@ def test_sparse_echelon_back_substitutes_into_the_rref(field, shape, density, se
 def _check_rank_profile(field: FieldSpec, sparse: list[dict], cols: int, marks: list[int]) -> list[list[int]]:
     """Each mark's pivots, against the naive rank of rows[:R] on every column prefix."""
     grid = [[row.get(c, 0) for c in range(cols)] for row in sparse]
-    profile = exactlin._sparse_rank(sparse, cols, field, marks)
+    profile = exactlin._sparse_rank(sparse, field, marks)
     assert len(profile) == len(marks)
     for mark, pivots in zip(marks, profile):
         assert pivots == sorted(set(pivots))
@@ -462,42 +483,23 @@ def _check_rank_profile(field: FieldSpec, sparse: list[dict], cols: int, marks: 
 
 
 @pytest.mark.parametrize("field", [F2, F7, F_MERSENNE, RATIONAL], ids=["F2", "F7", "F_2^31-1", "Q"])
-@pytest.mark.parametrize("density, tail", [(1.0, True), (0.1, False)], ids=["dense", "sparse"])
-def test_sparse_rank_examples_reach_each_finish(monkeypatch, field, density, tail):
-    # the 24 x 20 examples of the naive-reference tests: the dense ones end in
-    # the dense tail, whose pivots must then be the RREF's too, with marks
-    # read on both sides of the hand-over and each later mark carrying the
-    # echelon rows of the one before; the sparse ones never reach it.
-    # Column 0 is cleared, so no pivot list counts rows instead of columns
-    handovers = []
-    real = exactlin._dense_rank_tail
-
-    def spy(carried, rows, start, marks, cols, field):
-        handovers.append((start, list(marks)))
-        return real(carried, rows, start, marks, cols, field)
-
-    monkeypatch.setattr(exactlin, "_dense_rank_tail", spy)
-    shapes = _spy_on_dense_tail(monkeypatch)
+@pytest.mark.parametrize("density", [1.0, 0.1], ids=["dense", "sparse"])
+def test_sparse_rank_examples_reach_each_finish(field, density):
+    # the 24 x 20 examples of the naive-reference tests, whose rows fill in
+    # (dense) or stay short (sparse): every mark's pivots are those of the
+    # RREF of its row prefix on every column prefix.  Column 0 is cleared,
+    # so no pivot list counts rows instead of columns
     _, sparse = _sparse_case(field, 24, 20, density, 1, field not in (F2, F7))
-    if field is F2 and tail:
-        # half the entries of a dense case vanish mod 2, and sums of dense
-        # rows stay short: a full first row hands over at once
+    if field is F2 and density == 1.0:
+        # half the entries of a dense case vanish mod 2: a full first row,
+        # then rows that keep about 90% of their entries
         rng = random.Random(2)
         sparse = [dict.fromkeys(range(20), 1)]
         sparse += [{c: 1 for c in range(20) if rng.random() < 0.9} for _ in range(23)]
     sparse = [{c: x for c, x in row.items() if c} for row in sparse]
-    marks = [0, 1, 2, 3, 9, 17, 24] if tail else [0, 5, 11, 18, 24]
+    marks = [0, 1, 2, 3, 9, 17, 24] if density == 1.0 else [0, 5, 11, 18, 24]
     profile = _check_rank_profile(field, sparse, 20, marks)
     assert profile[-1][0] > 0
-    if not tail:
-        assert handovers == [] and shapes == []
-        return
-    [(start, later)] = handovers
-    assert marks[0] <= start < later[0] and later == [m for m in marks if m > start]
-    # one forward elimination per later mark, each on the rows carried from
-    # the mark before (at most 20) plus the rows read since
-    news = [b - a for a, b in zip([start] + later, later)]
-    assert len(shapes) == len(later) and all(rows - new <= 20 for (rows, _), new in zip(shapes, news))
 
 
 @given(
@@ -506,30 +508,22 @@ def test_sparse_rank_examples_reach_each_finish(monkeypatch, field, density, tai
     density=st.sampled_from([0.1, 0.3, 1.0]),
     seed=st.integers(0, 10**6),
     marks=st.lists(st.integers(0, 24), max_size=5),
-    limit=st.sampled_from([None, 0, 1, 2]),
 )
-@example(field=F7, shape=(24, 20), density=1.0, seed=1, marks=[0, 1, 2, 3, 9, 17], limit=None)
-@example(field=F_MERSENNE, shape=(24, 20), density=1.0, seed=1, marks=[0, 1, 2, 3, 9], limit=None)
-@example(field=RATIONAL, shape=(24, 20), density=1.0, seed=1, marks=[0, 1, 2, 3, 9], limit=None)
-@example(field=F7, shape=(24, 20), density=0.1, seed=1, marks=[0, 5, 11, 18], limit=None)
-@example(field=F2, shape=(24, 20), density=0.1, seed=2, marks=[0, 5, 11, 18], limit=None)
-@example(field=F_MERSENNE, shape=(24, 20), density=0.1, seed=1, marks=[0, 5, 11, 18], limit=None)
-@example(field=RATIONAL, shape=(24, 20), density=0.1, seed=1, marks=[0, 5, 11, 18], limit=None)
+@example(field=F7, shape=(24, 20), density=1.0, seed=1, marks=[0, 1, 2, 3, 9, 17])
+@example(field=F_MERSENNE, shape=(24, 20), density=1.0, seed=1, marks=[0, 1, 2, 3, 9])
+@example(field=RATIONAL, shape=(24, 20), density=1.0, seed=1, marks=[0, 1, 2, 3, 9])
+@example(field=F7, shape=(24, 20), density=0.1, seed=1, marks=[0, 5, 11, 18])
+@example(field=F2, shape=(24, 20), density=0.1, seed=2, marks=[0, 5, 11, 18])
+@example(field=F_MERSENNE, shape=(24, 20), density=0.1, seed=1, marks=[0, 5, 11, 18])
+@example(field=RATIONAL, shape=(24, 20), density=0.1, seed=1, marks=[0, 5, 11, 18])
 @settings(max_examples=150, deadline=None)
-def test_sparse_rank_reads_the_rank_of_every_row_and_column_prefix(field, shape, density, seed, marks, limit):
+def test_sparse_rank_reads_the_rank_of_every_row_and_column_prefix(field, shape, density, seed, marks):
     # rank(rows[:R] on columns[:c]) is the number of pivots below c of mark
-    # R.  The dense 24 x 20 examples hand over to the dense tail after a row
-    # or two, so their marks fall on both sides of the hand-over; the sparse
-    # ones finish sparse.  A small dense limit sends the drawn cases to the
-    # tail after 0, 1 or 2 entries per pivot row, at every possible row
+    # R, on rows that fill in (the dense 24 x 20 examples) or stay short
     rows, cols = shape
     _, sparse = _sparse_case(field, rows, cols, density, seed)
     marks = sorted(min(mark, rows) for mark in marks) + [rows]
-    if limit is None:
-        _check_rank_profile(field, sparse, cols, marks)
-        return
-    with mock.patch.object(exactlin, "_dense_limit", lambda cols: limit):
-        _check_rank_profile(field, sparse, cols, marks)
+    _check_rank_profile(field, sparse, cols, marks)
 
 
 @pytest.mark.parametrize("field", [F7, RATIONAL], ids=["F7", "Q"])
@@ -539,10 +533,10 @@ def test_sparse_rank_follows_pivot_columns_a_subtraction_brings_in(field):
     # Reducing the last row by pivot row 0 alone leaves {2: -1, 5: 1}: only
     # by following column 2 (to {4: 1, 5: 1}) and then 4 does it reach zero
     rows = [{0: 1, 2: 1}, {2: 1, 4: 1}, {4: 1, 5: 1}, {5: 1, 0: 1}]
-    assert _pivots(rows[:3], 6, field) == [0, 2, 4]
+    assert _pivots(rows[:3], field) == [0, 2, 4]
     # row 0 - row 1 + row 2 = {0: 1, 5: 1}
-    assert _pivots(rows, 6, field) == [0, 2, 4]
-    assert _pivots(rows[:3] + [{0: 1, 5: 2}], 6, field) == [0, 2, 4, 5]
+    assert _pivots(rows, field) == [0, 2, 4]
+    assert _pivots(rows[:3] + [{0: 1, 5: 2}], field) == [0, 2, 4, 5]
 
 
 @pytest.mark.parametrize("field", [F7, RATIONAL], ids=["F7", "Q"])
@@ -555,56 +549,24 @@ def test_sparse_rank_with_negative_and_fractional_leads(field):
     rows = [{c: field.coerce(x) for c, x in row.items()} for row in raw]
     grid = [[row.get(c, 0) for c in range(3)] for row in rows]
     _, pivots = _naive_rref(grid[:3], 3, field)
-    assert _pivots(rows[:3], 3, field) == pivots == [0, 1, 2]
-    assert _pivots(rows[:2] + rows[3:], 3, field) == [0, 1]
+    assert _pivots(rows[:3], field) == pivots == [0, 1, 2]
+    assert _pivots(rows[:2] + rows[3:], field) == [0, 1]
     # (p + q) / 2 for p = {0: 2, 1: 1} (lead 2) and q = {1: 1, 2: 2}: its lead
     # 1 is no multiple of 2, so over Q it is doubled before p is subtracted
     p, q = {0: 2, 1: 1}, {1: 1, 2: 2}
-    assert _pivots([p, q, {0: 1, 1: 1, 2: 1}], 3, field) == [0, 1]
-
-
-def _spy_on_dense_tail(monkeypatch) -> list[tuple[int, int]]:
-    """The shapes of the forward dense eliminations: the dense tail's, in a bare rank."""
-    shapes: list[tuple[int, int]] = []
-    real = exactlin._echelon
-
-    def spy(a, field, reduced):
-        if not reduced:
-            shapes.append(a.shape)
-        return real(a, field, reduced)
-
-    monkeypatch.setattr(exactlin, "_echelon", spy)
-    return shapes
+    assert _pivots([p, q, {0: 1, 1: 1, 2: 1}], field) == [0, 1]
 
 
 @pytest.mark.parametrize("field", [F7, RATIONAL], ids=["F7", "Q"])
-def test_sparse_rank_hands_dense_rows_to_the_dense_tail(monkeypatch, field):
-    # 30 unknowns: the tail starts once the mean pivot row holds more than 16
-    # entries.  Two rows of 2 entries, then dense rows that keep about 28, 27,
-    # 26, ... entries after reduction: the mean passes 16 at the third or
-    # fourth dense pivot, after the dependent fifth row has been read
-    shapes = _spy_on_dense_tail(monkeypatch)
-    rng = random.Random(3)
-    grid = [[1 if c in (r, r + 1) else 0 for c in range(30)] for r in range(2)]
-    dense = [[rng.randint(1, 6) for _ in range(30)] for _ in range(27)]
-    grid += dense[:2] + [[x + y for x, y in zip(dense[0], dense[1])]] + dense[2:]
-    sparse = [{c: x for c, x in enumerate(row) if x} for row in grid]
-    _, pivots = _naive_rref(grid, 30, field)
-    assert len(pivots) == 29
-    assert _pivots(sparse, 30, field) == pivots
-    # the pivot rows plus the rows not read: every row but the dependent one
-    assert shapes == [(len(grid) - 1, 30)]
-
-
-@pytest.mark.parametrize("field", [F7, RATIONAL], ids=["F7", "Q"])
-def test_sparse_rank_keeps_sparse_rows_sparse(monkeypatch, field):
+def test_sparse_rank_keeps_sparse_rows_sparse(field):
     # x_i - x_{i+1} around a 200-cycle, plus the path's chords x_i - x_{i+7}:
-    # rank 199, and no pivot row ever grows past a handful of entries
-    shapes = _spy_on_dense_tail(monkeypatch)
+    # rank 199, and no pivot row ever grows past its two entries
     rows = [{i: 1, (i + 1) % 200: -1} for i in range(200)]
     rows += [{i: 1, (i + 7) % 200: -1} for i in range(0, 200, 3)]
-    assert len(_pivots(rows, 200, field)) == 199
-    assert shapes == []
+    assert len(_pivots(rows, field)) == 199
+    echelon = exactlin._SparseEchelon(field)
+    echelon.extend(rows)
+    assert max(map(len, echelon.rows())) == 2
 
 
 def _tagged_case(field: FieldSpec, rng: random.Random):
@@ -675,7 +637,8 @@ def test_one_entry_rows_are_settled_by_the_pivot_row_at_their_column(field):
     # the span; at a column whose pivot row has more entries it is reduced
     zero = field.p or Fraction(0)  # p is zero in F_p
     echelon = exactlin._SparseEchelon(field)
-    assert echelon.extend([{0: zero}, {0: 1, 1: 1}, {0: 3}, {2: 1}, {2: 2}, {3: zero}]) == 6
+    echelon.extend([{0: zero}, {0: 1, 1: 1}, {0: 3}, {2: 1}, {2: 2}, {3: zero}])
+    assert echelon.read == 6
     assert echelon.leads == [0, 1, 2] and echelon.made_by == [1, 2, 3]
     # {0: 3} minus 3 (e_0 + e_1) leaves -3 e_1, normalised to the pivot row e_1
     assert echelon.rows() == [{0: 1, 1: 1}, {1: 1}, {2: 1}]

@@ -2,13 +2,14 @@ import dataclasses
 import random
 from fractions import Fraction
 
+import chain_oracle
 import pytest
 from builder_oracle import dense_build_algebra
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adrkit import exactlin
-from adrkit.exactlin import RATIONAL, FieldSpec, Matrix, rref
+from adrkit.exactlin import RATIONAL, FieldSpec, Matrix
 from adrkit.presentation import (
     LABEL_BUDGET,
     PATH_BUDGET,
@@ -265,7 +266,7 @@ def _dense_build(pres: AlgebraPresentation):
                     hit = True
                 if hit:
                     rows.append([fld.coerce(v) for v in vec])
-    ideal = rref(Matrix.from_rows(fld, rows, cols=len(low)))
+    ideal = chain_oracle.dense_rref(Matrix.from_rows(fld, rows, cols=len(low)))
     pivot_row = {pc: r for r, pc in enumerate(ideal.pivot_cols)}
     basis = tuple(p for c, p in enumerate(low) if c not in pivot_row)
     index = {p: k for k, p in enumerate(basis)}
@@ -519,10 +520,8 @@ def test_sparse_builder_runs_no_dense_elimination(monkeypatch):
     calls = []
     for owner, name in (
         (exactlin, "rref"),
-        (exactlin, "_echelon"),
-        (exactlin, "_dense_rows"),
+        (chain_oracle, "dense_echelon"),
         (FieldSpec, "zeros"),
-        (FieldSpec, "elimination_copy"),
         (Matrix, "__init__"),
     ):
         real = getattr(owner, name)
@@ -532,7 +531,34 @@ def test_sparse_builder_runs_no_dense_elimination(monkeypatch):
     assert calls == []
     # live-spy control: the dense builder trips the spies
     dense_build_algebra(kxn(3))
-    assert {"zeros", "_echelon", "__init__"} <= set(calls)
+    assert {"zeros", "dense_echelon", "__init__"} <= set(calls)
+
+
+def test_dense_oracles_run_no_sparse_elimination(monkeypatch):
+    # the dense builder and the dense tagged reduction share no elimination
+    # with the code they check: neither makes an exactlin._SparseEchelon
+    from adrkit.corpus import builtin_entries, random_admissible
+
+    cases = [e.presentation for e in builtin_entries()]
+    cases += [random_admissible(seed).presentation for seed in range(910000, 910020)]
+    made = []
+    real = exactlin._SparseEchelon.__init__
+
+    def spy(self, field):
+        made.append(field)
+        real(self, field)
+
+    monkeypatch.setattr(exactlin._SparseEchelon, "__init__", spy)
+    for pres in cases:
+        dense_build_algebra(pres)
+    rng = random.Random(3)
+    for field in (FieldSpec.prime(7), RATIONAL):
+        rows = Matrix.from_rows(field, [[rng.randint(-2, 2) for _ in range(5)] for _ in range(8)]).array()
+        chain_oracle.dense_tag_order_basis(rows, [rng.randint(1, 3) for _ in range(8)], field)
+    assert made == []
+    # live-spy control: the sparse builder trips the spy
+    build_algebra(kxn(3))
+    assert made
 
 
 def _sparse_class(field: FieldSpec):
@@ -567,7 +593,7 @@ def test_rank_count_matches_per_path_membership(case):
     grid = [[row.get(c, 0) for c in range(cols)] for row in rows]
 
     def dense_rank(grid):
-        return rref(Matrix.from_rows(field, grid, cols=cols)).rank
+        return chain_oracle.dense_rref(Matrix.from_rows(field, grid, cols=cols)).rank
 
     base = dense_rank(grid)
     members = [dense_rank(grid + [[int(k == c) for k in range(cols)]]) == base for c in range(low, cols)]

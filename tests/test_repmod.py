@@ -2,7 +2,6 @@ import dataclasses
 import random
 from fractions import Fraction
 from itertools import product
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -623,14 +622,9 @@ def _conjugate(m: Representation, rng: random.Random) -> Representation:
     return Representation(m.algebra, m.dims, maps)
 
 
-def test_hom_dim_is_invariant_under_dense_change_of_basis(monkeypatch):
-    # Hom(gMg^-1, hNh^-1) is isomorphic to Hom(M, N); in dense bases the
-    # intertwiner rows fill in, so the dense tail of the rank runs too
-    from adrkit import exactlin
-
-    tails = []
-    real = exactlin._dense_rank_tail
-    monkeypatch.setattr(exactlin, "_dense_rank_tail", lambda *args: tails.append(args[2]) or real(*args))
+def test_hom_dim_is_invariant_under_dense_change_of_basis():
+    # Hom(gMg^-1, hNh^-1) is isomorphic to Hom(M, N), also where dense bases
+    # fill the intertwiner rows in
     rng = random.Random(2024)
     algebras = [(e.id, e.build()) for e in builtin_entries()]
     algebras += [
@@ -647,7 +641,6 @@ def test_hom_dim_is_invariant_under_dense_change_of_basis(monkeypatch):
                 assert hom_dim(m2, n2) == hom_dim(m, n), (name, m.dims, n.dims)
         fields.add(alg.field)
     assert {F7, RATIONAL} <= fields
-    assert tails, "no Hom system reached the dense tail"
 
 
 def _rebase_graded(m: Representation, rng: random.Random) -> Representation:
@@ -676,60 +669,33 @@ def _rebase_graded(m: Representation, rng: random.Random) -> Representation:
     )
 
 
-def _check_level_tables(projectives, injectives, limits=(None,)):
-    """Both Cartan families: every level table against hom_dim on the derived modules.
-
-    Each table is read once per dense limit in ``limits`` (None: the real
-    one); a small limit sends the systems to the dense tail.
-    """
+def _check_level_tables(projectives, injectives):
+    """Both Cartan families: every level table against hom_dim on the derived modules."""
     for roots, sub in ((projectives, truncate), (injectives, socle_sub)):
         for m, n in product(roots, roots):
             want = tuple(
                 tuple(hom_dim(sub(m, j), sub(n, l)) for l in range(1, loewy_length(n) + 1))
                 for j in range(1, loewy_length(m) + 1)
             )
-            for limit in limits:
-                if limit is None:
-                    assert repmod.hom_dims_between_levels(m, n) == want, (m.dims, n.dims)
-                    continue
-                with mock.patch.object(exactlin, "_dense_limit", lambda cols: limit):
-                    assert repmod.hom_dims_between_levels(m, n) == want, (m.dims, n.dims, limit)
+            assert repmod.hom_dims_between_levels(m, n) == want, (m.dims, n.dims)
 
 
-def test_level_tables_match_hom_dim_on_the_derived_modules(monkeypatch):
+def test_level_tables_match_hom_dim_on_the_derived_modules():
     # one system per pair of roots, (P_i, P_k) or (Q_i, Q_k), answers a whole
     # block of Cartan entries: j and l are a column and a row prefix of one
     # elimination.  The oracle is one hom_dim per pair of truncate(...) or
     # socle_sub(...) objects, in the path basis and in the dense graded
-    # bases of _rebase_graded.  No such system fills in enough to reach the
-    # dense tail, so a small dense limit sends them there too, handing over
-    # between the marks of the levels
-    systems, handovers = [], []
-    real_rank, real_tail = repmod._sparse_rank, exactlin._dense_rank_tail
-
-    def rank_spy(rows, cols, field, marks):
-        systems.append(marks)
-        return real_rank(rows, cols, field, marks)
-
-    def tail_spy(carried, rows, start, marks, cols, field):
-        handovers.append((systems[-1], start, marks))
-        return real_tail(carried, rows, start, marks, cols, field)
-
-    monkeypatch.setattr(repmod, "_sparse_rank", rank_spy)
-    monkeypatch.setattr(exactlin, "_dense_rank_tail", tail_spy)
+    # bases of _rebase_graded
     rng = random.Random(17)
     entries = builtin_entries() + [random_admissible(s) for s in range(910000, 910030)]
     for entry in entries:
         alg = entry.build()
         projectives = [projective(alg, i) for i in range(1, alg.n + 1)]
         injectives = [injective(alg, i) for i in range(1, alg.n + 1)]
-        _check_level_tables(projectives, injectives, limits=(None, 1, 3))
+        _check_level_tables(projectives, injectives)
         moved_p = [_rebase_graded(p, rng) for p in projectives]
         moved_q = [_rebase_graded(q, rng) for q in injectives]
         _check_level_tables(moved_p, moved_q)
-    # some hand-overs leave marks on both sides, and more than one to carry
-    # the echelon rows through
-    assert any(marks[0] <= start and len(later) > 1 for marks, start, later in handovers)
 
 
 def test_level_reader_needs_two_invariant_gradings_of_one_kind(kx3):
@@ -818,11 +784,8 @@ def test_hom_yoneda_on_truncated_projectives_and_socle_submodules():
 
 def test_hom_route_never_reaches_rref(monkeypatch, kx3):
     # the Hom route reads ranks and pivot columns only: it never builds an
-    # RREF, neither through rref or row_space_basis nor through the reduced
-    # mode of the dense elimination.  In dense bases of P_1 and Q_1 over
-    # k[x]/x^5 its system reaches the dense tail, in forward mode
-    from adrkit import exactlin
-
+    # RREF through rref or row_space_basis, in the path bases of P_1 and Q_1
+    # over k[x]/x^3 nor in dense bases of those over k[x]/x^5
     p, q = projective(kx3, 1), injective(kx3, 1)
     kx5 = get_entry("nakayama-1-5").build()
     rng = random.Random(1)
@@ -837,19 +800,8 @@ def test_hom_route_never_reaches_rref(monkeypatch, kx3):
         (repmod, "row_space_basis"),
     ):
         monkeypatch.setattr(owner, name, forbidden)
-    real = exactlin._echelon
-    forward = []
-
-    def forward_only(a, field, reduced):
-        if reduced:
-            forbidden()
-        forward.append(a.shape)
-        return real(a, field, reduced)
-
-    monkeypatch.setattr(exactlin, "_echelon", forward_only)
     assert hom_dim(p, q) == 3
     assert hom_dim(dense_p, dense_q) == 5
-    assert forward, "no Hom system reached the dense elimination"
     assert exactlin.rank(Matrix.identity(RATIONAL, 2)) == 2
 
 
