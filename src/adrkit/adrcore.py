@@ -21,13 +21,13 @@ prefix of its one elimination (``repmod.hom_dims_between_levels``).  They
 read only pivot columns found by ``exactlin._sparse_rank``, never a chain
 or a series.  So the two routes share the modules P_k and Q_i they measure
 and the code of ``exactlin``'s sparse elimination, but never an elimination
-or the sparse arrow maps it reads: each route memoizes its own.  The radical
-series of soc_j Q_i are not taken from the functional pass over the
-opposite projectives, and the two tagged passes share only ``exactlin``, so
-the duality C(R_A)[(i,j),(k,l)] = C(S_{A^op})[[k,l],[i,j]], which
-``analyze`` rechecks (``theorems.duality_failures``), sets the two chain
-codes against each other.  The Loewy lengths of P_i and Q_i and the socle series
-of Q_i come from the grading of the path basis.
+or the sparse arrow maps it reads: each route memoizes its own.  The
+duality C(R_A)[(i,j),(k,l)] = C(S_{A^op})[[k,l],[i,j]] that ``analyze``
+rechecks (``theorems.duality_failures``) runs one pass twice: Q^op_k is
+P_k's maps transposed twice, so its radical pass equals P_k's functional
+pass.  It checks the transposes, the labels and the readers; the Hom route
+guards the passes and the readers.  The Loewy lengths of P_i and Q_i and
+the socle series of Q_i come from the grading of the path basis.
 
 All matrices carry explicit row/column label lists; raw integer matrices are
 never passed between modules.
@@ -249,34 +249,21 @@ def standard_vector(alg: AlgebraData, label: LambdaLabel) -> LambdaCompositionVe
     return LambdaCompositionVector(poset.labels, values)
 
 
-def _cumulative_layers(alg: AlgebraData, prof) -> list[tuple[int, ...]]:
-    """Running totals of a series: entry y is the composition vector of layers 1..y."""
-    cums = [(0,) * alg.n]
-    for layer in prof.layers:
-        cums.append(tuple(a + b for a, b in zip(cums[-1], layer.mult)))
-    return cums
-
-
-def _first_layers_mult(cums: list[tuple[int, ...]], y: int, x: int) -> int:
-    """[first y layers : L_x], read off running totals; past the top it is the whole series."""
-    return cums[min(y, len(cums) - 1)][x - 1]
-
-
 @memoized
 def cartan_RA_formula(alg: AlgebraData) -> LabeledMatrix:
     """C(R_A) from socle series: entry[(i,j),(k,l)] = [soc_j(P_k/rad^l P_k) : L_i].
 
-    Column (k, l) is read off running totals of the socle series of
+    Column (k, l) is read off the running totals of the socle series of
     P_k/rad^l P_k, level l of ``repmod.series_by_level(P_k)``.
     """
     poset = lambda_poset(alg)
     columns = [
-        _cumulative_layers(alg, series)
+        series.totals
         for k in range(1, alg.n + 1)
         for series in series_by_level(projective(alg, k))[1:]
     ]
     entries = tuple(
-        tuple(_first_layers_mult(cums, j, i) for cums in columns) for i, j in poset.labels
+        tuple(totals[min(j, len(totals) - 1)][i - 1] for totals in columns) for i, j in poset.labels
     )
     return LabeledMatrix(poset.labels, poset.labels, entries)
 
@@ -412,19 +399,19 @@ def tilting_hom_dim(alg: AlgebraData, source: LambdaLabel, target: LambdaLabel) 
 def ringel_dual_cartan_from_hom(alg: AlgebraData) -> LabeledMatrix:
     """C(R(R_A)) with entry[(i,j),(k,l)] = dim Hom(T(i,j), T(k,l)) (closed form).
 
-    The closed form of :func:`tilting_hom_dim`, read row by row off running
-    totals of the socle series of Q_i: socle layers max(l-j,0)+1 ..
-    min(L-j+1, LL(Q_i)) hold cums[hi] - cums[lo] copies of L_k, and none when
-    the range is empty.
+    The closed form of :func:`tilting_hom_dim`, read row by row off the
+    running totals of the socle series of Q_i: socle layers max(l-j,0)+1 ..
+    min(L-j+1, LL(Q_i)) hold totals[hi] - totals[lo] copies of L_k, and none
+    when the range is empty.
     """
     hyp = theorem_a_hypotheses(alg)
     if not hyp.all_ok:
         raise HypothesesNotSatisfiedError(hyp.first_failure())
     poset = lambda_poset(alg)
-    cums = [_cumulative_layers(alg, socle_series(injective(alg, i))) for i in range(1, alg.n + 1)]
+    totals = [socle_series(injective(alg, i)).totals for i in range(1, alg.n + 1)]
     entries = []
     for i, j in poset.labels:
-        acc = cums[i - 1]
+        acc = totals[i - 1]
         hi = min(hyp.loewy_length - j + 1, len(acc) - 1)
         entries.append(tuple(
             acc[hi][k - 1] - acc[lo][k - 1] if (lo := max(l - j, 0)) < hi else 0
@@ -477,16 +464,16 @@ def sa_labels(alg: AlgebraData) -> tuple[LambdaLabel, ...]:
 def cartan_SA_formula(alg: AlgebraData) -> LabeledMatrix:
     """C(S_A): entry[[i,j],[k,l]] = [soc_j Q_i / rad^l (soc_j Q_i) : L_k].
 
-    Row [i, j] is read off running totals of the radical series of
+    Row [i, j] is read off the running totals of the radical series of
     soc_j Q_i, level j of ``repmod.series_by_level(Q_i)``.
     """
     labels = sa_labels(alg)
     rows = [
-        _cumulative_layers(alg, series)
+        series.totals
         for i in range(1, alg.n + 1)
         for series in series_by_level(injective(alg, i))[1:]
     ]
-    entries = tuple(tuple(_first_layers_mult(cums, l, k) for k, l in labels) for cums in rows)
+    entries = tuple(tuple(totals[min(l, len(totals) - 1)][k - 1] for k, l in labels) for totals in rows)
     return LabeledMatrix(labels, labels, entries)
 
 

@@ -109,11 +109,17 @@ class FieldSpec:
 
         Over Q a non-object array becomes an array of Fractions; an object
         array is returned unchanged, since exact arithmetic keeps it exact.
-        A float or complex array is refused: its entries are not exact.
+        Over F_p each entry of an object array is read by :meth:`coerce`.
+        A float or complex array is refused, and so is an object array with
+        an entry that is not exact (:func:`_require_exact`).
         """
         a = np.asarray(a)
         if a.dtype.kind in "fc":
             raise TypeError(f"exact entries needed, got a {a.dtype} array")
+        if a.dtype == object:
+            _require_exact(a.flat)
+            if self.kind == "prime":
+                a = np.array([self.coerce(x) for x in a.flat], dtype=np.int64).reshape(a.shape)
         if self.kind == "prime":
             return np.asarray(a, dtype=np.int64) % self.p
         if a.dtype == object:
@@ -301,8 +307,15 @@ def _cleared(values: Collection) -> list[int]:
             return [int(x.numerator) for x in values]
         return [int(x.numerator) * (den // int(x.denominator)) for x in values]
     except AttributeError:
-        bad = next(x for x in values if not (hasattr(x, "numerator") and hasattr(x, "denominator")))
-        raise TypeError(f"exact rational entry needed, got {bad!r} of type {type(bad).__name__}") from None
+        _require_exact(values)
+        raise
+
+
+def _require_exact(values: Iterable) -> None:
+    """Raise a TypeError naming the first entry without ``numerator`` and ``denominator``."""
+    for x in values:
+        if not (hasattr(x, "numerator") and hasattr(x, "denominator")):
+            raise TypeError(f"exact rational entry needed, got {x!r} of type {type(x).__name__}") from None
 
 
 class _SparseEchelon:

@@ -34,10 +34,12 @@ leading block of level l, so one pass serves every level.
   (:func:`_pass_arrows`), not from the Hom route's, and share only
   ``exactlin``.
 
-``series_by_level`` counts the rows of tag <= l at each step: the socle
-series of every P_k/rad^l P_k, or the radical series of every soc_j Q_i.
-``socle_series`` and ``radical_series`` of a graded module read its top
-level, and ``is_rigid`` checks its pass against its grading.
+A ``SeriesProfile`` holds running totals: the dimensions of the first y
+layers.  ``series_by_level`` writes the coordinates of degree < l minus the
+rows of tag <= l at each step: the socle series of every P_k/rad^l P_k, or
+the radical series of every soc_j Q_i.  ``socle_series`` and
+``radical_series`` of a graded module read its grading or its top level,
+and ``is_rigid`` checks its pass against its grading.
 
 What each function takes.  ``truncate`` needs a radical grading,
 ``socle_sub`` a socle grading, and ``socle_series`` and ``is_rigid`` either;
@@ -75,9 +77,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
-from operator import mul, sub
+from operator import gt, mul, sub
 
 import numpy as np
 
@@ -110,26 +112,36 @@ class CompositionVector:
         if any(x < 0 for x in self.mult):
             raise ValueError(f"negative multiplicity in {self.mult}")
 
-    def __add__(self, other: "CompositionVector") -> "CompositionVector":
-        return CompositionVector(tuple(a + b for a, b in zip(self.mult, other.mult)))
-
     def total(self) -> int:
         return sum(self.mult)
 
 
 @dataclass(frozen=True)
 class SeriesProfile:
-    """Layer-by-layer composition vectors of a radical or socle filtration."""
+    """Running totals of a radical or socle filtration, from zero to the whole module.
 
-    layers: tuple[CompositionVector, ...]
+    ``totals[y]`` is the per-vertex dimension of the first y layers.
+    """
+
+    totals: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        if not self.totals or any(self.totals[0]):
+            raise ValueError(f"a series starts from zero: {self.totals}")
+        for lo, hi in zip(self.totals, self.totals[1:]):
+            if any(map(gt, lo, hi)):
+                raise ValueError(f"total {hi} below the one before it, {lo}")
+
+    @cached_property
+    def layers(self) -> tuple[CompositionVector, ...]:
+        pairs = zip(self.totals, self.totals[1:])
+        return tuple(CompositionVector(tuple(map(sub, hi, lo))) for lo, hi in pairs)
 
     def total(self) -> CompositionVector:
-        n = len(self.layers[0].mult) if self.layers else 0
-        acc = tuple(sum(layer.mult[i] for layer in self.layers) for i in range(n))
-        return CompositionVector(acc)
+        return CompositionVector(self.totals[-1])
 
     def __len__(self) -> int:
-        return len(self.layers)
+        return len(self.totals) - 1
 
 
 Grading = tuple[tuple[int, ...], ...]
@@ -406,24 +418,13 @@ def socle_chain(m: Representation) -> tuple[Subspaces, ...]:
     return tuple(chain)
 
 
-def _quotient_layers(pairs) -> SeriesProfile:
-    """Composition vectors big - small for each (big, small) pair of per-vertex dimensions."""
-    return SeriesProfile(
-        tuple(
-            CompositionVector(tuple(b - s for b, s in zip(big, small)))
-            for big, small in pairs
-        )
-    )
-
-
-def _chain_dims(chain) -> list[tuple[int, ...]]:
-    return [tuple(s.rank for s in spaces) for spaces in chain]
+def _chain_dims(chain) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(s.rank for s in spaces) for spaces in chain)
 
 
 def _degree_profile(degrees: Grading) -> SeriesProfile:
-    """Layer l holds the coordinates of degree l."""
-    dims = [_below(degrees, l) for l in range(_grading_length(degrees) + 1)]
-    return _quotient_layers(zip(dims[1:], dims))
+    """Layer l holds the coordinates of degree l, so the first l layers hold those of degree < l."""
+    return SeriesProfile(tuple(_below(degrees, l) for l in range(_grading_length(degrees) + 1)))
 
 
 TaggedStep = tuple[tuple[list[dict], tuple[int, ...]], ...]
@@ -532,14 +533,14 @@ def _radical_pass(m: Representation) -> tuple[TaggedStep, ...]:
 def _level_series(root: Representation) -> tuple[SeriesProfile | None, ...]:
     """Entry l: the socle series of root/rad^l root, or the radical series of soc_l root, l = 0..LL.
 
-    Read off the root's tagged pass.  Under a radical grading, the
-    functionals F_j of tag <= l have common kernel soc_j(root/rad^l root), so
-    that socle has dimension c_v minus their number at vertex v, for c_v the
-    coordinates of degree < l.  Under a socle grading, the rows of tag <= l
-    of the radical chain span rad^t(soc_l root).  Each count is a
-    ``bisect_right`` on a step's sorted tags, and a level's chain ends at the
-    first step that has none.  The leading block of level l is a module only
-    if the grading is arrow-invariant (:func:`_check_invariant`).  Its
+    Read off the root's tagged pass as running totals: total t of level l is
+    c_v minus the rows of tag <= l of step t at vertex v, for c_v the
+    coordinates of degree < l, which step 0 holds exactly.  Under a radical
+    grading those rows are functionals with common kernel
+    soc_t(root/rad^l root); under a socle grading they span rad^t(soc_l root).
+    Each count is a ``bisect_right`` on a step's sorted tags, and a level's
+    series ends once it reaches c.  The leading block of level l is a module
+    only if the grading is arrow-invariant (:func:`_check_invariant`).  Its
     functionals must vanish within its own Loewy length; where they do not,
     the grading misreads the block and its entry is None.
     """
@@ -549,20 +550,14 @@ def _level_series(root: Representation) -> tuple[SeriesProfile | None, ...]:
     run = _functional_pass(root) if radical else _radical_pass(root)
     out = []
     for l in range(_grading_length(degrees) + 1):
-        dims = []
-        for step in run:
-            dims.append(tuple(bisect_right(tags, l) for _, tags in step))
-            if not any(dims[-1]):
-                break
-        if not radical:
-            out.append(_quotient_layers(zip(dims, dims[1:])))
-            continue
         block = _below(degrees, l)
-        if len(dims) > _grading_length(tuple(d[:c] for d, c in zip(degrees, block))) + 1:
-            out.append(None)
-            continue
-        socs = [tuple(c - k for c, k in zip(block, step)) for step in dims]
-        out.append(_quotient_layers(zip(socs[1:], socs)))
+        totals = []
+        for step in run:
+            totals.append(tuple(c - bisect_right(tags, l) for c, (_, tags) in zip(block, step)))
+            if totals[-1] == block:
+                break
+        top = _grading_length(tuple(d[:c] for d, c in zip(degrees, block)))
+        out.append(None if radical and len(totals) > top + 1 else SeriesProfile(tuple(totals)))
     return tuple(out)
 
 
@@ -595,7 +590,7 @@ def radical_series(m: Representation) -> SeriesProfile:
     if m.socle_degrees is not None:
         return _level_series(m)[-1]
     dims = _chain_dims(radical_chain(m))
-    return _quotient_layers(zip(dims, dims[1:]))
+    return SeriesProfile(tuple(tuple(map(sub, dims[0], d)) for d in dims))
 
 
 def loewy_length(m: Representation) -> int:

@@ -97,12 +97,11 @@ def duality_failures(alg: AlgebraData) -> list[str]:
     """Witnesses against C(R_A) = C(S_{A^op})^T and C(S_A) = C(R_{A^op})^T, labels included.
 
     D(P_k/rad^l P_k) = soc_l Q^op_k and D(soc_j Q_i) = P^op_i/rad^j P^op_i.
-    The two sides of each identity come from different chain code on
-    different algebras (the functional pass over P_k against the radical
-    pass over Q^op_k, which share only ``exactlin``), and neither is computed
-    from the other.  Each witness names the first label pair, in row-major
-    order, where a matrix is off the transpose of its dual; the list is
-    empty when both identities hold.
+    Q^op_k is P_k's maps transposed twice, so both sides run one tagged pass
+    and the identities check the transposes, the labels and the readers; the
+    Hom routes guard the pass.  Each witness names the first label pair, in
+    row-major order, where a matrix is off the transpose of its dual; the
+    list is empty when both identities hold.
     """
     op = alg.opposite()
     out = []

@@ -32,7 +32,6 @@ from adrkit.repmod import (
     SeriesProfile,
     Subspaces,
     _chain_dims,
-    _quotient_layers,
     loewy_length,
     quotient_representation,
     radical_chain,
@@ -205,8 +204,7 @@ def sub_representation(m: Representation, spaces: Subspaces) -> Representation:
 
 def socle_series(m: Representation) -> SeriesProfile:
     """Socle layers soc_j/soc_{j-1}, bottom-up, from the general socle chain."""
-    dims = _chain_dims(socle_chain(m))
-    return _quotient_layers(zip(dims[1:], dims))
+    return SeriesProfile(_chain_dims(socle_chain(m)))
 
 
 def is_rigid(m: Representation) -> bool:

@@ -1,4 +1,6 @@
 import dataclasses
+from itertools import accumulate
+from operator import add
 
 import pytest
 
@@ -29,7 +31,7 @@ from adrkit.cli import analyze_presentation
 from adrkit.corpus import builtin_entries, get_entry, random_admissible, tagged_invariant_failures
 from adrkit.exactlin import RATIONAL
 from adrkit.presentation import AlgebraPresentation, Arrow, Quiver, build_algebra
-from adrkit.repmod import CompositionVector, SeriesProfile, injective, projective, simple, socle_sub, truncate
+from adrkit.repmod import SeriesProfile, injective, projective, simple, socle_sub, truncate
 
 
 @pytest.fixture(scope="module")
@@ -176,7 +178,9 @@ def test_tilting_delta_filtration_examples(kx3):
 
 
 def _layers(*mults):
-    return SeriesProfile(tuple(CompositionVector(m) for m in mults))
+    """The series with layers ``mults``: their running totals, from zero."""
+    zero = (0,) * len(mults[0])
+    return SeriesProfile(tuple(accumulate(mults, lambda acc, m: tuple(map(add, acc, m)), initial=zero)))
 
 
 def test_delta_layers_refuse_a_socle_layer_beyond_the_poset(monkeypatch, kx3):

@@ -351,10 +351,27 @@ def test_rational_object_arrays_read_numpy_integers_and_refuse_floats():
     assert all(type(x) is Fraction for x in rref(m).reduced.entries)
     assert kernel_basis(m) == kernel_basis(plain)
     for bad in (0.1, np.float64(0.5)):
-        m = Matrix(RATIONAL, np.array([[bad, 1], [1, 1]], dtype=object))
-        for f in (rank, rref, kernel_basis):
-            with pytest.raises(TypeError, match=re.escape(f"got {bad!r} of type")):
-                f(m)
+        with pytest.raises(TypeError, match=re.escape(f"got {bad!r} of type")):
+            Matrix(RATIONAL, np.array([[bad, 1], [1, 1]], dtype=object))
+        with pytest.raises(TypeError, match=re.escape(f"got {bad!r} of type")):
+            exactlin._cleared([1, bad])
+
+
+@pytest.mark.parametrize("field", [F7, RATIONAL], ids=["F7", "Q"])
+def test_object_arrays_are_read_exactly_or_refused_on_construction(field):
+    # a float in an object array was kept as given: over Q the matrix of 0.1
+    # and 0.25 ranked 2, and one with 0.2 in its first row only failed later,
+    # inside the elimination; over F_7 the float was truncated to an integer,
+    # and so was 1/2 (to 0, not 4), while 2^70 overflowed int64
+    for grid in ([[0.1, 0], [0, 0.25]], [[0.1, 0.2], [0, 0.25]], [[1, 0], [0, 2.0]]):
+        a = np.array(grid, dtype=object)
+        bad = next(x for x in a.flat if isinstance(x, float))
+        with pytest.raises(TypeError, match=re.escape(f"got {bad!r} of type float")):
+            field.canonical(a)
+        with pytest.raises(TypeError, match=re.escape(f"got {bad!r} of type float")):
+            Matrix(field, a)
+    exact = [[Fraction(1, 2), np.int64(3)], [2**70, -1]]
+    assert Matrix(field, np.array(exact, dtype=object)) == Matrix.from_rows(field, exact)
 
 
 @pytest.mark.parametrize("field", [F7, RATIONAL], ids=["F7", "Q"])

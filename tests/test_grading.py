@@ -246,10 +246,10 @@ def _duality_algebras():
 def test_cartan_matrices_are_dual_to_the_opposite_ones():
     # D(P_k/rad^l P_k) = soc_l Q^op_k and D(soc_j Q_i) = P^op_i/rad^j P^op_i, so
     # C(R_A)[(i,j),(k,l)] = C(S_{A^op})[[k,l],[i,j]] and
-    # C(S_A)[[i,j],[k,l]] = C(R_{A^op})[(k,l),(i,j)]; each side of each identity
-    # comes from a different chain code (the tagged functional pass over the
-    # projectives against the tagged radical pass over the injectives, which
-    # share only exactlin), on a different algebra
+    # C(S_A)[[i,j],[k,l]] = C(R_{A^op})[(k,l),(i,j)]; Q^op_k is built from
+    # P_k's maps transposed twice, so both sides run the same tagged pass,
+    # and the identities check the transposes, the labels and the readers
+    # (the formula-against-Hom agreement guards the readers)
     for name, alg in _duality_algebras():
         op = alg.opposite()
         pairs = (

@@ -20,6 +20,7 @@ from adrkit.presentation import (
 from adrkit.repmod import (
     CompositionVector,
     Representation,
+    SeriesProfile,
     composition_vector,
     hom_dim,
     injective,
@@ -354,6 +355,30 @@ def test_radical_contained_in_socle_complement():
 def test_composition_vector_rejects_negative():
     with pytest.raises(ValueError):
         CompositionVector((-1, 0))
+
+
+def test_series_of_the_zero_module_keep_its_width():
+    # the zero module has no layers, but its series still totals the zero
+    # vector over every vertex, as its composition vector does
+    alg = get_entry("trunc-a2-2").build()
+    maps = {a.name: Matrix.zeros(alg.field, 0, 0) for a in alg.quiver.arrows}
+    zero = (0,) * alg.n
+    for grading in ({}, {"radical_degrees": ((),) * alg.n}, {"socle_degrees": ((),) * alg.n}):
+        z = Representation(alg, zero, maps, **grading)
+        for series in [radical_series(z)] + ([socle_series(z)] if grading else []):
+            assert len(series) == 0 and series.layers == ()
+            assert series.total() == composition_vector(z) == CompositionVector(zero)
+
+
+def test_series_profile_holds_running_totals_and_refuses_a_decreasing_one():
+    series = SeriesProfile(((0, 0), (1, 0), (1, 2)))
+    assert series.layers == (CompositionVector((1, 0)), CompositionVector((0, 2)))
+    assert series.total() == CompositionVector((1, 2)) and len(series) == 2
+    with pytest.raises(ValueError, match=r"total \(2, 0\) below the one before it"):
+        SeriesProfile(((0, 0), (1, 1), (2, 0)))
+    for totals in ((), ((1, 0), (1, 1))):
+        with pytest.raises(ValueError, match="starts from zero"):
+            SeriesProfile(totals)
 
 
 def test_hom_algebra_mismatch_raises(kx3, a2):
