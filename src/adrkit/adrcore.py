@@ -9,7 +9,8 @@ routes, which must agree exactly:
   P_k/rad^l P_k).
 - C(S_A), for S_A the endomorphism algebra of the socle filtrations of the
   injectives.  The formula route reads the radical series of every
-  soc_j Q_i off the tagged pass of Q_i.  The Hom route reads
+  soc_j Q_i off the tagged pass that Q_i reads: the functional pass of
+  P^op_i, since Q_i = D(P^op_i).  The Hom route reads
   dim Hom(soc_j Q_i, soc_l Q_k).
 - C(R(R_A)), for the Ringel dual End(T)^op.  The formula route takes row
   differences of the tilting classes [T(i,j)], read off C(R_A).  The Hom
@@ -23,11 +24,12 @@ or a series.  So the two routes share the modules P_k and Q_i they measure
 and the code of ``exactlin``'s sparse elimination, but never an elimination
 or the sparse arrow maps it reads: each route memoizes its own.  The
 duality C(R_A)[(i,j),(k,l)] = C(S_{A^op})[[k,l],[i,j]] that ``analyze``
-rechecks (``theorems.duality_failures``) runs one pass twice: Q^op_k is
-P_k's maps transposed twice, so its radical pass equals P_k's functional
-pass.  It checks the transposes, the labels and the readers; the Hom route
-guards the passes and the readers.  The Loewy lengths of P_i and Q_i and
-the socle series of Q_i come from the grading of the path basis.
+rechecks (``theorems.duality_failures``) runs no pass of its own: Q^op_k
+reads the functional pass of P_k, and Q_i that of P^op_i, so both sides
+read one pass under both readers.  It checks the transposes, the labels
+and the readers; the Hom route guards the passes and the readers.  The
+Loewy lengths of P_i and Q_i and the socle series of Q_i come from the
+grading of the path basis.
 
 All matrices carry explicit row/column label lists; raw integer matrices are
 never passed between modules.

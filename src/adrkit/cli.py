@@ -42,6 +42,7 @@ from .presentation import (
     Relation,
     build_algebra,
     check_label_budget,
+    check_work_budget,
 )
 from .repmod import is_nakayama, is_selfinjective
 from .theorems import (
@@ -204,7 +205,7 @@ def _parse_field_flag(text: str) -> FieldSpec:
 
 
 def analyze_presentation(pres: AlgebraPresentation, skip_corroboration: bool = False) -> dict:
-    """Full pipeline: build, label budget, matrices with oracle re-verification, verdicts.
+    """Full pipeline: build, label and work budgets, matrices with oracle re-verification, verdicts.
 
     Unless ``skip_corroboration``, C(R_A) and C(S_A) are rechecked against
     their Hom routes and against the transposed formula matrices of A^op
@@ -214,6 +215,7 @@ def analyze_presentation(pres: AlgebraPresentation, skip_corroboration: bool = F
     start = time.monotonic()
     alg = build_algebra(pres)
     check_label_budget(alg)
+    check_work_budget(alg, hom_routes=not skip_corroboration)
     cra = cartan_RA_formula(alg)
     csa = cartan_SA_formula(alg)
     if not skip_corroboration:

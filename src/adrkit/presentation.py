@@ -274,6 +274,8 @@ class AlgebraData:
     maps every other path of length < cap to its residue ``((basis path,
     coeff), ...)``, over parallel basis paths of equal or higher degree; longer
     paths are zero.  A^op and the components are read off ``basis`` and ``normal``.
+    A component records ``component_of``: the whole algebra and, per vertex of
+    the component, its vertex there.
     """
 
     presentation: AlgebraPresentation
@@ -284,6 +286,9 @@ class AlgebraData:
     connected: bool
     normal: dict[Path, NormalForm] = field(repr=False, compare=False)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    component_of: tuple[AlgebraData, tuple[int, ...]] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def field(self) -> FieldSpec:
@@ -321,17 +326,24 @@ class AlgebraData:
 
     @memoized
     def components(self) -> tuple["AlgebraData", ...]:
-        """The connected components as algebras, sliced from A by source; (A,) if connected."""
+        """The connected components as algebras, sliced from A by source; (A,) if connected.
+
+        Each records A and its vertices in A (``component_of``), so that
+        ``repmod`` cuts its projectives and injectives from A's, and its own
+        basis, ``act`` and opposite are never read by a report.
+        """
         if self.connected:
             return (self,)
         out = []
         for comp in connected_components(self.quiver):
             new = {self.quiver.index(v): k for k, v in enumerate(comp, start=1)}
-            out.append(self._relabelled(
+            sub = self._relabelled(
                 restrict_presentation(self.presentation, comp),
                 lambda w: Path(new[w.source], w.arrows, new[w.target]),
                 lambda w: w.source in new,
-            ))
+            )
+            sub.component_of = (self, tuple(new))
+            out.append(sub)
         return tuple(out)
 
 
@@ -564,6 +576,57 @@ def check_label_budget(alg: AlgebraData) -> None:
         raise PresentationError(
             f"{alg.n} vertices times {labels} labels (sum of LL(P_i) and LL(Q_i)) is "
             f"{alg.n * labels}, over the label budget of {LABEL_BUDGET}"
+        )
+
+
+HOM_WORK_BUDGET = 1_000_000
+"""Most Hom unknowns (:func:`hom_unknowns`) that ``check_work_budget`` admits with the Hom routes.
+
+Truncated 2 loops over F_7 has 522 242 at L=9 (``analyze`` 2.2 s, 212 MB)
+and 2 093 058 at L=10 (12.7 s, 752 MB); memory grows about 3.5 times per
+step of L.  Preprojective A_9/F_7, the largest CI input, has 6 666.
+"""
+
+WORK_BUDGET = 10_000_000
+"""Most Hom unknowns that ``check_work_budget`` admits without the Hom routes.
+
+A tagged pass is bounded by the same squares.  Without the Hom routes the
+two loops take 0.61 s and 122 MB at L=10 and 3.2 s and 392 MB at L=11
+(8 380 418); L=12 (33 538 050) would take about 1 GB.
+"""
+
+
+def hom_unknowns(alg: AlgebraData) -> int:
+    """Sum over v of (basis paths ending at v)^2 + (basis paths starting at v)^2, read off the basis.
+
+    (P_i)_v = e_v A e_i, so the Hom systems between all pairs (P_i, P_k)
+    have sum over v of (dim A e_v)^2 unknowns in all, and those between the
+    (Q_i, Q_k) sum over v of (dim e_v A)^2.
+    """
+    into, out = [0] * alg.n, [0] * alg.n
+    for path in alg.basis:
+        into[path.target - 1] += 1
+        out[path.source - 1] += 1
+    return sum(d * d for d in into) + sum(d * d for d in out)
+
+
+def check_work_budget(alg: AlgebraData, hom_routes: bool = True) -> None:
+    """Raise :class:`PresentationError` if :func:`hom_unknowns` exceeds its budget.
+
+    The budget is :data:`HOM_WORK_BUDGET` with the Hom routes and
+    :data:`WORK_BUDGET` without them.
+    """
+    work = hom_unknowns(alg)
+    budget = HOM_WORK_BUDGET if hom_routes else WORK_BUDGET
+    if work > budget:
+        hint = (
+            f"; --skip-fuzz-corroboration skips the Hom routes and raises it to {WORK_BUDGET}"
+            if hom_routes and work <= WORK_BUDGET
+            else ""
+        )
+        raise PresentationError(
+            f"W = {work} Hom unknowns (sum over vertices of the squared numbers of basis paths "
+            f"ending and starting there) is over the work budget of {budget}{hint}"
         )
 
 

@@ -33,6 +33,13 @@ leading block of level l, so one pass serves every level.
   arrows.  Both read these sparse maps from a memo of their own
   (:func:`_pass_arrows`), not from the Hom route's, and share only
   ``exactlin``.
+- A module made from another one runs no pass of its own: it reads its
+  ``source``'s (:func:`_tagged_pass`).  Q_i = D(P^op_i) reads the functional
+  pass of P^op_i, which is its radical pass step for step, since Q_i's maps
+  transposed are P^op_i's maps.  A module of a component of A is A's module
+  at the component's vertices (``AlgebraData.component_of``) and reads A's
+  pass there.  So the passes of the P_k of A and of the P_i of A^op serve
+  both algebras and every component.
 
 A ``SeriesProfile`` holds running totals: the dimensions of the first y
 layers.  ``series_by_level`` writes the coordinates of degree < l minus the
@@ -54,10 +61,12 @@ reference the tests compare the read-offs against.
 
 Memos.  For j >= LL(M), M/rad^j M = M and soc_j M = M, so ``truncate`` and
 ``socle_sub`` return the module itself there.  They and ``socle_series``
-are memoized on their module.  The Hom route memoizes on each module its
-support, its coordinates in degree order, the widths of its levels and the
-sparse columns and negated sparse rows of its arrow maps.  No Hom system or
-its pivots is memoized.
+are memoized on their module, and so are the tagged pass, the level series
+and the invariance check, which a module with a ``source`` reads off its
+source.  No Hom code reads a ``source``.  The Hom route memoizes on each
+module its support, its coordinates in degree order, the widths of its
+levels and the sparse columns and negated sparse rows of its arrow maps.
+No Hom system or its pivots is memoized.
 
 Hom tables.  ``hom_dims_between_levels`` reads a whole block of levels off
 one intertwiner system per pair of graded modules.  For radically graded m
@@ -163,6 +172,11 @@ class Representation:
     the algebra's field and of shape dims[target] x dims[source], and a
     grading must give every vertex one nondecreasing tuple of non-negative
     degrees, one per coordinate; anything else raises ``ValueError``.
+
+    ``source`` is set on a module made from another one: ``(module,
+    vertices)`` means that this module's tagged pass is ``module``'s, read at
+    ``vertices`` (1-based, one per vertex of this module's algebra).
+    ``injective`` and the modules of a component set it.
     """
 
     algebra: AlgebraData
@@ -170,6 +184,7 @@ class Representation:
     arrow_maps: dict[str, Matrix]
     radical_degrees: Grading | None = field(default=None, repr=False, compare=False)
     socle_degrees: Grading | None = field(default=None, repr=False, compare=False)
+    source: tuple[Representation, tuple[int, ...]] | None = field(default=None, repr=False, compare=False)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -226,11 +241,37 @@ def simple(alg: AlgebraData, i: int) -> Representation:
     return Representation(alg, dims, maps, radical_degrees=tuple((0,) * d for d in dims))
 
 
-@memoized
-def projective(alg: AlgebraData, i: int) -> Representation:
-    """Indecomposable projective P_i: residues of basis paths with source i, graded by length."""
+def _check_vertex(alg: AlgebraData, i: int) -> None:
     if not 1 <= i <= alg.n:
         raise ValueError(f"vertex index {i} out of range 1..{alg.n}")
+
+
+def _cut(m: Representation, alg: AlgebraData) -> Representation:
+    """m, a module of the algebra that ``alg`` is a component of, at the component's vertices.
+
+    m is zero off the component, so it keeps its maps and grading there, and
+    its tagged pass is m's (``source``).
+    """
+    _, at = alg.component_of
+
+    def pick(degrees):
+        return None if degrees is None else tuple(degrees[v - 1] for v in at)
+
+    maps = {a.name: m.arrow_maps[a.name] for a in alg.quiver.arrows}
+    dims = tuple(m.dims[v - 1] for v in at)
+    return Representation(alg, dims, maps, pick(m.radical_degrees), pick(m.socle_degrees), source=(m, at))
+
+
+@memoized
+def projective(alg: AlgebraData, i: int) -> Representation:
+    """Indecomposable projective P_i: residues of basis paths with source i, graded by length.
+
+    On a component of A it is A's P_i cut to the component (:func:`_cut`).
+    """
+    _check_vertex(alg, i)
+    if alg.component_of is not None:
+        whole, at = alg.component_of
+        return _cut(projective(whole, at[i - 1]), alg)
     idxs = alg.basis_indices_with_source(i)
     by_vertex: list[list[int]] = [[] for _ in range(alg.n)]
     for k in idxs:
@@ -256,10 +297,19 @@ def projective(alg: AlgebraData, i: int) -> Representation:
 
 @memoized
 def injective(alg: AlgebraData, i: int) -> Representation:
-    """Indecomposable injective Q_i: transpose-dual of the opposite projective, socle-graded by it."""
+    """Indecomposable injective Q_i: transpose-dual of the opposite projective, socle-graded by it.
+
+    Its tagged pass is the opposite projective's (``source``).  On a
+    component of A it is A's Q_i cut to the component (:func:`_cut`).
+    """
+    _check_vertex(alg, i)
+    if alg.component_of is not None:
+        whole, at = alg.component_of
+        return _cut(injective(whole, at[i - 1]), alg)
     p_op = projective(alg.opposite(), i)
     maps = {a.name: p_op.arrow_maps[a.name].transpose() for a in alg.quiver.arrows}
-    return Representation(alg, p_op.dims, maps, socle_degrees=p_op.radical_degrees)
+    everywhere = tuple(range(1, alg.n + 1))
+    return Representation(alg, p_op.dims, maps, socle_degrees=p_op.radical_degrees, source=(p_op, everywhere))
 
 
 def _below(degrees: Grading, l: int) -> tuple[int, ...]:
@@ -279,8 +329,11 @@ def _check_invariant(m: Representation) -> None:
     Under a radical grading the coordinates of degree >= l must span a
     submodule for every l, so an arrow map entry M_a[r, k] may be nonzero
     only where deg r >= deg k; under a socle grading those of degree < l
-    must, so only where deg r <= deg k.
+    must, so only where deg r <= deg k.  A module with a ``source`` is
+    checked by its source: transposing swaps the two conditions.
     """
+    if m.source is not None:
+        return _check_invariant(m.source[0])
     radical = m.radical_degrees is not None
     degrees = m.radical_degrees if radical else m.socle_degrees
     for a in m.algebra.quiver.arrows:
@@ -529,6 +582,27 @@ def _radical_pass(m: Representation) -> tuple[TaggedStep, ...]:
     return tuple(chain)
 
 
+def _everywhere(src: Representation, at: tuple[int, ...]) -> bool:
+    """True iff ``at`` is every vertex of ``src``, in order: then a read at ``at`` is src's own."""
+    return at == tuple(range(1, len(src.dims) + 1))
+
+
+@memoized
+def _tagged_pass(m: Representation) -> tuple[TaggedStep, ...]:
+    """m's tagged pass: the functional pass under a radical grading, the radical pass under a socle one.
+
+    A module with a ``source`` runs none: it reads its source's pass, each
+    step at its vertices.  For Q_i = D(P^op_i) the radical pass of Q_i is the
+    functional pass of P^op_i step for step, since a step multiplies by the
+    rows of Q_i's maps transposed, which are P^op_i's maps.
+    """
+    if m.source is not None:
+        src, at = m.source
+        run = _tagged_pass(src)
+        return run if _everywhere(src, at) else tuple(tuple(step[v - 1] for v in at) for step in run)
+    return _functional_pass(m) if m.radical_degrees is not None else _radical_pass(m)
+
+
 @memoized
 def _level_series(root: Representation) -> tuple[SeriesProfile | None, ...]:
     """Entry l: the socle series of root/rad^l root, or the radical series of soc_l root, l = 0..LL.
@@ -542,12 +616,24 @@ def _level_series(root: Representation) -> tuple[SeriesProfile | None, ...]:
     series ends once it reaches c.  The leading block of level l is a module
     only if the grading is arrow-invariant (:func:`_check_invariant`).  Its
     functionals must vanish within its own Loewy length; where they do not,
-    the grading misreads the block and its entry is None.
+    the grading misreads the block and its entry is None.  A root with a
+    ``source`` reads the source's totals at its vertices: the socle series of
+    P^op_i/rad^l P^op_i and the radical series of soc_l Q_i, its dual, have
+    the same running totals.
     """
+    if root.source is not None:
+        src, at = root.source
+        levels = _level_series(src)
+        if _everywhere(src, at):
+            return levels
+        return tuple(
+            None if s is None else SeriesProfile(tuple(tuple(t[v - 1] for v in at) for t in s.totals))
+            for s in levels
+        )
     _check_invariant(root)
     radical = root.radical_degrees is not None
     degrees = root.radical_degrees if radical else root.socle_degrees
-    run = _functional_pass(root) if radical else _radical_pass(root)
+    run = _tagged_pass(root)
     out = []
     for l in range(_grading_length(degrees) + 1):
         block = _below(degrees, l)
@@ -609,18 +695,18 @@ def is_uniserial(m: Representation) -> bool:
 def is_rigid(m: Representation) -> bool:
     """True iff rad^j M = soc_{L-j} M for every j; m must be graded.
 
-    m's memoized tagged pass is checked against the grading: under a radical
-    grading the functionals F_j, with common kernel soc_j M, under a socle
-    grading the radical chain rad^j M.  The c_v coordinates of degree < L-j
-    span the other side at vertex v, so step j must have c_v rows (equal
-    dimensions) and no entry from column c_v on (containment, which holds in
-    every module: its failure is a bug).
+    m's memoized tagged pass (:func:`_tagged_pass`) is checked against the
+    grading: under a radical grading the functionals F_j, with common kernel
+    soc_j M, under a socle grading the radical chain rad^j M.  The c_v
+    coordinates of degree < L-j span the other side at vertex v, so step j
+    must have c_v rows (equal dimensions) and no entry from column c_v on
+    (containment, which holds in every module: its failure is a bug).
     """
     radical = m.radical_degrees is not None
     degrees = m.radical_degrees if radical else m.socle_degrees
     if degrees is None:
         raise ValueError("is_rigid needs a graded module")
-    chain = _functional_pass(m) if radical else _radical_pass(m)
+    chain = _tagged_pass(m)
     ll = _grading_length(degrees)
     if len(chain) - 1 != ll:
         return False

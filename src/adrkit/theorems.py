@@ -97,11 +97,12 @@ def duality_failures(alg: AlgebraData) -> list[str]:
     """Witnesses against C(R_A) = C(S_{A^op})^T and C(S_A) = C(R_{A^op})^T, labels included.
 
     D(P_k/rad^l P_k) = soc_l Q^op_k and D(soc_j Q_i) = P^op_i/rad^j P^op_i.
-    Q^op_k is P_k's maps transposed twice, so both sides run one tagged pass
-    and the identities check the transposes, the labels and the readers; the
-    Hom routes guard the pass.  Each witness names the first label pair, in
-    row-major order, where a matrix is off the transpose of its dual; the
-    list is empty when both identities hold.
+    Q^op_k reads the tagged pass of P_k, and Q_i that of P^op_i
+    (``repmod._tagged_pass``), so each identity reads one pass under both
+    readers and runs no pass of its own: it checks the transposes, the
+    labels and the readers, and the Hom routes guard the pass.  Each witness
+    names the first label pair, in row-major order, where a matrix is off
+    the transpose of its dual; the list is empty when both identities hold.
     """
     op = alg.opposite()
     out = []
@@ -120,13 +121,16 @@ def duality_failures(alg: AlgebraData) -> list[str]:
     return out
 
 
+@memoized
 def check_theorem_a(alg: AlgebraData) -> Verdict:
     """Cartan-level check of the Ringel-dual identification R(R_A) ~ (R_{A^op})^op.
 
     Hypotheses: every P_i and Q_i rigid with Loewy length L.  Evidence when
     they hold: the flip equality between C(R(R_A)) and C(S_A), agreement of
     the Delta- and nabla-routes to every tilting class, and agreement of the
-    row-arithmetic and closed-form Hom routes to C(R(R_A)).
+    row-arithmetic and closed-form Hom routes to C(R(R_A)).  The verdict is
+    memoized on ``alg`` (theorem C's corroboration reads it again); a raise
+    is not.
     """
     hyp = theorem_a_hypotheses(alg)
     L = hyp.loewy_length

@@ -32,6 +32,7 @@ from adrkit.corpus import builtin_entries, get_entry, random_admissible, tagged_
 from adrkit.exactlin import RATIONAL
 from adrkit.presentation import AlgebraPresentation, Arrow, Quiver, build_algebra
 from adrkit.repmod import SeriesProfile, injective, projective, simple, socle_sub, truncate
+from adrkit.theorems import check_theorem_b, ringel_selfdual_verdict
 
 
 @pytest.fixture(scope="module")
@@ -390,7 +391,10 @@ def _spy_on_tagged_passes(monkeypatch) -> list:
 def test_formula_routes_and_hypotheses_run_one_tagged_pass_per_root(monkeypatch):
     # P_k/rad^l P_k is a leading block of P_k and soc_j Q_i one of Q_i, so
     # both formula routes and the rigidity tests of theorem A run one tagged
-    # pass per P_k and one per Q_i, and the general radical chain never runs
+    # pass per P_k and one per P^op_i: Q_i = D(P^op_i) reads the pass of
+    # P^op_i.  So the formula routes of A^op, the verdicts and the modules of
+    # the components run no pass of their own, and the general radical chain
+    # never runs
     passes = _spy_on_tagged_passes(monkeypatch)
 
     def forbidden(m):
@@ -398,6 +402,7 @@ def test_formula_routes_and_hypotheses_run_one_tagged_pass_per_root(monkeypatch)
 
     monkeypatch.setattr(repmod, "radical_chain", forbidden)
     entries = builtin_entries() + [random_admissible(s) for s in range(910000, 910030)]
+    several = 0
     for entry in entries:
         alg = entry.build()
         passes.clear()
@@ -405,9 +410,23 @@ def test_formula_routes_and_hypotheses_run_one_tagged_pass_per_root(monkeypatch)
         cartan_SA_formula(alg)
         theorem_a_hypotheses(alg)
         vertices = range(1, alg.n + 1)
+        op = alg.opposite()
         expected = [("_functional_pass", id(projective(alg, k))) for k in vertices]
-        expected += [("_radical_pass", id(injective(alg, i))) for i in vertices]
+        expected += [("_functional_pass", id(projective(op, i))) for i in vertices]
         assert [(name, id(m)) for name, m in passes] == expected, entry.id
+        cartan_RA_formula(op)
+        cartan_SA_formula(op)
+        theorem_a_hypotheses(op)
+        check_theorem_b(alg)
+        ringel_selfdual_verdict(alg)
+        ringel_selfdual_verdict(op)
+        for comp in alg.components():
+            theorem_a_hypotheses(comp)
+            cartan_RA_formula(comp)
+            cartan_SA_formula(comp)
+        assert len(passes) == len(expected), entry.id
+        several += len(alg.components()) > 1
+    assert several
 
 
 def _forbid(patch, names: tuple[str, ...]) -> None:
@@ -439,9 +458,11 @@ def test_tagged_passes_and_hom_systems_share_only_the_modules(monkeypatch):
 
 
 def test_each_module_gets_one_functional_pass(monkeypatch):
-    # the tagged pass of a root reads the root's own arrow maps, and the
-    # series of every level P_k/rad^l P_k or soc_j Q_i is read off the pass
-    # of its root; no root is passed twice: equal
+    # the tagged pass of P_k reads P_k's own arrow maps, Q_i reads the pass
+    # of P^op_i and a component's module the pass of A's, and the series of
+    # every level P_k/rad^l P_k or soc_j Q_i is read off the pass of its
+    # root; so every pass is the functional pass of a projective, no module
+    # made from another runs one, and no root is passed twice: equal
     # representations over one algebra are one module, whoever built them
     passes = _spy_on_tagged_passes(monkeypatch)
 
@@ -462,6 +483,7 @@ def test_each_module_gets_one_functional_pass(monkeypatch):
         for seed in range(910000, 910030):
             tagged_invariant_failures(random_admissible(seed).build())
     assert passes and len({module_key(*x) for x in passes}) == len(passes)
+    assert all(name == "_functional_pass" and m.source is None for name, m in passes)
 
     # the formula routes read every level's series off one series_by_level
     # read per root: C(R_A) per P_k, C(S_A) per Q_i
@@ -481,16 +503,18 @@ def test_each_module_gets_one_functional_pass(monkeypatch):
         alg = entry.build()
         projectives = [projective(alg, i) for i in range(1, alg.n + 1)]
         injectives = [injective(alg, i) for i in range(1, alg.n + 1)]
-        for formula, hom, roots, name in (
-            (cartan_RA_formula, cartan_RA_hom, projectives, "_functional_pass"),
-            (cartan_SA_formula, cartan_SA_hom, injectives, "_radical_pass"),
+        sources = [projective(alg.opposite(), i) for i in range(1, alg.n + 1)]
+        for formula, hom, roots, passed in (
+            (cartan_RA_formula, cartan_RA_hom, projectives, projectives),
+            (cartan_SA_formula, cartan_SA_hom, injectives, sources),
         ):
             passes.clear()
             measured.clear()
             read.clear()
             formula(alg)
             hom(alg)
-            assert [(kind, id(m)) for kind, m in passes] == [(name, id(r)) for r in roots], entry.id
+            want = [("_functional_pass", id(r)) for r in passed]
+            assert [(kind, id(m)) for kind, m in passes] == want, entry.id
             assert read == [id(r) for r in roots], entry.id
             assert measured == [(id(m), id(n)) for m in roots for n in roots], entry.id
 

@@ -17,7 +17,7 @@ from adrkit.cli import (
 )
 from adrkit.corpus import builtin_entries, get_entry, preprojective_a, random_admissible
 from adrkit.exactlin import FieldSpec
-from adrkit.presentation import LABEL_BUDGET, Relation
+from adrkit.presentation import HOM_WORK_BUDGET, LABEL_BUDGET, WORK_BUDGET, Arrow, Quiver, Relation
 
 
 def run_cli(capsys, *argv):
@@ -539,3 +539,29 @@ def test_label_budget_admits_its_largest_arrowless_quiver(tmp_path, capsys):
     assert code == 0
     code, _, err = run_cli(capsys, "analyze", write_doc(tmp_path, _arrowless_doc(101)))
     assert code == 2 and "is 20402" in err
+
+
+def _two_loops_doc(big_l: int) -> dict:
+    from adrkit.corpus import truncated_path_algebra
+
+    loops = Quiver(("1",), (Arrow("x1", "1", "1"), Arrow("x2", "1", "1")))
+    return presentation_to_doc(truncated_path_algebra(loops, big_l, FieldSpec.prime(7)).presentation)
+
+
+def test_analyze_refuses_an_algebra_over_the_work_budget(tmp_path, capsys):
+    # truncated 2 loops has one vertex and 2^L monomial relations: its paths
+    # fit the path budget and its labels the label budget, but W, the Hom
+    # unknowns over all pairs of roots, is 2 093 058 at L=10 and 33 538 050
+    # at L=12; both are refused before any module is built
+    path = write_doc(tmp_path, _two_loops_doc(10))
+    code, out, err = run_cli(capsys, "analyze", path)
+    assert code == 2 and out == ""
+    assert "W = 2093058" in err and f"work budget of {HOM_WORK_BUDGET}" in err
+    assert "--skip-fuzz-corroboration" in err
+    start = time.monotonic()
+    path = write_doc(tmp_path, _two_loops_doc(12))
+    code, out, err = run_cli(capsys, "analyze", path, "--skip-fuzz-corroboration")
+    assert time.monotonic() - start < 5.0
+    assert code == 2 and out == ""
+    assert "W = 33538050" in err and f"work budget of {WORK_BUDGET}" in err
+    assert "--skip-fuzz-corroboration" not in err

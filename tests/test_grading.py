@@ -4,8 +4,9 @@
 the radical series of P_i, the socle series of Q_i, the truncations
 P_i/rad^l P_i, the socle submodules soc_j Q_i, the socle series of every
 truncation (by the tagged functional pass over P_i), the radical series of
-every soc_j Q_i (by the tagged radical pass over Q_i) and the rigidity of
-all of them are read off that grading.  The oracle is the same module with
+every soc_j Q_i (by the pass Q_i reads, the functional pass over P^op_i,
+which is its radical pass) and the rigidity of all of them are read off
+that grading.  The oracle is the same module with
 its grading dropped, measured by the general chain code of ``chain_oracle``;
 its radical or socle chain must be the coordinate spans of the grading.  The library
 functions themselves refuse a module without the grading they read.
@@ -212,26 +213,30 @@ def test_radical_pass_refuses_a_grading_that_is_not_nilpotent():
 
 def test_rigidity_containment_failure_is_an_error_under_each_grading(monkeypatch):
     # is_rigid checks one elimination chain against the grading, read off
-    # the module's tagged pass: the functionals F_j under a radical grading,
-    # the radical chain under a socle one.  A step with the right number of
-    # rows but an entry outside the degree < L-j block breaks rad <= soc,
-    # which holds in every module: that is a bug, raised, not a verdict of
-    # non-rigidity
+    # the module's tagged pass (repmod._tagged_pass): the functionals F_j
+    # under a radical grading, the radical chain under a socle one.  Q_1
+    # runs no pass of its own: it reads the functional pass of P^op_1, which
+    # is its radical chain.  A step with the right number of rows but an
+    # entry outside the degree < L-j block breaks rad <= soc, which holds in
+    # every module: that is a bug, raised, not a verdict of non-rigidity, and
+    # named under the module's own grading
     alg = get_entry("nakayama-1-3").build()
     stray = [{0: 1}, {2: 1}]
     p = projective(alg, 1)
     functionals = list(repmod._functional_pass(p))
     assert [len(f[0][0]) for f in functionals] == [3, 2, 1, 0] and is_rigid(p)
+    q = injective(alg, 1)
+    chain = list(repmod._tagged_pass(q))
+    assert chain == list(repmod._functional_pass(projective(alg.opposite(), 1)))
+    assert [len(s[0][0]) for s in chain] == [3, 2, 1, 0] and is_rigid(q)
+    assert (repmod._radical_pass.__qualname__,) not in q._cache
+
     functionals[1] = ((stray, functionals[1][0][1]),)
-    monkeypatch.setattr(repmod, "_functional_pass", lambda m: tuple(functionals))
+    chain[1] = ((stray, chain[1][0][1]),)
+    passes = {id(p): tuple(functionals), id(q): tuple(chain)}
+    monkeypatch.setattr(repmod, "_tagged_pass", lambda m: passes[id(m)])
     with pytest.raises(RuntimeError, match=r"rad\^2 not contained in soc_1 at vertex 1"):
         is_rigid(p)
-
-    q = injective(alg, 1)
-    chain = list(repmod._radical_pass(q))
-    assert [len(s[0][0]) for s in chain] == [3, 2, 1, 0] and is_rigid(q)
-    chain[1] = ((stray, chain[1][0][1]),)
-    monkeypatch.setattr(repmod, "_radical_pass", lambda m: tuple(chain))
     with pytest.raises(RuntimeError, match=r"rad\^1 not contained in soc_2 at vertex 1"):
         is_rigid(q)
 
@@ -246,10 +251,10 @@ def _duality_algebras():
 def test_cartan_matrices_are_dual_to_the_opposite_ones():
     # D(P_k/rad^l P_k) = soc_l Q^op_k and D(soc_j Q_i) = P^op_i/rad^j P^op_i, so
     # C(R_A)[(i,j),(k,l)] = C(S_{A^op})[[k,l],[i,j]] and
-    # C(S_A)[[i,j],[k,l]] = C(R_{A^op})[(k,l),(i,j)]; Q^op_k is built from
-    # P_k's maps transposed twice, so both sides run the same tagged pass,
-    # and the identities check the transposes, the labels and the readers
-    # (the formula-against-Hom agreement guards the readers)
+    # C(S_A)[[i,j],[k,l]] = C(R_{A^op})[(k,l),(i,j)]; Q^op_k reads the
+    # tagged pass of P_k, so both sides read the same pass, and the
+    # identities check the transposes, the labels and the readers (the
+    # formula-against-Hom agreement guards the readers)
     for name, alg in _duality_algebras():
         op = alg.opposite()
         pairs = (

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from adrkit import exactlin
 from adrkit.exactlin import RATIONAL, FieldSpec, Matrix
 from adrkit.presentation import (
+    HOM_WORK_BUDGET,
     LABEL_BUDGET,
     PATH_BUDGET,
+    WORK_BUDGET,
     AlgebraPresentation,
     Arrow,
     CapTooSmallError,
@@ -28,8 +30,10 @@ from adrkit.presentation import (
     _letters,
     build_algebra,
     check_label_budget,
+    check_work_budget,
     connected_components,
     enumerate_paths,
+    hom_unknowns,
     is_connected,
     label_count,
     opposite_presentation,
@@ -669,3 +673,52 @@ def test_label_budget_admits_preprojective_a10():
         alg = preprojective_a(n, FieldSpec.prime(7)).build()
         assert alg.n * label_count(alg) == 2 * n**3
     assert 2 * 10**3 <= LABEL_BUDGET
+
+
+def _two_loops(big_l: int):
+    from adrkit.corpus import truncated_path_algebra
+
+    loops = Quiver(("1",), (Arrow("x1", "1", "1"), Arrow("x2", "1", "1")))
+    return truncated_path_algebra(loops, big_l, FieldSpec.prime(7)).build()
+
+
+def test_hom_unknowns_count_the_unknowns_of_every_hom_system():
+    # read off the basis alone, W must equal the unknowns of the systems
+    # between all pairs (P_i, P_k) and all pairs (Q_i, Q_k)
+    from adrkit.corpus import builtin_entries, random_admissible
+    from adrkit.repmod import injective, projective
+
+    entries = builtin_entries() + [random_admissible(s) for s in range(910000, 910030)]
+    for entry in entries:
+        alg = entry.build()
+        vertices = range(1, alg.n + 1)
+        want = 0
+        for root in (projective, injective):
+            dims = [root(alg, i).dims for i in vertices]
+            want += sum(sum(x * y for x, y in zip(m, n)) for m in dims for n in dims)
+        assert hom_unknowns(alg) == want, entry.id
+        check_work_budget(alg)
+    # one vertex: every basis path starts and ends there, so W = 2 dim^2
+    for big_l in range(2, 6):
+        alg = _two_loops(big_l)
+        assert hom_unknowns(alg) == 2 * alg.dim**2
+    assert hom_unknowns(_two_loops(5)) == 2 * 31**2 == 1922
+
+
+def test_work_budget_names_the_measure_and_the_flag_that_raises_it():
+    # truncated 2 loops over F_7: W is 522 242 at L=9, 2 093 058 at L=10,
+    # 8 380 418 at L=11 and 33 538 050 at L=12
+    assert [hom_unknowns(_two_loops(big_l)) for big_l in (9, 10, 11, 12)] == [
+        522_242, 2_093_058, 8_380_418, 33_538_050
+    ]
+    check_work_budget(_two_loops(9))
+    with pytest.raises(PresentationError) as exc:
+        check_work_budget(_two_loops(10))
+    assert "W = 2093058" in str(exc.value) and f"work budget of {HOM_WORK_BUDGET}" in str(exc.value)
+    assert "--skip-fuzz-corroboration" in str(exc.value)
+    check_work_budget(_two_loops(11), hom_routes=False)
+    for hom_routes in (True, False):
+        with pytest.raises(PresentationError) as exc:
+            check_work_budget(_two_loops(12), hom_routes)
+        assert "W = 33538050" in str(exc.value) and "--skip" not in str(exc.value)
+    assert f"work budget of {WORK_BUDGET}" in str(exc.value)

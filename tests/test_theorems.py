@@ -40,7 +40,7 @@ from adrkit.theorems import (
     ringel_selfdual_verdict,
     _b1_b2,
 )
-from adrkit.repmod import injective, projective
+from adrkit.repmod import Representation, injective, is_rigid, projective
 
 
 @pytest.fixture(scope="module")
@@ -332,6 +332,69 @@ def test_derived_opposite_and_components_match_rebuilt_ones():
         assert [_basis_free(c) for c in comps] == [_basis_free(c) for c in rebuilt], name
         several += len(comps) >= 3
     assert other_basis >= 4 and several >= 1
+
+
+def _pass_data(m) -> tuple:
+    """A module's maps and grading, and what the formula routes read off its tagged pass."""
+    maps = {name: mat.array().tolist() for name, mat in m.arrow_maps.items()}
+    reads = (repmod._tagged_pass(m), repmod._level_series(m), is_rigid(m))
+    return m.dims, maps, m.radical_degrees, m.socle_degrees, reads
+
+
+def test_each_injective_reads_the_radical_pass_of_its_own_maps():
+    # Q_i = D(P^op_i) runs no pass: it reads the functional pass of P^op_i.
+    # A copy of Q_i without that link, the same maps under the same socle
+    # grading, runs its own radical pass, which must be the pass Q_i reads,
+    # step by step, with the same level series and rigidity
+    for name, pres in _pin_cases():
+        alg = build_algebra(pres)
+        for i in range(1, alg.n + 1):
+            q = injective(alg, i)
+            assert q.source == (projective(alg.opposite(), i), tuple(range(1, alg.n + 1)))
+            own = Representation(alg, q.dims, q.arrow_maps, socle_degrees=q.socle_degrees)
+            assert repmod._radical_pass(own) == repmod._tagged_pass(q), (name, i)
+            assert _pass_data(own) == _pass_data(q), (name, i)
+            assert (repmod._radical_pass.__qualname__,) not in q._cache
+
+
+def test_component_modules_are_those_of_the_rebuilt_components():
+    # P_i and Q_i of a component are A's, cut to the component's vertices, and
+    # read A's passes there; they must be the modules of the component built
+    # on its own: maps, grading, pass, level series and rigidity
+    components = 0
+    for name, pres in _pin_cases():
+        alg = build_algebra(pres)
+        for comp, vertices in zip(alg.components(), connected_components(pres.quiver), strict=True):
+            if comp is alg:
+                continue
+            whole, at = comp.component_of
+            assert whole is alg and at == tuple(pres.quiver.index(v) for v in vertices)
+            built = build_algebra(restrict_presentation(pres, vertices))
+            for root in (projective, injective):
+                for i in range(1, comp.n + 1):
+                    m = root(comp, i)
+                    assert m.source == (root(alg, at[i - 1]), at)
+                    assert _pass_data(m) == _pass_data(root(built, i)), (name, root.__name__, i)
+            components += 1
+    assert components >= 100
+
+
+def test_theorem_a_runs_once_per_algebra_in_analyze(monkeypatch):
+    # theorem C's corroboration reads the theorem A verdict of every
+    # component, and a connected algebra is its own component: the verdict is
+    # memoized, so its closed-form Hom route runs once per algebra
+    calls = []
+    real = theorems.ringel_dual_cartan_from_hom
+    monkeypatch.setattr(theorems, "ringel_dual_cartan_from_hom", lambda alg: calls.append(alg) or real(alg))
+    selfdual = 0
+    for name, pres in _pin_cases():
+        calls.clear()
+        report = analyze_presentation(pres)
+        assert len({id(alg) for alg in calls}) == len(calls), name
+        if report["verdicts"]["theorem_c"]["holds"] and report["algebra"]["connected"]:
+            assert len(calls) == 1, name
+            selfdual += 1
+    assert selfdual >= 10
 
 
 def test_theorem_a_and_b2_share_the_flip_witness(monkeypatch):
