@@ -1,10 +1,12 @@
 """Exact linear algebra over a prime field F_p or the rationals.
 
 Every rank / kernel / reduction computation in the package goes through this
-module.  Prime-field matrices are stored as int64 numpy arrays with entries in
-[0, p); rational matrices are object arrays of ``fractions.Fraction`` (which
-normalise themselves to lowest terms with positive denominator).  No floating
-point anywhere.
+module.  A :class:`Matrix` stores the nonzero entries of each row as a
+``{column: entry}`` dict: Python ints in [0, p) over F_p, and
+``fractions.Fraction`` over Q (which normalise themselves to lowest terms
+with positive denominator).  Its dense numpy array (int64 over F_p, object
+over Q) is built only when asked for, and cached.  No floating point
+anywhere.
 
 There is one elimination, :class:`_SparseEchelon`: a forward loop on rows
 given as ``{column: coefficient}`` dicts, with Python ints mod p or, over Q,
@@ -162,12 +164,19 @@ RATIONAL = FieldSpec.rational()
 
 
 class Matrix:
-    """Immutable dense matrix over a :class:`FieldSpec`.
+    """Immutable matrix over a :class:`FieldSpec`, stored as sparse rows.
 
-    Entries are canonical representatives, stored row-major.
+    Row r holds the nonzero canonical entries of row r as ``{column:
+    entry}`` (:meth:`sparse_rows`, read-only by convention): Python ints in
+    [0, p) over F_p, Fractions over Q.  Equality and hashing read the rows
+    alone.  :meth:`array` builds the dense numpy array on first use and
+    caches it; storing, comparing, transposing, stacking and reading rows
+    build none.  ``Matrix(field, data)`` reads a 2-dimensional array and
+    validates it (:meth:`FieldSpec.canonical`); :meth:`from_sparse` takes
+    rows as they are.
     """
 
-    __slots__ = ("field", "_a")
+    __slots__ = ("field", "_rows", "_shape", "_a")
 
     def __init__(self, field: FieldSpec, data: np.ndarray):
         a = np.asarray(data)
@@ -175,11 +184,23 @@ class Matrix:
             raise ValueError(f"matrix data must be 2-dimensional, got shape {a.shape}")
         a = field.canonical(a)
         a.setflags(write=False)
+        self._store(field, tuple({c: x for c, x in enumerate(row) if x} for row in a.tolist()), a.shape, a)
+
+    def _store(self, field: FieldSpec, rows: tuple[dict, ...], shape: tuple[int, int], a) -> None:
         object.__setattr__(self, "field", field)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_shape", shape)
         object.__setattr__(self, "_a", a)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
+
+    @classmethod
+    def from_sparse(cls, field: FieldSpec, rows: Sequence[dict], cols: int) -> "Matrix":
+        """The matrix whose row r is ``rows[r]``, nonzero canonical entries as ``{column: entry}``, kept as they are."""
+        m = object.__new__(cls)
+        m._store(field, tuple(rows), (len(rows), cols), None)
+        return m
 
     @classmethod
     def from_rows(cls, field: FieldSpec, rows: Sequence[Sequence], cols: int | None = None) -> "Matrix":
@@ -191,67 +212,74 @@ class Matrix:
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise ValueError("ragged rows")
-        a = np.array([[field.coerce(x) for x in r] for r in rows], dtype=field.dtype)
-        return cls(field, a)
+        return cls.from_sparse(
+            field, [{c: v for c, x in enumerate(r) if (v := field.coerce(x))} for r in rows], width
+        )
 
     @classmethod
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "Matrix":
-        return cls(field, field.zeros((rows, cols)))
+        return cls.from_sparse(field, [{} for _ in range(rows)], cols)
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
-        a = field.zeros((n, n))
-        np.fill_diagonal(a, field.one)
-        return cls(field, a)
+        return cls.from_sparse(field, [{r: field.one} for r in range(n)], n)
 
     @property
     def rows(self) -> int:
-        return self._a.shape[0]
+        return self._shape[0]
 
     @property
     def cols(self) -> int:
-        return self._a.shape[1]
+        return self._shape[1]
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self._a.shape
+        return self._shape
 
     @property
     def entries(self) -> tuple:
         """All entries, row-major."""
-        return tuple(self._a.reshape(-1).tolist())
+        return tuple(x for r in range(self.rows) for x in self.row(r))
+
+    def sparse_rows(self) -> tuple[dict, ...]:
+        """The rows, each ``{column: entry}`` of its nonzero entries; do not modify them."""
+        return self._rows
 
     def array(self) -> np.ndarray:
-        """Read-only view of the underlying array."""
+        """Read-only dense array of the entries, built on the first call and cached."""
+        if self._a is None:
+            a = self.field.zeros(self._shape)
+            for r, row in enumerate(self._rows):
+                for c, x in row.items():
+                    a[r, c] = x
+            a.setflags(write=False)
+            object.__setattr__(self, "_a", a)
         return self._a
 
     def row(self, r: int) -> tuple:
-        return tuple(self._a[r].tolist())
+        row, zero = self._rows[r], self.field.coerce(0)
+        return tuple(row.get(c, zero) for c in range(self.cols))
 
     def __getitem__(self, rc) -> int | Fraction:
         r, c = rc
-        return self._a[r, c]
+        return self._rows[r].get(range(self.cols)[c], self.field.coerce(0))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (
-            self.field == other.field
-            and self.shape == other.shape
-            and bool(np.array_equal(self._a, other._a))
-        )
+        return self.field == other.field and self._shape == other._shape and self._rows == other._rows
 
     def __hash__(self):
-        return hash((self.field, self.shape, self.entries))
+        return hash((self.field, self._shape, tuple(frozenset(row.items()) for row in self._rows)))
 
     def __repr__(self) -> str:
-        return f"Matrix({self.field.describe()}, {self._a.tolist()!r})"
+        return f"Matrix({self.field.describe()}, {[list(self.row(r)) for r in range(self.rows)]!r})"
 
     def is_zero(self) -> bool:
-        return not self._a.any()
+        return not any(self._rows)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, self._a.T.copy())
+        return Matrix.from_sparse(self.field, _sparse_transpose(self._rows, self.cols), self.rows)
 
     def stack(self, other: "Matrix") -> "Matrix":
         """Vertical stack; widths must agree."""
@@ -261,7 +289,7 @@ class Matrix:
             raise DimensionMismatchError(
                 f"ambient widths differ: {self.cols} vs {other.cols}"
             )
-        return Matrix(self.field, np.vstack([self._a, other._a]))
+        return Matrix.from_sparse(self.field, self._rows + other._rows, self.cols)
 
     def matmul(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
@@ -270,7 +298,16 @@ class Matrix:
             raise DimensionMismatchError(
                 f"inner dimensions differ: {self.cols} vs {other.rows}"
             )
-        return Matrix(self.field, _matmul_array(self._a, other._a, self.field))
+        return Matrix(self.field, _matmul_array(self.array(), other.array(), self.field))
+
+
+def _sparse_transpose(rows: Sequence[Mapping], cols: int) -> list[dict]:
+    """The ``{row: entry}`` columns of ``cols`` columns given as ``{column: entry}`` rows: the rows of the transpose."""
+    out: list[dict] = [{} for _ in range(cols)]
+    for r, row in enumerate(rows):
+        for c, x in row.items():
+            out[c][r] = x
+    return out
 
 
 def _matmul_array(a: np.ndarray, b: np.ndarray, field: FieldSpec) -> np.ndarray:
@@ -501,53 +538,49 @@ def _tag_order_basis(
     return echelon.rows(), tuple(tags[order[k]] for k in echelon.made_by)
 
 
-def _sparse_rows(a: np.ndarray) -> list[dict]:
-    """The nonzero entries of each row of a canonical array, as ``{column: entry}``."""
-    return [{c: x for c, x in enumerate(row) if x} for row in a.tolist()]
-
-
 def rref(m: Matrix) -> RrefResult:
     """Unique reduced row echelon form, with rank and pivot columns, by back-substitution in :class:`_SparseEchelon`."""
     field = m.field
     echelon = _SparseEchelon(field)
-    echelon.extend(_sparse_rows(m._a))
+    echelon.extend(m.sparse_rows())
     reduced = echelon.rref_rows()
     pivots = sorted(reduced)
-    a = field.zeros(m.shape)
-    for r, lead in enumerate(pivots):
-        a[r, lead] = field.one
-        a[r, list(reduced[lead])] = list(reduced[lead].values())
-    return RrefResult(Matrix(field, a), len(pivots), tuple(pivots))
+    rows = [{lead: field.one, **reduced[lead]} for lead in pivots]
+    rows += [{} for _ in range(m.rows - len(pivots))]
+    return RrefResult(Matrix.from_sparse(field, rows, m.cols), len(pivots), tuple(pivots))
 
 
 def rank(m: Matrix) -> int:
     """Rank of ``m``, by :func:`_sparse_rank` on its nonzero entries (no RREF is built)."""
-    return len(_sparse_rank(_sparse_rows(m._a), m.field, [m.rows])[0])
+    return len(_sparse_rank(m.sparse_rows(), m.field, [m.rows])[0])
 
 
 def row_space_basis(m: Matrix) -> RrefResult:
     """RREF of ``m`` with zero rows dropped: the canonical basis of its row space."""
     red, rk, pivots = rref(m)
-    return RrefResult(Matrix(m.field, red._a[:rk]), rk, pivots)
+    return RrefResult(Matrix.from_sparse(m.field, red.sparse_rows()[:rk], m.cols), rk, pivots)
 
 
 def kernel_basis(m: Matrix) -> Matrix:
     """Rows spanning the right kernel {v : m v^T = 0}."""
-    red, rk, pivots = rref(m)
+    red, _, pivots = rref(m)
     field = m.field
     pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    out = field.zeros((len(free), m.cols))
-    pivot_list = list(pivots)
-    for k, c in enumerate(free):
-        out[k, c] = field.one
-        out[k, pivot_list] = -red._a[:rk, c]
-    return Matrix(field, out)
+    out = []
+    for c in range(m.cols):
+        if c in pivot_set:
+            continue
+        row = {c: field.one}
+        for pc, red_row in zip(pivots, red.sparse_rows()):
+            if c in red_row:
+                row[pc] = field.coerce(-red_row[c])
+        out.append(row)
+    return Matrix.from_sparse(field, out, m.cols)
 
 
 def reduce_mod_row_space(basis: RrefResult, v: np.ndarray) -> np.ndarray:
     """Residual of row vector ``v`` after elimination against an RREF basis."""
-    a = basis.reduced._a
+    a = basis.reduced.array()
     field = basis.reduced.field
     v = v.copy()
     v.setflags(write=True)

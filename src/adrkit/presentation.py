@@ -13,7 +13,7 @@ projective at vertex i then has basis the residues of paths with source i.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -329,22 +329,47 @@ class AlgebraData:
         """The connected components as algebras, sliced from A by source; (A,) if connected.
 
         Each records A and its vertices in A (``component_of``), so that
-        ``repmod`` cuts its projectives and injectives from A's, and its own
-        basis, ``act`` and opposite are never read by a report.
+        ``repmod`` cuts its projectives and injectives from A's.  Its basis,
+        ``act`` and normal forms are assembled only if read
+        (:class:`_Component`), and no report reads them.
         """
         if self.connected:
             return (self,)
-        out = []
-        for comp in connected_components(self.quiver):
-            new = {self.quiver.index(v): k for k, v in enumerate(comp, start=1)}
-            sub = self._relabelled(
-                restrict_presentation(self.presentation, comp),
-                lambda w: Path(new[w.source], w.arrows, new[w.target]),
-                lambda w: w.source in new,
-            )
-            sub.component_of = (self, tuple(new))
-            out.append(sub)
-        return tuple(out)
+        return tuple(_Component(self, comp) for comp in connected_components(self.quiver))
+
+
+_ASSEMBLED = ("basis", "layers", "loewy_length", "act", "normal")
+
+
+class _Component(AlgebraData):
+    """A connected component of A on the given vertex ids, with the fields of ``_ASSEMBLED`` sliced from A on first read."""
+
+    def __init__(self, whole: AlgebraData, vertices: list[str]):
+        self.presentation = restrict_presentation(whole.presentation, vertices)
+        self.connected = True
+        self._cache = {}
+        self.component_of = (whole, tuple(whole.quiver.index(v) for v in vertices))
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute not set yet
+        if name not in _ASSEMBLED:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        whole, at = self.component_of
+        new = {v: k for k, v in enumerate(at, start=1)}
+        built = whole._relabelled(
+            self.presentation,
+            lambda w: Path(new[w.source], w.arrows, new[w.target]),
+            lambda w: w.source in new,
+        )
+        for assembled in _ASSEMBLED:
+            setattr(self, assembled, getattr(built, assembled))
+        return getattr(self, name)
+
+    def __eq__(self, other) -> bool:
+        # as AlgebraData's own, but also equal to an AlgebraData of the same fields
+        if not isinstance(other, AlgebraData):
+            return NotImplemented
+        return all(getattr(self, f.name) == getattr(other, f.name) for f in fields(AlgebraData) if f.compare)
 
 
 ParallelClass = tuple[int, int]
@@ -518,26 +543,28 @@ def unsatisfied_relation(alg: AlgebraData) -> list[tuple[int | Fraction, Path]] 
     Each relation sum c * w is applied through ``act`` to every basis path b
     ending at its source; sum c * (b followed by w) must vanish.  This reads
     only the basis and ``act``, so it tests a derived algebra (A^op) against
-    its own presentation.
+    its own presentation.  The sums are exact, ints over F_p and Fractions
+    over Q, and each entry of a sum is reduced mod p once, at the end.
     """
-    fld = alg.field
+    p = alg.field.p
+    ending: dict[int, list[int]] = {}
+    for k, b in enumerate(alg.basis):
+        ending.setdefault(b.target, []).append(k)
     for terms in _canonical_relations(alg.presentation):
-        src = terms[0][1].source
-        for k, b in enumerate(alg.basis):
-            if b.target != src:
-                continue
+        for k in ending.get(terms[0][1].source, ()):
             total: dict[int, int | Fraction] = {}
             for coeff, path in terms:
                 vec = {k: coeff}
                 for name in path.arrows:
+                    acts = alg.act[name]
                     nxt: dict[int, int | Fraction] = {}
                     for idx, c in vec.items():
-                        for j, x in alg.act[name].get(idx, ()):
-                            nxt[j] = fld.coerce(nxt.get(j, 0) + c * x)
+                        for j, x in acts.get(idx, ()):
+                            nxt[j] = nxt.get(j, 0) + c * x
                     vec = nxt
                 for j, c in vec.items():
-                    total[j] = fld.coerce(total.get(j, 0) + c)
-            if any(total.values()):
+                    total[j] = total.get(j, 0) + c
+            if any(c % p if p else c for c in total.values()):
                 return terms
     return None
 

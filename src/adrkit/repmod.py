@@ -33,6 +33,12 @@ leading block of level l, so one pass serves every level.
   arrows.  Both read these sparse maps from a memo of their own
   (:func:`_pass_arrows`), not from the Hom route's, and share only
   ``exactlin``.
+- Arrow maps are stored as sparse rows (``Matrix.sparse_rows``), and no
+  reader builds a dense array.  ``projective`` writes its rows straight
+  from ``act``, which holds no zero coefficient, and ``injective``
+  transposes them.  The functional pass multiplies by the rows as they are,
+  the radical pass by their transposes; the Hom route derives its sparse
+  columns and negated rows from the same rows, in memos of its own.
 - A module made from another one runs no pass of its own: it reads its
   ``source``'s (:func:`_tagged_pass`).  Q_i = D(P^op_i) reads the functional
   pass of P^op_i, which is its radical pass step for step, since Q_i's maps
@@ -61,12 +67,14 @@ reference the tests compare the read-offs against.
 
 Memos.  For j >= LL(M), M/rad^j M = M and soc_j M = M, so ``truncate`` and
 ``socle_sub`` return the module itself there.  They and ``socle_series``
-are memoized on their module, and so are the tagged pass, the level series
-and the invariance check, which a module with a ``source`` reads off its
-source.  No Hom code reads a ``source``.  The Hom route memoizes on each
-module its support, its coordinates in degree order, the widths of its
-levels and the sparse columns and negated sparse rows of its arrow maps.
-No Hom system or its pivots is memoized.
+are memoized on their module, and so are the tagged pass, the level series,
+the invariance check and the rigidity verdict.  A module with a ``source``
+reads the first three off its source, and the verdict too when it reads the
+source at every vertex (Q_i takes P^op_i's).  No Hom code reads a
+``source``.  The Hom route memoizes on each module its support, its
+coordinates in degree order, the widths of its levels and the sparse
+columns and negated sparse rows of its arrow maps.  No Hom system or its
+pivots is memoized.
 
 Hom tables.  ``hom_dims_between_levels`` reads a whole block of levels off
 one intertwiner system per pair of graded modules.  For radically graded m
@@ -89,15 +97,14 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from operator import gt, mul, sub
-
-import numpy as np
+from typing import Sequence
 
 from .exactlin import (
     FieldSpec,
     Matrix,
     RrefResult,
     _sparse_rank,
-    _sparse_rows,
+    _sparse_transpose,
     _tag_order_basis,
     kernel_basis,
     reduce_mod_row_space,
@@ -276,21 +283,18 @@ def projective(alg: AlgebraData, i: int) -> Representation:
     by_vertex: list[list[int]] = [[] for _ in range(alg.n)]
     for k in idxs:
         by_vertex[alg.basis[k].target - 1].append(k)
-    pos = {
-        k: (alg.basis[k].target, slot)
-        for v in range(alg.n)
-        for slot, k in enumerate(by_vertex[v])
-    }
+    pos = {k: slot for ks in by_vertex for slot, k in enumerate(ks)}
     dims = tuple(len(by_vertex[v]) for v in range(alg.n))
     maps = {}
     for a in alg.quiver.arrows:
         u, v = alg.quiver.arrow_endpoints(a.name)
-        arr = alg.field.zeros((dims[v - 1], dims[u - 1]))
+        rows: list[dict] = [{} for _ in range(dims[v - 1])]
         for col, k in enumerate(by_vertex[u - 1]):
             for idx, coeff in alg.act[a.name].get(k, ()):
-                _, row = pos[idx]
-                arr[row, col] = coeff
-        maps[a.name] = Matrix(alg.field, arr)
+                rows[pos[idx]][col] = coeff
+        # act holds no zero coefficient, and a stored zero would break _check_invariant
+        assert all(all(row.values()) for row in rows), f"a zero coefficient in act[{a.name!r}]"
+        maps[a.name] = Matrix.from_sparse(alg.field, rows, dims[u - 1])
     degrees = tuple(tuple(alg.basis[k].length for k in ks) for ks in by_vertex)
     return Representation(alg, dims, maps, radical_degrees=degrees)
 
@@ -338,10 +342,10 @@ def _check_invariant(m: Representation) -> None:
     degrees = m.radical_degrees if radical else m.socle_degrees
     for a in m.algebra.quiver.arrows:
         u, v = m.algebra.quiver.arrow_endpoints(a.name)
-        r, k = m.arrow_maps[a.name].array().nonzero()
-        rise = np.asarray(degrees[v - 1], dtype=np.int64)[r] - np.asarray(degrees[u - 1], dtype=np.int64)[k]
-        if (rise < 0 if radical else rise > 0).any():
-            raise ValueError("subspaces are not arrow-invariant")
+        source_degrees = degrees[u - 1]
+        for d, row in zip(degrees[v - 1], m.arrow_maps[a.name].sparse_rows()):
+            if any(d < source_degrees[k] if radical else d > source_degrees[k] for k in row):
+                raise ValueError("subspaces are not arrow-invariant")
 
 
 def _leading_block(m: Representation, l: int) -> Representation:
@@ -356,7 +360,9 @@ def _leading_block(m: Representation, l: int) -> Representation:
     maps = {}
     for a in m.algebra.quiver.arrows:
         u, v = m.algebra.quiver.arrow_endpoints(a.name)
-        maps[a.name] = Matrix(m.field, m.arrow_maps[a.name].array()[: keep[v - 1], : keep[u - 1]])
+        width = keep[u - 1]
+        rows = [{k: x for k, x in row.items() if k < width} for row in m.arrow_maps[a.name].sparse_rows()[: keep[v - 1]]]
+        maps[a.name] = Matrix.from_sparse(m.field, rows, width)
     kept = tuple(d[:c] for d, c in zip(degrees, keep))
     if radical:
         return Representation(m.algebra, keep, maps, radical_degrees=kept)
@@ -391,23 +397,18 @@ def _socle_subspaces(m: Representation) -> Subspaces:
 def _radical_step(m: Representation, spaces: Subspaces) -> Subspaces:
     """rad(S) for a submodule S: sums of arrow images of S."""
     alg = m.algebra
-    rows_per_vertex: list[list[np.ndarray]] = [[] for _ in range(alg.n)]
+    images: list[Matrix | None] = [None] * alg.n
     for a in alg.quiver.arrows:
         u, v = alg.quiver.arrow_endpoints(a.name)
         src = spaces[u - 1]
         if src.rank == 0:
             continue
         image = src.reduced.matmul(m.arrow_maps[a.name].transpose())
-        rows_per_vertex[v - 1].append(image.array())
-    out = []
-    for v in range(alg.n):
-        d = m.dims[v]
-        if not rows_per_vertex[v]:
-            out.append(_zero_space(m.field, d))
-            continue
-        stacked = np.vstack(rows_per_vertex[v])
-        out.append(row_space_basis(Matrix(m.field, stacked)))
-    return tuple(out)
+        images[v - 1] = image if images[v - 1] is None else images[v - 1].stack(image)
+    return tuple(
+        _zero_space(m.field, d) if image is None else row_space_basis(image)
+        for d, image in zip(m.dims, images)
+    )
 
 
 @memoized
@@ -463,8 +464,8 @@ def socle_chain(m: Representation) -> tuple[Subspaces, ...]:
             for r in range(soc_q[v].rank):
                 for t, c in enumerate(npcols[v]):
                     lifted[r, c] = soc_q[v].reduced[r, t]
-            joined = np.vstack([lifted, cur[v].reduced.array()])
-            new_spaces.append(row_space_basis(Matrix(m.field, joined)))
+            joined = Matrix(m.field, lifted).stack(cur[v].reduced)
+            new_spaces.append(row_space_basis(joined))
         if sum(s.rank for s in new_spaces) <= sum(s.rank for s in cur):
             raise RuntimeError("socle did not grow; representation is invalid")
         chain.append(tuple(new_spaces))
@@ -484,7 +485,7 @@ TaggedStep = tuple[tuple[list[dict], tuple[int, ...]], ...]
 
 
 @memoized
-def _pass_arrows(m: Representation) -> list[list[tuple[int, list[dict]]]]:
+def _pass_arrows(m: Representation) -> list[list[tuple[int, Sequence[dict]]]]:
     """Per vertex v, the pairs (t, maps) that a step of m's tagged pass multiplies by; t is 0-based.
 
     Under a radical grading these are the arrows a: v -> t, with the sparse
@@ -493,13 +494,16 @@ def _pass_arrows(m: Representation) -> list[list[tuple[int, list[dict]]]]:
     a vector x of M_t gives M_a x.  A vertex with no coordinates gets none.
     """
     radical = m.radical_degrees is not None
-    out: list[list[tuple[int, list[dict]]]] = [[] for _ in m.dims]
+    out: list[list[tuple[int, Sequence[dict]]]] = [[] for _ in m.dims]
     for a in m.algebra.quiver.arrows:
         u, v = m.algebra.quiver.arrow_endpoints(a.name)
-        arr = m.arrow_maps[a.name].array()
-        t, v, arr = (v, u, arr) if radical else (u, v, arr.T)
+        mat = m.arrow_maps[a.name]
+        if radical:
+            t, v, rows = v, u, mat.sparse_rows()
+        else:
+            t, v, rows = u, v, _sparse_transpose(mat.sparse_rows(), mat.cols)
         if m.dims[v - 1]:
-            out[v - 1].append((t - 1, _sparse_rows(arr)))
+            out[v - 1].append((t - 1, rows))
     return out
 
 
@@ -696,16 +700,36 @@ def is_rigid(m: Representation) -> bool:
     """True iff rad^j M = soc_{L-j} M for every j; m must be graded.
 
     m's memoized tagged pass (:func:`_tagged_pass`) is checked against the
-    grading: under a radical grading the functionals F_j, with common kernel
-    soc_j M, under a socle grading the radical chain rad^j M.  The c_v
-    coordinates of degree < L-j span the other side at vertex v, so step j
-    must have c_v rows (equal dimensions) and no entry from column c_v on
-    (containment, which holds in every module: its failure is a bug).
+    grading (:func:`_rigidity`): under a radical grading the functionals
+    F_j, with common kernel soc_j M, under a socle grading the radical chain
+    rad^j M.  The c_v coordinates of degree < L-j span the other side at
+    vertex v, so step j must have c_v rows (equal dimensions) and no entry
+    from column c_v on (containment, which holds in every module: its
+    failure is a bug, raised under m's own grading).
     """
     radical = m.radical_degrees is not None
-    degrees = m.radical_degrees if radical else m.socle_degrees
-    if degrees is None:
+    if not radical and m.socle_degrees is None:
         raise ValueError("is_rigid needs a graded module")
+    verdict = _rigidity(m)
+    if isinstance(verdict, bool):
+        return verdict
+    j, v = verdict
+    ll = loewy_length(m)
+    rad, soc = (ll - j, j) if radical else (j, ll - j)
+    raise RuntimeError(f"rad^{rad} not contained in soc_{soc} at vertex {v}")
+
+
+@memoized
+def _rigidity(m: Representation) -> bool | tuple[int, int]:
+    """:func:`is_rigid`'s verdict on a graded m, or (j, v) where step j of its pass leaves the block at vertex v.
+
+    A module whose ``source`` is read at every vertex has its source's pass
+    and degrees (the socle degrees of Q_i are the radical degrees of
+    P^op_i), so it takes its source's verdict.
+    """
+    if m.source is not None and _everywhere(*m.source):
+        return _rigidity(m.source[0])
+    degrees = m.radical_degrees if m.radical_degrees is not None else m.socle_degrees
     chain = _tagged_pass(m)
     ll = _grading_length(degrees)
     if len(chain) - 1 != ll:
@@ -715,8 +739,7 @@ def is_rigid(m: Representation) -> bool:
             if len(rows) != c:
                 return False
             if any(max(row) >= c for row in rows):
-                rad, soc = (ll - j, j) if radical else (j, ll - j)
-                raise RuntimeError(f"rad^{rad} not contained in soc_{soc} at vertex {v + 1}")
+                return j, v + 1
     return True
 
 
@@ -749,13 +772,15 @@ def _support(m: Representation) -> frozenset[int]:
 @memoized
 def _sparse_columns(m: Representation, arrow: str) -> list[dict]:
     """The nonzero entries of each column of M_a, as ``{row: entry}``."""
-    return _sparse_rows(m.arrow_maps[arrow].array().T)
+    mat = m.arrow_maps[arrow]
+    return _sparse_transpose(mat.sparse_rows(), mat.cols)
 
 
 @memoized
 def _negated_sparse_rows(m: Representation, arrow: str) -> list[dict]:
     """The nonzero entries of each row of -M_a, canonical, as ``{column: entry}``."""
-    return _sparse_rows(m.field.canonical(-m.arrow_maps[arrow].array()))
+    p = m.field.p
+    return [{c: -x % p if p else -x for c, x in row.items()} for row in m.arrow_maps[arrow].sparse_rows()]
 
 
 @memoized

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .adrcore import (
     LambdaLabel,
     _delta_class,
@@ -84,13 +82,12 @@ def _flip_mismatch(alg: AlgebraData) -> str | None:
     crd = cartan_ringel_dual(alg)
     csa = cartan_SA_formula(alg)
     flip = [csa._row_index[LambdaLabel(i, poset.l(i) - j + 1)] for i, j in poset.labels]
-    lhs = np.array(crd.entries)
-    rhs = np.array(csa.entries)[np.ix_(flip, flip)]
-    mismatch = np.argwhere(lhs != rhs)
-    if not mismatch.size:
-        return None
-    r, c = mismatch[0]
-    return f"at {tuple(poset.labels[r])},{tuple(poset.labels[c])}: {lhs[r, c]} != {rhs[r, c]}"
+    for r, row in enumerate(crd.entries):
+        flipped = csa.entries[flip[r]]
+        for c, x in enumerate(row):
+            if x != flipped[flip[c]]:
+                return f"at {tuple(poset.labels[r])},{tuple(poset.labels[c])}: {x} != {flipped[flip[c]]}"
+    return None
 
 
 def duality_failures(alg: AlgebraData) -> list[str]:
@@ -114,8 +111,8 @@ def duality_failures(alg: AlgebraData) -> list[str]:
         if {labels, mat.col_labels, dual.row_labels, dual.col_labels} != {labels}:
             out.append(f"{name}: the label sets differ")
             continue
-        bad = np.argwhere(np.array(mat.entries) != np.array(dual.entries).T)
-        if len(bad):
+        bad = [(r, c) for r, row in enumerate(mat.entries) for c, x in enumerate(row) if x != dual.entries[c][r]]
+        if bad:
             r, c = bad[0]
             out.append(f"{name}: not transposed at {tuple(labels[r])},{tuple(labels[c])}")
     return out

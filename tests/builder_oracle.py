@@ -10,6 +10,11 @@ membership of every length-cap path off the RREF, one unit row per path.  Both r
 an ``AlgebraData`` through ``presentation._assemble``, so their ``basis``,
 ``layers``, ``normal`` and ``act`` can be compared, and both raise
 ``CapTooSmallError`` with the same message.
+
+:func:`dense_projective_maps` and :func:`dense_injective_maps` write the
+arrow maps of P_i and Q_i into dense arrays, entry by entry from ``act``,
+and read them through ``Matrix(field, array)``: the reference for the
+sparse rows that ``repmod.projective`` and ``repmod.injective`` store.
 """
 
 from fractions import Fraction
@@ -130,3 +135,29 @@ def dense_build_algebra(p: AlgebraPresentation) -> AlgebraData:
                 (group[c], fld.coerce(-row[c])) for c in np.flatnonzero(row != 0) if c != pc
             )
     return _assemble(p, [path for path in low_paths if path not in normal], normal)
+
+
+def dense_projective_maps(alg: AlgebraData, i: int) -> dict[str, Matrix]:
+    """The arrow maps of P_i: column k of M_a is a * (basis path k with source i), in basis order per vertex."""
+    by_vertex: list[list[int]] = [[] for _ in range(alg.n)]
+    for k, path in enumerate(alg.basis):
+        if path.source == i:
+            by_vertex[path.target - 1].append(k)
+    slot = {k: r for ks in by_vertex for r, k in enumerate(ks)}
+    maps = {}
+    for a in alg.quiver.arrows:
+        u, v = alg.quiver.arrow_endpoints(a.name)
+        arr = alg.field.zeros((len(by_vertex[v - 1]), len(by_vertex[u - 1])))
+        for col, k in enumerate(by_vertex[u - 1]):
+            for idx, coeff in alg.act[a.name].get(k, ()):
+                arr[slot[idx], col] = coeff
+        maps[a.name] = Matrix(alg.field, arr)
+    return maps
+
+
+def dense_injective_maps(alg: AlgebraData, i: int) -> dict[str, Matrix]:
+    """The arrow maps of Q_i = D(P^op_i): the transposed arrays of P^op_i's maps."""
+    return {
+        name: Matrix(alg.field, mat.array().T.copy())
+        for name, mat in dense_projective_maps(alg.opposite(), i).items()
+    }

@@ -216,10 +216,10 @@ def test_rigidity_containment_failure_is_an_error_under_each_grading(monkeypatch
     # the module's tagged pass (repmod._tagged_pass): the functionals F_j
     # under a radical grading, the radical chain under a socle one.  Q_1
     # runs no pass of its own: it reads the functional pass of P^op_1, which
-    # is its radical chain.  A step with the right number of rows but an
-    # entry outside the degree < L-j block breaks rad <= soc, which holds in
-    # every module: that is a bug, raised, not a verdict of non-rigidity, and
-    # named under the module's own grading
+    # is its radical chain, and so takes P^op_1's verdict.  A step with the
+    # right number of rows but an entry outside the degree < L-j block breaks
+    # rad <= soc, which holds in every module: that is a bug, raised, not a
+    # verdict of non-rigidity, and named under the module's own grading
     alg = get_entry("nakayama-1-3").build()
     stray = [{0: 1}, {2: 1}]
     p = projective(alg, 1)
@@ -231,14 +231,23 @@ def test_rigidity_containment_failure_is_an_error_under_each_grading(monkeypatch
     assert [len(s[0][0]) for s in chain] == [3, 2, 1, 0] and is_rigid(q)
     assert (repmod._radical_pass.__qualname__,) not in q._cache
 
+    # the verdicts of p and q are memoized, so the stray rows go into fresh
+    # copies: p's, q's with a pass of its own, and q's reading the fresh p's
+    # pass (whose verdict it takes, worded under q's grading)
+    fresh_p = Representation(alg, p.dims, p.arrow_maps, radical_degrees=p.radical_degrees)
+    own_q = Representation(alg, q.dims, q.arrow_maps, socle_degrees=q.socle_degrees)
+    linked_q = Representation(
+        alg, q.dims, q.arrow_maps, socle_degrees=q.socle_degrees, source=(fresh_p, (1,))
+    )
     functionals[1] = ((stray, functionals[1][0][1]),)
     chain[1] = ((stray, chain[1][0][1]),)
-    passes = {id(p): tuple(functionals), id(q): tuple(chain)}
+    passes = {id(fresh_p): tuple(functionals), id(own_q): tuple(chain)}
     monkeypatch.setattr(repmod, "_tagged_pass", lambda m: passes[id(m)])
     with pytest.raises(RuntimeError, match=r"rad\^2 not contained in soc_1 at vertex 1"):
-        is_rigid(p)
-    with pytest.raises(RuntimeError, match=r"rad\^1 not contained in soc_2 at vertex 1"):
-        is_rigid(q)
+        is_rigid(fresh_p)
+    for m in (own_q, linked_q):
+        with pytest.raises(RuntimeError, match=r"rad\^1 not contained in soc_2 at vertex 1"):
+            is_rigid(m)
 
 
 def _duality_algebras():

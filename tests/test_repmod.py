@@ -837,8 +837,8 @@ def test_hom_reads_each_modules_arrow_data_once(monkeypatch):
     alg = get_entry("preproj-a-3").build()
     modules = [f(alg, i) for i in range(1, alg.n + 1) for f in (projective, injective)]
     calls = []
-    real = repmod._sparse_rows
-    monkeypatch.setattr(repmod, "_sparse_rows", lambda a: calls.append(a.shape) or real(a))
+    real = Matrix.sparse_rows
+    monkeypatch.setattr(Matrix, "sparse_rows", lambda mat: calls.append(mat.shape) or real(mat))
     dims = [[hom_dim(m, n) for n in modules] for m in modules]
     # read once per pair, the 36 pairs would read up to 2 * 36 * 4 arrays
     assert len(calls) <= 2 * len(modules) * len(alg.quiver.arrows)
