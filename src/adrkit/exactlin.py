@@ -4,9 +4,8 @@ Every rank / kernel / reduction computation in the package goes through this
 module.  A :class:`Matrix` stores the nonzero entries of each row as a
 ``{column: entry}`` dict: Python ints in [0, p) over F_p, and
 ``fractions.Fraction`` over Q (which normalise themselves to lowest terms
-with positive denominator).  Its dense numpy array (int64 over F_p, object
-over Q) is built only when asked for, and cached.  No floating point
-anywhere.
+with positive denominator).  No floating point anywhere, and no dense array:
+the module, like the package, runs on the standard library alone.
 
 There is one elimination, :class:`_SparseEchelon`: a forward loop on rows
 given as ``{column: coefficient}`` dicts, with Python ints mod p or, over Q,
@@ -21,14 +20,11 @@ asks ``add`` whether a unit row lies in their span.  Over Q an RREF row is
 divided by its lead before it leaves, so results stay Fractions.
 
 :class:`FieldSpec` is the only place that knows how the two kinds of field
-differ.  Array code asks it for ``dtype``, ``one``, ``zeros(shape)`` (a
-writable array of canonical zeros) and ``canonical(a)`` (reduce mod p, or
-turn a non-object array into Fractions), and for ``coerce`` and ``inv`` on
-scalars.  Code outside it never branches on the field kind, except the hot
-scalar loops of :class:`_SparseEchelon` (the one-entry shortcut of
-``extend``; reading, reducing and normalising a row in ``_reduced``;
-back-substitution in ``rref_rows``) and the overflow chunking of
-:func:`_matmul_array`, which read ``field.p`` (None over Q).
+differ: code asks it for ``one``, and for ``coerce`` and ``inv`` on scalars.
+Code outside it never branches on the field kind, except the hot scalar
+loops of :class:`_SparseEchelon` (the one-entry shortcut of ``extend``;
+reading, reducing and normalising a row in ``_reduced``; back-substitution
+in ``rref_rows``), which read ``field.p`` (None over Q).
 """
 
 from __future__ import annotations
@@ -37,9 +33,8 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from numbers import Rational
 from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
-
-import numpy as np
 
 
 class DimensionMismatchError(ValueError):
@@ -57,9 +52,6 @@ def _is_prime(n: int) -> bool:
             return False
         d += 2
     return True
-
-
-_to_fraction = np.frompyfunc(Fraction, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -90,63 +82,31 @@ class FieldSpec:
         return cls("rational")
 
     @property
-    def dtype(self) -> np.dtype:
-        """Storage dtype of arrays over this field: int64 over F_p, object over Q."""
-        return np.dtype(np.int64 if self.kind == "prime" else object)
-
-    @property
     def one(self) -> int | Fraction:
         return 1 if self.kind == "prime" else Fraction(1)
-
-    def zeros(self, shape) -> np.ndarray:
-        """A writable array of canonical zeros."""
-        if self.kind == "prime":
-            return np.zeros(shape, dtype=np.int64)
-        a = np.empty(shape, dtype=object)
-        a[...] = Fraction(0)
-        return a
-
-    def canonical(self, a) -> np.ndarray:
-        """``a`` with canonical entries: reduced into [0, p) over F_p.
-
-        Over Q a non-object array becomes an array of Fractions; an object
-        array is returned unchanged, since exact arithmetic keeps it exact.
-        Over F_p each entry of an object array is read by :meth:`coerce`.
-        A float or complex array is refused, and so is an object array with
-        an entry that is not exact (:func:`_require_exact`).
-        """
-        a = np.asarray(a)
-        if a.dtype.kind in "fc":
-            raise TypeError(f"exact entries needed, got a {a.dtype} array")
-        if a.dtype == object:
-            _require_exact(a.flat)
-            if self.kind == "prime":
-                a = np.array([self.coerce(x) for x in a.flat], dtype=np.int64).reshape(a.shape)
-        if self.kind == "prime":
-            return np.asarray(a, dtype=np.int64) % self.p
-        if a.dtype == object:
-            return a
-        return _to_fraction(a.astype(object))
 
     def coerce(self, x) -> int | Fraction:
         """Canonical representative of ``x`` in this field.
 
-        Accepts ints and Fractions, not floats.  Over F_p a fraction a/b
-        becomes a * b^{-1} mod p; a non-invertible denominator is an error.
+        Accepts exact rationals only (``numbers.Rational``: ints, Fractions,
+        numpy integers), read by their ``numerator`` and ``denominator`` as
+        Python ints; anything else, a float of any width, a Decimal or a
+        complex, is a TypeError.  Over F_p a fraction a/b becomes
+        a * b^{-1} mod p; a non-invertible denominator is an error.
         """
-        if isinstance(x, (float, np.floating)):
-            raise TypeError(f"exact scalar needed, got float {x!r}")
-        if self.kind == "prime":
-            p = self.p
-            if isinstance(x, Fraction):
-                den = x.denominator % p
-                if den == 0:
-                    raise ZeroDivisionError(f"denominator of {x} vanishes mod {p}")
-                return (x.numerator % p) * pow(den, p - 2, p) % p
-            return int(x) % p
-        if isinstance(x, Fraction):
+        p = self.p
+        if type(x) is int:
+            return x % p if p else Fraction(x)
+        if type(x) is not Fraction:
+            if not isinstance(x, Rational):
+                raise TypeError(f"exact rational entry needed, got {x!r} of type {type(x).__name__}")
+            x = Fraction(int(x.numerator), int(x.denominator))
+        if not p:
             return x
-        return Fraction(x)
+        den = x.denominator % p
+        if den == 0:
+            raise ZeroDivisionError(f"denominator of {x} vanishes mod {p}")
+        return (x.numerator % p) * pow(den, p - 2, p) % p
 
     def inv(self, x) -> int | Fraction:
         if self.kind == "prime":
@@ -169,28 +129,34 @@ class Matrix:
     Row r holds the nonzero canonical entries of row r as ``{column:
     entry}`` (:meth:`sparse_rows`, read-only by convention): Python ints in
     [0, p) over F_p, Fractions over Q.  Equality and hashing read the rows
-    alone.  :meth:`array` builds the dense numpy array on first use and
-    caches it; storing, comparing, transposing, stacking and reading rows
-    build none.  ``Matrix(field, data)`` reads a 2-dimensional array and
-    validates it (:meth:`FieldSpec.canonical`); :meth:`from_sparse` takes
-    rows as they are.
+    alone.  ``Matrix(field, data)`` reads a 2-dimensional sequence of rows,
+    at least one (nested lists, or an array that iterates as rows of
+    entries), each entry by :meth:`FieldSpec.coerce`: ragged or
+    non-2-dimensional data is a ValueError, an inexact entry a TypeError.
+    :meth:`from_sparse` takes rows as they are.
     """
 
-    __slots__ = ("field", "_rows", "_shape", "_a")
+    __slots__ = ("field", "_rows", "_shape")
 
-    def __init__(self, field: FieldSpec, data: np.ndarray):
-        a = np.asarray(data)
-        if a.ndim != 2:
-            raise ValueError(f"matrix data must be 2-dimensional, got shape {a.shape}")
-        a = field.canonical(a)
-        a.setflags(write=False)
-        self._store(field, tuple({c: x for c, x in enumerate(row) if x} for row in a.tolist()), a.shape, a)
+    def __init__(self, field: FieldSpec, data: Sequence[Sequence]):
+        try:
+            rows = [list(row) for row in data]
+        except TypeError:
+            raise ValueError(f"matrix data must be 2-dimensional, got {data!r}") from None
+        if not rows or any(len(row) != len(rows[0]) for row in rows):
+            raise ValueError("matrix data needs rows, at least one, all of one width (ragged rows)")
+        try:
+            sparse = tuple({c: v for c, x in enumerate(row) if (v := field.coerce(x))} for row in rows)
+        except TypeError:
+            if any(isinstance(x, Iterable) for row in rows for x in row):
+                raise ValueError("matrix data must be 2-dimensional, got an entry that is a sequence") from None
+            raise
+        self._store(field, sparse, (len(rows), len(rows[0])))
 
-    def _store(self, field: FieldSpec, rows: tuple[dict, ...], shape: tuple[int, int], a) -> None:
+    def _store(self, field: FieldSpec, rows: tuple[dict, ...], shape: tuple[int, int]) -> None:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_shape", shape)
-        object.__setattr__(self, "_a", a)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -199,22 +165,18 @@ class Matrix:
     def from_sparse(cls, field: FieldSpec, rows: Sequence[dict], cols: int) -> "Matrix":
         """The matrix whose row r is ``rows[r]``, nonzero canonical entries as ``{column: entry}``, kept as they are."""
         m = object.__new__(cls)
-        m._store(field, tuple(rows), (len(rows), cols), None)
+        m._store(field, tuple(rows), (len(rows), cols))
         return m
 
     @classmethod
     def from_rows(cls, field: FieldSpec, rows: Sequence[Sequence], cols: int | None = None) -> "Matrix":
-        rows = [list(r) for r in rows]
-        if not rows:
-            if cols is None:
-                raise ValueError("empty row list needs an explicit column count")
-            return cls.zeros(field, 0, cols)
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise ValueError("ragged rows")
-        return cls.from_sparse(
-            field, [{c: v for c, x in enumerate(r) if (v := field.coerce(x))} for r in rows], width
-        )
+        """``Matrix(field, rows)``; with no rows, the 0 x ``cols`` matrix."""
+        rows = list(rows)
+        if rows:
+            return cls(field, rows)
+        if cols is None:
+            raise ValueError("empty row list needs an explicit column count")
+        return cls.zeros(field, 0, cols)
 
     @classmethod
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "Matrix":
@@ -244,17 +206,6 @@ class Matrix:
     def sparse_rows(self) -> tuple[dict, ...]:
         """The rows, each ``{column: entry}`` of its nonzero entries; do not modify them."""
         return self._rows
-
-    def array(self) -> np.ndarray:
-        """Read-only dense array of the entries, built on the first call and cached."""
-        if self._a is None:
-            a = self.field.zeros(self._shape)
-            for r, row in enumerate(self._rows):
-                for c, x in row.items():
-                    a[r, c] = x
-            a.setflags(write=False)
-            object.__setattr__(self, "_a", a)
-        return self._a
 
     def row(self, r: int) -> tuple:
         row, zero = self._rows[r], self.field.coerce(0)
@@ -298,7 +249,15 @@ class Matrix:
             raise DimensionMismatchError(
                 f"inner dimensions differ: {self.cols} vs {other.rows}"
             )
-        return Matrix(self.field, _matmul_array(self.array(), other.array(), self.field))
+        coerce, right = self.field.coerce, other._rows
+        out = []
+        for row in self._rows:
+            acc: dict = {}
+            for k, x in row.items():
+                for c, y in right[k].items():
+                    acc[c] = acc.get(c, 0) + x * y
+            out.append({c: v for c, x in acc.items() if (v := coerce(x))})
+        return Matrix.from_sparse(self.field, out, other.cols)
 
 
 def _sparse_transpose(rows: Sequence[Mapping], cols: int) -> list[dict]:
@@ -308,21 +267,6 @@ def _sparse_transpose(rows: Sequence[Mapping], cols: int) -> list[dict]:
         for c, x in row.items():
             out[c][r] = x
     return out
-
-
-def _matmul_array(a: np.ndarray, b: np.ndarray, field: FieldSpec) -> np.ndarray:
-    """Canonical product of two canonical arrays of matching inner dimension."""
-    p, k = field.p, a.shape[1]
-    if k == 0:
-        return field.zeros((a.shape[0], b.shape[1]))
-    # over F_p int64 products are < 2^62; chunk the accumulation so sums never overflow
-    chunk = max(1, 2**62 // (p - 1) ** 2) if p else k
-    if k <= chunk:
-        return field.canonical(a @ b)
-    acc = field.zeros((a.shape[0], b.shape[1]))
-    for start in range(0, k, chunk):
-        acc = field.canonical(acc + a[:, start : start + chunk] @ b[start : start + chunk, :])
-    return acc
 
 
 class RrefResult(NamedTuple):
@@ -576,17 +520,4 @@ def kernel_basis(m: Matrix) -> Matrix:
                 row[pc] = field.coerce(-red_row[c])
         out.append(row)
     return Matrix.from_sparse(field, out, m.cols)
-
-
-def reduce_mod_row_space(basis: RrefResult, v: np.ndarray) -> np.ndarray:
-    """Residual of row vector ``v`` after elimination against an RREF basis."""
-    a = basis.reduced.array()
-    field = basis.reduced.field
-    v = v.copy()
-    v.setflags(write=True)
-    for r, pc in enumerate(basis.pivot_cols):
-        coeff = v[pc]
-        if coeff != 0:
-            v = field.canonical(v - coeff * a[r])
-    return v
 

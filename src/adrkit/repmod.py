@@ -63,18 +63,18 @@ also refuse a grading whose leading blocks are not arrow-invariant
 ``loewy_length`` and ``hom_dim`` take any module; without a grading the
 first two use the general radical chain (``radical_chain``).  The general
 socle chain (``socle_chain``, with ``quotient_representation``) is the
-reference the tests compare the read-offs against.
+reference the tests compare the read-offs against.  The general chains run
+on the RREF rows of ``exactlin`` and sparse products, like everything else.
 
 Memos.  For j >= LL(M), M/rad^j M = M and soc_j M = M, so ``truncate`` and
 ``socle_sub`` return the module itself there.  They and ``socle_series``
 are memoized on their module, and so are the tagged pass, the level series,
 the invariance check and the rigidity verdict.  A module with a ``source``
-reads the first three off its source, and the verdict too when it reads the
-source at every vertex (Q_i takes P^op_i's).  No Hom code reads a
-``source``.  The Hom route memoizes on each module its support, its
-coordinates in degree order, the widths of its levels and the sparse
-columns and negated sparse rows of its arrow maps.  No Hom system or its
-pivots is memoized.
+reads all four off its source, at its own vertices (Q_i takes P^op_i's
+verdict, a component's P_i takes A's).  No Hom code reads a ``source``.
+The Hom route memoizes on each module its support, its coordinates in
+degree order, the widths of its levels and the sparse columns and negated
+sparse rows of its arrow maps.  No Hom system or its pivots is memoized.
 
 Hom tables.  ``hom_dims_between_levels`` reads a whole block of levels off
 one intertwiner system per pair of graded modules.  For radically graded m
@@ -107,7 +107,6 @@ from .exactlin import (
     _sparse_transpose,
     _tag_order_basis,
     kernel_basis,
-    reduce_mod_row_space,
     row_space_basis,
 )
 from .memo import memoized
@@ -428,43 +427,59 @@ def _nonpivot_cols(space: RrefResult, dim: int) -> list[int]:
     return [c for c in range(dim) if c not in piv]
 
 
+def _residual(space: RrefResult, vec: dict) -> dict:
+    """The ``{coordinate: entry}`` vector ``vec`` minus vec[pivot_r] times RREF row r of ``space`` for every r.
+
+    Row r is 1 at its own pivot column and 0 at the others, so the residual
+    is zero at every pivot column.
+    """
+    acc = dict(vec)
+    for pc, row in zip(space.pivot_cols, space.reduced.sparse_rows()):
+        x = vec.get(pc)
+        if x:
+            for c, y in row.items():
+                acc[c] = acc.get(c, 0) - x * y
+    coerce = space.reduced.field.coerce
+    return {c: v for c, x in acc.items() if (v := coerce(x))}
+
+
 def quotient_representation(m: Representation, spaces: Subspaces) -> Representation:
-    """Quotient by an invariant subspace, coordinates at non-pivot columns."""
+    """Quotient by an invariant subspace, coordinates at non-pivot columns: the residuals of the maps' columns there."""
     alg = m.algebra
     npcols = [_nonpivot_cols(spaces[v], m.dims[v]) for v in range(alg.n)]
     dims = tuple(len(cols) for cols in npcols)
     maps = {}
     for a in alg.quiver.arrows:
         u, v = alg.quiver.arrow_endpoints(a.name)
-        arr = m.field.zeros((dims[v - 1], dims[u - 1]))
-        m_a = m.arrow_maps[a.name].array()
+        mat = m.arrow_maps[a.name]
+        columns = _sparse_transpose(mat.sparse_rows(), mat.cols)
+        slot = {c: t for t, c in enumerate(npcols[v - 1])}
+        rows: list[dict] = [{} for _ in npcols[v - 1]]
         for s, c in enumerate(npcols[u - 1]):
-            if m.dims[v - 1] == 0:
-                continue
-            image = m_a[:, c]
-            residual = reduce_mod_row_space(spaces[v - 1], image.copy())
-            arr[:, s] = residual[npcols[v - 1]]
-        maps[a.name] = Matrix(m.field, arr)
+            for t, x in _residual(spaces[v - 1], columns[c]).items():
+                rows[slot[t]][s] = x
+        maps[a.name] = Matrix.from_sparse(m.field, rows, dims[u - 1])
     return Representation(alg, dims, maps)
 
 
 @memoized
 def socle_chain(m: Representation) -> tuple[Subspaces, ...]:
-    """(0 = soc_0 M, soc_1 M, ..., soc_K M = M) as echelonized subspaces."""
+    """(0 = soc_0 M, soc_1 M, ..., soc_K M = M) as echelonized subspaces.
+
+    soc_{j+1} M is soc_j M plus the socle rows of M/soc_j M, lifted from its
+    coordinates to the non-pivot columns of soc_j M.
+    """
     chain = [tuple(_zero_space(m.field, d) for d in m.dims)]
     total = m.total_dim()
     while sum(s.rank for s in chain[-1]) < total:
         cur = chain[-1]
-        q = quotient_representation(m, cur)
-        npcols = [_nonpivot_cols(cur[v], m.dims[v]) for v in range(m.algebra.n)]
-        soc_q = _socle_subspaces(q)
+        soc_q = _socle_subspaces(quotient_representation(m, cur))
         new_spaces = []
         for v in range(m.algebra.n):
-            lifted = m.field.zeros((soc_q[v].rank, m.dims[v]))
-            for r in range(soc_q[v].rank):
-                for t, c in enumerate(npcols[v]):
-                    lifted[r, c] = soc_q[v].reduced[r, t]
-            joined = Matrix(m.field, lifted).stack(cur[v].reduced)
+            npcols = _nonpivot_cols(cur[v], m.dims[v])
+            socle_rows = soc_q[v].reduced.sparse_rows()[: soc_q[v].rank]
+            lifted = [{npcols[t]: x for t, x in row.items()} for row in socle_rows]
+            joined = Matrix.from_sparse(m.field, lifted, m.dims[v]).stack(cur[v].reduced)
             new_spaces.append(row_space_basis(joined))
         if sum(s.rank for s in new_spaces) <= sum(s.rank for s in cur):
             raise RuntimeError("socle did not grow; representation is invalid")
@@ -723,12 +738,16 @@ def is_rigid(m: Representation) -> bool:
 def _rigidity(m: Representation) -> bool | tuple[int, int]:
     """:func:`is_rigid`'s verdict on a graded m, or (j, v) where step j of its pass leaves the block at vertex v.
 
-    A module whose ``source`` is read at every vertex has its source's pass
-    and degrees (the socle degrees of Q_i are the radical degrees of
-    P^op_i), so it takes its source's verdict.
+    A module with a ``source`` takes its source's verdict, with a failing
+    vertex renumbered through the ``at`` vertices: it reads its source's pass
+    there, the source is zero at every other vertex, and their degrees agree
+    (the socle degrees of Q_i are the radical degrees of P^op_i, and a cut
+    keeps its module's degrees).
     """
-    if m.source is not None and _everywhere(*m.source):
-        return _rigidity(m.source[0])
+    if m.source is not None:
+        src, at = m.source
+        verdict = _rigidity(src)
+        return verdict if isinstance(verdict, bool) else (verdict[0], at.index(verdict[1]) + 1)
     degrees = m.radical_degrees if m.radical_degrees is not None else m.socle_degrees
     chain = _tagged_pass(m)
     ll = _grading_length(degrees)

@@ -13,7 +13,7 @@ an ``AlgebraData`` through ``presentation._assemble``, so their ``basis``,
 
 :func:`dense_projective_maps` and :func:`dense_injective_maps` write the
 arrow maps of P_i and Q_i into dense arrays, entry by entry from ``act``,
-and read them through ``Matrix(field, array)``: the reference for the
+and read them through ``chain_oracle.matrix``: the reference for the
 sparse rows that ``repmod.projective`` and ``repmod.injective`` store.
 """
 
@@ -33,7 +33,7 @@ from adrkit.presentation import (
     _canonical_relations,
     enumerate_paths,
 )
-from chain_oracle import dense_rref
+from chain_oracle import dense, dense_rref, matrix, zeros
 
 
 def _parallel_classes(paths: list[Path]) -> tuple[dict[ParallelClass, list[Path]], dict[Path, int]]:
@@ -90,7 +90,7 @@ def _ideal_arrays(
                     rows.setdefault((pre.source, suf.target), []).append(vec)
     out: dict[ParallelClass, Matrix] = {}
     for cls, vecs in rows.items():
-        a = fld.zeros((len(vecs), len(classes[cls])))
+        a = zeros(fld, (len(vecs), len(classes[cls])))
         for r, vec in enumerate(vecs):
             for c, coeff in vec.items():
                 a[r, c] = coeff
@@ -115,7 +115,7 @@ def dense_build_algebra(p: AlgebraPresentation) -> AlgebraData:
     rows = {}
     for cls, m in _ideal_arrays(relations, flat, classes, local, p.cap, False, fld).items():
         block = dense_rref(m)
-        rows.update(((cls, c), row) for c, row in zip(block.pivot_cols, block.reduced.array()))
+        rows.update(((cls, c), row) for c, row in zip(block.pivot_cols, dense(block.reduced)))
     for path in graded[p.cap]:
         row = rows.get(((path.source, path.target), local[path]))
         if row is None or np.count_nonzero(row != 0) != 1:
@@ -130,7 +130,7 @@ def dense_build_algebra(p: AlgebraPresentation) -> AlgebraData:
     for cls, m in _ideal_arrays(relations, flat, low_classes, low_cols, p.cap - 1, True, fld).items():
         block = dense_rref(m)
         group = low_classes[cls]
-        for pc, row in zip(block.pivot_cols, block.reduced.array()):
+        for pc, row in zip(block.pivot_cols, dense(block.reduced)):
             normal[group[pc]] = tuple(
                 (group[c], fld.coerce(-row[c])) for c in np.flatnonzero(row != 0) if c != pc
             )
@@ -147,17 +147,17 @@ def dense_projective_maps(alg: AlgebraData, i: int) -> dict[str, Matrix]:
     maps = {}
     for a in alg.quiver.arrows:
         u, v = alg.quiver.arrow_endpoints(a.name)
-        arr = alg.field.zeros((len(by_vertex[v - 1]), len(by_vertex[u - 1])))
+        arr = zeros(alg.field, (len(by_vertex[v - 1]), len(by_vertex[u - 1])))
         for col, k in enumerate(by_vertex[u - 1]):
             for idx, coeff in alg.act[a.name].get(k, ()):
                 arr[slot[idx], col] = coeff
-        maps[a.name] = Matrix(alg.field, arr)
+        maps[a.name] = matrix(alg.field, arr)
     return maps
 
 
 def dense_injective_maps(alg: AlgebraData, i: int) -> dict[str, Matrix]:
     """The arrow maps of Q_i = D(P^op_i): the transposed arrays of P^op_i's maps."""
     return {
-        name: Matrix(alg.field, mat.array().T.copy())
+        name: matrix(alg.field, dense(mat).T)
         for name, mat in dense_projective_maps(alg.opposite(), i).items()
     }

@@ -10,7 +10,13 @@ the same module with its grading dropped (:func:`ungraded`).
 
 ``validate_representation`` checks that a module satisfies the relations of
 its algebra; ``in_row_space`` and ``coordinates_in_row_space`` read a vector
-against an RREF basis.
+against an RREF basis (``reduce_mod_row_space``).
+
+``exactlin.Matrix`` holds sparse rows only, and the package builds no array.
+The dense arrays of the oracles come from here: ``zeros`` (canonical zeros:
+int64 over F_p, Fractions in an object array over Q), ``canonical`` (entries
+reduced into the field), ``dense`` (a ``Matrix`` as such an array) and
+``matrix`` (an array as a ``Matrix``, with no rows too).
 
 ``dense_echelon`` is a dense pivot loop on numpy arrays, independent of the
 sparse elimination ``exactlin._SparseEchelon`` that every computation of the
@@ -25,7 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from adrkit.exactlin import FieldSpec, Matrix, RrefResult, reduce_mod_row_space
+from adrkit.exactlin import FieldSpec, Matrix, RrefResult
 from adrkit.presentation import _canonical_relations
 from adrkit.repmod import (
     Representation,
@@ -37,6 +43,57 @@ from adrkit.repmod import (
     radical_chain,
     socle_chain,
 )
+
+
+def zeros(field: FieldSpec, shape) -> np.ndarray:
+    """A writable array of canonical zeros: int64 over F_p, Fractions in an object array over Q."""
+    if field.p:
+        return np.zeros(shape, dtype=np.int64)
+    a = np.empty(shape, dtype=object)
+    a[...] = Fraction(0)
+    return a
+
+
+def canonical(field: FieldSpec, a) -> np.ndarray:
+    """``a`` with canonical entries, as :func:`zeros` holds them: reduced into [0, p) over F_p, Fractions over Q.
+
+    An object array is read entry by entry through ``FieldSpec.coerce``, and
+    so is any array over Q; a float or complex array is refused.
+    """
+    a = np.asarray(a)
+    if a.dtype.kind in "fc":
+        raise TypeError(f"exact entries needed, got a {a.dtype} array")
+    if field.p and a.dtype != object:
+        return np.asarray(a, dtype=np.int64) % field.p
+    out = zeros(field, a.shape)
+    out.flat[:] = [field.coerce(x) for x in a.flat]
+    return out
+
+
+def dense(m: Matrix) -> np.ndarray:
+    """The entries of ``m`` as a writable canonical array (:func:`zeros`)."""
+    a = zeros(m.field, m.shape)
+    for r, row in enumerate(m.sparse_rows()):
+        for c, x in row.items():
+            a[r, c] = x
+    return a
+
+
+def matrix(field: FieldSpec, a: np.ndarray) -> Matrix:
+    """The ``Matrix`` of a 2-dimensional array; ``Matrix(field, a)`` needs a row to read the width off."""
+    return Matrix.from_rows(field, a.tolist(), a.shape[1])
+
+
+def reduce_mod_row_space(basis: RrefResult, v: np.ndarray) -> np.ndarray:
+    """Residual of row vector ``v`` after elimination against an RREF basis."""
+    a = dense(basis.reduced)
+    field = basis.reduced.field
+    v = v.copy()
+    for r, pc in enumerate(basis.pivot_cols):
+        coeff = v[pc]
+        if coeff != 0:
+            v = canonical(field, v - coeff * a[r])
+    return v
 
 
 def in_row_space(basis: RrefResult, v: np.ndarray) -> bool:
@@ -111,7 +168,7 @@ def _divide_pivot_rows(field: FieldSpec, a: np.ndarray, pivots: Sequence[int]) -
         for k, c in enumerate(pivots):
             a[k] = a[k] * field.inv(a[k, c]) % field.p
         return a
-    out = field.zeros(a.shape)
+    out = zeros(field, a.shape)
     for k, c in enumerate(pivots):
         row, d = a[k].tolist(), a[k, c]
         quotient = {v: Fraction(v, d) for v in set(row)}  # one Fraction per distinct entry
@@ -161,8 +218,8 @@ def dense_echelon(a: np.ndarray, field: FieldSpec, reduced: bool) -> tuple[np.nd
 
 def dense_rref(m: Matrix) -> RrefResult:
     """Unique reduced row echelon form, with rank and pivot columns, by the dense pivot loop."""
-    a, pivots = dense_echelon(m.array(), m.field, True)
-    return RrefResult(Matrix(m.field, _divide_pivot_rows(m.field, a, pivots)), len(pivots), tuple(pivots))
+    a, pivots = dense_echelon(dense(m), m.field, True)
+    return RrefResult(matrix(m.field, _divide_pivot_rows(m.field, a, pivots)), len(pivots), tuple(pivots))
 
 
 def dense_tag_order_basis(rows: np.ndarray, tags: Sequence[int], field: FieldSpec) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -190,15 +247,15 @@ def sub_representation(m: Representation, spaces: Subspaces) -> Representation:
     for a in alg.quiver.arrows:
         u, v = alg.quiver.arrow_endpoints(a.name)
         src, tgt = spaces[u - 1], spaces[v - 1]
-        arr = m.field.zeros((dims[v - 1], dims[u - 1]))
+        arr = zeros(m.field, (dims[v - 1], dims[u - 1]))
         if src.rank and m.dims[v - 1]:
-            image = src.reduced.matmul(m.arrow_maps[a.name].transpose())
+            image = dense(src.reduced.matmul(m.arrow_maps[a.name].transpose()))
             for r in range(src.rank):
-                vec = image.array()[r]
+                vec = image[r]
                 if not in_row_space(tgt, vec):
                     raise ValueError("subspaces are not arrow-invariant")
                 arr[:, r] = coordinates_in_row_space(tgt, vec)
-        maps[a.name] = Matrix(m.field, arr)
+        maps[a.name] = matrix(m.field, arr)
     return Representation(alg, dims, maps)
 
 
@@ -250,10 +307,10 @@ def validate_representation(m: Representation) -> None:
     for terms in _canonical_relations(alg.presentation):
         src = terms[0][1].source
         tgt = terms[0][1].target
-        acc = fld.zeros((m.dims[tgt - 1], m.dims[src - 1]))
+        acc = zeros(fld, (m.dims[tgt - 1], m.dims[src - 1]))
         for coeff, path in terms:
             # each term is below p^2 < 2^62; reduce before the next one is added
-            acc = fld.canonical(acc + coeff * path_matrix(path.arrows, src).array())
+            acc = canonical(fld, acc + coeff * dense(path_matrix(path.arrows, src)))
         if acc.any():
             raise AssertionError(f"relation {terms} does not annihilate the module")
     if loewy_length(m) > alg.presentation.cap:

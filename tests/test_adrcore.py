@@ -33,6 +33,7 @@ from adrkit.exactlin import RATIONAL
 from adrkit.presentation import AlgebraPresentation, Arrow, Quiver, build_algebra
 from adrkit.repmod import SeriesProfile, injective, projective, simple, socle_sub, truncate
 from adrkit.theorems import check_theorem_b, ringel_selfdual_verdict
+from chain_oracle import dense
 
 
 @pytest.fixture(scope="module")
@@ -467,7 +468,7 @@ def test_each_module_gets_one_functional_pass(monkeypatch):
     passes = _spy_on_tagged_passes(monkeypatch)
 
     def module_key(name, m):
-        maps = tuple(tuple(map(tuple, m.arrow_maps[a.name].array().tolist()))
+        maps = tuple(tuple(map(tuple, dense(m.arrow_maps[a.name]).tolist()))
                      for a in m.algebra.quiver.arrows)
         return name, id(m.algebra), m.dims, maps
 

@@ -44,6 +44,7 @@ from adrkit.repmod import (
     socle_sub,
     truncate,
 )
+from test_theorems import _disjoint_union
 
 # the seeds whose sampler drew a relation path - longer path, as pinned in
 # tests/test_presentation.py (ORACLE_FUZZ_SEEDS)
@@ -71,7 +72,7 @@ def _assert_coordinate_chain(chain, degrees, radical: bool) -> None:
             cols = tuple(range(c, len(d)) if radical else range(c))
             assert space.pivot_cols == cols, (l, v + 1)
             unit_rows = [[int(x == y) for x in range(len(d))] for y in cols]
-            assert space.reduced.array().tolist() == unit_rows, (l, v + 1)
+            assert oracle.dense(space.reduced).tolist() == unit_rows, (l, v + 1)
 
 
 @pytest.mark.parametrize("pres", _oracle_cases())
@@ -248,6 +249,33 @@ def test_rigidity_containment_failure_is_an_error_under_each_grading(monkeypatch
     for m in (own_q, linked_q):
         with pytest.raises(RuntimeError, match=r"rad\^1 not contained in soc_2 at vertex 1"):
             is_rigid(m)
+
+    # a component's P_1 and Q_1 are A's P_2 and Q_2 cut to vertex 2 of A, and
+    # take their verdicts without a check of their own (the patched pass
+    # below has no entry for them), the failing vertex renumbered to 1
+    nakayama = get_entry("nakayama-1-3").presentation
+    whole = build_algebra(_disjoint_union(nakayama, nakayama))
+    comp = whole.components()[1]
+    assert comp.component_of == (whole, (2,))
+    for f, grading, message in (
+        (projective, "radical_degrees", r"rad\^2 not contained in soc_1 at vertex "),
+        (injective, "socle_degrees", r"rad\^1 not contained in soc_2 at vertex "),
+    ):
+        monkeypatch.undo()
+        cut = f(comp, 1)
+        assert cut.source == (f(whole, 2), (2,)) and is_rigid(cut)
+        run = list(repmod._tagged_pass(f(whole, 2)))
+        assert [len(step[0][0]) for step in run] == [0] * 4
+        assert [len(step[1][0]) for step in run] == [3, 2, 1, 0]
+        run[1] = (run[1][0], (stray, run[1][1][1]))
+        degrees = {grading: getattr(cut.source[0], grading)}
+        fresh_whole = Representation(whole, cut.source[0].dims, cut.source[0].arrow_maps, **degrees)
+        fresh_cut = Representation(comp, cut.dims, cut.arrow_maps, **{grading: getattr(cut, grading)}, source=(fresh_whole, (2,)))
+        monkeypatch.setattr(repmod, "_tagged_pass", lambda m, passes={id(fresh_whole): tuple(run)}: passes[id(m)])
+        with pytest.raises(RuntimeError, match=message + "2"):
+            is_rigid(fresh_whole)
+        with pytest.raises(RuntimeError, match=message + "1"):
+            is_rigid(fresh_cut)
 
 
 def _duality_algebras():

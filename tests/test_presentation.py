@@ -2,6 +2,7 @@ import dataclasses
 import random
 from fractions import Fraction
 
+import builder_oracle
 import chain_oracle
 import pytest
 from builder_oracle import dense_build_algebra
@@ -516,7 +517,8 @@ def test_sparse_builder_names_the_oracles_first_failing_path(pres, named):
 
 def test_sparse_builder_runs_no_dense_elimination(monkeypatch):
     # the builder reads sparse rows only: no rref, no dense elimination and
-    # no dense array, on every input of the oracle comparison
+    # no dense array of the oracles, on every input of the oracle comparison
+    # (that adrkit builds no array at all, numpy_blocked.py checks)
     from adrkit.corpus import random_admissible
 
     cases = [param.values[0] for param in _builder_oracle_cases()]
@@ -525,7 +527,7 @@ def test_sparse_builder_runs_no_dense_elimination(monkeypatch):
     for owner, name in (
         (exactlin, "rref"),
         (chain_oracle, "dense_echelon"),
-        (FieldSpec, "zeros"),
+        (builder_oracle, "zeros"),
         (Matrix, "__init__"),
     ):
         real = getattr(owner, name)
@@ -557,7 +559,7 @@ def test_dense_oracles_run_no_sparse_elimination(monkeypatch):
         dense_build_algebra(pres)
     rng = random.Random(3)
     for field in (FieldSpec.prime(7), RATIONAL):
-        rows = Matrix.from_rows(field, [[rng.randint(-2, 2) for _ in range(5)] for _ in range(8)]).array()
+        rows = chain_oracle.dense(Matrix.from_rows(field, [[rng.randint(-2, 2) for _ in range(5)] for _ in range(8)]))
         chain_oracle.dense_tag_order_basis(rows, [rng.randint(1, 3) for _ in range(8)], field)
     assert made == []
     # live-spy control: the sparse builder trips the spy

@@ -222,7 +222,7 @@ def _random_submodule(m: Representation, rng: random.Random):
                 continue
             image = src.reduced.matmul(m.arrow_maps[a.name].transpose())
             for r in range(image.rows):
-                vec = np.asarray(image.array()[r])
+                vec = oracle.dense(image)[r]
                 if not oracle.in_row_space(space(w - 1), vec.copy()):
                     rows[w - 1].append(vec)
                     changed = True
@@ -470,16 +470,16 @@ def _kron_constraints(m: Representation, n: Representation) -> np.ndarray:
         height = n.dims[v - 1] * m.dims[u - 1]
         if not height:
             continue
-        block = fld.zeros((height, total))
+        block = oracle.zeros(fld, (height, total))
         if n.dims[v - 1] * m.dims[v - 1]:
-            left = np.kron(np.eye(n.dims[v - 1], dtype=np.int64), m.arrow_maps[a.name].array().T)
+            left = np.kron(np.eye(n.dims[v - 1], dtype=np.int64), oracle.dense(m.arrow_maps[a.name]).T)
             block[:, offsets[v - 1] : offsets[v]] += left
         if n.dims[u - 1] * m.dims[u - 1]:
-            right = np.kron(n.arrow_maps[a.name].array(), np.eye(m.dims[u - 1], dtype=np.int64))
+            right = np.kron(oracle.dense(n.arrow_maps[a.name]), np.eye(m.dims[u - 1], dtype=np.int64))
             block[:, offsets[u - 1] : offsets[u]] -= right
         rows.append(block)
-    arr = np.vstack(rows) if rows else fld.zeros((0, total))
-    return Matrix(fld, arr).array()
+    arr = np.vstack(rows) if rows else oracle.zeros(fld, (0, total))
+    return oracle.dense(oracle.matrix(fld, arr))
 
 
 def _zero_module(alg) -> Representation:
@@ -498,8 +498,8 @@ def _change_basis(m: Representation) -> Representation:
 
     def g(d, inverse=False):
         if inverse:  # (all-ones upper unitriangular)^-1 = I - superdiagonal
-            return Matrix(fld, np.eye(d, dtype=np.int64) - np.eye(d, k=1, dtype=np.int64))
-        return Matrix(fld, np.triu(np.ones((d, d), dtype=np.int64)))
+            return oracle.matrix(fld, np.eye(d, dtype=np.int64) - np.eye(d, k=1, dtype=np.int64))
+        return oracle.matrix(fld, np.triu(np.ones((d, d), dtype=np.int64)))
 
     maps = {}
     for a in m.algebra.quiver.arrows:
@@ -513,7 +513,7 @@ def test_change_basis_is_an_isomorphic_module():
     p = projective(alg, 1)
     moved = _change_basis(p)
     oracle.validate_representation(moved)
-    assert any(moved.arrow_maps[a].array().diagonal().any() for a in ("x", "y"))
+    assert any(oracle.dense(moved.arrow_maps[a]).diagonal().any() for a in ("x", "y"))
     assert hom_dim(p, moved) == hom_dim(moved, p) == hom_dim(p, p)
 
 
@@ -528,7 +528,7 @@ def _hom_test_algebras():
 
 def _densify(rows: list[dict], unknowns: int, fld) -> np.ndarray:
     """The sparse rows as a dense array, checking every coefficient is canonical."""
-    out = fld.zeros((len(rows), unknowns))
+    out = oracle.zeros(fld, (len(rows), unknowns))
     for i, row in enumerate(rows):
         for c, x in row.items():
             assert 0 <= c < unknowns
@@ -614,7 +614,7 @@ def test_hom_constraints_match_kronecker_oracle():
                     )
                     assert marks == want_marks, (name, by, m.dims, n.dims)
                 seen["loop_diagonal"] |= any(
-                    m.arrow_maps[a].array().diagonal().any() for a in loops
+                    oracle.dense(m.arrow_maps[a]).diagonal().any() for a in loops
                 ) and got.size > 0
                 seen["zero_in_m"] |= any(a == 0 < b for a, b in zip(m.dims, n.dims))
                 seen["zero_in_n"] |= any(b == 0 < a for a, b in zip(m.dims, n.dims))
@@ -630,10 +630,10 @@ def _random_invertible(fld, d: int, rng: random.Random) -> tuple[Matrix, Matrix]
         rows = [[rng.randint(lo, hi) for _ in range(d)] for _ in range(d)]
         g = Matrix.from_rows(fld, rows, cols=d)
         # row-reduce [g | I]: g is invertible iff the left block reduces to I
-        both = Matrix(fld, np.hstack([g.array(), Matrix.identity(fld, d).array()]))
+        both = oracle.matrix(fld, np.hstack([oracle.dense(g), oracle.dense(Matrix.identity(fld, d))]))
         red = rref(both)
         if red.pivot_cols[:d] == tuple(range(d)):
-            return g, Matrix(fld, red.reduced.array()[:, d:])
+            return g, oracle.matrix(fld, oracle.dense(red.reduced)[:, d:])
 
 
 def _conjugate(m: Representation, rng: random.Random) -> Representation:
@@ -682,9 +682,9 @@ def _rebase_graded(m: Representation, rng: random.Random) -> Representation:
     for d in m.dims:
         noise = np.array([rng.randint(lo, hi) for _ in range(d * d)], dtype=np.int64).reshape(d, d)
         strict = np.tril(noise, -1) if lower else np.triu(noise, 1)
-        g = Matrix(fld, strict + np.eye(d, dtype=np.int64))
-        both = Matrix(fld, np.hstack([g.array(), Matrix.identity(fld, d).array()]))
-        pairs.append((g, Matrix(fld, rref(both).reduced.array()[:, d:])))
+        g = oracle.matrix(fld, strict + np.eye(d, dtype=np.int64))
+        both = oracle.matrix(fld, np.hstack([oracle.dense(g), oracle.dense(Matrix.identity(fld, d))]))
+        pairs.append((g, oracle.matrix(fld, oracle.dense(rref(both).reduced)[:, d:])))
     maps = {}
     for a in m.algebra.quiver.arrows:
         u, v = m.algebra.quiver.arrow_endpoints(a.name)

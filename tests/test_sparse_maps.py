@@ -1,51 +1,44 @@
-"""Arrow maps are stored as sparse rows, and no report builds a dense array.
+"""Arrow maps are stored as sparse rows, and adrkit runs without numpy.
 
 ``exactlin.Matrix`` keeps the nonzero canonical entries of each row and
-builds its numpy array only when asked.  ``repmod.projective`` writes its
-maps straight from ``act`` and ``repmod.injective`` transposes those rows.
-These tests check that a matrix built sparse is the matrix built dense, that
-the maps of every P_i and Q_i are those of the dense module builder of
-``builder_oracle``, and that neither a report nor the invariant battery
-builds a dense array (``dense_spy``).
+nothing else.  ``repmod.projective`` writes its maps straight from ``act``
+and ``repmod.injective`` transposes those rows.  These tests check that a
+matrix read from rows or arrays is the matrix built sparse, that the maps of
+every P_i and Q_i are those of the dense module builder of
+``builder_oracle``, and that the reports and the invariant battery run with
+numpy blocked (``numpy_blocked.py``, in a subprocess).
 """
 
-import importlib.util
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from adrkit.cli import analyze_presentation
-from adrkit.corpus import random_admissible, tagged_invariant_failures
 from adrkit.exactlin import RATIONAL, FieldSpec, Matrix
 from adrkit.presentation import build_algebra
 from adrkit.repmod import injective, projective
 from builder_oracle import dense_injective_maps, dense_projective_maps
-from dense_spy import dense_spy
+from chain_oracle import dense, zeros
 from test_theorems import _pin_cases
 
 ROOT = Path(__file__).resolve().parent.parent
 F7 = FieldSpec.prime(7)
 
 
-def _analyze_inputs():
-    """The six inputs of the benchmark's ``analyze`` workload, read from ``perfbench/child.py``."""
-    spec = importlib.util.spec_from_file_location("perfbench_child", ROOT / "perfbench" / "child.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return [make() for make in module.ANALYZE_INPUTS.values()]
-
-
-def test_reports_and_the_battery_build_no_dense_array():
-    inputs = _analyze_inputs()
-    assert len(inputs) == 6
-    with dense_spy() as calls:
-        for entry in inputs:
-            analyze_presentation(entry.presentation)
-        for seed in range(910000, 910150):
-            assert tagged_invariant_failures(random_admissible(seed).build()) == [], seed
-    assert not calls, dict(calls)
+def test_reports_and_the_battery_run_with_numpy_blocked():
+    # every builtin through adrkit analyze and 200 fuzz samples through the
+    # battery, in a process where import numpy raises
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tests" / "numpy_blocked.py")],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "fuzz: samples=200 passed=200 failed=0" in done.stdout, done.stdout
 
 
 def _twins(field):
@@ -57,26 +50,41 @@ def _twins(field):
     yield Matrix(field, np.array(rows, dtype=object)), Matrix.from_sparse(field, sparse, 3)
     yield Matrix(field, np.array([[0, 1], [5, 0]])), Matrix.from_sparse(field, [{1: one}, {0: field.coerce(5)}], 2)
     yield Matrix.zeros(field, 2, 3), Matrix.from_sparse(field, [{}, {}], 3)
-    yield Matrix(field, field.zeros((2, 3))), Matrix.from_sparse(field, [{}, {}], 3)
-    yield Matrix(field, field.zeros((0, 4))), Matrix.from_sparse(field, [], 4)
-    yield Matrix(field, field.zeros((3, 0))), Matrix.from_sparse(field, [{}, {}, {}], 0)
+    yield Matrix(field, zeros(field, (2, 3))), Matrix.from_sparse(field, [{}, {}], 3)
+    yield Matrix.from_rows(field, zeros(field, (0, 4)), 4), Matrix.from_sparse(field, [], 4)
+    yield Matrix(field, zeros(field, (3, 0))), Matrix.from_sparse(field, [{}, {}, {}], 0)
     yield Matrix.from_rows(field, [], 2), Matrix.zeros(field, 0, 2)
     yield Matrix.identity(field, 3), Matrix.from_sparse(field, [{0: one}, {1: one}, {2: one}], 3)
 
 
 @pytest.mark.parametrize("field", [F7, RATIONAL], ids=lambda f: f.describe())
 def test_a_matrix_built_sparse_is_the_matrix_built_dense(field):
-    for dense, sparse in _twins(field):
-        assert dense == sparse and hash(dense) == hash(sparse)
-        assert dense.shape == sparse.shape and dense.entries == sparse.entries
-        assert repr(dense) == repr(sparse) and dense.is_zero() == sparse.is_zero()
-        assert [dense.row(r) for r in range(dense.rows)] == [sparse.row(r) for r in range(sparse.rows)]
-        assert dense.transpose() == sparse.transpose()
-        assert dense.array().dtype == sparse.array().dtype == field.dtype
-        assert np.array_equal(dense.array(), sparse.array())
-        assert not dense.array().flags.writeable and not sparse.array().flags.writeable
+    for read, sparse in _twins(field):
+        assert read == sparse and hash(read) == hash(sparse)
+        assert read.shape == sparse.shape and read.entries == sparse.entries
+        assert repr(read) == repr(sparse) and read.is_zero() == sparse.is_zero()
+        assert [read.row(r) for r in range(read.rows)] == [sparse.row(r) for r in range(sparse.rows)]
+        assert read.transpose() == sparse.transpose()
+        assert read.sparse_rows() == sparse.sparse_rows()
+        assert np.array_equal(dense(read), dense(sparse))
     # an entry off by one is another matrix, however it was built
     assert Matrix.from_sparse(field, [{0: field.one}], 1) != Matrix(field, np.array([[2]]))
+
+
+@pytest.mark.parametrize("field", [F7, RATIONAL], ids=lambda f: f.describe())
+def test_matrix_reads_a_2d_sequence_of_rows(field):
+    # rows of any sequence type, arrays included, are read entry by entry
+    want = Matrix.from_sparse(field, [{0: field.one}, {1: field.coerce(2)}], 2)
+    for data in ([[1, 0], [0, 2]], ((1, 0), (0, 2)), (iter(r) for r in [[1, 0], [0, 2]]), np.array([[1, 0], [0, 2]])):
+        assert Matrix(field, data) == want
+    # not two-dimensional, ragged, or no row to give the width: ValueError
+    bad = ([1, 2], np.array([1, 2]), 5, [[[1], [2]]], np.zeros((2, 2, 2), dtype=np.int64), [[1, 2], [3]], [], zeros(field, (0, 3)))
+    for data in bad:
+        with pytest.raises(ValueError):
+            Matrix(field, data)
+    with pytest.raises(ValueError):
+        Matrix.from_rows(field, [])
+    assert Matrix.from_rows(field, [], 3) == Matrix.zeros(field, 0, 3)
 
 
 def test_module_maps_are_those_of_the_dense_builder():
@@ -95,7 +103,5 @@ def test_module_maps_are_those_of_the_dense_builder():
                     got = module.arrow_maps[arrow]
                     assert got == want and hash(got) == hash(want), (name, i, arrow)
                     assert all(all(row.values()) for row in got.sparse_rows()), (name, i, arrow)
-                    assert got.array().dtype == want.array().dtype
-                    assert np.array_equal(got.array(), want.array()), (name, i, arrow)
-                    assert not got.array().flags.writeable
+                    assert np.array_equal(dense(got), dense(want)), (name, i, arrow)
     assert fields == {"prime", "rational"}

@@ -336,7 +336,7 @@ def test_derived_opposite_and_components_match_rebuilt_ones():
 
 def _pass_data(m) -> tuple:
     """A module's maps and grading, and what the formula routes read off its tagged pass."""
-    maps = {name: mat.array().tolist() for name, mat in m.arrow_maps.items()}
+    maps = {name: oracle.dense(mat).tolist() for name, mat in m.arrow_maps.items()}
     reads = (repmod._tagged_pass(m), repmod._level_series(m), is_rigid(m))
     return m.dims, maps, m.radical_degrees, m.socle_degrees, reads
 
