@@ -78,7 +78,6 @@ from .theorems import (
 from .corpus import (
     CorpusEntry,
     GenerationExhaustedError,
-    RandomLimits,
     builtin_entries,
     entry_ids,
     get_entry,

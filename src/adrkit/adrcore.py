@@ -11,14 +11,16 @@ routes, which must agree exactly:
   injectives.  The formula route reads the radical series of every
   soc_j Q_i off the tagged pass that Q_i reads: the functional pass of
   P^op_i, since Q_i = D(P^op_i).  The Hom route reads
-  dim Hom(soc_j Q_i, soc_l Q_k).
+  dim Hom(soc_j Q_i, soc_l Q_k), which D makes
+  dim Hom_{A^op}(P^op_k/rad^l P^op_k, P^op_i/rad^j P^op_i).
 - C(R(R_A)), for the Ringel dual End(T)^op.  The formula route takes row
   differences of the tilting classes [T(i,j)], read off C(R_A).  The Hom
   route is a closed form over the socle layers of Q_i.
 
 The Hom routes solve one intertwiner system per (P_i, P_k) or (Q_i, Q_k),
-and read every (j, l) entry of that block off a row prefix and a column
-prefix of its one elimination (``repmod.hom_dims_between_levels``).  They
+the latter between their roots P^op_k and P^op_i, and read every (j, l)
+entry of that block off a row prefix and a column prefix of its one
+elimination (``repmod.hom_dims_between_levels``).  They
 read only pivot columns found by ``exactlin._sparse_rank``, never a chain
 or a series.  So the two routes share the modules P_k and Q_i they measure
 and the code of ``exactlin``'s sparse elimination, but never an elimination
@@ -483,10 +485,10 @@ def cartan_SA_formula(alg: AlgebraData) -> LabeledMatrix:
 def cartan_SA_hom(alg: AlgebraData) -> LabeledMatrix:
     """C(S_A) by the oracle route: dim Hom_A(soc_j Q_i, soc_l Q_k).
 
-    One intertwiner system per (Q_i, Q_k) gives the block of rows
-    [i, 1..LL(Q_i)] and columns [k, 1..LL(Q_k)]: j is read off a row prefix
-    and l off a column prefix of that one elimination
-    (``repmod.hom_dims_between_levels``).
+    One intertwiner system per (Q_i, Q_k), between P^op_k and P^op_i under
+    D, gives the block of rows [i, 1..LL(Q_i)] and columns [k, 1..LL(Q_k)]:
+    l is read off a row prefix and j off a column prefix of that one
+    elimination (``repmod.hom_dims_between_levels``).
     """
     labels = sa_labels(alg)
     entries = _hom_blocks([injective(alg, i) for i in range(1, alg.n + 1)])

@@ -249,27 +249,25 @@ def get_entry(entry_id: str) -> CorpusEntry:
     raise KeyError(f"unknown corpus id {entry_id!r}")
 
 
-@dataclass(frozen=True)
-class RandomLimits:
-    max_vertices: int = 4
-    max_arrows: int = 4
-    max_relations: int = 3
-    max_cap: int = 5
-    retries: int = 64
+MAX_VERTICES = 4
+MAX_ARROWS = 4
+MAX_RELATIONS = 3
+MAX_CAP = 5
+RETRIES = 64
 
 
 _PRIMES = (2, 3, 5, 7, 11, 13)
 
 
-def _sample_presentation(rng: random.Random, limits: RandomLimits) -> AlgebraPresentation | None:
-    n = rng.randint(1, limits.max_vertices)
+def _sample_presentation(rng: random.Random) -> AlgebraPresentation | None:
+    n = rng.randint(1, MAX_VERTICES)
     vertices = tuple(str(i) for i in range(1, n + 1))
     arrows = tuple(
         Arrow(f"a{t}", str(rng.randint(1, n)), str(rng.randint(1, n)))
-        for t in range(1, rng.randint(1, limits.max_arrows) + 1)
+        for t in range(1, rng.randint(1, MAX_ARROWS) + 1)
     )
     quiver = Quiver(vertices, arrows)
-    cap = rng.randint(2, limits.max_cap)
+    cap = rng.randint(2, MAX_CAP)
     rational = rng.random() < 0.2
     field = RATIONAL if rational else FieldSpec.prime(rng.choice(_PRIMES))
     graded = enumerate_paths(quiver, cap)
@@ -280,7 +278,7 @@ def _sample_presentation(rng: random.Random, limits: RandomLimits) -> AlgebraPre
     cap_paths = graded[cap]
     if cap_paths or rng.random() < 0.5:
         relations.extend(Relation.monomial(p.arrows) for p in cap_paths)
-        for _ in range(rng.randint(0, limits.max_relations)):
+        for _ in range(rng.randint(0, MAX_RELATIONS)):
             d = rng.randint(2, max(2, cap - 1))
             if d >= len(graded) or not graded[d]:
                 continue
@@ -314,12 +312,11 @@ def _sample_presentation(rng: random.Random, limits: RandomLimits) -> AlgebraPre
     return AlgebraPresentation(field, quiver, tuple(relations), cap)
 
 
-def random_admissible(seed: int, limits: RandomLimits | None = None) -> CorpusEntry:
+def random_admissible(seed: int) -> CorpusEntry:
     """Deterministic random admissible presentation; retries until it builds."""
-    limits = limits or RandomLimits()
     rng = random.Random(seed)
-    for _ in range(limits.retries):
-        pres = _sample_presentation(rng, limits)
+    for _ in range(RETRIES):
+        pres = _sample_presentation(rng)
         if pres is None:
             continue
         try:
@@ -333,7 +330,7 @@ def random_admissible(seed: int, limits: RandomLimits | None = None) -> CorpusEn
         if labels > (8 if rational else 16):
             continue
         return CorpusEntry(id=f"random-{seed}", presentation=pres)
-    raise GenerationExhaustedError(f"no admissible presentation after {limits.retries} tries (seed={seed})")
+    raise GenerationExhaustedError(f"no admissible presentation after {RETRIES} tries (seed={seed})")
 
 
 def tagged_invariant_failures(alg: AlgebraData) -> list[tuple[str, str]]:
@@ -506,12 +503,12 @@ def run_invariant_suite(alg: AlgebraData) -> list[str]:
     return [f"{category}: {msg}" for category, msg in tagged_invariant_failures(alg)]
 
 
-def run_fuzz(samples: int, seed: int, limits: RandomLimits | None = None) -> dict:
+def run_fuzz(samples: int, seed: int) -> dict:
     """Invariant suite over `samples` seeded random algebras; summary dict."""
     passed = 0
     first_failures: list[dict] = []
     for t in range(samples):
-        entry = random_admissible(seed + t, limits)
+        entry = random_admissible(seed + t)
         fails = run_invariant_suite(entry.build())
         if fails:
             first_failures.append({"seed": seed + t, "failures": fails})

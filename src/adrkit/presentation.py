@@ -255,7 +255,10 @@ def _canonical_relations(p: AlgebraPresentation) -> list[list[tuple[int | Fracti
                     f"relation mixes non-parallel paths ({src}->{tgt} vs "
                     f"{path.source}->{path.target})"
                 )
-            c = p.field.coerce(coeff if isinstance(coeff, (int, Fraction)) else Fraction(coeff))
+            try:
+                c = p.field.coerce(coeff)
+            except (TypeError, ZeroDivisionError) as exc:
+                raise InvalidRelationError(f"coefficient of relation term {names}: {exc}") from None
             if c != 0:
                 terms.append((c, path))
         if terms:

@@ -14,45 +14,40 @@ of degree < j.  The coordinates of degree < l at each vertex form the leading
 block of level l: P_i/rad^l P_i or soc_l Q_i.  ``truncate`` and
 ``socle_sub`` build it as a module that keeps the grading.
 
-Tagged passes.  A graded module has one tagged pass, memoized on it, on
-``{coordinate: coefficient}`` rows.  Step 0 is the unit rows, each tagged
-with the least level whose leading block holds it.  Step j is the products
-of step j-1's rows with sparse arrow maps, each tagged as the row it came
-from, reduced in tag order to the pivot rows of the rows independent of the
-rows before them (``exactlin._tag_order_basis``, the tagged reduction of
-persistent homology: Zomorodian and Carlsson, "Computing persistent
-homology", 2005).  The rows of tag <= l at a step span that step for the
-leading block of level l, so one pass serves every level.
+Roots and tagged passes.  Every graded module is read through its root
+(:func:`_root`), a radically graded module with no ``source``: a radically
+graded module without one is its own root, and a socle-graded one has its
+dual D(m) = Hom_K(m, K) over A^op as its root, its maps transposed and
+radically graded by its socle degrees, since soc_j m = D(Dm/rad^j Dm)
+(Assem-Simson-Skowronski, Vol. 1).  A module made from another one reads
+its ``source``'s root at its own vertices: Q_i = D(P^op_i) reads P^op_i,
+and a module of a component of A (``AlgebraData.component_of``) reads A's
+module at the component's vertices.  So the passes of the P_k of A and of
+the P_i of A^op serve both algebras and every component.
 
-- Under a radical grading the pass is the functional pass
-  (:func:`_functional_pass`).  F_j spans the functionals phi(p x), p of
-  length j, whose common kernel is soc_j.
-- Under a socle grading it is the radical chain (:func:`_radical_pass`).
-- The first multiplies functionals by the rows of the maps of outgoing
-  arrows, the second vectors by the rows of the transposed maps of incoming
-  arrows.  Both read these sparse maps from a memo of their own
-  (:func:`_pass_arrows`), not from the Hom route's, and share only
-  ``exactlin``.
-- Arrow maps are stored as sparse rows (``Matrix.sparse_rows``), and no
-  reader builds a dense array.  ``projective`` writes its rows straight
-  from ``act``, which holds no zero coefficient, and ``injective``
-  transposes them.  The functional pass multiplies by the rows as they are,
-  the radical pass by their transposes; the Hom route derives its sparse
-  columns and negated rows from the same rows, in memos of its own.
-- A module made from another one runs no pass of its own: it reads its
-  ``source``'s (:func:`_tagged_pass`).  Q_i = D(P^op_i) reads the functional
-  pass of P^op_i, which is its radical pass step for step, since Q_i's maps
-  transposed are P^op_i's maps.  A module of a component of A is A's module
-  at the component's vertices (``AlgebraData.component_of``) and reads A's
-  pass there.  So the passes of the P_k of A and of the P_i of A^op serve
-  both algebras and every component.
+A root has one tagged pass, its functional pass (:func:`_functional_pass`),
+memoized on it, on ``{coordinate: coefficient}`` rows.  Step 0 is the unit
+rows, each tagged with the least level whose leading block holds it.  Step
+j is the products of step j-1's rows with the sparse rows of the maps of
+outgoing arrows (:func:`_pass_arrows`, a memo of the pass's own, not the
+Hom route's), each tagged as the row it came from, reduced in tag order to
+the pivot rows of the rows independent of the rows before them
+(``exactlin._tag_order_basis``, the tagged reduction of persistent
+homology: Zomorodian and Carlsson, "Computing persistent homology", 2005).
+F_j spans the functionals phi(p x), p of length j, whose common kernel is
+soc_j, and its rows of tag <= l span that step for the leading block of
+level l, so one pass serves every level.  Arrow maps are stored as sparse
+rows (``Matrix.sparse_rows``), and no reader builds a dense array.
+``projective`` writes its rows straight from ``act``, which holds no zero
+coefficient, and ``injective`` transposes them; the Hom route derives its
+sparse columns and negated rows from the same rows, in memos of its own.
 
 A ``SeriesProfile`` holds running totals: the dimensions of the first y
 layers.  ``series_by_level`` writes the coordinates of degree < l minus the
 rows of tag <= l at each step: the socle series of every P_k/rad^l P_k, or
 the radical series of every soc_j Q_i.  ``socle_series`` and
 ``radical_series`` of a graded module read its grading or its top level,
-and ``is_rigid`` checks its pass against its grading.
+and ``is_rigid`` checks its root's pass against the root's grading.
 
 What each function takes.  ``truncate`` needs a radical grading,
 ``socle_sub`` a socle grading, and ``socle_series`` and ``is_rigid`` either;
@@ -68,26 +63,26 @@ on the RREF rows of ``exactlin`` and sparse products, like everything else.
 
 Memos.  For j >= LL(M), M/rad^j M = M and soc_j M = M, so ``truncate`` and
 ``socle_sub`` return the module itself there.  They and ``socle_series``
-are memoized on their module, and so are the tagged pass, the level series,
-the invariance check and the rigidity verdict.  A module with a ``source``
-reads all four off its source, at its own vertices (Q_i takes P^op_i's
-verdict, a component's P_i takes A's).  No Hom code reads a ``source``.
+are memoized on their module, and so are the root, the tagged pass, the
+level series, the invariance check and the rigidity verdict.  A module that
+is not its own root reads the last three off its root, at its own vertices.
 The Hom route memoizes on each module its support, its coordinates in
 degree order, the widths of its levels and the sparse columns and negated
-sparse rows of its arrow maps.  No Hom system or its pivots is memoized.
+sparse rows of its arrow maps.  It reads modules, roots included, and no
+pass or series.  No Hom system or its pivots is memoized.
 
 Hom tables.  ``hom_dims_between_levels`` reads a whole block of levels off
-one intertwiner system per pair of graded modules.  For radically graded m
-and n, number the unknowns f_v[r, k] by the degree of k in m and sort the
-equations (r, c) by the degree of r in n.  Deleting the unknowns of source
-degree >= j gives m/rad^j m.  Since rad^l n is a submodule, the equations
-with deg r < l meet only unknowns with deg r < l and form the system of
-Hom(-, n/rad^l n).  So dim Hom(m/rad^j m, n/rad^l n) is c_{j,l}, the
-unknowns of both degrees below j and l, minus the rank of the first R_l
-equations on the first c_j unknowns: the pivots below c_j of that row
-prefix, all read off one ``exactlin._sparse_rank``.  Under socle gradings
-the equations sort by the degree of c in m (the row prefix is soc_j m) and
-the unknowns by the degree of r in n (the column prefix is soc_l n).
+one intertwiner system per pair of radically graded modules.  Number the
+unknowns f_v[r, k] by the degree of k in m and sort the equations (r, c) by
+the degree of r in n.  Deleting the unknowns of source degree >= j gives
+m/rad^j m.  Since rad^l n is a submodule, the equations with deg r < l meet
+only unknowns with deg r < l and form the system of Hom(-, n/rad^l n).  So
+dim Hom(m/rad^j m, n/rad^l n) is c_{j,l}, the unknowns of both degrees
+below j and l, minus the rank of the first R_l equations on the first c_j
+unknowns: the pivots below c_j of that row prefix, all read off one
+``exactlin._sparse_rank``.  For socle-graded m and n, D turns
+Hom(soc_j m, soc_l n) into Hom_{A^op}(Dn/rad^l Dn, Dm/rad^j Dm): the
+transposed table of their roots.
 """
 
 from __future__ import annotations
@@ -180,9 +175,9 @@ class Representation:
     degrees, one per coordinate; anything else raises ``ValueError``.
 
     ``source`` is set on a module made from another one: ``(module,
-    vertices)`` means that this module's tagged pass is ``module``'s, read at
-    ``vertices`` (1-based, one per vertex of this module's algebra).
-    ``injective`` and the modules of a component set it.
+    vertices)`` means that this module is read through ``module``'s root
+    (:func:`_root`), at ``vertices`` (1-based, one per vertex of this
+    module's algebra).  ``injective`` and the modules of a component set it.
     """
 
     algebra: AlgebraData
@@ -256,7 +251,7 @@ def _cut(m: Representation, alg: AlgebraData) -> Representation:
     """m, a module of the algebra that ``alg`` is a component of, at the component's vertices.
 
     m is zero off the component, so it keeps its maps and grading there, and
-    its tagged pass is m's (``source``).
+    its root is m's (``source``).
     """
     _, at = alg.component_of
 
@@ -302,7 +297,7 @@ def projective(alg: AlgebraData, i: int) -> Representation:
 def injective(alg: AlgebraData, i: int) -> Representation:
     """Indecomposable injective Q_i: transpose-dual of the opposite projective, socle-graded by it.
 
-    Its tagged pass is the opposite projective's (``source``).  On a
+    Its root is the opposite projective (``source``).  On a
     component of A it is A's Q_i cut to the component (:func:`_cut`).
     """
     _check_vertex(alg, i)
@@ -329,21 +324,21 @@ def _grading_length(degrees: Grading) -> int:
 def _check_invariant(m: Representation) -> None:
     """Raise ``ValueError`` unless every leading block of m's grading is arrow-invariant.
 
-    Under a radical grading the coordinates of degree >= l must span a
-    submodule for every l, so an arrow map entry M_a[r, k] may be nonzero
-    only where deg r >= deg k; under a socle grading those of degree < l
-    must, so only where deg r <= deg k.  A module with a ``source`` is
-    checked by its source: transposing swaps the two conditions.
+    m is checked by its root (:func:`_root`), which is radically graded:
+    the coordinates of degree >= l must span a submodule for every l, so an
+    arrow map entry M_a[r, k] may be nonzero only where deg r >= deg k.
+    Under D a socle grading's condition, soc_l spanned by the coordinates of
+    degree < l, is that one on the transposed maps.
     """
-    if m.source is not None:
-        return _check_invariant(m.source[0])
-    radical = m.radical_degrees is not None
-    degrees = m.radical_degrees if radical else m.socle_degrees
+    root, _ = _root(m)
+    if root is not m:
+        return _check_invariant(root)
+    degrees = m.radical_degrees
     for a in m.algebra.quiver.arrows:
         u, v = m.algebra.quiver.arrow_endpoints(a.name)
         source_degrees = degrees[u - 1]
         for d, row in zip(degrees[v - 1], m.arrow_maps[a.name].sparse_rows()):
-            if any(d < source_degrees[k] if radical else d > source_degrees[k] for k in row):
+            if any(d < source_degrees[k] for k in row):
                 raise ValueError("subspaces are not arrow-invariant")
 
 
@@ -501,57 +496,18 @@ TaggedStep = tuple[tuple[list[dict], tuple[int, ...]], ...]
 
 @memoized
 def _pass_arrows(m: Representation) -> list[list[tuple[int, Sequence[dict]]]]:
-    """Per vertex v, the pairs (t, maps) that a step of m's tagged pass multiplies by; t is 0-based.
+    """Per vertex v, the pairs (t, maps) that a step of m's functional pass multiplies by; t is 0-based.
 
-    Under a radical grading these are the arrows a: v -> t, with the sparse
-    rows of M_a, so a functional phi on M_t gives phi M_a.  Under a socle
-    grading they are the arrows a: t -> v, with the sparse rows of M_a^T, so
-    a vector x of M_t gives M_a x.  A vertex with no coordinates gets none.
+    These are the arrows a: v -> t, with the sparse rows of M_a, so a
+    functional phi on M_t gives phi M_a.  A vertex with no coordinates gets
+    none.
     """
-    radical = m.radical_degrees is not None
     out: list[list[tuple[int, Sequence[dict]]]] = [[] for _ in m.dims]
     for a in m.algebra.quiver.arrows:
         u, v = m.algebra.quiver.arrow_endpoints(a.name)
-        mat = m.arrow_maps[a.name]
-        if radical:
-            t, v, rows = v, u, mat.sparse_rows()
-        else:
-            t, v, rows = u, v, _sparse_transpose(mat.sparse_rows(), mat.cols)
-        if m.dims[v - 1]:
-            out[v - 1].append((t - 1, rows))
+        if m.dims[u - 1]:
+            out[u - 1].append((v - 1, m.arrow_maps[a.name].sparse_rows()))
     return out
-
-
-def _unit_step(degrees: Grading) -> TaggedStep:
-    """Step 0 of a tagged pass: the unit rows {r: 1} at each vertex, row r tagged by the degree of r plus one."""
-    return tuple(([{r: 1} for r in range(len(ds))], tuple(d + 1 for d in ds)) for ds in degrees)
-
-
-def _next_step(m: Representation, step: TaggedStep) -> TaggedStep:
-    """The step after ``step`` in m's tagged pass, by the products of its rows with :func:`_pass_arrows`.
-
-    At each vertex v, the tag-order basis of the products of the rows of
-    ``step`` at t with the maps of each (t, maps) in ``_pass_arrows(m)[v]``;
-    each product row keeps the tag of the row it came from.  A product of a
-    row phi with sparse rows M is sum_k phi[k] M[k], left unreduced:
-    ``exactlin._tag_order_basis`` reads non-canonical coefficients.  An
-    empty product is no basis row, so it is left out.
-    """
-    out = []
-    for arrows in _pass_arrows(m):
-        rows: list[dict] = []
-        tags: list[int] = []
-        for t, maps in arrows:
-            for row, tag in zip(*step[t]):
-                acc: dict = {}
-                for k, x in row.items():
-                    for c, y in maps[k].items():
-                        acc[c] = acc.get(c, 0) + x * y
-                if acc:
-                    rows.append(acc)
-                    tags.append(tag)
-        out.append(_tag_order_basis(rows, tags, m.field) if rows else ([], ()))
-    return tuple(out)
 
 
 @memoized
@@ -561,98 +517,97 @@ def _functional_pass(m: Representation) -> tuple[TaggedStep, ...]:
     F_0(v) holds the coordinate functionals e_r^* on M_v, e_r^* tagged
     deg(r) + 1.  F_j(v) is the tag-order basis
     (:func:`exactlin._tag_order_basis`) of the functionals phi M_a, for phi
-    in F_{j-1}(t) over the arrows a: v -> t, each tagged as its phi.  So the
-    rows of F_j(v) of tag <= l span the functionals phi(p x) for the paths p
-    of length j out of v and the phi that vanish in degree >= l.  These
-    vanish off m/rad^l m, and their common kernel there is
-    (soc_j(m/rad^l m))_v.  F_J is the first that vanishes everywhere;
-    J <= LL(m).  Rows are ``{coordinate: coefficient}`` dicts.
+    in F_{j-1}(t) over the arrows a: v -> t (:func:`_pass_arrows`), each
+    tagged as its phi.  So the rows of F_j(v) of tag <= l span the
+    functionals phi(p x) for the paths p of length j out of v and the phi
+    that vanish in degree >= l.  These vanish off m/rad^l m, and their
+    common kernel there is (soc_j(m/rad^l m))_v.  F_J is the first that
+    vanishes everywhere; J <= LL(m).  Rows are ``{coordinate: coefficient}``
+    dicts.  A product phi M is sum_k phi[k] M[k], left unreduced
+    (``exactlin._tag_order_basis`` reads non-canonical coefficients), and an
+    empty product is no basis row, so it is left out.
     """
     ll = loewy_length(m)
-    funcs = _unit_step(m.radical_degrees)
+    funcs = tuple(([{r: 1} for r in range(len(ds))], tuple(d + 1 for d in ds)) for ds in m.radical_degrees)
     chain = [funcs]
     while any(tags for _, tags in funcs):
         if len(chain) > ll:
             raise RuntimeError("socle did not grow; representation is invalid")
-        funcs = _next_step(m, funcs)
+        step = []
+        for arrows in _pass_arrows(m):
+            rows: list[dict] = []
+            tags: list[int] = []
+            for t, maps in arrows:
+                for row, tag in zip(*funcs[t]):
+                    acc: dict = {}
+                    for k, x in row.items():
+                        for c, y in maps[k].items():
+                            acc[c] = acc.get(c, 0) + x * y
+                    if acc:
+                        rows.append(acc)
+                        tags.append(tag)
+            step.append(_tag_order_basis(rows, tags, m.field) if rows else ([], ()))
+        funcs = tuple(step)
         chain.append(funcs)
     return tuple(chain)
 
 
-@memoized
-def _radical_pass(m: Representation) -> tuple[TaggedStep, ...]:
-    """rad^0 m, rad m, ..., rad^L m = 0 for a socle-graded root m, each basis row tagged.
+def _dual(m: Representation) -> Representation:
+    """D(m) = Hom_K(m, K) over A^op for a socle-graded m: its maps transposed, radically graded by its socle degrees.
 
-    rad^0 m at v holds the coordinate vectors e_r of M_v, e_r tagged by its
-    socle degree + 1.  rad^t m at v is the tag-order basis
-    (:func:`exactlin._tag_order_basis`) of the images M_a x, for x in
-    rad^{t-1} m at u over the arrows a: u -> v, each tagged as its x.  So
-    the rows of tag <= j span rad^t(soc_j m) at v.  Rows are
-    ``{coordinate: coefficient}`` dicts.
+    soc_j m = D(D(m)/rad^j D(m)), so the leading blocks of the two gradings
+    correspond.
     """
-    spaces = _unit_step(m.socle_degrees)
-    chain = [spaces]
-    while any(tags for _, tags in spaces):
-        nxt = _next_step(m, spaces)
-        if sum(len(tags) for _, tags in nxt) >= sum(len(tags) for _, tags in spaces):
-            raise RuntimeError("radical did not shrink; representation is invalid")
-        spaces = nxt
-        chain.append(spaces)
-    return tuple(chain)
-
-
-def _everywhere(src: Representation, at: tuple[int, ...]) -> bool:
-    """True iff ``at`` is every vertex of ``src``, in order: then a read at ``at`` is src's own."""
-    return at == tuple(range(1, len(src.dims) + 1))
+    op = m.algebra.opposite()
+    maps = {a.name: m.arrow_maps[a.name].transpose() for a in op.quiver.arrows}
+    return Representation(op, m.dims, maps, radical_degrees=m.socle_degrees)
 
 
 @memoized
-def _tagged_pass(m: Representation) -> tuple[TaggedStep, ...]:
-    """m's tagged pass: the functional pass under a radical grading, the radical pass under a socle one.
+def _root(m: Representation) -> tuple[Representation, tuple[int, ...]]:
+    """(root, at): the radically graded module without a ``source`` whose functional pass m reads at vertices ``at``.
 
-    A module with a ``source`` runs none: it reads its source's pass, each
-    step at its vertices.  For Q_i = D(P^op_i) the radical pass of Q_i is the
-    functional pass of P^op_i step for step, since a step multiplies by the
-    rows of Q_i's maps transposed, which are P^op_i's maps.
+    A module with a ``source`` reads its source's root, at its own vertices
+    composed through the source's.  A module without one is its own root,
+    unless it is socle-graded: then its root is its dual :func:`_dual`, whose
+    functional pass is m's radical pass step for step (a step multiplies by
+    the rows of m's maps transposed).  So Q_i = D(P^op_i) reads P^op_i's
+    pass, and a component's module A's pass at the component's vertices.
     """
     if m.source is not None:
         src, at = m.source
-        run = _tagged_pass(src)
-        return run if _everywhere(src, at) else tuple(tuple(step[v - 1] for v in at) for step in run)
-    return _functional_pass(m) if m.radical_degrees is not None else _radical_pass(m)
+        root, inner = _root(src)
+        return root, tuple(inner[v - 1] for v in at)
+    everywhere = tuple(range(1, len(m.dims) + 1))
+    return (m if m.socle_degrees is None else _dual(m)), everywhere
 
 
 @memoized
-def _level_series(root: Representation) -> tuple[SeriesProfile | None, ...]:
-    """Entry l: the socle series of root/rad^l root, or the radical series of soc_l root, l = 0..LL.
+def _level_series(m: Representation) -> tuple[SeriesProfile | None, ...]:
+    """Entry l: the socle series of m/rad^l m, or the radical series of soc_l m, l = 0..LL.
 
-    Read off the root's tagged pass as running totals: total t of level l is
-    c_v minus the rows of tag <= l of step t at vertex v, for c_v the
-    coordinates of degree < l, which step 0 holds exactly.  Under a radical
-    grading those rows are functionals with common kernel
-    soc_t(root/rad^l root); under a socle grading they span rad^t(soc_l root).
-    Each count is a ``bisect_right`` on a step's sorted tags, and a level's
-    series ends once it reaches c.  The leading block of level l is a module
-    only if the grading is arrow-invariant (:func:`_check_invariant`).  Its
-    functionals must vanish within its own Loewy length; where they do not,
-    the grading misreads the block and its entry is None.  A root with a
-    ``source`` reads the source's totals at its vertices: the socle series of
-    P^op_i/rad^l P^op_i and the radical series of soc_l Q_i, its dual, have
-    the same running totals.
+    Read off the functional pass of m's root (:func:`_root`) as running
+    totals: total t of level l is c_v minus the rows of tag <= l of step t
+    at vertex v, for c_v the coordinates of degree < l, which step 0 holds
+    exactly.  Those rows are functionals with common kernel
+    soc_t(root/rad^l root).  Each count is a ``bisect_right`` on a step's
+    sorted tags, and a level's series ends once it reaches c.  The leading
+    block of level l is a module only if the grading is arrow-invariant
+    (:func:`_check_invariant`).  Its functionals must vanish within its own
+    Loewy length; where they do not, the grading misreads the block and its
+    entry is None.  A module that is not its own root reads the root's
+    totals at its vertices: the socle series of P^op_i/rad^l P^op_i and the
+    radical series of soc_l Q_i, its dual, have the same running totals.
     """
-    if root.source is not None:
-        src, at = root.source
-        levels = _level_series(src)
-        if _everywhere(src, at):
-            return levels
+    root, at = _root(m)
+    if root is not m:
         return tuple(
             None if s is None else SeriesProfile(tuple(tuple(t[v - 1] for v in at) for t in s.totals))
-            for s in levels
+            for s in _level_series(root)
         )
-    _check_invariant(root)
-    radical = root.radical_degrees is not None
-    degrees = root.radical_degrees if radical else root.socle_degrees
-    run = _tagged_pass(root)
+    _check_invariant(m)
+    degrees = m.radical_degrees
+    run = _functional_pass(m)
     out = []
     for l in range(_grading_length(degrees) + 1):
         block = _below(degrees, l)
@@ -662,17 +617,17 @@ def _level_series(root: Representation) -> tuple[SeriesProfile | None, ...]:
             if totals[-1] == block:
                 break
         top = _grading_length(tuple(d[:c] for d, c in zip(degrees, block)))
-        out.append(None if radical and len(totals) > top + 1 else SeriesProfile(tuple(totals)))
+        out.append(None if len(totals) > top + 1 else SeriesProfile(tuple(totals)))
     return tuple(out)
 
 
-def series_by_level(root: Representation) -> tuple[SeriesProfile, ...]:
-    """Entry l: the socle series of root/rad^l root under a radical grading, or the radical series of soc_l root under a socle one.
+def series_by_level(m: Representation) -> tuple[SeriesProfile, ...]:
+    """Entry l: the socle series of m/rad^l m under a radical grading, or the radical series of soc_l m under a socle one.
 
-    l runs over 0..LL(root), so entry LL(root) is the root's own series.
-    One tagged pass of the root gives every level (:func:`_level_series`).
+    l runs over 0..LL(m), so entry LL(m) is m's own series.  One tagged
+    pass of m's root gives every level (:func:`_level_series`).
     """
-    levels = _level_series(root)
+    levels = _level_series(m)
     if any(series is None for series in levels):
         raise RuntimeError("socle did not grow; representation is invalid")
     return levels
@@ -714,13 +669,13 @@ def is_uniserial(m: Representation) -> bool:
 def is_rigid(m: Representation) -> bool:
     """True iff rad^j M = soc_{L-j} M for every j; m must be graded.
 
-    m's memoized tagged pass (:func:`_tagged_pass`) is checked against the
-    grading (:func:`_rigidity`): under a radical grading the functionals
-    F_j, with common kernel soc_j M, under a socle grading the radical chain
-    rad^j M.  The c_v coordinates of degree < L-j span the other side at
+    The functional pass of m's root (:func:`_root`) is checked against the
+    root's grading (:func:`_rigidity`): its functionals F_j have common
+    kernel soc_j, and the c_v coordinates of degree < L-j span rad^{L-j} at
     vertex v, so step j must have c_v rows (equal dimensions) and no entry
     from column c_v on (containment, which holds in every module: its
-    failure is a bug, raised under m's own grading).
+    failure is a bug, raised under m's own grading, which D turns around
+    for a socle-graded m).
     """
     radical = m.radical_degrees is not None
     if not radical and m.socle_degrees is None:
@@ -738,18 +693,18 @@ def is_rigid(m: Representation) -> bool:
 def _rigidity(m: Representation) -> bool | tuple[int, int]:
     """:func:`is_rigid`'s verdict on a graded m, or (j, v) where step j of its pass leaves the block at vertex v.
 
-    A module with a ``source`` takes its source's verdict, with a failing
-    vertex renumbered through the ``at`` vertices: it reads its source's pass
-    there, the source is zero at every other vertex, and their degrees agree
-    (the socle degrees of Q_i are the radical degrees of P^op_i, and a cut
-    keeps its module's degrees).
+    A module that is not its own root takes its root's verdict, with a
+    failing vertex renumbered through the ``at`` vertices: it reads the
+    root's pass there, the root is zero at every other vertex, and their
+    degrees agree (the socle degrees of Q_i are the radical degrees of
+    P^op_i, and a cut keeps its module's degrees).
     """
-    if m.source is not None:
-        src, at = m.source
-        verdict = _rigidity(src)
+    root, at = _root(m)
+    if root is not m:
+        verdict = _rigidity(root)
         return verdict if isinstance(verdict, bool) else (verdict[0], at.index(verdict[1]) + 1)
-    degrees = m.radical_degrees if m.radical_degrees is not None else m.socle_degrees
-    chain = _tagged_pass(m)
+    degrees = m.radical_degrees
+    chain = _functional_pass(m)
     ll = _grading_length(degrees)
     if len(chain) - 1 != ll:
         return False
@@ -804,8 +759,8 @@ def _negated_sparse_rows(m: Representation, arrow: str) -> list[dict]:
 
 @memoized
 def _degree_order(m: Representation) -> list[tuple[int, int]]:
-    """The coordinates (v, g) of a graded module, sorted by (degree, vertex, index)."""
-    degrees = m.radical_degrees if m.radical_degrees is not None else m.socle_degrees
+    """The coordinates (v, g) of a radically graded module, sorted by (degree, vertex, index)."""
+    degrees = m.radical_degrees
     return [(v, g) for _, v, g in sorted((d, v, g) for v, ds in enumerate(degrees) for g, d in enumerate(ds))]
 
 
@@ -824,26 +779,25 @@ def _slots(order: list[tuple[int, int]], dims, widths) -> list[list[int]]:
     return starts
 
 
-def _numbering(m: Representation, n: Representation, by: str | None):
+def _numbering(m: Representation, n: Representation, by_degree: bool):
     """(row_at, col_at): unknown f_v[r, k] is numbered row_at[v][r] + col_at[v][k].
 
-    With ``by`` None the unknowns run row-major, vertex by vertex; with
-    "radical" they are sorted by the radical degree of coordinate k of m,
-    with "socle" by the socle degree of coordinate r of n.
+    Unless ``by_degree`` the unknowns run row-major, vertex by vertex; with
+    it they are sorted by the radical degree of coordinate k of m.
     """
-    if by == "radical":
+    if by_degree:
         return [list(range(d)) for d in n.dims], _slots(_degree_order(m), m.dims, n.dims)
-    order = _degree_order(n) if by == "socle" else [(v, r) for v, d in enumerate(n.dims) for r in range(d)]
+    order = [(v, r) for v, d in enumerate(n.dims) for r in range(d)]
     return _slots(order, n.dims, m.dims), [list(range(d)) for d in m.dims]
 
 
-def _hom_constraints(m: Representation, n: Representation, by: str | None = None) -> tuple[list[dict], int, list[int]]:
+def _hom_constraints(m: Representation, n: Representation, by_degree: bool = False) -> tuple[list[dict], int, list[int]]:
     """Sparse rows of the intertwiner system, the number of unknowns, and the level marks.
 
     Unknowns are the entries of f_v: M_v -> N_v, numbered by
     :func:`_numbering` (row-major and concatenated over vertices unless
-    ``by`` sorts them by degree); each arrow a: u -> v contributes the block
-    of equations f_v M_a - N_a f_u = 0, equation (r, c) on row
+    ``by_degree`` sorts them by degree); each arrow a: u -> v contributes the
+    block of equations f_v M_a - N_a f_u = 0, equation (r, c) on row
     r * dim M_u + c.  Each equation is a ``{unknown: coefficient}`` dict of
     nonzero canonical coefficients, read off the nonzero entries alone:
     f_v[r, k] meets M_a[k, c] for the nonzeros of column c of M_a, and
@@ -851,35 +805,35 @@ def _hom_constraints(m: Representation, n: Representation, by: str | None = None
     (u = v) adds both parts into the same key, and a key whose sum is zero
     is dropped.  An equation with no entry left is not emitted.
 
-    The equations come in arrow order, and, stably, by level: with ``by``
-    "radical" the radical degree of coordinate r of n, with "socle" the
-    socle degree of coordinate c of m, and with None all are of level 0.
-    ``marks[l - 1]`` counts the emitted equations of level < l.
+    The equations come in arrow order, and, stably, by level: with
+    ``by_degree`` the radical degree of coordinate r of n, without it all
+    are of level 0.  ``marks[l - 1]`` counts the emitted equations of level
+    < l.
     """
     q = m.algebra.quiver
     p = m.field.p
-    row_at, col_at = _numbering(m, n, by)
-    row_level = n.radical_degrees if by == "radical" else tuple((0,) * d for d in n.dims)
-    col_level = m.socle_degrees if by == "socle" else tuple((0,) * d for d in m.dims)
-    levels: list[list[dict]] = [[] for _ in range(max(_grading_length(row_level), _grading_length(col_level), 1))]
+    row_at, col_at = _numbering(m, n, by_degree)
+    row_level = n.radical_degrees if by_degree else tuple((0,) * d for d in n.dims)
+    levels: list[list[dict]] = [[] for _ in range(max(_grading_length(row_level), 1))]
     for a in q.arrows:
         u, v = q.arrow_endpoints(a.name)
         if not n.dims[v - 1] * m.dims[u - 1]:
             continue
         col_v, row_u = col_at[v - 1], row_at[u - 1]
         columns = [
-            (shift, [(col_v[k], x) for k, x in col.items()], c_level)
-            for shift, col, c_level in zip(col_at[u - 1], _sparse_columns(m, a.name), col_level[u - 1])
+            (shift, [(col_v[k], x) for k, x in col.items()])
+            for shift, col in zip(col_at[u - 1], _sparse_columns(m, a.name))
         ]
-        nonzero_columns = [column for column in columns if column[1]]
+        nonzero_columns = [col for _, col in columns if col]
         loop = u == v
         for left, r_level, n_row in zip(row_at[v - 1], row_level[v - 1], _negated_sparse_rows(n, a.name)):
+            level = levels[r_level]
             if not n_row:  # row r of N_a is zero: equation (r, c) is f_v M_a's part alone
-                for _, col, c_level in nonzero_columns:
-                    levels[r_level + c_level].append({left + k: x for k, x in col})
+                for col in nonzero_columns:
+                    level.append({left + k: x for k, x in col})
                 continue
             right = [(row_u[k], x) for k, x in n_row.items()]
-            for shift, col, c_level in columns:
+            for shift, col in columns:
                 eq = {left + k: x for k, x in col}
                 for start, x in right:
                     key = start + shift
@@ -890,7 +844,7 @@ def _hom_constraints(m: Representation, n: Representation, by: str | None = None
                             continue
                     eq[key] = x
                 if eq:
-                    levels[r_level + c_level].append(eq)
+                    level.append(eq)
     rows = [eq for level in levels for eq in level]
     return rows, sum(nd * md for nd, md in zip(n.dims, m.dims)), list(accumulate(map(len, levels)))
 
@@ -911,8 +865,8 @@ def hom_dim(m: Representation, n: Representation) -> int:
 
 @memoized
 def _level_widths(m: Representation) -> tuple[tuple[int, ...], ...]:
-    """Entry j - 1: the number of coordinates of degree < j at each vertex, j = 1..LL(m), for m's grading."""
-    degrees = m.radical_degrees if m.radical_degrees is not None else m.socle_degrees
+    """Entry j - 1: the number of coordinates of degree < j at each vertex, j = 1..LL(m), for m's radical grading."""
+    degrees = m.radical_degrees
     return tuple(_below(degrees, j) for j in range(1, _grading_length(degrees) + 1))
 
 
@@ -930,17 +884,24 @@ def hom_dims_between_levels(m: Representation, n: Representation) -> tuple[tuple
     restricted to the unknowns with deg k < j, are the system of
     Hom(m/rad^j m, n/rad^l n).  So its dimension is c_{j,l}, the unknowns
     with deg k < j and deg r < l, minus the pivot columns below c_j of the
-    equations of level < l, c_j the unknowns with deg k < j.  Under socle
-    gradings the roles swap: the equations sorted by the degree of c in m
-    give soc_j m, and the unknowns numbered by the degree of r in n give
-    soc_l n.
+    equations of level < l, c_j the unknowns with deg k < j.
+
+    Under socle gradings D = Hom_K(-, K) gives Hom(soc_j m, soc_l n) =
+    Hom_{A^op}(Dn/rad^l Dn, Dm/rad^j Dm), so the table is the transpose of
+    the one between the roots (:func:`_root`) of n and m.  A component's
+    module has A's root; against a module with a root of its own over the
+    component's opposite, both read their duals (:func:`_dual`) instead.
     """
     _same_algebra(m, n)
-    if m.radical_degrees is not None and n.radical_degrees is not None:
-        by = "radical"
-    elif m.socle_degrees is not None and n.socle_degrees is not None:
-        by = "socle"
-    else:
+    if m.socle_degrees is not None and n.socle_degrees is not None:
+        _check_invariant(m)
+        _check_invariant(n)
+        dm, dn = _root(m)[0], _root(n)[0]
+        if dm.algebra is not dn.algebra:
+            dm, dn = _dual(m), _dual(n)
+        table = hom_dims_between_levels(dn, dm)
+        return tuple(tuple(row[j] for row in table) for j in range(loewy_length(m)))
+    if m.radical_degrees is None or n.radical_degrees is None:
         raise ValueError("hom_dims_between_levels needs two radically graded or two socle-graded modules")
     _check_invariant(m)
     _check_invariant(n)
@@ -948,16 +909,12 @@ def hom_dims_between_levels(m: Representation, n: Representation) -> tuple[tuple
     both = [[sum(map(mul, bm, bn)) for bn in below_n] for bm in below_m]
     if _support(m).isdisjoint(_support(n)):
         return tuple((0,) * len(below_n) for _ in below_m)
-    rows, unknowns, marks = _hom_constraints(m, n, by)
+    rows, unknowns, marks = _hom_constraints(m, n, True)
     profile = _sparse_rank(rows, m.field, marks)
-    # one mark per level of the side that sorts the equations; the other
-    # side's level j (or l) is the column prefix c_j (or c_l)
-    if by == "radical":
-        prefixes = [sum(map(mul, bm, n.dims)) for bm in below_m]
-        ranks = zip(*([bisect_left(pivots, c) for c in prefixes] for pivots in profile))
-    else:
-        prefixes = [sum(map(mul, m.dims, bn)) for bn in below_n]
-        ranks = ([bisect_left(pivots, c) for c in prefixes] for pivots in profile)
+    # one mark per level of n, which sorts the equations; m's level j is
+    # the column prefix c_j
+    prefixes = [sum(map(mul, bm, n.dims)) for bm in below_m]
+    ranks = zip(*([bisect_left(pivots, c) for c in prefixes] for pivots in profile))
     return tuple(tuple(map(sub, row, rank)) for row, rank in zip(both, ranks))
 
 

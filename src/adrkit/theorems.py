@@ -94,8 +94,8 @@ def duality_failures(alg: AlgebraData) -> list[str]:
     """Witnesses against C(R_A) = C(S_{A^op})^T and C(S_A) = C(R_{A^op})^T, labels included.
 
     D(P_k/rad^l P_k) = soc_l Q^op_k and D(soc_j Q_i) = P^op_i/rad^j P^op_i.
-    Q^op_k reads the tagged pass of P_k, and Q_i that of P^op_i
-    (``repmod._tagged_pass``), so each identity reads one pass under both
+    Q^op_k reads the functional pass of P_k, its root, and Q_i that of
+    P^op_i (``repmod._root``), so each identity reads one pass under both
     readers and runs no pass of its own: it checks the transposes, the
     labels and the readers, and the Hom routes guard the pass.  Each witness
     names the first label pair, in row-major order, where a matrix is off

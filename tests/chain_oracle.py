@@ -18,6 +18,10 @@ int64 over F_p, Fractions in an object array over Q), ``canonical`` (entries
 reduced into the field), ``dense`` (a ``Matrix`` as such an array) and
 ``matrix`` (an array as a ``Matrix``, with no rows too).
 
+``radical_pass`` is the tagged radical chain of a socle-graded module on
+its own maps transposed; ``repmod`` runs no such pass, since a socle-graded
+module reads the functional pass of its dual.
+
 ``dense_echelon`` is a dense pivot loop on numpy arrays, independent of the
 sparse elimination ``exactlin._SparseEchelon`` that every computation of the
 package runs on.  ``dense_rref`` is its reduced mode, the RREF of the dense
@@ -31,7 +35,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from adrkit.exactlin import FieldSpec, Matrix, RrefResult
+from adrkit.exactlin import FieldSpec, Matrix, RrefResult, _sparse_transpose, _tag_order_basis
 from adrkit.presentation import _canonical_relations
 from adrkit.repmod import (
     Representation,
@@ -278,6 +282,46 @@ def is_rigid(m: Representation) -> bool:
             if rad != soc:
                 raise RuntimeError(f"rad^{j} not contained in soc_{ll - j} at vertex {v + 1}")
     return True
+
+
+def radical_pass(m: Representation) -> tuple:
+    """rad^0 m, rad m, ..., rad^L m = 0 for a socle-graded m, each basis row tagged, on m's own maps.
+
+    rad^0 m at v holds the coordinate vectors e_r of M_v, e_r tagged by its
+    socle degree + 1.  rad^t m at v is the tag-order basis
+    (``exactlin._tag_order_basis``) of the images M_a x, for x in
+    rad^{t-1} m at u over the arrows a: u -> v, each tagged as its x, so the
+    rows of tag <= j span rad^t(soc_j m).  Rows are ``{coordinate:
+    coefficient}`` dicts, and a step has the shape of a step of
+    ``repmod._functional_pass``.
+    """
+    incoming: list[list] = [[] for _ in m.dims]
+    for a in m.algebra.quiver.arrows:
+        u, v = m.algebra.quiver.arrow_endpoints(a.name)
+        mat = m.arrow_maps[a.name]
+        if m.dims[v - 1]:
+            incoming[v - 1].append((u - 1, _sparse_transpose(mat.sparse_rows(), mat.cols)))
+    spaces = tuple(([{r: 1} for r in range(len(ds))], tuple(d + 1 for d in ds)) for ds in m.socle_degrees)
+    chain = [spaces]
+    while any(tags for _, tags in spaces):
+        nxt = []
+        for arrows in incoming:
+            rows, tags = [], []
+            for u, columns in arrows:
+                for row, tag in zip(*spaces[u]):
+                    image: dict = {}
+                    for k, x in row.items():
+                        for c, y in columns[k].items():
+                            image[c] = image.get(c, 0) + x * y
+                    if image:
+                        rows.append(image)
+                        tags.append(tag)
+            nxt.append(_tag_order_basis(rows, tags, m.field) if rows else ([], ()))
+        if sum(len(tags) for _, tags in nxt) >= sum(len(tags) for _, tags in spaces):
+            raise RuntimeError("radical did not shrink; representation is invalid")
+        spaces = tuple(nxt)
+        chain.append(spaces)
+    return tuple(chain)
 
 
 def truncate(m: Representation, j: int) -> Representation:

@@ -2,10 +2,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from adrkit import corpus
 from adrkit.adrcore import cartan_RA_formula, cartan_SA_formula
 from adrkit.corpus import (
     GenerationExhaustedError,
-    RandomLimits,
     builtin_entries,
     entry_ids,
     get_entry,
@@ -164,19 +164,10 @@ def test_random_admissible_deterministic():
     assert a.build().dim == b.build().dim
 
 
-def test_random_admissible_zero_relations_limit():
-    limits = RandomLimits(max_relations=0)
-    for seed in range(10):
-        entry = random_admissible(seed, limits)
-        for rel in entry.presentation.relations:
-            # only the truncation monomials of full cap length remain
-            assert len(rel.terms) == 1
-            assert len(rel.terms[0][1]) == entry.presentation.cap
-
-
-def test_random_admissible_exhaustion():
+def test_random_admissible_exhaustion(monkeypatch):
+    monkeypatch.setattr(corpus, "RETRIES", 0)
     with pytest.raises(GenerationExhaustedError):
-        random_admissible(0, RandomLimits(retries=0))
+        random_admissible(0)
 
 
 def test_invariant_suite_clean_on_random_sample():

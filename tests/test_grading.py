@@ -4,9 +4,9 @@
 the radical series of P_i, the socle series of Q_i, the truncations
 P_i/rad^l P_i, the socle submodules soc_j Q_i, the socle series of every
 truncation (by the tagged functional pass over P_i), the radical series of
-every soc_j Q_i (by the pass Q_i reads, the functional pass over P^op_i,
-which is its radical pass) and the rigidity of all of them are read off
-that grading.  The oracle is the same module with
+every soc_j Q_i (by the pass Q_i reads through its root, the functional
+pass over P^op_i, which is its radical pass) and the rigidity of all of them
+are read off that grading.  The oracle is the same module with
 its grading dropped, measured by the general chain code of ``chain_oracle``;
 its radical or socle chain must be the coordinate spans of the grading.  The library
 functions themselves refuse a module without the grading they read.
@@ -203,47 +203,74 @@ def test_functional_pass_refuses_a_leading_block_its_grading_misreads():
 
 
 def test_radical_pass_refuses_a_grading_that_is_not_nilpotent():
-    # the socle-graded twin: the same loop under a socle grading, which the
-    # radical pass must notice, not loop on
+    # the socle-graded twin: the same loop under a socle grading; its radical
+    # series is read off the functional pass of its dual, which must notice,
+    # not loop: the dual's socle does not grow
     q = Quiver(("1",), (Arrow("x", "1", "1"),))
     alg = build_algebra(AlgebraPresentation(RATIONAL, q, (Relation.monomial(["x", "x"]),), 2))
     bad = Representation(alg, (1,), {"x": Matrix.identity(RATIONAL, 1)}, socle_degrees=((0,),))
-    with pytest.raises(RuntimeError, match="radical did not shrink"):
+    with pytest.raises(RuntimeError, match="socle did not grow"):
         radical_series(bad)
 
 
+def test_radical_series_refuses_a_leading_block_its_socle_grading_misreads():
+    # the socle-graded twin of the misread leading block: x e2 = e1 with e1,
+    # e2 of socle degree 0, so soc_1 is read as semisimple but is not.  The
+    # module's dual is the radically graded bad module above, so reading
+    # level 1 off the dual's pass must fail as the pass over the block's own
+    # dual does; the module's own radical series stays readable
+    q = Quiver(("1",), (Arrow("x", "1", "1"),))
+    alg = build_algebra(AlgebraPresentation(RATIONAL, q, (Relation.monomial(["x", "x"]),), 2))
+    x = Matrix.from_rows(RATIONAL, [[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+    bad = Representation(alg, (3,), {"x": x}, socle_degrees=((0, 0, 1),))
+    with pytest.raises(RuntimeError, match="socle did not grow"):
+        repmod.series_by_level(bad)
+    assert radical_series(bad).totals == ((0,), (2,), (3,))
+    with pytest.raises(RuntimeError, match="socle did not grow"):
+        radical_series(socle_sub(bad, 1))
+
+
+def _read_pass(m) -> list:
+    """The tagged pass that m reads: its root's functional pass, at m's vertices."""
+    root, at = repmod._root(m)
+    return [tuple(step[v - 1] for v in at) for step in repmod._functional_pass(root)]
+
+
 def test_rigidity_containment_failure_is_an_error_under_each_grading(monkeypatch):
-    # is_rigid checks one elimination chain against the grading, read off
-    # the module's tagged pass (repmod._tagged_pass): the functionals F_j
-    # under a radical grading, the radical chain under a socle one.  Q_1
-    # runs no pass of its own: it reads the functional pass of P^op_1, which
-    # is its radical chain, and so takes P^op_1's verdict.  A step with the
-    # right number of rows but an entry outside the degree < L-j block breaks
-    # rad <= soc, which holds in every module: that is a bug, raised, not a
-    # verdict of non-rigidity, and named under the module's own grading
+    # is_rigid checks the functional pass of the module's root
+    # (repmod._root) against the root's grading: the functionals F_j, whose
+    # common kernel is soc_j.  Q_1 runs no pass of its own: its root is
+    # P^op_1, whose functional pass is Q_1's radical chain, and it takes
+    # P^op_1's verdict.  A step with the right number of rows but an entry
+    # outside the degree < L-j block breaks rad <= soc, which holds in every
+    # module: that is a bug, raised, not a verdict of non-rigidity, and named
+    # under the module's own grading
     alg = get_entry("nakayama-1-3").build()
     stray = [{0: 1}, {2: 1}]
     p = projective(alg, 1)
     functionals = list(repmod._functional_pass(p))
     assert [len(f[0][0]) for f in functionals] == [3, 2, 1, 0] and is_rigid(p)
     q = injective(alg, 1)
-    chain = list(repmod._tagged_pass(q))
+    chain = _read_pass(q)
     assert chain == list(repmod._functional_pass(projective(alg.opposite(), 1)))
     assert [len(s[0][0]) for s in chain] == [3, 2, 1, 0] and is_rigid(q)
-    assert (repmod._radical_pass.__qualname__,) not in q._cache
+    assert (repmod._functional_pass.__qualname__,) not in q._cache
 
-    # the verdicts of p and q are memoized, so the stray rows go into fresh
-    # copies: p's, q's with a pass of its own, and q's reading the fresh p's
-    # pass (whose verdict it takes, worded under q's grading)
+    # the verdicts of p and q are memoized, so the stray rows go into the
+    # passes of fresh roots: a copy of p, the dual that a copy of q without
+    # a link has as its root, and the copy of p again for a copy of q linked
+    # to it (whose verdict it takes, worded under q's grading)
     fresh_p = Representation(alg, p.dims, p.arrow_maps, radical_degrees=p.radical_degrees)
     own_q = Representation(alg, q.dims, q.arrow_maps, socle_degrees=q.socle_degrees)
     linked_q = Representation(
         alg, q.dims, q.arrow_maps, socle_degrees=q.socle_degrees, source=(fresh_p, (1,))
     )
+    own_root = repmod._root(own_q)[0]
+    assert own_root.radical_degrees == q.socle_degrees and own_root.algebra is alg.opposite()
     functionals[1] = ((stray, functionals[1][0][1]),)
     chain[1] = ((stray, chain[1][0][1]),)
-    passes = {id(fresh_p): tuple(functionals), id(own_q): tuple(chain)}
-    monkeypatch.setattr(repmod, "_tagged_pass", lambda m: passes[id(m)])
+    passes = {id(fresh_p): tuple(functionals), id(own_root): tuple(chain)}
+    monkeypatch.setattr(repmod, "_functional_pass", lambda m: passes[id(m)])
     with pytest.raises(RuntimeError, match=r"rad\^2 not contained in soc_1 at vertex 1"):
         is_rigid(fresh_p)
     for m in (own_q, linked_q):
@@ -264,14 +291,15 @@ def test_rigidity_containment_failure_is_an_error_under_each_grading(monkeypatch
         monkeypatch.undo()
         cut = f(comp, 1)
         assert cut.source == (f(whole, 2), (2,)) and is_rigid(cut)
-        run = list(repmod._tagged_pass(f(whole, 2)))
+        run = _read_pass(f(whole, 2))
         assert [len(step[0][0]) for step in run] == [0] * 4
         assert [len(step[1][0]) for step in run] == [3, 2, 1, 0]
         run[1] = (run[1][0], (stray, run[1][1][1]))
         degrees = {grading: getattr(cut.source[0], grading)}
         fresh_whole = Representation(whole, cut.source[0].dims, cut.source[0].arrow_maps, **degrees)
         fresh_cut = Representation(comp, cut.dims, cut.arrow_maps, **{grading: getattr(cut, grading)}, source=(fresh_whole, (2,)))
-        monkeypatch.setattr(repmod, "_tagged_pass", lambda m, passes={id(fresh_whole): tuple(run)}: passes[id(m)])
+        passes = {id(repmod._root(fresh_whole)[0]): tuple(run)}
+        monkeypatch.setattr(repmod, "_functional_pass", lambda m, passes=passes: passes[id(m)])
         with pytest.raises(RuntimeError, match=message + "2"):
             is_rigid(fresh_whole)
         with pytest.raises(RuntimeError, match=message + "1"):

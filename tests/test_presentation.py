@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import builder_oracle
@@ -175,6 +176,31 @@ def test_relation_zero_mod_p_is_dropped():
     )
     with pytest.raises(CapTooSmallError):
         build_algebra(pres)
+
+
+def test_relation_coefficients_must_be_exact_rationals():
+    # a relation built through the Python API takes the exact-rationals rule
+    # of FieldSpec.coerce: a float, a Decimal, a numpy float or a string is
+    # refused, as is a denominator that vanishes mod p, each as an
+    # InvalidRelationError naming the term; ints, Fractions and numpy
+    # integers are read exactly
+    import numpy as np
+
+    loops = Quiver(("1",), (Arrow("x", "1", "1"), Arrow("y", "1", "1")))
+
+    def build(field, coeff):
+        rels = (Relation(((1, ("x", "y")), (coeff, ("y", "x")))), Relation.monomial("xx"), Relation.monomial("yy"))
+        return build_algebra(AlgebraPresentation(field, loops, rels, 3))
+
+    for field in (RATIONAL, FieldSpec.prime(7)):
+        for coeff in (0.1, Decimal("0.5"), np.float64(0.5), "1/2"):
+            with pytest.raises(InvalidRelationError, match=rf"\('y', 'x'\).*{type(coeff).__name__}"):
+                build(field, coeff)
+        want = build(field, 2).normal
+        assert build(field, Fraction(2)).normal == build(field, np.int64(2)).normal == want
+    assert build(RATIONAL, Fraction(1, 7)).normal == build(RATIONAL, Fraction(2, 14)).normal
+    with pytest.raises(InvalidRelationError, match=r"\('y', 'x'\).*vanishes mod 7"):
+        build(FieldSpec.prime(7), Fraction(1, 7))
 
 
 def test_opposite_a2():

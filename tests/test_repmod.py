@@ -40,7 +40,8 @@ from adrkit.repmod import (
     socle_sub,
     truncate,
 )
-from adrkit.corpus import builtin_entries, get_entry, preprojective_a, random_admissible
+from adrkit.corpus import builtin_entries, get_entry, preprojective_a, random_admissible, truncated_path_algebra
+from test_theorems import _disjoint_union
 
 F7 = FieldSpec.prime(7)
 
@@ -540,50 +541,43 @@ def _densify(rows: list[dict], unknowns: int, fld) -> np.ndarray:
     return out
 
 
-def _degree_order(m: Representation, n: Representation, by: str) -> list[int]:
-    """The row-major unknown numbers of the Kronecker oracle, sorted as ``by`` numbers them.
+def _degree_order(m: Representation, n: Representation) -> list[int]:
+    """The row-major unknown numbers of the Kronecker oracle, sorted as the level reader numbers them.
 
-    f_v[r, k] is sorted by (radical degree of coordinate k of m, v, k, r) for
-    "radical", and by (socle degree of coordinate r of n, v, r, k) for "socle".
+    f_v[r, k] is sorted by (radical degree of coordinate k of m, v, k, r).
     """
     offsets = np.cumsum([0] + [nd * md for nd, md in zip(n.dims, m.dims)])
     unknowns = [
         (v, r, k) for v in range(len(m.dims)) for r in range(n.dims[v]) for k in range(m.dims[v])
     ]
-
-    def key(vrk):
-        v, r, k = vrk
-        if by == "radical":
-            return m.radical_degrees[v][k], v, k, r
-        return n.socle_degrees[v][r], v, r, k
-
-    return [int(offsets[v]) + r * m.dims[v] + k for v, r, k in sorted(unknowns, key=key)]
+    by_degree = sorted(unknowns, key=lambda vrk: (m.radical_degrees[vrk[0]][vrk[2]], vrk[0], vrk[2], vrk[1]))
+    return [int(offsets[v]) + r * m.dims[v] + k for v, r, k in by_degree]
 
 
-def _level_order(m: Representation, n: Representation, by: str, nonzero: np.ndarray) -> tuple[list[int], list[int]]:
-    """The Kronecker oracle's nonzero rows, stably sorted by level as ``by`` emits them, and the level marks.
+def _level_order(m: Representation, n: Representation, nonzero: np.ndarray) -> tuple[list[int], list[int]]:
+    """The Kronecker oracle's nonzero rows, stably sorted by level as the level reader emits them, and the level marks.
 
-    Equation (r, c) of an arrow u -> v has level deg r in n for "radical"
-    and deg c in m for "socle"; mark l counts the nonzero equations of
-    level < l.  ``nonzero`` marks the oracle's nonzero rows.
+    Equation (r, c) of an arrow u -> v has level deg r in n; mark l counts
+    the nonzero equations of level < l.  ``nonzero`` marks the oracle's
+    nonzero rows.
     """
     levels = []
     for a in m.algebra.quiver.arrows:
         u, v = m.algebra.quiver.arrow_endpoints(a.name)
         for r, c in product(range(n.dims[v - 1]), range(m.dims[u - 1])):
-            levels.append(n.radical_degrees[v - 1][r] if by == "radical" else m.socle_degrees[u - 1][c])
+            levels.append(n.radical_degrees[v - 1][r])
     kept = [x for x, keep in zip(levels, nonzero) if keep]
-    graded = n if by == "radical" else m
-    marks = [sum(x < l for x in kept) for l in range(1, loewy_length(graded) + 1)]
+    marks = [sum(x < l for x in kept) for l in range(1, loewy_length(n) + 1)]
     order = sorted(range(len(levels)), key=levels.__getitem__)
     return [i for i in order if nonzero[i]], marks
 
 
 def test_hom_constraints_match_kronecker_oracle():
     # hom_dim's numbering is the oracle's row-major one; the level reader's
-    # numberings are the oracle's columns in degree order, and its rows are
-    # the oracle's sorted stably by level.  Only the nonzero equations are
-    # emitted: the rows are the oracle's with its zero rows removed, so no
+    # numbering, for two radically graded modules, is the oracle's columns
+    # in degree order, and its rows are the oracle's sorted stably by level.
+    # Only the nonzero equations are emitted: the rows are the oracle's with
+    # its zero rows removed, so no
     # nonzero oracle row is dropped, and the marks count nonzero rows alone
     seen = {"loop_diagonal": False, "zero_in_m": False, "zero_in_n": False}
     fields = set()
@@ -602,17 +596,14 @@ def test_hom_constraints_match_kronecker_oracle():
                 assert got.shape == (nonzero.sum(), want.shape[1]), name
                 assert np.array_equal(got, want[nonzero]), (name, m.dims, n.dims)
                 assert marks == [len(rows)]
-                for by in ("radical", "socle"):
-                    grading = f"{by}_degrees"
-                    if getattr(m, grading) is None or getattr(n, grading) is None:
-                        continue
-                    rows, unknowns, marks = repmod._hom_constraints(m, n, by)
-                    order, want_marks = _level_order(m, n, by, nonzero)
-                    sorted_want = want[order][:, _degree_order(m, n, by)]
+                if m.radical_degrees is not None and n.radical_degrees is not None:
+                    rows, unknowns, marks = repmod._hom_constraints(m, n, True)
+                    order, want_marks = _level_order(m, n, nonzero)
+                    sorted_want = want[order][:, _degree_order(m, n)]
                     assert np.array_equal(_densify(rows, unknowns, alg.field), sorted_want), (
-                        name, by, m.dims, n.dims
+                        name, m.dims, n.dims
                     )
-                    assert marks == want_marks, (name, by, m.dims, n.dims)
+                    assert marks == want_marks, (name, m.dims, n.dims)
                 seen["loop_diagonal"] |= any(
                     oracle.dense(m.arrow_maps[a]).diagonal().any() for a in loops
                 ) and got.size > 0
@@ -721,6 +712,36 @@ def test_level_tables_match_hom_dim_on_the_derived_modules():
         moved_p = [_rebase_graded(p, rng) for p in projectives]
         moved_q = [_rebase_graded(q, rng) for q in injectives]
         _check_level_tables(moved_p, moved_q)
+    # the largest tables a report reads, in the path basis: the analyze
+    # inputs of perfbench/child.py
+    loops = [Quiver(("1",), tuple(Arrow(f"x{i}", "1", "1") for i in range(1, k + 1))) for k in (2, 3)]
+    for entry in (
+        preprojective_a(5, F7), preprojective_a(6, F7), preprojective_a(4, RATIONAL),
+        preprojective_a(5, RATIONAL), truncated_path_algebra(loops[0], 5, F7),
+        truncated_path_algebra(loops[1], 4, F7),
+    ):
+        alg = entry.build()
+        vertices = range(1, alg.n + 1)
+        _check_level_tables([projective(alg, i) for i in vertices], [injective(alg, i) for i in vertices])
+
+
+def test_level_tables_of_a_component_against_modules_built_on_it():
+    # a component's Q_i has A's root, over A^op; a socle-graded copy of it
+    # built on the component has its dual, over the component's opposite, as
+    # its root.  Their table must still be read off one algebra's system
+    nakayama = get_entry("nakayama-2-3").presentation
+    whole = build_algebra(_disjoint_union(nakayama, get_entry("preproj-a-3").presentation))
+    comp = whole.components()[1]
+    qs = [injective(comp, i) for i in range(1, comp.n + 1)]
+    own = [Representation(comp, q.dims, q.arrow_maps, socle_degrees=q.socle_degrees) for q in qs]
+    assert all(repmod._root(q)[0].algebra is whole.opposite() for q in qs)
+    assert all(repmod._root(m)[0].algebra is comp.opposite() for m in own)
+    for m, n in product(qs + own, repeat=2):
+        want = tuple(
+            tuple(hom_dim(socle_sub(m, j), socle_sub(n, l)) for l in range(1, loewy_length(n) + 1))
+            for j in range(1, loewy_length(m) + 1)
+        )
+        assert repmod.hom_dims_between_levels(m, n) == want, (m.dims, n.dims)
 
 
 def test_level_reader_needs_two_invariant_gradings_of_one_kind(kx3):

@@ -334,27 +334,34 @@ def test_derived_opposite_and_components_match_rebuilt_ones():
     assert other_basis >= 4 and several >= 1
 
 
+def _read_pass(m) -> tuple:
+    """The tagged pass that m reads: its root's functional pass, at m's vertices."""
+    root, at = repmod._root(m)
+    return tuple(tuple(step[v - 1] for v in at) for step in repmod._functional_pass(root))
+
+
 def _pass_data(m) -> tuple:
     """A module's maps and grading, and what the formula routes read off its tagged pass."""
     maps = {name: oracle.dense(mat).tolist() for name, mat in m.arrow_maps.items()}
-    reads = (repmod._tagged_pass(m), repmod._level_series(m), is_rigid(m))
+    reads = (_read_pass(m), repmod._level_series(m), is_rigid(m))
     return m.dims, maps, m.radical_degrees, m.socle_degrees, reads
 
 
 def test_each_injective_reads_the_radical_pass_of_its_own_maps():
     # Q_i = D(P^op_i) runs no pass: it reads the functional pass of P^op_i.
-    # A copy of Q_i without that link, the same maps under the same socle
-    # grading, runs its own radical pass, which must be the pass Q_i reads,
-    # step by step, with the same level series and rigidity
+    # The oracle's radical pass over Q_i's own maps transposed must be that
+    # pass, step by step; a copy of Q_i without that link, the same maps
+    # under the same socle grading, reads the pass of its own dual, with the
+    # same level series and rigidity
     for name, pres in _pin_cases():
         alg = build_algebra(pres)
         for i in range(1, alg.n + 1):
             q = injective(alg, i)
             assert q.source == (projective(alg.opposite(), i), tuple(range(1, alg.n + 1)))
             own = Representation(alg, q.dims, q.arrow_maps, socle_degrees=q.socle_degrees)
-            assert repmod._radical_pass(own) == repmod._tagged_pass(q), (name, i)
+            assert oracle.radical_pass(own) == _read_pass(q), (name, i)
             assert _pass_data(own) == _pass_data(q), (name, i)
-            assert (repmod._radical_pass.__qualname__,) not in q._cache
+            assert (repmod._functional_pass.__qualname__,) not in q._cache
 
 
 def test_component_modules_are_those_of_the_rebuilt_components():
