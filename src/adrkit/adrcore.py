@@ -20,8 +20,8 @@ routes, which must agree exactly:
 The Hom routes solve one intertwiner system per (P_i, P_k) or (Q_i, Q_k),
 the latter between their roots P^op_k and P^op_i, and read every (j, l)
 entry of that block off a row prefix and a column prefix of its one
-elimination (``repmod.hom_dims_between_levels``).  They
-read only pivot columns found by ``exactlin._sparse_rank``, never a chain
+elimination (``repmod.hom_dims_between_levels``).  They read only the
+pivot columns of that elimination (``repmod._hom_profile``), never a chain
 or a series.  So the two routes share the modules P_k and Q_i they measure
 and the code of ``exactlin``'s sparse elimination, but never an elimination
 or the sparse arrow maps it reads: each route memoizes its own.  The

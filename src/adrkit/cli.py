@@ -20,6 +20,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .adrcore import (
@@ -314,6 +315,46 @@ def render_table(report: dict) -> str:
     return "\n".join(lines)
 
 
+def _json_text(obj) -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, for dicts with string keys, lists, tuples and scalars.
+
+    ``indent`` sends ``json.dumps`` to its pure-Python encoder, which makes
+    several calls per scalar; here a list of ints, such as a Cartan matrix
+    row, is written with one join.  Strings are escaped to ASCII as
+    ``json.dumps`` escapes them (``encode_basestring_ascii``), and any other
+    scalar is ``json.dumps`` of it.
+    """
+    parts: list[str] = []
+    _write_json(obj, "\n", parts)
+    return "".join(parts)
+
+
+def _write_json(obj, newline: str, parts: list[str]) -> None:
+    """Append the text of ``obj`` to ``parts``; ``newline`` is a line break and the indent of ``obj``'s own line."""
+    inner = newline + "  "
+    if isinstance(obj, str):
+        parts.append(encode_basestring_ascii(obj))
+    elif isinstance(obj, dict) and obj:
+        sep = "{" + inner
+        for key, value in obj.items():
+            parts.append(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(value, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(obj, (list, tuple)) and obj:
+        if all(type(x) is int for x in obj):
+            parts.append("[" + inner + ("," + inner).join(map(str, obj)) + newline + "]")
+            return
+        sep = "[" + inner
+        for value in obj:
+            parts.append(sep)
+            _write_json(value, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "]")
+    else:  # a number, a bool, None, or an empty dict or list
+        parts.append(json.dumps(obj))
+
+
 def _emit(text: str, out: str | None) -> int:
     """Write to ``out`` or stdout; the exit code, 2 if ``out`` cannot be written."""
     if not out:
@@ -350,7 +391,7 @@ def cmd_analyze(args) -> int:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3
     if args.format == "json":
-        return _emit(json.dumps(report, indent=2) + "\n", args.out)
+        return _emit(_json_text(report) + "\n", args.out)
     return _emit(render_table(report) + "\n", args.out)
 
 
@@ -366,7 +407,7 @@ def cmd_corpus(args) -> int:
             print(f"error: {exc.args[0]}", file=sys.stderr)
             return 2
         doc = presentation_to_doc(entry.presentation)
-        return _emit(json.dumps(doc, indent=2) + "\n", args.out)
+        return _emit(_json_text(doc) + "\n", args.out)
     if args.corpus_command == "fuzz":
         try:
             summary = run_fuzz(args.samples, args.seed)

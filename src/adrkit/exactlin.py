@@ -12,7 +12,9 @@ given as ``{column: coefficient}`` dicts, with Python ints mod p or, over Q,
 integer rows cleared of their denominators on reading (:func:`_cleared`).
 :func:`_sparse_rank` reads its pivot columns at each requested row prefix,
 so one elimination gives the rank of every row prefix on every column
-prefix; :func:`_tag_order_basis` (the tagged reduction behind the
+prefix, and the Hom kernel of ``repmod`` reads them after each level of
+equations it streams in, leaving out the columns the loop records as
+settled; :func:`_tag_order_basis` (the tagged reduction behind the
 filtrations of ``repmod``) reads its pivot rows and the rows that made
 them; :func:`rref` and the path-basis builder of ``presentation``
 back-substitute its pivot rows into an RREF (``rref_rows``), and the builder
@@ -299,6 +301,9 @@ def _require_exact(values: Iterable) -> None:
             raise TypeError(f"exact rational entry needed, got {x!r} of type {type(x).__name__}") from None
 
 
+_NO_ENTRIES: dict[int, int] = {}
+
+
 class _SparseEchelon:
     """Pivot rows of a sparse forward elimination, grown one ``{column: coefficient}`` row at a time.
 
@@ -317,10 +322,13 @@ class _SparseEchelon:
     are the pivot columns of their RREF.  ``made_by[k]`` is the number of
     rows read before the one that made pivot row k.
 
-    A row with one entry x at column c is settled without a copy or a heap:
-    with no pivot row at c it becomes the pivot row {c: 1} (if x is nonzero),
-    and it lies in the span when the pivot row at c has no other entry.
-    Only a pivot row at c with more entries sends it through the reduction.
+    ``settled`` holds the columns c whose unit row e_c lies in the span: those
+    of the nonzero one-entry rows read, and the leads of the pivot rows with
+    no other entry.  A caller may leave them out of the rows it builds next,
+    which changes no span.  A row with one nonzero entry x at column c is
+    read without a copy or a heap: it lies in the span if c is settled, and
+    with no pivot row at c it becomes the pivot row {c: 1}.  Only a pivot row
+    at c with more entries sends it through the reduction.
     """
 
     def __init__(self, field: FieldSpec):
@@ -329,14 +337,19 @@ class _SparseEchelon:
         self.leads: list[int] = []
         self.lead_values: list[int] = []
         # a pivot row omits its lead entry: reducing a row pops the row's own
-        # entry at the lead instead of subtracting it
+        # entry at the lead instead of subtracting it.  Pivot rows are never
+        # written after they are made, so every one with no other entry is
+        # the one _NO_ENTRIES
         self.pivot_rows: list[dict] = []
         self.made_by: list[int] = []
+        self.settled: set[int] = set()
         self.read = 0
 
     def extend(self, rows: Iterable[Mapping[int, int | Fraction]]) -> None:
         """Reduce ``rows`` in order, each nonzero remainder becoming a pivot row; ``read`` counts them all."""
-        p, lead_of, leads, pivot_rows = self.field.p, self.lead_of, self.leads, self.pivot_rows
+        p, lead_of, leads, pivot_rows, settled = (
+            self.field.p, self.lead_of, self.leads, self.pivot_rows, self.settled
+        )
         read = self.read
         for row in rows:
             read += 1
@@ -344,14 +357,16 @@ class _SparseEchelon:
                 made = self._reduced(row)
             else:
                 ((lead, x),) = row.items()
-                k = lead_of.get(lead)
-                if k is None:
-                    made = (lead, 1, {}) if (x % p if p else x) else None
-                else:
-                    made = self._reduced(row) if pivot_rows[k] else None
+                if lead in settled or not (x % p if p else x):
+                    continue
+                settled.add(lead)
+                made = self._reduced(row) if lead in lead_of else (lead, 1, _NO_ENTRIES)
             if made is None:
                 continue
             lead, d, pivot = made
+            if not pivot:
+                settled.add(lead)
+                pivot = _NO_ENTRIES
             lead_of[lead] = len(leads)
             leads.append(lead)
             self.lead_values.append(d)

@@ -612,17 +612,21 @@ def check_label_budget(alg: AlgebraData) -> None:
 HOM_WORK_BUDGET = 1_000_000
 """Most Hom unknowns (:func:`hom_unknowns`) that ``check_work_budget`` admits with the Hom routes.
 
-Truncated 2 loops over F_7 has 522 242 at L=9 (``analyze`` 2.2 s, 212 MB)
-and 2 093 058 at L=10 (12.7 s, 752 MB); memory grows about 3.5 times per
-step of L.  Preprojective A_9/F_7, the largest CI input, has 6 666.
+Truncated 2 loops over F_7 has 522 242 at L=9 (``analyze`` with the Hom
+routes 0.76 s and 87 MB peak RSS, without them 0.03 s and 22 MB) and
+2 093 058 at L=10 (3.1 s and 295 MB with them, 0.06 s and 27 MB without),
+on a 2-core Xeon with Python 3.11; memory grows about 3.4 times per step of
+L with the Hom routes.  Preprojective A_9/F_7, the largest CI input, has
+6 666.
 """
 
 WORK_BUDGET = 10_000_000
 """Most Hom unknowns that ``check_work_budget`` admits without the Hom routes.
 
 A tagged pass is bounded by the same squares.  Without the Hom routes the
-two loops take 0.61 s and 122 MB at L=10 and 3.2 s and 392 MB at L=11
-(8 380 418); L=12 (33 538 050) would take about 1 GB.
+two loops take 0.06 s and 27 MB at L=10, 0.17 s and 36 MB at L=11
+(8 380 418) and 0.24 s and 56 MB at L=12 (33 538 050), so this bound is
+now far from what memory allows.
 """
 
 

@@ -67,22 +67,29 @@ are memoized on their module, and so are the root, the tagged pass, the
 level series, the invariance check and the rigidity verdict.  A module that
 is not its own root reads the last three off its root, at its own vertices.
 The Hom route memoizes on each module its support, its coordinates in
-degree order, the widths of its levels and the sparse columns and negated
-sparse rows of its arrow maps.  It reads modules, roots included, and no
-pass or series.  No Hom system or its pivots is memoized.
+degree order, the widths of its levels, the sparse columns and negated
+sparse rows of its arrow maps and those rows grouped by level.  It reads
+modules, roots included, and no pass or series.  No Hom system or its
+pivots is memoized.
 
 Hom tables.  ``hom_dims_between_levels`` reads a whole block of levels off
 one intertwiner system per pair of radically graded modules.  Number the
-unknowns f_v[r, k] by the degree of k in m and sort the equations (r, c) by
-the degree of r in n.  Deleting the unknowns of source degree >= j gives
+unknowns f_v[r, k] by the degree of k in m and group the equations (r, c)
+by the degree of r in n.  Deleting the unknowns of source degree >= j gives
 m/rad^j m.  Since rad^l n is a submodule, the equations with deg r < l meet
 only unknowns with deg r < l and form the system of Hom(-, n/rad^l n).  So
 dim Hom(m/rad^j m, n/rad^l n) is c_{j,l}, the unknowns of both degrees
-below j and l, minus the rank of the first R_l equations on the first c_j
-unknowns: the pivots below c_j of that row prefix, all read off one
-``exactlin._sparse_rank``.  For socle-graded m and n, D turns
-Hom(soc_j m, soc_l n) into Hom_{A^op}(Dn/rad^l Dn, Dm/rad^j Dm): the
-transposed table of their roots.
+below j and l, minus the rank of the equations of level < l on the first
+c_j unknowns: their pivots below c_j.  One kernel serves the tables and
+``hom_dim`` (one level), :func:`_hom_profile`: it builds the equations level
+by level and streams them into one ``exactlin._SparseEchelon``, each
+level's one-entry equations first.  Those force their unknowns to zero; the
+echelon records them as settled, and every equation built or read after
+that leaves them out, which changes no span.  So the pivots after each
+level are those of the whole system up to it, read with ``sorted`` at each
+level, and no equation that restates a forced zero reaches the elimination.
+For socle-graded m and n, D turns Hom(soc_j m, soc_l n) into
+Hom_{A^op}(Dn/rad^l Dn, Dm/rad^j Dm): the transposed table of their roots.
 """
 
 from __future__ import annotations
@@ -90,15 +97,14 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import accumulate
 from operator import gt, mul, sub
-from typing import Sequence
+from typing import Collection, Iterator, Sequence
 
 from .exactlin import (
     FieldSpec,
     Matrix,
     RrefResult,
-    _sparse_rank,
+    _SparseEchelon,
     _sparse_transpose,
     _tag_order_basis,
     kernel_basis,
@@ -744,10 +750,15 @@ def _support(m: Representation) -> frozenset[int]:
 
 
 @memoized
-def _sparse_columns(m: Representation, arrow: str) -> list[dict]:
-    """The nonzero entries of each column of M_a, as ``{row: entry}``."""
+def _sparse_columns(m: Representation, arrow: str) -> tuple[list[list[tuple]], list[int], list[list[tuple]]]:
+    """(columns, singles, wide): the nonzero entries (row, entry) of each column of M_a.
+
+    ``singles`` holds the row of each column with one entry and ``wide``
+    the columns with more, in column order.
+    """
     mat = m.arrow_maps[arrow]
-    return _sparse_transpose(mat.sparse_rows(), mat.cols)
+    columns = [list(col.items()) for col in _sparse_transpose(mat.sparse_rows(), mat.cols)]
+    return columns, [col[0][0] for col in columns if len(col) == 1], [col for col in columns if len(col) > 1]
 
 
 @memoized
@@ -791,62 +802,140 @@ def _numbering(m: Representation, n: Representation, by_degree: bool):
     return _slots(order, n.dims, m.dims), [list(range(d)) for d in m.dims]
 
 
-def _hom_constraints(m: Representation, n: Representation, by_degree: bool = False) -> tuple[list[dict], int, list[int]]:
-    """Sparse rows of the intertwiner system, the number of unknowns, and the level marks.
+@memoized
+def _level_rows(n: Representation, by_degree: bool) -> tuple[tuple[tuple[str, list[tuple[int, dict]]], ...], ...]:
+    """Per level of n, the pairs (a, rows) over the arrows a: u -> v in order, where rows lists (r, row r of -N_a).
+
+    The rows listed have coordinate r of N_v at that radical degree, and an
+    arrow with none is left out.  Without ``by_degree`` one level holds
+    every row.
+    """
+    q = n.algebra.quiver
+    levels: list[list] = [[] for _ in range(max(_grading_length(n.radical_degrees), 1) if by_degree else 1)]
+    for a in q.arrows:
+        rows = list(enumerate(_negated_sparse_rows(n, a.name)))
+        if not by_degree:
+            levels[0].append((a.name, rows))
+            continue
+        degrees = n.radical_degrees[q.arrow_endpoints(a.name)[1] - 1]
+        for l, level in enumerate(levels):
+            lo, hi = bisect_left(degrees, l), bisect_left(degrees, l + 1)
+            if lo < hi:
+                level.append((a.name, rows[lo:hi]))
+    return tuple(map(tuple, levels))
+
+
+def _intertwiner_levels(
+    m: Representation, n: Representation, by_degree: bool, settled: Collection[int] = frozenset()
+) -> Iterator[tuple[list[int], list[dict]]]:
+    """The intertwiner equations of Hom(m, n), one pair (units, equations) per level of n, built level by level.
 
     Unknowns are the entries of f_v: M_v -> N_v, numbered by
     :func:`_numbering` (row-major and concatenated over vertices unless
     ``by_degree`` sorts them by degree); each arrow a: u -> v contributes the
     block of equations f_v M_a - N_a f_u = 0, equation (r, c) on row
-    r * dim M_u + c.  Each equation is a ``{unknown: coefficient}`` dict of
-    nonzero canonical coefficients, read off the nonzero entries alone:
+    r * dim M_u + c.  An equation is read off the nonzero entries alone:
     f_v[r, k] meets M_a[k, c] for the nonzeros of column c of M_a, and
     f_u[k, c] meets -N_a[r, k] for the nonzeros of row r of N_a.  A loop
     (u = v) adds both parts into the same key, and a key whose sum is zero
-    is dropped.  An equation with no entry left is not emitted.
+    is dropped.  An equation left with one entry forces its unknown to zero,
+    whatever the coefficient, and ``units`` lists that unknown; every other
+    one is a ``{unknown: coefficient}`` dict of nonzero canonical
+    coefficients in ``equations``, and one with no entry is not emitted.
 
-    The equations come in arrow order, and, stably, by level: with
-    ``by_degree`` the radical degree of coordinate r of n, without it all
-    are of level 0.  ``marks[l - 1]`` counts the emitted equations of level
-    < l.
+    Level l holds the equations (r, c) whose coordinate r of n has radical
+    degree l under ``by_degree`` (:func:`_level_rows`); without it one level
+    holds them all.  Within a level both lists keep arrow order, then r,
+    then c.  A level is built once the one before it has been consumed, and
+    the unknowns then in ``settled`` are left out of it.  Only the -N_a f_u
+    part can meet one: N_a[r, k] is nonzero only where deg k <= deg r, while
+    f_v[r, k] appears in no level below that of r.
     """
     q = m.algebra.quiver
     p = m.field.p
     row_at, col_at = _numbering(m, n, by_degree)
-    row_level = n.radical_degrees if by_degree else tuple((0,) * d for d in n.dims)
-    levels: list[list[dict]] = [[] for _ in range(max(_grading_length(row_level), 1))]
+    blocks = {}
     for a in q.arrows:
         u, v = q.arrow_endpoints(a.name)
-        if not n.dims[v - 1] * m.dims[u - 1]:
-            continue
-        col_v, row_u = col_at[v - 1], row_at[u - 1]
-        columns = [
-            (shift, [(col_v[k], x) for k, x in col.items()])
-            for shift, col in zip(col_at[u - 1], _sparse_columns(m, a.name))
-        ]
-        nonzero_columns = [col for _, col in columns if col]
-        loop = u == v
-        for left, r_level, n_row in zip(row_at[v - 1], row_level[v - 1], _negated_sparse_rows(n, a.name)):
-            level = levels[r_level]
-            if not n_row:  # row r of N_a is zero: equation (r, c) is f_v M_a's part alone
-                for col in nonzero_columns:
-                    level.append({left + k: x for k, x in col})
+        if n.dims[v - 1] * m.dims[u - 1]:
+            numbering = (row_at[v - 1], row_at[u - 1], col_at[v - 1], col_at[u - 1], u == v)
+            blocks[a.name] = (*numbering, *_sparse_columns(m, a.name))
+    for level_rows in _level_rows(n, by_degree):
+        units: list[int] = []
+        level: list[dict] = []
+        for arrow, rows in level_rows:
+            block = blocks.get(arrow)
+            if block is None:
                 continue
-            right = [(row_u[k], x) for k, x in n_row.items()]
-            for shift, col in columns:
-                eq = {left + k: x for k, x in col}
-                for start, x in right:
-                    key = start + shift
-                    if loop and key in eq:
-                        x = (eq[key] + x) % p if p else eq[key] + x
-                        if not x:
-                            del eq[key]
+            row_v, row_u, col_v, col_u, loop, columns, singles, wide = block
+            for r, n_row in rows:
+                left = row_v[r]
+                if not n_row:  # row r of N_a is zero: equation (r, c) is f_v M_a's part alone
+                    units += [left + col_v[k] for k in singles]
+                    level += [{left + col_v[k]: x for k, x in col} for col in wide]
+                    continue
+                right = [(row_u[k], x) for k, x in n_row.items()]
+                for shift, col in zip(col_u, columns):
+                    if not col and len(right) == 1:
+                        units.append(right[0][0] + shift)
+                        continue
+                    eq = {left + col_v[k]: x for k, x in col}
+                    for start, x in right:
+                        key = start + shift
+                        if key in settled:
                             continue
-                    eq[key] = x
-                if eq:
-                    level.append(eq)
-    rows = [eq for level in levels for eq in level]
-    return rows, sum(nd * md for nd, md in zip(n.dims, m.dims)), list(accumulate(map(len, levels)))
+                        if loop and key in eq:
+                            x = (eq[key] + x) % p if p else eq[key] + x
+                            if not x:
+                                del eq[key]
+                                continue
+                        eq[key] = x
+                    if len(eq) > 1:
+                        level.append(eq)
+                    elif eq:  # a loop sum or the settled unknowns left one entry
+                        units += eq
+        yield units, level
+
+
+def _hom_profile(m: Representation, n: Representation, by_degree: bool = False) -> list[list[int]]:
+    """For each level l of n in order, the pivot columns, ascending, of the intertwiner equations of level <= l.
+
+    The one kernel of the Hom route.  The levels of
+    :func:`_intertwiner_levels` stream into one ``exactlin._SparseEchelon``,
+    each level's one-entry equations first, as unit rows.  The echelon
+    records the unknowns they settle, whose unit rows lie in the span, and
+    every equation built or read after that leaves them out
+    (:func:`_unsettled`), so no one-entry row restates a forced zero.  That
+    changes no span, and the pivot columns of a span do not depend on the
+    order of its rows, so the pivots after each level are those of the
+    unpruned equations up to it.  The rank of those equations on the first
+    c unknowns alone is the number of the pivots below c: the rank profile
+    (Dumas, Pernet and Sultan, "Fast computation of the rank profile matrix
+    and the generalized Bruhat decomposition", 2017).
+    """
+    echelon = _SparseEchelon(m.field)
+    settled = echelon.settled
+    profile = []
+    for units, equations in _intertwiner_levels(m, n, by_degree, settled):
+        echelon.extend(_unsettled(units, equations, settled))
+        profile.append(sorted(echelon.leads))
+    return profile
+
+
+def _unsettled(units: list[int], rows: list[dict], settled: set[int]) -> Iterator[dict]:
+    """The unit rows of ``units``, then ``rows``, without the columns in ``settled`` as each row is reached.
+
+    A row left empty is skipped.
+    """
+    for c in units:
+        if c not in settled:
+            yield {c: 1}
+    for row in rows:
+        if not settled.isdisjoint(row):
+            row = {c: x for c, x in row.items() if c not in settled}
+            if not row:
+                continue
+        yield row
 
 
 def _same_algebra(m: Representation, n: Representation) -> None:
@@ -859,8 +948,8 @@ def hom_dim(m: Representation, n: Representation) -> int:
     _same_algebra(m, n)
     if _support(m).isdisjoint(_support(n)):
         return 0
-    rows, unknowns, marks = _hom_constraints(m, n)
-    return unknowns - len(_sparse_rank(rows, m.field, marks)[-1])
+    unknowns = sum(map(mul, n.dims, m.dims))
+    return unknowns - len(_hom_profile(m, n)[-1])
 
 
 @memoized
@@ -878,10 +967,10 @@ def hom_dims_between_levels(m: Representation, n: Representation) -> tuple[tuple
     with arrow-invariant gradings (:func:`_check_invariant`).
 
     Under radical gradings the unknowns f_v[r, k] are numbered by the degree
-    of k in m and the equations (r, c) come sorted by the degree of r in n
-    (:func:`_hom_constraints`).  Since rad^l n is a submodule, an equation
-    with deg r < l meets only unknowns with deg r < l; those equations,
-    restricted to the unknowns with deg k < j, are the system of
+    of k in m and the equations (r, c) come level by level, the level the
+    degree of r in n (:func:`_hom_profile`).  Since rad^l n is a submodule,
+    an equation with deg r < l meets only unknowns with deg r < l; those
+    equations, restricted to the unknowns with deg k < j, are the system of
     Hom(m/rad^j m, n/rad^l n).  So its dimension is c_{j,l}, the unknowns
     with deg k < j and deg r < l, minus the pivot columns below c_j of the
     equations of level < l, c_j the unknowns with deg k < j.
@@ -906,16 +995,15 @@ def hom_dims_between_levels(m: Representation, n: Representation) -> tuple[tuple
     _check_invariant(m)
     _check_invariant(n)
     below_m, below_n = _level_widths(m), _level_widths(n)
-    both = [[sum(map(mul, bm, bn)) for bn in below_n] for bm in below_m]
     if _support(m).isdisjoint(_support(n)):
         return tuple((0,) * len(below_n) for _ in below_m)
-    rows, unknowns, marks = _hom_constraints(m, n, True)
-    profile = _sparse_rank(rows, m.field, marks)
-    # one mark per level of n, which sorts the equations; m's level j is
-    # the column prefix c_j
-    prefixes = [sum(map(mul, bm, n.dims)) for bm in below_m]
-    ranks = zip(*([bisect_left(pivots, c) for c in prefixes] for pivots in profile))
-    return tuple(tuple(map(sub, row, rank)) for row, rank in zip(both, ranks))
+    # profile[l - 1]: the pivots of the equations of level < l
+    profile = _hom_profile(m, n, True)
+    table = []
+    for bm in below_m:
+        c_j = sum(map(mul, bm, n.dims))
+        table.append(tuple(sum(map(mul, bm, bn)) - bisect_left(pivots, c_j) for bn, pivots in zip(below_n, profile)))
+    return tuple(table)
 
 
 def _socle_vertex(m: Representation) -> int | None:

@@ -443,7 +443,10 @@ def test_tagged_passes_and_hom_systems_share_only_the_modules(monkeypatch):
     # the modules they measure and in exactlin's elimination
     entries = builtin_entries() + [random_admissible(s) for s in range(910000, 910010)]
     with monkeypatch.context() as patch:
-        _forbid(patch, ("_sparse_columns", "_negated_sparse_rows", "_hom_constraints", "_sparse_rank"))
+        _forbid(patch, (
+            "_sparse_columns", "_negated_sparse_rows", "_intertwiner_levels", "_hom_profile", "_unsettled",
+            "_SparseEchelon",
+        ))
         for entry in entries:
             alg = entry.build()
             cartan_RA_formula(alg)

@@ -18,6 +18,7 @@ from adrkit.cli import (
 from adrkit.corpus import builtin_entries, get_entry, preprojective_a, random_admissible
 from adrkit.exactlin import FieldSpec
 from adrkit.presentation import HOM_WORK_BUDGET, LABEL_BUDGET, WORK_BUDGET, Arrow, Quiver, Relation
+from test_repmod import _analyze_inputs
 
 
 def run_cli(capsys, *argv):
@@ -322,6 +323,47 @@ def test_corpus_emit_unknown_id(capsys):
     code, _, err = run_cli(capsys, "corpus", "emit", "no-such-entry")
     assert code == 2
     assert "unknown corpus id" in err
+
+
+def test_reports_are_written_byte_for_byte_as_json_dumps_indent_2(tmp_path, capsys, monkeypatch):
+    # analyze and corpus emit write through one emitter; its bytes are those
+    # of json.dumps(..., indent=2) on the report analyze built, for every
+    # builtin under three fields and for the perfbench analyze inputs
+    reports = []
+    real = cli.analyze_presentation
+
+    def kept(*args, **kwargs):
+        reports.append(real(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "analyze_presentation", kept)
+    out = tmp_path / "out.json"
+    runs = [(entry.id, ("--field", field)) for entry in builtin_entries() for field in ("p=2", "p=7", "rational")]
+    for entry in builtin_entries():
+        assert run_cli(capsys, "corpus", "emit", entry.id, "--out", str(out))[0] == 0
+        assert out.read_text() == json.dumps(presentation_to_doc(entry.presentation), indent=2) + "\n"
+        path = tmp_path / f"{entry.id}.json"
+        path.write_text(out.read_text())
+    for k, entry in enumerate(_analyze_inputs()):
+        (tmp_path / f"perfbench-{k}.json").write_text(json.dumps(presentation_to_doc(entry.presentation)))
+        runs.append((f"perfbench-{k}", ()))
+    for name, flags in runs:
+        code, _, err = run_cli(capsys, "analyze", str(tmp_path / f"{name}.json"), "--out", str(out), *flags)
+        assert code == 0, (name, err)
+        assert out.read_text() == json.dumps(reports[-1], indent=2) + "\n", (name, flags)
+    assert len(reports) == len(runs)
+
+
+def test_json_text_matches_json_dumps_on_every_kind_of_value():
+    values = [
+        {}, [], (), "", 0, -7, 2**70, 0.5, 1e-7, float("inf"), True, False, None,
+        {"a": [], "b": {}, "c": [[]], "d": [{}], "e": ()},
+        [1, True, 2], [1, 2.0], [1, None], (3, 4), [[1, 2], [3]], ["x", 1],
+        {"\u00e9\u4e2d\n\"q\"\t\\": "\u00e9\ud83d\ude00\x00", "": [0]},
+        {"nested": {"deep": [{"k": [1, [2, [3, {}]]]}]}},
+    ]
+    for value in values:
+        assert cli._json_text(value) == json.dumps(value, indent=2), value
 
 
 def test_corpus_fuzz_deterministic(capsys):

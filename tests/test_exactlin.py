@@ -664,3 +664,32 @@ def test_one_entry_rows_are_settled_by_the_pivot_row_at_their_column(field):
     assert echelon.leads == [0, 1, 2] and echelon.made_by == [1, 2, 3]
     # {0: 3} minus 3 (e_0 + e_1) leaves -3 e_1, normalised to the pivot row e_1
     assert echelon.rows() == [{0: 1, 1: 1}, {1: 1}, {2: 1}]
+    # e_0, e_1 and e_2 now lie in the span: their columns are settled
+    assert echelon.settled == {0, 1, 2}
+
+
+@given(field=st.sampled_from([F2, F7, F_MERSENNE, RATIONAL]), seed=st.integers(0, 10**6))
+@settings(max_examples=200, deadline=None)
+def test_rows_read_without_settled_columns_keep_the_pivot_columns(field, seed):
+    # e_c lies in the span for every settled column c, so leaving the
+    # settled columns out of each row as it is read changes no pivot column
+    rng = random.Random(seed)
+    _, sparse = _sparse_case(field, rng.randint(0, 12), 8, rng.choice([0.2, 0.5]), seed)
+    units = [{rng.randrange(8): rng.choice([1, -1])} for _ in range(rng.randint(0, 6))]
+    whole, pruned = exactlin._SparseEchelon(field), exactlin._SparseEchelon(field)
+    half = len(sparse) // 2
+    for echelon in (whole, pruned):
+        echelon.extend(units + sparse[:half])
+    whole.extend(sparse[half:])
+    pruned.extend({c: x for c, x in row.items() if c not in pruned.settled} for row in sparse[half:])
+    assert sorted(pruned.leads) == sorted(whole.leads)
+    assert {next(iter(unit)) for unit in units} <= pruned.settled
+    for c in pruned.settled:
+        assert not _copy(pruned).add({c: 1}), c
+
+
+def _copy(echelon):
+    """A fresh echelon that has read ``echelon``'s pivot rows."""
+    out = exactlin._SparseEchelon(echelon.field)
+    out.extend(echelon.rows())
+    return out

@@ -1,7 +1,9 @@
 import dataclasses
 import random
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 import numpy as np
 import pytest
@@ -40,6 +42,7 @@ from adrkit.repmod import (
     socle_sub,
     truncate,
 )
+from adrkit.adrcore import cartan_RA_hom, cartan_SA_hom
 from adrkit.corpus import builtin_entries, get_entry, preprojective_a, random_admissible, truncated_path_algebra
 from test_theorems import _disjoint_union
 
@@ -457,7 +460,7 @@ def test_chain_is_computed_once_per_module(monkeypatch, chain, step):
 def _kron_constraints(m: Representation, n: Representation) -> np.ndarray:
     """The intertwiner system assembled with Kronecker products: the oracle.
 
-    Same unknowns and rows as ``repmod._hom_constraints``: f_v M_a - N_a f_u
+    Same unknowns and rows as ``repmod._intertwiner_levels``: f_v M_a - N_a f_u
     for each arrow a: u -> v, with f_v M_a = (I (x) M_a^T) vec(f_v) and
     N_a f_u = (N_a (x) I) vec(f_u) for row-major vec.
     """
@@ -554,64 +557,107 @@ def _degree_order(m: Representation, n: Representation) -> list[int]:
     return [int(offsets[v]) + r * m.dims[v] + k for v, r, k in by_degree]
 
 
-def _level_order(m: Representation, n: Representation, nonzero: np.ndarray) -> tuple[list[int], list[int]]:
-    """The Kronecker oracle's nonzero rows, stably sorted by level as the level reader emits them, and the level marks.
+def _oracle_levels(m: Representation, n: Representation, want: np.ndarray, by_degree: bool) -> list[np.ndarray]:
+    """The Kronecker oracle's nonzero rows, one array per level, in the order and numbering the level reader uses.
 
-    Equation (r, c) of an arrow u -> v has level deg r in n; mark l counts
-    the nonzero equations of level < l.  ``nonzero`` marks the oracle's
-    nonzero rows.
+    Without ``by_degree`` one level holds them all, in the oracle's own
+    numbering.  With it, equation (r, c) of an arrow u -> v has level deg r
+    in n, the rows of a level keep the oracle's order and the columns are
+    sorted as :func:`_degree_order` sorts them.
     """
+    nonzero = want.any(axis=1)
+    if not by_degree:
+        return [want[nonzero]]
     levels = []
     for a in m.algebra.quiver.arrows:
         u, v = m.algebra.quiver.arrow_endpoints(a.name)
         for r, c in product(range(n.dims[v - 1]), range(m.dims[u - 1])):
             levels.append(n.radical_degrees[v - 1][r])
-    kept = [x for x, keep in zip(levels, nonzero) if keep]
-    marks = [sum(x < l for x in kept) for l in range(1, loewy_length(n) + 1)]
-    order = sorted(range(len(levels)), key=levels.__getitem__)
-    return [i for i in order if nonzero[i]], marks
+    cols = _degree_order(m, n)
+    return [
+        want[np.array([i for i, x in enumerate(levels) if x == l and nonzero[i]], dtype=int)][:, cols]
+        for l in range(loewy_length(n))
+    ]
 
 
-def test_hom_constraints_match_kronecker_oracle():
-    # hom_dim's numbering is the oracle's row-major one; the level reader's
-    # numbering, for two radically graded modules, is the oracle's columns
-    # in degree order, and its rows are the oracle's sorted stably by level.
-    # Only the nonzero equations are emitted: the rows are the oracle's with
-    # its zero rows removed, so no
-    # nonzero oracle row is dropped, and the marks count nonzero rows alone
-    seen = {"loop_diagonal": False, "zero_in_m": False, "zero_in_n": False}
-    fields = set()
+def _hom_test_pairs():
+    """(name, m, n, Kronecker rows) over the pairs of the zero module and every P_i, Q_i, simple and re-based P_i."""
     for name, alg in _hom_test_algebras():
         modules = [_zero_module(alg)]
         for i in range(1, alg.n + 1):
             modules += [projective(alg, i), injective(alg, i), simple(alg, i)]
             modules.append(_change_basis(projective(alg, i)))
-        loops = [a.name for a in alg.quiver.arrows if a.source == a.target]
         for m in modules:
             for n in modules:
-                rows, unknowns, marks = repmod._hom_constraints(m, n)
-                got = _densify(rows, unknowns, alg.field)
-                want = _kron_constraints(m, n)
-                nonzero = want.any(axis=1)
-                assert got.shape == (nonzero.sum(), want.shape[1]), name
-                assert np.array_equal(got, want[nonzero]), (name, m.dims, n.dims)
-                assert marks == [len(rows)]
-                if m.radical_degrees is not None and n.radical_degrees is not None:
-                    rows, unknowns, marks = repmod._hom_constraints(m, n, True)
-                    order, want_marks = _level_order(m, n, nonzero)
-                    sorted_want = want[order][:, _degree_order(m, n)]
-                    assert np.array_equal(_densify(rows, unknowns, alg.field), sorted_want), (
-                        name, m.dims, n.dims
-                    )
-                    assert marks == want_marks, (name, m.dims, n.dims)
-                seen["loop_diagonal"] |= any(
-                    oracle.dense(m.arrow_maps[a]).diagonal().any() for a in loops
-                ) and got.size > 0
-                seen["zero_in_m"] |= any(a == 0 < b for a, b in zip(m.dims, n.dims))
-                seen["zero_in_n"] |= any(b == 0 < a for a, b in zip(m.dims, n.dims))
-        fields.add(alg.field)
+                yield name, m, n, _kron_constraints(m, n)
+
+
+def _graded_pair(m: Representation, n: Representation) -> bool:
+    return m.radical_degrees is not None and n.radical_degrees is not None
+
+
+def test_hom_constraints_match_kronecker_oracle():
+    # the unpruned equations, level by level: hom_dim's numbering is the
+    # oracle's row-major one; the level reader's numbering, for two
+    # radically graded modules, is the oracle's columns in degree order, and
+    # its levels are the oracle's rows sorted stably by level.  Only the
+    # nonzero equations are emitted; each one-entry equation is given by its
+    # unknown alone, in units, and every other one is a row of equations, so
+    # each kind keeps the oracle's order and no nonzero oracle row is dropped
+    seen = {"loop_diagonal": False, "zero_in_m": False, "zero_in_n": False, "units": False, "wide": False}
+    fields = set()
+    for name, m, n, want in _hom_test_pairs():
+        fld = m.field
+        for by_degree in (False, True) if _graded_pair(m, n) else (False,):
+            got = list(repmod._intertwiner_levels(m, n, by_degree))
+            levels = _oracle_levels(m, n, want, by_degree)
+            assert len(got) == len(levels), (name, m.dims, n.dims)
+            for (units, equations), rows in zip(got, levels):
+                single = (rows != 0).sum(axis=1) == 1
+                assert units == [int(np.flatnonzero(row)[0]) for row in rows[single]], (name, m.dims, n.dims)
+                assert np.array_equal(_densify(equations, want.shape[1], fld), rows[~single]), (
+                    name, m.dims, n.dims
+                )
+                seen["units"] |= bool(units)
+                seen["wide"] |= bool(equations)
+        loops = [a.name for a in m.algebra.quiver.arrows if a.source == a.target]
+        seen["loop_diagonal"] |= any(
+            oracle.dense(m.arrow_maps[a]).diagonal().any() for a in loops
+        ) and want.any()
+        seen["zero_in_m"] |= any(a == 0 < b for a, b in zip(m.dims, n.dims))
+        seen["zero_in_n"] |= any(b == 0 < a for a, b in zip(m.dims, n.dims))
+        fields.add(fld)
     assert all(seen.values()), seen
     assert {F7, RATIONAL} <= fields
+
+
+def test_hom_profile_matches_the_rank_of_the_kronecker_rows():
+    # the streamed kernel leaves settled unknowns out and reads units first,
+    # yet at every level mark its pivot columns are those of the oracle's
+    # rows of that level and below, by the dense elimination of
+    # chain_oracle; and the rank on each column prefix c_j (the unknowns of
+    # source degree < j, m/rad^j m) is the number of pivots below c_j
+    fields, marks = set(), 0
+    for name, m, n, want in _hom_test_pairs():
+        fld = m.field
+        rows = want[want.any(axis=1)]
+        assert repmod._hom_profile(m, n) == [oracle.dense_echelon(rows, fld, False)[1]], (name, m.dims, n.dims)
+        if _graded_pair(m, n):
+            levels = _oracle_levels(m, n, want, True)
+            prefixes = [
+                sum(map(mul, repmod._below(m.radical_degrees, j), n.dims)) for j in range(1, loewy_length(m) + 1)
+            ]
+            profile = repmod._hom_profile(m, n, True)
+            assert len(profile) == len(levels) == loewy_length(n)
+            for l, pivots in enumerate(profile):
+                upto = np.vstack(levels[: l + 1])
+                assert pivots == oracle.dense_echelon(upto, fld, False)[1], (name, m.dims, n.dims, l)
+                for c in prefixes:
+                    rank = len(oracle.dense_echelon(upto[:, :c], fld, False)[1])
+                    assert bisect_left(pivots, c) == rank, (name, m.dims, n.dims, l, c)
+                marks += 1
+        fields.add(fld)
+    assert {F7, RATIONAL} <= fields and marks
 
 
 def _random_invertible(fld, d: int, rng: random.Random) -> tuple[Matrix, Matrix]:
@@ -714,15 +760,55 @@ def test_level_tables_match_hom_dim_on_the_derived_modules():
         _check_level_tables(moved_p, moved_q)
     # the largest tables a report reads, in the path basis: the analyze
     # inputs of perfbench/child.py
-    loops = [Quiver(("1",), tuple(Arrow(f"x{i}", "1", "1") for i in range(1, k + 1))) for k in (2, 3)]
-    for entry in (
-        preprojective_a(5, F7), preprojective_a(6, F7), preprojective_a(4, RATIONAL),
-        preprojective_a(5, RATIONAL), truncated_path_algebra(loops[0], 5, F7),
-        truncated_path_algebra(loops[1], 4, F7),
-    ):
+    for entry in _analyze_inputs():
         alg = entry.build()
         vertices = range(1, alg.n + 1)
         _check_level_tables([projective(alg, i) for i in vertices], [injective(alg, i) for i in vertices])
+
+
+def _analyze_inputs():
+    """The six analyze inputs of perfbench/child.py."""
+    loops = [Quiver(("1",), tuple(Arrow(f"x{i}", "1", "1") for i in range(1, k + 1))) for k in (2, 3)]
+    return (
+        preprojective_a(5, F7), preprojective_a(6, F7), preprojective_a(4, RATIONAL),
+        preprojective_a(5, RATIONAL), truncated_path_algebra(loops[0], 5, F7),
+        truncated_path_algebra(loops[1], 4, F7),
+    )
+
+
+def test_hom_routes_read_no_one_entry_row_on_a_settled_unknown(monkeypatch):
+    # a one-entry equation on an unknown whose pivot row has no other entry
+    # restates a forced zero.  The Hom routes' kernel leaves settled
+    # unknowns out of every equation it builds or reads, so on the analyze
+    # inputs no such row reaches the elimination
+    counts = {"rows": 0, "one-entry": 0, "reduced": 0}
+    echelon = exactlin._SparseEchelon
+    real_extend, real_reduced = echelon.extend, echelon._reduced
+
+    def extend(ech, rows):
+        def watched():
+            for row in rows:
+                counts["rows"] += 1
+                if len(row) == 1:
+                    counts["one-entry"] += 1
+                    k = ech.lead_of.get(next(iter(row)))
+                    assert k is None or ech.pivot_rows[k], f"{row} restates a forced zero"
+                yield row
+
+        return real_extend(ech, watched())
+
+    def reduced(ech, row):
+        counts["reduced"] += 1
+        return real_reduced(ech, row)
+
+    for entry in _analyze_inputs():
+        alg = entry.build()
+        with monkeypatch.context() as patch:
+            patch.setattr(echelon, "extend", extend)
+            patch.setattr(echelon, "_reduced", reduced)
+            cartan_RA_hom(alg)
+            cartan_SA_hom(alg)
+    assert counts["one-entry"] and counts["reduced"], counts
 
 
 def test_level_tables_of_a_component_against_modules_built_on_it():
@@ -876,6 +962,6 @@ def test_hom_between_disjoint_supports_builds_no_system(monkeypatch, a2):
     s1, s2 = simple(a2, 1), simple(a2, 2)
     # P_2 and P_1 meet only at vertex 2, where Hom(P_2, P_1) = (P_1)_2 lives
     assert hom_dim(projective(a2, 2), projective(a2, 1)) == 1
-    monkeypatch.setattr(repmod, "_hom_constraints", forbidden)
+    monkeypatch.setattr(repmod, "_intertwiner_levels", forbidden)
     assert hom_dim(s1, s2) == hom_dim(s2, s1) == 0
     assert hom_dim(s1, _zero_module(a2)) == hom_dim(_zero_module(a2), s1) == 0
