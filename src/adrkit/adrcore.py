@@ -17,14 +17,17 @@ routes, which must agree exactly:
   differences of the tilting classes [T(i,j)], read off C(R_A).  The Hom
   route is a closed form over the socle layers of Q_i.
 
-The Hom routes solve one intertwiner system per (P_i, P_k) or (Q_i, Q_k),
-the latter between their roots P^op_k and P^op_i, and read every (j, l)
-entry of that block off a row prefix and a column prefix of its one
-elimination (``repmod.hom_dims_between_levels``).  They read only the
-pivot columns of that elimination (``repmod._hom_profile``), never a chain
-or a series.  So the two routes share the modules P_k and Q_i they measure
-and the code of ``exactlin``'s sparse elimination, but never an elimination
-or the sparse arrow maps it reads: each route memoizes its own.  The
+The Hom routes solve one intertwiner system each: Hom_A(A, A) over the
+regular module of A for C(R_A), and Hom_{A^op}(A^op, A^op) over that of
+A^op, whose summands P^op_i are the roots of the Q_i, for C(S_A), whose
+matrix is the transpose of that table.  Hom is additive, so each pair
+(P_i, P_k) is a block of that system, and every (j, l) entry of the block
+is read off a row prefix and a column prefix of the block in its one
+elimination (``repmod.regular_hom_table``).  They read only the pivot
+columns of that elimination (``repmod._hom_profile``), never a chain or a
+series.  So the two routes share at most a module (A is P_1 when it has
+one vertex) and the code of ``exactlin``'s sparse elimination, never an
+elimination or the sparse arrow maps it reads: each route memoizes its own.  The
 duality C(R_A)[(i,j),(k,l)] = C(S_{A^op})[[k,l],[i,j]] that ``analyze``
 rechecks (``theorems.duality_failures``) runs no pass of its own: Q^op_k
 reads the functional pass of P_k, and Q_i that of P^op_i, so both sides
@@ -55,11 +58,11 @@ from .memo import memoized
 from .presentation import AlgebraData
 from .repmod import (
     Representation,
-    hom_dims_between_levels,
     injective,
     is_rigid,
     loewy_length,
     projective,
+    regular_hom_table,
     series_by_level,
     socle_series,
 )
@@ -272,23 +275,16 @@ def cartan_RA_formula(alg: AlgebraData) -> LabeledMatrix:
     return LabeledMatrix(poset.labels, poset.labels, entries)
 
 
-def _hom_blocks(roots: list[Representation]) -> tuple[tuple[int, ...], ...]:
-    """Row (i, j), column (k, l): entry [j - 1][l - 1] of the level table of (roots[i - 1], roots[k - 1])."""
-    tables = [[hom_dims_between_levels(m, n) for n in roots] for m in roots]
-    return tuple(sum(rows, ()) for row in tables for rows in zip(*row))
-
-
 @memoized
 def cartan_RA_hom(alg: AlgebraData) -> LabeledMatrix:
     """C(R_A) by the oracle route: dim Hom_A(P_i/rad^j P_i, P_k/rad^l P_k).
 
-    One intertwiner system per (P_i, P_k) gives the block of rows (i, 1..l_i)
-    and columns (k, 1..l_k): j is read off a column prefix and l off a row
-    prefix of that one elimination (``repmod.hom_dims_between_levels``).
+    One intertwiner system, Hom_A(A, A) over the regular module A = sum of
+    the P_i, holds every pair (P_i, P_k) as a block, and its one elimination
+    gives every entry (``repmod.regular_hom_table``).
     """
     poset = lambda_poset(alg)
-    entries = _hom_blocks([projective(alg, i) for i in range(1, alg.n + 1)])
-    return LabeledMatrix(poset.labels, poset.labels, entries)
+    return LabeledMatrix(poset.labels, poset.labels, regular_hom_table(alg))
 
 
 def injective_vector(alg: AlgebraData, label: LambdaLabel) -> LambdaCompositionVector:
@@ -485,11 +481,10 @@ def cartan_SA_formula(alg: AlgebraData) -> LabeledMatrix:
 def cartan_SA_hom(alg: AlgebraData) -> LabeledMatrix:
     """C(S_A) by the oracle route: dim Hom_A(soc_j Q_i, soc_l Q_k).
 
-    One intertwiner system per (Q_i, Q_k), between P^op_k and P^op_i under
-    D, gives the block of rows [i, 1..LL(Q_i)] and columns [k, 1..LL(Q_k)]:
-    l is read off a row prefix and j off a column prefix of that one
-    elimination (``repmod.hom_dims_between_levels``).
+    D turns the entry into dim Hom_{A^op}(P^op_k/rad^l P^op_k, P^op_i/rad^j
+    P^op_i), and the P^op_i are the roots of the Q_i: the matrix is the
+    transpose of the table of one intertwiner system, Hom_{A^op}(A^op,
+    A^op) over the regular module of A^op (``repmod.regular_hom_table``).
     """
     labels = sa_labels(alg)
-    entries = _hom_blocks([injective(alg, i) for i in range(1, alg.n + 1)])
-    return LabeledMatrix(labels, labels, entries)
+    return LabeledMatrix(labels, labels, tuple(zip(*regular_hom_table(alg.opposite()))))

@@ -10,13 +10,12 @@ the module, like the package, runs on the standard library alone.
 There is one elimination, :class:`_SparseEchelon`: a forward loop on rows
 given as ``{column: coefficient}`` dicts, with Python ints mod p or, over Q,
 integer rows cleared of their denominators on reading (:func:`_cleared`).
-:func:`_sparse_rank` reads its pivot columns at each requested row prefix,
-so one elimination gives the rank of every row prefix on every column
-prefix, and the Hom kernel of ``repmod`` reads them after each level of
-equations it streams in, leaving out the columns the loop records as
-settled; :func:`_tag_order_basis` (the tagged reduction behind the
-filtrations of ``repmod``) reads its pivot rows and the rows that made
-them; :func:`rref` and the path-basis builder of ``presentation``
+:func:`_sparse_rank` reads its pivot columns, which give the rank of the
+rows on every column prefix, and the Hom kernel of ``repmod`` reads them
+after each level of equations it streams in, leaving out the columns the
+loop records as settled; :func:`_tag_order_basis` (the tagged reduction
+behind the filtrations of ``repmod``) reads its pivot rows and the rows
+that made them; :func:`rref` and the path-basis builder of ``presentation``
 back-substitute its pivot rows into an RREF (``rref_rows``), and the builder
 asks ``add`` whether a unit row lies in their span.  Over Q an RREF row is
 divided by its lead before it leaves, so results stay Fractions.
@@ -458,25 +457,17 @@ class _SparseEchelon:
         return out
 
 
-def _sparse_rank(
-    rows: Sequence[Mapping[int, int | Fraction]], field: FieldSpec, marks: Sequence[int]
-) -> list[list[int]]:
-    """For each R in ``marks`` (ascending), the pivot columns, ascending, of ``rows[:R]``.
+def _sparse_rank(rows: Iterable[Mapping[int, int | Fraction]], field: FieldSpec) -> list[int]:
+    """The pivot columns, ascending, of the ``{column: coefficient}`` rows, read in order into one :class:`_SparseEchelon`.
 
-    The ``{column: coefficient}`` rows are read in order into one
-    :class:`_SparseEchelon`.  The rank of rows[:R] is the number of its
-    pivot columns, and the rank of rows[:R] on the first c columns alone is
-    the number of them below c: the rank profile of the matrix (Dumas,
-    Pernet and Sultan, "Fast computation of the rank profile matrix and the
-    generalized Bruhat decomposition", 2017).  So one elimination answers
-    every row prefix in ``marks`` and every column prefix.
+    Their number is the rank of the rows, and the rank of the rows on the
+    first c columns alone is the number of them below c: the rank profile
+    of the matrix (Dumas, Pernet and Sultan, "Fast computation of the rank
+    profile matrix and the generalized Bruhat decomposition", 2017).
     """
     echelon = _SparseEchelon(field)
-    profile: list[list[int]] = []
-    for mark in marks:
-        echelon.extend(rows[echelon.read : mark])
-        profile.append(sorted(echelon.leads))
-    return profile
+    echelon.extend(rows)
+    return sorted(echelon.leads)
 
 
 def _tag_order_basis(
@@ -511,7 +502,7 @@ def rref(m: Matrix) -> RrefResult:
 
 def rank(m: Matrix) -> int:
     """Rank of ``m``, by :func:`_sparse_rank` on its nonzero entries (no RREF is built)."""
-    return len(_sparse_rank(m.sparse_rows(), m.field, [m.rows])[0])
+    return len(_sparse_rank(m.sparse_rows(), m.field))
 
 
 def row_space_basis(m: Matrix) -> RrefResult:

@@ -454,7 +454,7 @@ def _holds_top_columns(rows: list[SparseRow], cols: int, low: int, fld: FieldSpe
     E.  The count is the number of pivots at or after ``low`` in the rank
     profile of the rows (``exactlin._sparse_rank``).
     """
-    pivots = _sparse_rank(rows, fld, [len(rows)])[0]
+    pivots = _sparse_rank(rows, fld)
     return sum(c >= low for c in pivots) == cols - low
 
 
@@ -546,39 +546,56 @@ def unsatisfied_relation(alg: AlgebraData) -> list[tuple[int | Fraction, Path]] 
     Each relation sum c * w is applied through ``act`` to every basis path b
     ending at its source; sum c * (b followed by w) must vanish.  This reads
     only the basis and ``act``, so it tests a derived algebra (A^op) against
-    its own presentation.  The sums are exact, ints over F_p and Fractions
-    over Q, and each entry of a sum is reduced mod p once, at the end.
+    its own presentation.  The words of the relations that start at a vertex
+    share their prefixes in a trie, walked from each basis path b ending
+    there: each prefix is applied to b once, and a branch ends where its
+    image is zero, since every longer word then maps b to zero too.  The
+    sums are exact, ints over F_p and Fractions over Q, and each entry of a
+    sum is reduced mod p once, at the end.
     """
     p = alg.field.p
-    ending: dict[int, list[int]] = {}
+    relations = _canonical_relations(alg.presentation)
+    # per vertex, the trie of the relation words that start there: a node is
+    # ([(relation, coeff) of each term whose word ends at it], {arrow: child})
+    tries: dict[int, tuple[list, dict]] = {}
+    for r, terms in enumerate(relations):
+        for coeff, path in terms:
+            node = tries.setdefault(path.source, ([], {}))
+            for name in path.arrows:
+                node = node[1].setdefault(name, ([], {}))
+            node[0].append((r, coeff))
+    failing = len(relations)
     for k, b in enumerate(alg.basis):
-        ending.setdefault(b.target, []).append(k)
-    for terms in _canonical_relations(alg.presentation):
-        for k in ending.get(terms[0][1].source, ()):
-            total: dict[int, int | Fraction] = {}
-            for coeff, path in terms:
-                vec = {k: coeff}
-                for name in path.arrows:
-                    acts = alg.act[name]
-                    nxt: dict[int, int | Fraction] = {}
-                    for idx, c in vec.items():
-                        for j, x in acts.get(idx, ()):
-                            nxt[j] = nxt.get(j, 0) + c * x
-                    vec = nxt
+        if b.target not in tries:
+            continue
+        totals: dict[int, dict[int, int | Fraction]] = {}
+        stack = [(tries[b.target], {k: 1})]
+        while stack:
+            (ends, children), vec = stack.pop()
+            for r, coeff in ends:
+                total = totals.setdefault(r, {})
                 for j, c in vec.items():
-                    total[j] = total.get(j, 0) + c
-            if any(c % p if p else c for c in total.values()):
-                return terms
-    return None
+                    total[j] = total.get(j, 0) + coeff * c
+            for name, child in children.items():
+                acts = alg.act[name]
+                nxt: dict[int, int | Fraction] = {}
+                for idx, c in vec.items():
+                    for j, x in acts.get(idx, ()):
+                        nxt[j] = nxt.get(j, 0) + c * x
+                if nxt:
+                    stack.append((child, nxt))
+        for r, total in totals.items():
+            if r < failing and any(c % p if p else c for c in total.values()):
+                failing = r
+    return relations[failing] if failing < len(relations) else None
 
 
 LABEL_BUDGET = 20_000
 """Most label work, n * (sum LL(P_i) + sum LL(Q_i)), that ``check_label_budget`` admits.
 
-The labels are those of the Lambda poset and of S_A, and each Hom route
-solves n systems per label of its matrix, so the label work counts the Hom
-systems of one ``adrkit analyze``; the formula matrices have a cell per pair
-of labels.  Preprojective A_9, the largest algebra measured, has 162 labels
+The labels are those of the Lambda poset and of S_A.  Every matrix, by
+either route, has a cell per pair of labels, and each Hom route reads a row
+of its matrix off n blocks of one elimination, one block per projective.  Preprojective A_9, the largest algebra measured, has 162 labels
 and label work 1458, and preprojective A_10 has 200 and 2000.  The arrowless
 quiver on 100 vertices, at 20 000, takes about a second; the one on 400
 vertices, at 320 000, is refused at once.

@@ -67,10 +67,10 @@ are memoized on their module, and so are the root, the tagged pass, the
 level series, the invariance check and the rigidity verdict.  A module that
 is not its own root reads the last three off its root, at its own vertices.
 The Hom route memoizes on each module its support, its coordinates in
-degree order, the widths of its levels, the sparse columns and negated
-sparse rows of its arrow maps and those rows grouped by level.  It reads
-modules, roots included, and no pass or series.  No Hom system or its
-pivots is memoized.
+degree order, the sparse columns and negated sparse rows of its arrow maps
+and those rows grouped by level, and on each algebra its regular module.
+It reads modules, roots included, and no pass or series.  No Hom system or
+its pivots is memoized.
 
 Hom tables.  ``hom_dims_between_levels`` reads a whole block of levels off
 one intertwiner system per pair of radically graded modules.  Number the
@@ -85,20 +85,32 @@ c_j unknowns: their pivots below c_j.  One kernel serves the tables and
 by level and streams them into one ``exactlin._SparseEchelon``, each
 level's one-entry equations first.  Those force their unknowns to zero; the
 echelon records them as settled, and every equation built or read after
-that leaves them out, which changes no span.  So the pivots after each
-level are those of the whole system up to it, read with ``sorted`` at each
-level, and no equation that restates a forced zero reaches the elimination.
-For socle-graded m and n, D turns Hom(soc_j m, soc_l n) into
-Hom_{A^op}(Dn/rad^l Dn, Dm/rad^j Dm): the transposed table of their roots.
+that leaves them out, which changes no span.  So the pivots made by the end
+of each level are those of the whole system up to it, and no equation that
+restates a forced zero reaches the elimination.  For socle-graded m and n,
+D turns Hom(soc_j m, soc_l n) into Hom_{A^op}(Dn/rad^l Dn, Dm/rad^j Dm):
+the transposed table of their roots.
+
+The Hom routes solve one system each.  Hom is additive, and the regular
+module A (:func:`regular_module`, built from ``act`` like the P_i) is the
+sum of the P_i, a coordinate's summand the source of its path.  So the
+system of Hom_A(A, A) holds that of every pair (P_i, P_k) as a block, and
+``regular_hom_table`` reads the table of every pair off its one
+elimination (:func:`_level_tables`): :func:`_block_layout` numbers each
+block as one range, degree by degree, so each entry is c_{j,l} minus the
+pivots in a range, two ``bisect`` calls.  ``hom_dims_between_levels`` is
+the case of one summand each.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from operator import gt, mul, sub
-from typing import Collection, Iterator, Sequence
+from itertools import repeat
+from operator import add, gt, mul, sub
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .exactlin import (
     FieldSpec,
@@ -269,22 +281,13 @@ def _cut(m: Representation, alg: AlgebraData) -> Representation:
     return Representation(alg, dims, maps, pick(m.radical_degrees), pick(m.socle_degrees), source=(m, at))
 
 
-@memoized
-def projective(alg: AlgebraData, i: int) -> Representation:
-    """Indecomposable projective P_i: residues of basis paths with source i, graded by length.
-
-    On a component of A it is A's P_i cut to the component (:func:`_cut`).
-    """
-    _check_vertex(alg, i)
-    if alg.component_of is not None:
-        whole, at = alg.component_of
-        return _cut(projective(whole, at[i - 1]), alg)
-    idxs = alg.basis_indices_with_source(i)
+def _path_module(alg: AlgebraData, idxs: Iterable[int]) -> Representation:
+    """The module on the residues of the basis paths ``idxs``, a set closed under ``act``, graded by length."""
     by_vertex: list[list[int]] = [[] for _ in range(alg.n)]
     for k in idxs:
         by_vertex[alg.basis[k].target - 1].append(k)
     pos = {k: slot for ks in by_vertex for slot, k in enumerate(ks)}
-    dims = tuple(len(by_vertex[v]) for v in range(alg.n))
+    dims = tuple(map(len, by_vertex))
     maps = {}
     for a in alg.quiver.arrows:
         u, v = alg.quiver.arrow_endpoints(a.name)
@@ -297,6 +300,47 @@ def projective(alg: AlgebraData, i: int) -> Representation:
         maps[a.name] = Matrix.from_sparse(alg.field, rows, dims[u - 1])
     degrees = tuple(tuple(alg.basis[k].length for k in ks) for ks in by_vertex)
     return Representation(alg, dims, maps, radical_degrees=degrees)
+
+
+@memoized
+def projective(alg: AlgebraData, i: int) -> Representation:
+    """Indecomposable projective P_i: residues of basis paths with source i, graded by length.
+
+    On a component of A it is A's P_i cut to the component (:func:`_cut`).
+    """
+    _check_vertex(alg, i)
+    if alg.component_of is not None:
+        whole, at = alg.component_of
+        return _cut(projective(whole, at[i - 1]), alg)
+    return _path_module(alg, alg.basis_indices_with_source(i))
+
+
+@memoized
+def regular_module(alg: AlgebraData) -> Representation:
+    """A as a left module over itself, the sum of the P_i: residues of all basis paths, graded by length.
+
+    On a component of A it is A's regular module cut to the component
+    (:func:`_cut`): the paths that end in a component start in it.  With
+    one vertex it is P_1, and the memoized P_1 serves.
+    """
+    if alg.component_of is not None:
+        return _cut(regular_module(alg.component_of[0]), alg)
+    if alg.n == 1:
+        return projective(alg, 1)
+    return _path_module(alg, range(alg.dim))
+
+
+def _summands(alg: AlgebraData) -> Grading:
+    """Per vertex, i - 1 for each coordinate of :func:`regular_module`, whose path lies in P_i: its source."""
+    if alg.component_of is not None:
+        whole, at = alg.component_of
+        new = {w: v for v, w in enumerate(at)}
+        outer = _summands(whole)
+        return tuple(tuple(new[s + 1] for s in outer[w - 1]) for w in at)
+    out: list[list[int]] = [[] for _ in range(alg.n)]
+    for path in alg.basis:
+        out[path.target - 1].append(path.source - 1)
+    return tuple(map(tuple, out))
 
 
 @memoized
@@ -775,31 +819,65 @@ def _degree_order(m: Representation) -> list[tuple[int, int]]:
     return [(v, g) for _, v, g in sorted((d, v, g) for v, ds in enumerate(degrees) for g, d in enumerate(ds))]
 
 
-def _slots(order: list[tuple[int, int]], dims, widths) -> list[list[int]]:
-    """First unknown of each coordinate's slot, the coordinates (v, g) taken in ``order``.
+def _one_summand(m: Representation) -> Grading:
+    return tuple((0,) * d for d in m.dims)
 
-    Coordinate g at vertex v owns ``widths[v]`` consecutive unknowns, so in
-    :func:`_degree_order` the unknowns of coordinates of degree < j come
-    first, for every j at once.
+
+Summands = tuple[Grading, Grading]
+
+
+def _block_layout(m: Representation, n: Representation, summands: Summands):
+    """(row_at, col_at, width, stride): the unknowns f_v[r, k] numbered by degree, one range per block.
+
+    ``summands`` gives, per vertex, the summand of each coordinate of m and
+    of n (:func:`_level_tables`).  Coordinate k of summand b of m owns a
+    slot of ``width[v]`` unknowns, the most coordinates one summand of n has
+    at v, and the slots of b follow :func:`_degree_order`.  For r the t-th
+    coordinate of summand c of n at v, f_v[r, k] is numbered (b * C + c) *
+    stride + (start of k's slot) + t, for C summands of n and ``stride`` the
+    slots of the largest summand of m.  So the unknowns of block (b, c) lie
+    in one range, and those with deg k < j come first, for every j.  With
+    one summand each a slot is dim N_v wide and there is no gap.
     """
-    starts = [[0] * d for d in dims]
-    pos = 0
-    for v, g in order:
-        starts[v][g] = pos
-        pos += widths[v]
-    return starts
+    m_of, n_of = summands
+    row_at, width = [], []
+    for of in n_of:
+        seen: Counter = Counter()
+        at = []
+        for c in of:
+            at.append(seen[c])
+            seen[c] += 1
+        row_at.append(at)
+        width.append(max(seen.values(), default=0))
+    col_at = [[0] * d for d in m.dims]
+    fill: Counter = Counter()
+    for v, g in _degree_order(m):
+        b = m_of[v][g]
+        col_at[v][g] = fill[b]
+        fill[b] += width[v]
+    stride = max(fill.values(), default=0)
+    count = max((max(of) + 1 for of in n_of if of), default=1)
+    for at, of in zip(col_at, m_of):
+        at[:] = [x + b * count * stride for x, b in zip(at, of)]
+    for at, of in zip(row_at, n_of):
+        at[:] = [x + c * stride for x, c in zip(at, of)]
+    return row_at, col_at, width, stride
 
 
 def _numbering(m: Representation, n: Representation, by_degree: bool):
     """(row_at, col_at): unknown f_v[r, k] is numbered row_at[v][r] + col_at[v][k].
 
     Unless ``by_degree`` the unknowns run row-major, vertex by vertex; with
-    it they are sorted by the radical degree of coordinate k of m.
+    it they are sorted by the radical degree of k (:func:`_block_layout`,
+    one summand each).
     """
     if by_degree:
-        return [list(range(d)) for d in n.dims], _slots(_degree_order(m), m.dims, n.dims)
-    order = [(v, r) for v, d in enumerate(n.dims) for r in range(d)]
-    return _slots(order, n.dims, m.dims), [list(range(d)) for d in m.dims]
+        return _block_layout(m, n, (_one_summand(m), _one_summand(n)))[:2]
+    row_at, pos = [], 0
+    for d, w in zip(n.dims, m.dims):
+        row_at.append([pos + r * w for r in range(d)])
+        pos += d * w
+    return row_at, [list(range(d)) for d in m.dims]
 
 
 @memoized
@@ -826,13 +904,18 @@ def _level_rows(n: Representation, by_degree: bool) -> tuple[tuple[tuple[str, li
 
 
 def _intertwiner_levels(
-    m: Representation, n: Representation, by_degree: bool, settled: Collection[int] = frozenset()
+    m: Representation,
+    n: Representation,
+    by_degree: bool,
+    settled: Collection[int] = frozenset(),
+    numbering: tuple[list[list[int]], list[list[int]]] | None = None,
 ) -> Iterator[tuple[list[int], list[dict]]]:
     """The intertwiner equations of Hom(m, n), one pair (units, equations) per level of n, built level by level.
 
     Unknowns are the entries of f_v: M_v -> N_v, numbered by
-    :func:`_numbering` (row-major and concatenated over vertices unless
-    ``by_degree`` sorts them by degree); each arrow a: u -> v contributes the
+    ``numbering`` (row_at, col_at), by default :func:`_numbering`
+    (row-major and concatenated over vertices unless ``by_degree`` sorts
+    them by degree); each arrow a: u -> v contributes the
     block of equations f_v M_a - N_a f_u = 0, equation (r, c) on row
     r * dim M_u + c.  An equation is read off the nonzero entries alone:
     f_v[r, k] meets M_a[k, c] for the nonzeros of column c of M_a, and
@@ -853,13 +936,13 @@ def _intertwiner_levels(
     """
     q = m.algebra.quiver
     p = m.field.p
-    row_at, col_at = _numbering(m, n, by_degree)
+    row_at, col_at = numbering or _numbering(m, n, by_degree)
     blocks = {}
     for a in q.arrows:
         u, v = q.arrow_endpoints(a.name)
         if n.dims[v - 1] * m.dims[u - 1]:
-            numbering = (row_at[v - 1], row_at[u - 1], col_at[v - 1], col_at[u - 1], u == v)
-            blocks[a.name] = (*numbering, *_sparse_columns(m, a.name))
+            at = (row_at[v - 1], row_at[u - 1], col_at[v - 1], col_at[u - 1], u == v)
+            blocks[a.name] = (*at, *_sparse_columns(m, a.name))
     for level_rows in _level_rows(n, by_degree):
         units: list[int] = []
         level: list[dict] = []
@@ -897,8 +980,13 @@ def _intertwiner_levels(
         yield units, level
 
 
-def _hom_profile(m: Representation, n: Representation, by_degree: bool = False) -> list[list[int]]:
-    """For each level l of n in order, the pivot columns, ascending, of the intertwiner equations of level <= l.
+def _hom_profile(
+    m: Representation,
+    n: Representation,
+    by_degree: bool = False,
+    numbering: tuple[list[list[int]], list[list[int]]] | None = None,
+) -> tuple[list[int], list[int]]:
+    """(leads, ends): the pivot columns of the intertwiner equations in the order they were made, and how many were made by the end of each level of n.
 
     The one kernel of the Hom route.  The levels of
     :func:`_intertwiner_levels` stream into one ``exactlin._SparseEchelon``,
@@ -907,19 +995,19 @@ def _hom_profile(m: Representation, n: Representation, by_degree: bool = False) 
     every equation built or read after that leaves them out
     (:func:`_unsettled`), so no one-entry row restates a forced zero.  That
     changes no span, and the pivot columns of a span do not depend on the
-    order of its rows, so the pivots after each level are those of the
-    unpruned equations up to it.  The rank of those equations on the first
-    c unknowns alone is the number of the pivots below c: the rank profile
+    order of its rows, so ``leads[:ends[l]]`` are the pivot columns of the
+    unpruned equations of level <= l.  The rank of those equations on the
+    first c unknowns alone is the number of them below c: the rank profile
     (Dumas, Pernet and Sultan, "Fast computation of the rank profile matrix
     and the generalized Bruhat decomposition", 2017).
     """
     echelon = _SparseEchelon(m.field)
     settled = echelon.settled
-    profile = []
-    for units, equations in _intertwiner_levels(m, n, by_degree, settled):
+    ends = []
+    for units, equations in _intertwiner_levels(m, n, by_degree, settled, numbering):
         echelon.extend(_unsettled(units, equations, settled))
-        profile.append(sorted(echelon.leads))
-    return profile
+        ends.append(len(echelon.leads))
+    return echelon.leads, ends
 
 
 def _unsettled(units: list[int], rows: list[dict], settled: set[int]) -> Iterator[dict]:
@@ -949,14 +1037,64 @@ def hom_dim(m: Representation, n: Representation) -> int:
     if _support(m).isdisjoint(_support(n)):
         return 0
     unknowns = sum(map(mul, n.dims, m.dims))
-    return unknowns - len(_hom_profile(m, n)[-1])
+    return unknowns - len(_hom_profile(m, n)[0])
 
 
-@memoized
-def _level_widths(m: Representation) -> tuple[tuple[int, ...], ...]:
-    """Entry j - 1: the number of coordinates of degree < j at each vertex, j = 1..LL(m), for m's radical grading."""
-    degrees = m.radical_degrees
-    return tuple(_below(degrees, j) for j in range(1, _grading_length(degrees) + 1))
+def _summand_widths(degrees: Grading, summands: Grading) -> list[list[tuple[int, ...]]]:
+    """Entry [b][j - 1]: the coordinates of summand b of degree < j at each vertex, j = 1..LL of summand b."""
+    split: dict[int, list[list[int]]] = {}
+    for v, (ds, of) in enumerate(zip(degrees, summands)):
+        for d, b in zip(ds, of):
+            split.setdefault(b, [[] for _ in degrees])[v].append(d)
+    return [[_below(sub, j) for j in range(1, _grading_length(sub) + 1)] for _, sub in sorted(split.items())]
+
+
+def _level_tables(m: Representation, n: Representation, summands: Summands) -> tuple[tuple[int, ...], ...]:
+    """Row (b, j), column (c, l): dim Hom(m_b/rad^j m_b, n_c/rad^l n_c), for radically graded m and n, by one elimination.
+
+    The summands m_b of m and n_c of n are direct summands spanned by
+    coordinates: ``summands`` gives, per vertex, the summand of each
+    coordinate of m and of n, numbered 0, 1, ... with every number in use,
+    and each summand keeps its grading.  Hom is additive, so the intertwiner system of Hom(m, n) is
+    the direct sum of those of the Hom(m_b, n_c): f_v[r, k] lies in the
+    block of the summands of k and r.  Rows run over b and then j =
+    1..LL(m_b), columns over c and then l = 1..LL(n_c); with one summand
+    each this is the table of :func:`hom_dims_between_levels`.
+
+    :func:`_block_layout` numbers each block as one range, the unknowns with
+    deg k < j first.  The equations of level < l of a block, restricted to
+    its unknowns with deg k < j, are the system of Hom(m_b/rad^j m_b,
+    n_c/rad^l n_c).  So the entry is c_{j,l}, the unknowns of the block
+    with deg k < j and deg r < l, minus the pivots made by the end of level
+    l - 1 in the block's first such range (:func:`_hom_profile`).
+    """
+    m_of, n_of = summands
+    widths_m = _summand_widths(m.radical_degrees, m_of)
+    widths_n = widths_m if n is m and n_of is m_of else _summand_widths(n.radical_degrees, n_of)
+    row_at, col_at, width, stride = _block_layout(m, n, summands)
+    leads, ends = _hom_profile(m, n, True, (row_at, col_at))
+    profile = [sorted(leads[:end]) for end in ends]
+    # per column (c, l): the pivots of the equations of level < l, the first
+    # unknown of block (0, c), and at each vertex the width of n_c/rad^l n_c
+    pivots = [profile[l] for wn in widths_n for l in range(len(wn))]
+    firsts = [c * stride for c, wn in enumerate(widths_n) for _ in wn]
+    at_vertex = list(zip(*(w for wn in widths_n for w in wn)))
+    table = []
+    for b, ws in enumerate(widths_m):
+        starts = [x + b * len(widths_n) * stride for x in firsts]
+        # base: c_{j,l} plus the pivots below the block; the entry is base
+        # minus the pivots below the block's unknowns with deg k >= j
+        base = list(map(bisect_left, pivots, starts))
+        before = (0,) * len(width)
+        for wm in ws:
+            # from j - 1 to j, c_{j,l} gains the coordinates of m_b of degree j - 1
+            for grown, column in zip(map(sub, wm, before), at_vertex):
+                if grown:
+                    base = list(map(add, base, map(mul, column, repeat(grown))))
+            before = wm
+            span = sum(map(mul, wm, width))
+            table.append(tuple(map(sub, base, map(bisect_left, pivots, [x + span for x in starts]))))
+    return tuple(table)
 
 
 def hom_dims_between_levels(m: Representation, n: Representation) -> tuple[tuple[int, ...], ...]:
@@ -972,8 +1110,8 @@ def hom_dims_between_levels(m: Representation, n: Representation) -> tuple[tuple
     an equation with deg r < l meets only unknowns with deg r < l; those
     equations, restricted to the unknowns with deg k < j, are the system of
     Hom(m/rad^j m, n/rad^l n).  So its dimension is c_{j,l}, the unknowns
-    with deg k < j and deg r < l, minus the pivot columns below c_j of the
-    equations of level < l, c_j the unknowns with deg k < j.
+    with deg k < j and deg r < l, minus the pivots with deg k < j of the
+    equations of level < l: the one-summand case of :func:`_level_tables`.
 
     Under socle gradings D = Hom_K(-, K) gives Hom(soc_j m, soc_l n) =
     Hom_{A^op}(Dn/rad^l Dn, Dm/rad^j Dm), so the table is the transpose of
@@ -994,16 +1132,24 @@ def hom_dims_between_levels(m: Representation, n: Representation) -> tuple[tuple
         raise ValueError("hom_dims_between_levels needs two radically graded or two socle-graded modules")
     _check_invariant(m)
     _check_invariant(n)
-    below_m, below_n = _level_widths(m), _level_widths(n)
     if _support(m).isdisjoint(_support(n)):
-        return tuple((0,) * len(below_n) for _ in below_m)
-    # profile[l - 1]: the pivots of the equations of level < l
-    profile = _hom_profile(m, n, True)
-    table = []
-    for bm in below_m:
-        c_j = sum(map(mul, bm, n.dims))
-        table.append(tuple(sum(map(mul, bm, bn)) - bisect_left(pivots, c_j) for bn, pivots in zip(below_n, profile)))
-    return tuple(table)
+        return tuple((0,) * loewy_length(n) for _ in range(loewy_length(m)))
+    return _level_tables(m, n, (_one_summand(m), _one_summand(n)))
+
+
+def regular_hom_table(alg: AlgebraData) -> tuple[tuple[int, ...], ...]:
+    """Row (i, j), column (k, l): dim Hom_A(P_i/rad^j P_i, P_k/rad^l P_k), every entry read off one system.
+
+    i and k run over the vertices, j over 1..LL(P_i) and l over 1..LL(P_k).
+    A = sum of the P_i (:func:`regular_module`), a coordinate's summand the
+    source of its path (:func:`_summands`), so the intertwiner system of
+    Hom_A(A, A) holds that of every pair (P_i, P_k) as a block, and
+    :func:`_level_tables` reads every block off its one elimination.
+    """
+    a = regular_module(alg)
+    _check_invariant(a)
+    summands = _summands(alg)
+    return _level_tables(a, a, (summands, summands))
 
 
 def _socle_vertex(m: Representation) -> int | None:

@@ -452,12 +452,20 @@ def test_tagged_passes_and_hom_systems_share_only_the_modules(monkeypatch):
             cartan_RA_formula(alg)
             cartan_SA_formula(alg)
             theorem_a_hypotheses(alg)
+    # each Hom route solves one system, Hom(A, A) over the regular module of
+    # A for C(R_A) and of A^op for C(S_A), and reads every entry off it
+    solved = []
+    real_kernel = repmod._hom_profile
     with monkeypatch.context() as patch:
         _forbid(patch, ("_functional_pass", "_pass_arrows", "_tag_order_basis"))
+        patch.setattr(repmod, "_hom_profile", lambda m, n, *rest: solved.append((m, n)) or real_kernel(m, n, *rest))
         for entry in entries:
             alg = entry.build()
-            cartan_RA_hom(alg)
-            cartan_SA_hom(alg)
+            for route, over in ((cartan_RA_hom, alg), (cartan_SA_hom, alg.opposite())):
+                solved.clear()
+                route(alg)
+                regular = repmod.regular_module(over)
+                assert [(id(m), id(n)) for m, n in solved] == [(id(regular), id(regular))], entry.id
 
 
 def test_each_module_gets_one_functional_pass(monkeypatch):
@@ -493,15 +501,6 @@ def test_each_module_gets_one_functional_pass(monkeypatch):
     read = []
     real_series = adrcore.series_by_level
     monkeypatch.setattr(adrcore, "series_by_level", lambda m: read.append(id(m)) or real_series(m))
-    # the Hom routes solve one system per pair of roots and read a block of
-    # entries off its row and column prefixes: C(R_A) from (P_i, P_k), every
-    # (j, l) at once, and C(S_A) from (Q_i, Q_k)
-    measured = []
-    real_reader = adrcore.hom_dims_between_levels
-    monkeypatch.setattr(
-        adrcore, "hom_dims_between_levels",
-        lambda m, n: measured.append((id(m), id(n))) or real_reader(m, n),
-    )
     for entry in builtin_entries():
         alg = entry.build()
         projectives = [projective(alg, i) for i in range(1, alg.n + 1)]
@@ -512,14 +511,12 @@ def test_each_module_gets_one_functional_pass(monkeypatch):
             (cartan_SA_formula, cartan_SA_hom, injectives, sources),
         ):
             passes.clear()
-            measured.clear()
             read.clear()
             formula(alg)
             hom(alg)
             want = [("_functional_pass", id(r)) for r in passed]
             assert [(kind, id(m)) for kind, m in passes] == want, entry.id
             assert read == [id(r) for r in roots], entry.id
-            assert measured == [(id(m), id(n)) for m in roots for n in roots], entry.id
 
 
 @pytest.mark.parametrize("entry_id", ["nakayama-1-3", "nakayama-2-3", "nakayama-3-4", "trunc-twoloop-2", "preproj-a-3"])

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import random
@@ -382,6 +383,55 @@ def test_corpus_fuzz_rejects_a_bad_sample_count(capsys, samples):
     assert "--samples" in capsys.readouterr().err
     code, out, _ = run_cli(capsys, "corpus", "fuzz", "--samples", "0")
     assert code == 0 and "samples=0 passed=0 failed=0" in out
+
+
+def test_main_builds_its_parser_once_and_answers_repeated_calls_alike(tmp_path, capsys, monkeypatch):
+    # the parser is built on the first main call and kept: every command,
+    # a bad flag included, gives the same output and exit code each time
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting(parser, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(parser, *args, **kwargs)
+
+    path = write_doc(tmp_path, x3_doc())
+    calls = (
+        ("analyze", path),
+        ("analyze", path, "--format", "table", "--skip-fuzz-corroboration"),
+        ("analyze", path, "--bogus"),
+        ("corpus", "list"),
+        ("corpus", "emit", "nakayama-2-2"),
+        ("corpus", "fuzz", "--samples", "2", "--seed", "3"),
+        ("corpus", "fuzz", "--samples", "-1"),
+    )
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli._parser.cache_clear()
+    try:
+        rounds = []
+        for _ in range(2):
+            answers = []
+            for argv in calls:
+                try:
+                    code = cli.main(list(argv))
+                except SystemExit as exc:
+                    code = exc.code
+                out, err = capsys.readouterr()
+                # the report's time is its one part that may change
+                if argv == ("analyze", path):
+                    report = json.loads(out)
+                    report.pop("volatile")
+                    out = json.dumps(report)
+                elif "table" in argv:
+                    out = out[: out.index("wall time: ")]
+                answers.append((code, out, err))
+            rounds.append(answers)
+    finally:
+        cli._parser.cache_clear()
+    assert rounds[0] == rounds[1]
+    assert [code for code, _, _ in rounds[0]] == [0, 0, 2, 0, 0, 0, 2]
+    assert "--bogus" in rounds[0][2][2]
+    assert built.count("adrkit") == 1
 
 
 def test_analyze_unwritable_out_exits_2(tmp_path, capsys):

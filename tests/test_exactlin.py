@@ -396,8 +396,8 @@ def test_rref_pivot_below_zero_rows_and_zero_columns(field):
 
 
 def _pivots(rows: list[dict], field: FieldSpec) -> list[int]:
-    """The pivot columns of all the rows: :func:`exactlin._sparse_rank` with the one mark len(rows)."""
-    return exactlin._sparse_rank(rows, field, [len(rows)])[0]
+    """The pivot columns of all the rows: :func:`exactlin._sparse_rank`."""
+    return exactlin._sparse_rank(rows, field)
 
 
 def _sparse_case(field: FieldSpec, rows: int, cols: int, density: float, seed: int, big: bool = False):
@@ -492,10 +492,9 @@ def test_sparse_echelon_back_substitutes_into_the_rref(field, shape, density, se
 
 
 def _check_rank_profile(field: FieldSpec, sparse: list[dict], cols: int, marks: list[int]) -> list[list[int]]:
-    """Each mark's pivots, against the naive rank of rows[:R] on every column prefix."""
+    """The pivots of each row prefix rows[:R], R in ``marks``, against the naive rank of rows[:R] on every column prefix."""
     grid = [[row.get(c, 0) for c in range(cols)] for row in sparse]
-    profile = exactlin._sparse_rank(sparse, field, marks)
-    assert len(profile) == len(marks)
+    profile = [exactlin._sparse_rank(sparse[:mark], field) for mark in marks]
     for mark, pivots in zip(marks, profile):
         assert pivots == sorted(set(pivots))
         for c in range(cols + 1):

@@ -27,6 +27,8 @@ from adrkit.presentation import (
     Quiver,
     Relation,
     UnknownArrowError,
+    _assemble,
+    _canonical_relations,
     _count_paths,
     _holds_top_columns,
     _letters,
@@ -40,6 +42,7 @@ from adrkit.presentation import (
     label_count,
     opposite_presentation,
     restrict_presentation,
+    unsatisfied_relation,
 )
 
 LOOP = Quiver(("1",), (Arrow("x", "1", "1"),))
@@ -750,3 +753,55 @@ def test_work_budget_names_the_measure_and_the_flag_that_raises_it():
             check_work_budget(_two_loops(12), hom_routes)
         assert "W = 33538050" in str(exc.value) and "--skip" not in str(exc.value)
     assert f"work budget of {WORK_BUDGET}" in str(exc.value)
+
+
+def _unsatisfied_relation_per_term(alg):
+    """The reference for ``unsatisfied_relation``: each term of each relation applied to each basis path on its own."""
+    p = alg.field.p
+    ending = {}
+    for k, b in enumerate(alg.basis):
+        ending.setdefault(b.target, []).append(k)
+    for terms in _canonical_relations(alg.presentation):
+        for k in ending.get(terms[0][1].source, ()):
+            total = {}
+            for coeff, path in terms:
+                vec = {k: coeff}
+                for name in path.arrows:
+                    nxt = {}
+                    for idx, c in vec.items():
+                        for j, x in alg.act[name].get(idx, ()):
+                            nxt[j] = nxt.get(j, 0) + c * x
+                    vec = nxt
+                for j, c in vec.items():
+                    total[j] = total.get(j, 0) + c
+            if any(c % p if p else c for c in total.values()):
+                return terms
+    return None
+
+
+def _zeroed_opposite(alg):
+    """A^op's presentation over the reversed basis with every other path set to zero: its act breaks each relation with a term off the basis."""
+    rev = lambda w: Path(w.target, w.arrows[::-1], w.source)
+    return _assemble(
+        opposite_presentation(alg.presentation), [rev(b) for b in alg.basis], {rev(w): () for w in alg.normal}
+    )
+
+
+def test_relation_trie_finds_the_relation_the_per_term_walk_finds():
+    # the trie shares the prefixes of the relation words and stops at a zero
+    # image; the sums and the first failing relation stay those of the walk
+    # that applies every term to every basis path
+    from adrkit.corpus import builtin_entries, random_admissible
+
+    entries = builtin_entries() + [random_admissible(s) for s in range(910000, 910150)]
+    broken = later = 0
+    for entry in entries:
+        alg = entry.build()
+        for side in (alg, alg.opposite(), _zeroed_opposite(alg)):
+            want = _unsatisfied_relation_per_term(side)
+            assert unsatisfied_relation(side) == want, entry.id
+            if want is not None:
+                broken += 1
+                later += want != _canonical_relations(side.presentation)[0]
+        assert unsatisfied_relation(alg) is unsatisfied_relation(alg.opposite()) is None, entry.id
+    assert broken and later

@@ -2,7 +2,7 @@ import dataclasses
 import random
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from operator import mul
 
 import numpy as np
@@ -42,7 +42,7 @@ from adrkit.repmod import (
     socle_sub,
     truncate,
 )
-from adrkit.adrcore import cartan_RA_hom, cartan_SA_hom
+from adrkit.adrcore import cartan_RA_formula, cartan_RA_hom, cartan_SA_formula, cartan_SA_hom
 from adrkit.corpus import builtin_entries, get_entry, preprojective_a, random_admissible, truncated_path_algebra
 from test_theorems import _disjoint_union
 
@@ -631,6 +631,12 @@ def test_hom_constraints_match_kronecker_oracle():
     assert {F7, RATIONAL} <= fields
 
 
+def _sorted_profile(m: Representation, n: Representation, by_degree: bool = False) -> list[list[int]]:
+    """The pivot columns of ``repmod._hom_profile`` made by the end of each level, ascending."""
+    leads, ends = repmod._hom_profile(m, n, by_degree)
+    return [sorted(leads[:end]) for end in ends]
+
+
 def test_hom_profile_matches_the_rank_of_the_kronecker_rows():
     # the streamed kernel leaves settled unknowns out and reads units first,
     # yet at every level mark its pivot columns are those of the oracle's
@@ -641,13 +647,13 @@ def test_hom_profile_matches_the_rank_of_the_kronecker_rows():
     for name, m, n, want in _hom_test_pairs():
         fld = m.field
         rows = want[want.any(axis=1)]
-        assert repmod._hom_profile(m, n) == [oracle.dense_echelon(rows, fld, False)[1]], (name, m.dims, n.dims)
+        assert _sorted_profile(m, n) == [oracle.dense_echelon(rows, fld, False)[1]], (name, m.dims, n.dims)
         if _graded_pair(m, n):
             levels = _oracle_levels(m, n, want, True)
             prefixes = [
                 sum(map(mul, repmod._below(m.radical_degrees, j), n.dims)) for j in range(1, loewy_length(m) + 1)
             ]
-            profile = repmod._hom_profile(m, n, True)
+            profile = _sorted_profile(m, n, True)
             assert len(profile) == len(levels) == loewy_length(n)
             for l, pivots in enumerate(profile):
                 upto = np.vstack(levels[: l + 1])
@@ -809,6 +815,69 @@ def test_hom_routes_read_no_one_entry_row_on_a_settled_unknown(monkeypatch):
             cartan_RA_hom(alg)
             cartan_SA_hom(alg)
     assert counts["one-entry"] and counts["reduced"], counts
+
+
+def _route_blocks(table, lengths: list[int]) -> list[list[tuple]]:
+    """Block [i - 1][k - 1] of a route's table, whose rows and columns run over i and then 1..lengths[i - 1]."""
+    at = list(accumulate(lengths, initial=0))
+    return [
+        [tuple(row[at[k] : at[k + 1]] for row in table[at[i] : at[i + 1]]) for k in range(len(lengths))]
+        for i in range(len(lengths))
+    ]
+
+
+def _check_route_blocks(alg) -> None:
+    """Every (i, k) block of both Hom routes against the level table of that pair alone."""
+    vertices = range(1, alg.n + 1)
+    for route, modules in (
+        (cartan_RA_hom, [projective(alg, i) for i in vertices]),
+        (cartan_SA_hom, [injective(alg, i) for i in vertices]),
+    ):
+        blocks = _route_blocks(route(alg).entries, [loewy_length(m) for m in modules])
+        for (i, m), (k, n) in product(enumerate(modules), repeat=2):
+            assert blocks[i][k] == repmod.hom_dims_between_levels(m, n), (route.__name__, i + 1, k + 1)
+
+
+def _disjoint_unions():
+    """Algebras of two or three components, over Q and over F_3."""
+    pick = [get_entry(name).presentation for name in ("nakayama-2-3", "preproj-a-3", "nonrigid-shortcut-3")]
+    yield build_algebra(_disjoint_union(pick[0], pick[1]))
+    yield build_algebra(_disjoint_union(pick[2], get_entry("trunc-kronecker-2").presentation, pick[1]))
+    yield build_algebra(_disjoint_union(random_admissible(910001).presentation, random_admissible(910003).presentation))
+
+
+def test_each_route_block_is_the_level_table_of_its_pair():
+    # one system over the regular module of A (or A^op) gives every block of
+    # a route: block (i, k) is the table of (P_i, P_k), or of (Q_i, Q_k),
+    # each solved alone.  On a component the routes read A's regular module
+    # cut to it and the regular module of the component's opposite, and
+    # still agree with the formula routes
+    entries = builtin_entries() + [random_admissible(s) for s in range(910000, 910030)] + list(_analyze_inputs())
+    for entry in entries:
+        _check_route_blocks(entry.build())
+    components = 0
+    for alg in _disjoint_unions():
+        assert not alg.connected
+        _check_route_blocks(alg)
+        for comp in alg.components():
+            _check_route_blocks(comp)
+            assert cartan_RA_hom(comp) == cartan_RA_formula(comp)
+            assert cartan_SA_hom(comp) == cartan_SA_formula(comp)
+            components += 1
+    assert components >= 7  # two, three and at least two components
+
+
+def test_a_route_solves_one_system(monkeypatch):
+    # preprojective A_5 has five projectives, all with full support: one
+    # system per pair would be 25 eliminations per route
+    made = []
+    real = repmod._SparseEchelon
+    monkeypatch.setattr(repmod, "_SparseEchelon", lambda field: made.append(field) or real(field))
+    alg = preprojective_a(5, F7).build()
+    cartan_RA_hom(alg)
+    assert len(made) == 1
+    cartan_SA_hom(alg)
+    assert len(made) == 2
 
 
 def test_level_tables_of_a_component_against_modules_built_on_it():
