@@ -105,7 +105,6 @@ the case of one summand each.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import repeat
@@ -840,23 +839,23 @@ def _block_layout(m: Representation, n: Representation, summands: Summands):
     one summand each a slot is dim N_v wide and there is no gap.
     """
     m_of, n_of = summands
+    count = max((max(of) + 1 for of in n_of if of), default=1)
     row_at, width = [], []
     for of in n_of:
-        seen: Counter = Counter()
+        seen = [0] * count
         at = []
         for c in of:
             at.append(seen[c])
             seen[c] += 1
         row_at.append(at)
-        width.append(max(seen.values(), default=0))
+        width.append(max(seen))
     col_at = [[0] * d for d in m.dims]
-    fill: Counter = Counter()
+    fill = [0] * max((max(of) + 1 for of in m_of if of), default=1)
     for v, g in _degree_order(m):
         b = m_of[v][g]
         col_at[v][g] = fill[b]
         fill[b] += width[v]
-    stride = max(fill.values(), default=0)
-    count = max((max(of) + 1 for of in n_of if of), default=1)
+    stride = max(fill)
     for at, of in zip(col_at, m_of):
         at[:] = [x + b * count * stride for x, b in zip(at, of)]
     for at, of in zip(row_at, n_of):
@@ -1073,7 +1072,12 @@ def _level_tables(m: Representation, n: Representation, summands: Summands) -> t
     widths_n = widths_m if n is m and n_of is m_of else _summand_widths(n.radical_degrees, n_of)
     row_at, col_at, width, stride = _block_layout(m, n, summands)
     leads, ends = _hom_profile(m, n, True, (row_at, col_at))
-    profile = [sorted(leads[:end]) for end in ends]
+    profile, ascending = [], []
+    for lo, hi in zip([0, *ends], ends):
+        # a sorted run and the new leads: sort merges the run in linear time
+        ascending = ascending + leads[lo:hi]
+        ascending.sort()
+        profile.append(ascending)
     # per column (c, l): the pivots of the equations of level < l, the first
     # unknown of block (0, c), and at each vertex the width of n_c/rad^l n_c
     pivots = [profile[l] for wn in widths_n for l in range(len(wn))]
