@@ -27,11 +27,11 @@ elimination (``repmod.regular_hom_table``).  They read only the pivot
 columns of that elimination (``repmod._hom_profile``), never a chain or a
 series.  So the two routes share at most a module (A is P_1 when it has
 one vertex) and the code of ``exactlin``'s sparse elimination, never an
-elimination or the sparse arrow maps it reads: each route memoizes its own.  The
-duality C(R_A)[(i,j),(k,l)] = C(S_{A^op})[[k,l],[i,j]] that ``analyze``
-rechecks (``theorems.duality_failures``) runs no pass of its own: Q^op_k
-reads the functional pass of P_k, and Q_i that of P^op_i, so both sides
-read one pass under both readers.  It checks the transposes, the labels
+elimination or the sparse arrow maps it reads: each route memoizes its
+own.  The duality C(R_A)[(i,j),(k,l)] = C(S_{A^op})[[k,l],[i,j]] that
+``analyze`` rechecks (``theorems.duality_failures``) runs no pass of its
+own: Q^op_k reads the functional pass of P_k, and Q_i that of P^op_i, so
+both sides read one pass under both readers.  It checks the transposes, the labels
 and the readers; the Hom route guards the passes and the readers.  The
 Loewy lengths of P_i and Q_i and the socle series of Q_i come from the
 grading of the path basis.
