@@ -36,6 +36,7 @@ from .presentation import (
     PresentationError,
     Quiver,
     Relation,
+    _loewy_lengths,
     build_algebra,
     enumerate_paths,
     unsatisfied_relation,
@@ -43,7 +44,6 @@ from .presentation import (
 from .repmod import (
     composition_vector,
     injective,
-    loewy_length,
     projective,
     radical_series,
     series_by_level,
@@ -326,7 +326,7 @@ def random_admissible(seed: int) -> CorpusEntry:
         rational = pres.field == RATIONAL
         if alg.dim > (12 if rational else 24):
             continue
-        labels = sum(loewy_length(projective(alg, i)) for i in range(1, alg.n + 1))
+        labels = sum(_loewy_lengths(alg)[0])  # sum LL(P_i)
         if labels > (8 if rational else 16):
             continue
         return CorpusEntry(id=f"random-{seed}", presentation=pres)

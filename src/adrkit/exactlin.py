@@ -10,15 +10,17 @@ the module, like the package, runs on the standard library alone.
 There is one elimination, :class:`_SparseEchelon`: a forward loop on rows
 given as ``{column: coefficient}`` dicts, with Python ints mod p or, over Q,
 integer rows cleared of their denominators on reading (:func:`_cleared`).
-:func:`_sparse_rank` reads its pivot columns, which give the rank of the
-rows on every column prefix, and the Hom kernel of ``repmod`` reads them
-after each level of equations it streams in, leaving out the columns the
-loop records as settled; :func:`_tag_order_basis` (the tagged reduction
-behind the filtrations of ``repmod``) reads its pivot rows and the rows
-that made them; :func:`rref` and the path-basis builder of ``presentation``
-back-substitute its pivot rows into an RREF (``rref_rows``), and the builder
-asks ``add`` whether a unit row lies in their span.  Over Q an RREF row is
-divided by its lead before it leaves, so results stay Fractions.
+Its pivot columns give the rank of the rows on every column prefix:
+:func:`_sparse_rank` returns them to :func:`rank`, the path-basis builder of
+``presentation`` counts those on the length-cap columns of each parallel
+class for its cap test, and the Hom kernel of ``repmod`` reads them after
+each level of equations it streams in, leaving out the columns the loop
+records as settled; :func:`_tag_order_basis` (the tagged reduction behind the
+filtrations of ``repmod``) reads its pivot rows and the rows that made them;
+:func:`rref` and the builder back-substitute its pivot rows into an RREF
+(``rref_rows``), and a builder whose cap test fails asks ``add`` whether a
+unit row lies in their span.  Over Q an RREF row is divided by its lead
+before it leaves, so results stay Fractions.
 
 :class:`FieldSpec` is the only place that knows how the two kinds of field
 differ: code asks it for ``one``, and for ``coerce`` and ``inv`` on scalars.

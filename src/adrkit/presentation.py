@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .exactlin import FieldSpec, _SparseEchelon, _sparse_rank
+from .exactlin import FieldSpec, _SparseEchelon
 from .memo import memoized, remember
 
 
@@ -368,6 +368,14 @@ class _Component(AlgebraData):
             setattr(self, assembled, getattr(built, assembled))
         return getattr(self, name)
 
+    @memoized
+    def opposite(self) -> "AlgebraData":
+        """The component of A^op on the same vertices (cached both ways), so nothing is assembled."""
+        whole, _ = self.component_of
+        opp = next(c for c in whole.opposite().components() if c.quiver.vertices == self.quiver.vertices)
+        remember(_Component.opposite, opp, result=self)
+        return opp
+
     def __eq__(self, other) -> bool:
         # as AlgebraData's own, but also equal to an AlgebraData of the same fields
         if not isinstance(other, AlgebraData):
@@ -400,62 +408,51 @@ def _ideal_rows(
     relations: list[list[tuple[int | Fraction, Path]]],
     paths: list[Path],
     column: dict[tuple[str, ...], int],
-    degree_bound: int,
-    use_min_length: bool,
-) -> dict[ParallelClass, list[SparseRow]]:
-    """Spanning vectors u*r*v of the relation ideal, inside paths of length <= degree_bound.
+    cap: int,
+) -> dict[ParallelClass, tuple[list[SparseRow], list[SparseRow]]]:
+    """Spanning vectors u*r*v of the relation ideal, per parallel class as (fit, over), in one sweep.
 
-    ``paths`` lists the candidate prefixes u and suffixes v in length order.
-    With ``use_min_length`` False a product is kept only when all its terms fit
-    under the bound; with True it is kept when its shortest term fits, and the
-    overlong terms are truncated away.
+    ``paths`` lists the candidate prefixes u and suffixes v in length order,
+    up to the cap.  ``fit`` holds every product whose terms all have length
+    <= cap, untruncated; ``over`` every product with a term below the cap and
+    a term above it, cut down to its terms below the cap.  A product whose
+    terms all have length >= cap, one of them above it, is dropped: it is
+    zero modulo the paths of length >= cap.
 
     Every term of u*r*v runs from source(u) to target(v), so each product is a
     ``{column: coefficient}`` row over one parallel class, its columns read
     off ``column`` by the arrows of each term (every relation term has
-    length >= 2, so no term is a trivial path).  KQ is the direct sum of its
-    parallel classes, so the ideal is the direct sum of these per-class
-    spans: the result holds the rows of every class that has a generator,
-    and no other class meets the ideal.
+    length >= 2, so no term is a trivial path).  No class left out of the
+    result meets the ideal.
     """
     ending: dict[int, list[tuple[int, tuple[str, ...], int]]] = {}
     starting: dict[int, list[tuple[int, tuple[str, ...], int]]] = {}
     for path in paths:
         ending.setdefault(path.target, []).append((len(path.arrows), path.arrows, path.source))
         starting.setdefault(path.source, []).append((len(path.arrows), path.arrows, path.target))
-    rows: dict[ParallelClass, list[SparseRow]] = {}
-    deciding = min if use_min_length else max
+    rows: dict[ParallelClass, tuple[list[SparseRow], list[SparseRow]]] = {}
     for terms in relations:
         words = [(len(path.arrows), path.arrows, coeff) for coeff, path in terms]
-        budget = degree_bound - deciding(length for length, _, _ in words)
+        shortest = min(length for length, _, _ in words)
+        longest = max(length for length, _, _ in words)
+        # u and v of total length s: fit if longest + s <= cap, over if
+        # shortest + s < cap < longest + s
+        budget = cap - min(longest, shortest + 1)
         for pre_len, pre, source in ending.get(terms[0][1].source, ()):
             if pre_len > budget:
                 break
             for suf_len, suf, target in starting.get(terms[0][1].target, ()):
                 if pre_len + suf_len > budget:
                     break
-                room = degree_bound - pre_len - suf_len
+                room = cap - pre_len - suf_len
+                fits = longest <= room
                 vec: SparseRow = {}
                 for length, word, coeff in words:
-                    if length <= room:
+                    if fits or length < room:
                         c = column[pre + word + suf]
                         vec[c] = vec[c] + coeff if c in vec else coeff
-                rows.setdefault((source, target), []).append(vec)
+                rows.setdefault((source, target), ([], []))[not fits].append(vec)
     return rows
-
-
-def _holds_top_columns(rows: list[SparseRow], cols: int, low: int, fld: FieldSpec) -> bool:
-    """Whether the span of ``rows`` holds every unit vector e_c with low <= c < cols.
-
-    Let E be the span of those unit vectors.  If the row span V holds E, it
-    is E plus its projection to the first ``low`` columns, so rank V minus
-    the rank of V on the first ``low`` columns is cols - low.  Conversely
-    that count makes the kernel of the projection, a subspace of E, all of
-    E.  The count is the number of pivots at or after ``low`` in the rank
-    profile of the rows (``exactlin._sparse_rank``).
-    """
-    pivots = _sparse_rank(rows, fld)
-    return sum(c >= low for c in pivots) == cols - low
 
 
 def build_algebra(p: AlgebraPresentation) -> AlgebraData:
@@ -465,22 +462,21 @@ def build_algebra(p: AlgebraPresentation) -> AlgebraData:
     contain every path of length cap; otherwise the presentation is not
     visibly nilpotent at this cap and :class:`CapTooSmallError` is raised.
 
-    Each generator u*r*v lies in a single parallel class, so the ideal is the
-    direct sum of its per-class spans.  Every class is eliminated on its own,
-    as sparse ``{column: coefficient}`` rows over its paths in the order of
-    :func:`enumerate_paths`, length first.  A class passes the cap test when
-    the pivots of its rank profile on or after its first length-cap column
-    number its length-cap paths (:func:`_holds_top_columns`).  Only when a
-    class fails are its length-cap paths reduced, in the order of
-    :func:`enumerate_paths`, against its pivot rows, to name the first one
-    left outside the span; a class without generators fails at once.
-
-    Below the cap the pivot rows of each class (``exactlin._SparseEchelon``)
-    are back-substituted into the RREF of its span.  The pivots are the
-    leftmost ones, as in one elimination across the whole width, so a path
-    is a basis path iff its column is no pivot, and the normal form of a
-    pivot path is minus the rest of its RREF row, which lives on the basis
-    paths of the pivot's own class.
+    Each product lies in a single parallel class, so the ideal is the direct
+    sum of its per-class spans.  One sweep (:func:`_ideal_rows`) gives each
+    class its products as sparse rows over its paths, length first, and one
+    ``exactlin._SparseEchelon`` per class reads them.  It reads ``fit``
+    first: the class passes the cap test when its leads on the length-cap
+    columns, the rank-profile pivots there, number its length-cap paths.  A
+    class that fails names, in the same echelon, its first length-cap path
+    outside the span, in the order of :func:`enumerate_paths`.  Only after
+    every class passes does it read ``over``: a truncated row read earlier
+    could put a length-cap path into the span.  Every length-cap column is
+    then a pivot, so the RREF rows (``rref_rows``) led below the cap hold no
+    length-cap entry and span the truncated ideal below the cap.  A path
+    below the cap is a basis path iff its column is no pivot, and the normal
+    form of a pivot path is minus the rest of its RREF row, which lives on
+    the basis paths of its class.
     """
     fld = p.field
     relations = _canonical_relations(p)
@@ -488,35 +484,33 @@ def build_algebra(p: AlgebraPresentation) -> AlgebraData:
     flat = [path for layer in graded for path in layer]
 
     classes, column = _parallel_classes(flat)
-    rows = _ideal_rows(relations, flat, column, p.cap, False)
+    rows = _ideal_rows(relations, flat, column, p.cap)
     at_cap = Counter((path.source, path.target) for path in graded[p.cap])
-    failing: dict[ParallelClass, _SparseEchelon] = {}
-    for cls, top in at_cap.items():
-        cols = len(classes[cls])
-        if not _holds_top_columns(rows.get(cls, []), cols, cols - top, fld):
-            failing[cls] = echelon = _SparseEchelon(fld)
-            echelon.extend(rows.get(cls, ()))
-    if failing:
-        for path in graded[p.cap]:
-            echelon = failing.get((path.source, path.target))
-            # a path outside the span becomes a pivot row; the first one ends the build
-            if echelon is not None and echelon.add({column[path.arrows]: 1}):
-                raise CapTooSmallError(
-                    f"path {'*'.join(path.arrows)} of length {p.cap} is not in the "
-                    f"ideal span at cap={p.cap}; raise the cap or fix the relations"
-                )
+    echelons = {cls: _SparseEchelon(fld) for cls in classes if cls in rows or cls in at_cap}
+    failing = set()
+    for cls, echelon in echelons.items():
+        echelon.extend(rows.get(cls, ((), ()))[0])
+        low = len(classes[cls]) - at_cap[cls]
+        if sum(lead >= low for lead in echelon.leads) != at_cap[cls]:
+            failing.add(cls)
+    for path in graded[p.cap]:
+        cls = (path.source, path.target)
+        # a path outside the span becomes a pivot row; the first one ends the build
+        if cls in failing and echelons[cls].add({column[path.arrows]: 1}):
+            raise CapTooSmallError(
+                f"path {'*'.join(path.arrows)} of length {p.cap} is not in the "
+                f"ideal span at cap={p.cap}; raise the cap or fix the relations"
+            )
 
-    # Admissibility established: pass to paths of length < cap and take the
-    # true ideal there, truncating products whose long terms overflow the cap.
-    low_paths = flat[: len(flat) - len(graded[p.cap])]
-    low_classes, low_column = _parallel_classes(low_paths)
     normal: dict[Path, NormalForm] = {}
-    for cls, class_rows in _ideal_rows(relations, flat, low_column, p.cap - 1, True).items():
-        echelon = _SparseEchelon(fld)
-        echelon.extend(class_rows)
-        group = low_classes[cls]
+    for cls, echelon in echelons.items():
+        echelon.extend(rows.get(cls, ((), ()))[1])
+        group = classes[cls]
+        low = len(group) - at_cap[cls]
         for lead, row in sorted(echelon.rref_rows().items()):
-            normal[group[lead]] = tuple((group[c], fld.coerce(-v)) for c, v in sorted(row.items()))
+            if lead < low:
+                normal[group[lead]] = tuple((group[c], fld.coerce(-v)) for c, v in sorted(row.items()))
+    low_paths = flat[: len(flat) - len(graded[p.cap])]
     return _assemble(p, [path for path in low_paths if path not in normal], normal)
 
 
@@ -602,8 +596,8 @@ vertices, at 320 000, is refused at once.
 """
 
 
-def label_count(alg: AlgebraData) -> int:
-    """sum LL(P_i) + sum LL(Q_i), read off the basis.
+def _loewy_lengths(alg: AlgebraData) -> tuple[list[int], list[int]]:
+    """Per vertex i, LL(P_i) and LL(Q_i), read off the basis.
 
     P_i is spanned by the basis paths out of i, graded by length, so LL(P_i)
     is one more than the longest of them; Q_i is dual to the opposite P_i,
@@ -613,7 +607,12 @@ def label_count(alg: AlgebraData) -> int:
     for path in alg.basis:
         out[path.source - 1] = max(out[path.source - 1], path.length + 1)
         into[path.target - 1] = max(into[path.target - 1], path.length + 1)
-    return sum(out) + sum(into)
+    return out, into
+
+
+def label_count(alg: AlgebraData) -> int:
+    """sum LL(P_i) + sum LL(Q_i), read off the basis (:func:`_loewy_lengths`)."""
+    return sum(map(sum, _loewy_lengths(alg)))
 
 
 def check_label_budget(alg: AlgebraData) -> None:

@@ -81,15 +81,17 @@ only unknowns with deg r < l and form the system of Hom(-, n/rad^l n).  So
 dim Hom(m/rad^j m, n/rad^l n) is c_{j,l}, the unknowns of both degrees
 below j and l, minus the rank of the equations of level < l on the first
 c_j unknowns: their pivots below c_j.  One kernel serves the tables and
-``hom_dim`` (one level), :func:`_hom_profile`: it builds the equations level
-by level and streams them into one ``exactlin._SparseEchelon``, each
-level's one-entry equations first.  Those force their unknowns to zero; the
-echelon records them as settled, and every equation built or read after
-that leaves them out, which changes no span.  So the pivots made by the end
-of each level are those of the whole system up to it, and no equation that
-restates a forced zero reaches the elimination.  For socle-graded m and n,
-D turns Hom(soc_j m, soc_l n) into Hom_{A^op}(Dn/rad^l Dn, Dm/rad^j Dm):
-the transposed table of their roots.
+``hom_dim``, :func:`_hom_profile`: it builds the equations level by level,
+the levels n's radical degrees (one level if n has no radical grading), and
+streams them into one ``exactlin._SparseEchelon``, each level's one-entry
+equations first.  Those force their unknowns to zero; the echelon records
+them as settled, and every equation built or read after that leaves them
+out, which changes no span.  So the pivots made by the end of each level
+are those of the whole system up to it, and no equation that restates a
+forced zero reaches the elimination; ``hom_dim`` counts the pivots after
+the last level.  For socle-graded m and n, D turns Hom(soc_j m, soc_l
+n) into Hom_{A^op}(Dn/rad^l Dn, Dm/rad^j Dm): the transposed table of their
+roots.
 
 The Hom routes solve one system each.  Hom is additive, and the regular
 module A (:func:`regular_module`, built from ``act`` like the P_i) is the
@@ -863,15 +865,8 @@ def _block_layout(m: Representation, n: Representation, summands: Summands):
     return row_at, col_at, width, stride
 
 
-def _numbering(m: Representation, n: Representation, by_degree: bool):
-    """(row_at, col_at): unknown f_v[r, k] is numbered row_at[v][r] + col_at[v][k].
-
-    Unless ``by_degree`` the unknowns run row-major, vertex by vertex; with
-    it they are sorted by the radical degree of k (:func:`_block_layout`,
-    one summand each).
-    """
-    if by_degree:
-        return _block_layout(m, n, (_one_summand(m), _one_summand(n)))[:2]
+def _numbering(m: Representation, n: Representation):
+    """(row_at, col_at): unknown f_v[r, k] is numbered row_at[v][r] + col_at[v][k], row-major, vertex by vertex."""
     row_at, pos = [], 0
     for d, w in zip(n.dims, m.dims):
         row_at.append([pos + r * w for r in range(d)])
@@ -880,23 +875,20 @@ def _numbering(m: Representation, n: Representation, by_degree: bool):
 
 
 @memoized
-def _level_rows(n: Representation, by_degree: bool) -> tuple[tuple[tuple[str, list[tuple[int, dict]]], ...], ...]:
+def _level_rows(n: Representation) -> tuple[tuple[tuple[str, list[tuple[int, dict]]], ...], ...]:
     """Per level of n, the pairs (a, rows) over the arrows a: u -> v in order, where rows lists (r, row r of -N_a).
 
-    The rows listed have coordinate r of N_v at that radical degree, and an
-    arrow with none is left out.  Without ``by_degree`` one level holds
-    every row.
+    The levels are n's radical degrees, and one level holds every row if n
+    has no radical grading.  The rows listed have coordinate r of N_v at
+    that degree, and an arrow with none is left out.
     """
-    q = n.algebra.quiver
-    levels: list[list] = [[] for _ in range(max(_grading_length(n.radical_degrees), 1) if by_degree else 1)]
+    q, degrees = n.algebra.quiver, n.radical_degrees
+    levels: list[list] = [[] for _ in range(max(_grading_length(degrees or ()), 1))]
     for a in q.arrows:
         rows = list(enumerate(_negated_sparse_rows(n, a.name)))
-        if not by_degree:
-            levels[0].append((a.name, rows))
-            continue
-        degrees = n.radical_degrees[q.arrow_endpoints(a.name)[1] - 1]
+        at = degrees[q.arrow_endpoints(a.name)[1] - 1] if degrees else [0] * len(rows)
         for l, level in enumerate(levels):
-            lo, hi = bisect_left(degrees, l), bisect_left(degrees, l + 1)
+            lo, hi = bisect_left(at, l), bisect_left(at, l + 1)
             if lo < hi:
                 level.append((a.name, rows[lo:hi]))
     return tuple(map(tuple, levels))
@@ -905,16 +897,14 @@ def _level_rows(n: Representation, by_degree: bool) -> tuple[tuple[tuple[str, li
 def _intertwiner_levels(
     m: Representation,
     n: Representation,
-    by_degree: bool,
     settled: Collection[int] = frozenset(),
     numbering: tuple[list[list[int]], list[list[int]]] | None = None,
 ) -> Iterator[tuple[list[int], list[dict]]]:
     """The intertwiner equations of Hom(m, n), one pair (units, equations) per level of n, built level by level.
 
     Unknowns are the entries of f_v: M_v -> N_v, numbered by
-    ``numbering`` (row_at, col_at), by default :func:`_numbering`
-    (row-major and concatenated over vertices unless ``by_degree`` sorts
-    them by degree); each arrow a: u -> v contributes the
+    ``numbering`` (row_at, col_at), by default row-major and concatenated
+    over vertices (:func:`_numbering`); each arrow a: u -> v contributes the
     block of equations f_v M_a - N_a f_u = 0, equation (r, c) on row
     r * dim M_u + c.  An equation is read off the nonzero entries alone:
     f_v[r, k] meets M_a[k, c] for the nonzeros of column c of M_a, and
@@ -926,7 +916,7 @@ def _intertwiner_levels(
     coefficients in ``equations``, and one with no entry is not emitted.
 
     Level l holds the equations (r, c) whose coordinate r of n has radical
-    degree l under ``by_degree`` (:func:`_level_rows`); without it one level
+    degree l (:func:`_level_rows`); if n has no radical grading one level
     holds them all.  Within a level both lists keep arrow order, then r,
     then c.  A level is built once the one before it has been consumed, and
     the unknowns then in ``settled`` are left out of it.  Only the -N_a f_u
@@ -935,14 +925,14 @@ def _intertwiner_levels(
     """
     q = m.algebra.quiver
     p = m.field.p
-    row_at, col_at = numbering or _numbering(m, n, by_degree)
+    row_at, col_at = numbering or _numbering(m, n)
     blocks = {}
     for a in q.arrows:
         u, v = q.arrow_endpoints(a.name)
         if n.dims[v - 1] * m.dims[u - 1]:
             at = (row_at[v - 1], row_at[u - 1], col_at[v - 1], col_at[u - 1], u == v)
             blocks[a.name] = (*at, *_sparse_columns(m, a.name))
-    for level_rows in _level_rows(n, by_degree):
+    for level_rows in _level_rows(n):
         units: list[int] = []
         level: list[dict] = []
         for arrow, rows in level_rows:
@@ -982,7 +972,6 @@ def _intertwiner_levels(
 def _hom_profile(
     m: Representation,
     n: Representation,
-    by_degree: bool = False,
     numbering: tuple[list[list[int]], list[list[int]]] | None = None,
 ) -> tuple[list[int], list[int]]:
     """(leads, ends): the pivot columns of the intertwiner equations in the order they were made, and how many were made by the end of each level of n.
@@ -1003,7 +992,7 @@ def _hom_profile(
     echelon = _SparseEchelon(m.field)
     settled = echelon.settled
     ends = []
-    for units, equations in _intertwiner_levels(m, n, by_degree, settled, numbering):
+    for units, equations in _intertwiner_levels(m, n, settled, numbering):
         echelon.extend(_unsettled(units, equations, settled))
         ends.append(len(echelon.leads))
     return echelon.leads, ends
@@ -1071,7 +1060,7 @@ def _level_tables(m: Representation, n: Representation, summands: Summands) -> t
     widths_m = _summand_widths(m.radical_degrees, m_of)
     widths_n = widths_m if n is m and n_of is m_of else _summand_widths(n.radical_degrees, n_of)
     row_at, col_at, width, stride = _block_layout(m, n, summands)
-    leads, ends = _hom_profile(m, n, True, (row_at, col_at))
+    leads, ends = _hom_profile(m, n, (row_at, col_at))
     profile, ascending = [], []
     for lo, hi in zip([0, *ends], ends):
         # a sorted run and the new leads: sort merges the run in linear time

@@ -1,15 +1,20 @@
 """The dense per-class path-basis builder: the tests' oracle for ``build_algebra``.
 
-``presentation.build_algebra`` eliminates each parallel class as sparse rows,
-decides the cap test by counting rank-profile pivots and back-substitutes
-its pivot rows into normal forms.  :func:`dense_build_algebra` does the same
-job the plain way: it writes every product u*r*v into a dense array per
-class, row-reduces each array with ``chain_oracle.dense_rref`` (a dense
-pivot loop that shares no elimination with the builder) and reads
-membership of every length-cap path off the RREF, one unit row per path.  Both return
-an ``AlgebraData`` through ``presentation._assemble``, so their ``basis``,
-``layers``, ``normal`` and ``act`` can be compared, and both raise
-``CapTooSmallError`` with the same message.
+``presentation.build_algebra`` sweeps the products u*r*v once and eliminates
+each parallel class once, as sparse rows: the products whose terms fit under
+the cap first, whose leads on the length-cap columns decide the cap test, then
+the products truncated at the cap, before it back-substitutes the pivot rows
+into normal forms.  :func:`dense_build_algebra` does the same job the plain
+way, with two sweeps and two eliminations per class: it writes the products
+whose terms fit under the cap into a dense array per class, row-reduces each
+array with ``chain_oracle.dense_rref`` (a dense pivot loop that shares no
+elimination with the builder) and reads membership of every length-cap path
+off the RREF, one unit row per path; then it writes the products truncated
+below the cap into a second array per class over the shorter paths alone and
+reads the normal forms off its RREF.  Both return an ``AlgebraData`` through
+``presentation._assemble``, so their ``basis``, ``layers``, ``normal`` and
+``act`` can be compared, and both raise ``CapTooSmallError`` with the same
+message.
 
 :func:`dense_projective_maps` and :func:`dense_injective_maps` write the
 arrow maps of P_i and Q_i into dense arrays, entry by entry from ``act``,

@@ -30,7 +30,6 @@ from adrkit.presentation import (
     _assemble,
     _canonical_relations,
     _count_paths,
-    _holds_top_columns,
     _letters,
     build_algebra,
     check_label_budget,
@@ -470,6 +469,21 @@ def test_cap_path_in_class_without_relations_is_cap_too_small():
         build_algebra(pres)
 
 
+TWO_LOOPS = Quiver(("1",), (Arrow("x", "1", "1"), Arrow("y", "1", "1")))
+# every length-4 word is a monomial relation but y*y*y*x, which
+# x*x*x - y*y*y*x ties to x*x*x.  The products u*(x*x - y*y*y*y)*v of length
+# 3 put x*x*x into the ideal below the cap only because their long terms
+# overflow it: the untruncated products leave 15 of the 16 length-4 paths in
+# the span, and y*y*y*x is not in it
+MASKED_CAP = AlgebraPresentation(
+    FieldSpec.prime(7),
+    TWO_LOOPS,
+    tuple(Relation.monomial(p.arrows) for p in enumerate_paths(TWO_LOOPS, 4)[4] if p.arrows != ("y", "y", "y", "x"))
+    + (Relation.difference(["x", "x"], ["y", "y", "y", "y"]), Relation.difference(["x", "x", "x"], ["y", "y", "y", "x"])),
+    4,
+)
+
+
 def _builder_oracle_cases():
     from adrkit.corpus import builtin_entries, preprojective_a
 
@@ -478,6 +492,7 @@ def _builder_oracle_cases():
         for fld in (FieldSpec.prime(7), RATIONAL):
             pres = preprojective_a(n, fld).presentation
             cases.append(pytest.param(pres, id=f"preproj-a-{n}-{fld.describe()}"))
+    cases.append(pytest.param(MASKED_CAP, id="masked-cap"))
     return cases
 
 
@@ -509,7 +524,6 @@ def test_sparse_builder_matches_dense_builder_oracle_on_fuzz_seeds():
         _assert_matches_builder_oracle(random_admissible(seed).presentation)
 
 
-TWO_LOOPS = Quiver(("1",), (Arrow("x", "1", "1"), Arrow("y", "1", "1")))
 # loops x, y at 1 and an arrow a: 1 -> 2; the classes (1, 1) and (1, 2) each
 # hold length-2 paths
 LOOPS_AND_ARROW = Quiver(("1", "2"), (Arrow("x", "1", "1"), Arrow("y", "1", "1"), Arrow("a", "1", "2")))
@@ -535,8 +549,11 @@ LOOPS_AND_ARROW = Quiver(("1", "2"), (Arrow("x", "1", "1"), Arrow("y", "1", "1")
                              tuple(Relation.monomial(w) for w in (["x", "x"], ["x", "y"], ["y", "x"], ["y", "y"]))
                              + (Relation(((Fraction(1, 2), ("x", "a")), (Fraction(1, 2), ("y", "a")))),),
                              2), "x*a"),
+        # the truncated products would supply the 16th length-cap pivot
+        (MASKED_CAP, "y*y*y*x"),
     ],
-    ids=["class-without-relations", "cap-too-small", "second-path-of-class", "second-class", "two-term-over-Q"],
+    ids=["class-without-relations", "cap-too-small", "second-path-of-class", "second-class", "two-term-over-Q",
+         "masked-cap"],
 )
 def test_sparse_builder_names_the_oracles_first_failing_path(pres, named):
     with pytest.raises(CapTooSmallError, match=f"path {named.replace('*', '[*]')} of length {pres.cap} "):
@@ -562,11 +579,43 @@ def test_sparse_builder_runs_no_dense_elimination(monkeypatch):
         real = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args))
     for pres in cases:
-        build_algebra(pres)
+        try:
+            build_algebra(pres)
+        except CapTooSmallError:
+            assert pres is MASKED_CAP
     assert calls == []
     # live-spy control: the dense builder trips the spies
     dense_build_algebra(kxn(3))
     assert {"zeros", "dense_echelon", "__init__"} <= set(calls)
+
+
+def test_builder_sweeps_the_ideal_once_and_eliminates_each_class_once(monkeypatch):
+    # one sweep of the products u*r*v feeds the cap test, its witness and the
+    # normal forms: one _ideal_rows call per build, and one _SparseEchelon per
+    # class that has a product or a length-cap path, passing or failing
+    from adrkit import presentation
+    from adrkit.corpus import builtin_entries, preprojective_a, random_admissible
+
+    cases = [e.presentation for e in builtin_entries()] + [preprojective_a(5, FieldSpec.prime(7)).presentation]
+    cases += [random_admissible(seed).presentation for seed in range(910000, 910030)]
+    cases += [MASKED_CAP, kxn(3), AlgebraPresentation(RATIONAL, LOOP, (Relation.difference(["x", "x"], ["x", "x", "x"]),), 5)]
+    sweeps, made = [], []
+    real_rows, real_echelon = presentation._ideal_rows, presentation._SparseEchelon
+    monkeypatch.setattr(presentation, "_ideal_rows", lambda *args: sweeps.append(real_rows(*args)) or sweeps[-1])
+    monkeypatch.setattr(presentation, "_SparseEchelon", lambda field: made.append(field) or real_echelon(field))
+    refused = eliminated = 0
+    for pres in cases:
+        sweeps.clear()
+        made.clear()
+        try:
+            build_algebra(pres)
+        except CapTooSmallError:
+            refused += 1
+        at_cap = {(path.source, path.target) for path in enumerate_paths(pres.quiver, pres.cap)[pres.cap]}
+        assert len(sweeps) == 1
+        assert len(made) == len(sweeps[0].keys() | at_cap)
+        eliminated += len(made)
+    assert refused == 2 and eliminated > len(cases)
 
 
 def test_dense_oracles_run_no_sparse_elimination(monkeypatch):
@@ -622,8 +671,9 @@ def _sparse_class(field: FieldSpec):
 @example(case=(FieldSpec.prime(7), ([{0: 1, 2: 1}, {1: 1}, {2: 1}], 3, 1)))
 @settings(max_examples=400, deadline=None)
 def test_rank_count_matches_per_path_membership(case):
-    # the cap test counts pivots at or after the low columns; it must agree
-    # with testing every top unit vector on its own, by dense rank
+    # the cap test counts the rank-profile pivots at or after the low
+    # columns; it must agree with testing every top unit vector on its own,
+    # by dense rank
     field, (rows, cols, low) = case
     grid = [[row.get(c, 0) for c in range(cols)] for row in rows]
 
@@ -632,7 +682,8 @@ def test_rank_count_matches_per_path_membership(case):
 
     base = dense_rank(grid)
     members = [dense_rank(grid + [[int(k == c) for k in range(cols)]]) == base for c in range(low, cols)]
-    assert _holds_top_columns(rows, cols, low, field) == all(members)
+    pivots = exactlin._sparse_rank(rows, field)
+    assert (sum(c >= low for c in pivots) == cols - low) == all(members)
 
 
 def test_count_paths_matches_enumeration():

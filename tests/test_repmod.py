@@ -560,24 +560,27 @@ def _degree_order(m: Representation, n: Representation) -> list[int]:
 def _oracle_levels(m: Representation, n: Representation, want: np.ndarray, by_degree: bool) -> list[np.ndarray]:
     """The Kronecker oracle's nonzero rows, one array per level, in the order and numbering the level reader uses.
 
-    Without ``by_degree`` one level holds them all, in the oracle's own
-    numbering.  With it, equation (r, c) of an arrow u -> v has level deg r
-    in n, the rows of a level keep the oracle's order and the columns are
-    sorted as :func:`_degree_order` sorts them.
+    Equation (r, c) of an arrow u -> v has level deg r in n, and one level
+    holds them all if n has no radical grading; the rows of a level keep the
+    oracle's order.  The columns keep the oracle's row-major numbering, or
+    with ``by_degree`` are sorted as :func:`_degree_order` sorts them.
     """
     nonzero = want.any(axis=1)
-    if not by_degree:
-        return [want[nonzero]]
     levels = []
     for a in m.algebra.quiver.arrows:
         u, v = m.algebra.quiver.arrow_endpoints(a.name)
         for r, c in product(range(n.dims[v - 1]), range(m.dims[u - 1])):
-            levels.append(n.radical_degrees[v - 1][r])
-    cols = _degree_order(m, n)
+            levels.append(0 if n.radical_degrees is None else n.radical_degrees[v - 1][r])
+    cols = _degree_order(m, n) if by_degree else slice(None)
     return [
         want[np.array([i for i, x in enumerate(levels) if x == l and nonzero[i]], dtype=int)][:, cols]
-        for l in range(loewy_length(n))
+        for l in range(1 if n.radical_degrees is None else max(loewy_length(n), 1))
     ]
+
+
+def _degree_numbering(m: Representation, n: Representation):
+    """The numbering by degree of the level reader: ``repmod._block_layout`` with one summand each."""
+    return repmod._block_layout(m, n, (repmod._one_summand(m), repmod._one_summand(n)))[:2]
 
 
 def _hom_test_pairs():
@@ -597,10 +600,10 @@ def _graded_pair(m: Representation, n: Representation) -> bool:
 
 
 def test_hom_constraints_match_kronecker_oracle():
-    # the unpruned equations, level by level: hom_dim's numbering is the
+    # the unpruned equations, level by level: the levels are the oracle's
+    # rows sorted stably by the degree in n, and hom_dim's numbering is the
     # oracle's row-major one; the level reader's numbering, for two
-    # radically graded modules, is the oracle's columns in degree order, and
-    # its levels are the oracle's rows sorted stably by level.  Only the
+    # radically graded modules, is the oracle's columns in degree order.  Only the
     # nonzero equations are emitted; each one-entry equation is given by its
     # unknown alone, in units, and every other one is a row of equations, so
     # each kind keeps the oracle's order and no nonzero oracle row is dropped
@@ -609,7 +612,8 @@ def test_hom_constraints_match_kronecker_oracle():
     for name, m, n, want in _hom_test_pairs():
         fld = m.field
         for by_degree in (False, True) if _graded_pair(m, n) else (False,):
-            got = list(repmod._intertwiner_levels(m, n, by_degree))
+            numbering = _degree_numbering(m, n) if by_degree else None
+            got = list(repmod._intertwiner_levels(m, n, numbering=numbering))
             levels = _oracle_levels(m, n, want, by_degree)
             assert len(got) == len(levels), (name, m.dims, n.dims)
             for (units, equations), rows in zip(got, levels):
@@ -631,9 +635,9 @@ def test_hom_constraints_match_kronecker_oracle():
     assert {F7, RATIONAL} <= fields
 
 
-def _sorted_profile(m: Representation, n: Representation, by_degree: bool = False) -> list[list[int]]:
+def _sorted_profile(m: Representation, n: Representation, numbering=None) -> list[list[int]]:
     """The pivot columns of ``repmod._hom_profile`` made by the end of each level, ascending."""
-    leads, ends = repmod._hom_profile(m, n, by_degree)
+    leads, ends = repmod._hom_profile(m, n, numbering)
     return [sorted(leads[:end]) for end in ends]
 
 
@@ -647,13 +651,13 @@ def test_hom_profile_matches_the_rank_of_the_kronecker_rows():
     for name, m, n, want in _hom_test_pairs():
         fld = m.field
         rows = want[want.any(axis=1)]
-        assert _sorted_profile(m, n) == [oracle.dense_echelon(rows, fld, False)[1]], (name, m.dims, n.dims)
+        assert _sorted_profile(m, n)[-1] == oracle.dense_echelon(rows, fld, False)[1], (name, m.dims, n.dims)
         if _graded_pair(m, n):
             levels = _oracle_levels(m, n, want, True)
             prefixes = [
                 sum(map(mul, repmod._below(m.radical_degrees, j), n.dims)) for j in range(1, loewy_length(m) + 1)
             ]
-            profile = _sorted_profile(m, n, True)
+            profile = _sorted_profile(m, n, _degree_numbering(m, n))
             assert len(profile) == len(levels) == loewy_length(n)
             for l, pivots in enumerate(profile):
                 upto = np.vstack(levels[: l + 1])
@@ -865,6 +869,23 @@ def test_each_route_block_is_the_level_table_of_its_pair():
             assert cartan_SA_hom(comp) == cartan_SA_formula(comp)
             components += 1
     assert components >= 7  # two, three and at least two components
+
+
+def test_hom_routes_on_a_component_assemble_nothing():
+    # a component's opposite is the component of A^op on its vertices, so
+    # both Hom routes read the regular modules of A and A^op cut to it: the
+    # component and its opposite leave their basis, act and normal forms
+    # unassembled, and the routes still equal the formula routes
+    components = 0
+    for alg in _disjoint_unions():
+        for comp in alg.components():
+            ra, sa = cartan_RA_hom(comp), cartan_SA_hom(comp)
+            opp = comp.opposite()
+            assert "basis" not in comp.__dict__ and "basis" not in opp.__dict__
+            assert opp.opposite() is comp and any(c is opp for c in alg.opposite().components())
+            assert ra == cartan_RA_formula(comp) and sa == cartan_SA_formula(comp)
+            components += 1
+    assert components >= 7
 
 
 def test_a_route_solves_one_system(monkeypatch):
